@@ -1,7 +1,7 @@
 # Tier-1 verification is `make test`; `make check` is the CI gate: gofmt,
-# vet, the race detector over the short-mode subset (which includes the
-# engine's determinism regressions) plus full race passes over the
-# graph/routing, cache-protocol, fleet/placement, and serving layers, the
+# vet, the benchmark module's own tests, the race detector over the
+# short-mode subset (which includes the engine's determinism
+# regressions) plus one full race pass over the quick packages, the
 # protocol conformance matrix, a one-iteration smoke pass over every
 # benchmark target, a telemetry smoke run with every probe on, a
 # deterministic placement-search smoke, and an end-to-end nucad/nucaload
@@ -11,13 +11,18 @@ GO ?= go
 BENCH_COUNT ?= 3
 BENCH_LABEL ?= after
 
-.PHONY: build test check fmt vet race racegraph racecache racerouter racefleet raceshard racecmp serverace conformance bench benchsmoke smoke shard-smoke cmp-smoke pareto-smoke opt-smoke serve-smoke verify clean
+.PHONY: build test benchmark-test check fmt vet race racelong conformance bench benchsmoke smoke cmp-smoke pareto-smoke opt-smoke serve-smoke verify clean
 
 build:
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
+
+# benchmark/ is its own module (BENCHMARK.json's harness), so the root
+# `go test ./...` does not reach it.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 # Fail when any file is not gofmt-clean, printing the offenders.
 fmt:
@@ -33,61 +38,19 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
-# Full (non-short) race pass over the graph/routing layer: topology
-# builders and the deadlock verifier are shared read-only across the
-# parallel engine's workers, so data races here would corrupt every
-# sweep. These packages are quick even un-shortened.
-racegraph:
-	$(GO) test -race ./internal/topology/ ./internal/routing/
-
-# Full (non-short) race pass over the cache protocol: the typed-message
-# engines and the conformance harness share the policy registry and the
-# per-run telemetry probes across the engine's workers.
-racecache:
-	$(GO) test -race ./internal/cache/
-
-# Full (non-short) race pass over the router-engine layer: the registry
-# is read concurrently by the parallel engine's workers while engines
-# themselves are per-run state, and the network-level engine tests pin
-# the conservation/livelock/multicast contracts that would be the first
-# casualties of a data race.
-racerouter:
-	$(GO) test -race ./internal/router/ ./internal/network/
-
-# Full (non-short) race pass over the fleet evaluator and the placement
-# optimizer built on it: stripes run on concurrent workers sharing the
-# immutable prepared artifacts, and the bit-identity tests compare the
-# lockstep path against the sequential reference under the detector.
-racefleet:
-	$(GO) test -race ./internal/fleet/ ./internal/place/
-
-# Race pass over the sharded execution path: the kernel-level wavefront
-# and mailbox tests, the partition planner, the network's cut wiring,
-# and the short-mode core determinism matrix with the parallel worker
-# path forced on — the detector audits the cross-shard ordering
-# protocol itself, not just the results.
-raceshard:
-	$(GO) test -race -run 'Shard|Partition' ./internal/sim/ ./internal/topology/ ./internal/network/
-	$(GO) test -race -short -run TestShardedRunMatchesSequential ./internal/core/
-
-# Full (non-short) race pass over the CMP layer: the fabric's ports and
-# hub demux are the only cross-core state of a full-system run, the
-# multi-requester conformance matrix drives them with the protocol
-# invariants enforced, and the trace-driven core model supplies every
-# stream — all under the detector, together with the CMP run tests
-# (analytic golden, hierarchical sharding, directory attribution).
-racecmp:
-	$(GO) test -race ./internal/cmp/ ./internal/cpu/
-	$(GO) test -race -run 'TestCMP' ./internal/core/
-
-# Full (non-short) race pass over the serving layer (and the canonical
-# hashing it keys on): the scheduler, the result cache, and the
-# coalescing map are the only cross-goroutine state the daemon has, and
-# the determinism/fairness/shutdown tests exercise all of it under
-# concurrent HTTP clients.
-serverace:
-	$(GO) test -race ./internal/serve/
-	$(GO) test -race -run TestCanonicalKey ./internal/core/
+# Full (non-short) race pass over the packages whose tests stay quick
+# un-shortened — everything shared across the parallel engine's workers
+# (topology builders, routing verifier, policy and router registries,
+# prepared fleet artifacts) and every piece of cross-goroutine state
+# (fleet stripes, the CMP fabric's ports, nucad's scheduler, cache, and
+# coalescing map) — plus the CMP and canonical-hash tests of
+# internal/core, whose full figure sweeps are too long for the detector.
+RACELONG_PKGS = ./internal/topology/ ./internal/routing/ ./internal/cache/ \
+	./internal/router/ ./internal/network/ ./internal/fleet/ ./internal/place/ \
+	./internal/cmp/ ./internal/cpu/ ./internal/serve/
+racelong:
+	$(GO) test -race $(RACELONG_PKGS)
+	$(GO) test -race -run 'TestCMP|TestCanonicalKey' ./internal/core/
 
 # Protocol conformance: the full micro-scenario matrix (every registered
 # policy × mode × hit position × occupancy × set fullness) against the
@@ -123,11 +86,6 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_fleet.json -label $(BENCH_LABEL) \
 		< /tmp/nucanet-bench-fleet-$(BENCH_LABEL).txt
 	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='BenchmarkShardedRun' . \
-		| tee /tmp/nucanet-bench-shard-$(BENCH_LABEL).txt
-	$(GO) run ./cmd/benchjson -o BENCH_shard.json -label $(BENCH_LABEL) \
-		< /tmp/nucanet-bench-shard-$(BENCH_LABEL).txt
-	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
 		-bench='BenchmarkCMP' . \
 		| tee /tmp/nucanet-bench-cmp-$(BENCH_LABEL).txt
 	$(GO) run ./cmd/benchjson -o BENCH_cmp.json -label $(BENCH_LABEL) \
@@ -142,39 +100,20 @@ smoke:
 	@rm -f /tmp/nucasim-smoke.jsonl
 	@echo "telemetry smoke: ok"
 
-# Sharded-execution smoke through the real CLI: the same nucasim run at
-# -shards 1 and -shards 4 must print identical reports (timing stripped)
-# — the end-to-end bit-identity promise, exercised through the flag
-# plumbing rather than the test harness.
-shard-smoke:
-	$(GO) build -o /tmp/nucasim-shard ./cmd/nucasim
-	@/tmp/nucasim-shard -design A -n 600 -shards 1 | sed 's/ \[[0-9.]*s\]//' > /tmp/nucasim-shard-1.txt
-	@/tmp/nucasim-shard -design A -n 600 -shards 4 | sed 's/ \[[0-9.]*s\]//' > /tmp/nucasim-shard-4.txt
-	@diff /tmp/nucasim-shard-1.txt /tmp/nucasim-shard-4.txt || \
-		{ echo "shard smoke: -shards 4 diverged from -shards 1"; exit 1; }
-	@rm -f /tmp/nucasim-shard /tmp/nucasim-shard-1.txt /tmp/nucasim-shard-4.txt
-	@echo "shard smoke: ok"
-
 # Full-system CMP smoke through the real CLI: a 4-core directory-policy
 # run on the two-chiplet hierarchy (design H2), timing stripped, diffed
 # against the committed golden — so the whole chain (flags, hierarchical
 # topology build, bridge-ring routing, fabric injection, directory
-# attribution, per-core reporting) is pinned end to end. The same run at
-# -shards 2 must reproduce the golden too (CMP bit-identity under
-# sharding), and a tiny paperbench -exp cmp exercises the
-# sharing-contention sweep.
+# attribution, per-core reporting) is pinned end to end. A tiny
+# paperbench -exp cmp exercises the sharing-contention sweep.
 cmp-smoke:
 	$(GO) build -o /tmp/nucasim-cmp ./cmd/nucasim
 	@/tmp/nucasim-cmp -design H2 -policy directory -cores 4 -n 500 \
-		| sed 's/ \[[0-9.]*s\]//' > /tmp/nucasim-cmp-1.txt
-	@diff cmd/nucasim/testdata/cmp_smoke.golden /tmp/nucasim-cmp-1.txt || \
+		| sed 's/ \[[0-9.]*s\]//' > /tmp/nucasim-cmp.txt
+	@diff cmd/nucasim/testdata/cmp_smoke.golden /tmp/nucasim-cmp.txt || \
 		{ echo "cmp smoke: output drifted from the committed golden"; exit 1; }
-	@/tmp/nucasim-cmp -design H2 -policy directory -cores 4 -n 500 -shards 2 \
-		| sed 's/ \[[0-9.]*s\]//' > /tmp/nucasim-cmp-2.txt
-	@diff cmd/nucasim/testdata/cmp_smoke.golden /tmp/nucasim-cmp-2.txt || \
-		{ echo "cmp smoke: -shards 2 diverged from the sequential golden"; exit 1; }
 	$(GO) run ./cmd/paperbench -exp cmp -n 300 >/dev/null
-	@rm -f /tmp/nucasim-cmp /tmp/nucasim-cmp-1.txt /tmp/nucasim-cmp-2.txt
+	@rm -f /tmp/nucasim-cmp /tmp/nucasim-cmp.txt
 	@echo "cmp smoke: ok"
 
 # Tiny router-engine Pareto sweep (every registered engine over designs
@@ -231,7 +170,7 @@ verify:
 	$(GO) run ./cmd/nucasim -verify-routing
 	$(GO) run ./cmd/nucasim -router bufferless -verify-routing
 
-check: fmt vet race racegraph racecache racerouter racefleet raceshard racecmp serverace conformance benchsmoke smoke shard-smoke cmp-smoke pareto-smoke opt-smoke serve-smoke verify
+check: fmt vet benchmark-test race racelong conformance benchsmoke smoke cmp-smoke pareto-smoke opt-smoke serve-smoke verify
 
 clean:
 	$(GO) clean ./...

@@ -43,10 +43,9 @@ func main() {
 		short   = flag.Int("shortlist", 3, "screening candidates graduating to confirmation")
 		benches = flag.String("benches", strings.Join(place.DefaultBenchmarks, ","),
 			"comma-separated scoring benchmark mix")
-		quiet  = flag.Bool("q", false, "suppress per-wave progress")
-		jobs   = cliutil.Jobs(flag.CommandLine)
-		shards = cliutil.Shards(flag.CommandLine)
-		cores  = flag.Int("cores", 0,
+		quiet = flag.Bool("q", false, "suppress per-wave progress")
+		jobs  = cliutil.Jobs(flag.CommandLine)
+		cores = flag.Int("cores", 0,
 			"score candidates as N-core CMP runs (geomean over per-core IPCs; grid families only, 0 = classic single-core)")
 	)
 	policy, mode := cliutil.Scheme(flag.CommandLine)
@@ -63,7 +62,6 @@ func main() {
 		Shortlist:       *short,
 		Benchmarks:      strings.Split(*benches, ","),
 		Workers:         workers,
-		Shards:          *shards,
 		Policy:          policy.String(),
 		Mode:            mode.String(),
 		Cores:           *cores,

@@ -11,7 +11,7 @@
 // and heatmaps at any -j.
 //
 // -router selects a registered router microarchitecture (VC wormhole,
-// bufferless deflection, ring-lite; -list-routers enumerates them) for
+// bufferless deflection, ring-lite; -list=routers enumerates them) for
 // every run, overriding the design's engine.
 //
 // -verify-routing skips simulation entirely and runs the static verifier
@@ -32,8 +32,6 @@
 //	nucasim -router bufferless -verify-routing
 //	nucasim -list                # every registry catalogue
 //	nucasim -list=designs        # one catalogue (designs, topologies, routers, policies, experiments)
-//	nucasim -list-policies       # alias for -list=policies
-//	nucasim -list-routers        # alias for -list=routers
 package main
 
 import (
@@ -60,29 +58,16 @@ func main() {
 		window   = flag.Int("window", 8, "CPU outstanding-access window (MSHRs)")
 		blocking = flag.Float64("blocking", 0.35, "fraction of reads that stall the core")
 		jobs     = cliutil.Jobs(flag.CommandLine)
-		shards   = cliutil.Shards(flag.CommandLine)
 		cores    = cliutil.Cores(flag.CommandLine)
 		tflags   = cliutil.Telemetry(flag.CommandLine)
 		verify   = flag.Bool("verify-routing", false,
 			"statically verify deadlock freedom of every catalogue design's routing, then exit")
-		listPol = flag.Bool("list-policies", false,
-			"alias for -list=policies")
-		listRouters = flag.Bool("list-routers", false,
-			"alias for -list=routers")
 	)
 	listFlag := cliutil.List(flag.CommandLine, "all")
 	routerName := cliutil.Router(flag.CommandLine)
 	policy, mode := cliutil.Scheme(flag.CommandLine)
 	flag.Parse()
 
-	if *listPol {
-		cliutil.ListSchemes(os.Stdout)
-		return
-	}
-	if *listRouters {
-		cliutil.ListRouters(os.Stdout)
-		return
-	}
 	if done, err := listFlag.Handle(os.Stdout); done {
 		fatal(err)
 		return
@@ -108,7 +93,6 @@ func main() {
 			Benchmark: b, Accesses: *n, Seed: *seed,
 			CPU:       cpu.Config{Window: *window, BlockingProb: *blocking},
 			Telemetry: tcfg,
-			Shards:    *shards,
 			Cores:     *cores,
 		}
 	}

@@ -26,7 +26,7 @@
 // policies added with cache.RegisterPolicy work unchanged. The
 // fixed-scheme reproductions (t1-t4, f7, f8, headline) ignore them.
 // -router overrides the router microarchitecture of every simulated run;
-// it resolves through the router registry (-list-routers on nucasim).
+// it resolves through the router registry (-list=routers on nucasim).
 // -bench selects the benchmark of the single-benchmark experiments
 // (energy, power, pareto, telemetry, placement).
 //
@@ -57,7 +57,6 @@ func main() {
 		bench    = flag.String("bench", "", "benchmark for the single-benchmark experiments (default gcc)")
 		useFleet = flag.Bool("fleet", false, "evaluate sweeps on the bulk-synchronous fleet instead of per-run goroutines")
 		jobs     = cliutil.Jobs(flag.CommandLine)
-		shards   = cliutil.Shards(flag.CommandLine)
 		cores    = cliutil.Cores(flag.CommandLine)
 		tflags   = cliutil.Telemetry(flag.CommandLine)
 	)
@@ -79,8 +78,7 @@ func main() {
 		Accesses: *n, Seed: *seed, Workers: workers,
 		PolicyName: policy.String(), ModeName: mode.String(),
 		RouterName: *routerName, Bench: *bench,
-		Telemetry: tflags.Config(), Fleet: *useFleet, Shards: *shards,
-		Cores: *cores,
+		Telemetry: tflags.Config(), Fleet: *useFleet, Cores: *cores,
 	}
 	traceOut := *tflags.TracePath
 

@@ -73,14 +73,6 @@ func Cores(fs *flag.FlagSet) *int {
 	return fs.Int("cores", 0, "run as an N-core CMP (trace-driven cores sharing the fabric; 0 = classic single-core)")
 }
 
-// Shards registers the standard -shards flag and returns its
-// destination. Sharding is an execution knob, not a model parameter:
-// results are bit-identical at any shard count, so the flag never
-// appears in canonical run keys.
-func Shards(fs *flag.FlagSet) *int {
-	return fs.Int("shards", 1, "execute each run on N kernel shards (bit-identical; >1 needs multiple CPUs to pay off)")
-}
-
 // TelemetryFlags holds the destinations of the standard telemetry flag
 // trio (-trace, -heatmap, -sample); read them after fs.Parse.
 type TelemetryFlags struct {

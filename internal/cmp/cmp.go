@@ -22,7 +22,7 @@
 // The package is a fabric layer, not a runner: Attach grafts ports and
 // controllers onto a prebuilt cache.System, and internal/core threads it
 // through Prepare/NewInstance so CMP runs inherit warm-image caching,
-// sharded kernels, telemetry, and the experiment registry unchanged.
+// telemetry, and the experiment registry unchanged.
 package cmp
 
 import (

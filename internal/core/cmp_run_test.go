@@ -120,46 +120,25 @@ func TestCMPInterferenceRaisesMissRate(t *testing.T) {
 	}
 }
 
-// TestCMPHierarchicalSharding is the full-system determinism proof on
-// the two-chiplet fabric: a 4-core run on H2 must be bit-identical
-// across the sequential kernel and every sharded partition, cores and
-// bridge traffic included.
-func TestCMPHierarchicalSharding(t *testing.T) {
-	base, err := Run(cmpOpts("H2", 4, 600))
+// TestCMPHierarchicalRemoteTraffic: a 4-core run on the two-chiplet
+// fabric makes progress and actually exercises the fabric — at least one
+// core sends requests to another core's home controller.
+func TestCMPHierarchicalRemoteTraffic(t *testing.T) {
+	res, err := Run(cmpOpts("H2", 4, 600))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.IPC <= 0 {
+	if res.IPC <= 0 {
 		t.Fatal("no throughput on H2")
 	}
 	remote := false
-	for _, c := range base.Cores {
+	for _, c := range res.Cores {
 		if c.RemoteShare > 0 {
 			remote = true
 		}
 	}
 	if !remote {
 		t.Fatal("4-core H2 run produced no cross-home traffic; the fabric is not exercised")
-	}
-	for _, shards := range []int{2, 4} {
-		o := cmpOpts("H2", 4, 600)
-		o.Shards = shards
-		res, err := Run(o)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if res.IPC != base.IPC || res.Cycles != base.Cycles || res.HitRate != base.HitRate {
-			t.Fatalf("shards=%d drifted: IPC %v vs %v, cycles %d vs %d",
-				shards, res.IPC, base.IPC, res.Cycles, base.Cycles)
-		}
-		for i := range base.Cores {
-			if res.Cores[i] != base.Cores[i] {
-				t.Fatalf("shards=%d core %d drifted: %+v vs %+v", shards, i, res.Cores[i], base.Cores[i])
-			}
-		}
-		if res.Network != base.Network || res.BankAccesses != base.BankAccesses {
-			t.Fatalf("shards=%d network/bank stats drifted", shards)
-		}
 	}
 }
 

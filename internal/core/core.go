@@ -51,15 +51,6 @@ type Options struct {
 	// the simulated fabric; Cores == 1 is the degenerate CMP (one core
 	// at the row's midpoint) the analytic cmp layer used to model.
 	Cores int
-	// Shards splits this one run's fabric across up to N goroutines
-	// advancing in conservative windows (see sim.NewShardedKernel and
-	// topology.Partition). Results are bit-identical to the sequential
-	// kernel at every value, so Shards is an execution knob, not a
-	// configuration: it is excluded from CanonicalKey (hash.go) and from
-	// Result comparability. 0 and 1 select the sequential kernel. The
-	// flit trace probe requires the sequential kernel (Telemetry.Trace
-	// with Shards > 1 is rejected).
-	Shards int
 }
 
 // DefaultOptions returns the baseline configuration: Design A, multicast

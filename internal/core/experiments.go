@@ -69,10 +69,6 @@ type ExpConfig struct {
 	// when one is linked in (see SetBulkRunner) — bit-identical results,
 	// shared preparation. False keeps the per-run goroutine engine.
 	Fleet bool
-	// Shards runs every simulation in the sweep on N kernel shards (the
-	// -shards flag). Purely an execution knob: any value produces
-	// byte-identical experiment output, pinned by the determinism matrix.
-	Shards int
 	// Cores runs every simulation with N trace-driven cores on the CMP
 	// fabric (the -cores flag); 0 keeps the classic single-core path.
 	// Experiments over designs that cannot host cores (the radial halos)
@@ -127,7 +123,7 @@ func (cfg ExpConfig) run(designID string, p cache.Policy, m cache.Mode, bench st
 	return Options{
 		DesignID: designID, Policy: p, Mode: m, Router: cfg.RouterName,
 		Benchmark: bench, Accesses: cfg.Accesses, Seed: cfg.Seed,
-		Shards: cfg.Shards, Cores: cfg.Cores,
+		Cores: cfg.Cores,
 	}
 }
 
@@ -405,7 +401,6 @@ func PowerGatingSweep(cfg ExpConfig, bench string) ([]PowerCell, SweepReport, er
 		opts[i] = Options{
 			Design: &gated, Policy: p, Mode: m,
 			Benchmark: bench, Accesses: cfg.Accesses, Seed: cfg.Seed,
-			Shards: cfg.Shards,
 		}
 		out[i] = PowerCell{WaysOn: ways, CapacityKB: d.CapacityKB()}
 	}
@@ -635,7 +630,7 @@ func CMPSharing(cfg ExpConfig, designID, bench string) (CMPResult, SweepReport, 
 		opts[i] = Options{
 			DesignID: designID, Policy: p, Mode: m, Router: cfg.RouterName,
 			Benchmark: bench, Accesses: cfg.Accesses, Seed: cfg.Seed,
-			Shards: cfg.Shards, Cores: n,
+			Cores:     n,
 			Telemetry: telemetry.Config{Heatmap: true},
 		}
 	}

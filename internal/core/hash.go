@@ -8,29 +8,8 @@ import (
 
 	"nucanet/internal/config"
 	"nucanet/internal/cpu"
-	"nucanet/internal/router"
 	"nucanet/internal/telemetry"
 )
-
-// hashedOptionFields lists every Options field the canonical hash
-// covers, in struct order. TestCanonicalKeyCoversAllOptionFields
-// compares this list against the Options struct via reflection, so a
-// field added to Options without a matching canonicalRun extension (and
-// an entry here) fails the build's tests instead of silently aliasing
-// distinct configurations in the result cache.
-var hashedOptionFields = []string{
-	"DesignID", "Design", "Policy", "Mode", "Benchmark", "Router",
-	"Accesses", "Seed", "CPU", "Telemetry", "Cores",
-}
-
-// unhashedOptionFields lists the Options fields the canonical hash
-// deliberately ignores: execution knobs that cannot change the Result.
-// Shards is excluded because sharded runs are bit-identical to
-// sequential ones (the determinism matrix in shard_determinism_test.go
-// pins this), so a nucad cache entry computed at any shard count
-// serves every other. The coverage test asserts every Options field
-// appears in exactly one of the two lists.
-var unhashedOptionFields = []string{"Shards"}
 
 // canonicalRun is the normalized image of one Options value: the design
 // resolved through config.Resolve (so a catalogue id and a byte-equal
@@ -57,22 +36,10 @@ type canonicalRun struct {
 // collapse repeat requests into cache hits. Unresolvable options (the
 // same ones Validate rejects) return an error.
 func CanonicalKey(o Options) (string, error) {
-	d, err := config.Resolve(o.DesignID, o.Design)
+	d, err := resolveDesign(o)
 	if err != nil {
 		return "", err
 	}
-	// Mirror Run's router normalization: the Options override folds into
-	// the resolved design and the engine name canonicalizes through the
-	// registry, so an empty engine and an explicit default engine name
-	// share one cache line while distinct engines never alias.
-	if o.Router != "" {
-		d.Router.Engine = o.Router
-	}
-	eng, err := router.ByName(d.Router.Engine)
-	if err != nil {
-		return "", err
-	}
-	d.Router.Engine = eng.Name
 	if !o.Policy.Valid() {
 		return "", fmt.Errorf("core: invalid policy %v", o.Policy)
 	}
@@ -87,7 +54,7 @@ func CanonicalKey(o Options) (string, error) {
 	}
 	cpuCfg.Seed = o.Seed
 	c := canonicalRun{
-		Design:    *d,
+		Design:    d,
 		Policy:    o.Policy.String(),
 		Mode:      o.Mode.String(),
 		Benchmark: o.Benchmark,

@@ -158,55 +158,54 @@ func TestCanonicalKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestCanonicalKeyCoversAllOptionFields fails when core.Options gains a
-// field that hashedOptionFields (and therefore canonicalRun) does not
-// account for — the guard that keeps the content-addressed cache from
-// aliasing configurations that differ in the new field.
+// TestCanonicalKeyCoversAllOptionFields walks core.Options by reflection
+// and requires that changing each field changes the key. A field added
+// to Options without a canonicalRun extension (and a perturbation here)
+// fails this test instead of silently aliasing distinct configurations
+// in the result cache.
 func TestCanonicalKeyCoversAllOptionFields(t *testing.T) {
-	covered := map[string]bool{}
-	for _, f := range hashedOptionFields {
-		covered[f] = true
+	dd, err := config.DesignByID("D")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range unhashedOptionFields {
-		if covered[f] {
-			t.Errorf("Options.%s appears in both hashedOptionFields and unhashedOptionFields", f)
-		}
-		covered[f] = true
+	perturb := map[string]func(*Options){
+		"DesignID":  func(o *Options) { o.DesignID = "B" },
+		"Design":    func(o *Options) { o.Design = &dd },
+		"Policy":    func(o *Options) { o.Policy = cache.LRU },
+		"Mode":      func(o *Options) { o.Mode = cache.Unicast },
+		"Benchmark": func(o *Options) { o.Benchmark = "mcf" },
+		"Router":    func(o *Options) { o.Router = "bufferless" },
+		"Accesses":  func(o *Options) { o.Accesses++ },
+		"Seed":      func(o *Options) { o.Seed++ },
+		"CPU":       func(o *Options) { o.CPU.Window++ },
+		"Telemetry": func(o *Options) { o.Telemetry.Heatmap = true },
+		"Cores":     func(o *Options) { o.Cores = 2 },
+	}
+	baseKey, err := CanonicalKey(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
 	typ := reflect.TypeOf(Options{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		if !covered[name] {
-			t.Errorf("Options.%s is not covered by CanonicalKey: extend canonicalRun and hashedOptionFields in hash.go (or justify excluding it in unhashedOptionFields)", name)
+		f, ok := perturb[name]
+		if !ok {
+			t.Errorf("Options.%s has no perturbation here: extend canonicalRun in hash.go and this table", name)
+			continue
 		}
-		delete(covered, name)
-	}
-	for name := range covered {
-		t.Errorf("hash.go lists %q, which Options no longer has", name)
-	}
-}
-
-// TestCanonicalKeyShardInvariance pins the Shards exclusion: the same
-// configuration hashes identically at every shard count, so a nucad
-// result cached at one setting serves requests at any other. This is
-// sound because sharded execution is bit-identical (see
-// TestShardedRunMatchesSequential).
-func TestCanonicalKeyShardInvariance(t *testing.T) {
-	base := DefaultOptions()
-	want, err := CanonicalKey(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		o := base
-		o.Shards = shards
-		got, err := CanonicalKey(o)
+		delete(perturb, name)
+		o := DefaultOptions()
+		f(&o)
+		key, err := CanonicalKey(o)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Options.%s: %v", name, err)
 		}
-		if got != want {
-			t.Errorf("shards=%d: key %s != shards=0 key %s", shards, got, want)
+		if key == baseKey {
+			t.Errorf("changing Options.%s did not change the canonical key", name)
 		}
+	}
+	for name := range perturb {
+		t.Errorf("this test perturbs %q, which Options no longer has", name)
 	}
 }
 

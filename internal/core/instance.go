@@ -78,15 +78,13 @@ func NewPrepCache() *PrepCache {
 	}
 }
 
-// designEntry caches per-design construction: valErr reproduces
-// d.Validate's verdict (surfaced at the same point in Prepare's error
-// order), chkErr the network-construction gates (engine progress proof +
+// designEntry caches per-design construction of an already validated
+// design: err is the network-construction gate (engine progress proof +
 // Supports) that cache/network construction would raise.
 type designEntry struct {
-	topo   *topology.Topology
-	tb     *routing.Table
-	valErr error
-	chkErr error
+	topo *topology.Topology
+	tb   *routing.Table
+	err  error
 }
 
 type traceKey struct {
@@ -114,8 +112,8 @@ type imageKey struct {
 	te    *traceEntry
 }
 
-// design resolves the per-design entry, computing and (when pc is
-// non-nil) caching it.
+// design resolves the per-design entry of a design checkOptions accepted,
+// computing and (when pc is non-nil) caching it.
 func (pc *PrepCache) design(d config.Design) *designEntry {
 	var key string
 	if pc != nil {
@@ -129,12 +127,10 @@ func (pc *PrepCache) design(d config.Design) *designEntry {
 		}
 	}
 	e := &designEntry{}
-	if e.valErr = d.Validate(); e.valErr == nil {
-		if e.topo, e.valErr = d.Build(); e.valErr == nil {
-			var alg routing.Algorithm
-			if alg, e.chkErr = routing.For(e.topo); e.chkErr == nil {
-				e.tb, e.chkErr = network.Check(e.topo, alg, d.Router)
-			}
+	if e.topo, e.err = d.Build(); e.err == nil {
+		var alg routing.Algorithm
+		if alg, e.err = routing.For(e.topo); e.err == nil {
+			e.tb, e.err = network.Check(e.topo, alg, d.Router)
 		}
 	}
 	if pc != nil {
@@ -180,57 +176,16 @@ func (pc *PrepCache) traceFor(d config.Design, prof trace.Profile, seed uint64, 
 }
 
 // Prepare resolves and validates opt into the run's immutable artifacts.
-// Its validation order — design resolution, router engine lookup, design
-// validation, benchmark lookup, accesses bound, policy/mode check,
-// network construction gates — matches the order the monolithic Run
-// surfaced the same errors in.
+// Option checks (checkOptions) come first, then the network construction
+// gates — the order the monolithic Run surfaced the same errors in.
 func Prepare(opt Options, pc *PrepCache) (*Artifacts, error) {
-	dp, err := config.Resolve(opt.DesignID, opt.Design)
+	d, prof, err := checkOptions(opt)
 	if err != nil {
 		return nil, err
 	}
-	d := *dp
-	if opt.Router != "" {
-		d.Router.Engine = opt.Router
-	}
-	// Normalize the engine to its registered name (empty selects the
-	// default) so Result.Design records what actually simulated, and fail
-	// fast on unknown engines or unsupported (engine, topology) pairs.
-	eng, err := router.ByName(d.Router.Engine)
-	if err != nil {
-		return nil, err
-	}
-	d.Router.Engine = eng.Name
 	de := pc.design(d)
-	if de.valErr != nil {
-		return nil, de.valErr
-	}
-	prof, err := trace.ProfileByName(opt.Benchmark)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Accesses <= 0 {
-		return nil, fmt.Errorf("core: accesses must be positive, got %d", opt.Accesses)
-	}
-	if opt.Shards < 0 {
-		return nil, fmt.Errorf("core: shards must be non-negative, got %d", opt.Shards)
-	}
-	if opt.Cores < 0 {
-		return nil, fmt.Errorf("core: cores must be non-negative, got %d", opt.Cores)
-	}
-	if opt.Cores > 0 && de.topo != nil {
-		if err := cmp.SupportsHost(de.topo, d.ID, opt.Cores); err != nil {
-			return nil, err
-		}
-	}
-	if opt.Shards > 1 && opt.Telemetry.Trace {
-		return nil, fmt.Errorf("core: the flit trace probe requires the sequential kernel (shards=%d with trace)", opt.Shards)
-	}
-	if err := cache.ValidatePair(opt.Policy, opt.Mode); err != nil {
-		return nil, err
-	}
-	if de.chkErr != nil {
-		return nil, de.chkErr
+	if de.err != nil {
+		return nil, de.err
 	}
 	te := pc.traceFor(d, prof, opt.Seed, opt.Accesses, opt.Cores)
 	cpuCfg := opt.CPU
@@ -283,24 +238,9 @@ type Instance struct {
 // non-nil, is the router-construction arena lanes of a fleet batch share
 // (see router.Arena); it must not be shared across goroutines.
 func NewInstance(art *Artifacts, ar *router.Arena) (*Instance, error) {
-	var k *sim.Kernel
-	var plan *topology.Plan
-	if art.Opt.Shards > 1 {
-		// Partition the fabric; the planner clamps to what the graph
-		// supports and may come back with a single shard, in which case
-		// the plain sequential kernel is the same machine with less
-		// bookkeeping.
-		if plan = topology.Partition(art.Topo, art.Opt.Shards); plan.Shards > 1 {
-			k = sim.NewShardedKernel(plan.Shards)
-		} else {
-			plan = nil
-		}
-	}
-	if k == nil {
-		k = sim.NewKernel()
-	}
+	k := sim.NewKernel()
 	sys, err := cache.NewPrebuilt(k, art.Design, art.Opt.Policy, art.Opt.Mode, cache.Prebuilt{
-		Topo: art.Topo, Alg: art.Table, Arena: ar, Prechecked: true, Plan: plan,
+		Topo: art.Topo, Alg: art.Table, Arena: ar, Prechecked: true,
 	})
 	if err != nil {
 		return nil, err

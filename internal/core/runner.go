@@ -4,47 +4,79 @@ import (
 	"fmt"
 
 	"nucanet/internal/cache"
+	"nucanet/internal/cmp"
 	"nucanet/internal/config"
+	"nucanet/internal/router"
 	"nucanet/internal/telemetry"
 	"nucanet/internal/trace"
 )
 
-// Validate checks that the options describe a runnable simulation:
-// a resolvable design, a known Table 2 benchmark, defined policy/mode
-// values, and a positive access count. Run performs the same checks; use
+// Validate checks that the options describe a runnable simulation: a
+// resolvable design, a registered router engine that supports it, a
+// known Table 2 benchmark, a positive access count, a core count the
+// design can host, and defined policy/mode values. Run performs the same
+// checks with the same messages (both go through checkOptions); use
 // Validate to fail fast before queuing work (e.g. building a sweep).
 func (o Options) Validate() error {
-	d, err := config.Resolve(o.DesignID, o.Design)
+	_, _, err := checkOptions(o)
+	return err
+}
+
+// resolveDesign resolves o's design with the router override folded in
+// and the engine name normalized to its registered form (empty selects
+// the default), so Result.Design records what actually simulated and an
+// empty and an explicit default engine share one CanonicalKey.
+func resolveDesign(o Options) (config.Design, error) {
+	dp, err := config.Resolve(o.DesignID, o.Design)
 	if err != nil {
-		return err
+		return config.Design{}, err
+	}
+	d := *dp
+	if o.Router != "" {
+		d.Router.Engine = o.Router
+	}
+	eng, err := router.ByName(d.Router.Engine)
+	if err != nil {
+		return config.Design{}, err
+	}
+	d.Router.Engine = eng.Name
+	return d, nil
+}
+
+// checkOptions is the one place an Options value is judged runnable. It
+// returns the resolved design and the benchmark profile for Prepare to
+// build on. The check order is the order Run has always surfaced these
+// errors in.
+func checkOptions(o Options) (d config.Design, prof trace.Profile, err error) {
+	if d, err = resolveDesign(o); err != nil {
+		return d, prof, err
 	}
 	if o.Router != "" {
-		// Re-validate with the router override applied: unknown engine
-		// names and unsupported (engine, topology) pairs fail here.
-		d.Router.Engine = o.Router
+		// Resolve validated the design under its own engine; the override
+		// may not support the topology.
 		if err := d.Validate(); err != nil {
-			return err
+			return d, prof, err
 		}
 	}
-	if _, err := trace.ProfileByName(o.Benchmark); err != nil {
-		return err
-	}
-	if !o.Policy.Valid() {
-		return fmt.Errorf("core: invalid policy %v", o.Policy)
-	}
-	if !o.Mode.Valid() {
-		return fmt.Errorf("core: invalid mode %v", o.Mode)
+	if prof, err = trace.ProfileByName(o.Benchmark); err != nil {
+		return d, prof, err
 	}
 	if o.Accesses <= 0 {
-		return fmt.Errorf("core: accesses must be positive, got %d", o.Accesses)
+		return d, prof, fmt.Errorf("core: accesses must be positive, got %d", o.Accesses)
 	}
-	if o.Shards < 0 {
-		return fmt.Errorf("core: shards must be non-negative, got %d", o.Shards)
+	if o.Cores < 0 {
+		return d, prof, fmt.Errorf("core: cores must be non-negative, got %d", o.Cores)
 	}
-	if o.Shards > 1 && o.Telemetry.Trace {
-		return fmt.Errorf("core: the flit trace probe requires the sequential kernel (shards=%d with trace)", o.Shards)
+	if o.Cores > 0 {
+		topo, err := d.Build()
+		if err != nil {
+			return d, prof, err
+		}
+		if err := cmp.SupportsHost(topo, d.ID, o.Cores); err != nil {
+			return d, prof, err
+		}
 	}
-	return nil
+	return d, prof, cache.ValidatePair(o.Policy, o.Mode)
 }
 
 // Runner is the stable entry point for configuring and executing one
@@ -102,12 +134,6 @@ func WithSeed(s uint64) Option {
 // WithTelemetry enables cycle-level probes.
 func WithTelemetry(tc telemetry.Config) Option {
 	return func(o *Options) { o.Telemetry = tc }
-}
-
-// WithShards sets the intra-run shard count (0 or 1 = sequential
-// kernel). Results are bit-identical at every value; see Options.Shards.
-func WithShards(n int) Option {
-	return func(o *Options) { o.Shards = n }
 }
 
 // NewRunner builds a Runner from DefaultOptions with opts applied in

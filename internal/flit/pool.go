@@ -14,40 +14,10 @@ package flit
 // does nothing, so unwired routers keep working without a pool.
 type PacketPool struct {
 	free []*Packet
-	held []*Packet // returned but not yet recycled (deferred mode)
-
-	deferred bool // see SetDeferred
 
 	gets uint64 // packets handed out
 	puts uint64 // packets returned
 	news uint64 // gets that had to allocate (freelist empty)
-}
-
-// SetDeferred switches the pool to deferred recycling: Put still marks
-// the packet returned immediately (so double-Put stays a no-op and the
-// leak accounting is unchanged), but the packet keeps its payload and
-// stays off the freelist until Flush. The sharded kernel needs this —
-// a router returns a packet in the same cycle its delivery is staged,
-// and the endpoint must still read the packet when the staged delivery
-// executes at the window boundary, after which the network Flushes.
-func (p *PacketPool) SetDeferred(on bool) {
-	if p != nil {
-		p.deferred = on
-	}
-}
-
-// Flush recycles every deferred-returned packet onto the freelist,
-// dropping payload references. A no-op for pools not in deferred mode.
-func (p *PacketPool) Flush() {
-	if p == nil {
-		return
-	}
-	for i, pkt := range p.held {
-		pkt.Payload = nil
-		p.free = append(p.free, pkt)
-		p.held[i] = nil
-	}
-	p.held = p.held[:0]
 }
 
 // Get returns a zeroed pooled packet (or a plain allocation when p is nil).
@@ -75,10 +45,6 @@ func (p *PacketPool) Put(pkt *Packet) {
 	}
 	pkt.pooled = false
 	p.puts++
-	if p.deferred {
-		p.held = append(p.held, pkt)
-		return
-	}
 	pkt.Payload = nil
 	p.free = append(p.free, pkt)
 }

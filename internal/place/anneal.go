@@ -47,13 +47,6 @@ type Config struct {
 	Benchmarks []string // scoring mix (default DefaultBenchmarks)
 	Workers    int      // fleet workers; 0 selects GOMAXPROCS
 
-	// Shards runs every scored simulation on N kernel shards. Scores are
-	// bit-identical at any value (sharding is an execution knob), so the
-	// search result and its hash do not move; >1 routes scoring through
-	// the per-run engine because the fleet's lockstep schedule already
-	// interleaves runs on one core.
-	Shards int
-
 	// Policy and Mode name the replacement scheme of every scored run;
 	// empty selects the paper's winner (multicast Fast-LRU).
 	Policy string
@@ -319,23 +312,11 @@ func (res *Result) score(cands []Candidate, accesses int, policy cache.Policy, m
 			opt.Benchmark = bench
 			opt.Accesses = accesses
 			opt.Seed = 42
-			opt.Shards = cfg.Shards
 			opt.Cores = cfg.Cores
 			opts = append(opts, opt)
 		}
 	}
-	var (
-		results []core.Result
-		rep     core.SweepReport
-		err     error
-	)
-	if cfg.Shards > 1 {
-		// Sharded kernels parallelize within a run; the per-run engine
-		// keeps that useful. Results are bit-identical to the fleet path.
-		results, rep, err = core.NewEngine(cfg.Workers).RunAll(opts)
-	} else {
-		results, rep, err = fleet.RunAll(opts, fleet.Config{Workers: cfg.Workers})
-	}
+	results, rep, err := fleet.RunAll(opts, fleet.Config{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

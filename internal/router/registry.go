@@ -43,10 +43,8 @@ type Engine interface {
 
 	// SetDeliver installs the local ejection callback.
 	SetDeliver(f func(*flit.Packet, int64))
-	// SetKernelID records the component id used for activations;
-	// KernelID returns it.
+	// SetKernelID records the component id used for activations.
 	SetKernelID(id int)
-	KernelID() int
 	// SetTelemetry installs the probe collector (nil disables probes).
 	SetTelemetry(c *telemetry.Collector)
 	// SetPool installs the per-run packet freelist for multicast

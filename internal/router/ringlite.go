@@ -100,9 +100,6 @@ func (r *RingLite) SetDeliver(f func(*flit.Packet, int64)) { r.deliver = f }
 // SetKernelID records the component id for activations.
 func (r *RingLite) SetKernelID(id int) { r.kid = id }
 
-// KernelID returns the registered component id.
-func (r *RingLite) KernelID() int { return r.kid }
-
 // SetTelemetry installs the probe collector (nil disables all probes).
 func (r *RingLite) SetTelemetry(c *telemetry.Collector) { r.tel = c }
 

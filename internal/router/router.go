@@ -268,9 +268,6 @@ func (r *Router) SetTelemetry(c *telemetry.Collector) { r.tel = c }
 // unwired routers) falls back to plain allocation.
 func (r *Router) SetPool(p *flit.PacketPool) { r.pool = p }
 
-// KernelID returns the registered component id.
-func (r *Router) KernelID() int { return r.kid }
-
 // Stats returns a copy of the router's counters.
 func (r *Router) Stats() Stats { return r.stats }
 

@@ -12,8 +12,8 @@ import "fmt"
 //
 // The bridges are ordinary nodes of the graph (two ports, no banks, off
 // the logical grid like the halo hub), so routing precompute, the static
-// verifiers, sharding partitions, and every router engine compose with
-// the hierarchy unchanged.
+// verifiers, and every router engine compose with the hierarchy
+// unchanged.
 type HierSpec struct {
 	W, H       int // total columns across all chiplets x mesh height
 	Chiplets   int
