@@ -18,9 +18,10 @@
 // scratch slices, no queue growth, no closure captures, no replica
 // packets from the GC heap. On top of that, the cache-protocol guard
 // bounds the allocations of one full operation to an exact, explainable
-// sum (typed messages are embedded in the op, so dispatch and chain hops
-// never allocate payloads), and the pool-balance tests prove no pooled
-// replica packet leaks across a full Fast-LRU multicast run.
+// sum (the Request and the op: typed messages are embedded in the op and
+// every packet is pooled, so sends, dispatch and chain hops allocate
+// nothing), and the pool-balance tests prove no pooled packet — protocol
+// message or replica — leaks across full runs on every router engine.
 package nucanet
 
 import (
@@ -288,17 +289,18 @@ func allocGuardDesign() config.Design {
 	}
 }
 
-// TestCacheAccessAllocBound pins the protocol-layer allocation contract
-// after the typed-message refactor: one operation allocates exactly its
-// Request, its op (every protocol message plus the memory read request
-// is embedded in the op, so dispatch never allocates a payload), one
-// probed bitmap, and one packet-literal-plus-timer-closure pair per
-// scheduled send. Cycles in between — flits in flight, bank bookings,
-// stash replay, message dispatch — allocate nothing; the network's own
-// zero-alloc guard above covers the router half. Any per-hop payload
-// allocation creeping back into the replacement chain (the pre-refactor
-// design allocated a fresh block message per hop, and boxed the memory
-// read request per miss) trips the miss-path bound.
+// TestCacheAccessAllocBound pins the protocol-layer allocation contract:
+// one access allocates exactly its Request and its op, and nothing per
+// send. Every protocol message, the probed mask and the memory read
+// request are embedded in the op; every packet — the probe, each bank's
+// reply, chain hops, the off-chip read and its fill — comes from the
+// network's packet pool and returns to it at ejection; and a scheduled
+// send is a (cycle, packet) entry in the agent's send queue, not a
+// closure. Cycles in between — flits in flight, bank bookings, stash
+// replay, message dispatch — allocate nothing either; the network's own
+// zero-alloc guard above covers the router half. A packet literal, a
+// timer closure or a per-hop payload creeping back in trips the bound on
+// the first send.
 func TestCacheAccessAllocBound(t *testing.T) {
 	d := allocGuardDesign()
 	k := sim.NewKernel()
@@ -319,17 +321,17 @@ func TestCacheAccessAllocBound(t *testing.T) {
 		for k.Step() {
 		}
 	})
-	// 1 Request + 1 op + 1 probed bitmap + the probe packet, then one
-	// (closure, packet) pair per send: the MRU bank's data reply plus a
-	// miss notification from each of the other three banks.
-	const maxHitAllocs = 14
+	// The Request and the op; the probe, the MRU bank's data reply and
+	// the other three banks' miss notifications ride pooled packets.
+	const maxHitAllocs = 2
 	if hit > maxHitAllocs {
 		t.Fatalf("MRU hit allocates %.1f objects per access, want <= %d", hit, maxHitAllocs)
 	}
 
 	// Misses exercise the long path: full multicast miss, off-chip read
 	// (embedded in the op — no boxing), fill, and a full-length eviction
-	// chain reusing one chain message end to end.
+	// chain reusing one chain message end to end — still only the
+	// Request and the op.
 	tag := uint64(1 << 20)
 	miss := testing.AllocsPerRun(100, func() {
 		sys.Issue(sys.AM.Compose(tag, 3, 2), false, nil)
@@ -337,42 +339,63 @@ func TestCacheAccessAllocBound(t *testing.T) {
 		for k.Step() {
 		}
 	})
-	const maxMissAllocs = 26
+	const maxMissAllocs = 2
 	if miss > maxMissAllocs {
 		t.Fatalf("full miss allocates %.1f objects per access, want <= %d", miss, maxMissAllocs)
 	}
 	t.Logf("allocations per access: MRU hit %.1f, full miss %.1f", hit, miss)
 }
 
-// TestCacheRunPacketPoolBalanced runs a full Fast-LRU multicast workload
-// on Design A and checks the replica freelist's leak invariant end to
-// end through the cache protocol: every pooled packet the multicast
-// probes borrowed came back exactly once, and none is live after drain.
+// TestCacheRunPacketPoolBalanced is the packet pool's leak invariant end
+// to end through the cache protocol, on every registered router engine:
+// a multicast Fast-LRU run (probe replicas), a unicast LRU run on lucas
+// (replacement chains, write-backs, memory replies), and one 4-core H2
+// directory run (the CMP ports' forwarding envelopes). After drain no
+// packet is live, every packet handed out came back exactly once, and
+// the pool handed out at least as many packets as were injected — every
+// protocol packet, not only the routers' replicas, is pooled.
 func TestCacheRunPacketPoolBalanced(t *testing.T) {
-	d, err := config.DesignByID("A")
-	if err != nil {
-		t.Fatal(err)
+	accesses := 2000
+	if testing.Short() {
+		accesses = 500
 	}
-	k := sim.NewKernel()
-	sys := cache.MustNew(k, d, cache.FastLRU, cache.Multicast)
-	p, err := trace.ProfileByName("gcc")
-	if err != nil {
-		t.Fatal(err)
+	type run struct {
+		name string
+		opt  core.Options
 	}
-	gen := trace.NewSynthetic(p, sys.AM, 7)
-	sys.Warm(gen.WarmBlocks(d.Ways()))
-	for _, a := range trace.Take(gen, 2000) {
-		sys.Issue(a.Addr, a.Write, nil)
+	var runs []run
+	for _, eng := range router.Names() {
+		runs = append(runs,
+			run{eng + "/A-multicast-fastlru-gcc", core.Options{DesignID: "A", Policy: cache.FastLRU,
+				Mode: cache.Multicast, Benchmark: "gcc", Accesses: accesses, Router: eng}},
+			run{eng + "/A-unicast-lru-lucas", core.Options{DesignID: "A", Policy: cache.LRU,
+				Mode: cache.Unicast, Benchmark: "lucas", Accesses: accesses, Router: eng}})
 	}
-	if err := sys.Drain(1 << 30); err != nil {
-		t.Fatal(err)
-	}
-	ps := sys.Net.PoolStats()
-	if ps.Gets == 0 {
-		t.Fatal("no replicas were spawned; the multicast tag-match did not run")
-	}
-	if ps.Live != 0 || ps.Gets != ps.Puts {
-		t.Fatalf("replica pool leak after full run: gets=%d puts=%d live=%d", ps.Gets, ps.Puts, ps.Live)
+	runs = append(runs, run{"H2-directory-4core", core.Options{DesignID: "H2", Policy: cache.Directory,
+		Mode: cache.Multicast, Benchmark: "gcc", Accesses: accesses / 4, Cores: 4}})
+	for _, tc := range runs {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := tc.opt
+			opt.Seed = 7
+			art, err := core.Prepare(opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := core.NewInstance(art, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := in.RunToCompletion(); err != nil {
+				t.Fatal(err)
+			}
+			ps := in.Sys.Net.PoolStats()
+			if ps.Live != 0 || ps.Gets != ps.Puts {
+				t.Fatalf("packet pool leak after full run: gets=%d puts=%d live=%d", ps.Gets, ps.Puts, ps.Live)
+			}
+			if inj := in.Sys.Net.Stats().PacketsInjected; inj == 0 || ps.Gets < inj {
+				t.Fatalf("pool handed out %d packets but %d were injected: a protocol packet bypassed the pool", ps.Gets, inj)
+			}
+		})
 	}
 }
 

@@ -246,6 +246,15 @@ func (b *Bank) Blocks(set int) []Block {
 	return out
 }
 
+// EachBlock calls f on the set's blocks in MRU-to-LRU order without
+// copying them (whole-cache scans use it; Blocks allocates per set). f
+// must not mutate the bank.
+func (b *Bank) EachBlock(set int, f func(Block)) {
+	for _, blk := range b.set(set).blocks {
+		f(blk)
+	}
+}
+
 // Ways returns the bank associativity.
 func (b *Bank) Ways() int { return b.spec.Ways }
 

@@ -197,6 +197,18 @@ func TestBankInvariantsProperty(t *testing.T) {
 			if len(seen) != len(resident) {
 				return false
 			}
+			// The non-copying scan visits exactly Blocks' sequence.
+			i, blocks := 0, b.Blocks(0)
+			b.EachBlock(0, func(blk Block) {
+				if i >= len(blocks) || blk != blocks[i] {
+					i = len(blocks) + 1
+					return
+				}
+				i++
+			})
+			if i != len(blocks) {
+				return false
+			}
 		}
 		return true
 	}, &quick.Config{MaxCount: 200}); err != nil {

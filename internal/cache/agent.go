@@ -24,7 +24,7 @@ type agent struct {
 
 	busyUntil int64
 	sched     scheduler
-	stash     []*flit.Packet // replacement traffic awaiting this bank's probe
+	stash     []flit.Payload // replacement traffic awaiting this bank's probe
 
 	// Accesses counts bank accesses performed (Fast-LRU roughly halves
 	// this versus classic LRU — a paper claim worth measuring).
@@ -48,25 +48,22 @@ func (a *agent) full(set int) bool {
 	return a.bk.Occupancy(set) >= a.bk.Ways()
 }
 
-// send schedules a packet injection at cycle t.
+// send schedules a packet injection at cycle t. The packet is built now,
+// from the network's pool, and waits in the agent's send queue.
 func (a *agent) send(t int64, kind flit.Kind, dst topology.NodeID, ep flit.Endpoint, addr uint64, payload flit.Payload) {
-	a.sched.at(t, func(now int64) {
-		a.sys.Net.Send(&flit.Packet{
-			Kind: kind, Src: a.node, Dst: dst, DstEp: ep, Addr: addr, Payload: payload,
-		}, now)
-	})
+	pkt := a.sys.Net.NewPacket(kind, a.node, dst, ep, addr)
+	pkt.Payload = payload
+	a.sched.at(t, pkt)
 }
 
 // sendBank schedules a packet to the bank at position pos of this
 // agent's column, addressing it both by router (Dst) and by column
 // position (DstPos) so nodes hosting several banks demux correctly.
 func (a *agent) sendBank(t int64, kind flit.Kind, pos int, addr uint64, payload flit.Payload) {
-	a.sched.at(t, func(now int64) {
-		a.sys.Net.Send(&flit.Packet{
-			Kind: kind, Src: a.node, Dst: a.sys.bankNode(a.col, pos), DstEp: flit.ToBank,
-			DstPos: int16(pos), Addr: addr, Payload: payload,
-		}, now)
-	})
+	pkt := a.sys.Net.NewPacket(kind, a.node, a.sys.bankNode(a.col, pos), flit.ToBank, addr)
+	pkt.DstPos = int16(pos)
+	pkt.Payload = payload
+	a.sched.at(t, pkt)
 }
 
 // dataKind returns the packet kind answering the core: block data for
@@ -86,20 +83,25 @@ func dataKind(o *op, fromHit bool) flit.Kind {
 // probe for that operation has run: the probe travels as a router replica
 // that can queue at a congested ejection port, so unlike the paper's
 // single downward path, arrival order is not inherently guaranteed here.
+// The stash keeps the payload, never the packet: the router recycles pkt
+// once Deliver returns (see network.Endpoint).
 func (a *agent) Deliver(pkt *flit.Packet, now int64) {
-	if o := stashableOp(pkt.Payload); o != nil && o.probed != nil && !o.probed[a.pos] {
-		a.stash = append(a.stash, pkt)
+	if o := stashableOp(pkt.Payload); o != nil && o.multicast && o.probed&a.bit() == 0 {
+		a.stash = append(a.stash, pkt.Payload)
 		return
 	}
-	a.dispatch(pkt, now)
+	a.dispatch(pkt.Payload, now)
 }
+
+// bit is this bank's position in an op's probed mask.
+func (a *agent) bit() uint64 { return 1 << uint(a.pos) }
 
 // dispatch hands a bank-bound message to the policy engine — an
 // exhaustive type switch over the bank-side message catalogue. The probe
 // case marks the bank probed (replaying stashed traffic) after the
 // engine's tag-match has run, policy-independently.
-func (a *agent) dispatch(pkt *flit.Packet, now int64) {
-	switch m := pkt.Payload.(type) {
+func (a *agent) dispatch(p flit.Payload, now int64) {
+	switch m := p.(type) {
 	case *probeMsg:
 		a.sys.eng.Probe(a, m.o, now)
 		a.markProbed(m.o, now)
@@ -116,27 +118,27 @@ func (a *agent) dispatch(pkt *flit.Packet, now int64) {
 	case *demoteMsg:
 		a.sys.eng.Demote(a, m, now)
 	default:
-		panic(fmt.Sprintf("cache: bank %d/%d got unexpected %v", a.col, a.pos, pkt))
+		panic(fmt.Sprintf("cache: bank %d/%d got unexpected payload %T", a.col, a.pos, p))
 	}
 }
 
 // markProbed records this bank's probe and replays any stashed messages
 // that were waiting for it.
 func (a *agent) markProbed(o *op, now int64) {
-	if o.probed == nil {
+	if !o.multicast {
 		return
 	}
-	o.probed[a.pos] = true
+	o.probed |= a.bit()
 	if len(a.stash) == 0 {
 		return
 	}
 	pending := a.stash
 	a.stash = a.stash[:0]
-	for _, pkt := range pending {
-		if stashableOp(pkt.Payload) == o {
-			a.dispatch(pkt, now)
+	for _, p := range pending {
+		if stashableOp(p) == o {
+			a.dispatch(p, now)
 		} else {
-			a.stash = append(a.stash, pkt)
+			a.stash = append(a.stash, p)
 		}
 	}
 }

@@ -16,9 +16,8 @@ import (
 // PolicyEngine's business; the controller only counts the completions the
 // engine's protocol announces.
 type Controller struct {
-	sys   *System
-	sched scheduler
-	cols  []colState
+	sys  *System
+	cols []colState
 
 	// Node is the router this controller attaches to (the topology's
 	// core router for single-core systems; CMP systems place several
@@ -51,9 +50,7 @@ func newController(sys *System) *Controller {
 // and routes requests to it (each column must be owned by exactly one
 // controller; column state is controller-local).
 func NewControllerAt(sys *System, node int) *Controller {
-	c := &Controller{sys: sys, Node: node, cols: make([]colState, sys.Topo.Columns())}
-	c.sched.register(sys.K)
-	return c
+	return &Controller{sys: sys, Node: node, cols: make([]colState, sys.Topo.Columns())}
 }
 
 // Issue accepts one CPU request. The request's Done callback (if any)
@@ -86,7 +83,12 @@ func (c *Controller) dispatch(col int, now int64) {
 		if conflict {
 			return
 		}
-		cs.q = cs.q[1:]
+		// Pop by copy-down: re-slicing from the front would shed the
+		// array's capacity (a reallocation on every later Issue) and
+		// leave the popped request pinned in the abandoned slot.
+		n := copy(cs.q, cs.q[1:])
+		cs.q[n] = nil
+		cs.q = cs.q[:n]
 		c.QueueWait += now - r.Issued
 		o := newOp()
 		o.req = r
@@ -98,9 +100,7 @@ func (c *Controller) dispatch(col int, now int64) {
 		o.chainNeeded = 1
 		c.sys.opSeq++
 		o.id = c.sys.opSeq
-		if c.sys.Mode == Multicast {
-			o.probed = make([]bool, c.sys.lastPos()+1)
-		}
+		o.multicast = c.sys.Mode == Multicast
 		cs.active = append(cs.active, o)
 		c.sys.tel.OpIssued(now, o.id, o.col, o.set, r.Write)
 
@@ -108,21 +108,19 @@ func (c *Controller) dispatch(col int, now int64) {
 		if r.Write {
 			kind = flit.WriteData
 		}
-		pkt := &flit.Packet{
-			Kind: kind, Src: c.Node, DstEp: flit.ToBank,
-			Addr: r.Addr, Payload: &o.probe,
-		}
-		if c.sys.Mode == Multicast {
+		var pkt *flit.Packet
+		if o.multicast {
 			// The probe addresses every bank of the column: all routers on
 			// the path deliver replicas, and DstPos -1 fans each delivery
 			// out to all banks sharing the router (concentrated nodes).
-			pkt.Dst = c.sys.bankNode(col, c.sys.lastPos())
-			pkt.PathDeliver = c.sys.lastPos() > 0
+			last := c.sys.lastPos()
+			pkt = c.sys.Net.NewPacket(kind, c.Node, c.sys.bankNode(col, last), flit.ToBank, r.Addr)
+			pkt.PathDeliver = last > 0
 			pkt.DstPos = -1
 		} else {
-			pkt.Dst = c.sys.bankNode(col, 0)
-			pkt.DstPos = 0
+			pkt = c.sys.Net.NewPacket(kind, c.Node, c.sys.bankNode(col, 0), flit.ToBank, r.Addr)
 		}
+		pkt.Payload = &o.probe
 		c.sys.Net.Send(pkt, now)
 	}
 }
@@ -159,11 +157,9 @@ func (c *Controller) Deliver(pkt *flit.Packet, now int64) {
 				ReplyPos: 0,
 				Cookie:   &o.fill,
 			}
-			c.sys.Net.Send(&flit.Packet{
-				Kind: flit.MemReadReq, Src: c.Node,
-				Dst: c.sys.Topo.Mem, DstEp: flit.ToMem, Addr: o.req.Addr,
-				Payload: &o.memReq,
-			}, now)
+			req := c.sys.Net.NewPacket(flit.MemReadReq, c.Node, c.sys.Topo.Mem, flit.ToMem, o.req.Addr)
+			req.Payload = &o.memReq
+			c.sys.Net.Send(req, now)
 		}
 	default:
 		panic(fmt.Sprintf("cache: controller got unexpected %v", pkt))

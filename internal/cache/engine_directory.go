@@ -129,12 +129,11 @@ func (d *DirStats) seed(s *System) {
 		for o := range live {
 			delete(live, o)
 		}
+		count := func(blk bank.Block) { live[OwnerOf(blk.Tag)]++ }
 		for pos := 0; pos <= s.lastPos(); pos++ {
 			bk := s.Bank(col, pos)
 			for set := 0; set < bk.NumSets(); set++ {
-				for _, blk := range bk.Blocks(set) {
-					live[OwnerOf(blk.Tag)]++
-				}
+				bk.EachBlock(set, count)
 			}
 		}
 	}

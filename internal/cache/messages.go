@@ -29,11 +29,16 @@ import (
 // instance of each message type lives inside the op itself (see op.go):
 // a replacement chain is strictly sequential, so each hop mutates the
 // block field of the instance it received and sends the same instance
-// onward — the steady-state protocol allocates exactly one op per access
-// and nothing per hop. Instances that can be in flight several times at
-// once (missMsg from every probed bank, doneMsg from two concurrent
-// chain drains under multicast Fast-LRU) are immutable after creation,
-// so sharing is safe.
+// onward. The packets that carry them come from the network's pool
+// (network.NewPacket) and go back to it at ejection, and a scheduled
+// send is an entry in the sending agent's queue (sched.go), so the
+// steady-state protocol allocates exactly two objects per access — the
+// Request and the op — and nothing per send or per hop. Because packets
+// are recycled, a receiver keeps the message (a pointer into the op),
+// never the packet that delivered it. Instances that can be in flight
+// several times at once (missMsg from every probed bank, doneMsg from
+// two concurrent chain drains under multicast Fast-LRU) are immutable
+// after creation, so sharing is safe.
 
 // probeMsg asks a bank (or, multicast, a column) to tag-match.
 type probeMsg struct{ o *op }

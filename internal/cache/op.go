@@ -63,12 +63,15 @@ type op struct {
 	chainRecv   int
 	finished    bool
 
-	// probed[pos] records that the bank at position pos has performed
-	// its tag-match for this operation. Multicast delivery order is not
-	// guaranteed between a bank's probe replica (which may queue at a
-	// congested ejection port) and later replacement traffic, so agents
-	// stash chain/store messages until their probe has run.
-	probed []bool
+	// Bit pos of probed records that the bank at position pos has
+	// performed its tag-match for this operation; it is tracked only
+	// when multicast is set. Multicast delivery order is not guaranteed
+	// between a bank's probe replica (which may queue at a congested
+	// ejection port) and later replacement traffic, so agents stash
+	// chain/store messages until their probe has run. The mask is why a
+	// column holds at most maxColumnBanks banks.
+	multicast bool
+	probed    uint64
 
 	// One instance of every protocol message, pre-wired to this op by
 	// newOp. Chain-style messages are mutated in place and resent hop by
@@ -105,5 +108,8 @@ func newOp() *op {
 	o.demote.o = o
 	return o
 }
+
+// maxColumnBanks is the widest column op.probed can track.
+const maxColumnBanks = 64
 
 func (o *op) chainDone() bool { return o.chainRecv >= o.chainNeeded }

@@ -13,7 +13,10 @@ import (
 // under multicast, a replacement message arriving before the bank's own
 // tag-match probe must be stashed untouched, and replayed the moment the
 // probe marks the bank — and only messages of the probed operation may
-// replay; traffic stashed for other operations stays put.
+// replay; traffic stashed for other operations stays put. The chain
+// messages arrive in pooled packets that are recycled (and reused)
+// before the probe lands, as the router does at ejection: a stash that
+// kept packets instead of payloads would replay garbage.
 func TestStashHoldsReplacementUntilProbe(t *testing.T) {
 	d := testDesign(2, 2)
 	k := sim.NewKernel()
@@ -27,7 +30,7 @@ func TestStashHoldsReplacementUntilProbe(t *testing.T) {
 		o.ctrl = s.Topo.Core
 		o.hitPos = -1
 		o.chainNeeded = 1
-		o.probed = make([]bool, s.lastPos()+1)
+		o.multicast = true
 		return o
 	}
 	o1 := mkOp(7)
@@ -35,16 +38,24 @@ func TestStashHoldsReplacementUntilProbe(t *testing.T) {
 	o2 := mkOp(8)
 	o2.chain.blk = bank.Block{Tag: 43}
 
-	chainPkt := func(o *op) *flit.Packet {
-		return &flit.Packet{
-			Kind: flit.ReplaceBlock, Src: a.node, Dst: a.node, DstEp: flit.ToBank,
-			DstPos: int16(a.pos), Addr: o.req.Addr, Payload: &o.chain,
-		}
+	var pool flit.PacketPool
+	deliverChain := func(o *op) {
+		pkt := pool.Get()
+		pkt.Kind, pkt.Src, pkt.Dst, pkt.DstEp = flit.ReplaceBlock, a.node, a.node, flit.ToBank
+		pkt.DstPos, pkt.Addr, pkt.Payload = int16(a.pos), o.req.Addr, &o.chain
+		a.Deliver(pkt, 0)
+		pool.Put(pkt)
 	}
-	a.Deliver(chainPkt(o1), 0)
-	a.Deliver(chainPkt(o2), 0)
+	deliverChain(o1)
+	deliverChain(o2)
 	if len(a.stash) != 2 {
-		t.Fatalf("pre-probe replacement not stashed: stash has %d packets, want 2", len(a.stash))
+		t.Fatalf("pre-probe replacement not stashed: stash has %d messages, want 2", len(a.stash))
+	}
+	// Hand the recycled packet to an unrelated message before the probe.
+	reused := pool.Get()
+	reused.Kind, reused.Payload = flit.MissNotify, &o2.miss
+	if ps := pool.Stats(); ps.Allocated != 1 {
+		t.Fatalf("test packets were not recycled: %d allocated, want 1", ps.Allocated)
 	}
 	if got := a.bk.Occupancy(0); got != 0 {
 		t.Fatalf("stashed replacement mutated the bank: occupancy %d, want 0", got)
@@ -56,11 +67,11 @@ func TestStashHoldsReplacementUntilProbe(t *testing.T) {
 		Kind: flit.ReadReq, Src: s.Topo.Core, Dst: a.node, DstEp: flit.ToBank,
 		DstPos: int16(a.pos), Addr: o1.req.Addr, Payload: &o1.probe,
 	}, 0)
-	if !o1.probed[a.pos] {
+	if o1.probed&a.bit() == 0 {
 		t.Fatal("probe did not mark the bank probed")
 	}
-	if len(a.stash) != 1 || stashableOp(a.stash[0].Payload) != o2 {
-		t.Fatalf("stash after o1's probe should hold exactly o2's packet, has %d", len(a.stash))
+	if len(a.stash) != 1 || stashableOp(a.stash[0]) != o2 {
+		t.Fatalf("stash after o1's probe should hold exactly o2's message, has %d", len(a.stash))
 	}
 	blocks := a.bk.Blocks(0)
 	if len(blocks) != 1 || blocks[0].Tag != 42 {
@@ -103,5 +114,27 @@ func TestColumnWindowCapsInFlightOps(t *testing.T) {
 	}
 	if s.Ctrl.QueueWait == 0 {
 		t.Fatal("queued request accrued no QueueWait")
+	}
+	// The pop keeps the queue's array (no reallocation on the next
+	// Issue) and clears the vacated slot, so a completed request is not
+	// pinned by it.
+	if len(cs.q) != 0 || cap(cs.q) == 0 {
+		t.Fatalf("drained queue has len %d cap %d, want an empty queue that kept its array", len(cs.q), cap(cs.q))
+	}
+	for i, r := range cs.q[:cap(cs.q)] {
+		if r != nil {
+			t.Fatalf("queue slot %d still holds a popped request", i)
+		}
+	}
+}
+
+// TestColumnTooTallRejected: an operation tracks its column's probed
+// banks in a 64-bit mask, so construction refuses a taller column.
+func TestColumnTooTallRejected(t *testing.T) {
+	if _, err := New(sim.NewKernel(), testDesign(2, maxColumnBanks+1), FastLRU, Multicast); err == nil {
+		t.Fatalf("a %d-bank column must be rejected", maxColumnBanks+1)
+	}
+	if _, err := New(sim.NewKernel(), testDesign(2, maxColumnBanks), FastLRU, Multicast); err != nil {
+		t.Fatalf("a %d-bank column must build: %v", maxColumnBanks, err)
 	}
 }

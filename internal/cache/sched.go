@@ -1,29 +1,34 @@
 package cache
 
-import "nucanet/internal/sim"
+import (
+	"nucanet/internal/flit"
+	"nucanet/internal/network"
+	"nucanet/internal/sim"
+)
 
-// scheduler runs closures at future cycles; each protocol agent owns one
-// so bank-access completions and packet sends happen at their modeled
-// times. It is a sim.Component.
+// scheduler is a bank agent's send queue: already-built packets waiting
+// for their modeled injection cycle (the completion time of the bank
+// access that produced them). It is a sim.Component.
 type scheduler struct {
 	k   *sim.Kernel
 	kid int
+	net *network.Network
 	q   timedHeap
 	seq int
 }
 
-type timedFn struct {
+type timedSend struct {
 	at  int64
 	seq int
-	f   func(now int64)
+	pkt *flit.Packet
 }
 
 // timedHeap is a hand-rolled binary min-heap ordered by (at, seq).
-// container/heap would box every timedFn through `any` on Push/Pop — a
-// heap allocation per scheduled closure — so the sift loops are inlined
+// container/heap would box every entry through `any` on Push/Pop — a
+// heap allocation per scheduled send — so the sift loops are inlined
 // here, mirroring the kernel's event heap.
 type timedHeap struct {
-	s []timedFn
+	s []timedSend
 }
 
 func (h *timedHeap) less(i, j int) bool {
@@ -33,7 +38,7 @@ func (h *timedHeap) less(i, j int) bool {
 	return h.s[i].seq < h.s[j].seq
 }
 
-func (h *timedHeap) push(e timedFn) {
+func (h *timedHeap) push(e timedSend) {
 	h.s = append(h.s, e)
 	i := len(h.s) - 1
 	for i > 0 {
@@ -46,11 +51,11 @@ func (h *timedHeap) push(e timedFn) {
 	}
 }
 
-func (h *timedHeap) pop() timedFn {
+func (h *timedHeap) pop() timedSend {
 	top := h.s[0]
 	n := len(h.s) - 1
 	h.s[0] = h.s[n]
-	h.s[n] = timedFn{} // drop the closure reference for the GC
+	h.s[n] = timedSend{} // the packet now belongs to the network
 	h.s = h.s[:n]
 	i := 0
 	for {
@@ -71,23 +76,24 @@ func (h *timedHeap) pop() timedFn {
 	return top
 }
 
-func (s *scheduler) register(k *sim.Kernel) {
+func (s *scheduler) register(k *sim.Kernel, net *network.Network) {
 	s.k = k
+	s.net = net
 	s.kid = k.Register(s)
 }
 
-// at schedules f to run at cycle t (or next cycle if t has passed).
-func (s *scheduler) at(t int64, f func(now int64)) {
+// at schedules pkt for injection at cycle t (or next cycle if t has
+// passed).
+func (s *scheduler) at(t int64, pkt *flit.Packet) {
 	s.seq++
-	s.q.push(timedFn{at: t, seq: s.seq, f: f})
+	s.q.push(timedSend{at: t, seq: s.seq, pkt: pkt})
 	s.k.WakeAt(t, s.kid)
 }
 
-// Tick runs all due closures in schedule order.
+// Tick injects all due packets in schedule order.
 func (s *scheduler) Tick(now int64) bool {
 	for len(s.q.s) > 0 && s.q.s[0].at <= now {
-		tf := s.q.pop()
-		tf.f(now)
+		s.net.Send(s.q.pop().pkt, now)
 	}
 	return false // WakeAt re-arms per entry
 }

@@ -83,6 +83,10 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 	if err := ValidatePair(policy, mode); err != nil {
 		return nil, err
 	}
+	if len(d.Banks) > maxColumnBanks {
+		return nil, fmt.Errorf("cache: design %s has %d banks per column, more than the %d an operation can track",
+			d.ID, len(d.Banks), maxColumnBanks)
+	}
 	topo := pre.Topo
 	if topo == nil {
 		var err error
@@ -123,7 +127,7 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 				sys: s, node: node, col: c, pos: p, last: len(col) - 1,
 				bk: bank.NewIn(d.Banks[p], pre.Arena.BankArena()),
 			}
-			a.sched.register(k)
+			a.sched.register(k, s.Net)
 			s.agents[c][p] = a
 			// Concentrated topologies place several banks of one column
 			// on a router; a mux demuxes ToBank deliveries by DstPos.

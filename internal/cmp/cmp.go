@@ -54,11 +54,14 @@ func OffsetAddr(am trace.AddrMap, addr uint64, core int) uint64 {
 // each set's ways round-robin over the cores' MRU blocks, so the cores
 // compete for capacity from the first access. warms[i] is core i's
 // WarmBlocks table (ways entries per set); the result feeds
-// (*cache.System).Warm or cache.BuildWarmImage directly.
+// (*cache.System).Warm or cache.BuildWarmImage directly. The rows are
+// ways-wide stripes of one backing array, each capped at its own stripe,
+// so appending to a row never reaches its neighbour.
 func MergeWarm(am trace.AddrMap, ways int, warms [][][]uint64) [][]uint64 {
 	merged := make([][]uint64, am.Columns*am.Sets)
+	flat := make([]uint64, len(merged)*ways)
 	for idx := range merged {
-		var tags []uint64
+		tags := flat[idx*ways : idx*ways : (idx+1)*ways]
 		for w := 0; w < ways; w++ {
 			c := w % len(warms)
 			d := w / len(warms)
@@ -72,15 +75,24 @@ func MergeWarm(am trace.AddrMap, ways int, warms [][][]uint64) [][]uint64 {
 	return merged
 }
 
-// coreReq carries a remote core's request to the home controller.
-type coreReq struct {
-	req  *cache.Request
-	home int // controller index
+// portOp is the port-side record of one access: the request handed to
+// the home controller, both forwarding envelopes, and the completion
+// bookkeeping, in a single allocation.
+type portOp struct {
+	req    cache.Request
+	fwd    coreReq  // rides to a remote home controller
+	back   coreData // rides back with the data or write acknowledgment
+	home   int      // controller index owning the column
+	issued int64
+	done   func(*cache.Request, int64)
 }
+
+// coreReq carries a remote core's request to the home controller.
+type coreReq struct{ op *portOp }
 
 // coreData carries the completed data notice back to the requesting core.
 type coreData struct {
-	req  *cache.Request
+	op   *portOp
 	port *Port
 }
 
@@ -115,7 +127,10 @@ type Port struct {
 	RemoteIssues uint64
 	LocalIssues  uint64
 
-	pend map[*cache.Request]portPending
+	pend map[*cache.Request]*portOp
+	// atHome is the Request.Done of every access this port issues,
+	// bound once at Attach instead of closed over per access.
+	atHome func(*cache.Request, int64)
 }
 
 // hub is the ToCore endpoint at a controller's router: it demultiplexes
@@ -128,9 +143,9 @@ type hub struct {
 func (h *hub) Deliver(pkt *flit.Packet, now int64) {
 	switch p := pkt.Payload.(type) {
 	case *coreReq:
-		h.ctrl.Issue(p.req, now)
+		h.ctrl.Issue(&p.op.req, now)
 	case *coreData:
-		p.port.complete(p.req, now)
+		p.port.complete(p.op, now)
 	default:
 		h.ctrl.Deliver(pkt, now)
 	}
@@ -157,7 +172,9 @@ func Attach(cs *cache.System, n int) (*Fabric, error) {
 			ctrl = cache.NewControllerAt(cs, node)
 		}
 		port := &Port{fab: f, id: i, node: node, ctrl: ctrl,
-			Lat: stats.NewLatency(len(cs.Design.Banks))}
+			Lat:  stats.NewLatency(len(cs.Design.Banks)),
+			pend: make(map[*cache.Request]*portOp)}
+		port.atHome = port.dataAtHome
 		f.ports = append(f.ports, port)
 		f.ctrls = append(f.ctrls, ctrl)
 		f.nodes = append(f.nodes, node)
@@ -241,27 +258,15 @@ func (f *Fabric) Pending() int {
 // co-located controller; remote columns cross the top row to their home.
 func (p *Port) Issue(addr uint64, write bool, done func(*cache.Request, int64)) *cache.Request {
 	now := p.fab.Sys.K.Now()
-	col := p.fab.Sys.AM.ColumnOf(addr)
-	h := p.fab.home[col]
-	r := &cache.Request{Addr: addr, Write: write}
-	issued := now
-	r.Done = func(req *cache.Request, t int64) {
-		// Runs at the home controller when the data arrives there.
-		if h == p.id {
-			p.complete(req, t)
-			return
-		}
-		// Forward the data (or write ack) to the requesting core.
-		kind := flit.DataToCore
-		if req.Write {
-			kind = flit.WriteDone
-		}
-		p.fab.Sys.Net.Send(&flit.Packet{
-			Kind: kind, Src: p.fab.nodes[h], Dst: p.node, DstEp: flit.ToCore,
-			Addr: req.Addr, Payload: &coreData{req: req, port: p},
-		}, t)
+	h := p.fab.home[p.fab.Sys.AM.ColumnOf(addr)]
+	po := &portOp{
+		req:  cache.Request{Addr: addr, Write: write, Done: p.atHome},
+		home: h, issued: now, done: done,
 	}
-	p.userDone(r, done, issued)
+	po.fwd.op = po
+	po.back = coreData{op: po, port: p}
+	r := &po.req
+	p.pend[r] = po
 
 	if h == p.id {
 		p.LocalIssues++
@@ -273,41 +278,50 @@ func (p *Port) Issue(addr uint64, write bool, done func(*cache.Request, int64)) 
 	if write {
 		kind = flit.WriteData
 	}
-	p.fab.Sys.Net.Send(&flit.Packet{
-		Kind: kind, Src: p.node, Dst: p.fab.nodes[h], DstEp: flit.ToCore,
-		Addr: addr, Payload: &coreReq{req: r, home: h},
-	}, now)
+	net := p.fab.Sys.Net
+	pkt := net.NewPacket(kind, p.node, p.fab.nodes[h], flit.ToCore, addr)
+	pkt.Payload = &po.fwd
+	net.Send(pkt, now)
 	return r
 }
 
-// pending bookkeeping: the port-level done callback and issue stamp.
-type portPending struct {
-	done   func(*cache.Request, int64)
-	issued int64
-}
-
-func (p *Port) userDone(r *cache.Request, done func(*cache.Request, int64), issued int64) {
-	if p.pend == nil {
-		p.pend = make(map[*cache.Request]portPending)
-	}
-	p.pend[r] = portPending{done: done, issued: issued}
-}
-
-// complete fires when the data reaches this core's router.
-func (p *Port) complete(r *cache.Request, now int64) {
-	pp, ok := p.pend[r]
+// dataAtHome runs at the home controller when the data arrives there:
+// a local access completes on the spot, a remote one forwards the data
+// (or write acknowledgment) to the requesting core.
+func (p *Port) dataAtHome(r *cache.Request, now int64) {
+	po, ok := p.pend[r]
 	if !ok {
 		panic("cmp: completion for unknown request")
 	}
+	if po.home == p.id {
+		p.complete(po, now)
+		return
+	}
+	kind := flit.DataToCore
+	if r.Write {
+		kind = flit.WriteDone
+	}
+	net := p.fab.Sys.Net
+	pkt := net.NewPacket(kind, p.fab.nodes[po.home], p.node, flit.ToCore, r.Addr)
+	pkt.Payload = &po.back
+	net.Send(pkt, now)
+}
+
+// complete fires when the data reaches this core's router.
+func (p *Port) complete(po *portOp, now int64) {
+	r := &po.req
+	if _, ok := p.pend[r]; !ok {
+		panic("cmp: completion for unknown request")
+	}
 	delete(p.pend, r)
-	lat := now - pp.issued
+	lat := now - po.issued
 	if r.Hit {
 		p.Lat.RecordHit(lat, r.HitBank, r.Breakdown)
 	} else {
 		p.Lat.RecordMiss(lat, r.Breakdown)
 	}
-	if pp.done != nil {
-		pp.done(r, now)
+	if po.done != nil {
+		po.done(r, now)
 	}
 }
 

@@ -144,3 +144,42 @@ func TestWarmSplitsWays(t *testing.T) {
 		t.Fatalf("set holds %d blocks, want 16", total)
 	}
 }
+
+// TestMergeWarmRowsIndependent: the merged rows are stripes of one
+// backing array; each must stay inside its own stripe, including rows
+// the cores could not fill, so an append to row i never lands in row
+// i+1.
+func TestMergeWarmRowsIndependent(t *testing.T) {
+	am := trace.AddrMap{Columns: 2, Sets: 2}
+	const ways = 4
+	// Two cores; core 1 has a single block for row 0, so that row merges
+	// short (3 of 4 ways) and has spare room in its stripe.
+	warms := [][][]uint64{
+		{{1, 2}, {3, 4}, {5, 6}, {7, 8}},
+		{{11}, {13, 14}, {15, 16}, {17, 18}},
+	}
+	merged := MergeWarm(am, ways, warms)
+	want := [][]uint64{
+		{1, 11 + OwnerStride, 2},
+		{3, 13 + OwnerStride, 4, 14 + OwnerStride},
+		{5, 15 + OwnerStride, 6, 16 + OwnerStride},
+		{7, 17 + OwnerStride, 8, 18 + OwnerStride},
+	}
+	for i, row := range merged {
+		if len(row) != len(want[i]) || cap(row) > ways {
+			t.Fatalf("row %d: len %d cap %d, want len %d and cap <= %d", i, len(row), cap(row), len(want[i]), ways)
+		}
+		for j, tag := range row {
+			if tag != want[i][j] {
+				t.Fatalf("row %d = %v, want %v", i, row, want[i])
+			}
+		}
+	}
+	// Grow the short row past its stripe: row 1 must be left alone.
+	merged[0] = append(merged[0], 0xdead, 0xbeef)
+	for j, tag := range merged[1] {
+		if tag != want[1][j] {
+			t.Fatalf("appending to row 0 changed row 1 to %v", merged[1])
+		}
+	}
+}

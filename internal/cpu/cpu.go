@@ -64,6 +64,9 @@ type Core struct {
 	cfg Config
 	sys L2
 	rng *sim.RNG
+	// done is c.onData bound once: passing the method value per access
+	// would allocate a fresh closure each time.
+	done func(*cache.Request, int64)
 
 	prof trace.Profile
 	cpi  float64
@@ -90,6 +93,7 @@ func New(k *sim.Kernel, sys L2, prof trace.Profile, accs []trace.Access, cfg Con
 		cpi: 1 / prof.PerfectIPC,
 		rng: sim.NewRNG(cfg.Seed ^ 0xc0de),
 	}
+	c.done = c.onData
 	c.kid = k.Register(c)
 	return c
 }
@@ -132,7 +136,7 @@ func (c *Core) tryIssue(now int64) {
 	c.idx++
 	c.instrIssued += a.Gap
 	c.outstanding++
-	req := c.sys.Issue(a.Addr, a.Write, c.onData)
+	req := c.sys.Issue(a.Addr, a.Write, c.done)
 	if !a.Write && c.rng.Bool(c.cfg.BlockingProb) {
 		// A dependent load: the core cannot run ahead.
 		c.blockedOn = req

@@ -1,17 +1,27 @@
 package flit
 
-// PacketPool recycles Packets through a freelist so hot paths that mint
-// short-lived packets every cycle — the router's hybrid multicast
-// replicator — stop reaching the garbage collector. One pool belongs to
-// one simulation run (one kernel) and is only touched from the goroutine
-// driving that kernel, so it needs no synchronization — the same
-// per-run ownership discipline as the rest of the simulator state.
+// PacketPool recycles Packets through a freelist so the paths that mint
+// a short-lived packet per message — every protocol send (through
+// network.NewPacket) and the routers' multicast replicators — stop
+// reaching the garbage collector. One pool belongs to one simulation run
+// (one kernel) and is only touched from the goroutine driving that
+// kernel, so it needs no synchronization — the same per-run ownership
+// discipline as the rest of the simulator state.
+//
+// Ownership: a pooled packet belongs to whoever holds it in the chain
+// Get -> sender (until Send) -> network -> Put at ejection. The router
+// Puts the packet once its last flit has been ejected, and the next Get
+// zeroes and reuses it, so nobody — in particular no endpoint's Deliver
+// — may keep a pooled packet, or a pointer into one, past the call that
+// handed it over. The Payload is not the pool's: Put only drops the
+// reference.
 //
 // Packets from Get are marked internally; Put on a packet that did not
 // come from a pool (or was already returned) is a no-op, so drain paths
-// may call Put unconditionally on every ejected packet. A nil *PacketPool
-// degrades gracefully: Get falls back to a plain heap allocation and Put
-// does nothing, so unwired routers keep working without a pool.
+// may call Put unconditionally on every ejected packet and callers may
+// still inject packets they own. A nil *PacketPool degrades gracefully:
+// Get falls back to a plain heap allocation and Put does nothing, so
+// unwired routers keep working without a pool.
 type PacketPool struct {
 	free []*Packet
 

@@ -126,11 +126,9 @@ func (m *Memory) Deliver(pkt *flit.Packet, now int64) {
 		if c, ok := req.Cookie.(interface{ AddMemCycles(int64) }); ok {
 			c.AddMemCycles(ready - now)
 		}
-		reply := &flit.Packet{
-			Kind: flit.MemBlock, Src: m.node, Dst: req.ReplyTo,
-			DstEp: req.ReplyEp, DstPos: req.ReplyPos,
-			Addr: pkt.Addr, Payload: req.Cookie,
-		}
+		reply := m.net.NewPacket(flit.MemBlock, m.node, req.ReplyTo, req.ReplyEp, pkt.Addr)
+		reply.DstPos = req.ReplyPos
+		reply.Payload = req.Cookie
 		m.replies = append(m.replies, pendingReply{sendAt: ready, pkt: reply})
 		m.k.WakeAt(ready, m.kid)
 	case flit.WriteBack:

@@ -11,8 +11,10 @@ import (
 	"nucanet/internal/topology"
 )
 
+// sink records what it was delivered. It copies each packet: the router
+// recycles pkt once Deliver returns (see network.Endpoint).
 type sink struct {
-	got []*flit.Packet
+	got []flit.Packet
 	at  []int64
 }
 
@@ -22,7 +24,7 @@ type cookie struct{ id string }
 func (*cookie) ProtocolMessage() {}
 
 func (s *sink) Deliver(p *flit.Packet, now int64) {
-	s.got = append(s.got, p)
+	s.got = append(s.got, *p)
 	s.at = append(s.at, now)
 }
 
@@ -63,7 +65,7 @@ func TestReadRoundTrip(t *testing.T) {
 	if len(s.got) != 1 {
 		t.Fatalf("replies = %d, want 1", len(s.got))
 	}
-	rep := s.got[0]
+	rep := &s.got[0]
 	if c, ok := rep.Payload.(*cookie); rep.Kind != flit.MemBlock || rep.Addr != 0x1000 || !ok || c.id != "c1" {
 		t.Fatalf("bad reply %v payload=%v", rep, rep.Payload)
 	}

@@ -131,7 +131,7 @@ func TestBufferlessLivelockBound(t *testing.T) {
 				if dst == i {
 					continue
 				}
-				p := r.net.NewPacket(flit.ReadReq, i, dst, flit.ToBank, uint64(i)*64)
+				p := ownPacket(flit.ReadReq, i, dst, flit.ToBank, uint64(i)*64)
 				r.net.Send(p, r.k.Now())
 				pkts = append(pkts, p)
 			}
@@ -243,7 +243,7 @@ func TestRingLiteStoreAndForwardSerialization(t *testing.T) {
 	lat := func(kind flit.Kind) int64 {
 		r := newRigEngine(mesh16(), "ring-lite")
 		dst := r.topo.NodeAt(7, 15)
-		p := r.net.NewPacket(kind, r.topo.Core, dst, flit.ToBank, 0)
+		p := ownPacket(kind, r.topo.Core, dst, flit.ToBank, 0)
 		r.net.Send(p, 0)
 		r.run(t, 10000)
 		return p.Delivered - p.Injected

@@ -16,6 +16,12 @@ import (
 )
 
 // Endpoint receives packets ejected at its router.
+//
+// Ownership: pkt belongs to the network. The router returns it to the
+// packet pool as soon as it is fully ejected, so Deliver must not keep
+// pkt (or a pointer into it) after it returns; whatever must outlive the
+// call — the payload, the address — is copied out. The payload itself is
+// the sender's and is not recycled.
 type Endpoint interface {
 	Deliver(pkt *flit.Packet, now int64)
 }
@@ -49,7 +55,8 @@ type Network struct {
 	Routers []router.Engine
 
 	eps [][3]Endpoint // [node][flit.Endpoint]
-	// pool recycles multicast replica packets, shared by every router.
+	// pool recycles every packet NewPacket hands out and every multicast
+	// replica the routers mint; all routers share it.
 	pool flit.PacketPool
 	// Traffic counters. Per-Network state, mutated only from Send and
 	// deliver, both of which run on the goroutine driving this network's
@@ -206,9 +213,18 @@ func (n *Network) Send(pkt *flit.Packet, now int64) {
 	n.Routers[pkt.Src].Inject(pkt, now)
 }
 
-// NewPacket is a convenience constructor for protocol agents.
+// NewPacket is the packet factory of every protocol producer (bank
+// agents, cache controllers, the memory controller, CMP ports). The
+// packet comes from the network's pool and returns to it when the
+// destination router has ejected it, so the caller owns it only until
+// Send: set the remaining fields (Payload, DstPos, PathDeliver), send it
+// exactly once, and do not touch it afterwards. A caller that wants to
+// keep or reuse a packet passes Send a literal of its own instead; the
+// pool ignores those.
 func (n *Network) NewPacket(kind flit.Kind, src, dst topology.NodeID, ep flit.Endpoint, addr uint64) *flit.Packet {
-	return &flit.Packet{Kind: kind, Src: src, Dst: dst, DstEp: ep, Addr: addr}
+	pkt := n.pool.Get()
+	pkt.Kind, pkt.Src, pkt.Dst, pkt.DstEp, pkt.Addr = kind, src, dst, ep, addr
+	return pkt
 }
 
 // InFlight returns the number of flits buffered anywhere in the network.
@@ -221,9 +237,9 @@ func (n *Network) InFlight() int {
 	return total
 }
 
-// PoolStats returns the replica packet pool's accounting. After the
-// network quiesces every replica has been returned: Live == 0 (the leak
-// invariant checked by tests).
+// PoolStats returns the packet pool's accounting. After the network
+// quiesces every NewPacket packet and every replica has been returned:
+// Live == 0 (the leak invariant checked by tests).
 func (n *Network) PoolStats() flit.PoolStats { return n.pool.Stats() }
 
 // Stats sums per-router counters with the network totals. Delivered counts

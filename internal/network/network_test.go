@@ -10,18 +10,26 @@ import (
 	"nucanet/internal/topology"
 )
 
-// collector records deliveries.
+// collector records deliveries. It copies each packet: NewPacket's are
+// recycled once Deliver returns (see Endpoint).
 type collector struct {
 	got []delivery
 }
 
 type delivery struct {
-	pkt *flit.Packet
+	pkt flit.Packet
 	at  int64
 }
 
 func (c *collector) Deliver(pkt *flit.Packet, now int64) {
-	c.got = append(c.got, delivery{pkt, now})
+	c.got = append(c.got, delivery{*pkt, now})
+}
+
+// ownPacket builds a caller-owned packet for the tests that read the
+// network's Injected/Delivered stamps after the run: a NewPacket packet
+// is back in the pool by then and may already be another message.
+func ownPacket(kind flit.Kind, src, dst topology.NodeID, ep flit.Endpoint, addr uint64) *flit.Packet {
+	return &flit.Packet{Kind: kind, Src: src, Dst: dst, DstEp: ep, Addr: addr}
 }
 
 // rig builds a network with one collector attached as the bank endpoint of
@@ -74,7 +82,7 @@ func mesh16() *topology.Topology {
 func TestUnicastZeroLoadLatency(t *testing.T) {
 	r := newRig(mesh16())
 	dst := r.topo.NodeAt(7, 15)
-	p := r.net.NewPacket(flit.ReadReq, r.topo.Core, dst, flit.ToBank, 0x40)
+	p := ownPacket(flit.ReadReq, r.topo.Core, dst, flit.ToBank, 0x40)
 	r.net.Send(p, 0)
 	r.run(t, 1000)
 	got := r.banks[dst].got
@@ -331,7 +339,7 @@ func TestPipelinedRouterIsSlower(t *testing.T) {
 	for id := 0; id < topo.NumNodes(); id++ {
 		n.Attach(id, flit.ToBank, sink)
 	}
-	p := n.NewPacket(flit.ReadReq, topo.Core, dst, flit.ToBank, 0)
+	p := ownPacket(flit.ReadReq, topo.Core, dst, flit.ToBank, 0)
 	n.Send(p, 0)
 	k.Run(10000)
 	if p.Delivered != 16*3 {

@@ -47,8 +47,11 @@ type Engine interface {
 	SetKernelID(id int)
 	// SetTelemetry installs the probe collector (nil disables probes).
 	SetTelemetry(c *telemetry.Collector)
-	// SetPool installs the per-run packet freelist for multicast
-	// replicas; a nil pool falls back to plain allocation.
+	// SetPool installs the per-run packet freelist: the engine mints
+	// its multicast replicas from it and must Put every packet it
+	// ejects — replica or not — once the last flit has been delivered
+	// (protocol packets come from the same pool; Put ignores packets
+	// that do not). A nil pool falls back to plain allocation.
 	SetPool(p *flit.PacketPool)
 }
 

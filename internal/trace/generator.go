@@ -65,14 +65,16 @@ func NewSynthetic(p Profile, am AddrMap, seed uint64) *Synthetic {
 	if g.SetsPerColumn > am.Sets {
 		g.SetsPerColumn = am.Sets
 	}
+	// Every stack is a fixed maxStack-entry window of one backing array
+	// (one allocation instead of one per set).
 	g.stacks = make([][]uint64, am.Columns*am.Sets)
+	flat := make([]uint64, len(g.stacks)*maxStack)
+	for i := range flat {
+		flat[i] = g.nextTag
+		g.nextTag++
+	}
 	for i := range g.stacks {
-		st := make([]uint64, maxStack)
-		for j := range st {
-			st[j] = g.nextTag
-			g.nextTag++
-		}
-		g.stacks[i] = st
+		g.stacks[i] = flat[i*maxStack : (i+1)*maxStack : (i+1)*maxStack]
 	}
 	g.cdf = make([]float64, hitDepth)
 	sum := 0.0
@@ -97,17 +99,19 @@ func (g *Synthetic) Profile() Profile { return g.prof }
 // WarmBlocks returns, for each (column, set), the `ways` most recently
 // used tags in MRU-to-LRU order — the warm cache contents matching the
 // generator's prefilled reuse stacks. Index the result with
-// set*Columns+col.
+// set*Columns+col. The rows share one backing array but each is capped
+// at its own length, so appending to a row never reaches its neighbour.
 func (g *Synthetic) WarmBlocks(ways int) [][]uint64 {
+	n := ways
+	if n > maxStack {
+		n = maxStack
+	}
 	out := make([][]uint64, len(g.stacks))
+	flat := make([]uint64, len(g.stacks)*n)
 	for i, st := range g.stacks {
-		n := ways
-		if n > len(st) {
-			n = len(st)
-		}
-		cp := make([]uint64, n)
-		copy(cp, st[:n])
-		out[i] = cp
+		row := flat[i*n : (i+1)*n : (i+1)*n]
+		copy(row, st)
+		out[i] = row
 	}
 	return out
 }

@@ -102,6 +102,39 @@ func TestSyntheticDeterminism(t *testing.T) {
 	}
 }
 
+// TestWarmBlocksRowsIndependent: the rows are windows of one backing
+// array, so each must be capped at its own length — an append to row i
+// has to reallocate, not write into row i+1 — and the table must not
+// alias the generator's reuse stacks, which Next keeps reordering.
+func TestWarmBlocksRowsIndependent(t *testing.T) {
+	p, _ := ProfileByName("gcc")
+	am := AddrMap{Columns: 4, Sets: 8}
+	g := NewSynthetic(p, am, 1)
+	for _, ways := range []int{1, 16, maxStack + 5} {
+		warm := g.WarmBlocks(ways)
+		want := min(ways, maxStack)
+		for i, row := range warm {
+			if len(row) != want || cap(row) != want {
+				t.Fatalf("ways %d row %d: len %d cap %d, want both %d", ways, i, len(row), cap(row), want)
+			}
+			if row[0] != uint64(i*maxStack+1) {
+				t.Fatalf("ways %d row %d starts with tag %d, want %d", ways, i, row[0], i*maxStack+1)
+			}
+		}
+		next := warm[1][0]
+		warm[0] = append(warm[0], 0xdead)
+		if warm[1][0] != next {
+			t.Fatalf("ways %d: appending to row 0 overwrote row 1", ways)
+		}
+	}
+	warm := g.WarmBlocks(16)
+	first := warm[0][0]
+	Take(g, 500)
+	if warm[0][0] != first {
+		t.Fatal("the warm table aliases the generator's live reuse stacks")
+	}
+}
+
 func TestSyntheticWriteFraction(t *testing.T) {
 	p, _ := ProfileByName("lucas") // writes/(r+w) = 13.226/32.732 = 0.404
 	acc := Take(NewSynthetic(p, am16(), 1), 20000)
