@@ -8,10 +8,8 @@
 # serving smoke that requires cache hits.
 
 GO ?= go
-BENCH_COUNT ?= 3
-BENCH_LABEL ?= after
 
-.PHONY: build test benchmark-test check fmt vet race racelong conformance bench benchsmoke smoke cmp-smoke pareto-smoke opt-smoke serve-smoke verify clean
+.PHONY: build test benchmark-test check fmt vet race racelong conformance benchsmoke smoke cmp-smoke pareto-smoke opt-smoke serve-smoke verify clean
 
 build:
 	$(GO) build ./...
@@ -40,17 +38,18 @@ race:
 
 # Full (non-short) race pass over the packages whose tests stay quick
 # un-shortened — everything shared across the parallel engine's workers
-# (topology builders, routing verifier, policy and router registries,
-# prepared fleet artifacts) and every piece of cross-goroutine state
-# (fleet stripes, the CMP fabric's ports, nucad's scheduler, cache, and
-# coalescing map) — plus the CMP and canonical-hash tests of
-# internal/core, whose full figure sweeps are too long for the detector.
+# (topology builders, routing verifier, policy and router registries)
+# and every piece of cross-goroutine state (the CMP fabric's ports,
+# nucad's scheduler, cache, and coalescing map) — plus the engine
+# (shared prepared artifacts, per-worker arenas), CMP and canonical-hash
+# tests of internal/core, whose full figure sweeps are too long for the
+# detector.
 RACELONG_PKGS = ./internal/topology/ ./internal/routing/ ./internal/cache/ \
-	./internal/router/ ./internal/network/ ./internal/fleet/ ./internal/place/ \
+	./internal/router/ ./internal/network/ ./internal/place/ \
 	./internal/cmp/ ./internal/cpu/ ./internal/serve/
 racelong:
 	$(GO) test -race $(RACELONG_PKGS)
-	$(GO) test -race -run 'TestCMP|TestCanonicalKey' ./internal/core/
+	$(GO) test -race -run 'TestEngine|TestCMP|TestCanonicalKey' ./internal/core/
 
 # Protocol conformance: the full micro-scenario matrix (every registered
 # policy × mode × hit position × occupancy × set fullness) against the
@@ -63,33 +62,6 @@ conformance:
 # can never rot silently.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-
-# Measure the hot-path benchmarks (kernel, router steady state, full
-# CoreRun on designs A/D/F). The raw output is benchstat-compatible —
-# save two runs and feed them to benchstat to compare — and the averaged
-# numbers land in BENCH_kernel.json under $(BENCH_LABEL), merged with
-# existing labels (see EXPERIMENTS.md "Benchmarking").
-bench:
-	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='BenchmarkKernelRun|BenchmarkRouterSteadyState|BenchmarkRouterEngines|BenchmarkCoreRun' . \
-		| tee /tmp/nucanet-bench-$(BENCH_LABEL).txt
-	$(GO) run ./cmd/benchjson -o BENCH_kernel.json -label $(BENCH_LABEL) \
-		< /tmp/nucanet-bench-$(BENCH_LABEL).txt
-	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='BenchmarkServe' ./internal/serve/ \
-		| tee /tmp/nucanet-bench-serve-$(BENCH_LABEL).txt
-	$(GO) run ./cmd/benchjson -o BENCH_serve.json -label $(BENCH_LABEL) \
-		< /tmp/nucanet-bench-serve-$(BENCH_LABEL).txt
-	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='BenchmarkFleetStep' ./internal/fleet/ \
-		| tee /tmp/nucanet-bench-fleet-$(BENCH_LABEL).txt
-	$(GO) run ./cmd/benchjson -o BENCH_fleet.json -label $(BENCH_LABEL) \
-		< /tmp/nucanet-bench-fleet-$(BENCH_LABEL).txt
-	$(GO) test -run=NONE -benchmem -count=$(BENCH_COUNT) \
-		-bench='BenchmarkCMP' . \
-		| tee /tmp/nucanet-bench-cmp-$(BENCH_LABEL).txt
-	$(GO) run ./cmd/benchjson -o BENCH_cmp.json -label $(BENCH_LABEL) \
-		< /tmp/nucanet-bench-cmp-$(BENCH_LABEL).txt
 
 # Tiny end-to-end run with every telemetry probe on: trace, heatmap,
 # time series, at j=2 — exercises the full probe plumbing through the
@@ -127,7 +99,7 @@ pareto-smoke:
 # Tiny-budget placement search, twice with the same seed: both runs must
 # land on the same best candidate (the final line carries its canonical
 # encoding and hash), pinning the optimizer's end-to-end determinism —
-# annealing schedule, safety gating, area gating, fleet scoring — through
+# annealing schedule, safety gating, area gating, batch scoring — through
 # the real CLI.
 opt-smoke:
 	$(GO) build -o /tmp/nucaopt-smoke ./cmd/nucaopt

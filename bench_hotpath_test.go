@@ -1,5 +1,5 @@
-// Hot-path benchmarks and allocation guards: the measurements behind
-// BENCH_kernel.json (see `make bench` and EXPERIMENTS.md "Benchmarking").
+// Hot-path benchmarks and allocation guards (see EXPERIMENTS.md
+// "Benchmarking").
 //
 // Three layers, innermost first:
 //
@@ -400,14 +400,13 @@ func TestCacheRunPacketPoolBalanced(t *testing.T) {
 }
 
 // routerEngineBenchAccesses keeps the engine x design product affordable
-// in `make bench` while still long enough for steady-state rates.
+// while still long enough for steady-state rates.
 const routerEngineBenchAccesses = 2000
 
 // BenchmarkRouterEngines measures the end-to-end cost of every
 // registered router microarchitecture on the mesh (A), simplified-mesh
 // (D), and halo (F) representatives — the per-engine latency axis of the
-// Pareto sweep, pinned in BENCH_kernel.json next to the wormhole
-// steady-state numbers.
+// Pareto sweep.
 func BenchmarkRouterEngines(b *testing.B) {
 	for _, eng := range router.Names() {
 		for _, id := range []string{"A", "D", "F"} {

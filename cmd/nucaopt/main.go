@@ -5,8 +5,8 @@
 // delays derive from bank geometry, so Table 3's designs A, C, and F are
 // points of the space (internal/place). The search is deterministic
 // simulated annealing: every proposal passes the static deadlock/
-// livelock verifier and the Table 4 area gate before the fleet's
-// lockstep batch evaluator scores it on the benchmark mix with short
+// livelock verifier and the Table 4 area gate before core.Engine
+// scores its wave as one batch on the benchmark mix with short
 // screening runs; the shortlist and the baseline re-score at full length
 // before the winner is declared.
 //
@@ -37,7 +37,7 @@ func main() {
 	var (
 		seed    = flag.Uint64("seed", 1, "annealing RNG seed")
 		budget  = flag.Int("budget", 48, "candidates to screen before stopping")
-		wave    = flag.Int("wave", 8, "proposals per annealing wave (one fleet batch)")
+		wave    = flag.Int("wave", 8, "proposals per annealing wave (one engine batch)")
 		screen  = flag.Int("screen", 150, "accesses per screening run")
 		confirm = flag.Int("confirm", 4000, "accesses per confirmation run")
 		short   = flag.Int("shortlist", 3, "screening candidates graduating to confirmation")

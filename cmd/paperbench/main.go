@@ -8,7 +8,6 @@
 //	paperbench -exp all          # everything (several minutes)
 //	paperbench -exp f9 -n 4000   # one experiment, smaller runs
 //	paperbench -exp f9 -j 8      # fan the sweep out to 8 workers
-//	paperbench -exp pareto -fleet        # sweep on the lockstep fleet evaluator
 //	paperbench -exp telemetry -heatmap -sample 200
 //	paperbench -exp f9 -policy static    # any registered policy name
 //
@@ -46,19 +45,18 @@ import (
 
 	"nucanet/internal/cliutil"
 	"nucanet/internal/core"
-	_ "nucanet/internal/place" // registers the "placement" experiment and the fleet bulk runner
+	_ "nucanet/internal/place" // registers the "placement" experiment in the catalogue
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment name (see -list), or all")
-		n        = flag.Int("n", 8000, "measured L2 accesses per run")
-		seed     = flag.Uint64("seed", 42, "random seed")
-		bench    = flag.String("bench", "", "benchmark for the single-benchmark experiments (default gcc)")
-		useFleet = flag.Bool("fleet", false, "evaluate sweeps on the bulk-synchronous fleet instead of per-run goroutines")
-		jobs     = cliutil.Jobs(flag.CommandLine)
-		cores    = cliutil.Cores(flag.CommandLine)
-		tflags   = cliutil.Telemetry(flag.CommandLine)
+		exp    = flag.String("exp", "all", "experiment name (see -list), or all")
+		n      = flag.Int("n", 8000, "measured L2 accesses per run")
+		seed   = flag.Uint64("seed", 42, "random seed")
+		bench  = flag.String("bench", "", "benchmark for the single-benchmark experiments (default gcc)")
+		jobs   = cliutil.Jobs(flag.CommandLine)
+		cores  = cliutil.Cores(flag.CommandLine)
+		tflags = cliutil.Telemetry(flag.CommandLine)
 	)
 	listFlag := cliutil.List(flag.CommandLine, "experiments")
 	routerName := cliutil.Router(flag.CommandLine)
@@ -78,7 +76,7 @@ func main() {
 		Accesses: *n, Seed: *seed, Workers: workers,
 		PolicyName: policy.String(), ModeName: mode.String(),
 		RouterName: *routerName, Bench: *bench,
-		Telemetry: tflags.Config(), Fleet: *useFleet, Cores: *cores,
+		Telemetry: tflags.Config(), Cores: *cores,
 	}
 	traceOut := *tflags.TracePath
 

@@ -111,7 +111,7 @@ func New(spec Spec) *Bank {
 }
 
 // NewIn is New with its storage carved from an arena — batch
-// construction lays a fleet's bank state contiguously and recycles it
+// construction lays a lane's bank state contiguously and recycles it
 // across construction rounds. A nil arena allocates normally.
 func NewIn(spec Spec, ar *Arena) *Bank {
 	if spec.SizeKB <= 0 || spec.Ways <= 0 {

@@ -50,7 +50,7 @@ func New(k *sim.Kernel, d config.Design, policy Policy, mode Mode) (*System, err
 }
 
 // Prebuilt carries construction artifacts a caller has already produced
-// so batch evaluation (internal/fleet) can share the immutable ones
+// so batch evaluation (core.Engine.RunAll) can share the immutable ones
 // across many systems of the same design. The zero value builds
 // everything fresh — the ordinary single-run path.
 type Prebuilt struct {

@@ -5,16 +5,19 @@ import (
 	"time"
 
 	"nucanet/internal/network"
+	"nucanet/internal/router"
 	"nucanet/internal/sim"
 	"nucanet/internal/stats"
 )
 
-// Engine fans independent simulation runs out to a bounded pool of
-// worker goroutines. Each run owns its own kernel, RNG streams, and
-// stats (see Run), so the only cross-goroutine traffic is the job index
-// going out and the Result coming back; results land in submission
-// order regardless of completion order, which keeps every sweep
-// bit-identical to its sequential execution.
+// Engine is the one sweep executor: it prepares a batch of independent
+// runs through one shared PrepCache, then fans the lanes out to a
+// bounded pool of worker goroutines. Lanes share only immutable
+// artifacts — each owns its kernel, RNG streams, and stats (see Run) —
+// and results land in submission order regardless of completion order,
+// so every sweep is bit-identical to a sequential loop of Run calls at
+// any worker count (pinned by TestEngineBitIdentity and the determinism
+// regression tests).
 type Engine struct {
 	workers int
 }
@@ -32,14 +35,15 @@ func NewEngine(workers int) *Engine {
 // Workers returns the engine's parallelism.
 func (e *Engine) Workers() int { return e.workers }
 
-// SweepReport accounts one parallel sweep: per-run wall-clock times in
-// submission order, the summed sequential work, and the sweep's actual
-// wall time. Work/Wall is the realized speedup.
+// SweepReport accounts one sweep: per-run execution times in submission
+// order, the summed sequential work (batch preparation plus every run),
+// and the sweep's wall time from the first Prepare to the last result.
+// Work/Wall is the realized speedup.
 type SweepReport struct {
 	Runs    int
 	Workers int
 	Wall    time.Duration
-	Work    time.Duration // sum of per-run durations
+	Work    time.Duration // batch preparation + sum of PerRun
 	PerRun  []time.Duration
 }
 
@@ -52,18 +56,56 @@ func (r SweepReport) Speedup() float64 {
 	return float64(r.Work) / float64(r.Wall)
 }
 
-// RunAll executes every Options on the pool and returns the results in
-// submission order. On error it returns the lowest-index run's error,
+// RunAll executes every Options and returns the results in submission
+// order. The whole batch is prepared first, on this goroutine, so lanes
+// of one design share its topology, routing table and static
+// verification, and lanes of one (benchmark, seed, geometry) share the
+// access stream, warm table and warm image; each lane then builds its
+// Instance from an arena that is recycled from lane to lane. A
+// preparation error (lowest index first) fails the batch before any
+// lane runs; otherwise the lowest-index lane's error is returned,
 // exactly as a sequential loop would.
 func (e *Engine) RunAll(opts []Options) ([]Result, SweepReport, error) {
 	rep := SweepReport{Runs: len(opts), Workers: e.workers}
-	out, durs, wall, err := sim.TimedParMap(e.workers, len(opts), func(i int) (Result, error) {
-		return Run(opts[i])
+	start := time.Now()
+	// A one-lane batch has nothing to share: it prepares like Run, so it
+	// never pays a warm-image build for a single use.
+	var pc *PrepCache
+	if len(opts) > 1 {
+		pc = NewPrepCache()
+	}
+	arts := make([]*Artifacts, len(opts))
+	for i, opt := range opts {
+		art, err := Prepare(opt, pc)
+		if err != nil {
+			return nil, rep, err
+		}
+		arts[i] = art
+	}
+	rep.Work = time.Since(start)
+
+	// One construction arena per worker, handed from lane to lane: a
+	// finished lane's Result holds nothing carved from it, so the next
+	// lane resets and reuses the same memory. An arena allocates on
+	// first carve, so those of idle workers cost nothing.
+	arenas := make(chan *router.Arena, e.workers)
+	for w := 0; w < e.workers; w++ {
+		arenas <- &router.Arena{}
+	}
+	out, durs, _, err := sim.TimedParMap(e.workers, len(opts), func(i int) (Result, error) {
+		ar := <-arenas
+		defer func() { arenas <- ar }()
+		ar.Reset()
+		in, err := NewInstance(arts[i], ar)
+		if err != nil {
+			return Result{}, err
+		}
+		return in.RunToCompletion()
 	})
+	rep.Wall = time.Since(start)
 	if err != nil {
 		return nil, rep, err
 	}
-	rep.Wall = wall
 	rep.PerRun = durs
 	for _, d := range durs {
 		rep.Work += d

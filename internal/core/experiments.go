@@ -65,10 +65,6 @@ type ExpConfig struct {
 	// zero value selects its default probe set. Other experiments ignore
 	// it.
 	Telemetry telemetry.Config
-	// Fleet routes sweeps through the bulk-synchronous fleet evaluator
-	// when one is linked in (see SetBulkRunner) — bit-identical results,
-	// shared preparation. False keeps the per-run goroutine engine.
-	Fleet bool
 	// Cores runs every simulation with N trace-driven cores on the CMP
 	// fabric (the -cores flag); 0 keeps the classic single-core path.
 	// Experiments over designs that cannot host cores (the radial halos)
@@ -83,19 +79,6 @@ func (cfg ExpConfig) bench() string {
 		return "gcc"
 	}
 	return cfg.Bench
-}
-
-// bulkRunner is the fleet evaluator's entry point, registered by
-// internal/fleet's init through SetBulkRunner. The indirection exists
-// because fleet builds on core: core cannot import it back.
-var bulkRunner func(opts []Options, workers int) ([]Result, SweepReport, error)
-
-// SetBulkRunner installs the batch evaluator ExpConfig.Fleet selects.
-// The runner must return results bit-identical to Engine.RunAll in
-// submission order with the same error semantics; internal/fleet
-// registers its lockstep evaluator here.
-func SetBulkRunner(fn func(opts []Options, workers int) ([]Result, SweepReport, error)) {
-	bulkRunner = fn
 }
 
 // DefaultExpConfig keeps the full figure sweeps to a few minutes.
@@ -127,13 +110,8 @@ func (cfg ExpConfig) run(designID string, p cache.Policy, m cache.Mode, bench st
 	}
 }
 
-// sweep fans the job list out on the engine configured by cfg: the
-// per-run goroutine engine, or the registered fleet evaluator when
-// cfg.Fleet asks for it (identical results either way).
+// sweep fans the job list out on the engine configured by cfg.
 func (cfg ExpConfig) sweep(opts []Options) ([]Result, SweepReport, error) {
-	if cfg.Fleet && bulkRunner != nil {
-		return bulkRunner(opts, cfg.Workers)
-	}
 	return NewEngine(cfg.Workers).RunAll(opts)
 }
 

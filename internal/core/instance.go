@@ -24,9 +24,9 @@ import (
 // NewInstance assembles the mutable simulation state (kernel, cache
 // system, core) over them. Run is Prepare + NewInstance + run-to-idle,
 // preserving the pre-split construction sequence exactly — the 48
-// regression goldens and the fleet bit-identity table are the proof.
-// The fleet evaluator (internal/fleet) shares one PrepCache across a
-// batch and steps many Instances in lockstep.
+// regression goldens and TestEngineBitIdentity are the proof.
+// Engine.RunAll shares one PrepCache across a batch and builds every
+// lane's Instance over the shared Artifacts.
 
 // Artifacts is everything about a run that is immutable once prepared.
 // All reference fields are shared read-only: many Instances — on one
@@ -60,9 +60,9 @@ type Artifacts struct {
 // runs of a batch: the (topology, routing table, static verification)
 // triple per distinct design, and the (warm table, access stream) pair
 // per distinct (benchmark, seed, geometry, accesses) key. A nil
-// *PrepCache disables sharing. Not safe for concurrent use; the fleet
-// evaluator prepares its whole batch on one goroutine before fanning
-// out.
+// *PrepCache disables sharing. Not safe for concurrent use;
+// Engine.RunAll prepares its whole batch on one goroutine before
+// fanning out.
 type PrepCache struct {
 	designs map[string]*designEntry
 	traces  map[traceKey]*traceEntry
@@ -219,9 +219,7 @@ func (pc *PrepCache) imageFor(d config.Design, te *traceEntry) *cache.WarmImage 
 
 // Instance is one assembled simulation: a kernel, the cache system, and
 // the trace-driven core (or, in CMP mode, the fabric and one core per
-// port), built over shared Artifacts. Drive it either with
-// RunToCompletion (the single-run path) or with Start plus external
-// kernel stepping (the fleet's lockstep path) followed by FinishIdle.
+// port), built over shared Artifacts and driven by RunToCompletion.
 type Instance struct {
 	Art *Artifacts
 	K   *sim.Kernel
@@ -235,8 +233,8 @@ type Instance struct {
 }
 
 // NewInstance assembles the mutable simulation state over art. ar, when
-// non-nil, is the router-construction arena lanes of a fleet batch share
-// (see router.Arena); it must not be shared across goroutines.
+// non-nil, is the construction arena the lanes of one batch worker
+// recycle (see router.Arena); it must not be shared across goroutines.
 func NewInstance(art *Artifacts, ar *router.Arena) (*Instance, error) {
 	k := sim.NewKernel()
 	sys, err := cache.NewPrebuilt(k, art.Design, art.Opt.Policy, art.Opt.Mode, cache.Prebuilt{
@@ -281,9 +279,8 @@ func NewInstance(art *Artifacts, ar *router.Arena) (*Instance, error) {
 	return &Instance{Art: art, K: k, Sys: sys, C: c, Fab: fab, cores: cores, tel: tel}, nil
 }
 
-// Start arms every core's first access. Call exactly once, before
-// stepping the kernel externally; RunToCompletion calls it itself.
-func (in *Instance) Start() {
+// start arms every core's first access.
+func (in *Instance) start() {
 	if in.Fab != nil {
 		for _, c := range in.cores {
 			c.Start()
@@ -294,26 +291,18 @@ func (in *Instance) Start() {
 }
 
 // RunToCompletion drives the instance to quiescence and assembles the
-// Result — the single-run path Run uses.
+// Result. Call it once.
 func (in *Instance) RunToCompletion() (Result, error) {
-	if in.Fab != nil {
-		in.Start()
-		if _, idle := in.K.Run(1 << 40); !idle {
-			return Result{}, in.wrapErr(fmt.Errorf("cmp run did not complete"))
-		}
-		return in.FinishIdle()
+	in.start()
+	if _, idle := in.K.Run(1 << 40); !idle {
+		return Result{}, in.wrapErr(fmt.Errorf("run did not complete within the cycle budget"))
 	}
-	res, err := in.C.Run(1 << 40)
-	if err != nil {
-		return Result{}, in.wrapErr(err)
-	}
-	return in.finish(res)
+	return in.finishIdle()
 }
 
-// FinishIdle collects the Result after external stepping drove the
-// kernel idle (the fleet path). It errors — like the single-run path —
-// when the access stream did not complete.
-func (in *Instance) FinishIdle() (Result, error) {
+// finishIdle collects the Result once the kernel has gone idle. It
+// errors when an access stream did not complete.
+func (in *Instance) finishIdle() (Result, error) {
 	if in.Fab != nil {
 		rs := make([]cpu.Result, len(in.cores))
 		for i, c := range in.cores {

@@ -89,12 +89,12 @@ func New(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg rout
 type BuildOpts struct {
 	// Arena, when non-nil, supplies the backing storage every router
 	// carves its construction-time state from, laying a batch of
-	// networks out contiguously (see router.Arena and internal/fleet).
+	// networks out contiguously (see router.Arena).
 	Arena *router.Arena
 	// Prechecked skips the static progress proof and Supports gate. Only
 	// set it when Check already accepted this exact (topology, routing,
-	// config) triple — the fleet evaluator verifies once per design and
-	// then builds one network per lane.
+	// config) triple — core.Prepare verifies once per design and
+	// core.NewInstance then builds one network per lane.
 	Prechecked bool
 }
 

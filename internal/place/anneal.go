@@ -9,13 +9,12 @@ import (
 	"nucanet/internal/cache"
 	"nucanet/internal/config"
 	"nucanet/internal/core"
-	"nucanet/internal/fleet"
 	"nucanet/internal/sim"
 )
 
 // DefaultBenchmarks is the scoring mix: two integer and two FP profiles
-// spanning the Table 2 access-intensity range, the same wave the fleet
-// benchmark models. A candidate's score is the geometric-mean IPC over
+// spanning the Table 2 access-intensity range, the same wave
+// core's BenchmarkEngineWave models. A candidate's score is the geometric-mean IPC over
 // the mix.
 var DefaultBenchmarks = []string{"gcc", "mcf", "art", "apsi"}
 
@@ -30,12 +29,12 @@ type Config struct {
 	// counts.
 	Budget int
 	// Wave is how many mutations each annealing step proposes; the whole
-	// wave screens as one fleet batch of Wave x len(Benchmarks) lanes
+	// wave screens as one engine batch of Wave x len(Benchmarks) lanes
 	// (default 8).
 	Wave int
 
 	// ScreenAccesses is the per-run length of screening scores (default
-	// 150: the regime the fleet's shared preparation is built for).
+	// 150: the regime the engine's shared preparation is built for).
 	// ConfirmAccesses re-scores the shortlist and the baseline at full
 	// length before the winner is declared (default 4000).
 	ScreenAccesses  int
@@ -45,7 +44,7 @@ type Config struct {
 	Shortlist int
 
 	Benchmarks []string // scoring mix (default DefaultBenchmarks)
-	Workers    int      // fleet workers; 0 selects GOMAXPROCS
+	Workers    int      // engine workers; 0 selects GOMAXPROCS
 
 	// Policy and Mode name the replacement scheme of every scored run;
 	// empty selects the paper's winner (multicast Fast-LRU).
@@ -139,7 +138,7 @@ type Result struct {
 	RejectedArea   int
 	Sims           int
 
-	// Report aggregates the fleet batches' sweep accounting.
+	// Report aggregates the scoring batches' sweep accounting.
 	Report core.SweepReport
 }
 
@@ -147,8 +146,8 @@ type Result struct {
 // space. Every proposal passes the static safety gate
 // (Candidate.Verify: deadlock/livelock-freedom of its routed topology)
 // and the area gate (L2 area no larger than the Design F baseline's)
-// before it is scored; scores come from the real engine via the fleet's
-// lockstep batch evaluator. Screening runs are short; the shortlist is
+// before it is scored; scores come from the real simulator, one
+// core.Engine batch per wave. Screening runs are short; the shortlist is
 // re-scored at confirmation length together with the baseline, so the
 // returned Best is a confirmed, not screened, winner.
 func Search(cfg Config) (*Result, error) {
@@ -248,7 +247,7 @@ func Search(cfg Config) (*Result, error) {
 		}
 		stalled = 0
 
-		// One fleet batch screens the whole wave.
+		// One engine batch screens the whole wave.
 		wv, err := eval(fresh, cfg.ScreenAccesses)
 		if err != nil {
 			return nil, err
@@ -296,8 +295,8 @@ func Search(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// score evaluates candidates on the benchmark mix through the fleet: one
-// lockstep batch of len(cands) x len(benchmarks) lanes.
+// score evaluates candidates on the benchmark mix as one engine batch
+// of len(cands) x len(benchmarks) lanes.
 func (res *Result) score(cands []Candidate, accesses int, policy cache.Policy, mode cache.Mode, cfg Config) ([]Scored, error) {
 	model := area.DefaultModel()
 	opts := make([]core.Options, 0, len(cands)*len(cfg.Benchmarks))
@@ -316,7 +315,7 @@ func (res *Result) score(cands []Candidate, accesses int, policy cache.Policy, m
 			opts = append(opts, opt)
 		}
 	}
-	results, rep, err := fleet.RunAll(opts, fleet.Config{Workers: cfg.Workers})
+	results, rep, err := core.NewEngine(cfg.Workers).RunAll(opts)
 	if err != nil {
 		return nil, err
 	}

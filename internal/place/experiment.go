@@ -24,7 +24,7 @@ func init() {
 }
 
 // runExperiment adapts the experiment interface to Search: a small fixed
-// budget, screening at the fleet's home regime, confirmation at the
+// budget, screening at short-run length, confirmation at the
 // configured access count, and the configured scheme/benchmark override.
 func runExperiment(cfg core.ExpConfig) (core.Rows, core.SweepReport, error) {
 	scfg := Config{

@@ -7,10 +7,9 @@ import (
 )
 
 // Arena carves the slices a router engine allocates at construction time
-// out of large typed chunks (see internal/slab), so a batch of routers —
-// or a whole fleet of lockstep simulations (see internal/fleet) — lays
-// its VC rings, credit counters, and arbitration scratch side by side in
-// memory instead of scattering thousands of small heap objects.
+// out of large typed chunks (see internal/slab), so a batch of routers
+// lays its VC rings, credit counters, and arbitration scratch side by
+// side in memory instead of scattering thousands of small heap objects.
 // Construction from an arena is behavior-identical to per-router
 // allocation: every carved slice starts zeroed with the exact length and
 // capacity the direct make call produced, and engines never grow a
@@ -51,9 +50,9 @@ func (a *Arena) BankArena() *bank.Arena {
 // memory is zeroed and carving restarts from the first chunk, so no new
 // allocations happen until usage exceeds the arena's high-water mark.
 // Every slice previously carved from the arena is invalidated — callers
-// must only Reset once nothing built from the arena is referenced (the
-// fleet resets between lane cohorts, whose instances are complete and
-// dropped).
+// must only Reset once nothing built from the arena is referenced
+// (core.Engine.RunAll resets between lanes, whose instances are
+// complete and dropped).
 func (a *Arena) Reset() {
 	a.entries.Reset()
 	a.rings.Reset()

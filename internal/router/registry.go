@@ -65,7 +65,7 @@ type Builder struct {
 	// New constructs one unwired node. The network package wires links,
 	// installs the pool/deliver/kernel hooks, and registers it. ar, when
 	// non-nil, is the construction arena the node must carve its state
-	// from (batch construction for the fleet evaluator); a nil arena
+	// from (batch construction, see Arena); a nil arena
 	// means per-router allocation and must produce identical behavior.
 	New func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) Engine
 

@@ -19,11 +19,9 @@ import (
 //   - p99-ns     — 99th-percentile request latency;
 //   - hitrate    — result-cache hit rate over the measured window.
 //
-// `make bench` runs them and writes BENCH_serve.json via cmd/benchjson,
-// giving serving performance the same committed trajectory as the
-// cycle kernel's BENCH_kernel.json. The acceptance bar for the service
-// is the Cold/Warm ns/op ratio: warm (content-addressed cache hit)
-// must beat cold (full simulation) by >= 50x.
+// The acceptance bar for the service is the Cold/Warm ns/op ratio: warm
+// (content-addressed cache hit) must beat cold (full simulation) by
+// >= 50x.
 
 // benchPost issues one request and returns its latency.
 func benchPost(b *testing.B, ts *httptest.Server, body string) time.Duration {

@@ -77,7 +77,7 @@ func assertNoInternalLeak(t *testing.T, body string) {
 	t.Helper()
 	for _, leak := range []string{
 		"config:", "core:", "cache:", "routing:", "router:", "topology:", "trace:",
-		"network:", "place:", "fleet:", "area:", "sim:",
+		"network:", "place:", "area:", "sim:",
 		"nucanet/", "internal/", ".go:", "%!",
 	} {
 		if strings.Contains(body, leak) {

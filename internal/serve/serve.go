@@ -60,7 +60,6 @@ type Config struct {
 // Close.
 type Server struct {
 	cfg   Config
-	eng   *core.Engine
 	sched *Sched
 	cache *Cache
 	run   func(core.Options) (core.Result, error)
@@ -86,9 +85,8 @@ type call struct {
 	err  error
 }
 
-// New builds a Server. The worker pool is the existing parallel
-// experiment engine's: core.NewEngine resolves the worker count and the
-// scheduler runs that many simulations concurrently.
+// New builds a Server whose scheduler runs cfg.Workers simulations
+// concurrently.
 func New(cfg Config) *Server {
 	if cfg.MaxAccesses <= 0 {
 		cfg.MaxAccesses = 200000
@@ -97,11 +95,9 @@ func New(cfg Config) *Server {
 	if run == nil {
 		run = core.Run
 	}
-	eng := core.NewEngine(cfg.Workers)
 	return &Server{
 		cfg:      cfg,
-		eng:      eng,
-		sched:    NewSched(eng.Workers(), cfg.QueueDepth),
+		sched:    NewSched(cfg.Workers, cfg.QueueDepth),
 		cache:    NewCache(cfg.CacheEntries),
 		run:      run,
 		start:    time.Now(),

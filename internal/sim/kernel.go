@@ -233,35 +233,6 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// NextTime returns the next cycle at which the kernel has work: now+1 when
-// a component is scheduled for the coming cycle, otherwise the earliest
-// pending event time. ok is false when the kernel is idle.
-func (k *Kernel) NextTime() (t int64, ok bool) {
-	if len(k.next) > 0 {
-		return k.now + 1, true
-	}
-	return k.events.peek()
-}
-
-// RunUntil steps while the next cycle with work is <= horizon, then stops.
-// It returns true when the kernel went idle (nothing will ever run again
-// without external scheduling). Stepping in bounded horizons lets a caller
-// advance many independent kernels in lockstep windows — the fleet
-// evaluator's bulk-synchronous schedule — without perturbing per-kernel
-// event order: each kernel executes exactly the cycles Run would.
-func (k *Kernel) RunUntil(horizon int64) (idle bool) {
-	for {
-		t, ok := k.NextTime()
-		if !ok {
-			return true
-		}
-		if t > horizon {
-			return false
-		}
-		k.Step()
-	}
-}
-
 // Run steps until the kernel is idle or maxCycles cycles have elapsed.
 // It returns the number of cycles simulated and whether the kernel went
 // idle (false means the budget was exhausted first).
