@@ -12,7 +12,7 @@
 // for. Every third configuration additionally requests the bufferless
 // deflection router, so the mix exercises more than one router engine
 // (and more than one content-addressed key per seed lap) on every run.
-// -require-hits makes a hitless run a failure (the CI smoke gate).
+// -require-hits makes a hitless run a failure (cmd/cli_test.go's gate).
 package main
 
 import (

@@ -19,7 +19,7 @@
 //	nucaopt -cores 4                 # score candidates as 4-core CMP runs (grid families)
 //
 // The final line carries the canonical best candidate and its hash;
-// identical flags always reproduce it bit-for-bit (make opt-smoke pins
+// identical flags always reproduce it bit-for-bit (cmd/cli_test.go pins
 // this).
 package main
 

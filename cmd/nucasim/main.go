@@ -135,7 +135,7 @@ func main() {
 		}
 	}
 	if *traceOut != "" {
-		fatal(writeTraces(*traceOut, *design, benches, results))
+		fatal(cliutil.WriteTraces(*traceOut, results))
 	}
 	if len(results) > 1 {
 		agg := core.AggregateOf(results)
@@ -151,35 +151,6 @@ func main() {
 		fmt.Printf("[%d runs, j=%d: wall %.1fs, work %.1fs, speedup %.1fx]\n",
 			rep.Runs, rep.Workers, rep.Wall.Seconds(), rep.Work.Seconds(), rep.Speedup())
 	}
-}
-
-// writeTraces serializes every run's event trace to one JSONL stream in
-// submission order, each run introduced by a {"ev":"run",...} meta line.
-// Run order and event order are both deterministic, so the stream is
-// byte-identical for a fixed seed at any -j.
-func writeTraces(path, design string, benches []string, results []core.Result) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	for i, r := range results {
-		if r.Telemetry == nil || r.Telemetry.Trace == nil {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "{\"ev\":\"run\",\"design\":%q,\"bench\":%q,\"seed\":%d,\"events\":%d}\n",
-			design, benches[i], r.Options.Seed, r.Telemetry.Trace.Len()); err != nil {
-			return err
-		}
-		if err := r.Telemetry.Trace.WriteJSONL(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // verifyRouting runs the static verifier over every design in the

@@ -39,7 +39,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -120,7 +119,11 @@ func runExperiment(e core.Experiment, cfg core.ExpConfig, traceOut string) {
 	fatal(err)
 	rows.Render(os.Stdout)
 	if runs, ok := rows.(core.TelemetryRows); ok && traceOut != "" {
-		fatal(writeTelemetryTraces(traceOut, runs, cfg))
+		results := make([]core.Result, len(runs))
+		for i, tr := range runs {
+			results[i] = tr.Result
+		}
+		fatal(cliutil.WriteTraces(traceOut, results))
 	}
 	if rep.Runs > 0 {
 		sweepLine(rep)
@@ -129,38 +132,6 @@ func runExperiment(e core.Experiment, cfg core.ExpConfig, traceOut string) {
 
 func header(s string) {
 	fmt.Printf("\n=== %s ===\n", s)
-}
-
-// writeTelemetryTraces serializes the comparison's event traces as one
-// JSONL stream in design order, each run led by a {"ev":"run"} meta line.
-func writeTelemetryTraces(path string, runs core.TelemetryRows, cfg core.ExpConfig) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	bench := cfg.Bench
-	if bench == "" {
-		bench = "gcc"
-	}
-	for _, tr := range runs {
-		tel := tr.Result.Telemetry
-		if tel == nil || tel.Trace == nil {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "{\"ev\":\"run\",\"design\":%q,\"bench\":%q,\"seed\":%d,\"events\":%d}\n",
-			tr.DesignID, bench, tr.Result.Options.Seed, tel.Trace.Len()); err != nil {
-			return err
-		}
-		if err := tel.Trace.WriteJSONL(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // sweepLine reports the engine's accounting for one sweep: total wall

@@ -23,11 +23,10 @@ func main() {
 
 	var base float64
 	for _, s := range core.Fig8Schemes() {
-		r, err := core.NewRunner(
-			core.WithBenchmark(*bench),
-			core.WithScheme(s.Policy, s.Mode),
-			core.WithAccesses(*n),
-		).Run()
+		opt := core.DefaultOptions()
+		opt.Benchmark, opt.Accesses = *bench, *n
+		opt.Policy, opt.Mode = s.Policy, s.Mode
+		r, err := core.Run(opt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,10 +12,11 @@ import (
 )
 
 func main() {
-	// The Runner starts from the baseline (Design A, multicast Fast-LRU,
-	// gcc) and validates the configuration before simulating.
-	runner := core.NewRunner(core.WithAccesses(5000))
-	result, err := runner.Run()
+	// Start from the baseline (Design A, multicast Fast-LRU, gcc); Run
+	// validates the configuration before simulating.
+	opt := core.DefaultOptions()
+	opt.Accesses = 5000
+	result, err := core.Run(opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +34,8 @@ func main() {
 
 	// Compare against the same design running D-NUCA's original
 	// multicast Promotion policy.
-	promo, err := runner.With(core.WithScheme(cache.Promotion, cache.Multicast)).Run()
+	opt.Policy, opt.Mode = cache.Promotion, cache.Multicast
+	promo, err := core.Run(opt)
 	if err != nil {
 		log.Fatal(err)
 	}

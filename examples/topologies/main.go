@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"nucanet/internal/area"
-	"nucanet/internal/cache"
 	"nucanet/internal/config"
 	"nucanet/internal/core"
 )
@@ -26,13 +25,9 @@ func main() {
 
 	var baseIPC float64
 	for _, d := range config.Designs() {
-		r, err := core.NewRunner(
-			core.WithDesignID(d.ID),
-			core.WithScheme(cache.FastLRU, cache.Multicast),
-			core.WithBenchmark(*bench),
-			core.WithAccesses(*n),
-			core.WithSeed(42),
-		).Run()
+		opt := core.DefaultOptions() // multicast Fast-LRU, seed 42
+		opt.DesignID, opt.Benchmark, opt.Accesses = d.ID, *bench, *n
+		r, err := core.Run(opt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,27 +1,18 @@
-// Hot-path benchmarks and allocation guards (see EXPERIMENTS.md
-// "Benchmarking").
-//
-// Three layers, innermost first:
-//
-//   - BenchmarkKernelRun: the raw sim.Kernel event loop (Step, Activate,
-//     WakeAt) with a mixed population of self-rearming components;
-//   - BenchmarkRouterSteadyState: a saturated 16x16 mesh moving multicast
-//     block packets down every column — switch allocation, VC allocation,
-//     hybrid replication, and credit return, with the cache protocol out
-//     of the picture;
-//   - BenchmarkCoreRun: the full simulation (cache protocol + CPU model)
-//     on designs A, D, and F — the end-to-end number the ROADMAP's
-//     "as fast as the hardware allows" goal is graded on.
+// Hot-path allocation guards and pool-balance tests. (Timing lives in
+// benchmark/: sim.step_ns, router.step_ns, router.flit_hop_ns,
+// cache.issue_drain_ns, telemetry.probe_overhead_share; see
+// EXPERIMENTS.md "Benchmarking".)
 //
 // The allocation guards pin the zero-allocation steady-state contract:
 // once traffic is in flight, stepping the kernel allocates nothing — no
 // scratch slices, no queue growth, no closure captures, no replica
-// packets from the GC heap. On top of that, the cache-protocol guard
-// bounds the allocations of one full operation to an exact, explainable
-// sum (the Request and the op: typed messages are embedded in the op and
-// every packet is pooled, so sends, dispatch and chain hops allocate
-// nothing), and the pool-balance tests prove no pooled packet — protocol
-// message or replica — leaks across full runs on every router engine.
+// packets from the GC heap — and a disabled telemetry probe is a branch
+// and a return. On top of that, the cache-protocol guard bounds the
+// allocations of one full operation to an exact, explainable sum (the
+// Request and the op: typed messages are embedded in the op and every
+// packet is pooled, so sends, dispatch and chain hops allocate nothing),
+// and the pool-balance tests prove no pooled packet — protocol message
+// or replica — leaks across full runs on every router engine.
 package nucanet
 
 import (
@@ -36,23 +27,18 @@ import (
 	"nucanet/internal/router"
 	"nucanet/internal/routing"
 	"nucanet/internal/sim"
+	"nucanet/internal/telemetry"
 	"nucanet/internal/topology"
 	"nucanet/internal/trace"
 )
 
-// coreRunAccesses matches the acceptance configuration: design X / gcc /
-// 10k measured accesses.
-const coreRunAccesses = 10000
-
-// steadyMesh builds a 16x16 mesh network with null endpoints everywhere
-// and returns an injector that launches one multicast block packet down
-// every column.
-func steadyMesh() (*sim.Kernel, *network.Network, func()) {
-	return steadyMeshEngine(router.DefaultEngine)
-}
-
-// steadyMeshEngine is steadyMesh with a registry router engine selected.
-func steadyMeshEngine(engine string) (*sim.Kernel, *network.Network, func()) {
+// steadyMesh builds a 16x16 mesh network on the named router engine with
+// null endpoints everywhere and returns an injector that launches one
+// multicast block packet down every column. With reuse the injector
+// re-sends one fixed set of packets (legal once each prior flight has
+// fully drained) instead of allocating fresh ones, so a measured region
+// is exactly the steady-state network.
+func steadyMesh(engine string, reuse bool) (*sim.Kernel, *network.Network, func()) {
 	topo := topology.NewMesh(topology.MeshSpec{W: 16, H: 16, CoreX: 7, MemX: 8})
 	k := sim.NewKernel()
 	cfg := router.DefaultConfig()
@@ -62,139 +48,33 @@ func steadyMeshEngine(engine string) (*sim.Kernel, *network.Network, func()) {
 	for id := 0; id < topo.NumNodes(); id++ {
 		net.Attach(id, flit.ToBank, sink)
 	}
+	var fixed [16]*flit.Packet
 	inject := func() {
-		for c := 0; c < 16; c++ {
-			net.Send(&flit.Packet{
-				Kind: flit.WriteData, Src: topo.Core,
-				Dst: topo.NodeAt(c, 15), DstEp: flit.ToBank,
-				PathDeliver: true,
-			}, k.Now())
+		for c, p := range fixed {
+			if p == nil {
+				p = &flit.Packet{
+					Kind: flit.WriteData, Src: topo.Core,
+					Dst: topo.NodeAt(c, 15), DstEp: flit.ToBank,
+					PathDeliver: true,
+				}
+				if reuse {
+					fixed[c] = p
+				}
+			}
+			net.Send(p, k.Now())
 		}
 	}
 	return k, net, inject
 }
 
-// BenchmarkRouterSteadyState measures per-cycle router cost on a mesh
-// kept saturated with multicast block traffic; ns/op is one kernel step
-// (one active cycle across all routers with buffered flits).
-func BenchmarkRouterSteadyState(b *testing.B) {
-	k, net, inject := steadyMesh()
-	inject()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !k.Step() {
-			inject()
-		}
-	}
-	b.StopTimer()
-	st := net.Stats()
-	b.ReportMetric(float64(st.Router.FlitsRouted)/float64(b.N), "flit-hops/cycle")
-	b.ReportMetric(float64(st.Router.ReplicasSpawned)/float64(b.N), "replicas/cycle")
-}
-
-// kernelBenchComp is a self-rearming component: two of three ticks stay
-// hot (Activate), every third parks on a future event (WakeAt) — the mix
-// that exercises the scheduled-id list and the event heap together.
-type kernelBenchComp struct {
-	k      *sim.Kernel
-	id     int
-	period int64
-	n      int
-}
-
-func (c *kernelBenchComp) Tick(now int64) bool {
-	c.n++
-	if c.n%3 == 0 {
-		c.k.WakeAt(now+c.period, c.id)
-		return false
-	}
-	return true
-}
-
-func kernelBenchPopulation(k *sim.Kernel, n int) {
-	for i := 0; i < n; i++ {
-		c := &kernelBenchComp{k: k, period: int64(1 + i%5)}
-		c.id = k.Register(c)
-		k.WakeAt(c.period, c.id)
-	}
-}
-
-// BenchmarkKernelRun measures the simulation kernel's event loop with 64
-// components cycling between next-cycle activations and future events.
-func BenchmarkKernelRun(b *testing.B) {
-	k := sim.NewKernel()
-	kernelBenchPopulation(k, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step()
-	}
-}
-
-// TestRouterSteadyStateZeroAlloc pins the tentpole contract: once warm,
-// a router/network cycle allocates nothing — no switch-allocation
-// scratch, no VC queue growth, no credit-return closures, no replica
-// packets from the GC heap. Injection reuses a fixed set of packets
-// (legal once each prior flight has fully drained), so the measured
-// region is exactly the steady-state network.
-//
-// testing.AllocsPerRun invokes the function once as warm-up before
-// measuring, which absorbs the one-time growth paths (injection-VC ring
-// high-water mark, replica pool population, event-heap capacity).
-func TestRouterSteadyStateZeroAlloc(t *testing.T) {
-	k, net, _ := steadyMesh()
-	topo := net.Topo
-	pkts := make([]*flit.Packet, 16)
-	for c := range pkts {
-		pkts[c] = &flit.Packet{
-			Kind: flit.WriteData, Src: topo.Core,
-			Dst: topo.NodeAt(c, 15), DstEp: flit.ToBank,
-			PathDeliver: true,
-		}
-	}
-	inject := func() {
-		for _, p := range pkts {
-			net.Send(p, k.Now())
-		}
-	}
-	inject()
-	avg := testing.AllocsPerRun(50, func() {
-		for i := 0; i < 200; i++ {
-			if !k.Step() {
-				inject()
-			}
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state network cycle allocates: %.2f allocs per 200 cycles, want 0", avg)
-	}
-}
-
-// TestBufferlessSteadyStateZeroAlloc extends the zero-allocation
-// steady-state contract to the bufferless deflection engine — the cycle
-// kernel the Pareto sweep sells as the cheapest one, which it only is if
-// deflection arbitration runs entirely on preallocated scratch. Warm-up
-// absorbs the latch-ring high-water marks and the source-expansion
-// replica pool; after that, route computation, age sorting, deflection,
-// and ejection must allocate nothing. The 200-cycle rounds do not align
-// with the network's drain period, so high-water marks (latch rings, the
-// replica pool) keep creeping for a couple of rounds — the explicit warm
-// loop below runs the population past them before AllocsPerRun measures.
-func TestBufferlessSteadyStateZeroAlloc(t *testing.T) {
-	k, net, _ := steadyMeshEngine("bufferless")
-	topo := net.Topo
-	pkts := make([]*flit.Packet, 16)
-	for c := range pkts {
-		pkts[c] = &flit.Packet{
-			Kind: flit.WriteData, Src: topo.Core,
-			Dst: topo.NodeAt(c, 15), DstEp: flit.ToBank,
-			PathDeliver: true,
-		}
-	}
-	inject := func() {
-		for _, p := range pkts {
-			net.Send(p, k.Now())
-		}
-	}
+// steadyStateAllocs keeps the mesh saturated and returns the allocations
+// per 200-cycle round once warm. testing.AllocsPerRun invokes the round
+// once as warm-up before measuring, which absorbs the one-time growth
+// paths (injection-VC ring high-water mark, replica pool population,
+// event-heap capacity); warmRounds runs extra rounds first for engines
+// whose high-water marks keep creeping.
+func steadyStateAllocs(engine string, warmRounds int) float64 {
+	k, _, inject := steadyMesh(engine, true)
 	inject()
 	round := func() {
 		for i := 0; i < 200; i++ {
@@ -203,58 +83,17 @@ func TestBufferlessSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < warmRounds; i++ {
 		round()
 	}
-	avg := testing.AllocsPerRun(50, round)
-	if avg != 0 {
-		t.Fatalf("steady-state bufferless cycle allocates: %.2f allocs per 200 cycles, want 0", avg)
-	}
+	return testing.AllocsPerRun(50, round)
 }
 
-// TestBufferlessSteadyMeshPoolBalanced is the replica-freelist leak
-// invariant for source-expanded multicast: every pooled replica the
-// bufferless injector minted came back exactly once after drain.
-func TestBufferlessSteadyMeshPoolBalanced(t *testing.T) {
-	k, net, inject := steadyMeshEngine("bufferless")
-	for round := 0; round < 20; round++ {
-		inject()
-		for k.Step() {
-		}
-	}
-	if got := net.InFlight(); got != 0 {
-		t.Fatalf("network did not drain: %d flits in flight", got)
-	}
-	ps := net.PoolStats()
-	if ps.Gets == 0 {
-		t.Fatal("no replicas were spawned; source-expanded multicast did not run")
-	}
-	if ps.Live != 0 || ps.Gets != ps.Puts {
-		t.Fatalf("replica pool leak: gets=%d puts=%d live=%d", ps.Gets, ps.Puts, ps.Live)
-	}
-}
-
-// TestKernelStepZeroAlloc pins the kernel's half of the contract: Step
-// with a self-rearming component population touches only reused slices
-// and the typed event heap — zero allocations per cycle.
-func TestKernelStepZeroAlloc(t *testing.T) {
-	k := sim.NewKernel()
-	kernelBenchPopulation(k, 64)
-	avg := testing.AllocsPerRun(50, func() {
-		for i := 0; i < 200; i++ {
-			k.Step()
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("kernel Step allocates: %.2f allocs per 200 cycles, want 0", avg)
-	}
-}
-
-// TestSteadyMeshReplicaPoolBalanced drains the saturated mesh and checks
-// the replica freelist's leak invariant at the network level: every
-// pooled packet handed out came back exactly once.
-func TestSteadyMeshReplicaPoolBalanced(t *testing.T) {
-	k, net, inject := steadyMesh()
+// steadyMeshPoolBalanced drains the saturated mesh and checks the replica
+// freelist's leak invariant at the network level: every pooled packet
+// handed out came back exactly once.
+func steadyMeshPoolBalanced(t *testing.T, engine string) {
+	k, net, inject := steadyMesh(engine, false)
 	for round := 0; round < 20; round++ {
 		inject()
 		for k.Step() {
@@ -270,6 +109,88 @@ func TestSteadyMeshReplicaPoolBalanced(t *testing.T) {
 	if ps.Live != 0 || ps.Gets != ps.Puts {
 		t.Fatalf("replica pool leak: gets=%d puts=%d live=%d", ps.Gets, ps.Puts, ps.Live)
 	}
+}
+
+// rearmingComp is a self-rearming component: two of three ticks stay
+// hot (Activate), every third parks on a future event (WakeAt) — the mix
+// that exercises the scheduled-id list and the event heap together.
+type rearmingComp struct {
+	k      *sim.Kernel
+	id     int
+	period int64
+	n      int
+}
+
+func (c *rearmingComp) Tick(now int64) bool {
+	c.n++
+	if c.n%3 == 0 {
+		c.k.WakeAt(now+c.period, c.id)
+		return false
+	}
+	return true
+}
+
+func rearmingPopulation(k *sim.Kernel, n int) {
+	for i := 0; i < n; i++ {
+		c := &rearmingComp{k: k, period: int64(1 + i%5)}
+		c.id = k.Register(c)
+		k.WakeAt(c.period, c.id)
+	}
+}
+
+// TestRouterSteadyStateZeroAlloc pins the tentpole contract: once warm,
+// a router/network cycle allocates nothing — no switch-allocation
+// scratch, no VC queue growth, no credit-return closures, no replica
+// packets from the GC heap.
+func TestRouterSteadyStateZeroAlloc(t *testing.T) {
+	if avg := steadyStateAllocs(router.DefaultEngine, 0); avg != 0 {
+		t.Fatalf("steady-state network cycle allocates: %.2f allocs per 200 cycles, want 0", avg)
+	}
+}
+
+// TestBufferlessSteadyStateZeroAlloc extends the zero-allocation
+// steady-state contract to the bufferless deflection engine — the cycle
+// kernel the Pareto sweep sells as the cheapest one, which it only is if
+// deflection arbitration runs entirely on preallocated scratch. Warm-up
+// absorbs the latch-ring high-water marks and the source-expansion
+// replica pool; after that, route computation, age sorting, deflection,
+// and ejection must allocate nothing. The 200-cycle rounds do not align
+// with the network's drain period, so high-water marks (latch rings, the
+// replica pool) keep creeping for a couple of rounds — five warm rounds
+// run the population past them before AllocsPerRun measures.
+func TestBufferlessSteadyStateZeroAlloc(t *testing.T) {
+	if avg := steadyStateAllocs("bufferless", 5); avg != 0 {
+		t.Fatalf("steady-state bufferless cycle allocates: %.2f allocs per 200 cycles, want 0", avg)
+	}
+}
+
+// TestBufferlessSteadyMeshPoolBalanced is the leak invariant for
+// source-expanded multicast: every pooled replica the bufferless
+// injector minted came back exactly once after drain.
+func TestBufferlessSteadyMeshPoolBalanced(t *testing.T) {
+	steadyMeshPoolBalanced(t, "bufferless")
+}
+
+// TestKernelStepZeroAlloc pins the kernel's half of the contract: Step
+// with a self-rearming component population touches only reused slices
+// and the typed event heap — zero allocations per cycle.
+func TestKernelStepZeroAlloc(t *testing.T) {
+	k := sim.NewKernel()
+	rearmingPopulation(k, 64)
+	avg := testing.AllocsPerRun(50, func() {
+		for i := 0; i < 200; i++ {
+			k.Step()
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("kernel Step allocates: %.2f allocs per 200 cycles, want 0", avg)
+	}
+}
+
+// TestSteadyMeshReplicaPoolBalanced is the same invariant for the
+// wormhole router's hybrid replication.
+func TestSteadyMeshReplicaPoolBalanced(t *testing.T) {
+	steadyMeshPoolBalanced(t, router.DefaultEngine)
 }
 
 // allocGuardDesign is a small 4x4 mesh (4 single-way banks per column)
@@ -399,59 +320,28 @@ func TestCacheRunPacketPoolBalanced(t *testing.T) {
 	}
 }
 
-// routerEngineBenchAccesses keeps the engine x design product affordable
-// while still long enough for steady-state rates.
-const routerEngineBenchAccesses = 2000
-
-// BenchmarkRouterEngines measures the end-to-end cost of every
-// registered router microarchitecture on the mesh (A), simplified-mesh
-// (D), and halo (F) representatives — the per-engine latency axis of the
-// Pareto sweep.
-func BenchmarkRouterEngines(b *testing.B) {
-	for _, eng := range router.Names() {
-		for _, id := range []string{"A", "D", "F"} {
-			eng, id := eng, id
-			b.Run(eng+"/design-"+id, func(b *testing.B) {
-				var r core.Result
-				for i := 0; i < b.N; i++ {
-					var err error
-					r, err = core.Run(core.Options{
-						DesignID: id, Policy: cache.FastLRU, Mode: cache.Multicast,
-						Benchmark: "gcc", Accesses: routerEngineBenchAccesses,
-						Seed: 42, Router: eng,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(r.IPC, "IPC")
-				b.ReportMetric(float64(r.Cycles)/float64(routerEngineBenchAccesses), "cycles/access")
-			})
-		}
+// TestDisabledProbeHotPathAllocFree pins the telemetry contract the
+// simulator's hot loops rely on: with probes disabled (nil collector),
+// every probe site is a branch-and-return that allocates nothing.
+func TestDisabledProbeHotPathAllocFree(t *testing.T) {
+	var c *telemetry.Collector
+	f := flit.Flit{Pkt: &flit.Packet{ID: 9, Kind: flit.ReadReq}, Seq: 0, Head: true}
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.FlitInjected(3, f, 12)
+		c.VCAllocated(3, f.Pkt, 12, 1, 2)
+		c.FlitRouted(3, f, 12, 1, 2)
+		c.FlitEjected(4, f, 13, 0)
+		c.ReplicaForked(4, f, 13, 2, 1)
+		c.BankAccess(5, 7)
+		c.BankHit(5, 7)
+		c.Sample(100, 17, 3)
+		c.Finish(200)
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled probe path allocates %.1f per op, want 0", allocs)
 	}
 }
 
-// BenchmarkCoreRun measures the full simulation end to end — the
-// acceptance configuration for the hot-path work: gcc, 10k accesses,
-// multicast Fast-LRU, on the mesh (A), simplified-mesh (D), and halo (F)
-// representatives.
-func BenchmarkCoreRun(b *testing.B) {
-	for _, id := range []string{"A", "D", "F"} {
-		id := id
-		b.Run("design-"+id, func(b *testing.B) {
-			var r core.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				r, err = core.Run(core.Options{
-					DesignID: id, Policy: cache.FastLRU, Mode: cache.Multicast,
-					Benchmark: "gcc", Accesses: coreRunAccesses, Seed: 42,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(r.IPC, "IPC")
-			b.ReportMetric(float64(r.Cycles)/float64(coreRunAccesses), "cycles/access")
-		})
-	}
-}
+type nullEndpoint struct{}
+
+func (nullEndpoint) Deliver(*flit.Packet, int64) {}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -594,13 +595,24 @@ func TestParsePolicyAndMode(t *testing.T) {
 		t.Fatal("expected error")
 	}
 
+	// The catalogue in registration order: the built-ins' ids equal the
+	// package constants, the registry additions follow. A miss lists it.
+	names := PolicyNames()
+	if want := []string{"promotion", "LRU", "fastLRU", "directory", "static"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("PolicyNames() = %v, want %v", names, want)
+	}
+	for id, want := range []Policy{Promotion, LRU, FastLRU, Directory, Static} {
+		if Policy(id) != want {
+			t.Fatalf("policy %q registered as id %d, but its constant is %d", names[id], id, want)
+		}
+	}
+	if _, err := PolicyByName("mru"); err == nil ||
+		err.Error() != `cache: unknown policy "mru" (registered: promotion, LRU, fastLRU, directory, static)` {
+		t.Fatalf("unknown policy error = %v", err)
+	}
 	// Every registered policy — built-ins and registry additions alike —
 	// round-trips through String and ParsePolicy, so CLI flags, JSON
 	// reports, and error messages always agree on the registered name.
-	names := PolicyNames()
-	if len(names) < 4 {
-		t.Fatalf("expected at least 4 registered policies, got %v", names)
-	}
 	for _, name := range names {
 		p, err := PolicyByName(name)
 		if err != nil {

@@ -84,7 +84,7 @@ func ConformanceScenarios() []Scenario {
 	const missTag = 999
 
 	var scs []Scenario
-	for id := range policyReg {
+	for id := 0; id < policies.Len(); id++ {
 		p := Policy(id)
 		for _, mode := range []Mode{Unicast, Multicast} {
 			for _, occ := range []int{0, 1, 2, 4} {

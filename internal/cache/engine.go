@@ -3,6 +3,8 @@ package cache
 import (
 	"fmt"
 	"strings"
+
+	"nucanet/internal/registry"
 )
 
 // PolicyEngine is one replacement policy's protocol behavior. The agent
@@ -72,19 +74,12 @@ func (baseEngine) Demote(a *agent, m *demoteMsg, now int64) {
 	panic(fmt.Sprintf("cache: %v sent no demotion, bank %d/%d got one", a.sys.Policy, a.col, a.pos))
 }
 
-// policyInfo is one registry entry; the slice index is the Policy id.
-type policyInfo struct {
-	name string
-	eng  PolicyEngine
-}
-
-var policyReg []policyInfo
-
-// normalizePolicyName folds case and dashes so "fastLRU", "fastlru", and
-// "fast-lru" name the same policy.
-func normalizePolicyName(s string) string {
+// policies is the policy registry; an entry's index is its Policy id.
+// Names fold case and dashes, so "fastLRU", "fastlru", and "fast-lru"
+// name the same policy.
+var policies = registry.New[PolicyEngine]("cache", "policy", func(s string) string {
 	return strings.ReplaceAll(strings.ToLower(s), "-", "")
-}
+})
 
 // RegisterPolicy adds a replacement policy under a display name and
 // returns its Policy id. Ids are assigned in registration order; the
@@ -95,48 +90,30 @@ func RegisterPolicy(name string, eng PolicyEngine) Policy {
 	if eng == nil {
 		panic("cache: RegisterPolicy with nil engine")
 	}
-	key := normalizePolicyName(name)
-	if key == "" {
-		panic("cache: RegisterPolicy with empty name")
-	}
-	for _, p := range policyReg {
-		if normalizePolicyName(p.name) == key {
-			panic(fmt.Sprintf("cache: policy %q already registered", name))
-		}
-	}
-	policyReg = append(policyReg, policyInfo{name: name, eng: eng})
-	return Policy(len(policyReg) - 1)
+	return Policy(policies.Register(name, eng))
 }
 
 // PolicyByName resolves a registered policy name (case- and
 // dash-insensitive: "fastLRU" == "fast-lru" == "fastlru").
 func PolicyByName(s string) (Policy, error) {
-	key := normalizePolicyName(s)
-	for i, p := range policyReg {
-		if normalizePolicyName(p.name) == key {
-			return Policy(i), nil
-		}
+	i, ok := policies.Index(s)
+	if !ok {
+		return 0, policies.Unknown(s, strings.Join(policies.Names(), ", "))
 	}
-	return 0, fmt.Errorf("cache: unknown policy %q (registered: %s)", s, strings.Join(PolicyNames(), ", "))
+	return Policy(i), nil
 }
 
 // PolicyNames lists the registered policy display names in registration
 // order (the built-ins first).
-func PolicyNames() []string {
-	out := make([]string, len(policyReg))
-	for i, p := range policyReg {
-		out[i] = p.name
-	}
-	return out
-}
+func PolicyNames() []string { return policies.Names() }
 
 // engine returns the policy's registered engine; it panics on an
 // unregistered id (New validates ids before any packet flows).
 func (p Policy) engine() PolicyEngine {
-	if int(p) < len(policyReg) {
-		return policyReg[p].eng
+	if !p.Valid() {
+		panic(fmt.Sprintf("cache: unknown policy %v", p))
 	}
-	panic(fmt.Sprintf("cache: unknown policy %v", p))
+	return policies.At(int(p))
 }
 
 // builtinsDone orders registration: variables initialized from it (the

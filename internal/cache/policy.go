@@ -11,10 +11,10 @@
 // harmless.
 //
 // Replacement policies are pluggable: each is a PolicyEngine registered
-// under a name with RegisterPolicy, mirroring topology.Register and
-// routing.RegisterAlgorithm. The agent and controller shells are
-// policy-free; adding a policy means adding one engine file (see
-// engine_static.go for the smallest example).
+// under a name with RegisterPolicy (an internal/registry catalogue, like
+// topology.Register and routing.RegisterAlgorithm). The agent and
+// controller shells are policy-free; adding a policy means adding one
+// engine file (see engine_static.go for the smallest example).
 package cache
 
 import "fmt"
@@ -41,8 +41,8 @@ const (
 
 // String returns the policy's registered display name.
 func (p Policy) String() string {
-	if int(p) < len(policyReg) {
-		return policyReg[p].name
+	if p.Valid() {
+		return policies.Name(int(p))
 	}
 	return fmt.Sprintf("Policy(%d)", uint8(p))
 }
@@ -66,7 +66,7 @@ func (m Mode) String() string {
 }
 
 // Valid reports whether p is a registered policy.
-func (p Policy) Valid() bool { return int(p) < len(policyReg) }
+func (p Policy) Valid() bool { return int(p) < policies.Len() }
 
 // Valid reports whether m is one of the defined modes.
 func (m Mode) Valid() bool { return m <= Multicast }

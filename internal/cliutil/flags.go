@@ -4,9 +4,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"nucanet/internal/cache"
+	"nucanet/internal/core"
 	"nucanet/internal/router"
 	"nucanet/internal/telemetry"
 )
@@ -31,7 +33,7 @@ func Scheme(fs *flag.FlagSet) (*cache.Policy, *cache.Mode) {
 }
 
 // ListSchemes prints the registered replacement policies and the request
-// modes — the -list-policies output shared by the binaries.
+// modes — the -list=policies output shared by the binaries.
 func ListSchemes(w io.Writer) {
 	fmt.Fprintln(w, "registered replacement policies:")
 	for _, name := range cache.PolicyNames() {
@@ -53,7 +55,7 @@ func Router(fs *flag.FlagSet) *string {
 }
 
 // ListRouters prints the registered router microarchitectures — the
-// -list-routers output shared by the binaries.
+// -list=routers output shared by the binaries.
 func ListRouters(w io.Writer) {
 	fmt.Fprintln(w, "registered router engines:")
 	for _, name := range router.Names() {
@@ -100,4 +102,34 @@ func (t *TelemetryFlags) Config() telemetry.Config {
 		Heatmap:     *t.Heatmap,
 		SampleEvery: *t.Sample,
 	}
+}
+
+// WriteTraces serializes every run's flit-level event trace to one JSONL
+// stream at path ('-' = stdout) in slice order, each run introduced by a
+// {"ev":"run",...} meta line; runs without a trace are skipped. Run
+// order and event order are both deterministic, so the stream is
+// byte-identical for a fixed seed at any -j.
+func WriteTraces(path string, results []core.Result) error {
+	var w io.Writer = os.Stdout
+	if path != "-" {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		w = f
+	}
+	for _, r := range results {
+		if r.Telemetry == nil || r.Telemetry.Trace == nil {
+			continue
+		}
+		if _, err := fmt.Fprintf(w, "{\"ev\":\"run\",\"design\":%q,\"bench\":%q,\"seed\":%d,\"events\":%d}\n",
+			r.Options.DesignID, r.Options.Benchmark, r.Options.Seed, r.Telemetry.Trace.Len()); err != nil {
+			return err
+		}
+		if err := r.Telemetry.Trace.WriteJSONL(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }

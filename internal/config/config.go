@@ -188,7 +188,7 @@ func ExtraDesigns() []Design {
 }
 
 // DesignByID looks up a design: A-F from Table 3, or an extra
-// registered-family design (R, G).
+// registered-family design (R, G, H2). A miss names the catalogue.
 func DesignByID(id string) (Design, error) {
 	for _, d := range Designs() {
 		if d.ID == id {
@@ -200,7 +200,11 @@ func DesignByID(id string) (Design, error) {
 			return d, nil
 		}
 	}
-	return Design{}, fmt.Errorf("config: unknown design %q", id)
+	var known []string
+	for _, d := range append(Designs(), ExtraDesigns()...) {
+		known = append(known, d.ID)
+	}
+	return Design{}, fmt.Errorf("config: unknown design %q (known: %v)", id, known)
 }
 
 // Resolve unifies the two ways a caller names a design — a catalogue id

@@ -72,8 +72,9 @@ func TestDesignByID(t *testing.T) {
 	if d.Params.H != 5 || d.Params.MemWireDelay != 9 {
 		t.Fatalf("design F = %+v", d)
 	}
-	if _, err := DesignByID("Z"); err == nil {
-		t.Fatal("expected error for unknown design")
+	if _, err := DesignByID("Z"); err == nil ||
+		err.Error() != `config: unknown design "Z" (known: [A B C D E F R G H2])` {
+		t.Fatalf("unknown design error = %v, want it to name the catalogue", err)
 	}
 }
 

@@ -3,7 +3,8 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
+
+	"nucanet/internal/registry"
 )
 
 // Rows is a rendered experiment result: every experiment returns its
@@ -40,33 +41,24 @@ type Experiment struct {
 	Run func(cfg ExpConfig) (Rows, SweepReport, error)
 }
 
-var (
-	experiments     = map[string]Experiment{}
-	experimentOrder []string
-)
+var experiments = registry.New[Experiment]("core", "experiment", nil)
 
 // RegisterExperiment adds an experiment to the registry. Like the other
 // registries it panics on an invalid or duplicate registration — a
 // programming error, not a runtime condition.
 func RegisterExperiment(e Experiment) {
-	if e.Name == "" || e.Run == nil || e.Title == nil {
-		panic(fmt.Sprintf("core: experiment registration missing name, title, or runner: %+v", e))
+	if e.Run == nil || e.Title == nil {
+		panic(fmt.Sprintf("core: experiment registration missing title or runner: %+v", e))
 	}
-	if _, dup := experiments[e.Name]; dup {
-		panic(fmt.Sprintf("core: duplicate experiment %q", e.Name))
-	}
-	experiments[e.Name] = e
-	experimentOrder = append(experimentOrder, e.Name)
+	experiments.Register(e.Name, e)
 }
 
 // ExperimentByName resolves a registered experiment, erroring with the
 // full catalogue on a miss.
 func ExperimentByName(name string) (Experiment, error) {
-	e, ok := experiments[name]
+	e, ok := experiments.Lookup(name)
 	if !ok {
-		known := append([]string(nil), experimentOrder...)
-		sort.Strings(known)
-		return Experiment{}, fmt.Errorf("core: unknown experiment %q (registered: %v)", name, known)
+		return Experiment{}, experiments.Unknown(name, experiments.Sorted())
 	}
 	return e, nil
 }
@@ -74,6 +66,4 @@ func ExperimentByName(name string) (Experiment, error) {
 // ExperimentNames lists registered experiments in registration order —
 // the paper's own presentation order for the built-ins, with extensions
 // after.
-func ExperimentNames() []string {
-	return append([]string(nil), experimentOrder...)
-}
+func ExperimentNames() []string { return experiments.Names() }

@@ -13,8 +13,8 @@ import (
 
 // canonicalRun is the normalized image of one Options value: the design
 // resolved through config.Resolve (so a catalogue id and a byte-equal
-// ad-hoc override hash identically) and the CPU config normalized the
-// way Run normalizes it before simulating. Two Options values that
+// ad-hoc override hash identically) and the CPU config normalized by the
+// same normalizedCPU call Prepare simulates with. Two Options values that
 // produce this same image produce bit-identical simulations — the
 // property the serving cache is built on.
 type canonicalRun struct {
@@ -46,13 +46,6 @@ func CanonicalKey(o Options) (string, error) {
 	if !o.Mode.Valid() {
 		return "", fmt.Errorf("core: invalid mode %v", o.Mode)
 	}
-	// Mirror Run's CPU normalization so configurations that simulate
-	// identically share one cache line.
-	cpuCfg := o.CPU
-	if cpuCfg.Window == 0 {
-		cpuCfg = cpu.DefaultConfig()
-	}
-	cpuCfg.Seed = o.Seed
 	c := canonicalRun{
 		Design:    d,
 		Policy:    o.Policy.String(),
@@ -60,7 +53,7 @@ func CanonicalKey(o Options) (string, error) {
 		Benchmark: o.Benchmark,
 		Accesses:  o.Accesses,
 		Seed:      o.Seed,
-		CPU:       cpuCfg,
+		CPU:       normalizedCPU(o),
 		Telemetry: o.Telemetry,
 		Cores:     o.Cores,
 	}

@@ -188,16 +188,11 @@ func Prepare(opt Options, pc *PrepCache) (*Artifacts, error) {
 		return nil, de.err
 	}
 	te := pc.traceFor(d, prof, opt.Seed, opt.Accesses, opt.Cores)
-	cpuCfg := opt.CPU
-	if cpuCfg.Window == 0 {
-		cpuCfg = cpu.DefaultConfig()
-	}
-	cpuCfg.Seed = opt.Seed
 	art := &Artifacts{
 		Opt: opt, Design: d, Prof: prof,
 		Topo: de.topo, Table: de.tb,
 		Warm: te.warm, Accs: te.accs, CoreAccs: te.coreAccs,
-		CPU: cpuCfg,
+		CPU: normalizedCPU(opt),
 	}
 	if pc != nil {
 		art.WarmImg = pc.imageFor(d, te)
@@ -303,22 +298,22 @@ func (in *Instance) RunToCompletion() (Result, error) {
 // finishIdle collects the Result once the kernel has gone idle. It
 // errors when an access stream did not complete.
 func (in *Instance) finishIdle() (Result, error) {
-	if in.Fab != nil {
-		rs := make([]cpu.Result, len(in.cores))
-		for i, c := range in.cores {
-			r, err := c.Result()
-			if err != nil {
-				return Result{}, in.wrapErr(fmt.Errorf("core %d: %w", i, err))
-			}
-			rs[i] = r
+	if in.Fab == nil {
+		cr, err := in.C.Result()
+		if err != nil {
+			return Result{}, in.wrapErr(err)
 		}
-		return in.finishCMP(rs)
+		return in.finish([]cpu.Result{cr})
 	}
-	res, err := in.C.Result()
-	if err != nil {
-		return Result{}, in.wrapErr(err)
+	rs := make([]cpu.Result, len(in.cores))
+	for i, c := range in.cores {
+		r, err := c.Result()
+		if err != nil {
+			return Result{}, in.wrapErr(fmt.Errorf("core %d: %w", i, err))
+		}
+		rs[i] = r
 	}
-	return in.finish(res)
+	return in.finish(rs)
 }
 
 func (in *Instance) wrapErr(err error) error {
@@ -326,19 +321,23 @@ func (in *Instance) wrapErr(err error) error {
 		in.Art.Design.ID, in.Art.Opt.Policy, in.Art.Opt.Mode, in.Art.Opt.Benchmark, err)
 }
 
-// finishCMP drains the fabric and assembles the CMP Result: per-core
-// rows from the ports' core-observed accumulators, aggregates over them
-// (IPC and instructions sum, cycles take the slowest core), and the
-// shared cache's protocol-side statistics for the scalar latency fields.
-func (in *Instance) finishCMP(rs []cpu.Result) (Result, error) {
+// finish drains the system and assembles the Result from the cores'
+// outcomes (one for the classic path). The scalar fields aggregate over
+// rs — IPC and instructions sum, cycles take the slowest core — and the
+// latency statistics are the shared cache's protocol-side view. A CMP
+// run adds the fabric's quiescence check and the per-core rows from the
+// ports' core-observed accumulators.
+func (in *Instance) finish(rs []cpu.Result) (Result, error) {
 	opt, d, sys := in.Art.Opt, in.Art.Design, in.Sys
 	if err := sys.Drain(1 << 30); err != nil {
 		return Result{}, err
 	}
 	// Drain checks the primary controller; the fabric's extra controllers
 	// and ports need their own quiescence proof.
-	if p := in.Fab.Pending(); p != 0 {
-		return Result{}, fmt.Errorf("core: %d requests stuck across the CMP fabric after quiescence", p)
+	if in.Fab != nil {
+		if p := in.Fab.Pending(); p != 0 {
+			return Result{}, fmt.Errorf("core: %d requests stuck across the CMP fabric after quiescence", p)
+		}
 	}
 	in.tel.Finish(in.K.Now())
 
@@ -372,6 +371,14 @@ func (in *Instance) finishCMP(rs []cpu.Result) (Result, error) {
 		Telemetry:    in.tel,
 	}
 	for i, cr := range rs {
+		res.IPC += cr.IPC()
+		res.Instructions += cr.Instructions
+		if cr.Cycles > res.Cycles {
+			res.Cycles = cr.Cycles
+		}
+		if in.Fab == nil {
+			continue
+		}
 		p := in.Fab.Port(i)
 		total := p.RemoteIssues + p.LocalIssues
 		res.Cores = append(res.Cores, CoreResult{
@@ -383,63 +390,10 @@ func (in *Instance) finishCMP(rs []cpu.Result) (Result, error) {
 			Instructions: cr.Instructions,
 			Cycles:       cr.Cycles,
 		})
-		res.IPC += cr.IPC()
-		res.Instructions += cr.Instructions
-		if cr.Cycles > res.Cycles {
-			res.Cycles = cr.Cycles
-		}
 	}
 	if sys.Dir != nil {
 		rep := sys.Dir.Report()
 		res.Directory = &rep
 	}
 	return res, nil
-}
-
-// finish drains the system and assembles the Result exactly as the
-// monolithic Run did.
-func (in *Instance) finish(res cpu.Result) (Result, error) {
-	opt, d, sys := in.Art.Opt, in.Art.Design, in.Sys
-	if err := sys.Drain(1 << 30); err != nil {
-		return Result{}, err
-	}
-	in.tel.Finish(in.K.Now())
-
-	bank, net, memShare := sys.Lat.Shares()
-	netStats := sys.Net.Stats()
-	memStats := sys.Memory.Stats()
-	erep := energy.DefaultModel().Estimate(energy.Activity{
-		FlitHops:     netStats.Router.FlitsRouted,
-		BankAccesses: sys.BankAccessesBySize(),
-		MemBlocks:    memStats.Reads + memStats.WriteBacks,
-		Accesses:     uint64(opt.Accesses),
-	})
-	out := Result{
-		Options:      opt,
-		Design:       d,
-		IPC:          res.IPC(),
-		PerfectIPC:   in.Art.Prof.PerfectIPC,
-		Instructions: res.Instructions,
-		Cycles:       res.Cycles,
-		AvgLatency:   sys.Lat.Avg(),
-		AvgHit:       sys.Lat.AvgHit(),
-		AvgMiss:      sys.Lat.AvgMiss(),
-		AvgOccupancy: sys.Lat.AvgOccupancy(),
-		HitRate:      sys.Lat.HitRate(),
-		MRUHitShare:  sys.Lat.HitWayShare(0),
-		BankShare:    bank,
-		NetworkShare: net,
-		MemShare:     memShare,
-		BankAccesses: sys.BankAccesses(),
-		Network:      netStats,
-		Memory:       memStats,
-		Latency:      sys.Lat.Clone(),
-		Energy:       erep,
-		Telemetry:    in.tel,
-	}
-	if sys.Dir != nil {
-		rep := sys.Dir.Report()
-		out.Directory = &rep
-	}
-	return out, nil
 }

@@ -6,8 +6,8 @@ import (
 	"nucanet/internal/cache"
 	"nucanet/internal/cmp"
 	"nucanet/internal/config"
+	"nucanet/internal/cpu"
 	"nucanet/internal/router"
-	"nucanet/internal/telemetry"
 	"nucanet/internal/trace"
 )
 
@@ -41,6 +41,19 @@ func resolveDesign(o Options) (config.Design, error) {
 	}
 	d.Router.Engine = eng.Name
 	return d, nil
+}
+
+// normalizedCPU is the core model configuration o simulates with: a zero
+// Window selects the defaults, and the run's seed drives the CPU RNG.
+// Prepare and CanonicalKey both call it, so configurations that simulate
+// identically share one content address.
+func normalizedCPU(o Options) cpu.Config {
+	c := o.CPU
+	if c.Window == 0 {
+		c = cpu.DefaultConfig()
+	}
+	c.Seed = o.Seed
+	return c
 }
 
 // checkOptions is the one place an Options value is judged runnable. It
@@ -77,87 +90,4 @@ func checkOptions(o Options) (d config.Design, prof trace.Profile, err error) {
 		}
 	}
 	return d, prof, cache.ValidatePair(o.Policy, o.Mode)
-}
-
-// Runner is the stable entry point for configuring and executing one
-// simulation: start from the baseline defaults, apply typed options, and
-// Run — which validates before simulating. Prefer this over poking
-// Options fields directly; new configuration surface is added here
-// without breaking callers.
-//
-//	r, err := core.NewRunner(core.WithBenchmark("mcf"), core.WithAccesses(5000)).Run()
-type Runner struct {
-	opts Options
-}
-
-// An Option mutates the run configuration; apply them with NewRunner or
-// Runner.With.
-type Option func(*Options)
-
-// WithDesignID selects a Table 3 design ("A".."F").
-func WithDesignID(id string) Option {
-	return func(o *Options) { o.DesignID = id; o.Design = nil }
-}
-
-// WithDesign supplies an ad-hoc design, overriding any id.
-func WithDesign(d *config.Design) Option {
-	return func(o *Options) { o.Design = d }
-}
-
-// WithScheme selects the replacement policy and delivery mode together
-// (the paper's experiments always vary them as a pair).
-func WithScheme(p cache.Policy, m cache.Mode) Option {
-	return func(o *Options) { o.Policy = p; o.Mode = m }
-}
-
-// WithRouter selects a registered router microarchitecture by name,
-// overriding the design's engine ("" keeps the design default).
-func WithRouter(name string) Option {
-	return func(o *Options) { o.Router = name }
-}
-
-// WithBenchmark selects a Table 2 workload profile.
-func WithBenchmark(name string) Option {
-	return func(o *Options) { o.Benchmark = name }
-}
-
-// WithAccesses sets the measured L2 access count.
-func WithAccesses(n int) Option {
-	return func(o *Options) { o.Accesses = n }
-}
-
-// WithSeed sets the workload/CPU RNG seed.
-func WithSeed(s uint64) Option {
-	return func(o *Options) { o.Seed = s }
-}
-
-// WithTelemetry enables cycle-level probes.
-func WithTelemetry(tc telemetry.Config) Option {
-	return func(o *Options) { o.Telemetry = tc }
-}
-
-// NewRunner builds a Runner from DefaultOptions with opts applied in
-// order (later options win).
-func NewRunner(opts ...Option) *Runner {
-	r := &Runner{opts: DefaultOptions()}
-	return r.With(opts...)
-}
-
-// With applies further options and returns r for chaining.
-func (r *Runner) With(opts ...Option) *Runner {
-	for _, f := range opts {
-		f(&r.opts)
-	}
-	return r
-}
-
-// Options returns a copy of the accumulated configuration.
-func (r *Runner) Options() Options { return r.opts }
-
-// Run validates the configuration and executes the simulation.
-func (r *Runner) Run() (Result, error) {
-	if err := r.opts.Validate(); err != nil {
-		return Result{}, err
-	}
-	return Run(r.opts)
 }

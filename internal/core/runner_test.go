@@ -3,9 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"nucanet/internal/cache"
-	"nucanet/internal/config"
 )
 
 // TestOptionsValidate pins Validate as Run's front door: on every kind
@@ -45,76 +42,5 @@ func TestOptionsValidate(t *testing.T) {
 		if _, rerr := Run(o); rerr == nil || rerr.Error() != verr.Error() {
 			t.Errorf("%s: Run got %v, Validate got %v; want the same error", tc.name, rerr, verr)
 		}
-	}
-}
-
-// TestRunnerMatchesRun pins the Runner as a pure front-end: the same
-// options through NewRunner and through Run produce identical results.
-func TestRunnerMatchesRun(t *testing.T) {
-	direct := DefaultOptions()
-	direct.DesignID = "F"
-	direct.Benchmark = "mcf"
-	direct.Accesses = 800
-	direct.Seed = 7
-	want, err := Run(direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewRunner(
-		WithDesignID("F"),
-		WithScheme(cache.FastLRU, cache.Multicast),
-		WithBenchmark("mcf"),
-		WithAccesses(800),
-		WithSeed(7),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.IPC != want.IPC || got.Cycles != want.Cycles || got.HitRate != want.HitRate {
-		t.Fatalf("runner diverged from Run: IPC %v/%v cycles %v/%v",
-			got.IPC, want.IPC, got.Cycles, want.Cycles)
-	}
-}
-
-func TestRunnerValidatesBeforeRunning(t *testing.T) {
-	if _, err := NewRunner(WithAccesses(0)).Run(); err == nil {
-		t.Fatal("Runner ran with zero accesses")
-	}
-	if _, err := NewRunner(WithDesignID("Z")).Run(); err == nil {
-		t.Fatal("Runner ran with an unknown design")
-	}
-}
-
-// TestRunnerOptionsCompose checks option ordering (later wins) and that
-// WithDesign overrides an earlier id.
-func TestRunnerOptionsCompose(t *testing.T) {
-	r := NewRunner(WithBenchmark("gcc"), WithBenchmark("art"))
-	if got := r.Options().Benchmark; got != "art" {
-		t.Fatalf("later option did not win: %q", got)
-	}
-	ad, err := config.DesignByID("D")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ad.ID = "D-adhoc"
-	r = NewRunner(WithDesignID("A"), WithDesign(&ad))
-	if err := r.Options().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	d, err := config.Resolve(r.Options().DesignID, r.Options().Design)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.ID != "D-adhoc" {
-		t.Fatalf("WithDesign lost to WithDesignID: resolved %q", d.ID)
-	}
-	// And the reverse order: a later WithDesignID clears the override.
-	r = NewRunner(WithDesign(&ad), WithDesignID("A"))
-	d, err = config.Resolve(r.Options().DesignID, r.Options().Design)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.ID != "A" {
-		t.Fatalf("WithDesignID did not clear the override: resolved %q", d.ID)
 	}
 }

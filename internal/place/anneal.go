@@ -20,7 +20,7 @@ var DefaultBenchmarks = []string{"gcc", "mcf", "art", "apsi"}
 
 // Config tunes one optimizer search; zero fields take the listed
 // defaults. The search is deterministic: same Config, same result, same
-// Hash (pinned by make opt-smoke and TestSearchDeterministic).
+// Hash (pinned by cmd/cli_test.go and TestSearchDeterministic).
 type Config struct {
 	Seed uint64 // RNG seed for the annealing schedule (default 1)
 

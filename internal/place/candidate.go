@@ -98,8 +98,8 @@ func (c Candidate) String() string {
 	return s
 }
 
-// Hash is a stable 64-bit digest of the canonical encoding; opt-smoke
-// diffs it across runs to pin search determinism.
+// Hash is a stable 64-bit digest of the canonical encoding;
+// cmd/cli_test.go diffs it across runs to pin search determinism.
 func (c Candidate) Hash() uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(c.String()))

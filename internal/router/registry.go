@@ -1,10 +1,8 @@
 package router
 
 import (
-	"fmt"
-	"sort"
-
 	"nucanet/internal/flit"
+	"nucanet/internal/registry"
 	"nucanet/internal/routing"
 	"nucanet/internal/sim"
 	"nucanet/internal/telemetry"
@@ -59,7 +57,7 @@ type Engine interface {
 type Builder struct {
 	// Name is the registry key ("vc-wormhole", "bufferless", "ring-lite").
 	Name string
-	// Description is one line for -list-routers and GET /v1/routers.
+	// Description is one line for -list=routers and GET /v1/routers.
 	Description string
 
 	// New constructs one unwired node. The network package wires links,
@@ -107,19 +105,16 @@ func (b Builder) BufferFlits(cfg Config) int {
 	return b.BufferFlitsPerPort(cfg)
 }
 
-var engines = map[string]Builder{}
+var engines = registry.New[Builder]("router", "engine", nil)
 
 // Register adds a router microarchitecture under a unique name. Engines
 // self-register from init; registering a duplicate name, an empty name,
 // or a nil constructor is a programming error and panics.
 func Register(b Builder) {
-	if b.Name == "" || b.New == nil {
-		panic("router: Register with empty name or nil constructor")
+	if b.New == nil {
+		panic("router: Register with nil constructor")
 	}
-	if _, dup := engines[b.Name]; dup {
-		panic(fmt.Sprintf("router: engine %q registered twice", b.Name))
-	}
-	engines[b.Name] = b
+	engines.Register(b.Name, b)
 }
 
 // ByName looks up a registered engine. The empty name resolves to
@@ -129,19 +124,12 @@ func ByName(name string) (Builder, error) {
 	if name == "" {
 		name = DefaultEngine
 	}
-	b, ok := engines[name]
+	b, ok := engines.Lookup(name)
 	if !ok {
-		return Builder{}, fmt.Errorf("router: unknown engine %q (registered: %v)", name, Names())
+		return Builder{}, engines.Unknown(name, engines.Sorted())
 	}
 	return b, nil
 }
 
 // Names returns the registered engine names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(engines))
-	for name := range engines {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return engines.Sorted() }

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"nucanet/internal/flit"
@@ -148,5 +150,21 @@ func TestOccupancyTracksBufferedFlits(t *testing.T) {
 	p.k.Run(100)
 	if p.a.Occupancy()+p.b.Occupancy() != 0 {
 		t.Fatal("flits leaked")
+	}
+}
+
+// TestBuiltinEngines pins the engine catalogue (Names is sorted) and the
+// empty-name default; the registry's generic behaviour is tested in
+// internal/registry.
+func TestBuiltinEngines(t *testing.T) {
+	want := []string{"bufferless", "ring-lite", DefaultEngine}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
+	}
+	if b, err := ByName(""); err != nil || b.Name != DefaultEngine {
+		t.Fatalf(`ByName("") = %q, %v; want the default engine`, b.Name, err)
+	}
+	if _, err := ByName("optical"); err == nil || !strings.Contains(err.Error(), "[bufferless ring-lite vc-wormhole]") {
+		t.Fatalf("unknown engine error does not list the catalogue: %v", err)
 	}
 }

@@ -22,8 +22,8 @@ package routing
 
 import (
 	"fmt"
-	"sort"
 
+	"nucanet/internal/registry"
 	"nucanet/internal/topology"
 )
 
@@ -37,39 +37,29 @@ type Algorithm interface {
 	NextPort(t *topology.Topology, cur, dst topology.NodeID) (port int, ok bool)
 }
 
-var algorithms = map[string]Algorithm{}
+var algorithms = registry.New[Algorithm]("routing", "algorithm", nil)
 
 // RegisterAlgorithm adds an algorithm under a unique key (the name
 // topologies reference via Topology.Routing). Registering a duplicate
 // key is a programming error and panics.
 func RegisterAlgorithm(key string, alg Algorithm) {
-	if key == "" || alg == nil {
-		panic("routing: RegisterAlgorithm with empty key or nil algorithm")
+	if alg == nil {
+		panic("routing: RegisterAlgorithm with nil algorithm")
 	}
-	if _, dup := algorithms[key]; dup {
-		panic(fmt.Sprintf("routing: algorithm %q registered twice", key))
-	}
-	algorithms[key] = alg
+	algorithms.Register(key, alg)
 }
 
 // AlgorithmByName resolves a registered algorithm key.
 func AlgorithmByName(key string) (Algorithm, error) {
-	alg, ok := algorithms[key]
+	alg, ok := algorithms.Lookup(key)
 	if !ok {
-		return nil, fmt.Errorf("routing: unknown algorithm %q (registered: %v)", key, AlgorithmNames())
+		return nil, algorithms.Unknown(key, algorithms.Sorted())
 	}
 	return alg, nil
 }
 
 // AlgorithmNames returns the registered algorithm keys, sorted.
-func AlgorithmNames() []string {
-	out := make([]string, 0, len(algorithms))
-	for k := range algorithms {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func AlgorithmNames() []string { return algorithms.Sorted() }
 
 // For returns the algorithm a topology was designed for (its Routing
 // annotation, filled in by the topology builder).

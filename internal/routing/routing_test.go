@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -280,22 +281,21 @@ func TestForPicksDefaultAlgorithm(t *testing.T) {
 	}
 }
 
+// TestAlgorithmRegistry pins the built-in algorithm keys (sorted) and
+// that each resolves; the registry's generic behaviour is tested in
+// internal/registry.
 func TestAlgorithmRegistry(t *testing.T) {
-	for _, name := range []string{"xy", "xyx", "spike", "ring"} {
-		alg, err := AlgorithmByName(name)
-		if err != nil {
-			t.Fatalf("AlgorithmByName(%q): %v", name, err)
-		}
-		if alg == nil {
-			t.Fatalf("AlgorithmByName(%q) returned nil", name)
+	want := []string{"hier", "ring", "spike", "xy", "xyx"}
+	if got := AlgorithmNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("AlgorithmNames() = %v, want %v", got, want)
+	}
+	for _, name := range want {
+		if alg, err := AlgorithmByName(name); err != nil || alg == nil {
+			t.Fatalf("AlgorithmByName(%q) = %v, %v", name, alg, err)
 		}
 	}
 	if _, err := AlgorithmByName("no-such-algorithm"); err == nil {
 		t.Fatal("expected error for unknown algorithm name")
-	}
-	names := AlgorithmNames()
-	if len(names) < 4 {
-		t.Fatalf("AlgorithmNames() = %v, want at least xy/xyx/spike/ring", names)
 	}
 }
 

@@ -10,7 +10,7 @@
 //     service — are O(1) lookups whose responses are byte-identical to a
 //     fresh run.
 //   - Fairness and backpressure. Cache misses are scheduled onto a
-//     bounded worker pool (sized by core.Engine's parallelism) through
+//     bounded worker pool (Config.Workers, default GOMAXPROCS) through
 //     per-client round-robin queues with a per-client depth bound
 //     (sched.go); a client exceeding its bound gets 429 + Retry-After
 //     instead of queue time, and can never starve another client.

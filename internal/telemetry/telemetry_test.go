@@ -158,8 +158,8 @@ func TestSeriesSparkAndRender(t *testing.T) {
 }
 
 // TestDisabledProbesAllocationFree is the package-local allocation guard;
-// the repository root's bench_test.go carries the same guard next to the
-// throughput benchmarks.
+// the repository root's hotpath_test.go carries the same guard next to
+// the other hot-path allocation guards.
 func TestDisabledProbesAllocationFree(t *testing.T) {
 	var c *Collector
 	f := flit.Flit{Pkt: &flit.Packet{ID: 1, Kind: flit.ReadReq}}

@@ -1,23 +1,17 @@
 package topology
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
+// TestRegistryNames pins the built-in families (Names is sorted); the
+// registry's generic behaviour is tested in internal/registry.
 func TestRegistryNames(t *testing.T) {
-	names := Names()
-	for _, want := range []string{"mesh", "simplified-mesh", "minimal-mesh", "halo", "ring", "cmesh"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("registry missing %q (have %v)", want, names)
-		}
+	want := []string{"cmesh", "halo", "hier", "mesh", "minimal-mesh", "ring", "simplified-mesh"}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
 }
 

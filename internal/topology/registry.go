@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"sort"
-)
+import "nucanet/internal/registry"
 
 // Params names every knob a registered topology family may consume; a
 // family reads what it needs and validates the rest. One parameter set
@@ -41,36 +38,26 @@ type Params struct {
 // BuilderFunc constructs one topology family from its parameters.
 type BuilderFunc func(Params) (*Topology, error)
 
-var families = map[string]BuilderFunc{}
+var families = registry.New[BuilderFunc]("topology", "family", nil)
 
 // Register adds a topology family under a unique name. Families
 // self-register from init; registering a duplicate name is a programming
 // error and panics.
 func Register(name string, fn BuilderFunc) {
-	if name == "" || fn == nil {
-		panic("topology: Register with empty name or nil builder")
+	if fn == nil {
+		panic("topology: Register with nil builder")
 	}
-	if _, dup := families[name]; dup {
-		panic(fmt.Sprintf("topology: family %q registered twice", name))
-	}
-	families[name] = fn
+	families.Register(name, fn)
 }
 
 // Build constructs the named family from p.
 func Build(name string, p Params) (*Topology, error) {
-	fn, ok := families[name]
+	fn, ok := families.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("topology: unknown family %q (registered: %v)", name, Names())
+		return nil, families.Unknown(name, families.Sorted())
 	}
 	return fn(p)
 }
 
 // Names returns the registered family names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(families))
-	for name := range families {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return families.Sorted() }

@@ -71,14 +71,14 @@ func Profiles() []Profile {
 	return out
 }
 
-// ProfileByName looks up one benchmark.
+// ProfileByName looks up one benchmark. A miss names the catalogue.
 func ProfileByName(name string) (Profile, error) {
 	for _, p := range profiles {
 		if p.Name == name {
 			return p, nil
 		}
 	}
-	return Profile{}, fmt.Errorf("trace: unknown benchmark %q", name)
+	return Profile{}, fmt.Errorf("trace: unknown benchmark %q (known: %v)", name, Names())
 }
 
 // Names returns the benchmark names in Table 2 order.

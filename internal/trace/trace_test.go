@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -37,8 +38,9 @@ func TestProfilesMatchTable2(t *testing.T) {
 }
 
 func TestProfileByNameUnknown(t *testing.T) {
-	if _, err := ProfileByName("doom"); err == nil {
-		t.Fatal("expected error")
+	_, err := ProfileByName("doom")
+	if err == nil || !strings.HasPrefix(err.Error(), `trace: unknown benchmark "doom" (known: [applu apsi art `) {
+		t.Fatalf("unknown benchmark error = %v, want it to name the catalogue", err)
 	}
 }
 
