@@ -50,8 +50,14 @@ func TestExperimentCatalogue(t *testing.T) {
 // with: go test ./internal/core/ -run TestExperimentGoldens -update
 func TestExperimentGoldens(t *testing.T) {
 	cfg := ExpConfig{Accesses: 200, Seed: 42}
-	for _, name := range []string{"t1", "t2", "t3", "t4", "f7", "energy", "power"} {
+	// The sweeps added after the first seven (~5 s together) are skipped
+	// under -short; the first seven always run.
+	long := map[string]bool{"f8": true, "f9": true, "headline": true, "pareto": true, "telemetry": true, "cmp": true}
+	for _, name := range []string{"t1", "t2", "t3", "t4", "f7", "f8", "f9", "headline", "energy", "power", "pareto", "telemetry", "cmp"} {
 		t.Run(name, func(t *testing.T) {
+			if long[name] && testing.Short() {
+				t.Skip("full sweep; skipped in -short")
+			}
 			e, err := ExperimentByName(name)
 			if err != nil {
 				t.Fatal(err)
