@@ -1,11 +1,14 @@
 # Tier-1 verification is `make test`; `make check` is the CI gate: gofmt,
 # vet, the full test suite (which includes cmd/cli_test.go's end-to-end
-# drive of the five binaries: telemetry trace, the CMP CLI golden, the
-# cmp and pareto sweeps, static routing verification, a deterministic
-# placement search and a nucad/nucaload serve-and-drain cycle), the
-# benchmark module's own tests, the race detector over the short-mode
-# subset (which includes the engine's determinism regressions) and one
-# full race pass over the quick packages.
+# drive of the five binaries and the two examples: telemetry trace, the
+# CMP CLI golden, the cmp and pareto sweeps, static routing verification,
+# the examples' stdout goldens, a deterministic placement search and a
+# nucad/nucaload serve-and-drain cycle; and the root package's
+# dead-export test, which fails on an exported func under internal/ that
+# no non-test file names), the benchmark module's own tests, the race
+# detector over the short-mode subset (which includes the engine's
+# determinism regressions) and one full race pass over the quick
+# packages.
 
 GO ?= go
 

@@ -1,8 +1,9 @@
 // Package cmd holds the end-to-end gate over the command-line binaries:
-// one test builds nucasim, paperbench, nucaopt, nucad and nucaload and
-// drives them the way a user (or a script) would, so flag wiring, exit
-// codes, the committed CLI golden and the daemon's boot / serve / drain
-// cycle cannot rot outside `go test ./...`. It is skipped under -short.
+// one test builds nucasim, paperbench, nucaopt, nucad and nucaload plus
+// the two example programs and drives them the way a user (or a script)
+// would, so flag wiring, exit codes, the committed stdout goldens and the
+// daemon's boot / serve / drain cycle cannot rot outside `go test ./...`.
+// It is skipped under -short.
 package cmd
 
 import (
@@ -36,28 +37,32 @@ var (
 
 func TestCLI(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs the five binaries")
+		t.Skip("builds and runs the five binaries and two examples")
 	}
 	tmp := t.TempDir()
 	// `go build` reads the sources, not this test, so the test cache
 	// cannot see them change; it does hash the names, sizes and mtimes of
 	// every directory a test lists. Walking the source trees re-runs the
 	// test after any edit instead of replaying a cached pass.
-	for _, root := range []string{".", "../internal"} {
+	for _, root := range []string{".", "../internal", "../examples"} {
 		if err := filepath.WalkDir(root, func(string, os.DirEntry, error) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	build := exec.Command("go", "build", "-o", tmp+string(filepath.Separator),
-		"./nucasim", "./paperbench", "./nucaopt", "./nucad", "./nucaload")
+		"./nucasim", "./paperbench", "./nucaopt", "./nucad", "./nucaload",
+		"../examples/quickstart", "../examples/customworkload")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	bin := func(name string) string { return filepath.Join(tmp, name) }
 	tracePath := filepath.Join(tmp, "trace.jsonl")
-	golden, err := os.ReadFile("nucasim/testdata/cmp_smoke.golden")
-	if err != nil {
-		t.Fatal(err)
+	golden := func(path string) string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
 	}
 
 	for _, tc := range []struct {
@@ -75,7 +80,7 @@ func TestCLI(t *testing.T) {
 		// Full-system CMP through the real CLI: flags, hierarchical
 		// topology build, bridge-ring routing, fabric injection, directory
 		// attribution and per-core reporting, pinned to the golden.
-		{name: "4-core H2 directory run equals the golden", bin: "nucasim", stdout: string(golden),
+		{name: "4-core H2 directory run equals the golden", bin: "nucasim", stdout: golden("nucasim/testdata/cmp_smoke.golden"),
 			args: []string{"-design", "H2", "-policy", "directory", "-cores", "4", "-n", "500"}},
 		{name: "cmp sweep", bin: "paperbench", args: []string{"-exp", "cmp", "-n", "300"},
 			mentions: []string{"=== CMP sharing contention"}},
@@ -90,6 +95,11 @@ func TestCLI(t *testing.T) {
 			mentions: []string{"design H2  deadlock-free"}},
 		{name: "verify routing, bufferless", bin: "nucasim", args: []string{"-router", "bufferless", "-verify-routing"},
 			mentions: []string{"design H2  livelock-free"}},
+		// The examples are the documented way into the library API (core.Run;
+		// cache.System with completion callbacks and the golden model): both
+		// are deterministic, so their stdout is pinned whole.
+		{name: "quickstart example", bin: "quickstart", stdout: golden("../examples/quickstart/testdata/stdout.golden")},
+		{name: "customworkload example", bin: "customworkload", stdout: golden("../examples/customworkload/testdata/stdout.golden")},
 		// Unknown names exit 1 and name the catalogue they missed.
 		{name: "unknown design", bin: "nucasim", args: []string{"-design", "Z"}, exit: 1,
 			mentions: []string{`unknown design "Z"`, "[A B C D E F R G H2]"}},

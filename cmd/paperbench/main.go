@@ -111,19 +111,15 @@ func runNamed(name string, cfg core.ExpConfig, traceOut string) {
 }
 
 // runExperiment prints one experiment: header, rendered rows, optional
-// trace export (telemetry only), and the sweep accounting line when the
-// experiment drove the simulation engine.
+// trace export (of whichever runs of a sweep recorded one), and the sweep
+// accounting line when the experiment drove the simulation engine.
 func runExperiment(e core.Experiment, cfg core.ExpConfig, traceOut string) {
 	header(e.Title(cfg))
 	rows, rep, err := e.Run(cfg)
 	fatal(err)
 	rows.Render(os.Stdout)
-	if runs, ok := rows.(core.TelemetryRows); ok && traceOut != "" {
-		results := make([]core.Result, len(runs))
-		for i, tr := range runs {
-			results[i] = tr.Result
-		}
-		fatal(cliutil.WriteTraces(traceOut, results))
+	if sweep, ok := rows.(core.SweepRows); ok && traceOut != "" {
+		fatal(cliutil.WriteTraces(traceOut, sweep.Runs))
 	}
 	if rep.Runs > 0 {
 		sweepLine(rep)

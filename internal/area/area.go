@@ -53,20 +53,14 @@ func (m Model) BankArea(sizeKB int) float64 {
 	return m.Bank64KB * math.Pow(float64(sizeKB)/64, m.BankExp)
 }
 
-// RouterArea returns the area of a router with the given port count
-// (neighbor ports + injection), at the calibrated wormhole buffering.
-func (m Model) RouterArea(ports int) float64 {
-	p := float64(ports)
-	return m.RouterPortLinear*p + m.RouterPortQuad*p*p
-}
-
 // RouterAreaFor returns the area of a router with the given port count
-// under a specific router configuration. The linear term models the input
+// (neighbor ports + injection) under a specific router configuration. The linear term models the input
 // buffers, so it scales with the engine's buffer flits per port relative
 // to the calibration point (the default wormhole router's 16 flits: 4 VCs
 // x 4 slots); the quadratic crossbar term is engine-independent. The
-// default configuration therefore reproduces RouterArea exactly, keeping
-// Table 4 bit-identical, while bufferless (1 latch flit) and ring-lite (2)
+// default configuration therefore reproduces the calibrated
+// RouterPortLinear*p + RouterPortQuad*p^2 exactly, keeping Table 4
+// bit-identical, while bufferless (1 latch flit) and ring-lite (2)
 // shed most of the buffer area — the area axis of the Pareto sweep.
 func (m Model) RouterAreaFor(cfg router.Config, ports int) (float64, error) {
 	eng, err := router.ByName(cfg.Engine)

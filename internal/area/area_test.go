@@ -42,7 +42,14 @@ func TestThreePortRouterNearHalf(t *testing.T) {
 	// Paper Section 6.3: the simple 3-port router takes ~48% of the
 	// normal (5-port) router area.
 	m := DefaultModel()
-	ratio := m.RouterArea(3) / m.RouterArea(5)
+	of := func(ports int) float64 {
+		a, err := m.RouterAreaFor(router.DefaultConfig(), ports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	ratio := of(3) / of(5)
 	if ratio < 0.42 || ratio > 0.54 {
 		t.Fatalf("3-port/5-port = %.3f, want ~0.48", ratio)
 	}
@@ -192,7 +199,7 @@ func TestSimplifiedMeshSavesNetwork(t *testing.T) {
 }
 
 // TestRouterAreaPerEngine pins the per-engine buffer cost model: the
-// default configuration reproduces the calibrated RouterArea exactly
+// default configuration reproduces the calibrated port polynomial exactly
 // (Table 4 stays bit-identical), and the low-cost engines order strictly
 // below the wormhole — the area axis the Pareto sweep trades against
 // latency.
@@ -209,11 +216,12 @@ func TestRouterAreaPerEngine(t *testing.T) {
 		}
 		return a
 	}
-	if got, want := areaOf(""), m.RouterArea(5); got != want {
-		t.Errorf("default engine router area = %v, want RouterArea's %v", got, want)
+	calibrated := m.RouterPortLinear*5 + m.RouterPortQuad*25
+	if got := areaOf(""); got != calibrated {
+		t.Errorf("default engine router area = %v, want the calibrated %v", got, calibrated)
 	}
-	if got, want := areaOf("vc-wormhole"), m.RouterArea(5); got != want {
-		t.Errorf("explicit wormhole router area = %v, want RouterArea's %v", got, want)
+	if got := areaOf("vc-wormhole"); got != calibrated {
+		t.Errorf("explicit wormhole router area = %v, want the calibrated %v", got, calibrated)
 	}
 	bl, rl, wh := areaOf("bufferless"), areaOf("ring-lite"), areaOf("vc-wormhole")
 	if !(bl < rl && rl < wh) {

@@ -515,7 +515,7 @@ func TestBreakdownConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range reqs {
-		if got := r.Breakdown.Total(); got != r.Latency() {
+		if got := r.Breakdown.Bank + r.Breakdown.Network + r.Breakdown.Memory; got != r.Latency() {
 			t.Fatalf("access %d: breakdown total %d != latency %d", i, got, r.Latency())
 		}
 		if r.Breakdown.Bank <= 0 {

@@ -110,15 +110,21 @@ func (t *TelemetryFlags) Config() telemetry.Config {
 // order and event order are both deterministic, so the stream is
 // byte-identical for a fixed seed at any -j.
 func WriteTraces(path string, results []core.Result) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if path == "-" {
+		return writeTraces(os.Stdout, results)
 	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := writeTraces(f, results); err != nil {
+		f.Close() // the write error is the one to report
+		return err
+	}
+	return f.Close()
+}
+
+func writeTraces(w io.Writer, results []core.Result) error {
 	for _, r := range results {
 		if r.Telemetry == nil || r.Telemetry.Trace == nil {
 			continue

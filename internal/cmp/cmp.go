@@ -223,12 +223,6 @@ func abs(x int) int {
 // Port returns core i's cache interface.
 func (f *Fabric) Port(i int) *Port { return f.ports[i] }
 
-// Home returns the controller index owning a column.
-func (f *Fabric) Home(col int) int { return f.home[col] }
-
-// ControllerNode returns the router of controller i.
-func (f *Fabric) ControllerNode(i int) topology.NodeID { return f.nodes[i] }
-
 // OffsetAddr relocates an address into core i's private tag range.
 func (f *Fabric) OffsetAddr(addr uint64, core int) uint64 {
 	return OffsetAddr(f.Sys.AM, addr, core)

@@ -33,16 +33,16 @@ func TestHomeAssignmentNearest(t *testing.T) {
 	f := fabricOn(t, "A", 4)
 	// Cores sit at x = 2, 6, 10, 14; columns split into four runs.
 	for col := 0; col < 16; col++ {
-		got := f.Home(col)
+		got := f.home[col]
 		if got < 0 || got > 3 {
 			t.Fatalf("home(%d) = %d", col, got)
 		}
 	}
-	if f.Home(0) != 0 || f.Home(15) != 3 {
-		t.Fatalf("edge homes wrong: %d %d", f.Home(0), f.Home(15))
+	if f.home[0] != 0 || f.home[15] != 3 {
+		t.Fatalf("edge homes wrong: %d %d", f.home[0], f.home[15])
 	}
 	for col := 1; col < 16; col++ {
-		if f.Home(col) < f.Home(col-1) {
+		if f.home[col] < f.home[col-1] {
 			t.Fatal("home assignment must be monotone along the row")
 		}
 	}
@@ -54,12 +54,12 @@ func TestHomeAssignmentNearest(t *testing.T) {
 func TestHomeAssignmentHier(t *testing.T) {
 	f := fabricOn(t, "H2", 4)
 	for col := 1; col < 16; col++ {
-		if f.Home(col) < f.Home(col-1) {
+		if f.home[col] < f.home[col-1] {
 			t.Fatal("home assignment must be monotone along the row")
 		}
 	}
 	for i := 0; i < 4; i++ {
-		node := f.ControllerNode(i)
+		node := f.nodes[i]
 		if f.Sys.Topo.Nodes[node].Y != 0 {
 			t.Fatalf("controller %d not on the mesh's top row (node %d)", i, node)
 		}

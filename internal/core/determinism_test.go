@@ -160,15 +160,10 @@ func TestExperimentDriversDeterministicAcrossWorkers(t *testing.T) {
 	}
 	cfgSeq := ExpConfig{Accesses: 150, Seed: 7, Workers: 1}
 	cfgPar := ExpConfig{Accesses: 150, Seed: 7, Workers: 8}
-	seq, _, err := Fig9(cfgSeq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _, err := Fig9(cfgPar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", seq) != fmt.Sprintf("%+v", par) {
-		t.Errorf("Fig9 rows differ between j=1 and j=8:\n%+v\n%+v", seq, par)
+	var seq, par bytes.Buffer
+	runExperiment(t, "f9", cfgSeq).Render(&seq)
+	runExperiment(t, "f9", cfgPar).Render(&par)
+	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
+		t.Errorf("f9 rows differ between j=1 and j=8:\n%s\n%s", &seq, &par)
 	}
 }

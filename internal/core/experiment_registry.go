@@ -8,9 +8,10 @@ import (
 )
 
 // Rows is a rendered experiment result: every experiment returns its
-// typed row slice (Fig7Rows, ParetoRows, ...) behind this interface, and
-// Render writes the exact human-readable table cmd/paperbench prints.
-// Callers needing the underlying data type-assert to the concrete type.
+// typed rows (SweepRows for the simulation sweeps, ParetoRows, Headline,
+// ...) behind this interface, and Render writes the exact human-readable
+// table cmd/paperbench prints. Callers needing the underlying data
+// type-assert to the concrete type.
 type Rows interface {
 	Render(w io.Writer)
 }

@@ -12,6 +12,28 @@ import (
 
 var updateGoldens = flag.Bool("update", false, "rewrite experiment golden files")
 
+// runExperiment runs a registered experiment the way paperbench does and
+// returns its rows.
+func runExperiment(t *testing.T, name string, cfg ExpConfig) Rows {
+	t.Helper()
+	e, err := ExperimentByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := e.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// sweepRuns runs a registered sweep experiment and returns its runs in
+// job-list order.
+func sweepRuns(t *testing.T, name string, cfg ExpConfig) []Result {
+	t.Helper()
+	return runExperiment(t, name, cfg).(SweepRows).Runs
+}
+
 // TestExperimentCatalogue pins the registry contents: the built-ins in
 // the paper's presentation order, with the special-purpose telemetry
 // and CMP experiments excluded from "all".
@@ -62,13 +84,9 @@ func TestExperimentGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, _, err := e.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var buf bytes.Buffer
 			fmt.Fprintf(&buf, "=== %s ===\n", e.Title(cfg))
-			rows.Render(&buf)
+			runExperiment(t, name, cfg).Render(&buf)
 			path := filepath.Join("testdata", "exp_"+name+".golden")
 			if *updateGoldens {
 				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {

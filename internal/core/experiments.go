@@ -1,13 +1,13 @@
 package core
 
 import (
+	"io"
 	"math"
 
 	"nucanet/internal/area"
 	"nucanet/internal/bank"
 	"nucanet/internal/cache"
 	"nucanet/internal/config"
-	"nucanet/internal/energy"
 	"nucanet/internal/router"
 	"nucanet/internal/telemetry"
 	"nucanet/internal/trace"
@@ -115,125 +115,76 @@ func (cfg ExpConfig) sweep(opts []Options) ([]Result, SweepReport, error) {
 	return NewEngine(cfg.Workers).RunAll(opts)
 }
 
-// Fig7Row is one bar of Figure 7: the latency split of the unicast LRU
-// baseline (Design A).
-type Fig7Row struct {
-	Benchmark               string
-	BankPct, NetPct, MemPct float64
-	// P50 and P99 are the access-latency percentiles from the run's
-	// log-bucketed histogram (cycles).
-	P50, P99 int64
+// SweepRows is the Rows of every sweep experiment: the runs in job-list
+// order plus the experiment's table renderer. Each Result carries its own
+// Options and resolved Design, so a caller reading Runs (tests, the -trace
+// export) needs no per-figure cell type.
+type SweepRows struct {
+	Runs []Result
+
+	cfg    ExpConfig
+	render func(w io.Writer, cfg ExpConfig, runs []Result)
 }
 
-// Fig7 regenerates Figure 7.
-func Fig7(cfg ExpConfig) ([]Fig7Row, SweepReport, error) {
-	names := trace.Names()
-	opts := make([]Options, len(names))
-	for i, name := range names {
-		opts[i] = cfg.run("A", cache.LRU, cache.Unicast, name)
-	}
-	rs, rep, err := cfg.sweep(opts)
-	if err != nil {
-		return nil, rep, err
-	}
-	out := make([]Fig7Row, len(rs))
-	for i, r := range rs {
-		out[i] = Fig7Row{
-			Benchmark: names[i],
-			BankPct:   100 * r.BankShare,
-			NetPct:    100 * r.NetworkShare,
-			MemPct:    100 * r.MemShare,
-			P50:       r.Latency.Percentile(0.50),
-			P99:       r.Latency.Percentile(0.99),
+// Render writes the experiment's table.
+func (s SweepRows) Render(w io.Writer) { s.render(w, s.cfg, s.Runs) }
+
+// sweepExperiment is the one driver under the sweep experiments: build
+// the job list, fan it out on the engine once, and hand the runs — in
+// submission order — to the experiment's renderer.
+func sweepExperiment(jobs func(ExpConfig) ([]Options, error), render func(io.Writer, ExpConfig, []Result)) func(ExpConfig) (Rows, SweepReport, error) {
+	return func(cfg ExpConfig) (Rows, SweepReport, error) {
+		opts, err := jobs(cfg)
+		if err != nil {
+			return nil, SweepReport{}, err
 		}
+		runs, rep, err := cfg.sweep(opts)
+		if err != nil {
+			return nil, rep, err
+		}
+		return SweepRows{Runs: runs, cfg: cfg, render: render}, rep, nil
 	}
-	return out, rep, nil
 }
 
-// Fig8Cell is one (benchmark, scheme) measurement of Figure 8.
-type Fig8Cell struct {
-	Benchmark string
-	Scheme    string
-	AvgLat    float64 // Figure 8(a)
-	HitLat    float64 // Figure 8(b)
-	MissLat   float64 // Figure 8(c)
-	OccLat    float64 // column occupancy: issue -> replacement complete
-	IPC       float64
-	HitRate   float64
-	MRUShare  float64
+// fig7Jobs is Figure 7's grid: the unicast LRU baseline on Design A,
+// one run per benchmark.
+func fig7Jobs(cfg ExpConfig) ([]Options, error) {
+	var opts []Options
+	for _, name := range trace.Names() {
+		opts = append(opts, cfg.run("A", cache.LRU, cache.Unicast, name))
+	}
+	return opts, nil
 }
 
-// Fig8 regenerates Figure 8: all five schemes on Design A per benchmark.
-func Fig8(cfg ExpConfig) ([]Fig8Cell, SweepReport, error) {
+// fig8Jobs is Figure 8's grid: all five schemes on Design A, benchmark
+// major.
+func fig8Jobs(cfg ExpConfig) ([]Options, error) {
 	schemes := Fig8Schemes()
 	var opts []Options
-	var cells []Fig8Cell
 	for _, name := range trace.Names() {
 		for _, s := range schemes {
 			opts = append(opts, cfg.run("A", s.Policy, s.Mode, name))
-			cells = append(cells, Fig8Cell{Benchmark: name, Scheme: s.Name})
 		}
 	}
-	rs, rep, err := cfg.sweep(opts)
-	if err != nil {
-		return nil, rep, err
-	}
-	for i, r := range rs {
-		c := &cells[i]
-		c.AvgLat, c.HitLat, c.MissLat = r.AvgLatency, r.AvgHit, r.AvgMiss
-		c.OccLat = r.AvgOccupancy
-		c.IPC, c.HitRate, c.MRUShare = r.IPC, r.HitRate, r.MRUHitShare
-	}
-	return cells, rep, nil
+	return opts, nil
 }
 
-// Fig9Cell is one (benchmark, design) measurement of Figure 9.
-type Fig9Cell struct {
-	Benchmark     string
-	DesignID      string
-	IPC           float64
-	NormalizedIPC float64 // relative to Design A on the same benchmark
-	AvgLat        float64
-	// P50 and P99 are the access-latency percentiles (cycles): the tail
-	// view the averages hide — halo designs shorten the tail, not just
-	// the mean.
-	P50, P99 int64
-}
-
-// Fig9 regenerates Figure 9: Designs A-F with multicast Fast-LRU (or the
-// config's scheme override).
-func Fig9(cfg ExpConfig) ([]Fig9Cell, SweepReport, error) {
+// fig9Jobs is Figure 9's grid: Designs A-F under multicast Fast-LRU (or
+// the config's scheme override), benchmark major, so each benchmark's
+// block leads with the Design A run the others normalize to.
+func fig9Jobs(cfg ExpConfig) ([]Options, error) {
 	p, m, err := cfg.scheme(cache.FastLRU, cache.Multicast)
 	if err != nil {
-		return nil, SweepReport{}, err
+		return nil, err
 	}
 	designs := config.Designs()
 	var opts []Options
-	var cells []Fig9Cell
 	for _, name := range trace.Names() {
 		for _, d := range designs {
 			opts = append(opts, cfg.run(d.ID, p, m, name))
-			cells = append(cells, Fig9Cell{Benchmark: name, DesignID: d.ID})
 		}
 	}
-	rs, rep, err := cfg.sweep(opts)
-	if err != nil {
-		return nil, rep, err
-	}
-	// Normalization runs after the sweep, in submission order: each
-	// benchmark's block leads with Design A, its IPC is that block's base.
-	var baseIPC float64
-	for i, r := range rs {
-		if cells[i].DesignID == "A" {
-			baseIPC = r.IPC
-		}
-		cells[i].IPC = r.IPC
-		cells[i].NormalizedIPC = r.IPC / baseIPC
-		cells[i].AvgLat = r.AvgLatency
-		cells[i].P50 = r.Latency.Percentile(0.50)
-		cells[i].P99 = r.Latency.Percentile(0.99)
-	}
-	return cells, rep, nil
+	return opts, nil
 }
 
 // Table4 regenerates the area analysis.
@@ -310,88 +261,48 @@ func ComputeHeadline(cfg ExpConfig) (Headline, SweepReport, error) {
 	return h, rep, nil
 }
 
-// EnergyCell is one design's energy estimate (extension experiment: the
-// paper names energy analysis as future work).
-type EnergyCell struct {
-	DesignID string
-	Report   energy.Report
-	IPC      float64
-}
-
-// EnergyComparison estimates the energy of all six designs under
-// multicast Fast-LRU (or the config's scheme override) for one benchmark.
-func EnergyComparison(cfg ExpConfig, bench string) ([]EnergyCell, SweepReport, error) {
+// energyJobs estimates the energy of all six designs under multicast
+// Fast-LRU (or the config's scheme override) on one benchmark (extension
+// experiment: the paper names energy analysis as future work).
+func energyJobs(cfg ExpConfig) ([]Options, error) {
 	p, m, err := cfg.scheme(cache.FastLRU, cache.Multicast)
 	if err != nil {
-		return nil, SweepReport{}, err
+		return nil, err
 	}
-	designs := config.Designs()
-	opts := make([]Options, len(designs))
-	for i, d := range designs {
-		opts[i] = cfg.run(d.ID, p, m, bench)
+	var opts []Options
+	for _, d := range config.Designs() {
+		opts = append(opts, cfg.run(d.ID, p, m, cfg.bench()))
 	}
-	rs, rep, err := cfg.sweep(opts)
-	if err != nil {
-		return nil, rep, err
-	}
-	out := make([]EnergyCell, len(rs))
-	for i, r := range rs {
-		out[i] = EnergyCell{DesignID: designs[i].ID, Report: r.Energy, IPC: r.IPC}
-	}
-	return out, rep, nil
+	return opts, nil
 }
 
-// PowerCell is one operating point of the power-gating sweep (extension:
-// the paper's "on-demand power control scheme that can dynamically turn
-// on/off a subset of cache systems").
-type PowerCell struct {
-	WaysOn     int // banks powered per column (rows kept)
-	CapacityKB int
-	IPC        float64
-	HitRate    float64
-	Energy     energy.Report
-}
-
-// PowerGatingSweep gates the farthest banks of every Design A column,
-// shrinking the powered cache from 16 ways down to 2, and measures the
-// performance/energy operating points of the resulting curve: gated banks
-// contribute neither capacity nor network/bank activity. The gated
-// designs run through the engine via the Options.Design override.
-func PowerGatingSweep(cfg ExpConfig, bench string) ([]PowerCell, SweepReport, error) {
+// powerJobs gates the farthest banks of every Design A column, shrinking
+// the powered cache from 16 ways down to 2 (extension: the paper's
+// "on-demand power control scheme that can dynamically turn on/off a
+// subset of cache systems"): gated banks contribute neither capacity nor
+// network/bank activity. The gated designs run through the engine via the
+// Options.Design override.
+func powerJobs(cfg ExpConfig) ([]Options, error) {
 	base, err := config.DesignByID("A")
 	if err != nil {
-		return nil, SweepReport{}, err
+		return nil, err
 	}
 	p, m, err := cfg.scheme(cache.FastLRU, cache.Multicast)
 	if err != nil {
-		return nil, SweepReport{}, err
+		return nil, err
 	}
-	waysOn := []int{16, 12, 8, 4, 2}
-	opts := make([]Options, len(waysOn))
-	out := make([]PowerCell, len(waysOn))
-	for i, ways := range waysOn {
-		d := base
-		d.ID = "A-gated"
-		d.Params.H = ways
-		d.Banks = d.Banks[:ways]       // re-slice only: the backing array is shared read-only
-		d.Params.MemX = d.Params.CoreX // keep the memory column valid for short meshes
-		gated := d
-		opts[i] = Options{
-			Design: &gated, Policy: p, Mode: m,
-			Benchmark: bench, Accesses: cfg.Accesses, Seed: cfg.Seed,
-		}
-		out[i] = PowerCell{WaysOn: ways, CapacityKB: d.CapacityKB()}
+	var opts []Options
+	for _, ways := range []int{16, 12, 8, 4, 2} {
+		gated := base
+		gated.ID = "A-gated"
+		gated.Params.H = ways
+		gated.Banks = gated.Banks[:ways]       // re-slice only: the backing array is shared read-only
+		gated.Params.MemX = gated.Params.CoreX // keep the memory column valid for short meshes
+		o := cfg.run("", p, m, cfg.bench())
+		o.Design = &gated
+		opts = append(opts, o)
 	}
-	rs, rep, err := cfg.sweep(opts)
-	if err != nil {
-		return nil, rep, err
-	}
-	for i, r := range rs {
-		out[i].IPC = r.IPC
-		out[i].HitRate = r.HitRate
-		out[i].Energy = r.Energy
-	}
-	return out, rep, nil
+	return opts, nil
 }
 
 // ParetoPoint is one (router, design, scheme) operating point of the
@@ -553,43 +464,13 @@ func uniformSpecs(n int) []bank.Spec {
 	return out
 }
 
-// CMPCell is one core-count operating point of the sharing-contention
-// sweep: aggregate and per-core throughput, the tail latency, and the
-// directory's interference attribution.
-type CMPCell struct {
-	Cores      int
-	IPC        float64 // aggregate throughput
-	PerCoreIPC float64
-	HitRate    float64 // shared protocol-side hit rate
-	AvgLat     float64
-	P99        int64
-	// RemoteShare is the mean fraction of issues homed on another
-	// controller — the traffic the fabric (and on hierarchical designs,
-	// the bridge ring) carries.
-	RemoteShare float64
-	// CrossDropShare is the fraction of capacity evictions where one
-	// core's block was pushed out by another core's access, from the
-	// directory policy's ownership matrix.
-	CrossDropShare float64
-}
-
-// CMPResult bundles the sweep's cells with the largest run's telemetry
-// (the link heatmap showing the bridge traffic).
-type CMPResult struct {
-	DesignID string
-	Bench    string
-	Cells    []CMPCell
-	// Heat is the largest core count's spatial telemetry; on the
-	// hierarchical designs its link view includes the bridge-ring hops.
-	Heat *telemetry.Heatmap
-}
-
-// CMPSharing runs the sharing-contention sweep (extension: the paper's
-// primary stated future work): 1, 2, 4, and 8 trace-driven cores on the
+// cmpJobs is the sharing-contention sweep (extension: the paper's primary
+// stated future work): 1, 2, 4, and 8 trace-driven cores on the
 // two-chiplet hierarchical design under the directory policy, measuring
 // how aggregate throughput, tail latency, and cross-core interference
-// scale as the fabric is shared.
-func CMPSharing(cfg ExpConfig, designID, bench string) (CMPResult, SweepReport, error) {
+// scale as the fabric is shared. Every run records the link heatmap; the
+// table shows the largest run's.
+func cmpJobs(cfg ExpConfig) ([]Options, error) {
 	// The policy is part of the experiment's definition: the x-evict
 	// column exists only under the directory policy's ownership
 	// bookkeeping, so the -policy override is ignored here (the mode
@@ -598,77 +479,38 @@ func CMPSharing(cfg ExpConfig, designID, bench string) (CMPResult, SweepReport, 
 	if cfg.ModeName != "" {
 		var err error
 		if m, err = cache.ParseMode(cfg.ModeName); err != nil {
-			return CMPResult{}, SweepReport{}, err
+			return nil, err
 		}
 	}
-	p := cache.Directory
-	counts := []int{1, 2, 4, 8}
-	opts := make([]Options, len(counts))
-	for i, n := range counts {
-		opts[i] = Options{
-			DesignID: designID, Policy: p, Mode: m, Router: cfg.RouterName,
-			Benchmark: bench, Accesses: cfg.Accesses, Seed: cfg.Seed,
-			Cores:     n,
-			Telemetry: telemetry.Config{Heatmap: true},
-		}
+	var opts []Options
+	for _, n := range []int{1, 2, 4, 8} {
+		o := cfg.run("H2", cache.Directory, m, cfg.bench())
+		o.Cores = n
+		o.Telemetry = telemetry.Config{Heatmap: true}
+		opts = append(opts, o)
 	}
-	rs, rep, err := cfg.sweep(opts)
-	if err != nil {
-		return CMPResult{}, rep, err
-	}
-	out := CMPResult{DesignID: designID, Bench: bench}
-	for i, r := range rs {
-		cell := CMPCell{
-			Cores:   counts[i],
-			IPC:     r.IPC,
-			HitRate: r.HitRate,
-			AvgLat:  r.AvgLatency,
-			P99:     r.Latency.Percentile(0.99),
-		}
-		k := float64(len(r.Cores))
-		cell.PerCoreIPC = r.IPC / k
-		for _, c := range r.Cores {
-			cell.RemoteShare += c.RemoteShare / k
-		}
-		if d := r.Directory; d != nil && d.SelfDrops+d.CrossDrops > 0 {
-			cell.CrossDropShare = float64(d.CrossDrops) / float64(d.SelfDrops+d.CrossDrops)
-		}
-		out.Cells = append(out.Cells, cell)
-		if tel := r.Telemetry; tel != nil && tel.Heat != nil {
-			out.Heat = tel.Heat // keep the last (largest) run's view
-		}
-	}
-	return out, rep, nil
+	return opts, nil
 }
 
-// TelemetryRun is one design's telemetry capture from TelemetryCompare.
-type TelemetryRun struct {
-	DesignID string
-	Result   Result
-}
-
-// TelemetryCompare runs a mesh (A), a simplified mesh (D), and a halo
-// (F) on one benchmark with the given probes under multicast Fast-LRU —
-// the side-by-side spatial view of how the three topologies spread the
-// same workload's traffic.
-func TelemetryCompare(cfg ExpConfig, bench string, tcfg telemetry.Config) ([]TelemetryRun, SweepReport, error) {
+// telemetryJobs runs a mesh (A), a simplified mesh (D), and a halo (F)
+// on one benchmark with the configured probes (a heatmap plus a
+// 200-cycle series when none is set) under multicast Fast-LRU — the
+// side-by-side spatial view of how the three topologies spread the same
+// workload's traffic.
+func telemetryJobs(cfg ExpConfig) ([]Options, error) {
 	p, m, err := cfg.scheme(cache.FastLRU, cache.Multicast)
 	if err != nil {
-		return nil, SweepReport{}, err
+		return nil, err
 	}
-	ids := []string{"A", "D", "F"}
-	opts := make([]Options, len(ids))
-	for i, id := range ids {
-		opts[i] = cfg.run(id, p, m, bench)
-		opts[i].Telemetry = tcfg
+	tcfg := cfg.Telemetry
+	if !tcfg.Enabled() {
+		tcfg = telemetry.Config{Heatmap: true, SampleEvery: 200}
 	}
-	rs, rep, err := cfg.sweep(opts)
-	if err != nil {
-		return nil, rep, err
+	var opts []Options
+	for _, id := range []string{"A", "D", "F"} {
+		o := cfg.run(id, p, m, cfg.bench())
+		o.Telemetry = tcfg
+		opts = append(opts, o)
 	}
-	out := make([]TelemetryRun, len(rs))
-	for i, r := range rs {
-		out[i] = TelemetryRun{DesignID: ids[i], Result: r}
-	}
-	return out, rep, nil
+	return opts, nil
 }

@@ -3,6 +3,9 @@ package core
 import (
 	"testing"
 
+	"nucanet/internal/cache"
+	"nucanet/internal/config"
+	"nucanet/internal/energy"
 	"nucanet/internal/trace"
 )
 
@@ -13,21 +16,21 @@ func TestFig7Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	rows, _, err := Fig7(tiny)
-	if err != nil {
-		t.Fatal(err)
+	runs := sweepRuns(t, "f7", tiny)
+	if len(runs) != 12 {
+		t.Fatalf("runs = %d, want 12", len(runs))
 	}
-	if len(rows) != 12 {
-		t.Fatalf("rows = %d, want 12", len(rows))
-	}
-	for _, r := range rows {
-		sum := r.BankPct + r.NetPct + r.MemPct
+	for _, r := range runs {
+		sum := 100 * (r.BankShare + r.NetworkShare + r.MemShare)
 		if sum < 99.9 || sum > 100.1 {
-			t.Errorf("%s: split sums to %.2f", r.Benchmark, sum)
+			t.Errorf("%s: split sums to %.2f", r.Options.Benchmark, sum)
+		}
+		if r.Design.ID != "A" || r.Options.Policy != cache.LRU || r.Options.Mode != cache.Unicast {
+			t.Errorf("%s: not the unicast LRU baseline on Design A: %+v", r.Options.Benchmark, r.Options)
 		}
 	}
-	if rows[0].Benchmark != "applu" {
-		t.Errorf("row order must follow Table 2: got %s first", rows[0].Benchmark)
+	if runs[0].Options.Benchmark != "applu" {
+		t.Errorf("row order must follow Table 2: got %s first", runs[0].Options.Benchmark)
 	}
 }
 
@@ -35,19 +38,21 @@ func TestFig8Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	cells, _, err := Fig8(ExpConfig{Accesses: 200, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	runs := sweepRuns(t, "f8", ExpConfig{Accesses: 200, Seed: 7})
+	schemes := Fig8Schemes()
+	if len(runs) != 12*len(schemes) {
+		t.Fatalf("runs = %d, want 60", len(runs))
 	}
-	if len(cells) != 12*5 {
-		t.Fatalf("cells = %d, want 60", len(cells))
-	}
-	for _, c := range cells {
-		if c.AvgLat <= 0 || c.IPC <= 0 {
-			t.Errorf("%s/%s: empty measurement", c.Benchmark, c.Scheme)
+	for i, r := range runs {
+		s := schemes[i%len(schemes)]
+		if r.Options.Policy != s.Policy || r.Options.Mode != s.Mode {
+			t.Errorf("run %d (%s) is not scheme %s", i, r.Options.Benchmark, s.Name)
 		}
-		if c.OccLat < c.AvgLat {
-			t.Errorf("%s/%s: occupancy %.1f below latency %.1f", c.Benchmark, c.Scheme, c.OccLat, c.AvgLat)
+		if r.AvgLatency <= 0 || r.IPC <= 0 {
+			t.Errorf("%s/%s: empty measurement", r.Options.Benchmark, s.Name)
+		}
+		if r.AvgOccupancy < r.AvgLatency {
+			t.Errorf("%s/%s: occupancy %.1f below latency %.1f", r.Options.Benchmark, s.Name, r.AvgOccupancy, r.AvgLatency)
 		}
 	}
 }
@@ -56,52 +61,51 @@ func TestFig9Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	cells, _, err := Fig9(ExpConfig{Accesses: 200, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	runs := sweepRuns(t, "f9", ExpConfig{Accesses: 200, Seed: 7})
+	designs := config.Designs()
+	if len(runs) != 12*len(designs) {
+		t.Fatalf("runs = %d, want 72", len(runs))
 	}
-	if len(cells) != 12*6 {
-		t.Fatalf("cells = %d, want 72", len(cells))
-	}
-	for _, c := range cells {
-		if c.DesignID == "A" && c.NormalizedIPC != 1.0 {
-			t.Errorf("%s: design A must normalize to 1, got %v", c.Benchmark, c.NormalizedIPC)
+	for i, r := range runs {
+		// The renderer normalizes each benchmark's block to its leading
+		// Design A run.
+		base := runs[i-i%len(designs)]
+		if base.Design.ID != "A" || base.Options.Benchmark != r.Options.Benchmark {
+			t.Fatalf("run %d: block does not lead with Design A on %s", i, r.Options.Benchmark)
 		}
-		if c.NormalizedIPC <= 0 {
-			t.Errorf("%s/%s: bad normalized IPC", c.Benchmark, c.DesignID)
+		if r.Design.ID != designs[i%len(designs)].ID {
+			t.Errorf("run %d: design %s, want %s", i, r.Design.ID, designs[i%len(designs)].ID)
+		}
+		if r.IPC <= 0 {
+			t.Errorf("%s/%s: bad IPC", r.Options.Benchmark, r.Design.ID)
 		}
 	}
 }
 
 func TestEnergyComparisonDriver(t *testing.T) {
-	cells, _, err := EnergyComparison(ExpConfig{Accesses: 600, Seed: 7}, "gcc")
-	if err != nil {
-		t.Fatal(err)
+	runs := sweepRuns(t, "energy", ExpConfig{Accesses: 600, Seed: 7})
+	if len(runs) != 6 {
+		t.Fatalf("runs = %d, want 6", len(runs))
 	}
-	if len(cells) != 6 {
-		t.Fatalf("cells = %d, want 6", len(cells))
-	}
-	var a, f EnergyCell
-	for _, c := range cells {
-		if c.Report.TotalPJ() <= 0 {
-			t.Errorf("%s: no energy accounted", c.DesignID)
+	var a, f energy.Report
+	for _, r := range runs {
+		if r.Energy.TotalPJ() <= 0 {
+			t.Errorf("%s: no energy accounted", r.Design.ID)
 		}
-		switch c.DesignID {
+		switch r.Design.ID {
 		case "A":
-			a = c
+			a = r.Energy
 		case "F":
-			f = c
+			f = r.Energy
 		}
 	}
 	// The halo moves far fewer flit-hops per access than the mesh: its
 	// network energy (and total) must come in below Design A's.
-	if f.Report.NetworkPJ >= a.Report.NetworkPJ {
-		t.Errorf("halo F network energy %.0f not below mesh A %.0f",
-			f.Report.NetworkPJ, a.Report.NetworkPJ)
+	if f.NetworkPJ >= a.NetworkPJ {
+		t.Errorf("halo F network energy %.0f not below mesh A %.0f", f.NetworkPJ, a.NetworkPJ)
 	}
-	if f.Report.PerAccessNJ() >= a.Report.PerAccessNJ() {
-		t.Errorf("halo F %.2f nJ/access not below mesh A %.2f",
-			f.Report.PerAccessNJ(), a.Report.PerAccessNJ())
+	if f.PerAccessNJ() >= a.PerAccessNJ() {
+		t.Errorf("halo F %.2f nJ/access not below mesh A %.2f", f.PerAccessNJ(), a.PerAccessNJ())
 	}
 }
 
@@ -128,28 +132,40 @@ func TestPowerGatingSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	cells, _, err := PowerGatingSweep(ExpConfig{Accesses: 800, Seed: 7}, "gcc")
-	if err != nil {
-		t.Fatal(err)
+	runs := sweepRuns(t, "power", ExpConfig{Accesses: 800, Seed: 7})
+	if len(runs) != 5 || len(runs[0].Design.Banks) != 16 || len(runs[4].Design.Banks) != 2 {
+		t.Fatalf("sweep shape wrong: %d runs", len(runs))
 	}
-	if len(cells) != 5 || cells[0].WaysOn != 16 || cells[4].WaysOn != 2 {
-		t.Fatalf("sweep shape wrong: %+v", cells)
-	}
-	for i := 1; i < len(cells); i++ {
+	for i := 1; i < len(runs); i++ {
+		prev, cur := runs[i-1], runs[i]
 		// Gating banks can only lose capacity, hits and performance.
-		if cells[i].HitRate > cells[i-1].HitRate+0.01 {
-			t.Errorf("hit rate rose when gating: %v -> %v", cells[i-1], cells[i])
+		if cur.HitRate > prev.HitRate+0.01 {
+			t.Errorf("hit rate rose when gating %d -> %d ways: %v -> %v",
+				len(prev.Design.Banks), len(cur.Design.Banks), prev.HitRate, cur.HitRate)
 		}
-		if cells[i].IPC > cells[i-1].IPC+0.01 {
-			t.Errorf("IPC rose when gating: %v -> %v", cells[i-1], cells[i])
+		if cur.IPC > prev.IPC+0.01 {
+			t.Errorf("IPC rose when gating %d -> %d ways: %v -> %v",
+				len(prev.Design.Banks), len(cur.Design.Banks), prev.IPC, cur.IPC)
 		}
-		if cells[i].CapacityKB >= cells[i-1].CapacityKB {
+		if cur.Design.CapacityKB() >= prev.Design.CapacityKB() {
 			t.Error("capacity must shrink")
 		}
 	}
 	// The network+bank energy of a 16-deep column dwarfs a 4-deep one.
-	if cells[3].Energy.NetworkPJ >= cells[0].Energy.NetworkPJ {
+	if runs[3].Energy.NetworkPJ >= runs[0].Energy.NetworkPJ {
 		t.Error("gating must cut network energy")
+	}
+}
+
+// TestPowerGatingFollowsRouterOverride: ExpConfig.RouterName overrides
+// the engine of every run in an experiment, the hand-built gated designs
+// included (they once dropped it, so -exp power -router X printed the
+// default router's table).
+func TestPowerGatingFollowsRouterOverride(t *testing.T) {
+	for _, r := range sweepRuns(t, "power", ExpConfig{Accesses: 100, Seed: 7, RouterName: "bufferless"}) {
+		if got := r.Design.Router.Engine; got != "bufferless" {
+			t.Errorf("%d-way gated run simulated on router %q, want bufferless", len(r.Design.Banks), got)
+		}
 	}
 }
 

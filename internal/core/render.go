@@ -8,13 +8,13 @@ import (
 	"nucanet/internal/bank"
 	"nucanet/internal/config"
 	"nucanet/internal/mem"
-	"nucanet/internal/telemetry"
 )
 
-// This file renders every built-in experiment's rows exactly as
-// cmd/paperbench printed them before the experiment registry existed
-// (the registry goldens pin the bytes), and registers the twelve
-// built-ins in the paper's presentation order.
+// This file renders every built-in experiment's table (the exp_*.golden
+// files pin the bytes) and registers the built-ins in the paper's
+// presentation order. The sweep experiments render straight from their
+// runs: a render function over the []Result that sweepExperiment hands
+// it, paired with a job-list function in experiments.go.
 
 // schemeLabel names the scheme a single-scheme experiment actually ran
 // under (the -policy/-mode override, or the paper default).
@@ -80,69 +80,61 @@ func (rows Table4Rows) Render(w io.Writer) {
 	fmt.Fprintln(w, "        E 67.5/14.1/18.4 402.30/1602.22 | F 78.7/5.7/15.7 312.19/517.61")
 }
 
-// Fig7Rows renders the latency-split bars of Figure 7.
-type Fig7Rows []Fig7Row
-
-func (rows Fig7Rows) Render(w io.Writer) {
+// renderFig7 prints the latency-split bars of Figure 7.
+func renderFig7(w io.Writer, _ ExpConfig, runs []Result) {
 	fmt.Fprintln(w, "benchmark   bank%   network%   memory%     p50     p99")
 	var b, nw, m float64
-	for _, r := range rows {
+	for _, r := range runs {
+		bank, net, mem := 100*r.BankShare, 100*r.NetworkShare, 100*r.MemShare
 		fmt.Fprintf(w, "  %-9s %5.1f      %5.1f     %5.1f   %5d   %5d\n",
-			r.Benchmark, r.BankPct, r.NetPct, r.MemPct, r.P50, r.P99)
-		b += r.BankPct
-		nw += r.NetPct
-		m += r.MemPct
+			r.Options.Benchmark, bank, net, mem, r.Latency.Percentile(0.50), r.Latency.Percentile(0.99))
+		b += bank
+		nw += net
+		m += mem
 	}
-	k := float64(len(rows))
+	k := float64(len(runs))
 	fmt.Fprintf(w, "  %-9s %5.1f      %5.1f     %5.1f   (paper avg: 25 / 65 / 10)\n",
 		"avg", b/k, nw/k, m/k)
 }
 
-// Fig8Rows renders the scheme comparison of Figure 8.
-type Fig8Rows []Fig8Cell
-
-func (rows Fig8Rows) Render(w io.Writer) {
+// renderFig8 prints the scheme comparison of Figure 8: one line per
+// benchmark (fig8Jobs runs benchmark major, one run per scheme), then
+// the summary ratios the paper quotes.
+func renderFig8(w io.Writer, _ ExpConfig, runs []Result) {
+	schemes := Fig8Schemes()
 	fmt.Fprintln(w, "(a) average / (b) hit / (c) miss latency in cycles; IPC")
 	fmt.Fprintf(w, "%-9s", "benchmark")
-	for _, s := range Fig8Schemes() {
+	for _, s := range schemes {
 		fmt.Fprintf(w, " | %-19s", s.Name)
 	}
 	fmt.Fprintln(w)
-	byBench := map[string][]Fig8Cell{}
-	var names []string
-	for _, c := range rows {
-		if len(byBench[c.Benchmark]) == 0 {
-			names = append(names, c.Benchmark)
+	for i, r := range runs {
+		if i%len(schemes) == 0 {
+			fmt.Fprintf(w, "%-9s", r.Options.Benchmark)
 		}
-		byBench[c.Benchmark] = append(byBench[c.Benchmark], c)
-	}
-	for _, b := range names {
-		fmt.Fprintf(w, "%-9s", b)
-		for _, c := range byBench[b] {
-			fmt.Fprintf(w, " | %5.1f %5.1f %6.1f", c.AvgLat, c.HitLat, c.MissLat)
+		fmt.Fprintf(w, " | %5.1f %5.1f %6.1f", r.AvgLatency, r.AvgHit, r.AvgMiss)
+		if i%len(schemes) == len(schemes)-1 {
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
 	}
-	// Summary ratios the paper quotes. Two readings: the CPU-visible
-	// access latency (request -> data) and the column occupancy
-	// (request -> replacement complete); the paper's hop-count examples
-	// (Fig. 2: 21 vs 12 hops) count the full occupancy, which is where
-	// Fast-LRU's structural win lives at any load level. Averages sum in
-	// benchmark order so the rendered bytes never depend on map order.
+	// Two readings: the CPU-visible access latency (request -> data) and
+	// the column occupancy (request -> replacement complete); the paper's
+	// hop-count examples (Fig. 2: 21 vs 12 hops) count the full occupancy,
+	// which is where Fast-LRU's structural win lives at any load level.
+	// Averages sum in benchmark order.
 	avgOf := func(scheme string, occ bool) float64 {
 		var s float64
-		for _, b := range names {
-			for _, c := range byBench[b] {
-				if c.Scheme == scheme {
-					if occ {
-						s += c.OccLat
-					} else {
-						s += c.AvgLat
-					}
-				}
+		for i, r := range runs {
+			if schemes[i%len(schemes)].Name != scheme {
+				continue
+			}
+			if occ {
+				s += r.AvgOccupancy
+			} else {
+				s += r.AvgLatency
 			}
 		}
-		return s / float64(len(names))
+		return s / float64(len(runs)/len(schemes))
 	}
 	uLRU, uFast := avgOf("unicast+LRU", false), avgOf("unicast+fastLRU", false)
 	mPromo, mFast := avgOf("multicast+promotion", false), avgOf("multicast+fastLRU", false)
@@ -158,10 +150,11 @@ func (rows Fig8Rows) Render(w io.Writer) {
 		100*(uFasto-uLRUo)/uLRUo)
 }
 
-// Fig9Rows renders the normalized-IPC matrix of Figure 9.
-type Fig9Rows []Fig9Cell
-
-func (rows Fig9Rows) Render(w io.Writer) {
+// renderFig9 prints the normalized-IPC matrix of Figure 9: each
+// benchmark's IPCs relative to Design A on the same benchmark, plus the
+// tail view the averages hide — halo designs shorten the tail, not just
+// the mean.
+func renderFig9(w io.Writer, _ ExpConfig, runs []Result) {
 	fmt.Fprintf(w, "%-9s", "benchmark")
 	for _, d := range config.Designs() {
 		fmt.Fprintf(w, "   %s  ", d.ID)
@@ -172,19 +165,26 @@ func (rows Fig9Rows) Render(w io.Writer) {
 	p99s := map[string]int64{}
 	count := 0
 	var cur string
-	for _, c := range rows {
-		if c.Benchmark != cur {
+	var baseIPC float64
+	for _, r := range runs {
+		if r.Options.Benchmark != cur {
 			if cur != "" {
 				fmt.Fprintln(w)
 			}
-			fmt.Fprintf(w, "%-9s", c.Benchmark)
-			cur = c.Benchmark
+			fmt.Fprintf(w, "%-9s", r.Options.Benchmark)
+			cur = r.Options.Benchmark
 			count++
 		}
-		fmt.Fprintf(w, " %5.3f", c.NormalizedIPC)
-		sums[c.DesignID] += c.NormalizedIPC
-		p50s[c.DesignID] += c.P50
-		p99s[c.DesignID] += c.P99
+		// Each benchmark's block leads with Design A: its IPC is the
+		// block's base.
+		if r.Design.ID == "A" {
+			baseIPC = r.IPC
+		}
+		norm := r.IPC / baseIPC
+		fmt.Fprintf(w, " %5.3f", norm)
+		sums[r.Design.ID] += norm
+		p50s[r.Design.ID] += r.Latency.Percentile(0.50)
+		p99s[r.Design.ID] += r.Latency.Percentile(0.99)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-9s", "avg")
@@ -192,9 +192,9 @@ func (rows Fig9Rows) Render(w io.Writer) {
 		fmt.Fprintf(w, " %5.3f", sums[d.ID]/float64(count))
 	}
 	fmt.Fprintln(w, "\n(paper avgs: A 1.00, B ~1.00, C 0.86, D 0.88, E 1.12, F 1.13)")
-	// Tail view: per-design access-latency percentiles averaged over the
-	// benchmarks (mean of the per-run percentile estimates, not the
-	// percentile of a pooled distribution).
+	// Per-design access-latency percentiles averaged over the benchmarks
+	// (mean of the per-run percentile estimates, not the percentile of a
+	// pooled distribution).
 	k := int64(count)
 	fmt.Fprintf(w, "%-9s", "p50 avg")
 	for _, d := range config.Designs() {
@@ -220,35 +220,26 @@ func (h Headline) Render(w io.Writer) {
 		100*h.InterconnectAreaRatio)
 }
 
-// EnergyRows renders the per-design energy comparison; Bench and Scheme
-// caption what the cells measured.
-type EnergyRows struct {
-	Bench  string
-	Scheme string
-	Cells  []EnergyCell
-}
-
-func (rows EnergyRows) Render(w io.Writer) {
-	fmt.Fprintf(w, "design    nJ/access   network%%   banks%%   memory%%     IPC   (%s, %s)\n", rows.Bench, rows.Scheme)
-	for _, c := range rows.Cells {
-		r := c.Report
+// renderEnergy prints the per-design energy comparison, captioned with
+// the benchmark and scheme the runs measured.
+func renderEnergy(w io.Writer, cfg ExpConfig, runs []Result) {
+	fmt.Fprintf(w, "design    nJ/access   network%%   banks%%   memory%%     IPC   (%s, %s)\n", cfg.bench(), schemeLabel(cfg))
+	for _, r := range runs {
+		e := r.Energy
 		fmt.Fprintf(w, "  %s       %7.2f      %5.1f    %5.1f     %5.1f   %5.3f\n",
-			c.DesignID, r.PerAccessNJ(), 100*r.NetworkShare(),
-			100*r.BankPJ/r.TotalPJ(), 100*r.MemoryPJ/r.TotalPJ(), c.IPC)
+			r.Design.ID, e.PerAccessNJ(), 100*e.NetworkShare(),
+			100*e.BankPJ/e.TotalPJ(), 100*e.MemoryPJ/e.TotalPJ(), r.IPC)
 	}
 }
 
-// PowerRows renders the power-gating operating points.
-type PowerRows struct {
-	Bench string
-	Cells []PowerCell
-}
-
-func (rows PowerRows) Render(w io.Writer) {
-	fmt.Fprintf(w, "ways on   capacity   hit rate     IPC   nJ/access   (%s, Design A columns gated from the far end)\n", rows.Bench)
-	for _, c := range rows.Cells {
+// renderPower prints the power-gating operating points: the banks kept
+// powered per column and the capacity left come from each run's gated
+// design.
+func renderPower(w io.Writer, cfg ExpConfig, runs []Result) {
+	fmt.Fprintf(w, "ways on   capacity   hit rate     IPC   nJ/access   (%s, Design A columns gated from the far end)\n", cfg.bench())
+	for _, r := range runs {
 		fmt.Fprintf(w, "   %2d      %5d KB    %5.1f%%   %5.3f     %7.2f\n",
-			c.WaysOn, c.CapacityKB, 100*c.HitRate, c.IPC, c.Energy.PerAccessNJ())
+			len(r.Design.Banks), r.Design.CapacityKB(), 100*r.HitRate, r.IPC, r.Energy.PerAccessNJ())
 	}
 }
 
@@ -273,16 +264,11 @@ func (rows ParetoRows) Render(w io.Writer) {
 	fmt.Fprintln(w, "('*' = on the area/latency/energy frontier: no point is better on all three axes)")
 }
 
-// TelemetryRows renders the probe comparison; callers wanting the raw
-// traces (paperbench's -trace flag) type-assert the Rows to this type
-// and read each run's Result.Telemetry.
-type TelemetryRows []TelemetryRun
-
-func (rows TelemetryRows) Render(w io.Writer) {
-	for _, tr := range rows {
-		r := tr.Result
+// renderTelemetry prints each design's latency summary and probe views.
+func renderTelemetry(w io.Writer, _ ExpConfig, runs []Result) {
+	for _, r := range runs {
 		fmt.Fprintf(w, "-- design %s: IPC %.4f, avg latency %.1f, p50 %d, p99 %d, max %d\n",
-			tr.DesignID, r.IPC, r.AvgLatency,
+			r.Design.ID, r.IPC, r.AvgLatency,
 			r.Latency.Percentile(0.50), r.Latency.Percentile(0.99), r.Latency.MaxLat)
 		if tel := r.Telemetry; tel != nil {
 			if tel.Heat != nil {
@@ -295,21 +281,33 @@ func (rows TelemetryRows) Render(w io.Writer) {
 	}
 }
 
-// Render writes the sharing-contention table and the largest run's
-// link-traffic view (on hierarchical designs that includes the
-// inter-chiplet bridge hops).
-func (r CMPResult) Render(w io.Writer) {
+// renderCMP prints the sharing-contention table — aggregate and per-core
+// throughput, the tail latency, the mean fraction of issues homed on
+// another controller (the traffic the fabric and, on hierarchical
+// designs, the bridge ring carries) and the fraction of capacity
+// evictions where one core's block was pushed out by another core's
+// access (from the directory policy's ownership matrix) — then the
+// largest run's link-traffic view.
+func renderCMP(w io.Writer, _ ExpConfig, runs []Result) {
 	fmt.Fprintf(w, "%5s %10s %10s %9s %8s %7s %8s %9s\n",
 		"cores", "IPC", "IPC/core", "hit rate", "avg lat", "p99", "remote", "x-evict")
-	for _, c := range r.Cells {
+	for _, r := range runs {
+		k := float64(len(r.Cores))
+		var remote, crossDrop float64
+		for _, c := range r.Cores {
+			remote += c.RemoteShare / k
+		}
+		if d := r.Directory; d != nil && d.SelfDrops+d.CrossDrops > 0 {
+			crossDrop = float64(d.CrossDrops) / float64(d.SelfDrops+d.CrossDrops)
+		}
 		fmt.Fprintf(w, "%5d %10.4f %10.4f %8.1f%% %8.1f %7d %7.0f%% %8.0f%%\n",
-			c.Cores, c.IPC, c.PerCoreIPC, 100*c.HitRate, c.AvgLat, c.P99,
-			100*c.RemoteShare, 100*c.CrossDropShare)
+			r.Options.Cores, r.IPC, r.IPC/k, 100*r.HitRate, r.AvgLatency, r.Latency.Percentile(0.99),
+			100*remote, 100*crossDrop)
 	}
-	if r.Heat != nil && len(r.Cells) > 0 {
-		fmt.Fprintf(w, "\nlink heatmap, %d-core run (bridge-ring hops included):\n",
-			r.Cells[len(r.Cells)-1].Cores)
-		r.Heat.RenderLinks(w, 16)
+	last := runs[len(runs)-1]
+	if tel := last.Telemetry; tel != nil && tel.Heat != nil {
+		fmt.Fprintf(w, "\nlink heatmap, %d-core run (bridge-ring hops included):\n", last.Options.Cores)
+		tel.Heat.RenderLinks(w, 16)
 	}
 }
 
@@ -348,27 +346,18 @@ func init() {
 	RegisterExperiment(Experiment{
 		Name: "f7", About: "Figure 7 latency split of the unicast LRU baseline",
 		Title: staticTitle("Figure 7: L2 access latency split, unicast LRU, Design A"), InAll: true,
-		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			rows, rep, err := Fig7(cfg)
-			return Fig7Rows(rows), rep, err
-		},
+		Run: sweepExperiment(fig7Jobs, renderFig7),
 	})
 	RegisterExperiment(Experiment{
 		Name: "f8", About: "Figure 8 access latency across the five replacement schemes",
 		Title: staticTitle("Figure 8: access latency by scheme, Design A"), InAll: true,
-		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			cells, rep, err := Fig8(cfg)
-			return Fig8Rows(cells), rep, err
-		},
+		Run: sweepExperiment(fig8Jobs, renderFig8),
 	})
 	RegisterExperiment(Experiment{
 		Name: "f9", About: "Figure 9 normalized IPC across designs A-F",
 		Title: func(cfg ExpConfig) string { return "Figure 9: normalized IPC by design, " + schemeLabel(cfg) },
 		InAll: true,
-		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			cells, rep, err := Fig9(cfg)
-			return Fig9Rows(cells), rep, err
-		},
+		Run:   sweepExperiment(fig9Jobs, renderFig9),
 	})
 	RegisterExperiment(Experiment{
 		Name: "headline", About: "abstract's headline claims, recomputed",
@@ -381,18 +370,12 @@ func init() {
 	RegisterExperiment(Experiment{
 		Name: "energy", About: "per-design energy estimate (extension: the paper's stated future work)",
 		Title: staticTitle("Energy comparison (extension: the paper's stated future work)"), InAll: true,
-		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			cells, rep, err := EnergyComparison(cfg, cfg.bench())
-			return EnergyRows{Bench: cfg.bench(), Scheme: schemeLabel(cfg), Cells: cells}, rep, err
-		},
+		Run: sweepExperiment(energyJobs, renderEnergy),
 	})
 	RegisterExperiment(Experiment{
 		Name: "power", About: "power-gating sweep (extension: on-demand power control)",
 		Title: staticTitle("Power-gating sweep (extension: the paper's on-demand power control)"), InAll: true,
-		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			cells, rep, err := PowerGatingSweep(cfg, cfg.bench())
-			return PowerRows{Bench: cfg.bench(), Cells: cells}, rep, err
-		},
+		Run: sweepExperiment(powerJobs, renderPower),
 	})
 	RegisterExperiment(Experiment{
 		Name: "pareto", About: "router engine x design x scheme cost/performance frontier",
@@ -411,14 +394,7 @@ func init() {
 			return "Telemetry: spatial and temporal view, designs A / D / F on " + cfg.bench() + ", " + schemeLabel(cfg)
 		},
 		InAll: false, // runs when named or when probe flags are set
-		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			tcfg := cfg.Telemetry
-			if !tcfg.Enabled() {
-				tcfg = telemetry.Config{Heatmap: true, SampleEvery: 200}
-			}
-			runs, rep, err := TelemetryCompare(cfg, cfg.bench(), tcfg)
-			return TelemetryRows(runs), rep, err
-		},
+		Run:   sweepExperiment(telemetryJobs, renderTelemetry),
 	})
 	RegisterExperiment(Experiment{
 		Name: "cmp", About: "sharing-contention sweep: 1-8 cores on the two-chiplet hierarchy (extension: the paper's CMP future work)",
@@ -427,9 +403,6 @@ func init() {
 				cfg.bench() + ", directory policy, 1-8 cores"
 		},
 		InAll: false, // CMP fabric study; runs when named
-		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			res, rep, err := CMPSharing(cfg, "H2", cfg.bench())
-			return res, rep, err
-		},
+		Run:   sweepExperiment(cmpJobs, renderCMP),
 	})
 }

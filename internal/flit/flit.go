@@ -79,9 +79,6 @@ func (k Kind) Flits() int {
 	}
 }
 
-// CarriesBlock reports whether the packet payload includes cache-block data.
-func (k Kind) CarriesBlock() bool { return k.Flits() == BlockFlits }
-
 // Payload is the closed set of protocol message types a Packet may
 // carry. The network treats payloads as opaque; the marker method keeps
 // the set explicit and typed — every payload producer (the cache
@@ -168,14 +165,4 @@ type Flit struct {
 	Seq  int // 0-based position within the packet
 	Head bool
 	Tail bool
-}
-
-// Flitize splits a packet into its flits in order.
-func Flitize(p *Packet) []Flit {
-	n := p.Flits()
-	fs := make([]Flit, n)
-	for i := 0; i < n; i++ {
-		fs[i] = Flit{Pkt: p, Seq: i, Head: i == 0, Tail: i == n-1}
-	}
-	return fs
 }

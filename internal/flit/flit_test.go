@@ -11,17 +11,11 @@ func TestKindFlits(t *testing.T) {
 		if k.Flits() != 1 {
 			t.Errorf("%v.Flits() = %d, want 1", k, k.Flits())
 		}
-		if k.CarriesBlock() {
-			t.Errorf("%v should not carry a block", k)
-		}
 	}
 	fiveFlit := []Kind{WriteData, ReplaceBlock, BlockToMRU, HitData, MemBlock, DataToCore, WriteBack}
 	for _, k := range fiveFlit {
 		if k.Flits() != BlockFlits {
 			t.Errorf("%v.Flits() = %d, want %d", k, k.Flits(), BlockFlits)
-		}
-		if !k.CarriesBlock() {
-			t.Errorf("%v should carry a block", k)
 		}
 	}
 }
@@ -37,39 +31,6 @@ func TestKindStringsUnique(t *testing.T) {
 			t.Errorf("duplicate kind name %q", s)
 		}
 		seen[s] = true
-	}
-}
-
-func TestFlitize(t *testing.T) {
-	p := &Packet{ID: 9, Kind: HitData}
-	fs := Flitize(p)
-	if len(fs) != BlockFlits {
-		t.Fatalf("len = %d, want %d", len(fs), BlockFlits)
-	}
-	if !fs[0].Head || fs[0].Tail {
-		t.Error("first flit must be head only")
-	}
-	if !fs[len(fs)-1].Tail || fs[len(fs)-1].Head {
-		t.Error("last flit must be tail only")
-	}
-	for i, f := range fs {
-		if f.Seq != i {
-			t.Errorf("flit %d has Seq %d", i, f.Seq)
-		}
-		if f.Pkt != p {
-			t.Errorf("flit %d lost packet pointer", i)
-		}
-	}
-}
-
-func TestFlitizeSingle(t *testing.T) {
-	p := &Packet{Kind: ReadReq}
-	fs := Flitize(p)
-	if len(fs) != 1 {
-		t.Fatalf("len = %d, want 1", len(fs))
-	}
-	if !fs[0].Head || !fs[0].Tail {
-		t.Error("single flit must be both head and tail")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"nucanet/internal/flit"
 	"nucanet/internal/routing"
 	"nucanet/internal/sim"
-	"nucanet/internal/telemetry"
 	"nucanet/internal/topology"
 )
 
@@ -43,26 +42,11 @@ import (
 // are expanded at the source instead: Inject mints one unicast replica
 // per distinct column router, each routed and delivered independently.
 type Bufferless struct {
-	ID   topology.NodeID
-	cfg  Config
-	topo *topology.Topology
-	tb   *routing.Table
-	k    *sim.Kernel
-	kid  int
+	base // occ weights buffered units by Flits
 
-	numPorts   int        // neighbor ports (injection is index numPorts)
-	in         []flitRing // per-port unit latches; injection queue is unbounded
-	neighbor   []*Bufferless
-	neighborIn []int
-	linkDelay  []int
-	wired      []int // wired out-port indices, ascending
-
-	deliver func(*flit.Packet, int64)
-	pool    *flit.PacketPool
-	tel     *telemetry.Collector
-
-	occ   int // flits buffered here (units weighted by Flits)
-	stats Stats
+	in       []flitRing // per-port unit latches; injection queue is unbounded
+	neighbor []*Bufferless
+	wired    []int // wired out-port indices, ascending
 
 	// Per-cycle scratch, reused — the hot path allocates nothing.
 	cand    []blCand
@@ -115,19 +99,15 @@ func bufferlessSupports(topo *topology.Topology, _ Config) error {
 }
 
 func newBufferless(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) *Bufferless {
-	cfg = cfg.withDefaults()
-	np := topo.NumPorts(id)
-	b := &Bufferless{
-		ID: id, cfg: cfg, topo: topo, tb: tb, k: k,
-		numPorts:   np,
-		in:         ar.ringSlab(np + 1),
-		neighbor:   make([]*Bufferless, np),
-		neighborIn: ar.intSlab(np),
-		linkDelay:  ar.intSlab(np),
-		cand:       make([]blCand, 0, np+1),
-		outUsed:    ar.boolSlab(np),
+	b := newBase(id, topo, tb, cfg, k, ar)
+	np := b.numPorts
+	return &Bufferless{
+		base:     b,
+		in:       ar.ringSlab(np + 1),
+		neighbor: make([]*Bufferless, np),
+		cand:     make([]blCand, 0, np+1),
+		outUsed:  ar.boolSlab(np),
 	}
-	return b
 }
 
 // Wire connects out-port p to neighbor n and records it in the wired-port
@@ -147,25 +127,6 @@ func (b *Bufferless) Wire(p int, n Engine, np, delay int) {
 		}
 	}
 }
-
-// SetDeliver installs the local ejection callback.
-func (b *Bufferless) SetDeliver(f func(*flit.Packet, int64)) { b.deliver = f }
-
-// SetKernelID records the component id for activations.
-func (b *Bufferless) SetKernelID(id int) { b.kid = id }
-
-// SetTelemetry installs the probe collector (nil disables all probes).
-func (b *Bufferless) SetTelemetry(c *telemetry.Collector) { b.tel = c }
-
-// SetPool installs the packet freelist for source-expanded multicast
-// replicas; nil falls back to plain allocation.
-func (b *Bufferless) SetPool(p *flit.PacketPool) { b.pool = p }
-
-// Stats returns a copy of the router's counters.
-func (b *Bufferless) Stats() Stats { return b.stats }
-
-// Occupancy returns the flits buffered here, injection queue included.
-func (b *Bufferless) Occupancy() int { return b.occ }
 
 // Inject queues a packet at the injection interface. PathDeliver packets
 // are expanded here into one unicast replica per distinct column router

@@ -6,7 +6,6 @@ import (
 	"nucanet/internal/flit"
 	"nucanet/internal/routing"
 	"nucanet/internal/sim"
-	"nucanet/internal/telemetry"
 	"nucanet/internal/topology"
 )
 
@@ -35,25 +34,10 @@ const ringLatchCap = 2
 // every visited router, so a same-column stop hands the local bank its
 // copy directly — no stolen VCs needed.
 type RingLite struct {
-	ID   topology.NodeID
-	cfg  Config
-	topo *topology.Topology
-	tb   *routing.Table
-	k    *sim.Kernel
-	kid  int
+	base // occ weights buffered units by Flits
 
-	numPorts   int        // neighbor ports (injection is index numPorts)
-	in         []flitRing // per-port unit latches; injection queue is unbounded
-	neighbor   []*RingLite
-	neighborIn []int
-	linkDelay  []int
-
-	deliver func(*flit.Packet, int64)
-	pool    *flit.PacketPool
-	tel     *telemetry.Collector
-
-	occ   int // flits buffered here (units weighted by Flits)
-	stats Stats
+	in       []flitRing // per-port unit latches; injection queue is unbounded
+	neighbor []*RingLite
 
 	usedIn []bool // per-cycle scratch: input ports already granted
 }
@@ -70,16 +54,13 @@ func init() {
 }
 
 func newRingLite(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) *RingLite {
-	cfg = cfg.withDefaults()
-	np := topo.NumPorts(id)
+	b := newBase(id, topo, tb, cfg, k, ar)
+	np := b.numPorts
 	return &RingLite{
-		ID: id, cfg: cfg, topo: topo, tb: tb, k: k,
-		numPorts:   np,
-		in:         ar.ringSlab(np + 1),
-		neighbor:   make([]*RingLite, np),
-		neighborIn: ar.intSlab(np),
-		linkDelay:  ar.intSlab(np),
-		usedIn:     ar.boolSlab(np + 1),
+		base:     b,
+		in:       ar.ringSlab(np + 1),
+		neighbor: make([]*RingLite, np),
+		usedIn:   ar.boolSlab(np + 1),
 	}
 }
 
@@ -93,25 +74,6 @@ func (r *RingLite) Wire(p int, n Engine, np, delay int) {
 	r.neighborIn[p] = np
 	r.linkDelay[p] = delay
 }
-
-// SetDeliver installs the local ejection callback.
-func (r *RingLite) SetDeliver(f func(*flit.Packet, int64)) { r.deliver = f }
-
-// SetKernelID records the component id for activations.
-func (r *RingLite) SetKernelID(id int) { r.kid = id }
-
-// SetTelemetry installs the probe collector (nil disables all probes).
-func (r *RingLite) SetTelemetry(c *telemetry.Collector) { r.tel = c }
-
-// SetPool installs the packet freelist for multicast replicas; nil falls
-// back to plain allocation.
-func (r *RingLite) SetPool(p *flit.PacketPool) { r.pool = p }
-
-// Stats returns a copy of the router's counters.
-func (r *RingLite) Stats() Stats { return r.stats }
-
-// Occupancy returns the flits buffered here, injection queue included.
-func (r *RingLite) Occupancy() int { return r.occ }
 
 // Inject queues a packet at the injection interface (unbounded: the NI is
 // the source).

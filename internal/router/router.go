@@ -146,6 +146,32 @@ type outState struct {
 // Router is one node of the interconnect. Wire one with the network
 // package; it is a sim.Component ticked on active cycles.
 type Router struct {
+	base
+
+	in  [][]*vcState // [port][vc]; last port is injection
+	out []*outState  // [neighbor port]
+
+	neighbor   []*Router // per out port, nil if no link
+	upstream   []*Router // per in port, nil if none feeds it
+	upstreamOP []int     // upstream's out-port index
+
+	rrOut  []int // round-robin pointer per output (incl. eject)
+	injVC  int   // round-robin injection VC
+	replRR int
+
+	// Hot-path state, all reused across cycles.
+	portOcc []int      // flits buffered per input port
+	usedIn  []bool     // per-cycle switch-allocation scratch
+	reqMask [][]uint64 // [neighbor out][bit pi*VCs+vi]: VCs routed to that output
+}
+
+// base is the plumbing the three engines share: identity, the routing
+// table and kernel handles, the per-out-port link wiring, the ejection
+// callback, the replica pool, the probe collector, and the counters.
+// Engines embed it by value — no extra heap object, no pointer hop on the
+// hot path — and keep their own buffers, typed neighbor pointers, Wire,
+// Inject and Tick.
+type base struct {
 	ID   topology.NodeID
 	cfg  Config
 	topo *topology.Topology
@@ -153,32 +179,49 @@ type Router struct {
 	k    *sim.Kernel
 	kid  int
 
-	numPorts int          // neighbor ports (injection is index numPorts)
-	in       [][]*vcState // [port][vc]; last port is injection
-	out      []*outState  // [neighbor port]
-
-	neighbor   []*Router // per out port, nil if no link
-	neighborIn []int     // in-port index at the neighbor
-	linkDelay  []int
-	upstream   []*Router // per in port, nil if none feeds it
-	upstreamOP []int     // upstream's out-port index
+	numPorts   int   // neighbor ports (injection is index numPorts)
+	neighborIn []int // per out port: in-port index at the neighbor
+	linkDelay  []int // per out port
 
 	deliver func(*flit.Packet, int64)
-
-	rrOut  []int // round-robin pointer per output (incl. eject)
-	injVC  int   // round-robin injection VC
-	replRR int
-
-	// Hot-path state, all reused across cycles.
-	occ     int        // flits buffered anywhere in the router
-	portOcc []int      // flits buffered per input port
-	usedIn  []bool     // per-cycle switch-allocation scratch
-	reqMask [][]uint64 // [neighbor out][bit pi*VCs+vi]: VCs routed to that output
 	pool    *flit.PacketPool
+	tel     *telemetry.Collector // nil when probes are disabled
 
+	occ   int // flits buffered here, injection queue included
 	stats Stats
-	tel   *telemetry.Collector // nil when probes are disabled
 }
+
+// newBase fills the shared part of an unwired engine; a nil arena
+// allocates the port slices directly.
+func newBase(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) base {
+	np := topo.NumPorts(id)
+	return base{
+		ID: id, cfg: cfg.withDefaults(), topo: topo, tb: tb, k: k,
+		numPorts:   np,
+		neighborIn: ar.intSlab(np),
+		linkDelay:  ar.intSlab(np),
+	}
+}
+
+// SetDeliver installs the local ejection callback.
+func (b *base) SetDeliver(f func(*flit.Packet, int64)) { b.deliver = f }
+
+// SetKernelID records the component id for activations.
+func (b *base) SetKernelID(id int) { b.kid = id }
+
+// SetTelemetry installs the probe collector (nil disables all probes).
+func (b *base) SetTelemetry(c *telemetry.Collector) { b.tel = c }
+
+// SetPool installs the packet freelist for multicast replicas. The
+// network installs one shared pool per run; a nil pool (the default for
+// unwired routers) falls back to plain allocation.
+func (b *base) SetPool(p *flit.PacketPool) { b.pool = p }
+
+// Stats returns a copy of the router's counters.
+func (b *base) Stats() Stats { return b.stats }
+
+// Occupancy returns the flits buffered here, injection queue included.
+func (b *base) Occupancy() int { return b.occ }
 
 // New creates an unwired router; the network package connects neighbors,
 // sets the deliver callback, and registers it with the kernel. Routers
@@ -187,14 +230,11 @@ type Router struct {
 // of the topology family. A non-nil arena supplies the backing storage
 // for every construction-time slice (see Arena); nil allocates directly.
 func New(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) *Router {
-	cfg = cfg.withDefaults()
-	np := topo.NumPorts(id)
+	b := newBase(id, topo, tb, cfg, k, ar)
+	cfg, np := b.cfg, b.numPorts
 	r := &Router{
-		ID: id, cfg: cfg, topo: topo, tb: tb, k: k,
-		numPorts:   np,
+		base:       b,
 		neighbor:   make([]*Router, np),
-		neighborIn: ar.intSlab(np),
-		linkDelay:  ar.intSlab(np),
 		upstream:   make([]*Router, np+1),
 		upstreamOP: ar.intSlab(np + 1),
 		rrOut:      ar.intSlab(np + 1),
@@ -254,23 +294,6 @@ func (r *Router) Wire(p int, n Engine, np, delay int) {
 	nb.upstreamOP[np] = p
 }
 
-// SetDeliver installs the local ejection callback.
-func (r *Router) SetDeliver(f func(*flit.Packet, int64)) { r.deliver = f }
-
-// SetKernelID records the component id for activations.
-func (r *Router) SetKernelID(id int) { r.kid = id }
-
-// SetTelemetry installs the probe collector (nil disables all probes).
-func (r *Router) SetTelemetry(c *telemetry.Collector) { r.tel = c }
-
-// SetPool installs the packet freelist for multicast replicas. The
-// network installs one shared pool per run; a nil pool (the default for
-// unwired routers) falls back to plain allocation.
-func (r *Router) SetPool(p *flit.PacketPool) { r.pool = p }
-
-// Stats returns a copy of the router's counters.
-func (r *Router) Stats() Stats { return r.stats }
-
 // resetRoute clears a VC's routing state, removing it from its output's
 // request mask.
 func (r *Router) resetRoute(v *vcState) {
@@ -309,10 +332,6 @@ func (r *Router) Inject(p *flit.Packet, now int64) {
 	}
 	r.k.Activate(r.kid)
 }
-
-// Occupancy returns the number of flits buffered in the router (all input
-// VCs including injection).
-func (r *Router) Occupancy() int { return r.occ }
 
 const ejectOut = 1 << 20 // sentinel route value for local ejection
 

@@ -52,9 +52,6 @@ func Precompute(t *topology.Topology, alg Algorithm) (*Table, error) {
 // Name returns the underlying algorithm's name.
 func (tb *Table) Name() string { return tb.base.Name() }
 
-// Base returns the algorithm the table was precomputed from.
-func (tb *Table) Base() Algorithm { return tb.base }
-
 // NextPort is a flat table lookup; the topology argument is ignored (the
 // table was built for exactly one topology).
 func (tb *Table) NextPort(_ *topology.Topology, cur, dst topology.NodeID) (int, bool) {

@@ -60,7 +60,7 @@ func TestPrecomputeIdempotent(t *testing.T) {
 	if tb2 != tb {
 		t.Fatal("Precompute of a *Table built a new table")
 	}
-	if _, ok := tb.Base().(XY); !ok {
-		t.Fatalf("Base: got %T, want XY", tb.Base())
+	if _, ok := tb.base.(XY); !ok {
+		t.Fatalf("base: got %T, want XY", tb.base)
 	}
 }

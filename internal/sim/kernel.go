@@ -105,10 +105,8 @@ type Kernel struct {
 	next    []int  // ids scheduled for the next cycle (unsorted)
 	spare   []int  // retired cycle list, reused as the following next
 	events  eventHeap
-	defers  []func()
 	incrs   []*int // deferred counter increments (see DeferIncr)
 	seq     int
-	ticks   uint64
 }
 
 // NewKernel returns an empty kernel at cycle 0.
@@ -128,12 +126,6 @@ func (k *Kernel) Register(c Component) int {
 // Now returns the current cycle.
 func (k *Kernel) Now() int64 {
 	return k.now
-}
-
-// Ticks returns the total number of component ticks executed, a measure of
-// simulation work (not wall time).
-func (k *Kernel) Ticks() uint64 {
-	return k.ticks
 }
 
 // Activate schedules component id to tick on the next cycle. Safe to call
@@ -156,17 +148,10 @@ func (k *Kernel) WakeAt(t int64, id int) {
 	k.events.push(event{at: t, seq: k.seq, id: id})
 }
 
-// Defer runs f after all components have ticked in the current cycle.
-// Used to commit state that must only become visible on the following
-// cycle. Each call captures a closure; hot paths deferring a bare counter
-// bump should use DeferIncr instead.
-func (k *Kernel) Defer(f func()) {
-	k.defers = append(k.defers, f)
-}
-
 // DeferIncr increments *ctr after all components have ticked in the
-// current cycle — the allocation-free form of Defer for credit returns
-// and similar end-of-cycle counter commits.
+// current cycle, so the new value only becomes visible on the following
+// cycle — credit returns and similar end-of-cycle counter commits. It
+// records a pointer, never a closure, so the hot path allocates nothing.
 func (k *Kernel) DeferIncr(ctr *int) {
 	k.incrs = append(k.incrs, ctr)
 }
@@ -212,7 +197,6 @@ func (k *Kernel) Step() bool {
 			continue
 		}
 		prev = id
-		k.ticks++
 		if k.comps[id].Tick(k.now) {
 			k.Activate(id)
 		}
@@ -223,12 +207,6 @@ func (k *Kernel) Step() bool {
 			(*ctr)++
 		}
 		k.incrs = k.incrs[:0]
-	}
-	if len(k.defers) > 0 {
-		for _, f := range k.defers {
-			f()
-		}
-		k.defers = k.defers[:0]
 	}
 	return true
 }

@@ -38,9 +38,3 @@ func (r *RNG) Intn(n int) int {
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
-
-// Fork derives an independent generator; used to give each subsystem its
-// own stream so adding draws in one place does not perturb another.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64() ^ 0xd1b54a32d192ed03)
-}

@@ -95,15 +95,3 @@ func (h *Histogram) Percentile(q float64) int64 {
 	}
 	return histUpper(histBuckets - 1)
 }
-
-// Buckets returns the non-empty buckets as (upper bound, count) pairs in
-// ascending value order — for tests and external renderers.
-func (h *Histogram) Buckets() (uppers []int64, counts []int64) {
-	for b, c := range h.counts {
-		if c != 0 {
-			uppers = append(uppers, histUpper(b))
-			counts = append(counts, c)
-		}
-	}
-	return uppers, counts
-}

@@ -12,13 +12,12 @@ func TestHistogramExactBelow32(t *testing.T) {
 	for v := int64(0); v < 32; v++ {
 		h.Record(v)
 	}
-	uppers, counts := h.Buckets()
-	if len(uppers) != 32 {
-		t.Fatalf("got %d buckets, want 32 exact ones", len(uppers))
-	}
-	for i, u := range uppers {
-		if u != int64(i) || counts[i] != 1 {
-			t.Errorf("bucket %d: upper=%d count=%d, want upper=%d count=1", i, u, counts[i], i)
+	for b, c := range h.counts {
+		switch {
+		case b < 32 && (histUpper(b) != int64(b) || c != 1):
+			t.Errorf("bucket %d: upper=%d count=%d, want upper=%d count=1", b, histUpper(b), c, b)
+		case b >= 32 && c != 0:
+			t.Errorf("bucket %d holds %d values, want the 32 exact buckets only", b, c)
 		}
 	}
 }

@@ -13,9 +13,6 @@ type Breakdown struct {
 	Memory  int64
 }
 
-// Total returns the summed cycles.
-func (b Breakdown) Total() int64 { return b.Bank + b.Network + b.Memory }
-
 // Latency accumulates access latencies for one run.
 type Latency struct {
 	Count  int64

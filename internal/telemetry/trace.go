@@ -61,10 +61,6 @@ func (t *Trace) add(now int64, ev EventType, pkt *flit.Packet, seq, node, port, 
 // Len returns the number of buffered events.
 func (t *Trace) Len() int { return len(t.events) }
 
-// Events returns the buffered events in emission order (shared slice —
-// read only).
-func (t *Trace) Events() []Event { return t.events }
-
 // WriteJSONL serializes the trace as one JSON object per line with a
 // fixed field order, so equal traces produce byte-identical output:
 //

@@ -215,75 +215,6 @@ func (g *Synthetic) geom(mean float64) int64 {
 	return n
 }
 
-// Uniform generates uniformly random block accesses over a working set —
-// a stress generator for protocol and network tests.
-type Uniform struct {
-	am        AddrMap
-	rng       *sim.RNG
-	tags      int
-	writeFrac float64
-	gap       int64
-}
-
-// NewUniform builds a uniform generator touching `tags` distinct tags per
-// set with the given write fraction and fixed instruction gap.
-func NewUniform(am AddrMap, tags int, writeFrac float64, gap int64, seed uint64) *Uniform {
-	if tags < 1 {
-		panic("trace: NewUniform needs tags >= 1")
-	}
-	return &Uniform{am: am, rng: sim.NewRNG(seed), tags: tags, writeFrac: writeFrac, gap: gap}
-}
-
-// Next produces the next access.
-func (u *Uniform) Next() Access {
-	return Access{
-		Addr:  u.am.Compose(uint64(u.rng.Intn(u.tags)+1), u.rng.Intn(u.am.Sets), u.rng.Intn(u.am.Columns)),
-		Write: u.rng.Bool(u.writeFrac),
-		Gap:   u.gap,
-	}
-}
-
-// Sequential streams through blocks in address order — the pathological
-// no-reuse workload (every access a compulsory miss once past the cache).
-type Sequential struct {
-	am   AddrMap
-	next uint64
-	gap  int64
-}
-
-// NewSequential builds a sequential streamer.
-func NewSequential(am AddrMap, gap int64) *Sequential {
-	return &Sequential{am: am, gap: gap, next: 0}
-}
-
-// Next produces the next access.
-func (s *Sequential) Next() Access {
-	a := Access{Addr: s.next << BlockShift, Gap: s.gap}
-	s.next++
-	return a
-}
-
-// Slice replays a fixed access slice (loaded traces, tests).
-type Slice struct {
-	acc []Access
-	i   int
-}
-
-// NewSlice wraps a slice; Next wraps around at the end.
-func NewSlice(acc []Access) *Slice {
-	if len(acc) == 0 {
-		panic("trace: empty slice")
-	}
-	return &Slice{acc: acc}
-}
-
-// Next produces the next access, cycling.
-func (s *Slice) Next() Access {
-	a := s.acc[s.i]
-	s.i = (s.i + 1) % len(s.acc)
-	return a
-}
-
 // Take drains n accesses from a generator into a slice.
 func Take(g Generator, n int) []Access {
 	out := make([]Access, n)

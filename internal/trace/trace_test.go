@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -257,84 +256,5 @@ func TestSetsPerColumnClampsToSets(t *testing.T) {
 		if s := am.SetOf(a.Addr); s >= 8 {
 			t.Fatalf("set %d out of range", s)
 		}
-	}
-}
-
-func TestUniformGenerator(t *testing.T) {
-	am := am16()
-	g := NewUniform(am, 8, 0.3, 10, 5)
-	acc := Take(g, 5000)
-	cols := map[int]int{}
-	for _, a := range acc {
-		if a.Gap != 10 {
-			t.Fatal("gap must be fixed")
-		}
-		if tag := am.TagOf(a.Addr); tag < 1 || tag > 8 {
-			t.Fatalf("tag %d out of range", tag)
-		}
-		cols[am.ColumnOf(a.Addr)]++
-	}
-	if len(cols) != 16 {
-		t.Fatalf("uniform generator touched %d columns, want 16", len(cols))
-	}
-}
-
-func TestSequentialGenerator(t *testing.T) {
-	g := NewSequential(am16(), 4)
-	prev := uint64(0)
-	for i := 0; i < 100; i++ {
-		a := g.Next()
-		if i > 0 && a.Addr != prev+64 {
-			t.Fatalf("not sequential: %#x after %#x", a.Addr, prev)
-		}
-		prev = a.Addr
-	}
-}
-
-func TestSliceGeneratorCycles(t *testing.T) {
-	acc := []Access{{Addr: 64}, {Addr: 128}}
-	g := NewSlice(acc)
-	if g.Next().Addr != 64 || g.Next().Addr != 128 || g.Next().Addr != 64 {
-		t.Fatal("slice generator must cycle in order")
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	p, _ := ProfileByName("twolf")
-	acc := Take(NewSynthetic(p, am16(), 11), 500)
-	var buf bytes.Buffer
-	if err := Encode(&buf, acc); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(acc) {
-		t.Fatalf("decoded %d, want %d", len(got), len(acc))
-	}
-	for i := range acc {
-		if got[i] != acc[i] {
-			t.Fatalf("entry %d: %+v != %+v", i, got[i], acc[i])
-		}
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	bad := []string{
-		"X 0x40 1\n",
-		"R zzz 1\n",
-		"R 0x40\n",
-		"R 0x40 -2\n",
-	}
-	for _, s := range bad {
-		if _, err := Decode(bytes.NewBufferString(s)); err == nil {
-			t.Errorf("Decode(%q) should fail", s)
-		}
-	}
-	ok := "# comment\n\nR 0x40 1\n"
-	got, err := Decode(bytes.NewBufferString(ok))
-	if err != nil || len(got) != 1 {
-		t.Fatalf("comment/blank handling broken: %v %v", got, err)
 	}
 }
