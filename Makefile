@@ -44,15 +44,15 @@ race:
 # (topology builders, routing verifier, policy and router registries)
 # and every piece of cross-goroutine state (the CMP fabric's ports,
 # nucad's scheduler, cache, and coalescing map) — plus the engine
-# (shared prepared artifacts, per-worker arenas), CMP and canonical-hash
-# tests of internal/core, whose full figure sweeps are too long for the
-# detector.
+# (shared prepared artifacts), Run (process-wide warm state, pooled
+# arenas), CMP and canonical-hash tests of internal/core, whose full
+# figure sweeps are too long for the detector.
 RACELONG_PKGS = ./internal/topology/ ./internal/routing/ ./internal/cache/ \
 	./internal/router/ ./internal/network/ ./internal/place/ \
 	./internal/cmp/ ./internal/cpu/ ./internal/serve/
 racelong:
 	$(GO) test -race $(RACELONG_PKGS)
-	$(GO) test -race -run 'TestEngine|TestCMP|TestCanonicalKey' ./internal/core/
+	$(GO) test -race -run 'TestEngine|TestCMP|TestCanonicalKey|TestRun' ./internal/core/
 
 check: fmt vet test benchmark-test race racelong
 

@@ -641,3 +641,27 @@ func TestParsePolicyAndMode(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmCloneMatchesWarm: every core.Run warms by cloning a shared
+// image, so the clone must leave the banks — and, under the directory
+// policy, the ownership report seeded from them — exactly as the
+// insertion replay does, on uniform and multi-way bank stacks.
+func TestWarmCloneMatchesWarm(t *testing.T) {
+	for _, d := range []config.Design{testDesign(4, 4), nonUniformTestDesign()} {
+		warm := trace.NewSynthetic(mustProfile(t, "gcc"), d.AddrMap(), 1).WarmBlocks(d.Ways())
+		replayed := MustNew(sim.NewKernel(), d, Directory, Multicast)
+		replayed.Warm(warm)
+		cloned := MustNew(sim.NewKernel(), d, Directory, Multicast)
+		cloned.WarmClone(BuildWarmImage(d, warm))
+		for col := 0; col < d.AddrMap().Columns; col++ {
+			for set := 0; set < d.AddrMap().Sets; set++ {
+				if got, want := cloned.Contents(col, set), replayed.Contents(col, set); !reflect.DeepEqual(got, want) {
+					t.Fatalf("design %s column %d set %d: clone holds %v, replay %v", d.ID, col, set, got, want)
+				}
+			}
+		}
+		if got, want := cloned.Dir.Report(), replayed.Dir.Report(); !reflect.DeepEqual(got, want) {
+			t.Errorf("design %s: directory seeded from the clone reports %+v, from the replay %+v", d.ID, got, want)
+		}
+	}
+}

@@ -50,25 +50,24 @@ func OffsetAddr(am trace.AddrMap, addr uint64, core int) uint64 {
 		am.SetOf(addr), am.ColumnOf(addr))
 }
 
-// MergeWarm interleaves per-core warm sets into one shared warm table:
+// MergeWarm interleaves the cores' warm sets into one shared warm table:
 // each set's ways round-robin over the cores' MRU blocks, so the cores
-// compete for capacity from the first access. warms[i] is core i's
-// WarmBlocks table (ways entries per set); the result feeds
-// (*cache.System).Warm or cache.BuildWarmImage directly. The rows are
-// ways-wide stripes of one backing array, each capped at its own stripe,
-// so appending to a row never reaches its neighbour.
-func MergeWarm(am trace.AddrMap, ways int, warms [][][]uint64) [][]uint64 {
+// compete for capacity from the first access. warm is the WarmBlocks
+// table every core starts from (it does not depend on the core's seed;
+// ways entries per set), relocated here into each core's tag range; the
+// result feeds (*cache.System).Warm or cache.BuildWarmImage directly.
+// The rows are ways-wide stripes of one backing array, each capped at
+// its own stripe, so appending to a row never reaches its neighbour.
+func MergeWarm(am trace.AddrMap, ways int, warm [][]uint64, cores int) [][]uint64 {
 	merged := make([][]uint64, am.Columns*am.Sets)
 	flat := make([]uint64, len(merged)*ways)
 	for idx := range merged {
 		tags := flat[idx*ways : idx*ways : (idx+1)*ways]
 		for w := 0; w < ways; w++ {
-			c := w % len(warms)
-			d := w / len(warms)
-			if c >= len(warms) || d >= len(warms[c][idx]) {
-				continue
+			c, d := w%cores, w/cores
+			if d < len(warm[idx]) {
+				tags = append(tags, warm[idx][d]+uint64(c)*OwnerStride)
 			}
-			tags = append(tags, warms[c][idx][d]+uint64(c)*OwnerStride)
 		}
 		merged[idx] = tags
 	}
@@ -230,8 +229,8 @@ func (f *Fabric) OffsetAddr(addr uint64, core int) uint64 {
 
 // Warm interleaves the cores' warm sets into the shared cache (see
 // MergeWarm).
-func (f *Fabric) Warm(warms [][][]uint64) {
-	f.Sys.Warm(MergeWarm(f.Sys.AM, f.Sys.Design.Ways(), warms))
+func (f *Fabric) Warm(warm [][]uint64) {
+	f.Sys.Warm(MergeWarm(f.Sys.AM, f.Sys.Design.Ways(), warm, f.N))
 }
 
 // Pending returns outstanding work across every port and controller —

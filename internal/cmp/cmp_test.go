@@ -120,12 +120,7 @@ func TestWarmSplitsWays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warms := make([][][]uint64, 4)
-	for i := range warms {
-		g := trace.NewSynthetic(prof, f.Sys.AM, uint64(i+1))
-		warms[i] = g.WarmBlocks(16)
-	}
-	f.Warm(warms)
+	f.Warm(trace.NewSynthetic(prof, f.Sys.AM, 1).WarmBlocks(16))
 	// Every set holds 16 blocks, 4 from each core's tag range.
 	counts := map[uint64]int{}
 	for _, bankTags := range f.Sys.Contents(3, 7) {
@@ -152,18 +147,15 @@ func TestWarmSplitsWays(t *testing.T) {
 func TestMergeWarmRowsIndependent(t *testing.T) {
 	am := trace.AddrMap{Columns: 2, Sets: 2}
 	const ways = 4
-	// Two cores; core 1 has a single block for row 0, so that row merges
-	// short (3 of 4 ways) and has spare room in its stripe.
-	warms := [][][]uint64{
-		{{1, 2}, {3, 4}, {5, 6}, {7, 8}},
-		{{11}, {13, 14}, {15, 16}, {17, 18}},
-	}
-	merged := MergeWarm(am, ways, warms)
+	// Two cores; row 0 has a single block, so it merges short (2 of 4
+	// ways) and has spare room in its stripe.
+	warm := [][]uint64{{1}, {3, 4}, {5, 6}, {7, 8}}
+	merged := MergeWarm(am, ways, warm, 2)
 	want := [][]uint64{
-		{1, 11 + OwnerStride, 2},
-		{3, 13 + OwnerStride, 4, 14 + OwnerStride},
-		{5, 15 + OwnerStride, 6, 16 + OwnerStride},
-		{7, 17 + OwnerStride, 8, 18 + OwnerStride},
+		{1, 1 + OwnerStride},
+		{3, 3 + OwnerStride, 4, 4 + OwnerStride},
+		{5, 5 + OwnerStride, 6, 6 + OwnerStride},
+		{7, 7 + OwnerStride, 8, 8 + OwnerStride},
 	}
 	for i, row := range merged {
 		if len(row) != len(want[i]) || cap(row) > ways {

@@ -7,6 +7,16 @@ import (
 	"nucanet/internal/cache"
 )
 
+// allocBudgetRuns are the benchmark's direct workloads, at its lengths.
+var allocBudgetRuns = []struct {
+	name string
+	opt  Options
+}{
+	{"A-multicast-fastlru-gcc", Options{DesignID: "A", Policy: cache.FastLRU, Mode: cache.Multicast, Benchmark: "gcc", Accesses: 4000}},
+	{"A-unicast-lru-lucas", Options{DesignID: "A", Policy: cache.LRU, Mode: cache.Unicast, Benchmark: "lucas", Accesses: 4000}},
+	{"H2-directory-4core", Options{DesignID: "H2", Policy: cache.Directory, Mode: cache.Multicast, Benchmark: "gcc", Accesses: 1000, Cores: 4}},
+}
+
 // TestSimulateAllocBudget bounds the heap objects of the simulate phase
 // of a whole run, artifacts and instance already built: the protocol
 // allocates a Request and an op per access (one portOp and an op on the
@@ -16,14 +26,7 @@ import (
 // benchmark's length because that growth does not shrink with the run.
 func TestSimulateAllocBudget(t *testing.T) {
 	const budget = 2.5
-	for _, tc := range []struct {
-		name string
-		opt  Options
-	}{
-		{"A-multicast-fastlru-gcc", Options{DesignID: "A", Policy: cache.FastLRU, Mode: cache.Multicast, Benchmark: "gcc", Accesses: 4000}},
-		{"A-unicast-lru-lucas", Options{DesignID: "A", Policy: cache.LRU, Mode: cache.Unicast, Benchmark: "lucas", Accesses: 4000}},
-		{"H2-directory-4core", Options{DesignID: "H2", Policy: cache.Directory, Mode: cache.Multicast, Benchmark: "gcc", Accesses: 1000, Cores: 4}},
-	} {
+	for _, tc := range allocBudgetRuns {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt
 			opt.Seed = 7
@@ -50,6 +53,46 @@ func TestSimulateAllocBudget(t *testing.T) {
 			t.Logf("%.3f heap objects per access", per)
 			if per > budget {
 				t.Fatalf("simulate allocates %.3f objects per access, budget %.1f", per, budget)
+			}
+		})
+	}
+}
+
+// TestRunAllocBudget bounds the heap cost of a whole Run — prepare and
+// build included — once the process is warm: the warm table and image
+// are shared and the construction arena is recycled, so a run pays for
+// its design (topology, routing table, verification), its access stream
+// (24 B per access), the per-component objects of its instance, and the
+// simulate phase bounded above. Each run has its own seed, as the
+// benchmark's ops do.
+func TestRunAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops Puts under the race detector, so the arena is not reliably recycled")
+	}
+	const objBudget, kibBudget = 4.2, 2.0
+	for _, tc := range allocBudgetRuns {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := tc.opt
+			for _, warmUp := range []uint64{1, 2} {
+				opt.Seed = warmUp
+				if _, err := Run(opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opt.Seed = 3
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := Run(opt)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			accesses := float64(res.Latency.Count)
+			objs := float64(after.Mallocs-before.Mallocs) / accesses
+			kib := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / accesses
+			t.Logf("%.2f heap objects and %.2f KiB per access", objs, kib)
+			if objs > objBudget || kib > kibBudget {
+				t.Fatalf("a warm Run allocates %.2f objects and %.2f KiB per access, budget %.1f and %.1f", objs, kib, objBudget, kibBudget)
 			}
 		})
 	}

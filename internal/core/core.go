@@ -8,12 +8,15 @@
 package core
 
 import (
+	"sync"
+
 	"nucanet/internal/cache"
 	"nucanet/internal/config"
 	"nucanet/internal/cpu"
 	"nucanet/internal/energy"
 	"nucanet/internal/mem"
 	"nucanet/internal/network"
+	"nucanet/internal/router"
 	"nucanet/internal/stats"
 	"nucanet/internal/telemetry"
 )
@@ -139,7 +142,21 @@ func Run(opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	in, err := NewInstance(art, nil)
+	return runPooled(art)
+}
+
+// arenas recycles construction memory from run to run: a finished run's
+// Result holds nothing carved from its arena, so the next run on any
+// goroutine resets and reuses the same memory.
+var arenas = sync.Pool{New: func() any { return new(router.Arena) }}
+
+// runPooled builds art's Instance from a pooled arena and drives it to
+// completion.
+func runPooled(art *Artifacts) (Result, error) {
+	ar := arenas.Get().(*router.Arena)
+	defer arenas.Put(ar)
+	ar.Reset()
+	in, err := NewInstance(art, ar)
 	if err != nil {
 		return Result{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"nucanet/internal/network"
-	"nucanet/internal/router"
 	"nucanet/internal/sim"
 	"nucanet/internal/stats"
 )
@@ -60,20 +59,15 @@ func (r SweepReport) Speedup() float64 {
 // order. The whole batch is prepared first, on this goroutine, so lanes
 // of one design share its topology, routing table and static
 // verification, and lanes of one (benchmark, seed, geometry) share the
-// access stream, warm table and warm image; each lane then builds its
-// Instance from an arena that is recycled from lane to lane. A
+// access stream; each lane then builds its Instance from a recycled
+// arena and a clone of the shared warm image, as Run does. A
 // preparation error (lowest index first) fails the batch before any
 // lane runs; otherwise the lowest-index lane's error is returned,
 // exactly as a sequential loop would.
 func (e *Engine) RunAll(opts []Options) ([]Result, SweepReport, error) {
 	rep := SweepReport{Runs: len(opts), Workers: e.workers}
 	start := time.Now()
-	// A one-lane batch has nothing to share: it prepares like Run, so it
-	// never pays a warm-image build for a single use.
-	var pc *PrepCache
-	if len(opts) > 1 {
-		pc = NewPrepCache()
-	}
+	pc := NewPrepCache()
 	arts := make([]*Artifacts, len(opts))
 	for i, opt := range opts {
 		art, err := Prepare(opt, pc)
@@ -84,23 +78,8 @@ func (e *Engine) RunAll(opts []Options) ([]Result, SweepReport, error) {
 	}
 	rep.Work = time.Since(start)
 
-	// One construction arena per worker, handed from lane to lane: a
-	// finished lane's Result holds nothing carved from it, so the next
-	// lane resets and reuses the same memory. An arena allocates on
-	// first carve, so those of idle workers cost nothing.
-	arenas := make(chan *router.Arena, e.workers)
-	for w := 0; w < e.workers; w++ {
-		arenas <- &router.Arena{}
-	}
 	out, durs, _, err := sim.TimedParMap(e.workers, len(opts), func(i int) (Result, error) {
-		ar := <-arenas
-		defer func() { arenas <- ar }()
-		ar.Reset()
-		in, err := NewInstance(arts[i], ar)
-		if err != nil {
-			return Result{}, err
-		}
-		return in.RunToCompletion()
+		return runPooled(arts[i])
 	})
 	rep.Wall = time.Since(start)
 	if err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sync"
 
 	"nucanet/internal/cache"
 	"nucanet/internal/cmp"
@@ -31,8 +33,9 @@ import (
 // Artifacts is everything about a run that is immutable once prepared.
 // All reference fields are shared read-only: many Instances — on one
 // goroutine or several — may be built over the same Artifacts, and
-// Artifacts of different runs may alias the same Topo/Table/Warm/Accs
-// through a PrepCache.
+// Artifacts of different runs may alias the same Topo/Table/Accs through
+// a PrepCache and the same Warm/WarmImg through the process-wide warm
+// state.
 type Artifacts struct {
 	Opt    Options       // original options, recorded in Result.Options
 	Design config.Design // resolved, router-normalized, validated
@@ -49,24 +52,26 @@ type Artifacts struct {
 	// warm table (cmp.MergeWarm).
 	CoreAccs [][]trace.Access
 
-	// WarmImg, when non-nil, is the precomputed post-warm-up bank state
-	// for (bank stack, Warm); NewInstance clones it instead of replaying
-	// Warm's insert stream. Only cached Prepares carry one — a single run
-	// would pay the image build just to use it once.
+	// WarmImg is the precomputed post-warm-up bank state for (bank stack,
+	// Warm); NewInstance clones it instead of replaying Warm's insert
+	// stream. Every Prepare sets it.
 	WarmImg *cache.WarmImage
 }
 
 // PrepCache shares Prepare's expensive immutable artifacts across the
 // runs of a batch: the (topology, routing table, static verification)
-// triple per distinct design, and the (warm table, access stream) pair
-// per distinct (benchmark, seed, geometry, accesses) key. A nil
-// *PrepCache disables sharing. Not safe for concurrent use;
-// Engine.RunAll prepares its whole batch on one goroutine before
-// fanning out.
+// triple per distinct design and the access streams per distinct
+// (benchmark, seed, geometry, accesses) key. It also pins every warm
+// state the batch uses, so a batch builds each at most once however
+// many the process-wide cache (sharedWarm) retains. A nil *PrepCache
+// shares only that process-wide warm state. The maps are unguarded:
+// Prepare with one PrepCache from one goroutine at a time (Engine.RunAll
+// prepares its whole batch before fanning out); what Prepare returns is
+// immutable and may be read from any number.
 type PrepCache struct {
 	designs map[string]*designEntry
 	traces  map[traceKey]*traceEntry
-	images  map[imageKey]*cache.WarmImage
+	warms   map[warmKey]*warmState
 }
 
 // NewPrepCache returns an empty artifact cache.
@@ -74,7 +79,7 @@ func NewPrepCache() *PrepCache {
 	return &PrepCache{
 		designs: map[string]*designEntry{},
 		traces:  map[traceKey]*traceEntry{},
-		images:  map[imageKey]*cache.WarmImage{},
+		warms:   map[warmKey]*warmState{},
 	}
 }
 
@@ -98,18 +103,86 @@ type traceKey struct {
 }
 
 type traceEntry struct {
-	warm     [][]uint64
 	accs     []trace.Access
 	coreAccs [][]trace.Access
 }
 
-// imageKey identifies a warm image: the trace entry pins the address
-// geometry and warm-table content, the bank-stack string pins how the
-// 16 ways split into banks. Designs differing only in placement (e.g.
-// an optimizer wave sweeping CoreX) share one image per benchmark.
-type imageKey struct {
-	banks string
-	te    *traceEntry
+// warmKey identifies a warm L2 state. The generator's warm table is a
+// function of the address geometry alone — no seed, no benchmark (see
+// trace.Synthetic.WarmBlocks) — cores says how many private tag ranges
+// interleave in it, and the bank-stack string how its ways split into
+// banks. Designs differing only in placement, router or workload share
+// one state.
+type warmKey struct {
+	columns, sets, ways int
+	cores               int // 0 = classic single-core table
+	banks               string
+}
+
+// warmState is one warm table and the bank image warmed from it, built
+// on first use and immutable afterwards.
+type warmState struct {
+	key   warmKey
+	once  sync.Once
+	table [][]uint64
+	img   *cache.WarmImage
+}
+
+// maxSharedWarm bounds the process-wide warm cache. A state is a
+// 2.5 MB table plus a bank image of about 10 MB, and a process rarely
+// alternates between more than a few (bank stack, core count) pairs.
+const maxSharedWarm = 4
+
+// sharedWarm is the process-wide warm cache. The mutex guards the list
+// only; a state is built outside it, under the state's own once, so
+// distinct keys warm concurrently.
+var sharedWarm struct {
+	sync.Mutex
+	mru []*warmState // most recently used first, at most maxSharedWarm
+}
+
+// sharedWarmFor returns the process-wide state for key, inserting an
+// unbuilt one in place of the least recently used when it is absent.
+func sharedWarmFor(key warmKey) *warmState {
+	sw := &sharedWarm
+	sw.Lock()
+	defer sw.Unlock()
+	i := slices.IndexFunc(sw.mru, func(ws *warmState) bool { return ws.key == key })
+	if i < 0 {
+		if len(sw.mru) < maxSharedWarm {
+			sw.mru = append(sw.mru, nil)
+		}
+		i = len(sw.mru) - 1
+		sw.mru[i] = &warmState{key: key}
+	}
+	ws := sw.mru[i]
+	copy(sw.mru[1:i+1], sw.mru[:i])
+	sw.mru[0] = ws
+	return ws
+}
+
+// warmFor resolves the warm table and image of a design: the batch's
+// pinned state when pc has one, the process-wide state otherwise.
+func (pc *PrepCache) warmFor(d config.Design, prof trace.Profile, cores int) *warmState {
+	am := d.AddrMap()
+	key := warmKey{am.Columns, am.Sets, d.Ways(), cores, fmt.Sprint(d.Banks)}
+	if pc != nil {
+		if ws, ok := pc.warms[key]; ok {
+			return ws
+		}
+	}
+	ws := sharedWarmFor(key)
+	ws.once.Do(func() {
+		ws.table = trace.NewSynthetic(prof, am, 0).WarmBlocks(d.Ways())
+		if cores > 0 {
+			ws.table = cmp.MergeWarm(am, d.Ways(), ws.table, cores)
+		}
+		ws.img = cache.BuildWarmImage(d, ws.table)
+	})
+	if pc != nil {
+		pc.warms[key] = ws
+	}
+	return ws
 }
 
 // design resolves the per-design entry of a design checkOptions accepted,
@@ -139,11 +212,10 @@ func (pc *PrepCache) design(d config.Design) *designEntry {
 	return e
 }
 
-// traceFor resolves the warm table and access stream, sharing across
-// designs with the same address geometry and total ways. cores >= 1
-// produces the CMP form: per-core streams offset into private tag
-// ranges (seeded by cpu.CoreSeed so core 0 replays the classic stream)
-// and one interleaved warm table.
+// traceFor resolves the access stream, sharing across designs with the
+// same address geometry and total ways. cores >= 1 produces the CMP
+// form: per-core streams offset into private tag ranges (seeded by
+// cpu.CoreSeed so core 0 replays the classic stream).
 func (pc *PrepCache) traceFor(d config.Design, prof trace.Profile, seed uint64, accesses, cores int) *traceEntry {
 	am := d.AddrMap()
 	key := traceKey{prof.Name, seed, am.Columns, am.Sets, d.Ways(), accesses, cores}
@@ -152,22 +224,18 @@ func (pc *PrepCache) traceFor(d config.Design, prof trace.Profile, seed uint64, 
 			return e
 		}
 	}
-	var e *traceEntry
+	e := &traceEntry{}
 	if cores < 1 {
-		gen := trace.NewSynthetic(prof, am, seed)
-		e = &traceEntry{warm: gen.WarmBlocks(d.Ways()), accs: trace.Take(gen, accesses)}
+		e.accs = trace.Take(trace.NewSynthetic(prof, am, seed), accesses)
 	} else {
-		warms := make([][][]uint64, cores)
-		coreAccs := make([][]trace.Access, cores)
-		for i := 0; i < cores; i++ {
-			gen := trace.NewSynthetic(prof, am, cpu.CoreSeed(seed, i))
-			warms[i] = gen.WarmBlocks(d.Ways())
-			coreAccs[i] = trace.Take(gen, accesses)
-			for j := range coreAccs[i] {
-				coreAccs[i][j].Addr = cmp.OffsetAddr(am, coreAccs[i][j].Addr, i)
+		e.coreAccs = make([][]trace.Access, cores)
+		for i := range e.coreAccs {
+			accs := trace.Take(trace.NewSynthetic(prof, am, cpu.CoreSeed(seed, i)), accesses)
+			for j := range accs {
+				accs[j].Addr = cmp.OffsetAddr(am, accs[j].Addr, i)
 			}
+			e.coreAccs[i] = accs
 		}
-		e = &traceEntry{warm: cmp.MergeWarm(am, d.Ways(), warms), coreAccs: coreAccs}
 	}
 	if pc != nil {
 		pc.traces[key] = e
@@ -188,28 +256,14 @@ func Prepare(opt Options, pc *PrepCache) (*Artifacts, error) {
 		return nil, de.err
 	}
 	te := pc.traceFor(d, prof, opt.Seed, opt.Accesses, opt.Cores)
-	art := &Artifacts{
+	ws := pc.warmFor(d, prof, opt.Cores)
+	return &Artifacts{
 		Opt: opt, Design: d, Prof: prof,
 		Topo: de.topo, Table: de.tb,
-		Warm: te.warm, Accs: te.accs, CoreAccs: te.coreAccs,
+		Warm: ws.table, WarmImg: ws.img,
+		Accs: te.accs, CoreAccs: te.coreAccs,
 		CPU: normalizedCPU(opt),
-	}
-	if pc != nil {
-		art.WarmImg = pc.imageFor(d, te)
-	}
-	return art, nil
-}
-
-// imageFor resolves the cached warm image for (bank stack, warm table),
-// building and warming the template banks on first use.
-func (pc *PrepCache) imageFor(d config.Design, te *traceEntry) *cache.WarmImage {
-	key := imageKey{banks: fmt.Sprint(d.Banks), te: te}
-	if img, ok := pc.images[key]; ok {
-		return img
-	}
-	img := cache.BuildWarmImage(d, te.warm)
-	pc.images[key] = img
-	return img
+	}, nil
 }
 
 // Instance is one assembled simulation: a kernel, the cache system, and
@@ -247,11 +301,7 @@ func NewInstance(art *Artifacts, ar *router.Arena) (*Instance, error) {
 			return nil, err
 		}
 	}
-	if art.WarmImg != nil {
-		sys.WarmClone(art.WarmImg)
-	} else {
-		sys.Warm(art.Warm)
-	}
+	sys.WarmClone(art.WarmImg)
 	var c *cpu.Core
 	var cores []*cpu.Core
 	if fab != nil {

@@ -14,13 +14,13 @@
 // independent Kernels on different goroutines (see ParMap) share nothing.
 //
 // The kernel's inner loop is allocation-free in steady state: the event
-// heap is a typed slice (no interface boxing), the scheduled-id lists are
-// double-buffered across cycles, and deferred credit returns go through
-// DeferIncr, which records a pointer instead of capturing a closure. The
-// root-level allocation guards pin this.
+// heap is a typed slice (no interface boxing), a cycle's due ids are bits
+// of a bitmap sized at registration, and deferred credit returns go
+// through DeferIncr, which records a pointer instead of capturing a
+// closure. The root-level allocation guards pin this.
 package sim
 
-import "sort"
+import "math/bits"
 
 // Component is anything the kernel can tick once per active cycle.
 // Tick returns true if the component wants to be ticked on the next cycle
@@ -101,9 +101,9 @@ func (h eventHeap) peek() (int64, bool) { // earliest event time
 type Kernel struct {
 	now     int64
 	comps   []Component
-	pending []bool // comps scheduled for the next cycle
-	next    []int  // ids scheduled for the next cycle (unsorted)
-	spare   []int  // retired cycle list, reused as the following next
+	pending []bool   // comps scheduled for the next cycle
+	next    []int    // ids scheduled for the next cycle (unsorted)
+	due     []uint64 // one bit per comp due this cycle; all zero between Steps
 	events  eventHeap
 	incrs   []*int // deferred counter increments (see DeferIncr)
 	seq     int
@@ -120,6 +120,9 @@ func (k *Kernel) Register(c Component) int {
 	id := len(k.comps)
 	k.comps = append(k.comps, c)
 	k.pending = append(k.pending, false)
+	if id>>6 >= len(k.due) {
+		k.due = append(k.due, 0)
+	}
 	return id
 }
 
@@ -178,30 +181,32 @@ func (k *Kernel) Step() bool {
 	}
 	k.now = target
 
-	cur := k.next
-	k.next = k.spare[:0]
-	for _, id := range cur {
+	// Collect the cycle's ids as bits: activations, then events due now.
+	// A bit set twice (event + activation overlap) is still one tick, and
+	// walking the touched words low to high ticks in ascending id order.
+	lo, hi := len(k.due), -1
+	mark := func(id int) {
+		w := id >> 6
+		k.due[w] |= 1 << (id & 63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	for _, id := range k.next {
 		k.pending[id] = false
+		mark(id)
 	}
-	// Pull in events due now.
+	k.next = k.next[:0]
 	for len(k.events) > 0 && k.events[0].at <= k.now {
-		ev := k.events.pop()
-		if !k.pending[ev.id] {
-			cur = append(cur, ev.id)
-		}
+		mark(k.events.pop().id)
 	}
-	sort.Ints(cur)
-	prev := -1
-	for _, id := range cur {
-		if id == prev { // dedupe (event + activation overlap)
-			continue
+	for w := lo; w <= hi; w++ {
+		for word := k.due[w]; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			if k.comps[id].Tick(k.now) {
+				k.Activate(id)
+			}
 		}
-		prev = id
-		if k.comps[id].Tick(k.now) {
-			k.Activate(id)
-		}
+		k.due[w] = 0
 	}
-	k.spare = cur[:0]
 	if len(k.incrs) > 0 {
 		for _, ctr := range k.incrs {
 			(*ctr)++

@@ -122,6 +122,63 @@ func TestKernelDuplicateActivationCoalesces(t *testing.T) {
 // TestKernelDeferRunsAfterTicks: a DeferIncr commit made while ticking
 // stays invisible to every later component of the same cycle and lands
 // once the cycle's ticks are done.
+// TestKernelOrderAcrossBitmapWords drives the due-id bitmap past one
+// word: 200 components activated in a scrambled order tick in ascending
+// id order, a component registered after the first Step (in a word the
+// bitmap did not have yet) joins that order, and an id that is both
+// activated and woken by an event in the same cycle is ticked once.
+func TestKernelOrderAcrossBitmapWords(t *testing.T) {
+	k := NewKernel()
+	var order []int
+	mk := func() int {
+		id := len(k.comps)
+		return k.Register(&fnComp{f: func(int64) bool {
+			order = append(order, id)
+			return false
+		}})
+	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		mk()
+	}
+	wantAscending := func(ids ...int) {
+		t.Helper()
+		if len(order) != len(ids) {
+			t.Fatalf("ticked %d components (%v), want %d", len(order), order, len(ids))
+		}
+		for i, id := range ids {
+			if order[i] != id {
+				t.Fatalf("tick order = %v, want %v", order, ids)
+			}
+		}
+		order = order[:0]
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+		k.Activate((i * 77) % n) // 77 is coprime to 200: a permutation
+	}
+	k.Step()
+	wantAscending(all...)
+
+	late := mk()
+	for len(k.comps) <= 256 { // push the last id into a fifth word
+		late = mk()
+	}
+	k.Activate(late)
+	k.Activate(130)
+	k.WakeAt(k.Now()+1, 130) // activation and event land on the same cycle
+	k.WakeAt(k.Now()+1, 3)
+	k.WakeAt(k.Now()+2, 64)
+	k.Step()
+	wantAscending(3, 130, late)
+	k.Step()
+	wantAscending(64)
+	if k.Step() {
+		t.Fatal("kernel should be idle")
+	}
+}
+
 func TestKernelDeferRunsAfterTicks(t *testing.T) {
 	k := NewKernel()
 	ctr, seenByB := 0, -1

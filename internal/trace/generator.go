@@ -47,34 +47,36 @@ type Synthetic struct {
 	am   AddrMap
 	rng  *sim.RNG
 
-	cdf     []float64 // Zipf CDF over depths 1..maxStack
-	stacks  [][]uint64
+	cdf []float64 // Zipf CDF over depths 1..hitDepth
+	// hot holds the reuse stacks of the sets the stream touches — rows
+	// [0, hotSets*Columns) of the set*Columns+col table, maxStack tags
+	// each — materialised by the first Next. Every other stack keeps its
+	// warm prefill forever, which warmTag gives in closed form.
+	hot     []uint64
+	hotSets int // SetsPerColumn as the first Next clamped it
 	nextTag uint64
 	meanGap float64
 }
 
+// warmTag is the prefill of reuse stack row at depth j: distinct tags
+// numbered row by row from 1. It depends on the geometry alone, so the
+// warm state of a cache is the same for every seed and profile.
+func warmTag(row, j int) uint64 { return uint64(row*maxStack + j + 1) }
+
 // NewSynthetic builds a generator for a benchmark profile over the given
 // address map, seeded deterministically.
 //
-// Every per-set reuse stack is prefilled with distinct warm tags so the
-// stream models a program past its cold-start (the paper warms the L2
+// Every per-set reuse stack starts prefilled with distinct warm tags so
+// the stream models a program past its cold-start (the paper warms the L2
 // with 100 M instructions before measuring). Use WarmBlocks to preload a
 // cache with the same state.
 func NewSynthetic(p Profile, am AddrMap, seed uint64) *Synthetic {
-	g := &Synthetic{prof: p, am: am, rng: sim.NewRNG(seed), nextTag: 1, SetsPerColumn: 16}
+	g := &Synthetic{
+		prof: p, am: am, rng: sim.NewRNG(seed), SetsPerColumn: 16,
+		nextTag: warmTag(am.Columns*am.Sets, 0), // first tag past every prefill
+	}
 	if g.SetsPerColumn > am.Sets {
 		g.SetsPerColumn = am.Sets
-	}
-	// Every stack is a fixed maxStack-entry window of one backing array
-	// (one allocation instead of one per set).
-	g.stacks = make([][]uint64, am.Columns*am.Sets)
-	flat := make([]uint64, len(g.stacks)*maxStack)
-	for i := range flat {
-		flat[i] = g.nextTag
-		g.nextTag++
-	}
-	for i := range g.stacks {
-		g.stacks[i] = flat[i*maxStack : (i+1)*maxStack : (i+1)*maxStack]
 	}
 	g.cdf = make([]float64, hitDepth)
 	sum := 0.0
@@ -98,7 +100,8 @@ func (g *Synthetic) Profile() Profile { return g.prof }
 
 // WarmBlocks returns, for each (column, set), the `ways` most recently
 // used tags in MRU-to-LRU order — the warm cache contents matching the
-// generator's prefilled reuse stacks. Index the result with
+// generator's reuse stacks: the live contents of the hot stacks, the
+// untouched prefill of all others. Index the result with
 // set*Columns+col. The rows share one backing array but each is capped
 // at its own length, so appending to a row never reaches its neighbour.
 func (g *Synthetic) WarmBlocks(ways int) [][]uint64 {
@@ -106,11 +109,18 @@ func (g *Synthetic) WarmBlocks(ways int) [][]uint64 {
 	if n > maxStack {
 		n = maxStack
 	}
-	out := make([][]uint64, len(g.stacks))
-	flat := make([]uint64, len(g.stacks)*n)
-	for i, st := range g.stacks {
+	out := make([][]uint64, g.am.Columns*g.am.Sets)
+	flat := make([]uint64, len(out)*n)
+	hotRows := len(g.hot) / maxStack
+	for i := range out {
 		row := flat[i*n : (i+1)*n : (i+1)*n]
-		copy(row, st)
+		if i < hotRows {
+			copy(row, g.hot[i*maxStack:])
+		} else {
+			for j := range row {
+				row[j] = warmTag(i, j)
+			}
+		}
 		out[i] = row
 	}
 	return out
@@ -118,13 +128,20 @@ func (g *Synthetic) WarmBlocks(ways int) [][]uint64 {
 
 // Next produces the next access.
 func (g *Synthetic) Next() Access {
-	col := g.rng.Intn(g.am.Columns)
-	n := g.SetsPerColumn
-	if n < 1 || n > g.am.Sets {
-		n = g.am.Sets
+	if g.hot == nil {
+		g.hotSets = g.SetsPerColumn
+		if g.hotSets < 1 || g.hotSets > g.am.Sets {
+			g.hotSets = g.am.Sets
+		}
+		g.hot = make([]uint64, g.hotSets*g.am.Columns*maxStack)
+		for i := range g.hot {
+			g.hot[i] = warmTag(0, i)
+		}
 	}
-	set := g.rng.Intn(n)
-	stack := &g.stacks[set*g.am.Columns+col]
+	col := g.rng.Intn(g.am.Columns)
+	set := g.rng.Intn(g.hotSets)
+	row := set*g.am.Columns + col
+	s := g.hot[row*maxStack : (row+1)*maxStack]
 
 	var tag uint64
 	if g.rng.Bool(g.prof.MissRate) {
@@ -135,14 +152,13 @@ func (g *Synthetic) Next() Access {
 			g.nextTag++
 		} else {
 			d := hitDepth + 1 + g.rng.Intn(maxStack-hitDepth)
-			tag = (*stack)[d-1]
+			tag = s[d-1]
 		}
 	} else {
 		// A hit: Zipf-distributed reuse within the resident ways.
-		tag = (*stack)[g.sampleDepth()-1]
+		tag = s[g.sampleDepth()-1]
 	}
 	// Move (or insert) the tag to the stack front.
-	s := *stack
 	pos := -1
 	for i, t := range s {
 		if t == tag {
@@ -164,7 +180,7 @@ func (g *Synthetic) Next() Access {
 	}
 }
 
-// sampleDepth draws a Zipf-distributed stack depth in [1, maxStack].
+// sampleDepth draws a Zipf-distributed stack depth in [1, hitDepth].
 func (g *Synthetic) sampleDepth() int {
 	u := g.rng.Float64()
 	lo, hi := 0, len(g.cdf)-1

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"math"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -256,5 +259,132 @@ func TestSetsPerColumnClampsToSets(t *testing.T) {
 		if s := am.SetOf(a.Addr); s >= 8 {
 			t.Fatalf("set %d out of range", s)
 		}
+	}
+}
+
+// denseSynthetic is the generator as it was before it kept only the hot
+// reuse stacks: every (column, set) stack materialised up front. It is
+// the reference the sparse Synthetic is compared against; the embedded
+// Synthetic supplies only the RNG, the CDF and the gap draws.
+type denseSynthetic struct {
+	*Synthetic
+	stacks  [][]uint64
+	nextTag uint64
+}
+
+func newDense(p Profile, am AddrMap, seed uint64) *denseSynthetic {
+	d := &denseSynthetic{Synthetic: NewSynthetic(p, am, seed), nextTag: 1}
+	d.stacks = make([][]uint64, am.Columns*am.Sets)
+	for i := range d.stacks {
+		d.stacks[i] = make([]uint64, maxStack)
+		for j := range d.stacks[i] {
+			d.stacks[i][j] = d.nextTag
+			d.nextTag++
+		}
+	}
+	return d
+}
+
+func (d *denseSynthetic) WarmBlocks(ways int) [][]uint64 {
+	out := make([][]uint64, len(d.stacks))
+	for i, st := range d.stacks {
+		out[i] = slices.Clone(st[:min(ways, maxStack)])
+	}
+	return out
+}
+
+func (d *denseSynthetic) Next() Access {
+	g := d.Synthetic
+	col := g.rng.Intn(g.am.Columns)
+	n := g.SetsPerColumn
+	if n < 1 || n > g.am.Sets {
+		n = g.am.Sets
+	}
+	set := g.rng.Intn(n)
+	s := d.stacks[set*g.am.Columns+col]
+	var tag uint64
+	switch {
+	case !g.rng.Bool(g.prof.MissRate):
+		tag = s[g.sampleDepth()-1]
+	case g.rng.Bool(0.5):
+		tag = d.nextTag
+		d.nextTag++
+	default:
+		tag = s[hitDepth+g.rng.Intn(maxStack-hitDepth)]
+	}
+	pos := slices.Index(s, tag)
+	if pos < 0 {
+		pos = len(s) - 1
+	}
+	copy(s[1:pos+1], s[:pos])
+	s[0] = tag
+	gap := g.geometricGap()
+	return Access{Addr: g.am.Compose(tag, set, col), Write: g.rng.Bool(g.prof.WriteFrac()), Gap: gap}
+}
+
+// TestSparseMatchesDenseGenerator: keeping only the hot stacks changes
+// neither the access stream nor the warm table, before any Next or after
+// the hot stacks have been reordered, whenever SetsPerColumn is set.
+func TestSparseMatchesDenseGenerator(t *testing.T) {
+	sameTable := func(a, b [][]uint64) bool { return slices.EqualFunc(a, b, slices.Equal[[]uint64]) }
+	for _, am := range []AddrMap{am16(), {Columns: 16, Sets: 16}, {Columns: 4, Sets: 8}} {
+		for _, spc := range []int{0, 4, 5000} { // 0: leave the default
+			for _, bench := range []string{"gcc", "lucas", "art"} {
+				p, _ := ProfileByName(bench)
+				for _, seed := range []uint64{1, 42, 1 << 40} {
+					sparse, dense := NewSynthetic(p, am, seed), newDense(p, am, seed)
+					check := func(when string) {
+						t.Helper()
+						for _, ways := range []int{16, 64} {
+							if !sameTable(sparse.WarmBlocks(ways), dense.WarmBlocks(ways)) {
+								t.Fatalf("%+v spc=%d %s seed %d: WarmBlocks(%d) differs %s", am, spc, bench, seed, ways, when)
+							}
+						}
+					}
+					check("before any Next")
+					if spc != 0 {
+						sparse.SetsPerColumn, dense.SetsPerColumn = spc, spc
+					}
+					for i := 0; i < 5000; i++ {
+						if a, b := sparse.Next(), dense.Next(); a != b {
+							t.Fatalf("%+v spc=%d %s seed %d: access %d is %+v, dense reference gives %+v", am, spc, bench, seed, i, a, b)
+						}
+						if i == 999 {
+							check("after 1000 accesses")
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWarmTableIgnoresSeedAndProfile pins the property the process-wide
+// warm state in internal/core rests on: the warm table is a function of
+// the address geometry alone.
+func TestWarmTableIgnoresSeedAndProfile(t *testing.T) {
+	gcc, _ := ProfileByName("gcc")
+	lucas, _ := ProfileByName("lucas")
+	a := NewSynthetic(gcc, am16(), 1).WarmBlocks(16)
+	b := NewSynthetic(lucas, am16(), 977).WarmBlocks(16)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("warm tables of two seeds and profiles differ")
+	}
+}
+
+// TestSyntheticAllocatesHotStacksOnly: a generator on the paper's
+// geometry costs its 256 hot stacks (98 KB, at the first Next), not the
+// 6.3 MB of all 16K.
+func TestSyntheticAllocatesHotStacksOnly(t *testing.T) {
+	p, _ := ProfileByName("gcc")
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		NewSynthetic(p, am16(), uint64(i)).Next()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= 200<<10 {
+		t.Fatalf("NewSynthetic + first Next allocate %d bytes, want < 200 KB", per)
 	}
 }
