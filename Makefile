@@ -44,8 +44,8 @@ race:
 # (topology builders, routing verifier, policy and router registries)
 # and every piece of cross-goroutine state (the CMP fabric's ports,
 # nucad's scheduler, cache, and coalescing map) — plus the engine
-# (shared prepared artifacts), Run (process-wide warm state, pooled
-# arenas), CMP and canonical-hash tests of internal/core, whose full
+# (shared prepared artifacts), Run (process-wide warm state, the arena
+# free list), CMP and canonical-hash tests of internal/core, whose full
 # figure sweeps are too long for the detector.
 RACELONG_PKGS = ./internal/topology/ ./internal/routing/ ./internal/cache/ \
 	./internal/router/ ./internal/network/ ./internal/place/ \

@@ -66,10 +66,7 @@ func TestSimulateAllocBudget(t *testing.T) {
 // simulate phase bounded above. Each run has its own seed, as the
 // benchmark's ops do.
 func TestRunAllocBudget(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops Puts under the race detector, so the arena is not reliably recycled")
-	}
-	const objBudget, kibBudget = 4.2, 2.0
+	const objBudget, kibBudget = 3.6, 0.9
 	for _, tc := range allocBudgetRuns {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt

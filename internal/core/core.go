@@ -145,17 +145,39 @@ func Run(opt Options) (Result, error) {
 	return runPooled(art)
 }
 
+// maxFreeArenas bounds the arena free list: a Design A arena is 3-4 MB,
+// and more runs than this are rarely in flight at once.
+const maxFreeArenas = 4
+
 // arenas recycles construction memory from run to run: a finished run's
 // Result holds nothing carved from its arena, so the next run on any
-// goroutine resets and reuses the same memory.
-var arenas = sync.Pool{New: func() any { return new(router.Arena) }}
+// goroutine reuses the same memory. A free list rather than a sync.Pool,
+// which drops its contents at every GC and made bytes per run a matter
+// of timing.
+var arenas struct {
+	sync.Mutex
+	free []*router.Arena // reset, at most maxFreeArenas
+}
 
-// runPooled builds art's Instance from a pooled arena and drives it to
+// runPooled builds art's Instance from a recycled arena and drives it to
 // completion.
 func runPooled(art *Artifacts) (Result, error) {
-	ar := arenas.Get().(*router.Arena)
-	defer arenas.Put(ar)
-	ar.Reset()
+	arenas.Lock()
+	var ar *router.Arena
+	if n := len(arenas.free); n > 0 {
+		ar, arenas.free = arenas.free[n-1], arenas.free[:n-1]
+	} else {
+		ar = new(router.Arena)
+	}
+	arenas.Unlock()
+	defer func() {
+		ar.Reset()
+		arenas.Lock()
+		if len(arenas.free) < maxFreeArenas {
+			arenas.free = append(arenas.free, ar)
+		}
+		arenas.Unlock()
+	}()
 	in, err := NewInstance(art, ar)
 	if err != nil {
 		return Result{}, err

@@ -27,7 +27,6 @@ type Arena struct {
 	entries slab.Chunk[entry]
 	rings   slab.Chunk[flitRing]
 	vcs     slab.Chunk[vcState]
-	outs    slab.Chunk[outState]
 	ints    slab.Chunk[int]
 	bools   slab.Chunk[bool]
 	words   slab.Chunk[uint64]
@@ -57,7 +56,6 @@ func (a *Arena) Reset() {
 	a.entries.Reset()
 	a.rings.Reset()
 	a.vcs.Reset()
-	a.outs.Reset()
 	a.ints.Reset()
 	a.bools.Reset()
 	a.words.Reset()
@@ -84,13 +82,6 @@ func (a *Arena) vcSlab(n int) []vcState {
 		return make([]vcState, n)
 	}
 	return slab.Grab(&a.vcs, n)
-}
-
-func (a *Arena) outSlab(n int) []outState {
-	if a == nil {
-		return make([]outState, n)
-	}
-	return slab.Grab(&a.outs, n)
 }
 
 func (a *Arena) intSlab(n int) []int {

@@ -19,14 +19,22 @@
 // dedicated multicast storage. If no VC is free the forward blocks (the
 // paper observes this is rare; the router counts it).
 //
-// The router's steady-state cycle is allocation-free: VC queues are ring
-// buffers carved from one per-router slab, the switch-allocation scratch
-// is reused across cycles, request masks make arbitration scan only the
-// VCs actually requesting an output, credit returns go through the
-// kernel's typed DeferIncr, and multicast replica packets are recycled
-// through a per-run flit.PacketPool. All of it is decision-for-decision
-// identical to the straightforward implementation it replaced — the
-// byte-identical determinism regression in internal/core is the proof.
+// The router's steady-state cycle is allocation-free and touches only the
+// VCs that have work. All VCs of a router are one flat slice indexed
+// port*VCsPerPC+vc, and three bit masks over that index replace scanning
+// it: occMask (queue non-empty) drives routing and VC allocation,
+// occMask&ejMask (routed to the local endpoint) drives ejection, and a
+// per-output reqMask (routed to that output) with its popcount reqCnt
+// lets switch allocation skip outputs nobody asked for. Ascending bit
+// order is the (port, VC) scan order, so every allocation and round-robin
+// grant sees the sequence the straightforward nested scan saw. A router
+// holding no flit is never woken by a credit return, and ticking one is
+// a no-op. VC queues are ring buffers carved from one per-router slab,
+// credit returns go through the kernel's typed DeferIncr, and multicast
+// replica packets are recycled through a per-run flit.PacketPool. All of
+// it is decision-for-decision identical to the straightforward
+// implementation it replaced — the byte-identical determinism regression
+// in internal/core is the proof.
 package router
 
 import (
@@ -125,22 +133,14 @@ type entry struct {
 
 // vcState is one virtual channel of an input port.
 type vcState struct {
-	port  int // input port index
-	idx   int // VC index within the port
 	q     flitRing
-	route int // assigned output (port index, ejectOut) or unassigned
-	outVC int // downstream VC for neighbor routes
+	port  int32 // input port this VC belongs to
+	route int32 // assigned output (port index, ejectOut) or unassigned
+	outVC int32 // downstream VC for neighbor routes
 	// Multicast replication state for the packet at the head.
+	repl     int32 // index in vcs of the stolen VC, unassigned if none yet
 	replNeed bool
-	replPort int // input port holding the stolen VC, unassigned if none yet
-	replVC   int
 	replPkt  *flit.Packet
-}
-
-// outState tracks the downstream VC pool of one neighbor output port.
-type outState struct {
-	credits []int
-	owner   []*flit.Packet
 }
 
 // Router is one node of the interconnect. Wire one with the network
@@ -148,8 +148,13 @@ type outState struct {
 type Router struct {
 	base
 
-	in  [][]*vcState // [port][vc]; last port is injection
-	out []*outState  // [neighbor port]
+	nVC, bufDepth int   // cfg.VCsPerPC, cfg.BufDepth
+	stages        int64 // cfg.Stages
+
+	vcs []vcState // [port*nVC+vc]; last port is injection
+	// Downstream VC pool of every neighbor output, [out*nVC+vc].
+	credits []int
+	owner   []*flit.Packet
 
 	neighbor   []*Router // per out port, nil if no link
 	upstream   []*Router // per in port, nil if none feeds it
@@ -159,10 +164,12 @@ type Router struct {
 	injVC  int   // round-robin injection VC
 	replRR int
 
-	// Hot-path state, all reused across cycles.
-	portOcc []int      // flits buffered per input port
-	usedIn  []bool     // per-cycle switch-allocation scratch
-	reqMask [][]uint64 // [neighbor out][bit pi*VCs+vi]: VCs routed to that output
+	usedIn []bool // per-cycle switch-allocation scratch
+	// Work masks, one bit per vcs index (a word holds 64 VCs).
+	occMask []uint64 // queue non-empty: set in pushFlit, cleared in traverse
+	ejMask  []uint64 // route == ejectOut: set in assignRoute, cleared in resetRoute
+	reqMask []uint64 // [out*len(occMask)+word]: route == out, same owners as ejMask
+	reqCnt  []int    // per neighbor out: popcount of its reqMask words
 }
 
 // base is the plumbing the three engines share: identity, the routing
@@ -232,47 +239,36 @@ func (b *base) Occupancy() int { return b.occ }
 func New(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) *Router {
 	b := newBase(id, topo, tb, cfg, k, ar)
 	cfg, np := b.cfg, b.numPorts
+	nVC := cfg.VCsPerPC
+	words := ((np+1)*nVC + 63) / 64
 	r := &Router{
-		base:       b,
+		base: b,
+		nVC:  nVC, bufDepth: cfg.BufDepth, stages: int64(cfg.Stages),
+		vcs:        ar.vcSlab((np + 1) * nVC),
+		credits:    ar.intSlab(np * nVC),
+		owner:      ar.pktSlab(np * nVC),
 		neighbor:   make([]*Router, np),
 		upstream:   make([]*Router, np+1),
 		upstreamOP: ar.intSlab(np + 1),
 		rrOut:      ar.intSlab(np + 1),
-		portOcc:    ar.intSlab(np + 1),
 		usedIn:     ar.boolSlab(np + 1),
+		occMask:    ar.wordSlab(words),
+		ejMask:     ar.wordSlab(words),
+		reqMask:    ar.wordSlab(np * words),
+		reqCnt:     ar.intSlab(np),
 	}
 	// All VC rings share one backing slab: one allocation per router,
 	// and neighbor-fed VCs (bounded at BufDepth by credit flow control)
 	// never grow past their carved slice.
-	slab := ar.entrySlab((np + 1) * cfg.VCsPerPC * cfg.BufDepth)
-	words := ((np+1)*cfg.VCsPerPC + 63) / 64
-	r.reqMask = make([][]uint64, np)
-	for o := range r.reqMask {
-		r.reqMask[o] = ar.wordSlab(words)
+	slab := ar.entrySlab(len(r.vcs) * cfg.BufDepth)
+	for i := range r.vcs {
+		v := &r.vcs[i]
+		v.q.buf, slab = slab[:cfg.BufDepth:cfg.BufDepth], slab[cfg.BufDepth:]
+		v.port = int32(i / nVC)
+		v.route, v.outVC, v.repl = unassigned, unassigned, unassigned
 	}
-	r.in = make([][]*vcState, np+1)
-	for p := range r.in {
-		vcSlab := ar.vcSlab(cfg.VCsPerPC)
-		vcs := make([]*vcState, cfg.VCsPerPC)
-		for v := range vcs {
-			vcs[v] = &vcSlab[v]
-			*vcs[v] = vcState{port: p, idx: v, route: unassigned}
-			vcs[v].q.buf, slab = slab[:cfg.BufDepth:cfg.BufDepth], slab[cfg.BufDepth:]
-			r.resetRoute(vcs[v])
-		}
-		r.in[p] = vcs
-	}
-	outSlab := ar.outSlab(np)
-	r.out = make([]*outState, np)
-	for p := range r.out {
-		r.out[p] = &outSlab[p]
-		*r.out[p] = outState{
-			credits: ar.intSlab(cfg.VCsPerPC),
-			owner:   ar.pktSlab(cfg.VCsPerPC),
-		}
-		for v := range r.out[p].credits {
-			r.out[p].credits[v] = cfg.BufDepth
-		}
+	for i := range r.credits {
+		r.credits[i] = cfg.BufDepth
 	}
 	return r
 }
@@ -294,40 +290,47 @@ func (r *Router) Wire(p int, n Engine, np, delay int) {
 	nb.upstreamOP[np] = p
 }
 
-// resetRoute clears a VC's routing state, removing it from its output's
-// request mask.
-func (r *Router) resetRoute(v *vcState) {
-	if v.route >= 0 && v.route != ejectOut {
-		idx := v.port*r.cfg.VCsPerPC + v.idx
-		r.reqMask[v.route][idx>>6] &^= 1 << uint(idx&63)
+// upSlot returns the router feeding in-port pi (nil for the injection
+// port) and the index of its credits/owner entry for that port's VC vi.
+func (r *Router) upSlot(pi, vi int) (*Router, int) {
+	return r.upstream[pi], r.upstreamOP[pi]*r.nVC + vi
+}
+
+// resetRoute clears the routing state of vcs[idx], removing it from the
+// eject mask or its output's request mask.
+func (r *Router) resetRoute(idx int) {
+	v := &r.vcs[idx]
+	bit := uint64(1) << uint(idx&63)
+	if v.route == ejectOut {
+		r.ejMask[idx>>6] &^= bit
+	} else if v.route >= 0 {
+		r.reqMask[int(v.route)*len(r.occMask)+idx>>6] &^= bit
+		r.reqCnt[v.route]--
 	}
-	v.route = unassigned
-	v.outVC = unassigned
+	v.route, v.outVC, v.repl = unassigned, unassigned, unassigned
 	v.replNeed = false
-	v.replPort = unassigned
-	v.replVC = unassigned
 	v.replPkt = nil
 }
 
-// pushFlit buffers e into VC (pi, vi), maintaining occupancy counters.
-func (r *Router) pushFlit(pi, vi int, e entry) {
-	r.in[pi][vi].q.push(e)
+// pushFlit buffers e into vcs[idx], maintaining occupancy.
+func (r *Router) pushFlit(idx int, e entry) {
+	r.vcs[idx].q.push(e)
+	r.occMask[idx>>6] |= 1 << uint(idx&63)
 	r.occ++
-	r.portOcc[pi]++
 }
 
 // Inject queues a packet's flits at the injection port (called by the
 // network on Send). Injection queues are unbounded: the NI is the source.
 func (r *Router) Inject(p *flit.Packet, now int64) {
-	v := r.injVC
+	idx := r.numPorts*r.nVC + r.injVC
 	r.injVC++
-	if r.injVC == r.cfg.VCsPerPC {
+	if r.injVC == r.nVC {
 		r.injVC = 0
 	}
 	n := p.Flits()
 	for i := 0; i < n; i++ {
 		f := flit.Flit{Pkt: p, Seq: i, Head: i == 0, Tail: i == n-1}
-		r.pushFlit(r.numPorts, v, entry{f: f, arrived: now})
+		r.pushFlit(idx, entry{f: f, arrived: now})
 		r.tel.FlitInjected(now, f, int(r.ID))
 	}
 	r.k.Activate(r.kid)
@@ -338,29 +341,38 @@ const ejectOut = 1 << 20 // sentinel route value for local ejection
 // Tick performs one router cycle: route computation + VC allocation for
 // head flits, then switch allocation and traversal (one grant per output,
 // at most one flit per input PC — VCs of a PC share a crossbar port).
+//
+// Each phase walks a mask one word at a time from a copy of the word.
+// The copy cannot miss work: whatever is pushed during the tick (a
+// replica copy, a response deliver injects synchronously, a neighbor's
+// traversal) carries arrived >= now and is not ready before the next
+// cycle, and only traverse on a VC itself pops it or resets its route.
 func (r *Router) Tick(now int64) bool {
+	// A router holding no flit has nothing to route, count or grant;
+	// the tick mutates nothing, which is why traverse need not wake one.
+	if r.occ == 0 {
+		return false
+	}
+	ready := now - r.stages // a flit is ready once arrived <= ready
+
 	// Phase A: routing, VC allocation, multicast replica allocation for
 	// the flit at the front of each VC.
-	for pi, port := range r.in {
-		if r.portOcc[pi] == 0 {
-			continue
-		}
-		for _, v := range port {
-			if v.q.len() == 0 {
-				continue
-			}
+	for wi, w := range r.occMask {
+		for ; w != 0; w &= w - 1 {
+			idx := wi<<6 | bits.TrailingZeros64(w)
+			v := &r.vcs[idx]
 			e := v.q.front()
-			if e.arrived+int64(r.cfg.Stages) > now {
+			if e.arrived > ready {
 				continue
 			}
 			if e.f.Head && v.route == unassigned {
-				r.assignRoute(v, e.f.Pkt)
+				r.assignRoute(idx, e.f.Pkt)
 			}
 			if v.route != unassigned && v.route != ejectOut && v.outVC == unassigned {
 				r.allocVC(v, e.f.Pkt, now)
 			}
-			if v.replNeed && v.replPort == unassigned {
-				r.allocReplica(v, pi)
+			if v.replNeed && v.repl == unassigned {
+				r.allocReplica(v)
 			}
 		}
 	}
@@ -368,79 +380,76 @@ func (r *Router) Tick(now int64) bool {
 	// Phase B1: ejection. Each input PC has its own channel into the
 	// local endpoint interface (the NI is as wide as the input side, and
 	// the halo hub's controller exposes one interface per spike), so any
-	// number of ports may eject concurrently — one flit per PC.
+	// number of ports may eject concurrently — one flit per PC, the
+	// lowest ready VC of the port.
 	usedIn := r.usedIn
-	for i := range usedIn {
-		usedIn[i] = false
-	}
-	for pi, port := range r.in {
-		if r.portOcc[pi] == 0 {
-			continue
-		}
-		for _, v := range port {
-			if v.q.len() == 0 || v.route != ejectOut {
+	clear(usedIn)
+	for wi, w := range r.occMask {
+		for w &= r.ejMask[wi]; w != 0; w &= w - 1 {
+			idx := wi<<6 | bits.TrailingZeros64(w)
+			v := &r.vcs[idx]
+			if usedIn[v.port] || v.q.front().arrived > ready {
 				continue
 			}
-			if v.q.front().arrived+int64(r.cfg.Stages) > now {
-				continue
-			}
-			usedIn[pi] = true
-			r.traverse(v, pi, 0, true, now)
-			break
+			usedIn[v.port] = true
+			r.traverse(idx, 0, true, now)
 		}
 	}
 
-	// Phase B2: switch allocation for neighbor outputs.
-	for o := 0; o < r.numPorts; o++ {
-		if r.neighbor[o] == nil {
+	// Phase B2: switch allocation for the neighbor outputs some VC is
+	// routed to (assignRoute admits only wired outputs).
+	for o, n := range r.reqCnt {
+		if n == 0 {
 			continue
 		}
-		v, pi := r.pickWinner(o, now)
-		if v == nil {
-			continue
+		if idx := r.pickWinner(o, ready); idx >= 0 {
+			usedIn[r.vcs[idx].port] = true
+			r.traverse(idx, o, false, now)
 		}
-		usedIn[pi] = true
-		r.traverse(v, pi, o, false, now)
 	}
 
 	// Stay active while any flit is buffered.
 	return r.occ > 0
 }
 
-// assignRoute computes the output for a head flit (lookahead routing is
-// folded into the single-cycle budget) and sets up multicast delivery.
-func (r *Router) assignRoute(v *vcState, pkt *flit.Packet) {
+// assignRoute computes the output for the head flit of vcs[idx]
+// (lookahead routing is folded into the single-cycle budget) and sets up
+// multicast delivery.
+func (r *Router) assignRoute(idx int, pkt *flit.Packet) {
+	v := &r.vcs[idx]
+	bit := uint64(1) << uint(idx&63)
 	if pkt.Dst == r.ID {
 		v.route = ejectOut
-	} else {
-		p, ok := r.tb.NextPort(r.topo, r.ID, pkt.Dst)
-		if !ok || r.neighbor[p] == nil {
-			panic(fmt.Sprintf("router %d: no route for %v (port %d)", r.ID, pkt, p))
-		}
-		v.route = p
-		idx := v.port*r.cfg.VCsPerPC + v.idx
-		r.reqMask[p][idx>>6] |= 1 << uint(idx&63)
-		// Path multicast: deliver a replica to the local bank when this
-		// router lies on the destination column/spike.
-		if pkt.PathDeliver && r.topo.SameColumn(r.ID, pkt.Dst) {
-			v.replNeed = true
-			rp := r.pool.Get()
-			rp.ID, rp.Kind, rp.Src, rp.Dst = pkt.ID, pkt.Kind, pkt.Src, r.ID
-			rp.DstEp, rp.DstPos, rp.Addr = flit.ToBank, pkt.DstPos, pkt.Addr
-			rp.Payload, rp.Injected = pkt.Payload, pkt.Injected
-			v.replPkt = rp
-		}
+		r.ejMask[idx>>6] |= bit
+		return
+	}
+	p, ok := r.tb.NextPort(r.topo, r.ID, pkt.Dst)
+	if !ok || r.neighbor[p] == nil {
+		panic(fmt.Sprintf("router %d: no route for %v (port %d)", r.ID, pkt, p))
+	}
+	v.route = int32(p)
+	r.reqMask[p*len(r.occMask)+idx>>6] |= bit
+	r.reqCnt[p]++
+	// Path multicast: deliver a replica to the local bank when this
+	// router lies on the destination column/spike.
+	if pkt.PathDeliver && r.topo.SameColumn(r.ID, pkt.Dst) {
+		v.replNeed = true
+		rp := r.pool.Get()
+		rp.ID, rp.Kind, rp.Src, rp.Dst = pkt.ID, pkt.Kind, pkt.Src, r.ID
+		rp.DstEp, rp.DstPos, rp.Addr = flit.ToBank, pkt.DstPos, pkt.Addr
+		rp.Payload, rp.Injected = pkt.Payload, pkt.Injected
+		v.replPkt = rp
 	}
 }
 
 // allocVC claims a free downstream VC for the packet.
 func (r *Router) allocVC(v *vcState, pkt *flit.Packet, now int64) {
-	o := r.out[v.route]
-	for i := range o.owner {
-		if o.owner[i] == nil {
-			o.owner[i] = pkt
-			v.outVC = i
-			r.tel.VCAllocated(now, pkt, int(r.ID), v.route, i)
+	owner := r.owner[int(v.route)*r.nVC:][:r.nVC]
+	for i := range owner {
+		if owner[i] == nil {
+			owner[i] = pkt
+			v.outVC = int32(i)
+			r.tel.VCAllocated(now, pkt, int(r.ID), int(v.route), i)
 			return
 		}
 	}
@@ -452,50 +461,53 @@ func (r *Router) allocVC(v *vcState, pkt *flit.Packet, now int64) {
 // progress, and the upstream router is not using it (full credits, no
 // owner). Stealing claims the VC at the upstream to keep credit accounting
 // exact; the claim is released when the replica's tail flit ejects.
-func (r *Router) allocReplica(v *vcState, inPort int) {
+func (r *Router) allocReplica(v *vcState) {
 	n := r.numPorts
 	for k := 0; k < n; k++ {
-		p := (r.replRR + k) % n
-		if p == inPort || r.upstream[p] == nil {
+		p := r.replRR + k
+		if p >= n {
+			p -= n
+		}
+		up, slot := r.upSlot(p, 0)
+		if p == int(v.port) || up == nil {
 			continue // must be a different, physically present PC
 		}
-		uo := r.upstream[p].out[r.upstreamOP[p]]
-		for _, cand := range r.in[p] {
-			if cand.q.len() != 0 || cand.route != unassigned {
+		for vi := 0; vi < r.nVC; vi++ {
+			ci := p*r.nVC + vi
+			if cand := &r.vcs[ci]; cand.q.len() != 0 || cand.route != unassigned {
 				continue
 			}
-			if uo.owner[cand.idx] != nil || uo.credits[cand.idx] != r.cfg.BufDepth {
+			if up.owner[slot+vi] != nil || up.credits[slot+vi] != r.bufDepth {
 				continue
 			}
-			uo.owner[cand.idx] = v.replPkt
-			v.replPort = p
-			v.replVC = cand.idx
-			r.replRR = (p + 1) % n
+			up.owner[slot+vi] = v.replPkt
+			v.repl = int32(ci)
+			r.replRR = p + 1
+			if r.replRR == n {
+				r.replRR = 0
+			}
 			return
 		}
 	}
 	r.stats.ReplicaBlocked++
 }
 
-// pickWinner round-robin arbitrates input VCs requesting neighbor output
-// o. The request mask holds exactly the VCs with an assigned route to o,
-// so arbitration touches only actual requesters (usually zero or one)
-// instead of scanning every VC of every port; iteration order over the
-// mask is the same circular (port, VC) order as the full scan, so grants
-// — and therefore simulation results — are unchanged.
-func (r *Router) pickWinner(o int, now int64) (*vcState, int) {
-	words := r.reqMask[o]
-	nVC := r.cfg.VCsPerPC
-	total := len(r.in) * nVC
+// pickWinner round-robin arbitrates the non-empty input VCs routed to
+// neighbor output o and returns the winner's vcs index, -1 if none can
+// go. Iteration order over the mask is the same circular (port, VC)
+// order as a full scan from the round-robin pointer, so grants — and
+// therefore simulation results — are unchanged.
+func (r *Router) pickWinner(o int, ready int64) int {
+	nw := len(r.occMask)
+	words := r.reqMask[o*nw:][:nw]
 	start := r.rrOut[o]
 	sw, sb := start>>6, uint(start&63)
-	nw := len(words)
 	for step := 0; step <= nw; step++ {
 		wi := sw + step
 		if wi >= nw {
 			wi -= nw
 		}
-		w := words[wi]
+		w := words[wi] & r.occMask[wi]
 		if step == 0 {
 			w &= ^uint64(0) << sb // bits at or after the RR pointer
 		} else if step == nw {
@@ -504,75 +516,69 @@ func (r *Router) pickWinner(o int, now int64) (*vcState, int) {
 			}
 			w &= 1<<sb - 1 // wrapped: bits before the RR pointer
 		}
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			idx := wi<<6 | b
-			pi := idx / nVC
-			if r.usedIn[pi] {
+		for ; w != 0; w &= w - 1 {
+			idx := wi<<6 | bits.TrailingZeros64(w)
+			v := &r.vcs[idx]
+			if r.usedIn[v.port] || v.q.front().arrived > ready || v.outVC == unassigned {
 				continue
 			}
-			v := r.in[pi][idx%nVC]
-			if v.q.len() == 0 {
-				continue
-			}
-			e := v.q.front()
-			if e.arrived+int64(r.cfg.Stages) > now {
-				continue
-			}
-			if v.outVC == unassigned {
-				continue
-			}
-			if r.out[o].credits[v.outVC] <= 0 {
+			if r.credits[o*r.nVC+int(v.outVC)] <= 0 {
 				r.stats.CreditStalls++
 				continue
 			}
-			if v.replNeed {
-				if v.replPort == unassigned {
-					continue // replication blocked: hold the flit
-				}
-				if r.in[v.replPort][v.replVC].q.len() >= r.cfg.BufDepth {
-					continue // stolen VC momentarily full
-				}
+			// Replication blocked, or the stolen VC momentarily full:
+			// hold the flit.
+			if v.replNeed && (v.repl == unassigned || r.vcs[v.repl].q.len() >= r.bufDepth) {
+				continue
 			}
 			next := idx + 1
-			if next == total {
+			if next == len(r.vcs) {
 				next = 0
 			}
 			r.rrOut[o] = next
-			return v, pi
+			return idx
 		}
 	}
-	return nil, 0
+	return -1
 }
 
-// traverse moves the winning flit through the crossbar: to the neighbor's
-// input buffer or to local ejection, spawning the multicast replica and
-// returning the drained slot's credit upstream.
-func (r *Router) traverse(v *vcState, pi, o int, isEject bool, now int64) {
+// traverse moves the front flit of vcs[idx] through the crossbar: to the
+// neighbor's input buffer or to local ejection, spawning the multicast
+// replica and returning the drained slot's credit upstream.
+func (r *Router) traverse(idx, o int, isEject bool, now int64) {
+	v := &r.vcs[idx]
+	pi := int(v.port)
 	e := v.q.pop()
+	if v.q.len() == 0 {
+		r.occMask[idx>>6] &^= 1 << uint(idx&63)
+	}
 	r.occ--
-	r.portOcc[pi]--
 	r.stats.FlitsRouted++
 
-	// Credit return for the drained slot (visible next cycle).
-	if up := r.upstream[pi]; up != nil {
-		uo := up.out[r.upstreamOP[pi]]
-		r.k.DeferIncr(&uo.credits[v.idx])
-		r.k.Activate(up.kid)
+	// Credit return for the drained slot (visible next cycle). The
+	// upstream is woken only if it holds a flit the credit could unblock.
+	up, slot := r.upSlot(pi, idx-pi*r.nVC)
+	if up != nil {
+		r.k.DeferIncr(&up.credits[slot])
+		if up.occ > 0 {
+			r.k.Activate(up.kid)
+		}
 	}
 
 	// Multicast replica: copy the flit into the stolen VC. The slot is
 	// charged against the upstream's credits for that VC so the stolen
 	// buffer space stays consistent; the drain path returns it.
-	if v.replNeed && v.replPort != unassigned {
+	if v.replNeed && v.repl != unassigned {
 		rf := e.f
 		rf.Pkt = v.replPkt
-		r.pushFlit(v.replPort, v.replVC, entry{f: rf, arrived: now})
-		up := r.upstream[v.replPort]
-		up.out[r.upstreamOP[v.replPort]].credits[v.replVC]--
+		ri := int(v.repl)
+		rp := int(r.vcs[ri].port)
+		rv := ri - rp*r.nVC
+		r.pushFlit(ri, entry{f: rf, arrived: now})
+		rup, rslot := r.upSlot(rp, rv)
+		rup.credits[rslot]--
 		r.stats.ReplicasSpawned++
-		r.tel.ReplicaForked(now, rf, int(r.ID), v.replPort, v.replVC)
+		r.tel.ReplicaForked(now, rf, int(r.ID), rp, rv)
 		r.k.Activate(r.kid)
 		if e.f.Tail {
 			// Replica complete; upstream claim is released when the
@@ -600,13 +606,10 @@ func (r *Router) traverse(v *vcState, pi, o int, isEject bool, now int64) {
 		if e.f.Tail {
 			// Release an upstream claim made for a stolen (replica) VC:
 			// the replica packet owns the upstream out-VC entry.
-			if up := r.upstream[pi]; up != nil {
-				uo := up.out[r.upstreamOP[pi]]
-				if uo.owner[v.idx] == pkt {
-					uo.owner[v.idx] = nil
-				}
+			if up != nil && up.owner[slot] == pkt {
+				up.owner[slot] = nil
 			}
-			r.resetRoute(v)
+			r.resetRoute(idx)
 			// Replica packets were minted from the pool in assignRoute
 			// and are fully consumed at tail ejection; recycle them.
 			// Put ignores packets that did not come from the pool.
@@ -616,14 +619,14 @@ func (r *Router) traverse(v *vcState, pi, o int, isEject bool, now int64) {
 	}
 
 	n := r.neighbor[o]
-	out := r.out[o]
-	r.tel.FlitRouted(now, e.f, int(r.ID), o, v.outVC)
-	out.credits[v.outVC]--
+	oc := o*r.nVC + int(v.outVC)
+	r.tel.FlitRouted(now, e.f, int(r.ID), o, int(v.outVC))
+	r.credits[oc]--
 	arr := now + int64(r.linkDelay[o]-1)
-	n.pushFlit(r.neighborIn[o], v.outVC, entry{f: e.f, arrived: arr})
+	n.pushFlit(r.neighborIn[o]*r.nVC+int(v.outVC), entry{f: e.f, arrived: arr})
 	r.k.Activate(n.kid)
 	if e.f.Tail {
-		out.owner[v.outVC] = nil
-		r.resetRoute(v)
+		r.owner[oc] = nil
+		r.resetRoute(idx)
 	}
 }
