@@ -12,10 +12,15 @@
 // Request and the op: typed messages are embedded in the op and every
 // packet is pooled, so sends, dispatch and chain hops allocate nothing),
 // and the pool-balance tests prove no pooled packet — protocol message
-// or replica — leaks across full runs on every router engine.
+// or replica — leaks across full runs on every router engine. The last
+// two guards bound nucad's cache-hit path and the canonical key it
+// hashes.
 package nucanet
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"nucanet/internal/bank"
@@ -26,6 +31,7 @@ import (
 	"nucanet/internal/network"
 	"nucanet/internal/router"
 	"nucanet/internal/routing"
+	"nucanet/internal/serve"
 	"nucanet/internal/sim"
 	"nucanet/internal/telemetry"
 	"nucanet/internal/topology"
@@ -341,6 +347,85 @@ func TestDisabledProbeHotPathAllocFree(t *testing.T) {
 		t.Fatalf("disabled probe path allocates %.1f per op, want 0", allocs)
 	}
 }
+
+// TestCanonicalKeyAllocBound pins the memoised key: a catalogue design
+// resolves to its process-wide entry, so hashing splices the entry's
+// pre-encoded design into one SHA-256 with the encoding of the small
+// remaining fields — no topology build, no design marshal. The key
+// string is the one allocation left (reads 1).
+func TestCanonicalKeyAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	o := core.DefaultOptions()
+	o.DesignID = "F"
+	if _, err := core.CanonicalKey(o); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := core.CanonicalKey(o); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const maxAllocs = 6
+	if allocs > maxAllocs {
+		t.Fatalf("CanonicalKey on a catalogue id allocates %.1f objects, want <= %d", allocs, maxAllocs)
+	}
+	t.Logf("CanonicalKey: %.1f allocations", allocs)
+}
+
+// TestServeHitAllocBound bounds a nucad cache hit — decode, option
+// checks, key, lookup, response — through the service's own handler. The
+// request is built and the response discarded outside the handler, as
+// net/http does; what is left is the hit path itself (reads 26; 353
+// before the design memo).
+func TestServeHitAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	srv := serve.New(serve.Config{Workers: 1})
+	defer srv.Close()
+	h := srv.Handler()
+	const runs = 50
+	reqs := make([]*http.Request, runs+2)
+	ws := make([]*discardWriter, runs+2)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/run",
+			strings.NewReader(`{"design":"F","accesses":400,"seed":1}`))
+		reqs[i].Header.Set("X-Client", "c")
+		ws[i] = &discardWriter{h: http.Header{}}
+	}
+	h.ServeHTTP(ws[0], reqs[0])
+	if ws[0].status != 0 || ws[0].h.Get("X-Nucad-Cache") != "miss" {
+		t.Fatalf("priming request: status %d, cache %q", ws[0].status, ws[0].h.Get("X-Nucad-Cache"))
+	}
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		h.ServeHTTP(ws[next], reqs[next])
+		next++
+	})
+	for _, w := range ws[1:] {
+		if w.h.Get("X-Nucad-Cache") != "hit" {
+			t.Fatalf("a measured request was not a cache hit: status %d, cache %q", w.status, w.h.Get("X-Nucad-Cache"))
+		}
+	}
+	const maxAllocs = 60
+	if allocs > maxAllocs {
+		t.Fatalf("a nucad cache hit allocates %.1f objects, want <= %d", allocs, maxAllocs)
+	}
+	t.Logf("cache hit: %.1f allocations", allocs)
+}
+
+// discardWriter is an http.ResponseWriter that keeps the header and
+// drops the body.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 
 type nullEndpoint struct{}
 

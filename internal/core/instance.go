@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sync"
@@ -186,28 +185,23 @@ func (pc *PrepCache) warmFor(d config.Design, prof trace.Profile, cores int) *wa
 }
 
 // design resolves the per-design entry of a design checkOptions accepted,
-// computing and (when pc is non-nil) caching it.
-func (pc *PrepCache) design(d config.Design) *designEntry {
-	var key string
+// computing and (when pc is non-nil) caching it under the design's
+// canonical encoding.
+func (pc *PrepCache) design(rd *resolvedDesign) *designEntry {
 	if pc != nil {
-		raw, err := json.Marshal(d)
-		if err != nil {
-			panic(fmt.Sprintf("core: design not marshalable: %v", err))
-		}
-		key = string(raw)
-		if e, ok := pc.designs[key]; ok {
+		if e, ok := pc.designs[string(rd.head)]; ok {
 			return e
 		}
 	}
 	e := &designEntry{}
-	if e.topo, e.err = d.Build(); e.err == nil {
+	if e.topo, e.err = rd.d.Build(); e.err == nil {
 		var alg routing.Algorithm
 		if alg, e.err = routing.For(e.topo); e.err == nil {
-			e.tb, e.err = network.Check(e.topo, alg, d.Router)
+			e.tb, e.err = network.Check(e.topo, alg, rd.d.Router)
 		}
 	}
 	if pc != nil {
-		pc.designs[key] = e
+		pc.designs[string(rd.head)] = e
 	}
 	return e
 }
@@ -247,14 +241,15 @@ func (pc *PrepCache) traceFor(d config.Design, prof trace.Profile, seed uint64, 
 // Option checks (checkOptions) come first, then the network construction
 // gates — the order the monolithic Run surfaced the same errors in.
 func Prepare(opt Options, pc *PrepCache) (*Artifacts, error) {
-	d, prof, err := checkOptions(opt)
+	rd, prof, err := checkOptions(opt)
 	if err != nil {
 		return nil, err
 	}
-	de := pc.design(d)
+	de := pc.design(rd)
 	if de.err != nil {
 		return nil, de.err
 	}
+	d := rd.design()
 	te := pc.traceFor(d, prof, opt.Seed, opt.Accesses, opt.Cores)
 	ws := pc.warmFor(d, prof, opt.Cores)
 	return &Artifacts{
