@@ -15,35 +15,38 @@ import (
 	"nucanet/internal/slab"
 )
 
-// Arena carves bank construction state — the frame slab and the set
-// headers, a lane's two largest construction allocations — from
+// Arena carves bank construction state — the frame slab and the per-set
+// fill counts, a lane's two largest construction allocations — from
 // recyclable chunks (see internal/slab). A nil *Arena falls back to
 // plain allocation. Single-goroutine, like every slab arena; batch
 // construction reaches it through router.Arena.Banks.
 type Arena struct {
-	blocks slab.Chunk[Block]
-	sets   slab.Chunk[frameSet]
+	frames slab.Chunk[Block]
+	fills  slab.Chunk[uint8]
 }
 
 // Reset recycles the arena's memory; see slab.Chunk.Reset for the
-// aliasing contract.
+// aliasing contract. Only the fill counts are zeroed: a bank reads a
+// frame only below its set's fill, and every frame there was written
+// since the bank was carved (see Bank), so the frame slab is rewound as
+// it stands.
 func (a *Arena) Reset() {
-	a.blocks.Reset()
-	a.sets.Reset()
+	a.frames.Rewind()
+	a.fills.Reset()
 }
 
-func (a *Arena) blockSlab(n int) []Block {
+func (a *Arena) frameSlab(n int) []Block {
 	if a == nil {
 		return make([]Block, n)
 	}
-	return slab.Grab(&a.blocks, n)
+	return slab.Grab(&a.frames, n)
 }
 
-func (a *Arena) setSlab(n int) []frameSet {
+func (a *Arena) fillSlab(n int) []uint8 {
 	if a == nil {
-		return make([]frameSet, n)
+		return make([]uint8, n)
 	}
-	return slab.Grab(&a.sets, n)
+	return slab.Grab(&a.fills, n)
 }
 
 // BlockBytes is the cache block size (Table 1).
@@ -88,17 +91,26 @@ type Block struct {
 	Dirty bool
 }
 
-// frameSet holds the blocks of one set in MRU-to-LRU order.
-type frameSet struct {
-	blocks []Block // len <= ways; index 0 = MRU within this bank
-}
+// maxWays bounds associativity so a set's fill, stored plus one, fits a
+// uint8.
+const maxWays = 254
 
 // Bank is the mutable state of one cache bank.
+//
+// Set s owns the frames [s*Ways, (s+1)*Ways) of one pointer-free slab,
+// MRU first, and fill[s] says which blocks the set holds: 0 means the
+// set has not been written since the bank was built or cloned, and its
+// blocks are those of img (empty when img is nil); n+1 means its own
+// first n frames. Readers read an unwritten set through img; the first
+// mutation copies it into the bank's frames. A clone of a warm image
+// therefore costs one clear of fill, and a run pays for the sets it
+// writes, not for the size of the cache.
 type Bank struct {
-	spec Spec
-	lat  Latency
-	sets []frameSet
-	slab []Block // backing store of every set's frames (see New)
+	spec   Spec
+	lat    Latency
+	fill   []uint8
+	frames []Block
+	img    *Bank // read-through source of unwritten sets; never written through
 
 	// Counters for experiment reporting.
 	Probes uint64 // tag-match accesses
@@ -114,39 +126,28 @@ func New(spec Spec) *Bank {
 // construction lays a lane's bank state contiguously and recycles it
 // across construction rounds. A nil arena allocates normally.
 func NewIn(spec Spec, ar *Arena) *Bank {
-	if spec.SizeKB <= 0 || spec.Ways <= 0 {
+	if spec.SizeKB <= 0 || spec.Ways <= 0 || spec.Ways > maxWays {
 		panic(fmt.Sprintf("bank: bad spec %+v", spec))
 	}
-	b := &Bank{spec: spec, lat: LatencyFor(spec.SizeKB)}
-	b.sets = ar.setSlab(spec.Sets())
-	// Carve every set's frame storage out of one bank-wide slab. Insert
-	// and InsertLRU guarantee len < Ways before appending, so a set's
-	// slice never outgrows its full-capacity window and the three-index
-	// slicing keeps an overflowing append from bleeding into the next
-	// set. This removes the dominant warm-up cost (one allocation per
-	// set on first insert — 256 K allocations for a 256-bank design).
-	b.slab = ar.blockSlab(len(b.sets) * spec.Ways)
-	for i := range b.sets {
-		o := i * spec.Ways
-		b.sets[i].blocks = b.slab[o : o : o+spec.Ways]
+	sets := spec.Sets()
+	return &Bank{
+		spec: spec, lat: LatencyFor(spec.SizeKB),
+		fill:   ar.fillSlab(sets),
+		frames: ar.frameSlab(sets * spec.Ways),
 	}
-	return b
 }
 
-// CloneState copies another bank's full mutable state into this one —
-// frames, per-set fill, and counters. Both banks must have the same
-// spec. Because every set's slice aliases a fixed window of the slab,
-// one slab copy moves every frame and re-slicing restores the fills;
-// cloning a warmed template this way replaces the per-block insert
-// replay of warm-up with a memcpy (see cache.WarmImage).
+// CloneState makes this bank's state that of src — blocks and counters.
+// Both banks must have the same spec. Nothing is copied up front: every
+// set reads through to src until this bank first writes it (see Bank),
+// so src must not change while this bank is in use. A warmed template
+// is cloned this way into every run (see cache.WarmImage).
 func (b *Bank) CloneState(src *Bank) {
 	if b.spec != src.spec {
 		panic(fmt.Sprintf("bank: clone of %s into %s", src.spec, b.spec))
 	}
-	copy(b.slab, src.slab)
-	for i := range b.sets {
-		b.sets[i].blocks = b.sets[i].blocks[:len(src.sets[i].blocks)]
-	}
+	clear(b.fill)
+	b.img = src
 	b.Probes, b.Stores = src.Probes, src.Stores
 }
 
@@ -156,19 +157,55 @@ func (b *Bank) Spec() Spec { return b.spec }
 // Latency returns the bank's Table 1 timings.
 func (b *Bank) Latency() Latency { return b.lat }
 
-func (b *Bank) set(idx int) *frameSet {
-	if idx < 0 || idx >= len(b.sets) {
-		panic(fmt.Sprintf("bank: set %d out of range [0,%d)", idx, len(b.sets)))
+// checkSet panics on a set index outside the bank.
+func (b *Bank) checkSet(set int) {
+	if set < 0 || set >= len(b.fill) {
+		panic(fmt.Sprintf("bank: set %d out of range [0,%d)", set, len(b.fill)))
 	}
-	return &b.sets[idx]
 }
+
+// view returns the set's blocks for reading, MRU first: the bank's own
+// frames once it has written the set, the image's before.
+func (b *Bank) view(set int) []Block {
+	b.checkSet(set)
+	src := b
+	for src.fill[set] == 0 {
+		if src.img == nil {
+			return nil
+		}
+		src = src.img
+	}
+	o := set * src.spec.Ways
+	return src.frames[o : o+int(src.fill[set])-1]
+}
+
+// own returns the set's blocks for writing: the bank's own frames, with
+// the set's fill as length and its ways as capacity, first copying the
+// image's blocks into them if the bank has not written the set yet.
+// Mutators store the new length back with setLen.
+func (b *Bank) own(set int) []Block {
+	b.checkSet(set)
+	w := b.spec.Ways
+	frames := b.frames[set*w : (set+1)*w : (set+1)*w]
+	f := b.fill[set]
+	if f == 0 {
+		var src []Block
+		if b.img != nil {
+			src = b.img.view(set)
+		}
+		f = uint8(copy(frames, src)) + 1
+		b.fill[set] = f
+	}
+	return frames[:f-1]
+}
+
+func (b *Bank) setLen(set, n int) { b.fill[set] = uint8(n) + 1 }
 
 // Lookup tag-matches a set; it does not touch recency.
 func (b *Bank) Lookup(set int, tag uint64) (way int, ok bool) {
 	b.Probes++
-	fs := b.set(set)
-	for i := range fs.blocks {
-		if fs.blocks[i].Tag == tag {
+	for i, blk := range b.view(set) {
+		if blk.Tag == tag {
 			return i, true
 		}
 	}
@@ -177,44 +214,47 @@ func (b *Bank) Lookup(set int, tag uint64) (way int, ok bool) {
 
 // Touch promotes a resident way to MRU within the bank.
 func (b *Bank) Touch(set, way int) {
-	fs := b.set(set)
-	blk := fs.blocks[way]
-	copy(fs.blocks[1:way+1], fs.blocks[:way])
-	fs.blocks[0] = blk
+	blks := b.own(set)
+	blk := blks[way]
+	copy(blks[1:way+1], blks[:way])
+	blks[0] = blk
 }
 
 // Remove extracts a resident way.
 func (b *Bank) Remove(set, way int) Block {
-	fs := b.set(set)
-	blk := fs.blocks[way]
-	fs.blocks = append(fs.blocks[:way], fs.blocks[way+1:]...)
+	blks := b.own(set)
+	blk := blks[way]
+	copy(blks[way:], blks[way+1:])
+	b.setLen(set, len(blks)-1)
 	return blk
 }
 
 // EvictLRU removes and returns the LRU block of the set; ok is false if
 // the set is empty.
 func (b *Bank) EvictLRU(set int) (Block, bool) {
-	fs := b.set(set)
-	if len(fs.blocks) == 0 {
+	blks := b.own(set)
+	n := len(blks)
+	if n == 0 {
 		return Block{}, false
 	}
-	blk := fs.blocks[len(fs.blocks)-1]
-	fs.blocks = fs.blocks[:len(fs.blocks)-1]
-	return blk, true
+	b.setLen(set, n-1)
+	return blks[n-1], true
 }
 
 // Insert installs a block as the MRU of the set. The set must have a free
 // frame — replacement protocols always evict first; violating that is a
 // protocol bug, so it panics.
 func (b *Bank) Insert(set int, blk Block) {
-	fs := b.set(set)
-	if len(fs.blocks) >= b.spec.Ways {
+	blks := b.own(set)
+	n := len(blks)
+	if n >= b.spec.Ways {
 		panic(fmt.Sprintf("bank: insert into full set %d (%s)", set, b.spec))
 	}
 	b.Stores++
-	fs.blocks = append(fs.blocks, Block{})
-	copy(fs.blocks[1:], fs.blocks)
-	fs.blocks[0] = blk
+	blks = blks[:n+1]
+	copy(blks[1:], blks[:n])
+	blks[0] = blk
+	b.setLen(set, n+1)
 }
 
 // InsertLRU installs a block as the LRU of the set (used when a
@@ -222,27 +262,30 @@ func (b *Bank) Insert(set int, blk Block) {
 // block is colder than everything already here under Promotion-style
 // ordering; Fast-LRU inserts at MRU instead).
 func (b *Bank) InsertLRU(set int, blk Block) {
-	fs := b.set(set)
-	if len(fs.blocks) >= b.spec.Ways {
+	blks := b.own(set)
+	n := len(blks)
+	if n >= b.spec.Ways {
 		panic(fmt.Sprintf("bank: insertLRU into full set %d (%s)", set, b.spec))
 	}
 	b.Stores++
-	fs.blocks = append(fs.blocks, blk)
+	blks = blks[:n+1]
+	blks[n] = blk
+	b.setLen(set, n+1)
 }
 
 // SetDirty marks a resident way dirty (a write hit).
 func (b *Bank) SetDirty(set, way int) {
-	b.set(set).blocks[way].Dirty = true
+	b.own(set)[way].Dirty = true
 }
 
 // Occupancy returns how many frames of the set are filled.
-func (b *Bank) Occupancy(set int) int { return len(b.set(set).blocks) }
+func (b *Bank) Occupancy(set int) int { return len(b.view(set)) }
 
 // Blocks returns a copy of the set's blocks in MRU-to-LRU order.
 func (b *Bank) Blocks(set int) []Block {
-	fs := b.set(set)
-	out := make([]Block, len(fs.blocks))
-	copy(out, fs.blocks)
+	v := b.view(set)
+	out := make([]Block, len(v))
+	copy(out, v)
 	return out
 }
 
@@ -250,7 +293,7 @@ func (b *Bank) Blocks(set int) []Block {
 // copying them (whole-cache scans use it; Blocks allocates per set). f
 // must not mutate the bank.
 func (b *Bank) EachBlock(set int, f func(Block)) {
-	for _, blk := range b.set(set).blocks {
+	for _, blk := range b.view(set) {
 		f(blk)
 	}
 }
@@ -259,4 +302,4 @@ func (b *Bank) EachBlock(set int, f func(Block)) {
 func (b *Bank) Ways() int { return b.spec.Ways }
 
 // NumSets returns the set count.
-func (b *Bank) NumSets() int { return len(b.sets) }
+func (b *Bank) NumSets() int { return len(b.fill) }

@@ -1,6 +1,8 @@
 package bank
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -156,64 +158,272 @@ func TestSetsIsolated(t *testing.T) {
 
 // Property: under any sequence of insert/evict, a set never exceeds its
 // ways, never holds duplicate tags, and evictions return the oldest
-// non-touched block.
+// non-touched block — on a bank that owns its sets and on a clone that
+// starts out reading set 0 through a warm image.
 func TestBankInvariantsProperty(t *testing.T) {
-	if err := quick.Check(func(ops []byte, seed uint16) bool {
-		b := New(Spec{256, 4})
-		next := uint64(1)
-		resident := map[uint64]bool{}
-		for _, op := range ops {
-			switch op % 3 {
-			case 0: // insert (evict first if full)
-				if b.Occupancy(0) == 4 {
-					blk, _ := b.EvictLRU(0)
-					delete(resident, blk.Tag)
+	spec := Spec{256, 4}
+	img := New(spec)
+	img.InsertLRU(0, Block{Tag: 1 << 40})
+	img.InsertLRU(0, Block{Tag: 1<<40 + 1, Dirty: true})
+	want := img.Blocks(0)
+	for _, tc := range []struct {
+		name  string
+		fresh func() *Bank
+	}{
+		{"owned", func() *Bank { return New(spec) }},
+		{"read-through", func() *Bank { b := New(spec); b.CloneState(img); return b }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := quick.Check(func(ops []byte, seed uint16) bool {
+				b := tc.fresh()
+				next := uint64(1)
+				resident := map[uint64]bool{}
+				for _, blk := range b.Blocks(0) {
+					resident[blk.Tag] = true
 				}
-				b.Insert(0, Block{Tag: next})
-				resident[next] = true
-				next++
-			case 1: // evict
-				if blk, ok := b.EvictLRU(0); ok {
-					if !resident[blk.Tag] {
+				for _, op := range ops {
+					switch op % 3 {
+					case 0: // insert (evict first if full)
+						if b.Occupancy(0) == 4 {
+							blk, _ := b.EvictLRU(0)
+							delete(resident, blk.Tag)
+						}
+						b.Insert(0, Block{Tag: next})
+						resident[next] = true
+						next++
+					case 1: // evict
+						if blk, ok := b.EvictLRU(0); ok {
+							if !resident[blk.Tag] {
+								return false
+							}
+							delete(resident, blk.Tag)
+						}
+					case 2: // touch a random resident way
+						if occ := b.Occupancy(0); occ > 0 {
+							b.Touch(0, int(seed)%occ)
+						}
+					}
+					if b.Occupancy(0) > 4 {
 						return false
 					}
-					delete(resident, blk.Tag)
+					seen := map[uint64]bool{}
+					for _, blk := range b.Blocks(0) {
+						if seen[blk.Tag] || !resident[blk.Tag] {
+							return false
+						}
+						seen[blk.Tag] = true
+					}
+					if len(seen) != len(resident) {
+						return false
+					}
+					// The non-copying scan visits exactly Blocks' sequence.
+					i, blocks := 0, b.Blocks(0)
+					b.EachBlock(0, func(blk Block) {
+						if i >= len(blocks) || blk != blocks[i] {
+							i = len(blocks) + 1
+							return
+						}
+						i++
+					})
+					if i != len(blocks) {
+						return false
+					}
 				}
-			case 2: // touch a random resident way
-				if occ := b.Occupancy(0); occ > 0 {
-					b.Touch(0, int(seed)%occ)
-				}
+				return true
+			}, &quick.Config{MaxCount: 200}); err != nil {
+				t.Fatal(err)
 			}
-			if b.Occupancy(0) > 4 {
-				return false
-			}
-			seen := map[uint64]bool{}
-			for _, blk := range b.Blocks(0) {
-				if seen[blk.Tag] || !resident[blk.Tag] {
-					return false
-				}
-				seen[blk.Tag] = true
-			}
-			if len(seen) != len(resident) {
-				return false
-			}
-			// The non-copying scan visits exactly Blocks' sequence.
-			i, blocks := 0, b.Blocks(0)
-			b.EachBlock(0, func(blk Block) {
-				if i >= len(blocks) || blk != blocks[i] {
-					i = len(blocks) + 1
-					return
-				}
-				i++
-			})
-			if i != len(blocks) {
-				return false
+		})
+	}
+	if got := img.Blocks(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the image's set 0 changed under its clones: %v, want %v", got, want)
+	}
+}
+
+// warmTemplate returns a bank warmed as cache.BuildWarmImage warms one:
+// set s holds s mod (ways+1) blocks, so empty, partial and full sets all
+// occur, with tags unique to the set and every third block dirty.
+func warmTemplate(spec Spec) *Bank {
+	img := New(spec)
+	for set := 0; set < spec.Sets(); set++ {
+		for w := 0; w < set%(spec.Ways+1); w++ {
+			img.InsertLRU(set, Block{Tag: uint64(set<<8 | w), Dirty: w%3 == 2})
+		}
+	}
+	return img
+}
+
+// contents is every set's Blocks.
+func contents(b *Bank) [][]Block {
+	out := make([][]Block, b.NumSets())
+	for set := range out {
+		out[set] = b.Blocks(set)
+	}
+	return out
+}
+
+// copiedSets counts the sets b has written since it was built or cloned.
+func copiedSets(b *Bank) int {
+	n := 0
+	for _, f := range b.fill {
+		if f != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCloneReadsThrough: a clone answers every read from the image —
+// Lookup, Occupancy, Blocks and EachBlock, plus the counters — without
+// copying a single set, and drops whatever the bank held before.
+func TestCloneReadsThrough(t *testing.T) {
+	spec := Spec{256, 4}
+	img := warmTemplate(spec)
+	img.Probes = 11
+	b := New(spec)
+	b.Insert(3, Block{Tag: 999})
+	b.CloneState(img)
+	if b.Probes != img.Probes || b.Stores != img.Stores {
+		t.Fatalf("counters %d/%d, image %d/%d", b.Probes, b.Stores, img.Probes, img.Stores)
+	}
+	for set := 0; set < spec.Sets(); set++ {
+		want := img.Blocks(set)
+		if got := b.Blocks(set); !reflect.DeepEqual(got, want) {
+			t.Fatalf("set %d: Blocks %v, image %v", set, got, want)
+		}
+		if got := b.Occupancy(set); got != len(want) {
+			t.Fatalf("set %d: Occupancy %d, image holds %d", set, got, len(want))
+		}
+		var each []Block
+		b.EachBlock(set, func(blk Block) { each = append(each, blk) })
+		if len(each) != len(want) || (len(want) > 0 && !reflect.DeepEqual(each, want)) {
+			t.Fatalf("set %d: EachBlock %v, image %v", set, each, want)
+		}
+		for way, blk := range want {
+			if w, ok := b.Lookup(set, blk.Tag); !ok || w != way {
+				t.Fatalf("set %d: Lookup(%d) = %d,%v, want %d,true", set, blk.Tag, w, ok, way)
 			}
 		}
-		return true
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		if _, ok := b.Lookup(set, 999); ok {
+			t.Fatalf("set %d: a tag the bank held before the clone still hits", set)
+		}
 	}
+	if n := copiedSets(b); n != 0 {
+		t.Fatalf("reads copied %d sets", n)
+	}
+}
+
+// TestFirstWriteCopiesOneSet: each mutator on a set the clone has not
+// written copies exactly that set, ends in the state it reaches on a bank
+// that owns the same blocks, and leaves the image unchanged.
+func TestFirstWriteCopiesOneSet(t *testing.T) {
+	spec := Spec{256, 4}
+	img := warmTemplate(spec)
+	want := contents(img)
+	full, partial, empty := 4, 2, 5 // 4, 2 and 0 blocks
+	for _, tc := range []struct {
+		name string
+		set  int
+		op   func(b *Bank)
+	}{
+		{"Touch", full, func(b *Bank) { b.Touch(full, 2) }},
+		{"Remove", full, func(b *Bank) { b.Remove(full, 1) }},
+		{"EvictLRU", full, func(b *Bank) { b.EvictLRU(full) }},
+		{"EvictLRU-empty", empty, func(b *Bank) { b.EvictLRU(empty) }},
+		{"Insert", partial, func(b *Bank) { b.Insert(partial, Block{Tag: 777}) }},
+		{"Insert-empty", empty, func(b *Bank) { b.Insert(empty, Block{Tag: 777}) }},
+		{"InsertLRU", partial, func(b *Bank) { b.InsertLRU(partial, Block{Tag: 777}) }},
+		{"SetDirty", full, func(b *Bank) { b.SetDirty(full, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clone, owned := New(spec), New(spec)
+			clone.CloneState(img)
+			for _, blk := range img.Blocks(tc.set) {
+				owned.InsertLRU(tc.set, blk)
+			}
+			tc.op(clone)
+			tc.op(owned)
+			if n := copiedSets(clone); n != 1 || clone.fill[tc.set] == 0 {
+				t.Fatalf("copied %d sets (set %d written: %v), want exactly set %d", n, tc.set, clone.fill[tc.set] != 0, tc.set)
+			}
+			if got, w := clone.Blocks(tc.set), owned.Blocks(tc.set); !reflect.DeepEqual(got, w) {
+				t.Fatalf("set %d after %s: %v, want %v", tc.set, tc.name, got, w)
+			}
+			if !reflect.DeepEqual(contents(img), want) {
+				t.Fatalf("%s on a clone wrote through to the image", tc.name)
+			}
+		})
+	}
+}
+
+// TestArenaRewindLeaksNoStaleFrames: the arena rewinds the frame slab
+// without zeroing it, so a bank carved after Reset sits on the previous
+// round's frames. Neither a fresh bank nor a clone may show them, and a
+// clone's first writes start from the image's blocks.
+func TestArenaRewindLeaksNoStaleFrames(t *testing.T) {
+	spec := Spec{256, 4}
+	img := warmTemplate(spec)
+	var ar Arena
+	old := NewIn(spec, &ar)
+	for set := 0; set < spec.Sets(); set++ {
+		for w := 0; w < spec.Ways; w++ {
+			old.Insert(set, Block{Tag: 1<<40 | uint64(set<<8|w), Dirty: true})
+		}
+	}
+	ar.Reset()
+	b := NewIn(spec, &ar)
+	if &b.frames[0] != &old.frames[0] || b.frames[0] != old.frames[0] {
+		t.Fatal("the rewound arena did not hand back the previous round's frames as they were")
+	}
+	for set := 0; set < spec.Sets(); set++ {
+		if n := b.Occupancy(set); n != 0 {
+			t.Fatalf("fresh bank, set %d: %d stale blocks visible", set, n)
+		}
+	}
+	b.CloneState(img)
+	if got, want := contents(b), contents(img); !reflect.DeepEqual(got, want) {
+		t.Fatal("clone over stale frames differs from the image")
+	}
+	for set := 0; set < spec.Sets(); set++ {
+		want := img.Blocks(set)
+		switch {
+		case len(want) == 0:
+			if blk, ok := b.EvictLRU(set); ok {
+				t.Fatalf("set %d: EvictLRU of an empty image set returned %v", set, blk)
+			}
+		case set%2 == 0:
+			if blk, ok := b.EvictLRU(set); !ok || blk != want[len(want)-1] {
+				t.Fatalf("set %d: EvictLRU = %v,%v, want %v", set, blk, ok, want[len(want)-1])
+			}
+			want = want[:len(want)-1]
+		default:
+			if blk := b.Remove(set, 0); blk != want[0] {
+				t.Fatalf("set %d: Remove(0) = %v, want %v", set, blk, want[0])
+			}
+			want = want[1:]
+		}
+		if got := b.Blocks(set); !reflect.DeepEqual(got, want) {
+			t.Fatalf("set %d after the first write: %v, want %v", set, got, want)
+		}
+	}
+}
+
+// TestNewInRejectsWaysBeyondFill: a set's fill is a uint8 holding the
+// block count plus one.
+func TestNewInRejectsWaysBeyondFill(t *testing.T) {
+	b := NewIn(Spec{SizeKB: 512, Ways: 254}, nil)
+	for w := 0; w < 254; w++ {
+		b.InsertLRU(1, Block{Tag: uint64(w)})
+	}
+	if n := b.Occupancy(1); n != 254 {
+		t.Fatalf("a full 254-way set holds %d blocks", n)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "bad spec") {
+			t.Fatalf("255 ways: recovered %q, want a bad-spec panic", msg)
+		}
+	}()
+	NewIn(Spec{SizeKB: 512, Ways: 255}, nil)
 }
 
 func TestProbeStoreCounters(t *testing.T) {

@@ -7,12 +7,13 @@ import (
 
 // WarmImage is the precomputed post-warm-up bank state of one design
 // geometry: template banks warmed from a WarmBlocks table exactly as
-// System.Warm would warm them. Batch evaluation (core.Engine.RunAll) builds
-// the image once per (bank stack, warm table) and clones it into every
-// lane's banks, replacing the per-block insert replay — the dominant
-// per-lane construction cost for short screening runs — with one slab
-// copy per bank. The image is immutable after construction and safe to
-// share read-only across goroutines.
+// System.Warm would warm them. core builds the image once per (bank
+// stack, warm table) and process, and every run clones it into its own
+// banks: a clone reads each set through to the image until the run first
+// writes that set (see bank.Bank), so warming costs neither the per-block
+// insert replay nor a copy of the cache. The image is immutable after
+// construction and safe to share read-only across goroutines; no clone
+// ever writes through to it.
 type WarmImage struct {
 	banks [][]*bank.Bank // [column][position], never mutated after build
 }
@@ -48,8 +49,9 @@ func BuildWarmImage(d config.Design, warm [][]uint64) *WarmImage {
 }
 
 // WarmClone preloads every bank by cloning the image's template banks —
-// equivalent to Warm on the table the image was built from, at memcpy
-// cost. The image's geometry must match the system's.
+// equivalent to Warm on the table the image was built from, at the cost
+// of clearing one byte per set. The image's geometry must match the
+// system's.
 func (s *System) WarmClone(img *WarmImage) {
 	for c, col := range s.agents {
 		for p, a := range col {

@@ -128,7 +128,7 @@ type warmState struct {
 }
 
 // maxSharedWarm bounds the process-wide warm cache. A state is a
-// 2.5 MB table plus a bank image of about 10 MB, and a process rarely
+// 2.5 MB table plus a bank image of about 4.5 MB, and a process rarely
 // alternates between more than a few (bank stack, core count) pairs.
 const maxSharedWarm = 4
 

@@ -18,7 +18,8 @@ import (
 //
 // Banks is the cache-bank construction arena riding along: one Arena per
 // worker provisions everything a lane builds, and one Reset recycles it
-// all.
+// all. Its frame slab is the one carve that is not zeroed (see
+// bank.Arena.Reset).
 //
 // An Arena is single-goroutine state: share one per worker, never across
 // workers. A nil *Arena falls back to plain allocation, so every existing
@@ -32,7 +33,7 @@ type Arena struct {
 	words   slab.Chunk[uint64]
 	pkts    slab.Chunk[*flit.Packet]
 
-	// Banks carves cache-bank state (frame slabs, set headers); see
+	// Banks carves cache-bank state (frame slabs, fill counts); see
 	// bank.NewIn. Access through BankArena for nil-safety.
 	Banks bank.Arena
 }
@@ -45,9 +46,10 @@ func (a *Arena) BankArena() *bank.Arena {
 	return &a.Banks
 }
 
-// Reset recycles every chunk for a fresh round of construction: all
-// memory is zeroed and carving restarts from the first chunk, so no new
-// allocations happen until usage exceeds the arena's high-water mark.
+// Reset recycles every chunk for a fresh round of construction: memory
+// is zeroed (bank frames aside) and carving restarts from the first
+// chunk, so no new allocations happen until usage exceeds the arena's
+// high-water mark.
 // Every slice previously carved from the arena is invalidated — callers
 // must only Reset once nothing built from the arena is referenced
 // (core.Engine.RunAll resets between lanes, whose instances are

@@ -2,6 +2,7 @@ package router
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"nucanet/internal/flit"
@@ -11,11 +12,19 @@ import (
 )
 
 // fabric wires one wormhole router per node of topo, as the network
-// package does, with an endpoint that only counts deliveries.
+// package does, with an endpoint that logs every delivery.
 type fabric struct {
-	k         *sim.Kernel
-	rs        []*Router
-	delivered int
+	k       *sim.Kernel
+	rs      []*Router
+	ejected []ejection
+	nextID  uint64
+}
+
+// ejection is one packet delivered to a router's local endpoint.
+type ejection struct {
+	pkt   uint64
+	node  topology.NodeID
+	cycle int64
 }
 
 func newFabric(topo *topology.Topology, cfg Config) *fabric {
@@ -37,13 +46,99 @@ func newFabric(topo *topology.Topology, cfg Config) *fabric {
 	}
 	for _, r := range f.rs {
 		r.SetKernelID(f.k.Register(r))
-		r.SetDeliver(func(*flit.Packet, int64) { f.delivered++ })
+		r.SetDeliver(func(p *flit.Packet, now int64) {
+			f.ejected = append(f.ejected, ejection{p.ID, r.ID, now})
+		})
 	}
 	return f
 }
 
 func (f *fabric) send(kind flit.Kind, src, dst topology.NodeID, multicast bool) {
-	f.rs[src].Inject(&flit.Packet{Kind: kind, Src: src, Dst: dst, DstEp: flit.ToBank, PathDeliver: multicast}, f.k.Now())
+	f.nextID++
+	f.rs[src].Inject(&flit.Packet{ID: f.nextID, Kind: kind, Src: src, Dst: dst, DstEp: flit.ToBank, PathDeliver: multicast}, f.k.Now())
+}
+
+// traffic is a pattern the router tests drive through a fabric: inject
+// runs once n kernel steps have been taken, for every n up to last, and
+// returns the deliveries it adds.
+type traffic struct {
+	name   string
+	topo   *topology.Topology
+	last   int
+	inject func(f *fabric, n int) int
+}
+
+// drive injects tc into every fabric of fs and steps their kernels in
+// lockstep until they idle with nothing left to inject, calling check
+// after every step. It returns the deliveries tc expects of each.
+func (tc traffic) drive(t *testing.T, check func(), fs ...*fabric) int {
+	t.Helper()
+	want := 0
+	for n := 0; ; n++ {
+		for i, f := range fs {
+			if w := tc.inject(f, n); i == 0 {
+				want += w
+			}
+		}
+		stepped := fs[0].k.Step()
+		for _, f := range fs[1:] {
+			if f.k.Step() != stepped {
+				t.Fatalf("step %d: the kernels fell out of lockstep", n)
+			}
+		}
+		if stepped {
+			check()
+		} else if n >= tc.last {
+			return want
+		}
+		if n > 100000 {
+			t.Fatal("did not drain")
+		}
+	}
+}
+
+// saturatingTraffic is two waves of unicast plus path-multicast packets,
+// the second injected into routers that are mid-flight: on a 4x4 mesh,
+// and on a 16-spike halo whose hub has 17 PCs x 4 VCs = 68 VCs, so its
+// injection VCs live in the second mask word.
+func saturatingTraffic() []traffic {
+	mesh := topology.NewMesh(topology.MeshSpec{W: 4, H: 4, CoreX: 1, MemX: 2})
+	halo := topology.NewHalo(topology.HaloSpec{Spikes: 16, Length: 5})
+	waves := func(wave func(f *fabric) int) func(f *fabric, n int) int {
+		return func(f *fabric, n int) int {
+			if n == 0 || n == 21 {
+				return wave(f)
+			}
+			return 0
+		}
+	}
+	return []traffic{
+		{"mesh4x4", mesh, 21, waves(func(f *fabric) int {
+			want := 0
+			for i := 0; i < 4; i++ {
+				for col := 0; col < 4; col++ {
+					// Down a column with a replica at each of its 4 banks
+					// (the last one is the packet itself), and back up.
+					f.send(flit.ReplaceBlock, mesh.Core, mesh.NodeAt(col, 3), true)
+					f.send(flit.HitData, mesh.NodeAt(col, 3-i), mesh.Core, false)
+					f.send(flit.ReadReq, mesh.NodeAt(3-col, i), mesh.NodeAt(col, 3-i), false)
+					want += 4 + 1 + 1
+				}
+			}
+			return want
+		})},
+		{"halo16", halo, 21, waves(func(f *fabric) int {
+			want := 0
+			for i := 0; i < 4; i++ {
+				for s := 0; s < 16; s++ {
+					f.send(flit.ReplaceBlock, halo.Hub(), halo.Column(s)[4], true)
+					f.send(flit.HitData, halo.Column(s)[2+i%3], halo.Hub(), false)
+					want += 5 + 1
+				}
+			}
+			return want
+		})},
+	}
 }
 
 // checkMasks asserts that every work mask of r says exactly what the VC
@@ -103,59 +198,21 @@ func checkDrained(t *testing.T, r *Router) {
 
 // TestRouterMaskInvariants steps saturating unicast plus path-multicast
 // traffic one kernel cycle at a time and checks every router's masks
-// after every cycle. The halo hub has 17 PCs x 4 VCs = 68 VCs, so its
-// injection VCs live in the second mask word.
+// after every cycle.
 func TestRouterMaskInvariants(t *testing.T) {
-	mesh := topology.NewMesh(topology.MeshSpec{W: 4, H: 4, CoreX: 1, MemX: 2})
-	halo := topology.NewHalo(topology.HaloSpec{Spikes: 16, Length: 5})
-	for _, tc := range []struct {
-		name string
-		topo *topology.Topology
-		wave func(f *fabric) int // injects one wave, returns expected deliveries
-	}{
-		{"mesh4x4", mesh, func(f *fabric) int {
-			want := 0
-			for i := 0; i < 4; i++ {
-				for col := 0; col < 4; col++ {
-					// Down a column with a replica at each of its 4 banks
-					// (the last one is the packet itself), and back up.
-					f.send(flit.ReplaceBlock, mesh.Core, mesh.NodeAt(col, 3), true)
-					f.send(flit.HitData, mesh.NodeAt(col, 3-i), mesh.Core, false)
-					f.send(flit.ReadReq, mesh.NodeAt(3-col, i), mesh.NodeAt(col, 3-i), false)
-					want += 4 + 1 + 1
-				}
-			}
-			return want
-		}},
-		{"halo16", halo, func(f *fabric) int {
-			want := 0
-			for i := 0; i < 4; i++ {
-				for s := 0; s < 16; s++ {
-					f.send(flit.ReplaceBlock, halo.Hub(), halo.Column(s)[4], true)
-					f.send(flit.HitData, halo.Column(s)[2+i%3], halo.Hub(), false)
-					want += 5 + 1
-				}
-			}
-			return want
-		}},
-	} {
+	for _, tc := range saturatingTraffic() {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFabric(tc.topo, DefaultConfig())
-			if tc.topo == halo && len(f.rs[halo.Hub()].occMask) != 2 {
-				t.Fatalf("hub has %d mask words, want 2", len(f.rs[halo.Hub()].occMask))
+			if tc.name == "halo16" {
+				if hub := f.rs[tc.topo.Hub()]; len(hub.occMask) != 2 {
+					t.Fatalf("hub has %d mask words, want 2", len(hub.occMask))
+				}
 			}
-			want := tc.wave(f)
-			for steps := 0; f.k.Step(); steps++ {
+			want := tc.drive(t, func() {
 				for _, r := range f.rs {
 					checkMasks(t, r)
 				}
-				if steps == 20 {
-					want += tc.wave(f) // inject into routers that are mid-flight
-				}
-				if steps > 100000 {
-					t.Fatal("did not drain")
-				}
-			}
+			}, f)
 			var st Stats
 			for _, r := range f.rs {
 				st.Merge(r.Stats())
@@ -163,8 +220,8 @@ func TestRouterMaskInvariants(t *testing.T) {
 			if st.CreditStalls == 0 || st.ReplicasSpawned == 0 {
 				t.Fatalf("traffic neither stalled nor replicated, so the run proves little: %+v", st)
 			}
-			if f.delivered != want {
-				t.Fatalf("delivered %d packets, want %d", f.delivered, want)
+			if len(f.ejected) != want {
+				t.Fatalf("delivered %d packets, want %d", len(f.ejected), want)
 			}
 			for _, r := range f.rs {
 				checkDrained(t, r)
@@ -193,8 +250,8 @@ func TestCreditReturnDoesNotWakeDrainedRouter(t *testing.T) {
 	if !f.k.Idle() {
 		t.Fatalf("cycle %d: the tail ejected but the kernel still has a router scheduled", f.k.Now())
 	}
-	if f.delivered != 1 || f.rs[2].Stats().FlitsRouted != 5 {
-		t.Fatalf("delivered %d packets, last router moved %d flits", f.delivered, f.rs[2].Stats().FlitsRouted)
+	if len(f.ejected) != 1 || f.rs[2].Stats().FlitsRouted != 5 {
+		t.Fatalf("delivered %d packets, last router moved %d flits", len(f.ejected), f.rs[2].Stats().FlitsRouted)
 	}
 	for _, r := range f.rs {
 		checkDrained(t, r) // every credit is back although nobody was woken for it
@@ -202,5 +259,88 @@ func TestCreditReturnDoesNotWakeDrainedRouter(t *testing.T) {
 		if r.Tick(f.k.Now()+1) || r.Stats() != before {
 			t.Fatalf("router %d: tick of an empty router did something (stats %+v -> %+v)", r.ID, before, r.Stats())
 		}
+	}
+}
+
+// sameDecisions reports whether a and b hold the same state arbitration
+// decides: counters, round-robin pointers, downstream credits and
+// claims, and every VC's occupancy, route and allocations.
+func sameDecisions(a, b *Router) bool {
+	if a.stats != b.stats || a.replRR != b.replRR || a.injVC != b.injVC ||
+		!slices.Equal(a.rrOut, b.rrOut) || !slices.Equal(a.credits, b.credits) {
+		return false
+	}
+	for i := range a.owner {
+		if (a.owner[i] == nil) != (b.owner[i] == nil) {
+			return false
+		}
+	}
+	for i := range a.vcs {
+		v, w := &a.vcs[i], &b.vcs[i]
+		if v.q.len() != w.q.len() || v.route != w.route || v.outVC != w.outVC ||
+			v.repl != w.repl || v.replNeed != w.replNeed {
+			return false
+		}
+	}
+	return true
+}
+
+// TestOneVCTickMatchesArbitration: a tick that finds a single occupied VC
+// skips arbitration. A fabric forced through the general three-phase
+// path on every tick, stepped in lockstep, must hold the same router
+// state after every cycle and eject the same packets at the same nodes
+// on the same cycles — on the saturated waves, where both paths run, and
+// on a light stream of mostly lone packets.
+func TestOneVCTickMatchesArbitration(t *testing.T) {
+	mesh := topology.NewMesh(topology.MeshSpec{W: 4, H: 4, CoreX: 1, MemX: 2})
+	light := traffic{"light-mesh4x4", mesh, 600, func(f *fabric, n int) int {
+		if n%8 != 0 {
+			return 0
+		}
+		col := n / 8 % 4
+		switch n / 8 % 3 {
+		case 0:
+			f.send(flit.ReplaceBlock, mesh.Core, mesh.NodeAt(col, 3), true)
+			return 4
+		case 1:
+			f.send(flit.HitData, mesh.NodeAt(col, 2), mesh.Core, false)
+		default:
+			f.send(flit.ReadReq, mesh.NodeAt(col, 0), mesh.NodeAt(3-col, 3), false)
+		}
+		return 1
+	}}
+	for _, tc := range append(saturatingTraffic(), light) {
+		t.Run(tc.name, func(t *testing.T) {
+			one, general := newFabric(tc.topo, DefaultConfig()), newFabric(tc.topo, DefaultConfig())
+			for _, r := range general.rs {
+				r.arbitrateAlways = true
+			}
+			ticks, oneVC := 0, 0
+			want := tc.drive(t, func() {
+				for i, r := range one.rs {
+					if g := general.rs[i]; !sameDecisions(r, g) {
+						t.Fatalf("cycle %d, router %d: state differs\none-VC path stats %+v, rrOut %v\ngeneral     stats %+v, rrOut %v",
+							one.k.Now(), r.ID, r.stats, r.rrOut, g.stats, g.rrOut)
+					}
+					// A router holding flits ticks next cycle.
+					if r.occ > 0 {
+						ticks++
+						if r.soleVC() >= 0 {
+							oneVC++
+						}
+					}
+				}
+			}, one, general)
+			t.Logf("%d of %d ticks found a single occupied VC", oneVC, ticks)
+			if oneVC == 0 {
+				t.Fatal("no tick found a single occupied VC, so the run proves little")
+			}
+			if len(one.ejected) != want {
+				t.Fatalf("delivered %d packets, want %d", len(one.ejected), want)
+			}
+			if !slices.Equal(one.ejected, general.ejected) {
+				t.Fatalf("ejections differ:\none-VC path %v\ngeneral     %v", one.ejected, general.ejected)
+			}
+		})
 	}
 }

@@ -27,14 +27,16 @@
 // per-output reqMask (routed to that output) with its popcount reqCnt
 // lets switch allocation skip outputs nobody asked for. Ascending bit
 // order is the (port, VC) scan order, so every allocation and round-robin
-// grant sees the sequence the straightforward nested scan saw. A router
-// holding no flit is never woken by a credit return, and ticking one is
-// a no-op. VC queues are ring buffers carved from one per-router slab,
-// credit returns go through the kernel's typed DeferIncr, and multicast
-// replica packets are recycled through a per-run flit.PacketPool. All of
-// it is decision-for-decision identical to the straightforward
-// implementation it replaced — the byte-identical determinism regression
-// in internal/core is the proof.
+// grant sees the sequence the straightforward nested scan saw. A tick
+// that finds a single occupied VC takes it straight through allocation
+// and traversal with nothing to arbitrate. A router holding no flit is
+// never woken by a credit return, and ticking one is a no-op. VC queues
+// are ring buffers carved from one per-router slab, credit returns go
+// through the kernel's typed DeferIncr, and multicast replica packets
+// are recycled through a per-run flit.PacketPool. All of it is
+// decision-for-decision identical to the straightforward implementation
+// it replaced — the byte-identical determinism regression in
+// internal/core is the proof.
 package router
 
 import (
@@ -170,6 +172,11 @@ type Router struct {
 	ejMask  []uint64 // route == ejectOut: set in assignRoute, cleared in resetRoute
 	reqMask []uint64 // [out*len(occMask)+word]: route == out, same owners as ejMask
 	reqCnt  []int    // per neighbor out: popcount of its reqMask words
+
+	// arbitrateAlways makes Tick take the general three-phase path even
+	// when one VC holds every flit; set only by tests, which hold the two
+	// paths to the same decisions.
+	arbitrateAlways bool
 }
 
 // base is the plumbing the three engines share: identity, the routing
@@ -354,26 +361,18 @@ func (r *Router) Tick(now int64) bool {
 		return false
 	}
 	ready := now - r.stages // a flit is ready once arrived <= ready
+	// Most ticks find a single occupied VC (DESIGN.md §3d); it needs no
+	// arbitration.
+	if idx := r.soleVC(); idx >= 0 && !r.arbitrateAlways {
+		r.tickOne(idx, ready, now)
+		return r.occ > 0
+	}
 
 	// Phase A: routing, VC allocation, multicast replica allocation for
 	// the flit at the front of each VC.
 	for wi, w := range r.occMask {
 		for ; w != 0; w &= w - 1 {
-			idx := wi<<6 | bits.TrailingZeros64(w)
-			v := &r.vcs[idx]
-			e := v.q.front()
-			if e.arrived > ready {
-				continue
-			}
-			if e.f.Head && v.route == unassigned {
-				r.assignRoute(idx, e.f.Pkt)
-			}
-			if v.route != unassigned && v.route != ejectOut && v.outVC == unassigned {
-				r.allocVC(v, e.f.Pkt, now)
-			}
-			if v.replNeed && v.repl == unassigned {
-				r.allocReplica(v)
-			}
+			r.allocate(wi<<6|bits.TrailingZeros64(w), ready, now)
 		}
 	}
 
@@ -410,6 +409,66 @@ func (r *Router) Tick(now int64) bool {
 
 	// Stay active while any flit is buffered.
 	return r.occ > 0
+}
+
+// soleVC returns the vcs index of the only occupied VC, or -1 when none
+// or several hold flits.
+func (r *Router) soleVC() int {
+	idx := -1
+	for wi, w := range r.occMask {
+		if w == 0 {
+			continue
+		}
+		if idx >= 0 || w&(w-1) != 0 {
+			return -1
+		}
+		idx = wi<<6 | bits.TrailingZeros64(w)
+	}
+	return idx
+}
+
+// tickOne is Tick for a router whose only occupied VC is vcs[idx]. With
+// one candidate there is nothing to arbitrate: the VC gets phase A's
+// allocation, then ejects, or passes the switch-allocation checks
+// pickWinner would make for it and traverses. That is the general
+// path's exact outcome — nothing pushed during the tick is ready before
+// the next cycle, so no second VC can join in — without its mask walks.
+func (r *Router) tickOne(idx int, ready, now int64) {
+	if !r.allocate(idx, ready, now) {
+		return
+	}
+	v := &r.vcs[idx]
+	switch v.route {
+	case unassigned: // never routed: no candidate for either phase B
+	case ejectOut:
+		r.traverse(idx, 0, true, now)
+	default:
+		if o := int(v.route); r.grantable(v, o) {
+			r.grant(o, idx)
+			r.traverse(idx, o, false, now)
+		}
+	}
+}
+
+// allocate is phase A for vcs[idx]: once its front flit is ready, route
+// a head and claim the downstream VC and any multicast replica VC the
+// packet still lacks. It reports whether the front flit is ready.
+func (r *Router) allocate(idx int, ready, now int64) bool {
+	v := &r.vcs[idx]
+	e := v.q.front()
+	if e.arrived > ready {
+		return false
+	}
+	if e.f.Head && v.route == unassigned {
+		r.assignRoute(idx, e.f.Pkt)
+	}
+	if v.route != unassigned && v.route != ejectOut && v.outVC == unassigned {
+		r.allocVC(v, e.f.Pkt, now)
+	}
+	if v.replNeed && v.repl == unassigned {
+		r.allocReplica(v)
+	}
+	return true
 }
 
 // assignRoute computes the output for the head flit of vcs[idx]
@@ -519,27 +578,38 @@ func (r *Router) pickWinner(o int, ready int64) int {
 		for ; w != 0; w &= w - 1 {
 			idx := wi<<6 | bits.TrailingZeros64(w)
 			v := &r.vcs[idx]
-			if r.usedIn[v.port] || v.q.front().arrived > ready || v.outVC == unassigned {
+			if r.usedIn[v.port] || v.q.front().arrived > ready || !r.grantable(v, o) {
 				continue
 			}
-			if r.credits[o*r.nVC+int(v.outVC)] <= 0 {
-				r.stats.CreditStalls++
-				continue
-			}
-			// Replication blocked, or the stolen VC momentarily full:
-			// hold the flit.
-			if v.replNeed && (v.repl == unassigned || r.vcs[v.repl].q.len() >= r.bufDepth) {
-				continue
-			}
-			next := idx + 1
-			if next == len(r.vcs) {
-				next = 0
-			}
-			r.rrOut[o] = next
+			r.grant(o, idx)
 			return idx
 		}
 	}
 	return -1
+}
+
+// grantable applies switch allocation's checks to a ready VC routed to
+// neighbor output o: it needs a downstream VC and a credit for it (a
+// missing credit counts a stall), and a multicast flit waits while its
+// replica VC is unallocated or momentarily full.
+func (r *Router) grantable(v *vcState, o int) bool {
+	if v.outVC == unassigned {
+		return false
+	}
+	if r.credits[o*r.nVC+int(v.outVC)] <= 0 {
+		r.stats.CreditStalls++
+		return false
+	}
+	return !v.replNeed || (v.repl != unassigned && r.vcs[v.repl].q.len() < r.bufDepth)
+}
+
+// grant moves output o's round-robin pointer past its winner vcs[idx].
+func (r *Router) grant(o, idx int) {
+	next := idx + 1
+	if next == len(r.vcs) {
+		next = 0
+	}
+	r.rrOut[o] = next
 }
 
 // traverse moves the front flit of vcs[idx] through the crossbar: to the

@@ -22,9 +22,10 @@ type Chunk[T any] struct {
 // not to waste memory on tiny batches.
 const chunkMin = 4096
 
-// Grab carves an n-element slice, zeroed, with capacity exactly n — the
+// Grab carves an n-element slice with capacity exactly n — the
 // three-index carve keeps an overflowing append from bleeding into a
-// neighboring slice.
+// neighboring slice. The slice is zeroed, except that memory recycled
+// by Rewind keeps what an earlier round wrote there.
 func Grab[T any](c *Chunk[T], n int) []T {
 	for n > len(c.buf) {
 		if c.idx+1 < len(c.chunks) {
@@ -57,6 +58,15 @@ func (c *Chunk[T]) Reset() {
 	for _, ch := range c.chunks {
 		clear(ch)
 	}
+	c.Rewind()
+}
+
+// Rewind is Reset without the zeroing: carving restarts from the first
+// chunk, and the next round's carves hold whatever the previous round
+// wrote there. It is for storage whose owner never reads an element it
+// has not written in the current round; the aliasing contract is
+// Reset's.
+func (c *Chunk[T]) Rewind() {
 	if len(c.chunks) > 0 {
 		c.idx, c.buf = 0, c.chunks[0]
 	}

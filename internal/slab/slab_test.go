@@ -77,3 +77,40 @@ func TestResetRecyclesWithoutAllocating(t *testing.T) {
 		t.Fatalf("a repeated round after Reset allocated %v times, want 0", got)
 	}
 }
+
+// TestRewindReusesWindowsUnzeroed: Rewind restarts carving over the same
+// memory and leaves its contents in place; a later Reset still zeroes.
+func TestRewindReusesWindowsUnzeroed(t *testing.T) {
+	var c Chunk[int]
+	first := make([][]int, len(roundSizes))
+	for i, n := range roundSizes {
+		first[i] = Grab(&c, n)
+		for j := range first[i] {
+			first[i][j] = i + 1
+		}
+	}
+	c.Rewind()
+	for i, n := range roundSizes {
+		s := Grab(&c, n)
+		if n > 0 && &s[0] != &first[i][0] {
+			t.Fatalf("carve %d after Rewind is a different window", i)
+		}
+		for j, v := range s {
+			if v != i+1 {
+				t.Fatalf("carve %d after Rewind changed at %d: %d, want %d", i, j, v, i+1)
+			}
+		}
+	}
+	c.Reset()
+	for i, n := range roundSizes {
+		s := Grab(&c, n)
+		if n > 0 && &s[0] != &first[i][0] {
+			t.Fatalf("carve %d after Reset is a different window", i)
+		}
+		for j, v := range s {
+			if v != 0 {
+				t.Fatalf("carve %d after Reset not zeroed at %d: %d", i, j, v)
+			}
+		}
+	}
+}
