@@ -44,6 +44,7 @@ import (
 	"nucanet/internal/config"
 	"nucanet/internal/core"
 	"nucanet/internal/cpu"
+	"nucanet/internal/network"
 	"nucanet/internal/router"
 	"nucanet/internal/routing"
 	"nucanet/internal/trace"
@@ -153,11 +154,12 @@ func main() {
 	}
 }
 
-// verifyRouting runs the static verifier over every design in the
-// catalogue (Table 3's A-F plus the extra registered families) and
-// reports one line per design: the channel-dependence deadlock check for
-// buffered engines, the productive-route livelock check when engineName
-// resolves to a deflecting engine. Returns a process exit code.
+// verifyRouting runs network construction's static gate (network.Check)
+// over every design in the catalogue (Table 3's A-F plus the extra
+// registered families) and reports one line per design: the
+// channel-dependence deadlock check for buffered engines, the
+// productive-route livelock check when engineName resolves to a
+// deflecting engine. Returns a process exit code.
 func verifyRouting(w io.Writer, engineName string) int {
 	eng, err := router.ByName(engineName)
 	if err != nil {
@@ -182,12 +184,9 @@ func verifyRouting(w io.Writer, engineName string) int {
 			code = 1
 			continue
 		}
-		if eng.Deflecting {
-			err = routing.VerifyDeflectionLivelockFree(topo, alg, eng.AgeMonotone)
-		} else {
-			err = routing.VerifyDeadlockFree(topo, alg)
-		}
-		if err != nil {
+		cfg := d.Router
+		cfg.Engine = eng.Name
+		if _, err := network.Check(topo, alg, cfg); err != nil {
 			fmt.Fprintf(w, "design %s  REJECTED  %v\n", d.ID, err)
 			code = 1
 			continue

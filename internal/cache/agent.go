@@ -179,9 +179,18 @@ func (a *agent) sendDone(o *op, fin int64) {
 	a.send(fin, flit.CompleteNotify, o.ctrl, flit.ToCore, o.req.Addr, &o.done)
 }
 
-// writeBack sends a dirty victim leaving the cache to memory.
-func (a *agent) writeBack(o *op, fin int64) {
-	a.send(fin, flit.WriteBack, a.sys.Topo.Mem, flit.ToMem, o.req.Addr, nil)
+// victimLeaves retires a block pushed out of the column, attributed to
+// the access that displaced it: the directory (inert unless the
+// directory policy is active) records the drop, and a dirty block is
+// written back to memory. Every policy's drop sites route through here,
+// so the directory needs no hooks of its own in the protocol flow.
+func (a *agent) victimLeaves(o *op, blk bank.Block, fin int64) {
+	if d := a.sys.Dir; d != nil {
+		d.cols[a.col].dropped(blk.Tag, o.tag)
+	}
+	if blk.Dirty {
+		a.send(fin, flit.WriteBack, a.sys.Topo.Mem, flit.ToMem, o.req.Addr, nil)
+	}
 }
 
 // missNotify books a multicast miss probe (tag-only access), reports it

@@ -240,13 +240,3 @@ func (d *DirStats) Verify(s *System) []string {
 	}
 	return violations
 }
-
-// dropVictim records a victim leaving the cache entirely, attributed to
-// the access that displaced it. Inert unless the directory policy is
-// active; every policy's drop sites route through here so the directory
-// needs no hooks of its own in the protocol flow.
-func (a *agent) dropVictim(o *op, blk bank.Block) {
-	if d := a.sys.Dir; d != nil {
-		d.cols[a.col].dropped(blk.Tag, o.tag)
-	}
-}

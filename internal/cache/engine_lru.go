@@ -72,10 +72,7 @@ func (e *lruEngine) startFastChain(a *agent, o *op, fin int64) {
 	blk := a.evictLRU(o.set)
 	if a.last == 0 {
 		// Single-bank column: the victim leaves the cache.
-		a.dropVictim(o, blk)
-		if blk.Dirty {
-			a.writeBack(o, fin)
-		}
+		a.victimLeaves(o, blk, fin)
 		a.sendDone(o, fin)
 		return
 	}
@@ -98,10 +95,7 @@ func (e *lruEngine) forwardUnit(a *agent, o *op, fin int64) {
 	}
 	// LRU bank: replacement is complete; the victim leaves the cache.
 	if m.hasBlock {
-		a.dropVictim(o, m.blk)
-		if m.blk.Dirty {
-			a.writeBack(o, fin)
-		}
+		a.victimLeaves(o, m.blk, fin)
 	}
 	a.sendDone(o, fin)
 	a.requestMemory(o, fin)
@@ -149,10 +143,7 @@ func (e *lruEngine) Unit(a *agent, m *unitMsg, now int64) {
 		return
 	}
 	if m.hasBlock {
-		a.dropVictim(o, m.blk)
-		if m.blk.Dirty {
-			a.writeBack(o, fin)
-		}
+		a.victimLeaves(o, m.blk, fin)
 	}
 	a.sendDone(o, fin)
 	a.requestMemory(o, fin)
@@ -175,23 +166,7 @@ func (e *lruEngine) Store(a *agent, m *storeMsg, now int64) {
 		a.sendDone(o, fin)
 		return
 	}
-	if !a.full(o.set) {
-		a.insert(o.set, m.blk)
-		a.sendDone(o, fin)
-		return
-	}
-	victim := a.evictLRU(o.set)
-	a.insert(o.set, m.blk)
-	if a.last == 0 {
-		a.dropVictim(o, victim)
-		if victim.Dirty {
-			a.writeBack(o, fin)
-		}
-		a.sendDone(o, fin)
-		return
-	}
-	o.chain.blk = victim
-	a.sendBank(fin, flit.ReplaceBlock, 1, o.req.Addr, &o.chain)
+	fillEvictChain(a, o, m.blk, fin)
 }
 
 // Fill stores the block returning from memory into the MRU bank.
@@ -256,10 +231,7 @@ func chainStep(a *agent, m *chainMsg, now int64) {
 	victim := a.evictLRU(o.set)
 	a.insert(o.set, m.blk)
 	if a.pos == a.last {
-		a.dropVictim(o, victim)
-		if victim.Dirty {
-			a.writeBack(o, fin)
-		}
+		a.victimLeaves(o, victim, fin)
 		a.sendDone(o, fin)
 		return
 	}
@@ -279,10 +251,7 @@ func fillEvictChain(a *agent, o *op, blk bank.Block, fin int64) {
 	victim := a.evictLRU(o.set)
 	a.insert(o.set, blk)
 	if a.last == 0 {
-		a.dropVictim(o, victim)
-		if victim.Dirty {
-			a.writeBack(o, fin)
-		}
+		a.victimLeaves(o, victim, fin)
 		a.sendDone(o, fin)
 		return
 	}

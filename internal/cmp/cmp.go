@@ -222,17 +222,6 @@ func abs(x int) int {
 // Port returns core i's cache interface.
 func (f *Fabric) Port(i int) *Port { return f.ports[i] }
 
-// OffsetAddr relocates an address into core i's private tag range.
-func (f *Fabric) OffsetAddr(addr uint64, core int) uint64 {
-	return OffsetAddr(f.Sys.AM, addr, core)
-}
-
-// Warm interleaves the cores' warm sets into the shared cache (see
-// MergeWarm).
-func (f *Fabric) Warm(warm [][]uint64) {
-	f.Sys.Warm(MergeWarm(f.Sys.AM, f.Sys.Design.Ways(), warm, f.N))
-}
-
 // Pending returns outstanding work across every port and controller —
 // the fabric-wide complement of (*cache.Controller).Pending that a
 // multi-controller drain must check.

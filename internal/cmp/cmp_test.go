@@ -70,8 +70,8 @@ func TestOffsetAddrDisjoint(t *testing.T) {
 	f := fabricOn(t, "A", 2)
 	am := f.Sys.AM
 	addr := am.Compose(42, 13, 5)
-	a0 := f.OffsetAddr(addr, 0)
-	a1 := f.OffsetAddr(addr, 1)
+	a0 := OffsetAddr(am, addr, 0)
+	a1 := OffsetAddr(am, addr, 1)
 	if a0 != addr {
 		t.Fatal("core 0's tag range must be the identity (single-core compatibility)")
 	}
@@ -120,7 +120,8 @@ func TestWarmSplitsWays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Warm(trace.NewSynthetic(prof, f.Sys.AM, 1).WarmBlocks(16))
+	warm := trace.NewSynthetic(prof, f.Sys.AM, 1).WarmBlocks(16)
+	f.Sys.Warm(MergeWarm(f.Sys.AM, f.Sys.Design.Ways(), warm, f.N))
 	// Every set holds 16 blocks, 4 from each core's tag range.
 	counts := map[uint64]int{}
 	for _, bankTags := range f.Sys.Contents(3, 7) {

@@ -187,6 +187,27 @@ func TestEngineSharedArtifacts(t *testing.T) {
 	if &a3.Accs[0] != &a1.Accs[0] {
 		t.Error("same-geometry designs did not share the access stream")
 	}
+	// A catalogue design is gated once per process: runs without a
+	// PrepCache share its topology and table too.
+	n1, n2 := mustPrepare(t, opt, nil), mustPrepare(t, opt, nil)
+	if n1.Topo != a1.Topo || n2.Topo != a1.Topo || n1.Table != a1.Table || n2.Table != a1.Table {
+		t.Error("catalogue design prepared without a PrepCache did not share its topology and table")
+	}
+	// An ad-hoc design is gated once per PrepCache: two lanes share its
+	// artifacts, and another PrepCache gates it afresh.
+	d, err := config.DesignByID("F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	adHoc := opt
+	adHoc.Design = &d
+	l1, l2 := mustPrepare(t, adHoc, pc), mustPrepare(t, adHoc, pc)
+	if l1.Topo != l2.Topo || l1.Table != l2.Table {
+		t.Error("ad-hoc design's lanes in one PrepCache did not share the topology and table")
+	}
+	if other := mustPrepare(t, adHoc, NewPrepCache()); other.Topo == l1.Topo {
+		t.Error("ad-hoc design's topology outlived its PrepCache")
+	}
 }
 
 // TestEngineProbedLaneInMixedBatch pins that probe-carrying lanes need no

@@ -18,8 +18,9 @@ import (
 //	{"Design":<resolved design>,"Policy":…,"Mode":…,"Benchmark":…,
 //	 "Accesses":…,"Seed":…,"CPU":…,"Telemetry":…,"Cores":…}
 //
-// with the design resolved through resolveDesign (so a catalogue id and
-// a byte-equal ad-hoc override hash identically) and the CPU config
+// with the design resolved and gated through resolveDesign (so a
+// catalogue id and a byte-equal ad-hoc override hash identically, and a
+// design no run accepts has no key) and the CPU config
 // normalized by the same normalizedCPU call Prepare simulates with. Two
 // Options values that produce this same image produce bit-identical
 // simulations — the property the serving cache is built on. The design's
@@ -40,10 +41,10 @@ type canonicalTail struct {
 // the deterministic encoding of the fully resolved configuration.
 // Because Run is deterministic in its resolved configuration, equal keys
 // imply byte-identical Results; the serving layer uses the key to
-// collapse repeat requests into cache hits. Unresolvable options (the
-// same ones Validate rejects) return an error.
+// collapse repeat requests into cache hits. A design Validate rejects
+// returns Validate's error; an undefined policy or mode is an error too.
 func CanonicalKey(o Options) (string, error) {
-	rd, err := resolveDesign(o)
+	rd, err := resolveDesign(o, nil)
 	if err != nil {
 		return "", err
 	}

@@ -10,7 +10,6 @@ import (
 	"nucanet/internal/config"
 	"nucanet/internal/cpu"
 	"nucanet/internal/energy"
-	"nucanet/internal/network"
 	"nucanet/internal/router"
 	"nucanet/internal/routing"
 	"nucanet/internal/sim"
@@ -32,9 +31,10 @@ import (
 // Artifacts is everything about a run that is immutable once prepared.
 // All reference fields are shared read-only: many Instances — on one
 // goroutine or several — may be built over the same Artifacts, and
-// Artifacts of different runs may alias the same Topo/Table/Accs through
-// a PrepCache and the same Warm/WarmImg through the process-wide warm
-// state.
+// Artifacts of different runs may alias the same Topo/Table through the
+// gated design (process-wide for a catalogue design, per PrepCache for
+// an ad-hoc one), the same Accs through a PrepCache and the same
+// Warm/WarmImg through the process-wide warm state.
 type Artifacts struct {
 	Opt    Options       // original options, recorded in Result.Options
 	Design config.Design // resolved, router-normalized, validated
@@ -58,9 +58,10 @@ type Artifacts struct {
 }
 
 // PrepCache shares Prepare's expensive immutable artifacts across the
-// runs of a batch: the (topology, routing table, static verification)
-// triple per distinct design and the access streams per distinct
-// (benchmark, seed, geometry, accesses) key. It also pins every warm
+// runs of a batch: the gated ad-hoc designs (Options.Design; catalogue
+// designs are gated once per process, see designMemo) per canonical
+// encoding and the access streams per distinct (benchmark, seed,
+// geometry, accesses) key. It also pins every warm
 // state the batch uses, so a batch builds each at most once however
 // many the process-wide cache (sharedWarm) retains. A nil *PrepCache
 // shares only that process-wide warm state. The maps are unguarded:
@@ -68,7 +69,7 @@ type Artifacts struct {
 // prepares its whole batch before fanning out); what Prepare returns is
 // immutable and may be read from any number.
 type PrepCache struct {
-	designs map[string]*designEntry
+	designs map[string]*resolvedDesign
 	traces  map[traceKey]*traceEntry
 	warms   map[warmKey]*warmState
 }
@@ -76,19 +77,10 @@ type PrepCache struct {
 // NewPrepCache returns an empty artifact cache.
 func NewPrepCache() *PrepCache {
 	return &PrepCache{
-		designs: map[string]*designEntry{},
+		designs: map[string]*resolvedDesign{},
 		traces:  map[traceKey]*traceEntry{},
 		warms:   map[warmKey]*warmState{},
 	}
-}
-
-// designEntry caches per-design construction of an already validated
-// design: err is the network-construction gate (engine progress proof +
-// Supports) that cache/network construction would raise.
-type designEntry struct {
-	topo *topology.Topology
-	tb   *routing.Table
-	err  error
 }
 
 type traceKey struct {
@@ -184,28 +176,6 @@ func (pc *PrepCache) warmFor(d config.Design, prof trace.Profile, cores int) *wa
 	return ws
 }
 
-// design resolves the per-design entry of a design checkOptions accepted,
-// computing and (when pc is non-nil) caching it under the design's
-// canonical encoding.
-func (pc *PrepCache) design(rd *resolvedDesign) *designEntry {
-	if pc != nil {
-		if e, ok := pc.designs[string(rd.head)]; ok {
-			return e
-		}
-	}
-	e := &designEntry{}
-	if e.topo, e.err = rd.d.Build(); e.err == nil {
-		var alg routing.Algorithm
-		if alg, e.err = routing.For(e.topo); e.err == nil {
-			e.tb, e.err = network.Check(e.topo, alg, rd.d.Router)
-		}
-	}
-	if pc != nil {
-		pc.designs[string(rd.head)] = e
-	}
-	return e
-}
-
 // traceFor resolves the access stream, sharing across designs with the
 // same address geometry and total ways. cores >= 1 produces the CMP
 // form: per-core streams offset into private tag ranges (seeded by
@@ -237,24 +207,20 @@ func (pc *PrepCache) traceFor(d config.Design, prof trace.Profile, seed uint64, 
 	return e
 }
 
-// Prepare resolves and validates opt into the run's immutable artifacts.
-// Option checks (checkOptions) come first, then the network construction
-// gates — the order the monolithic Run surfaced the same errors in.
+// Prepare resolves and validates opt into the run's immutable artifacts:
+// checkOptions, the same gate Validate and CanonicalKey apply, hands over
+// the design's checked topology and routing table.
 func Prepare(opt Options, pc *PrepCache) (*Artifacts, error) {
-	rd, prof, err := checkOptions(opt)
+	rd, prof, err := checkOptions(opt, pc)
 	if err != nil {
 		return nil, err
-	}
-	de := pc.design(rd)
-	if de.err != nil {
-		return nil, de.err
 	}
 	d := rd.design()
 	te := pc.traceFor(d, prof, opt.Seed, opt.Accesses, opt.Cores)
 	ws := pc.warmFor(d, prof, opt.Cores)
 	return &Artifacts{
 		Opt: opt, Design: d, Prof: prof,
-		Topo: de.topo, Table: de.tb,
+		Topo: rd.topo, Table: rd.tb,
 		Warm: ws.table, WarmImg: ws.img,
 		Accs: te.accs, CoreAccs: te.coreAccs,
 		CPU: normalizedCPU(opt),

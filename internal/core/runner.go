@@ -10,18 +10,22 @@ import (
 	"nucanet/internal/cmp"
 	"nucanet/internal/config"
 	"nucanet/internal/cpu"
+	"nucanet/internal/network"
 	"nucanet/internal/router"
+	"nucanet/internal/routing"
+	"nucanet/internal/topology"
 	"nucanet/internal/trace"
 )
 
 // Validate checks that the options describe a runnable simulation: a
-// resolvable design, a registered router engine that supports it, a
-// known Table 2 benchmark, a positive access count, a core count the
-// design can host, and defined policy/mode values. Run performs the same
-// checks with the same messages (both go through checkOptions); use
-// Validate to fail fast before queuing work (e.g. building a sweep).
+// resolvable design whose routing a registered router engine supports
+// and provably makes progress on, a known Table 2 benchmark, a positive
+// access count, a core count the design can host, and defined
+// policy/mode values. Run performs the same checks with the same
+// messages (both go through checkOptions); use Validate to fail fast
+// before queuing work (e.g. building a sweep).
 func (o Options) Validate() error {
-	_, _, err := checkOptions(o)
+	_, _, err := checkOptions(o, nil)
 	return err
 }
 
@@ -29,13 +33,17 @@ func (o Options) Validate() error {
 // folded in, the engine name normalized to its registered form (empty
 // selects the default, so Result.Design records what actually simulated
 // and an empty and an explicit default engine share one CanonicalKey),
-// and validated under that engine. It is shared and read-only; design
-// hands out a private copy.
+// validated under that engine, and passed through the network gate —
+// topo and tb are the topology and routing table d.Build, routing.For
+// and network.Check produced, so every run of the design shares them.
+// It is shared and read-only; design hands out a private copy of d.
 type resolvedDesign struct {
 	d config.Design
 	// head is the canonical encoding (hash.go) up to the design's end:
 	// `{"Design":` + the JSON of d + `,`.
 	head []byte
+	topo *topology.Topology
+	tb   *routing.Table
 }
 
 // design returns a private copy of the resolved design. Banks and
@@ -50,20 +58,21 @@ func (rd *resolvedDesign) design() config.Design {
 type designKey struct{ id, router string }
 
 // designMemo holds every catalogue design (Options.Design == nil) that
-// resolved, per (DesignID, Router), for the life of the process.
-// Catalogue designs are constants and the topology, router and routing
-// registries are read-only after init, so an entry never goes stale.
-// Only successes are stored, so it holds at most |catalogue| x
+// passed the design gate, per (DesignID, Router), for the life of the
+// process. Catalogue designs are constants and the topology, router and
+// routing registries are read-only after init, so an entry never goes
+// stale. Only successes are stored, so it holds at most |catalogue| x
 // (|engines| + 1) entries — 36 today — and needs no bound or eviction.
 var designMemo struct {
 	sync.Mutex
 	m map[designKey]*resolvedDesign
 }
 
-// resolveDesign resolves o's design, from designMemo when o names a
-// catalogue design. An ad-hoc Options.Design takes the same path and is
-// not stored.
-func resolveDesign(o Options) (*resolvedDesign, error) {
+// resolveDesign resolves o's design and runs it through the design gate:
+// from designMemo when o names a catalogue design, from pc's designs
+// (keyed by the canonical head) when o carries an ad-hoc Options.Design
+// and pc is non-nil. An ad-hoc design is never stored process-wide.
+func resolveDesign(o Options, pc *PrepCache) (*resolvedDesign, error) {
 	key := designKey{o.DesignID, o.Router}
 	if o.Design == nil {
 		designMemo.Lock()
@@ -74,22 +83,48 @@ func resolveDesign(o Options) (*resolvedDesign, error) {
 		}
 	}
 	rd, err := newResolvedDesign(o)
-	if err != nil || o.Design != nil {
-		return rd, err
+	if err != nil {
+		return nil, err
 	}
+	if o.Design != nil && pc != nil {
+		if prev := pc.designs[string(rd.head)]; prev != nil {
+			return prev, nil
+		}
+	}
+	if rd.topo, err = rd.d.Build(); err != nil {
+		return nil, err
+	}
+	alg, err := routing.For(rd.topo)
+	if err != nil {
+		return nil, err
+	}
+	if rd.tb, err = network.Check(rd.topo, alg, rd.d.Router); err != nil {
+		return nil, err
+	}
+	if o.Design != nil {
+		if pc != nil {
+			pc.designs[string(rd.head)] = rd
+		}
+		return rd, nil
+	}
+	// The first resolution stored wins, so concurrent first calls still
+	// hand every caller one topology and one table.
 	designMemo.Lock()
+	defer designMemo.Unlock()
+	if prev := designMemo.m[key]; prev != nil {
+		return prev, nil
+	}
 	if designMemo.m == nil {
 		designMemo.m = map[designKey]*resolvedDesign{}
 	}
 	designMemo.m[key] = rd
-	designMemo.Unlock()
 	return rd, nil
 }
 
-// newResolvedDesign runs every design check, in the order Run has always
-// surfaced their errors: the design resolves and validates under its own
-// engine, the override names a registered engine, and the design
-// validates under the override.
+// newResolvedDesign runs the configuration checks, in the order Run has
+// always surfaced their errors: the design resolves and validates under
+// its own engine, the override names a registered engine, and the design
+// validates under the override. resolveDesign adds the network gate.
 func newResolvedDesign(o Options) (*resolvedDesign, error) {
 	dp, err := config.Resolve(o.DesignID, o.Design)
 	if err != nil {
@@ -131,11 +166,12 @@ func normalizedCPU(o Options) cpu.Config {
 }
 
 // checkOptions is the one place an Options value is judged runnable. It
-// returns the resolved design and the benchmark profile for Prepare to
-// build on. The check order is the order Run has always surfaced these
+// returns the gated design and the benchmark profile for Prepare to
+// build on; pc, when non-nil, shares an ad-hoc design's gate across a
+// batch. The check order is the order Run has always surfaced these
 // errors in.
-func checkOptions(o Options) (rd *resolvedDesign, prof trace.Profile, err error) {
-	if rd, err = resolveDesign(o); err != nil {
+func checkOptions(o Options, pc *PrepCache) (rd *resolvedDesign, prof trace.Profile, err error) {
+	if rd, err = resolveDesign(o, pc); err != nil {
 		return nil, prof, err
 	}
 	if prof, err = trace.ProfileByName(o.Benchmark); err != nil {
@@ -148,11 +184,7 @@ func checkOptions(o Options) (rd *resolvedDesign, prof trace.Profile, err error)
 		return nil, prof, fmt.Errorf("core: cores must be non-negative, got %d", o.Cores)
 	}
 	if o.Cores > 0 {
-		topo, err := rd.d.Build()
-		if err != nil {
-			return nil, prof, err
-		}
-		if err := cmp.SupportsHost(topo, rd.d.ID, o.Cores); err != nil {
+		if err := cmp.SupportsHost(rd.topo, rd.d.ID, o.Cores); err != nil {
 			return nil, prof, err
 		}
 	}

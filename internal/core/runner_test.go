@@ -8,6 +8,7 @@ import (
 
 	"nucanet/internal/config"
 	"nucanet/internal/router"
+	"nucanet/internal/topology"
 )
 
 // memoEntry reports whether the design memo holds (id, rtr).
@@ -84,8 +85,9 @@ func TestCanonicalKeyMemoSkipsErrors(t *testing.T) {
 
 // TestCanonicalKeyMemoConcurrent fills the memo from scratch on 8
 // goroutines mixing Validate, CanonicalKey and Run over every catalogue
-// design and router: every answer equals the sequential one, and the
-// filled memo holds exactly |catalogue| x (|engines| + 1) entries.
+// design and router: every answer equals the sequential one, runs of one
+// pair share one topology however their gates raced, and the filled memo
+// holds exactly |catalogue| x (|engines| + 1) entries.
 func TestCanonicalKeyMemoConcurrent(t *testing.T) {
 	type pair struct{ id, rtr string }
 	var pairs []pair
@@ -113,10 +115,17 @@ func TestCanonicalKeyMemoConcurrent(t *testing.T) {
 	designMemo.m = nil
 	designMemo.Unlock()
 	var wg sync.WaitGroup
+	topos := make([]*topology.Topology, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			// Goroutines g and g+4 race to gate one pair on an empty memo.
+			if art, err := Prepare(opts(runs[g%len(runs)]), nil); err != nil {
+				t.Error(err)
+			} else {
+				topos[g] = art.Topo
+			}
 			for j := range pairs {
 				i := (g*5 + j) % len(pairs)
 				o := opts(pairs[i])
@@ -136,6 +145,11 @@ func TestCanonicalKeyMemoConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	for g, topo := range topos {
+		if want := mustPrepare(t, opts(runs[g%len(runs)]), nil).Topo; topo != want {
+			t.Errorf("goroutine %d: %v prepared its own topology, not the memoised one", g, runs[g%len(runs)])
+		}
+	}
 	designMemo.Lock()
 	n := len(designMemo.m)
 	designMemo.Unlock()
@@ -145,12 +159,12 @@ func TestCanonicalKeyMemoConcurrent(t *testing.T) {
 }
 
 // TestOptionsValidate pins Validate as Run's front door: on every kind
-// of bad option the two fail with the same message. (An unsupported
-// engine x topology pair is not a row: no registered engine rejects a
-// registered topology, and registering one that does would leak into
-// every test that enumerates router.Names(). Both paths share
-// resolveDesign's d.Validate call for it; network's test binary, which
-// registers such an engine, pins the error.)
+// of bad option the two fail with the same message. (An engine that
+// cannot run a topology, or whose routing fails its progress proof, is
+// not a row: no registered engine does either on a registered topology,
+// and registering one would leak into every test that enumerates
+// router.Names(). Both paths share resolveDesign's gate for them;
+// network's test binary, which registers such engines, pins the errors.)
 func TestOptionsValidate(t *testing.T) {
 	if err := DefaultOptions().Validate(); err != nil {
 		t.Fatalf("defaults invalid: %v", err)

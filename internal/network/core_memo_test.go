@@ -37,3 +37,24 @@ func TestCanonicalKeyUnsupportedEngineNotMemoised(t *testing.T) {
 		t.Errorf("design F under its own engine after the rejection: %v", err)
 	}
 }
+
+// TestValidateAgreesWithRunOnLivelock: test-unfair-deflect passes every
+// configuration check (it supports every topology) and fails only the
+// livelock-freedom proof network construction enforces. That proof is
+// part of core's design gate, so Validate, CanonicalKey and Run reject
+// the design with one identical error.
+func TestValidateAgreesWithRunOnLivelock(t *testing.T) {
+	o := core.DefaultOptions()
+	o.DesignID, o.Router, o.Accesses = "F", "test-unfair-deflect", 50
+	verr := o.Validate()
+	if verr == nil || !strings.Contains(verr.Error(), "age-monotone") {
+		t.Fatalf("Validate: err = %v, want the livelock rejection", verr)
+	}
+	_, kerr := core.CanonicalKey(o)
+	_, rerr := core.Run(o)
+	for name, err := range map[string]error{"CanonicalKey": kerr, "Run": rerr} {
+		if err == nil || err.Error() != verr.Error() {
+			t.Errorf("%s: err = %v, want Validate's %q", name, err, verr)
+		}
+	}
+}

@@ -144,7 +144,8 @@ type Result struct {
 
 // Search runs deterministic simulated annealing over the candidate
 // space. Every proposal passes the static safety gate
-// (Candidate.Verify: deadlock/livelock-freedom of its routed topology)
+// (Candidate.Verify: deadlock/livelock-freedom of its routed topology,
+// and CMP hosting when Cores > 0)
 // and the area gate (L2 area no larger than the Design F baseline's)
 // before it is scored; scores come from the real simulator, one
 // core.Engine batch per wave. Screening runs are short; the shortlist is
@@ -161,7 +162,7 @@ func Search(cfg Config) (*Result, error) {
 	baseline := Seed().Canon()
 	if cfg.Cores > 0 {
 		baseline = SeedCMP().Canon()
-		if err := baseline.HostsCores(cfg.Cores); err != nil {
+		if err := baseline.Verify(cfg.Cores); err != nil {
 			return nil, fmt.Errorf("place: cores=%d: %w", cfg.Cores, err)
 		}
 	}
@@ -214,11 +215,7 @@ func Search(cfg Config) (*Result, error) {
 			if _, done := scores[key]; done {
 				continue // already screened in an earlier wave
 			}
-			if err := n.Verify(); err != nil {
-				res.RejectedUnsafe++
-				continue
-			}
-			if err := n.HostsCores(cfg.Cores); err != nil {
+			if err := n.Verify(cfg.Cores); err != nil {
 				res.RejectedUnsafe++
 				continue
 			}

@@ -7,11 +7,9 @@ import (
 	"strings"
 
 	"nucanet/internal/bank"
-	"nucanet/internal/cmp"
 	"nucanet/internal/config"
-	"nucanet/internal/network"
+	"nucanet/internal/core"
 	"nucanet/internal/router"
-	"nucanet/internal/routing"
 	"nucanet/internal/sim"
 	"nucanet/internal/topology"
 )
@@ -172,32 +170,21 @@ func (c Candidate) Valid() bool {
 }
 
 // Verify is the static safety gate every candidate passes before a
-// single cycle is simulated: config validation, then the routing
-// progress proof network construction itself enforces — the
-// channel-dependence cycle check (routing.VerifyDeadlockFree) for
-// blocking engines, the livelock-freedom argument for deflecting ones —
-// via network.Check. The optimizer never scores a candidate this
+// single cycle is simulated. It is core's own gate (Options.Validate),
+// so it accepts exactly the candidates a run accepts: config validation, the routing progress proof network construction
+// enforces (the channel-dependence cycle check for blocking engines, the
+// livelock-freedom argument for deflecting ones) and, when cores > 0,
+// whether the topology can host an n-core CMP fabric (see
+// cmp.SupportsHost). The optimizer never scores a candidate this
 // rejects.
-func (c Candidate) Verify() error {
+func (c Candidate) Verify(cores int) error {
 	if !c.Valid() {
 		return fmt.Errorf("place: malformed candidate %s", c)
 	}
 	d := c.Design()
-	if err := d.Validate(); err != nil {
-		return err
-	}
-	topo, err := d.Build()
-	if err != nil {
-		return err
-	}
-	alg, err := routing.For(topo)
-	if err != nil {
-		return err
-	}
-	if _, err := network.Check(topo, alg, d.Router); err != nil {
-		return err
-	}
-	return nil
+	o := core.DefaultOptions()
+	o.DesignID, o.Design, o.Cores = d.ID, &d, cores
+	return o.Validate()
 }
 
 // Seed returns the search's starting point: the halo of Design F, which
@@ -217,21 +204,6 @@ func SeedCMP() Candidate {
 		stack[i] = 1
 	}
 	return Candidate{Family: "mesh", Stack: stack, CoreX: 7, MemX: 8}
-}
-
-// HostsCores reports whether the candidate's topology can host an n-core
-// CMP fabric (see cmp.SupportsHost); nil when n is 0 (classic run) or
-// the grid fits.
-func (c Candidate) HostsCores(n int) error {
-	if n <= 0 {
-		return nil
-	}
-	d := c.Design()
-	topo, err := d.Build()
-	if err != nil {
-		return err
-	}
-	return cmp.SupportsHost(topo, d.ID, n)
 }
 
 // Mutate returns a neighbor of c drawn with rng: split a bank into two

@@ -27,7 +27,7 @@ func TestDesignFInSpace(t *testing.T) {
 	if !reflect.DeepEqual(d.Banks, f.Banks) {
 		t.Errorf("seed banks %v, want Design F's %v", d.Banks, f.Banks)
 	}
-	if err := Seed().Verify(); err != nil {
+	if err := Seed().Verify(0); err != nil {
 		t.Errorf("seed failed the safety gate: %v", err)
 	}
 }
@@ -102,7 +102,7 @@ func TestVerifyRejectsMalformed(t *testing.T) {
 		{Family: "mesh", Stack: []int{8, 8}, CoreX: 20, MemX: 0}, // endpoint off-die
 	}
 	for _, c := range bad {
-		if err := c.Verify(); err == nil {
+		if err := c.Verify(0); err == nil {
 			t.Errorf("Verify accepted malformed candidate %+v", c)
 		}
 	}
@@ -168,7 +168,7 @@ func TestSearchWithCoresScreensCMP(t *testing.T) {
 		if s.Candidate.Family == "halo" {
 			t.Errorf("radial candidate %s survived a cores=2 search", s.Candidate)
 		}
-		if err := s.Candidate.HostsCores(cfg.Cores); err != nil {
+		if err := s.Candidate.Verify(cfg.Cores); err != nil {
 			t.Errorf("confirmed candidate %s cannot host %d cores: %v", s.Candidate, cfg.Cores, err)
 		}
 	}
@@ -192,20 +192,20 @@ func TestSearchWithCoresScreensCMP(t *testing.T) {
 	}
 }
 
-// TestHostsCores pins the gate itself: grids host up to their width,
+// TestHostsCores pins the gate's CMP half: grids host up to their width,
 // halos never do.
 func TestHostsCores(t *testing.T) {
 	mesh := SeedCMP()
-	if err := mesh.HostsCores(4); err != nil {
+	if err := mesh.Verify(4); err != nil {
 		t.Errorf("mesh rejects 4 cores: %v", err)
 	}
-	if err := mesh.HostsCores(Columns + 1); err == nil {
+	if err := mesh.Verify(Columns + 1); err == nil {
 		t.Error("mesh accepted more cores than columns")
 	}
-	if err := Seed().HostsCores(2); err == nil {
+	if err := Seed().Verify(2); err == nil {
 		t.Error("halo accepted a CMP fabric")
 	}
-	if err := Seed().HostsCores(0); err != nil {
+	if err := Seed().Verify(0); err != nil {
 		t.Errorf("cores=0 must always pass: %v", err)
 	}
 }

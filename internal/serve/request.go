@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"nucanet/internal/cache"
-	"nucanet/internal/cmp"
 	"nucanet/internal/config"
 	"nucanet/internal/core"
 	"nucanet/internal/router"
@@ -108,16 +107,6 @@ func (r RunRequest) options(maxAccesses int) (core.Options, *apiError) {
 		if r.Cores < 0 {
 			return o, badField("cores", "cores must be non-negative, got %d", r.Cores)
 		}
-		// The grid-hosting constraint is design-dependent; rebuild the
-		// (cheap, structural) topology to check it here so the rejection
-		// stays a field-scoped 400 instead of a run failure.
-		d, _ := config.DesignByID(o.DesignID)
-		if topo, err := d.Build(); err == nil {
-			if err := cmp.SupportsHost(topo, d.ID, r.Cores); err != nil {
-				return o, badField("cores", "design %q cannot host %d cores: a CMP run needs a full router grid with width >= cores",
-					o.DesignID, r.Cores)
-			}
-		}
 		o.Cores = r.Cores
 	}
 	if r.Telemetry != nil {
@@ -129,10 +118,17 @@ func (r RunRequest) options(maxAccesses int) (core.Options, *apiError) {
 			SampleEvery: r.Telemetry.SampleEvery,
 		}
 	}
-	// Defense in depth: the checks above should have covered everything
-	// Validate checks; a residual failure is reported without the
-	// internal error text.
+	// The checks above cover every field on its own; whether the design
+	// can host the cores is left to Validate (memoised per design), so a
+	// failure that goes away at cores 0 is the cores field's. Any other
+	// residual failure is reported without the internal error text.
 	if err := o.Validate(); err != nil {
+		solo := o
+		solo.Cores = 0
+		if o.Cores > 0 && solo.Validate() == nil {
+			return o, badField("cores", "design %q cannot host %d cores: a CMP run needs a full router grid with width >= cores",
+				o.DesignID, o.Cores)
+		}
 		return o, badField("", "invalid run configuration")
 	}
 	return o, nil
