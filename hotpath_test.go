@@ -118,8 +118,9 @@ func steadyMeshPoolBalanced(t *testing.T, engine string) {
 }
 
 // rearmingComp is a self-rearming component: two of three ticks stay
-// hot (Activate), every third parks on a future event (WakeAt) — the mix
-// that exercises the scheduled-id list and the event heap together.
+// hot (Activate), every third parks on a future wake-up (WakeAt) — the
+// mix that exercises the timing wheel and, for periods beyond its
+// horizon, the event heap together.
 type rearmingComp struct {
 	k      *sim.Kernel
 	id     int
@@ -136,9 +137,13 @@ func (c *rearmingComp) Tick(now int64) bool {
 	return true
 }
 
+// rearmingPeriods mixes wheel wake-ups with far ones: the kernel's wheel
+// spans 64 cycles.
+var rearmingPeriods = []int64{1, 2, 3, 4, 5, 63, 64, 65, 150}
+
 func rearmingPopulation(k *sim.Kernel, n int) {
 	for i := 0; i < n; i++ {
-		c := &rearmingComp{k: k, period: int64(1 + i%5)}
+		c := &rearmingComp{k: k, period: rearmingPeriods[i%len(rearmingPeriods)]}
 		c.id = k.Register(c)
 		k.WakeAt(c.period, c.id)
 	}
@@ -178,8 +183,9 @@ func TestBufferlessSteadyMeshPoolBalanced(t *testing.T) {
 }
 
 // TestKernelStepZeroAlloc pins the kernel's half of the contract: Step
-// with a self-rearming component population touches only reused slices
-// and the typed event heap — zero allocations per cycle.
+// with a self-rearming component population touches only the wheel's
+// bitmaps, reused slices and the typed event heap — zero allocations per
+// cycle, on the wheel and the heap path alike.
 func TestKernelStepZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
 	rearmingPopulation(k, 64)

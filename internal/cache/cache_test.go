@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"nucanet/internal/bank"
@@ -644,24 +645,38 @@ func TestParsePolicyAndMode(t *testing.T) {
 
 // TestWarmCloneMatchesWarm: every core.Run warms by cloning a shared
 // image, so the clone must leave the banks — and, under the directory
-// policy, the ownership report seeded from them — exactly as the
-// insertion replay does, on uniform and multi-way bank stacks.
+// policy, the per-column ownership baseline — exactly as the insertion
+// replay does, on uniform and multi-way bank stacks. Four systems clone
+// one fresh image at once, as concurrent runs do: the first directory
+// clone counts the image's owners and the others wait for the count.
 func TestWarmCloneMatchesWarm(t *testing.T) {
 	for _, d := range []config.Design{testDesign(4, 4), nonUniformTestDesign()} {
 		warm := trace.NewSynthetic(mustProfile(t, "gcc"), d.AddrMap(), 1).WarmBlocks(d.Ways())
 		replayed := MustNew(sim.NewKernel(), d, Directory, Multicast)
 		replayed.Warm(warm)
-		cloned := MustNew(sim.NewKernel(), d, Directory, Multicast)
-		cloned.WarmClone(BuildWarmImage(d, warm))
+		img := BuildWarmImage(d, warm)
+		clones := make([]*System, 4)
+		var wg sync.WaitGroup
+		for i := range clones {
+			clones[i] = MustNew(sim.NewKernel(), d, Directory, Multicast)
+			wg.Add(1)
+			go func(s *System) {
+				defer wg.Done()
+				s.WarmClone(img)
+			}(clones[i])
+		}
+		wg.Wait()
 		for col := 0; col < d.AddrMap().Columns; col++ {
 			for set := 0; set < d.AddrMap().Sets; set++ {
-				if got, want := cloned.Contents(col, set), replayed.Contents(col, set); !reflect.DeepEqual(got, want) {
+				if got, want := clones[0].Contents(col, set), replayed.Contents(col, set); !reflect.DeepEqual(got, want) {
 					t.Fatalf("design %s column %d set %d: clone holds %v, replay %v", d.ID, col, set, got, want)
 				}
 			}
 		}
-		if got, want := cloned.Dir.Report(), replayed.Dir.Report(); !reflect.DeepEqual(got, want) {
-			t.Errorf("design %s: directory seeded from the clone reports %+v, from the replay %+v", d.ID, got, want)
+		for _, cloned := range clones {
+			if !reflect.DeepEqual(cloned.Dir, replayed.Dir) {
+				t.Errorf("design %s: directory seeded from the clone reports %+v, from the replay %+v", d.ID, cloned.Dir.Report(), replayed.Dir.Report())
+			}
 		}
 	}
 }

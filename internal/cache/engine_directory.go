@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"nucanet/internal/bank"
@@ -120,22 +121,34 @@ func newDirStats(columns int) *DirStats {
 	return d
 }
 
-// seed (re)builds the occupancy baseline from the resident blocks —
-// called after warm-up, whichever path produced it (per-block Warm or
-// the cloned WarmImage of batch runs).
+// seed (re)builds the occupancy baseline by walking the resident blocks
+// after a per-block Warm. A WarmClone copies the image's counts instead
+// (seedFrom).
 func (d *DirStats) seed(s *System) {
-	for col := range d.cols {
-		live := d.cols[col].live
-		for o := range live {
-			delete(live, o)
+	for c := range d.cols {
+		live := d.cols[c].live
+		clear(live)
+		for _, a := range s.agents[c] {
+			countOwners(live, a.bk)
 		}
-		count := func(blk bank.Block) { live[OwnerOf(blk.Tag)]++ }
-		for pos := 0; pos <= s.lastPos(); pos++ {
-			bk := s.Bank(col, pos)
-			for set := 0; set < bk.NumSets(); set++ {
-				bk.EachBlock(set, count)
-			}
-		}
+	}
+}
+
+// seedFrom sets the occupancy baseline to precounted per-column owner
+// occupancies (WarmImage.liveOwners).
+func (d *DirStats) seedFrom(owners []map[uint64]int64) {
+	for c := range d.cols {
+		live := d.cols[c].live
+		clear(live)
+		maps.Copy(live, owners[c])
+	}
+}
+
+// countOwners adds bk's resident blocks to live, per owner.
+func countOwners(live map[uint64]int64, bk *bank.Bank) {
+	count := func(blk bank.Block) { live[OwnerOf(blk.Tag)]++ }
+	for set := 0; set < bk.NumSets(); set++ {
+		bk.EachBlock(set, count)
 	}
 }
 

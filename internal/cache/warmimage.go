@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"sync"
+
 	"nucanet/internal/bank"
 	"nucanet/internal/config"
 )
@@ -16,6 +18,9 @@ import (
 // ever writes through to it.
 type WarmImage struct {
 	banks [][]*bank.Bank // [column][position], never mutated after build
+
+	ownersOnce sync.Once
+	owners     []map[uint64]int64 // [column] owner -> resident blocks; see liveOwners
 }
 
 // BuildWarmImage warms template banks for the design from a warm-state
@@ -59,6 +64,23 @@ func (s *System) WarmClone(img *WarmImage) {
 		}
 	}
 	if s.Dir != nil {
-		s.Dir.seed(s)
+		s.Dir.seedFrom(img.liveOwners())
 	}
+}
+
+// liveOwners returns each column's resident blocks per owner — the
+// directory policy's occupancy baseline after warm-up, a function of the
+// image alone. The first directory run over the image counts them; every
+// later one copies the counts instead of walking every set again.
+func (img *WarmImage) liveOwners() []map[uint64]int64 {
+	img.ownersOnce.Do(func() {
+		img.owners = make([]map[uint64]int64, len(img.banks))
+		for c, col := range img.banks {
+			img.owners[c] = map[uint64]int64{}
+			for _, bk := range col {
+				countOwners(img.owners[c], bk)
+			}
+		}
+	})
+	return img.owners
 }

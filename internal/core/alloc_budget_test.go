@@ -21,11 +21,13 @@ var allocBudgetRuns = []struct {
 // of a whole run, artifacts and instance already built: the protocol
 // allocates a Request and an op per access (one portOp and an op on the
 // CMP path) and nothing per send, so what is left above 2.0 is one-time
-// growth — router injection rings, send queues, the packet pool —
-// amortized over the run, plus assembling the Result. The runs are the
-// benchmark's length because that growth does not shrink with the run.
+// growth — send queues, the packet pool, the kernel's far-event heap, the
+// rare injection ring that outgrows its carved burst — amortized over the
+// run, plus assembling the Result (reads 2.18 / 2.16 / 2.13). The runs
+// are the benchmark's length because that growth does not shrink with
+// the run.
 func TestSimulateAllocBudget(t *testing.T) {
-	const budget = 2.5
+	const budget = 2.25
 	for _, tc := range allocBudgetRuns {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt
@@ -63,10 +65,10 @@ func TestSimulateAllocBudget(t *testing.T) {
 // table and image are shared and the construction arena is recycled, so
 // a run pays for its access stream (24 B per access), the per-component
 // objects of its instance, and the simulate phase bounded above (reads
-// 2.85 / 2.82 / 2.35 objects and 0.58 / 0.58 / 0.62 KiB). Each run has
+// 2.60 / 2.57 / 2.29 objects and 0.52 / 0.52 / 0.60 KiB). Each run has
 // its own seed, as the benchmark's ops do.
 func TestRunAllocBudget(t *testing.T) {
-	const objBudget, kibBudget = 3.0, 0.7
+	const objBudget, kibBudget = 2.75, 0.65
 	for _, tc := range allocBudgetRuns {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt

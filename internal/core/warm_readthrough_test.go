@@ -9,6 +9,8 @@ import (
 
 	"nucanet/internal/bank"
 	"nucanet/internal/cache"
+	"nucanet/internal/config"
+	"nucanet/internal/sim"
 )
 
 // imageHash hashes art's warm image as a fresh clone of it reads: every
@@ -130,8 +132,50 @@ func TestRunLeavesWarmImageUnchanged(t *testing.T) {
 	}
 }
 
+// TestDirectoryBaselineCopiedFromImage: a directory run copies its
+// per-column owner occupancy from the warm image instead of walking
+// every set of its banks. The copy must equal, column by column, the walk
+// a per-block Warm of the same table does — for H2 at 1, 2 and 8 cores
+// and for every catalogue design the directory policy runs on — and must
+// match the blocks the clone holds (DirStats.Verify).
+func TestDirectoryBaselineCopiedFromImage(t *testing.T) {
+	var opts []Options
+	for _, cores := range []int{1, 2, 8} {
+		o := cmpOpts("H2", cores, 60)
+		o.Policy = cache.Directory
+		opts = append(opts, o)
+	}
+	for _, d := range append(config.Designs(), config.ExtraDesigns()...) {
+		o := DefaultOptions()
+		o.DesignID, o.Policy, o.Accesses = d.ID, cache.Directory, 60
+		opts = append(opts, o)
+	}
+	for _, opt := range opts {
+		art, err := Prepare(opt, nil)
+		if err != nil {
+			t.Fatalf("%s x %d cores: the directory policy does not run: %v", opt.DesignID, opt.Cores, err)
+		}
+		in, err := NewInstance(art, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walked, err := cache.NewPrebuilt(sim.NewKernel(), art.Design, opt.Policy, opt.Mode,
+			cache.Prebuilt{Topo: art.Topo, Alg: art.Table, Prechecked: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		walked.Warm(art.Warm)
+		if !reflect.DeepEqual(in.Sys.Dir, walked.Dir) {
+			t.Errorf("%s x %d cores: copied baseline %+v, walk %+v", opt.DesignID, opt.Cores, in.Sys.Dir.Report().Live, walked.Dir.Report().Live)
+		}
+		if v := in.Sys.Dir.Verify(in.Sys); len(v) != 0 {
+			t.Errorf("%s x %d cores: %v", opt.DesignID, opt.Cores, v)
+		}
+	}
+}
+
 // TestRunCopiesOnlySetsItWrites: warming is free of per-set work — a
-// built instance, the directory's seed scan included, has copied no set —
+// built instance, the directory's occupancy baseline included, has copied no set —
 // and a run copies only sets it writes, never more than it has bank
 // accesses.
 func TestRunCopiesOnlySetsItWrites(t *testing.T) {

@@ -5,9 +5,10 @@ package router
 // re-slicing like the previous []entry queues (which drifted through
 // their backing arrays and reallocated every few packets). Neighbor-fed
 // VCs never exceed BufDepth (credit flow control bounds them), so their
-// slab-carved initial capacity is final; the unbounded injection VCs
-// grow geometrically and then stay at their high-water capacity for the
-// rest of the run — zero allocations per steady-state cycle.
+// slab-carved initial capacity is final; the unbounded injection VCs are
+// carved at injRingFlits, which a run rarely outgrows, and past it grow
+// geometrically and stay at their high-water capacity for the rest of
+// the run — zero allocations per steady-state cycle.
 type flitRing struct {
 	buf  []entry
 	head int // index of the front entry

@@ -230,38 +230,6 @@ func TestRouterMaskInvariants(t *testing.T) {
 	}
 }
 
-// TestCreditReturnDoesNotWakeDrainedRouter: a credit returned to a router
-// that holds no flit schedules nothing, so the kernel goes idle on the
-// very cycle the last flit ejects, and ticking an empty router is a no-op.
-func TestCreditReturnDoesNotWakeDrainedRouter(t *testing.T) {
-	f := newFabric(topology.NewMesh(topology.MeshSpec{W: 3, H: 1, CoreX: 0, MemX: 2}), DefaultConfig())
-	f.send(flit.HitData, 0, 2, false) // 5 flits down the line
-	buffered := func() (n int) {
-		for _, r := range f.rs {
-			n += r.Occupancy()
-		}
-		return n
-	}
-	for buffered() > 0 {
-		if !f.k.Step() {
-			t.Fatal("kernel idle with flits still buffered")
-		}
-	}
-	if !f.k.Idle() {
-		t.Fatalf("cycle %d: the tail ejected but the kernel still has a router scheduled", f.k.Now())
-	}
-	if len(f.ejected) != 1 || f.rs[2].Stats().FlitsRouted != 5 {
-		t.Fatalf("delivered %d packets, last router moved %d flits", len(f.ejected), f.rs[2].Stats().FlitsRouted)
-	}
-	for _, r := range f.rs {
-		checkDrained(t, r) // every credit is back although nobody was woken for it
-		before := r.Stats()
-		if r.Tick(f.k.Now()+1) || r.Stats() != before {
-			t.Fatalf("router %d: tick of an empty router did something (stats %+v -> %+v)", r.ID, before, r.Stats())
-		}
-	}
-}
-
 // sameDecisions reports whether a and b hold the same state arbitration
 // decides: counters, round-robin pointers, downstream credits and
 // claims, and every VC's occupancy, route and allocations.
@@ -315,25 +283,24 @@ func TestOneVCTickMatchesArbitration(t *testing.T) {
 			for _, r := range general.rs {
 				r.arbitrateAlways = true
 			}
-			ticks, oneVC := 0, 0
+			held, oneVC := 0, 0
 			want := tc.drive(t, func() {
 				for i, r := range one.rs {
 					if g := general.rs[i]; !sameDecisions(r, g) {
 						t.Fatalf("cycle %d, router %d: state differs\none-VC path stats %+v, rrOut %v\ngeneral     stats %+v, rrOut %v",
 							one.k.Now(), r.ID, r.stats, r.rrOut, g.stats, g.rrOut)
 					}
-					// A router holding flits ticks next cycle.
 					if r.occ > 0 {
-						ticks++
+						held++
 						if r.soleVC() >= 0 {
 							oneVC++
 						}
 					}
 				}
 			}, one, general)
-			t.Logf("%d of %d ticks found a single occupied VC", oneVC, ticks)
+			t.Logf("%d of %d cycles a router held flits, they sat in a single VC", oneVC, held)
 			if oneVC == 0 {
-				t.Fatal("no tick found a single occupied VC, so the run proves little")
+				t.Fatal("no router ever held a single occupied VC, so the run proves little")
 			}
 			if len(one.ejected) != want {
 				t.Fatalf("delivered %d packets, want %d", len(one.ejected), want)

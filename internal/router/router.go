@@ -29,14 +29,21 @@
 // order is the (port, VC) scan order, so every allocation and round-robin
 // grant sees the sequence the straightforward nested scan saw. A tick
 // that finds a single occupied VC takes it straight through allocation
-// and traversal with nothing to arbitrate. A router holding no flit is
-// never woken by a credit return, and ticking one is a no-op. VC queues
-// are ring buffers carved from one per-router slab, credit returns go
-// through the kernel's typed DeferIncr, and multicast replica packets
-// are recycled through a per-run flit.PacketPool. All of it is
-// decision-for-decision identical to the straightforward implementation
-// it replaced — the byte-identical determinism regression in
-// internal/core is the proof.
+// and traversal with nothing to arbitrate.
+//
+// A router is ticked only on cycles where some front flit is ready, so
+// every tick can move a flit or count a stall. pushFlit wakes the
+// receiving router at the flit's ready cycle (arrival plus Stages); a
+// tick re-arms for the next cycle only while a front flit will be ready
+// then; and a credit return wakes nobody, because a router waiting on a
+// credit holds a ready flit and is ticking already. A tick with no ready
+// front flit would mutate nothing, so skipping it changes no state and no
+// counter. VC queues are ring buffers carved from one per-router slab,
+// credit returns go through the kernel's typed DeferIncr, and multicast
+// replica packets are recycled through a per-run flit.PacketPool. All of
+// it is decision-for-decision identical to the straightforward
+// implementation it replaced — the byte-identical determinism regression
+// in internal/core and the lockstep tests in this package are the proof.
 package router
 
 import (
@@ -177,7 +184,22 @@ type Router struct {
 	// when one VC holds every flit; set only by tests, which hold the two
 	// paths to the same decisions.
 	arbitrateAlways bool
+	// wakeEager restores the wake-up rule that predates parking: stay
+	// active while any flit is buffered, wake a router on the cycle after
+	// a flit is pushed into it, and wake the upstream on a credit return
+	// when it holds a flit. Set only by tests, which hold the two rules to
+	// the same decisions.
+	wakeEager bool
+	// ticks counts Tick calls and unready those that found no ready front
+	// flit; tests read them to show that parking skips exactly the ticks
+	// that could do nothing.
+	ticks, unready uint64
 }
+
+// injRingFlits is the starting capacity of an injection VC's ring: room
+// for a burst of block packets, so a run does not regrow the rings of
+// the routers that inject the most.
+const injRingFlits = 4 * flit.BlockFlits
 
 // base is the plumbing the three engines share: identity, the routing
 // table and kernel handles, the per-out-port link wiring, the ejection
@@ -264,13 +286,19 @@ func New(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Con
 		reqMask:    ar.wordSlab(np * words),
 		reqCnt:     ar.intSlab(np),
 	}
-	// All VC rings share one backing slab: one allocation per router,
-	// and neighbor-fed VCs (bounded at BufDepth by credit flow control)
-	// never grow past their carved slice.
-	slab := ar.entrySlab(len(r.vcs) * cfg.BufDepth)
+	// All VC rings share one backing slab: one allocation per router.
+	// Neighbor-fed VCs (bounded at BufDepth by credit flow control) never
+	// grow past their carved slice; the unbounded injection VCs start at
+	// injRingFlits.
+	injCap := max(cfg.BufDepth, injRingFlits)
+	slab := ar.entrySlab(np*nVC*cfg.BufDepth + nVC*injCap)
 	for i := range r.vcs {
 		v := &r.vcs[i]
-		v.q.buf, slab = slab[:cfg.BufDepth:cfg.BufDepth], slab[cfg.BufDepth:]
+		n := cfg.BufDepth
+		if i >= np*nVC {
+			n = injCap
+		}
+		v.q.buf, slab = slab[:n:n], slab[n:]
 		v.port = int32(i / nVC)
 		v.route, v.outVC, v.repl = unassigned, unassigned, unassigned
 	}
@@ -319,11 +347,17 @@ func (r *Router) resetRoute(idx int) {
 	v.replPkt = nil
 }
 
-// pushFlit buffers e into vcs[idx], maintaining occupancy.
+// pushFlit buffers e into vcs[idx], maintaining occupancy, and wakes the
+// router on the cycle the flit becomes ready.
 func (r *Router) pushFlit(idx int, e entry) {
 	r.vcs[idx].q.push(e)
 	r.occMask[idx>>6] |= 1 << uint(idx&63)
 	r.occ++
+	if r.wakeEager {
+		r.k.Activate(r.kid)
+	} else {
+		r.k.WakeAt(e.arrived+r.stages, r.kid)
+	}
 }
 
 // Inject queues a packet's flits at the injection port (called by the
@@ -340,7 +374,6 @@ func (r *Router) Inject(p *flit.Packet, now int64) {
 		r.pushFlit(idx, entry{f: f, arrived: now})
 		r.tel.FlitInjected(now, f, int(r.ID))
 	}
-	r.k.Activate(r.kid)
 }
 
 const ejectOut = 1 << 20 // sentinel route value for local ejection
@@ -355,25 +388,37 @@ const ejectOut = 1 << 20 // sentinel route value for local ejection
 // traversal) carries arrived >= now and is not ready before the next
 // cycle, and only traverse on a VC itself pops it or resets its route.
 func (r *Router) Tick(now int64) bool {
-	// A router holding no flit has nothing to route, count or grant;
-	// the tick mutates nothing, which is why traverse need not wake one.
+	r.ticks++
+	// A router holding no flit has nothing to route, count or grant. Only
+	// the wakeEager rule ticks one.
 	if r.occ == 0 {
+		r.unready++
 		return false
 	}
 	ready := now - r.stages // a flit is ready once arrived <= ready
 	// Most ticks find a single occupied VC (DESIGN.md §3d); it needs no
 	// arbitration.
 	if idx := r.soleVC(); idx >= 0 && !r.arbitrateAlways {
-		r.tickOne(idx, ready, now)
-		return r.occ > 0
+		if !r.tickOne(idx, ready, now) {
+			r.unready++
+		}
+		return r.stayActive(now)
 	}
 
 	// Phase A: routing, VC allocation, multicast replica allocation for
-	// the flit at the front of each VC.
+	// the flit at the front of each VC. With no front flit ready, both
+	// phases B would find nothing either.
+	anyReady := false
 	for wi, w := range r.occMask {
 		for ; w != 0; w &= w - 1 {
-			r.allocate(wi<<6|bits.TrailingZeros64(w), ready, now)
+			if r.allocate(wi<<6|bits.TrailingZeros64(w), ready, now) {
+				anyReady = true
+			}
 		}
+	}
+	if !anyReady {
+		r.unready++
+		return r.stayActive(now)
 	}
 
 	// Phase B1: ejection. Each input PC has its own channel into the
@@ -406,9 +451,26 @@ func (r *Router) Tick(now int64) bool {
 			r.traverse(idx, o, false, now)
 		}
 	}
+	return r.stayActive(now)
+}
 
-	// Stay active while any flit is buffered.
-	return r.occ > 0
+// stayActive reports whether the router must tick on the cycle after
+// now: while some front flit will be ready then. Any other buffered flit
+// is still crossing its link, and pushFlit scheduled a wake-up for the
+// cycle it becomes ready.
+func (r *Router) stayActive(now int64) bool {
+	if r.wakeEager {
+		return r.occ > 0
+	}
+	next := now + 1 - r.stages
+	for wi, w := range r.occMask {
+		for ; w != 0; w &= w - 1 {
+			if r.vcs[wi<<6|bits.TrailingZeros64(w)].q.front().arrived <= next {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // soleVC returns the vcs index of the only occupied VC, or -1 when none
@@ -433,9 +495,10 @@ func (r *Router) soleVC() int {
 // pickWinner would make for it and traverses. That is the general
 // path's exact outcome — nothing pushed during the tick is ready before
 // the next cycle, so no second VC can join in — without its mask walks.
-func (r *Router) tickOne(idx int, ready, now int64) {
+// It reports whether the front flit was ready.
+func (r *Router) tickOne(idx int, ready, now int64) bool {
 	if !r.allocate(idx, ready, now) {
-		return
+		return false
 	}
 	v := &r.vcs[idx]
 	switch v.route {
@@ -448,6 +511,7 @@ func (r *Router) tickOne(idx int, ready, now int64) {
 			r.traverse(idx, o, false, now)
 		}
 	}
+	return true
 }
 
 // allocate is phase A for vcs[idx]: once its front flit is ready, route
@@ -625,12 +689,13 @@ func (r *Router) traverse(idx, o int, isEject bool, now int64) {
 	r.occ--
 	r.stats.FlitsRouted++
 
-	// Credit return for the drained slot (visible next cycle). The
-	// upstream is woken only if it holds a flit the credit could unblock.
+	// Credit return for the drained slot (visible next cycle). It wakes
+	// nobody: an upstream waiting on this credit holds a ready flit, so
+	// it is ticking already.
 	up, slot := r.upSlot(pi, idx-pi*r.nVC)
 	if up != nil {
 		r.k.DeferIncr(&up.credits[slot])
-		if up.occ > 0 {
+		if r.wakeEager && up.occ > 0 {
 			r.k.Activate(up.kid)
 		}
 	}
@@ -649,7 +714,6 @@ func (r *Router) traverse(idx, o int, isEject bool, now int64) {
 		rup.credits[rslot]--
 		r.stats.ReplicasSpawned++
 		r.tel.ReplicaForked(now, rf, int(r.ID), rp, rv)
-		r.k.Activate(r.kid)
 		if e.f.Tail {
 			// Replica complete; upstream claim is released when the
 			// replica's tail ejects (see below).
@@ -694,7 +758,6 @@ func (r *Router) traverse(idx, o int, isEject bool, now int64) {
 	r.credits[oc]--
 	arr := now + int64(r.linkDelay[o]-1)
 	n.pushFlit(r.neighborIn[o]*r.nVC+int(v.outVC), entry{f: e.f, arrived: arr})
-	r.k.Activate(n.kid)
 	if e.f.Tail {
 		r.owner[oc] = nil
 		r.resetRoute(idx)

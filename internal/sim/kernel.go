@@ -1,8 +1,9 @@
 // Package sim provides a deterministic, activity-driven cycle simulation
 // kernel. Components register with a Kernel and are ticked only on cycles
-// where they have work; cycles with no active component are skipped by
-// jumping the clock to the next scheduled event. This keeps long memory
-// latencies (hundreds of idle cycles) free.
+// where they have work; cycles with no scheduled component are skipped:
+// Step finds the next cycle that has one in a bitmap of busy timing-wheel
+// slots, or in the heap of far wake-ups, and jumps the clock straight
+// there. This keeps long memory latencies (hundreds of idle cycles) free.
 //
 // Determinism: components are ticked in ascending registration order, flits
 // carry arrival stamps so a flit moves at most one hop per cycle regardless
@@ -13,14 +14,21 @@
 // and every component it ticks. Kernels hold no package-level state, so
 // independent Kernels on different goroutines (see ParMap) share nothing.
 //
-// The kernel's inner loop is allocation-free in steady state: the event
-// heap is a typed slice (no interface boxing), a cycle's due ids are bits
-// of a bitmap sized at registration, and deferred credit returns go
-// through DeferIncr, which records a pointer instead of capturing a
-// closure. The root-level allocation guards pin this.
+// Scheduling is a hashed timing wheel (Varghese & Lauck, SOSP 1987): each
+// of wheelSlots slots holds one bitmap over component ids for the cycle
+// congruent to it, so Activate, and WakeAt within wheelSlots cycles, set
+// one bit and mark the slot busy. Only farther wake-ups (memory latency,
+// telemetry sampling) go through the event heap, a typed slice with no
+// interface boxing. Deferred credit returns go through DeferIncr, which
+// records a pointer instead of capturing a closure. Nothing in Step
+// allocates once the heap and the deferred list reach their high-water
+// marks; the root-level allocation guards pin this.
 package sim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Component is anything the kernel can tick once per active cycle.
 // Tick returns true if the component wants to be ticked on the next cycle
@@ -30,24 +38,28 @@ type Component interface {
 	Tick(now int64) bool
 }
 
-// event wakes a component at a fixed future cycle.
+// wheelSlots is the timing wheel's horizon in cycles: a wake-up at most
+// this far ahead is one bit in the wheel, a farther one an event-heap
+// push. It is a power of two, and 64 so the busy-slot set is one word.
+// Router hops and bank accesses wake well inside it; memory latency, long
+// issue gaps and telemetry periods fall beyond it (DESIGN.md §3d).
+const (
+	wheelSlots = 64
+	wheelMask  = wheelSlots - 1
+)
+
+// event wakes a component at a fixed cycle beyond the wheel's horizon.
 type event struct {
-	at  int64
-	seq int // tie-break for determinism
-	id  int
+	at int64
+	id int
 }
 
-// eventHeap is a binary min-heap ordered by (at, seq). It is maintained
-// with inline sift operations rather than container/heap so pushes and
-// pops move typed values, never boxing through `any`.
+// eventHeap is a binary min-heap ordered by cycle. It is maintained with
+// inline sift operations rather than container/heap so pushes and pops
+// move typed values, never boxing through `any`. Events of one cycle pop
+// in no particular order; Step merges them into a bitmap, which ticks
+// them in id order.
 type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
@@ -55,7 +67,7 @@ func (h *eventHeap) push(e event) {
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if s[parent].at <= s[i].at {
 			break
 		}
 		s[i], s[parent] = s[parent], s[i]
@@ -74,10 +86,10 @@ func (h *eventHeap) pop() event {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && s.less(l, small) {
+		if l < n && s[l].at < s[small].at {
 			small = l
 		}
-		if r < n && s.less(r, small) {
+		if r < n && s[r].at < s[small].at {
 			small = r
 		}
 		if small == i {
@@ -89,24 +101,19 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-func (h eventHeap) peek() (int64, bool) { // earliest event time
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].at, true
-}
-
 // Kernel drives registered components cycle by cycle.
 // The zero value is not usable; call NewKernel.
 type Kernel struct {
-	now     int64
-	comps   []Component
-	pending []bool   // comps scheduled for the next cycle
-	next    []int    // ids scheduled for the next cycle (unsorted)
-	due     []uint64 // one bit per comp due this cycle; all zero between Steps
-	events  eventHeap
-	incrs   []*int // deferred counter increments (see DeferIncr)
-	seq     int
+	now   int64
+	comps []Component
+	// wheel[w*wheelSlots+s] is word w of slot s's id bitmap; slot s holds
+	// the ids due at the one cycle in (now, now+wheelSlots] congruent to s
+	// modulo wheelSlots. busy has bit s set while slot s is non-empty.
+	wheel  []uint64
+	busy   uint64
+	due    []uint64  // the cycle being ticked, one bit per comp; zero between Steps
+	events eventHeap // wake-ups more than wheelSlots cycles ahead
+	incrs  []*int    // deferred counter increments (see DeferIncr)
 }
 
 // NewKernel returns an empty kernel at cycle 0.
@@ -119,9 +126,9 @@ func NewKernel() *Kernel {
 func (k *Kernel) Register(c Component) int {
 	id := len(k.comps)
 	k.comps = append(k.comps, c)
-	k.pending = append(k.pending, false)
 	if id>>6 >= len(k.due) {
 		k.due = append(k.due, 0)
+		k.wheel = append(k.wheel, make([]uint64, wheelSlots)...)
 	}
 	return id
 }
@@ -134,21 +141,27 @@ func (k *Kernel) Now() int64 {
 // Activate schedules component id to tick on the next cycle. Safe to call
 // from inside a Tick. Duplicate activations coalesce.
 func (k *Kernel) Activate(id int) {
-	if !k.pending[id] {
-		k.pending[id] = true
-		k.next = append(k.next, id)
-	}
+	k.schedule(k.now+1, id)
 }
 
 // WakeAt schedules component id to tick at cycle t. If t is not in the
 // future the component is activated for the next cycle instead.
 func (k *Kernel) WakeAt(t int64, id int) {
 	if t <= k.now {
-		k.Activate(id)
+		t = k.now + 1
+	} else if t-k.now > wheelSlots {
+		k.events.push(event{at: t, id: id})
 		return
 	}
-	k.seq++
-	k.events.push(event{at: t, seq: k.seq, id: id})
+	k.schedule(t, id)
+}
+
+// schedule sets id's bit in the slot of cycle t, which must lie in
+// (now, now+wheelSlots].
+func (k *Kernel) schedule(t int64, id int) {
+	s := int(t) & wheelMask
+	k.wheel[(id>>6)*wheelSlots+s] |= 1 << (id & 63)
+	k.busy |= 1 << s
 }
 
 // DeferIncr increments *ctr after all components have ticked in the
@@ -161,7 +174,7 @@ func (k *Kernel) DeferIncr(ctr *int) {
 
 // Idle reports whether no component is scheduled and no event is pending.
 func (k *Kernel) Idle() bool {
-	return len(k.next) == 0 && len(k.events) == 0
+	return k.busy == 0 && len(k.events) == 0
 }
 
 // Step advances the clock to the next cycle with work and ticks every
@@ -171,41 +184,43 @@ func (k *Kernel) Step() bool {
 	if k.Idle() {
 		return false
 	}
-	// Decide the next cycle: now+1 if anything is scheduled for it,
-	// otherwise jump to the earliest event.
-	target := k.now + 1
-	if len(k.next) == 0 {
-		if t, ok := k.events.peek(); ok {
-			target = t
-		}
+	// The next cycle with work: the first busy slot at or after now+1
+	// (rotating the busy set puts now+1's slot at bit 0), or the earliest
+	// far event if that comes first.
+	target := int64(math.MaxInt64)
+	if k.busy != 0 {
+		first := k.now + 1
+		target = first + int64(bits.TrailingZeros64(bits.RotateLeft64(k.busy, -int(first&wheelMask))))
+	}
+	if len(k.events) > 0 && k.events[0].at < target {
+		target = k.events[0].at
 	}
 	k.now = target
 
-	// Collect the cycle's ids as bits: activations, then events due now.
-	// A bit set twice (event + activation overlap) is still one tick, and
-	// walking the touched words low to high ticks in ascending id order.
-	lo, hi := len(k.due), -1
-	mark := func(id int) {
-		w := id >> 6
-		k.due[w] |= 1 << (id & 63)
-		lo, hi = min(lo, w), max(hi, w)
+	// Collect the cycle's ids as bits: the slot, emptied before any tick
+	// so a wake-up a full horizon ahead lands in it afresh, then the far
+	// events due now. A bit set twice is still one tick, and walking the
+	// words low to high ticks in ascending id order.
+	if s := int(target) & wheelMask; k.busy&(1<<s) != 0 {
+		k.busy &^= 1 << s
+		for w := range k.due {
+			k.due[w] = k.wheel[w*wheelSlots+s]
+			k.wheel[w*wheelSlots+s] = 0
+		}
 	}
-	for _, id := range k.next {
-		k.pending[id] = false
-		mark(id)
+	for len(k.events) > 0 && k.events[0].at == target {
+		id := k.events.pop().id
+		k.due[id>>6] |= 1 << (id & 63)
 	}
-	k.next = k.next[:0]
-	for len(k.events) > 0 && k.events[0].at <= k.now {
-		mark(k.events.pop().id)
-	}
-	for w := lo; w <= hi; w++ {
-		for word := k.due[w]; word != 0; word &= word - 1 {
+	for w := 0; w < len(k.due); w++ {
+		word := k.due[w]
+		k.due[w] = 0
+		for ; word != 0; word &= word - 1 {
 			id := w<<6 | bits.TrailingZeros64(word)
-			if k.comps[id].Tick(k.now) {
+			if k.comps[id].Tick(target) {
 				k.Activate(id)
 			}
 		}
-		k.due[w] = 0
 	}
 	if len(k.incrs) > 0 {
 		for _, ctr := range k.incrs {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -119,9 +120,6 @@ func TestKernelDuplicateActivationCoalesces(t *testing.T) {
 	}
 }
 
-// TestKernelDeferRunsAfterTicks: a DeferIncr commit made while ticking
-// stays invisible to every later component of the same cycle and lands
-// once the cycle's ticks are done.
 // TestKernelOrderAcrossBitmapWords drives the due-id bitmap past one
 // word: 200 components activated in a scrambled order tick in ascending
 // id order, a component registered after the first Step (in a word the
@@ -179,6 +177,9 @@ func TestKernelOrderAcrossBitmapWords(t *testing.T) {
 	}
 }
 
+// TestKernelDeferRunsAfterTicks: a DeferIncr commit made while ticking
+// stays invisible to every later component of the same cycle and lands
+// once the cycle's ticks are done.
 func TestKernelDeferRunsAfterTicks(t *testing.T) {
 	k := NewKernel()
 	ctr, seenByB := 0, -1
@@ -232,6 +233,192 @@ func TestKernelRunBudget(t *testing.T) {
 	if cycles != 50 {
 		t.Fatalf("cycles = %d, want 50", cycles)
 	}
+}
+
+// TestKernelWheelHorizon: a wake-up up to wheelSlots cycles ahead is a
+// bit in the wheel, a farther one an event-heap entry, and either ticks
+// exactly once, on its cycle — from cycle 0 and from a start whose slot
+// makes the target wrap past the end of the wheel.
+func TestKernelWheelHorizon(t *testing.T) {
+	for _, start := range []int64{0, wheelSlots - 3} {
+		for _, d := range []int64{1, wheelSlots - 1, wheelSlots, wheelSlots + 1, 1000 * wheelSlots} {
+			k := NewKernel()
+			c := &counter{left: 1}
+			c.id = k.Register(c)
+			k.now = start
+			k.WakeAt(start+d, c.id)
+			if far := len(k.events) == 1; far != (d > wheelSlots) {
+				t.Fatalf("start %d, wake +%d: on the heap = %v", start, d, far)
+			}
+			if !k.Step() || k.Now() != start+d {
+				t.Fatalf("start %d, wake +%d: stepped to %d", start, d, k.Now())
+			}
+			if k.Step() || len(c.ticks) != 1 || c.ticks[0] != start+d {
+				t.Fatalf("start %d, wake +%d: ticks %v", start, d, c.ticks)
+			}
+		}
+	}
+}
+
+// TestKernelFarEventJoinsWheelCycle: a far event that comes into the
+// wheel's range lands on a cycle that activations and near wake-ups
+// share. Every id due then ticks once, in ascending order, the far event
+// and a near wake-up of the same id included, and a DeferIncr made by
+// the first of them commits only after the last.
+func TestKernelFarEventJoinsWheelCycle(t *testing.T) {
+	k := NewKernel()
+	const at = 3*wheelSlots + 5
+	var order []int
+	ctr, seen := 0, -1
+	tick := func(id int, f func()) {
+		k.Register(&fnComp{f: func(int64) bool {
+			order = append(order, id)
+			if f != nil {
+				f()
+			}
+			return false
+		}})
+	}
+	tick(0, func() { // the driver, one cycle ahead
+		k.Activate(1)
+		k.WakeAt(at, 2)
+		k.WakeAt(at, 3)
+	})
+	tick(1, func() { k.DeferIncr(&ctr) })
+	tick(2, nil)
+	tick(3, func() { seen = ctr })
+	k.WakeAt(at, 3)
+	k.WakeAt(at-1, 0)
+	if len(k.events) != 2 {
+		t.Fatalf("%d far events queued, want 2", len(k.events))
+	}
+	k.Step()
+	order = order[:0]
+	if !k.Step() || k.Now() != at {
+		t.Fatalf("stepped to %d, want %d", k.Now(), at)
+	}
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Fatalf("cycle %d ticked %v, want [1 2 3]", at, order)
+	}
+	if seen != 0 || ctr != 1 {
+		t.Fatalf("deferred increment seen as %d during the cycle, %d after; want 0 and 1", seen, ctr)
+	}
+	if !k.Idle() {
+		t.Fatal("kernel not idle after the last scheduled cycle")
+	}
+}
+
+// TestKernelIdle: the kernel is idle only when neither the wheel nor the
+// event heap holds a wake-up.
+func TestKernelIdle(t *testing.T) {
+	k := NewKernel()
+	c := &counter{}
+	c.id = k.Register(c)
+	if !k.Idle() {
+		t.Fatal("a new kernel is not idle")
+	}
+	for _, d := range []int64{1, wheelSlots, wheelSlots + 1} {
+		c.left = 1
+		k.WakeAt(k.Now()+d, c.id)
+		if k.Idle() {
+			t.Fatalf("idle with a wake-up %d cycles ahead", d)
+		}
+		k.Step()
+		if !k.Idle() {
+			t.Fatalf("not idle after the wake-up %d cycles ahead ticked", d)
+		}
+	}
+	c.left = 1
+	k.WakeAt(k.Now()+2*wheelSlots, c.id)
+	k.Activate(c.id)
+	k.Step()
+	if k.Idle() {
+		t.Fatal("idle with a far wake-up still queued")
+	}
+	k.Step()
+	if !k.Idle() || k.Step() {
+		t.Fatal("not idle after every wake-up ticked")
+	}
+}
+
+// refKernel is the scheduling contract in its most direct form: a set of
+// due ids per cycle, the earliest cycle ticked next, in id order.
+type refKernel struct {
+	now int64
+	due map[int64]map[int]bool
+}
+
+func (r *refKernel) wake(t int64, id int) {
+	t = max(t, r.now+1)
+	if r.due[t] == nil {
+		r.due[t] = map[int]bool{}
+	}
+	r.due[t][id] = true
+}
+
+// TestKernelMatchesReference wraps the wheel hundreds of times: 100
+// components whose ticks wake one another at seeded distances — next
+// cycle, inside the horizon, at it, just past it, far beyond it, and in
+// the past — and sometimes stay active. The kernel must tick the same
+// ids on the same cycles, in the same order, as a per-cycle set of due
+// ids.
+func TestKernelMatchesReference(t *testing.T) {
+	const n, steps = 100, 20000
+	dists := []int64{1, 1, 2, 3, 7, wheelSlots - 1, wheelSlots, wheelSlots + 1, 3 * wheelSlots, 0, -5}
+	k := NewKernel()
+	ref := &refKernel{due: map[int64]map[int]bool{}}
+	type tick struct {
+		at int64
+		id int
+	}
+	var got, want []tick
+	rng := NewRNG(11)
+	// Each tick draws its decisions once and applies them to both
+	// schedulers, so the two see the same wake-ups.
+	for i := 0; i < n; i++ {
+		id := i
+		k.Register(&fnComp{f: func(now int64) bool {
+			got = append(got, tick{now, id})
+			ref.now = now
+			other, d := rng.Intn(n), dists[rng.Intn(len(dists))]
+			k.WakeAt(now+d, other)
+			ref.wake(now+d, other)
+			again := rng.Intn(50) == 0
+			if again {
+				ref.wake(now+1, id)
+			}
+			return again
+		}})
+	}
+	for i := 0; i < n; i += 5 {
+		k.WakeAt(int64(i), i)
+		ref.wake(int64(i), i)
+	}
+	for s := 0; s < steps; s++ {
+		from := len(want)
+		if !k.Step() {
+			t.Fatalf("step %d: kernel idle with %d reference cycles due", s, len(ref.due))
+		}
+		next := int64(-1)
+		for at := range ref.due {
+			if next < 0 || at < next {
+				next = at
+			}
+		}
+		for id := 0; id < n; id++ {
+			if ref.due[next][id] {
+				want = append(want, tick{next, id})
+			}
+		}
+		delete(ref.due, next)
+		if !slices.Equal(got[from:], want[from:]) {
+			t.Fatalf("step %d: kernel ticked %v, reference %v", s, got[from:], want[from:])
+		}
+	}
+	if k.Now() < 100*wheelSlots {
+		t.Fatalf("reached cycle %d: the wheel wrapped fewer than 100 times", k.Now())
+	}
+	t.Logf("%d steps, %d ticks, %d cycles", steps, len(got), k.Now())
 }
 
 func TestRNGDeterminism(t *testing.T) {
