@@ -7,14 +7,14 @@
 // once traffic is in flight, stepping the kernel allocates nothing — no
 // scratch slices, no queue growth, no closure captures, no replica
 // packets from the GC heap — and a disabled telemetry probe is a branch
-// and a return. On top of that, the cache-protocol guard bounds the
-// allocations of one full operation to an exact, explainable sum (the
-// Request and the op: typed messages are embedded in the op and every
-// packet is pooled, so sends, dispatch and chain hops allocate nothing),
-// and the pool-balance tests prove no pooled packet — protocol message
-// or replica — leaks across full runs on every router engine. The last
-// two guards bound nucad's cache-hit path and the canonical key it
-// hashes.
+// and a return. On top of that, the cache-protocol guards pin one full
+// access at zero allocations, single-core and through a CMP port (the
+// issuer owns its Request, ops and port ops are recycled once their last
+// message lands, typed messages are embedded in the op and every packet
+// is pooled, so sends, dispatch and chain hops allocate nothing), and the
+// pool-balance tests prove no pooled packet — protocol message or
+// replica — leaks across full runs on every router engine. The last two
+// guards bound nucad's cache-hit path and the canonical key it hashes.
 package nucanet
 
 import (
@@ -25,6 +25,7 @@ import (
 
 	"nucanet/internal/bank"
 	"nucanet/internal/cache"
+	"nucanet/internal/cmp"
 	"nucanet/internal/config"
 	"nucanet/internal/core"
 	"nucanet/internal/flit"
@@ -222,61 +223,101 @@ func allocGuardDesign() config.Design {
 	}
 }
 
-// TestCacheAccessAllocBound pins the protocol-layer allocation contract:
-// one access allocates exactly its Request and its op, and nothing per
-// send. Every protocol message, the probed mask and the memory read
-// request are embedded in the op; every packet — the probe, each bank's
-// reply, chain hops, the off-chip read and its fill — comes from the
-// network's packet pool and returns to it at ejection; and a scheduled
-// send is a (cycle, packet) entry in the agent's send queue, not a
-// closure. Cycles in between — flits in flight, bank bookings, stash
-// replay, message dispatch — allocate nothing either; the network's own
-// zero-alloc guard above covers the router half. A packet literal, a
-// timer closure or a per-hop payload creeping back in trips the bound on
-// the first send.
-func TestCacheAccessAllocBound(t *testing.T) {
+// warmGuardSystem builds the alloc-guard system under policy, warmed
+// from gcc, and returns it with the MRU tag of every (set, column).
+func warmGuardSystem(t *testing.T, k *sim.Kernel, policy cache.Policy) (*cache.System, [][]uint64) {
+	t.Helper()
 	d := allocGuardDesign()
-	k := sim.NewKernel()
-	sys := cache.MustNew(k, d, cache.FastLRU, cache.Multicast)
+	sys := cache.MustNew(k, d, policy, cache.Multicast)
 	p, err := trace.ProfileByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen := trace.NewSynthetic(p, sys.AM, 1)
 	sys.Warm(gen.WarmBlocks(d.Ways()))
-	warm := gen.WarmBlocks(1)
+	return sys, gen.WarmBlocks(1)
+}
 
-	// MRU hits: every access takes the identical minimal path, so the
-	// average over runs is the exact per-access count.
-	hitAddr := sys.AM.Compose(warm[0*sys.AM.Columns+1][0], 0, 1)
-	hit := testing.AllocsPerRun(100, func() {
-		sys.Issue(hitAddr, false, nil)
+// accessAllocs measures one access per run through submit, reissuing
+// the one caller-owned request: warm MRU hits at (set 0, col), which
+// take the identical minimal path every time, and full misses to fresh
+// tags at (set 3, col). The first access of each kind primes the
+// one-time growth (free lists, the memory's reply queue, the kernel's
+// far-event heap) outside the measurement.
+func accessAllocs(k *sim.Kernel, am trace.AddrMap, hitTag uint64, col int, submit func(*cache.Request)) (hit, miss float64) {
+	r := &cache.Request{}
+	access := func(addr uint64) {
+		r.Addr = addr
+		submit(r)
 		for k.Step() {
 		}
-	})
-	// The Request and the op; the probe, the MRU bank's data reply and
-	// the other three banks' miss notifications ride pooled packets.
-	const maxHitAllocs = 2
-	if hit > maxHitAllocs {
-		t.Fatalf("MRU hit allocates %.1f objects per access, want <= %d", hit, maxHitAllocs)
 	}
-
-	// Misses exercise the long path: full multicast miss, off-chip read
-	// (embedded in the op — no boxing), fill, and a full-length eviction
-	// chain reusing one chain message end to end — still only the
-	// Request and the op.
+	hitAddr := am.Compose(hitTag, 0, col)
+	access(hitAddr)
+	hit = testing.AllocsPerRun(100, func() { access(hitAddr) })
 	tag := uint64(1 << 20)
-	miss := testing.AllocsPerRun(100, func() {
-		sys.Issue(sys.AM.Compose(tag, 3, 2), false, nil)
+	access(am.Compose(tag, 3, col))
+	miss = testing.AllocsPerRun(100, func() {
 		tag++
-		for k.Step() {
-		}
+		access(am.Compose(tag, 3, col))
 	})
-	const maxMissAllocs = 2
-	if miss > maxMissAllocs {
-		t.Fatalf("full miss allocates %.1f objects per access, want <= %d", miss, maxMissAllocs)
+	return hit, miss
+}
+
+// TestCacheAccessAllocBound pins the protocol-layer allocation contract:
+// a warm access allocates nothing. The issuer owns its Request and
+// reuses it; the op comes from the system's free list and returns there
+// once its last message has landed; every protocol message, the probed
+// mask and the memory read request are embedded in the op; every packet
+// — the probe, each bank's reply, chain hops, the off-chip read and its
+// fill — comes from the network's packet pool and returns to it at
+// ejection; and a scheduled send is a (cycle, packet) entry in the
+// agent's send queue, not a closure. MRU hits exercise the probe, the
+// MRU bank's data reply and the other three banks' miss notifications;
+// full misses the multicast miss, off-chip read, fill and a full-length
+// eviction chain. A packet literal, a timer closure, a per-hop payload or
+// an op that never returns to its free list trips the bound on the first
+// access.
+func TestCacheAccessAllocBound(t *testing.T) {
+	k := sim.NewKernel()
+	sys, warm := warmGuardSystem(t, k, cache.FastLRU)
+	const col = 1
+	hit, miss := accessAllocs(k, sys.AM, warm[col][0], col, sys.Submit)
+	if hit != 0 || miss != 0 {
+		t.Fatalf("a warm access allocates: MRU hit %.2f, full miss %.2f objects, want 0", hit, miss)
 	}
-	t.Logf("allocations per access: MRU hit %.1f, full miss %.1f", hit, miss)
+}
+
+// TestCMPPortAccessAllocBound is the same contract through a CMP port of
+// a two-core fabric under the directory policy: the port's record of the
+// access (its home request and forwarding envelopes) is recycled once
+// the issuer's Done has returned, so neither a local access (column
+// homed on the port's own controller) nor a remote one (request and data
+// crossing the top row) allocates.
+func TestCMPPortAccessAllocBound(t *testing.T) {
+	k := sim.NewKernel()
+	sys, warm := warmGuardSystem(t, k, cache.Directory)
+	fab, err := cmp.Attach(sys, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	port := fab.Port(0) // at x=1: columns 0-2 are homed here, column 3 on port 1
+	for _, tc := range []struct {
+		name string
+		col  int
+	}{{"local", 1}, {"remote", 3}} {
+		before := port.LocalIssues
+		hit, miss := accessAllocs(k, sys.AM, warm[tc.col][0], tc.col, port.Submit)
+		if local := port.LocalIssues > before; local != (tc.name == "local") {
+			t.Fatalf("%s column %d: access was homed locally=%v", tc.name, tc.col, local)
+		}
+		if hit != 0 || miss != 0 {
+			t.Fatalf("a warm %s CMP access allocates: MRU hit %.2f, full miss %.2f objects, want 0", tc.name, hit, miss)
+		}
+	}
+	if p := fab.Pending(); p != 0 {
+		t.Fatalf("%d accesses still pending across the fabric", p)
+	}
 }
 
 // TestCacheRunPacketPoolBalanced is the packet pool's leak invariant end

@@ -48,28 +48,35 @@ func (a *agent) full(set int) bool {
 	return a.bk.Occupancy(set) >= a.bk.Ways()
 }
 
-// send schedules a packet injection at cycle t. The packet is built now,
-// from the network's pool, and waits in the agent's send queue.
-func (a *agent) send(t int64, kind flit.Kind, dst topology.NodeID, ep flit.Endpoint, addr uint64, payload flit.Payload) {
-	pkt := a.sys.Net.NewPacket(kind, a.node, dst, ep, addr)
-	pkt.Payload = payload
+// send schedules a packet of operation o for injection at cycle t. The
+// packet is built now, from the network's pool, and waits in the agent's
+// send queue. A payload (a message embedded in o) counts as one delivery
+// o must wait for before it can retire.
+func (a *agent) send(t int64, kind flit.Kind, dst topology.NodeID, ep flit.Endpoint, o *op, payload flit.Payload) {
+	pkt := a.sys.Net.NewPacket(kind, a.node, dst, ep, o.addr)
+	if payload != nil {
+		pkt.Payload = payload
+		o.pending++
+	}
 	a.sched.at(t, pkt)
 }
 
-// sendBank schedules a packet to the bank at position pos of this
-// agent's column, addressing it both by router (Dst) and by column
-// position (DstPos) so nodes hosting several banks demux correctly.
-func (a *agent) sendBank(t int64, kind flit.Kind, pos int, addr uint64, payload flit.Payload) {
-	pkt := a.sys.Net.NewPacket(kind, a.node, a.sys.bankNode(a.col, pos), flit.ToBank, addr)
+// sendBank schedules a message of operation o to the bank at position pos
+// of this agent's column, addressing it both by router (Dst) and by
+// column position (DstPos) so nodes hosting several banks demux
+// correctly.
+func (a *agent) sendBank(t int64, kind flit.Kind, pos int, o *op, payload flit.Payload) {
+	pkt := a.sys.Net.NewPacket(kind, a.node, a.sys.bankNode(a.col, pos), flit.ToBank, o.addr)
 	pkt.DstPos = int16(pos)
 	pkt.Payload = payload
+	o.pending++
 	a.sched.at(t, pkt)
 }
 
 // dataKind returns the packet kind answering the core: block data for
 // reads, a one-flit acknowledgment for writes.
 func dataKind(o *op, fromHit bool) flit.Kind {
-	if o.req.Write {
+	if o.write {
 		return flit.WriteDone
 	}
 	if fromHit {
@@ -87,6 +94,7 @@ func dataKind(o *op, fromHit bool) flit.Kind {
 // once Deliver returns (see network.Endpoint).
 func (a *agent) Deliver(pkt *flit.Packet, now int64) {
 	if o := stashableOp(pkt.Payload); o != nil && o.multicast && o.probed&a.bit() == 0 {
+		a.sys.ops.check(o)
 		a.stash = append(a.stash, pkt.Payload)
 		return
 	}
@@ -97,29 +105,39 @@ func (a *agent) Deliver(pkt *flit.Packet, now int64) {
 func (a *agent) bit() uint64 { return 1 << uint(a.pos) }
 
 // dispatch hands a bank-bound message to the policy engine — an
-// exhaustive type switch over the bank-side message catalogue. The probe
-// case marks the bank probed (replaying stashed traffic) after the
-// engine's tag-match has run, policy-independently.
+// exhaustive type switch over the bank-side message catalogue — and then
+// consumes the delivery. The probe case marks the bank probed (replaying
+// stashed traffic) after the engine's tag-match has run,
+// policy-independently.
 func (a *agent) dispatch(p flit.Payload, now int64) {
+	var o *op
 	switch m := p.(type) {
 	case *probeMsg:
-		a.sys.eng.Probe(a, m.o, now)
-		a.markProbed(m.o, now)
+		o = a.sys.ops.check(m.o)
+		a.sys.eng.Probe(a, o, now)
+		a.markProbed(o, now)
 	case *fillMsg:
-		a.sys.eng.Fill(a, m.o, now)
+		o = a.sys.ops.check(m.o)
+		a.sys.eng.Fill(a, o, now)
 	case *chainMsg:
+		o = a.sys.ops.check(m.o)
 		a.sys.eng.Chain(a, m, now)
 	case *unitMsg:
+		o = a.sys.ops.check(m.o)
 		a.sys.eng.Unit(a, m, now)
 	case *storeMsg:
+		o = a.sys.ops.check(m.o)
 		a.sys.eng.Store(a, m, now)
 	case *promoteMsg:
+		o = a.sys.ops.check(m.o)
 		a.sys.eng.Promote(a, m, now)
 	case *demoteMsg:
+		o = a.sys.ops.check(m.o)
 		a.sys.eng.Demote(a, m, now)
 	default:
 		panic(fmt.Sprintf("cache: bank %d/%d got unexpected payload %T", a.col, a.pos, p))
 	}
+	a.sys.ops.consumed(o)
 }
 
 // markProbed records this bank's probe and replays any stashed messages
@@ -144,15 +162,13 @@ func (a *agent) markProbed(o *op, now int64) {
 }
 
 // bookHit records a tag-match hit at this bank: telemetry, the combined
-// tag+data access, critical-path accounting, and the request's
-// CPU-visible hit fields. Returns the access completion time.
+// tag+data access, critical-path accounting, and the hit position the
+// controller reports to the request. Returns the access completion time.
 func (a *agent) bookHit(o *op, now int64, dur int) int64 {
 	a.sys.tel.BankHit(a.col, a.pos)
 	fin := a.access(now, dur)
 	o.bankCycles += int64(dur)
 	o.hitPos = a.pos
-	o.req.Hit = true
-	o.req.HitBank = a.pos
 	return fin
 }
 
@@ -161,7 +177,7 @@ func (a *agent) bookHit(o *op, now int64, dur int) int64 {
 // immediately (no replacement chain runs).
 func (a *agent) touchInPlace(o *op, way int, fin int64) {
 	a.bk.Touch(o.set, way)
-	if o.req.Write {
+	if o.write {
 		a.bk.SetDirty(o.set, 0)
 	}
 	o.chainNeeded = 0
@@ -171,12 +187,12 @@ func (a *agent) touchInPlace(o *op, way int, fin int64) {
 // sendData answers the core: block data for reads, an acknowledgment
 // for writes.
 func (a *agent) sendData(o *op, fin int64, fromHit bool) {
-	a.send(fin, dataKind(o, fromHit), o.ctrl, flit.ToCore, o.req.Addr, &o.data)
+	a.send(fin, dataKind(o, fromHit), o.ctrl, flit.ToCore, o, &o.data)
 }
 
 // sendDone reports one replacement chain drained.
 func (a *agent) sendDone(o *op, fin int64) {
-	a.send(fin, flit.CompleteNotify, o.ctrl, flit.ToCore, o.req.Addr, &o.done)
+	a.send(fin, flit.CompleteNotify, o.ctrl, flit.ToCore, o, &o.done)
 }
 
 // victimLeaves retires a block pushed out of the column, attributed to
@@ -186,10 +202,10 @@ func (a *agent) sendDone(o *op, fin int64) {
 // so the directory needs no hooks of its own in the protocol flow.
 func (a *agent) victimLeaves(o *op, blk bank.Block, fin int64) {
 	if d := a.sys.Dir; d != nil {
-		d.cols[a.col].dropped(blk.Tag, o.tag)
+		d.dropped(a.col, blk.Tag, o.tag)
 	}
 	if blk.Dirty {
-		a.send(fin, flit.WriteBack, a.sys.Topo.Mem, flit.ToMem, o.req.Addr, nil)
+		a.send(fin, flit.WriteBack, a.sys.Topo.Mem, flit.ToMem, o, nil)
 	}
 }
 
@@ -202,7 +218,7 @@ func (a *agent) missNotify(o *op, now int64, lat bank.Latency) int64 {
 	if a.pos == a.last && o.hitPos < 0 {
 		o.bankCycles += int64(lat.TagOnly)
 	}
-	a.send(fin, flit.MissNotify, o.ctrl, flit.ToCore, o.req.Addr, &o.miss)
+	a.send(fin, flit.MissNotify, o.ctrl, flit.ToCore, o, &o.miss)
 	return fin
 }
 
@@ -221,10 +237,10 @@ func (a *agent) missForward(o *op, now int64, lat bank.Latency) {
 // forwardProbe sends the tag-match request on to the next-farther bank.
 func (a *agent) forwardProbe(o *op, fin int64) {
 	kind := flit.ReadReq
-	if o.req.Write {
+	if o.write {
 		kind = flit.WriteData
 	}
-	a.sendBank(fin, kind, a.pos+1, o.req.Addr, &o.probe)
+	a.sendBank(fin, kind, a.pos+1, o, &o.probe)
 }
 
 // insert installs a block as this bank's set MRU, emitting the
@@ -253,7 +269,8 @@ func (a *agent) removeWay(set, way int) bank.Block {
 // requestMemory asks the off-chip memory for the block, directing the
 // reply to the column's MRU bank. The read request and its cookie (the
 // fill message memory echoes back) are embedded in the op, so the miss
-// path allocates nothing.
+// path allocates nothing; the one pending delivery the send counts is
+// consumed when the fill lands.
 func (a *agent) requestMemory(o *op, fin int64) {
 	o.memReq = mem.ReadReq{
 		ReplyTo:  a.sys.bankNode(o.col, 0),
@@ -261,5 +278,5 @@ func (a *agent) requestMemory(o *op, fin int64) {
 		ReplyPos: 0,
 		Cookie:   &o.fill,
 	}
-	a.send(fin, flit.MemReadReq, a.sys.Topo.Mem, flit.ToMem, o.req.Addr, &o.memReq)
+	a.send(fin, flit.MemReadReq, a.sys.Topo.Mem, flit.ToMem, o, &o.memReq)
 }

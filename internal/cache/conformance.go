@@ -22,7 +22,10 @@ import (
 //   - replacement chains conserve blocks (no bank evicts a block it
 //     does not hold, no bank-set ever holds a tag twice, and the
 //     event-reconstructed contents equal the final bank state);
-//   - the network's packet pool drains to zero live packets.
+//   - the network's packet pool drains to zero live packets;
+//   - retirement is exact: retired ops are quarantined (parked, never
+//     reused), so a message reaching one panics, and every op has
+//     retired once the run drains.
 //
 // Every registered policy is covered automatically: the scenario
 // enumeration walks the registry, so a policy added through
@@ -253,8 +256,9 @@ func NewInvariantProbe() *InvariantProbe {
 	return &InvariantProbe{newInvariantChecker()}
 }
 
-// Seed snapshots the warm contents as the conservation baseline; call
-// after System.Warm and before the first access.
+// Seed snapshots the warm contents as the conservation baseline and
+// quarantines the system's retired ops; call after System.Warm and before
+// the first access.
 func (p *InvariantProbe) Seed(sys *System) { p.seed(sys) }
 
 // Finish closes the run and returns every violation found.
@@ -283,9 +287,11 @@ func newInvariantChecker() *invariantChecker {
 	}
 }
 
-// seed snapshots the warm contents as the conservation baseline; call
-// after System.Warm and before the first access.
+// seed snapshots the warm contents as the conservation baseline and
+// turns on the op pool's quarantine; call after System.Warm and before
+// the first access.
 func (ck *invariantChecker) seed(sys *System) {
+	sys.ops.quarantine = true
 	for col := 0; col < sys.AM.Columns; col++ {
 		for pos := 0; pos <= sys.lastPos(); pos++ {
 			bk := sys.Bank(col, pos)
@@ -366,9 +372,12 @@ func (ck *invariantChecker) BlockEvicted(col, pos, set int, tag uint64) {
 }
 
 // finish closes the run: every issued operation must have completed
-// exactly once, and the event-reconstructed residency must equal the
-// final bank contents.
+// exactly once and retired, and the event-reconstructed residency must
+// equal the final bank contents.
 func (ck *invariantChecker) finish(sys *System) []string {
+	if st := sys.ops.stats(); st.Live != 0 {
+		ck.violationf("op pool: %d operations never retired (gets=%d puts=%d)", st.Live, st.Gets, st.Puts)
+	}
 	for id, t := range ck.ops {
 		if t.data != 1 || t.finished != 1 {
 			ck.violationf("op %d ended with data=%d finished=%d (want exactly once each)",

@@ -53,11 +53,16 @@ func NewControllerAt(sys *System, node int) *Controller {
 	return &Controller{sys: sys, Node: node, cols: make([]colState, sys.Topo.Columns())}
 }
 
-// Issue accepts one CPU request. The request's Done callback (if any)
-// fires when the data or write acknowledgment reaches the core.
+// Issue accepts one CPU request, clearing its result fields (a reissued
+// request must not report its previous access). The request's Done
+// callback (if any) fires when the data or write acknowledgment reaches
+// the core; the controller does not touch the request after Done.
 func (c *Controller) Issue(r *Request, now int64) {
 	r.Issued = now
+	r.DataAt = 0
+	r.Hit = false
 	r.HitBank = -1
+	r.Breakdown = stats.Breakdown{}
 	c.Issued++
 	col := c.sys.AM.ColumnOf(r.Addr)
 	cs := &c.cols[col]
@@ -90,8 +95,9 @@ func (c *Controller) dispatch(col int, now int64) {
 		cs.q[n] = nil
 		cs.q = cs.q[:n]
 		c.QueueWait += now - r.Issued
-		o := newOp()
+		o := c.sys.ops.get()
 		o.req = r
+		o.addr, o.write, o.issued = r.Addr, r.Write, r.Issued
 		o.col = col
 		o.set = set
 		o.tag = c.sys.AM.TagOf(r.Addr)
@@ -102,10 +108,10 @@ func (c *Controller) dispatch(col int, now int64) {
 		o.id = c.sys.opSeq
 		o.multicast = c.sys.Mode == Multicast
 		cs.active = append(cs.active, o)
-		c.sys.tel.OpIssued(now, o.id, o.col, o.set, r.Write)
+		c.sys.tel.OpIssued(now, o.id, o.col, o.set, o.write)
 
 		kind := flit.ReadReq
-		if r.Write {
+		if o.write {
 			kind = flit.WriteData
 		}
 		var pkt *flit.Packet
@@ -113,12 +119,15 @@ func (c *Controller) dispatch(col int, now int64) {
 			// The probe addresses every bank of the column: all routers on
 			// the path deliver replicas, and DstPos -1 fans each delivery
 			// out to all banks sharing the router (concentrated nodes).
+			// Each bank consumes its own delivery.
 			last := c.sys.lastPos()
-			pkt = c.sys.Net.NewPacket(kind, c.Node, c.sys.bankNode(col, last), flit.ToBank, r.Addr)
+			pkt = c.sys.Net.NewPacket(kind, c.Node, c.sys.bankNode(col, last), flit.ToBank, o.addr)
 			pkt.PathDeliver = last > 0
 			pkt.DstPos = -1
+			o.pending += last + 1
 		} else {
-			pkt = c.sys.Net.NewPacket(kind, c.Node, c.sys.bankNode(col, 0), flit.ToBank, r.Addr)
+			pkt = c.sys.Net.NewPacket(kind, c.Node, c.sys.bankNode(col, 0), flit.ToBank, o.addr)
+			o.pending++
 		}
 		pkt.Payload = &o.probe
 		c.sys.Net.Send(pkt, now)
@@ -128,53 +137,69 @@ func (c *Controller) dispatch(col int, now int64) {
 // Deliver consumes core-bound protocol packets — an exhaustive type
 // switch over the controller-side message catalogue. Messages from a
 // completed multicast operation (e.g. a miss notification from a bank
-// probed after the hit landed) are stale and dropped.
+// probed after the hit landed) are stale and dropped, but still consumed:
+// the op retires only once the last of them has landed.
 func (c *Controller) Deliver(pkt *flit.Packet, now int64) {
+	var o *op
 	switch m := pkt.Payload.(type) {
 	case *dataMsg:
-		if m.o.finished {
-			return
+		o = c.sys.ops.check(m.o)
+		if !o.finished {
+			c.dataArrived(o, now)
 		}
-		c.dataArrived(m.o, now)
 	case *doneMsg:
-		if m.o.finished {
-			return
+		o = c.sys.ops.check(m.o)
+		if !o.finished {
+			o.chainRecv++
+			c.checkComplete(o, now)
 		}
-		m.o.chainRecv++
-		c.checkComplete(m.o, now)
 	case *missMsg:
-		o := m.o
-		if o.finished {
-			return
-		}
-		o.missCount++
-		if o.missCount == c.sys.lastPos()+1 && o.hitPos < 0 {
-			// Every bank reported a miss: invoke the off-chip memory
-			// (multicast only; unicast asks from the LRU bank).
-			o.memReq = mem.ReadReq{
-				ReplyTo:  c.sys.bankNode(o.col, 0),
-				ReplyEp:  flit.ToBank,
-				ReplyPos: 0,
-				Cookie:   &o.fill,
-			}
-			req := c.sys.Net.NewPacket(flit.MemReadReq, c.Node, c.sys.Topo.Mem, flit.ToMem, o.req.Addr)
-			req.Payload = &o.memReq
-			c.sys.Net.Send(req, now)
+		o = c.sys.ops.check(m.o)
+		if !o.finished {
+			c.missArrived(o, now)
 		}
 	default:
 		panic(fmt.Sprintf("cache: controller got unexpected %v", pkt))
 	}
+	c.sys.ops.consumed(o)
 }
 
-// dataArrived is the CPU-visible completion: record latency and stats.
+// missArrived counts one bank's multicast miss report; once every bank
+// has missed, it invokes the off-chip memory (multicast only; unicast
+// asks from the LRU bank). The read counts as one pending delivery until
+// its fill lands.
+func (c *Controller) missArrived(o *op, now int64) {
+	o.missCount++
+	if o.missCount != c.sys.lastPos()+1 || o.hitPos >= 0 {
+		return
+	}
+	o.memReq = mem.ReadReq{
+		ReplyTo:  c.sys.bankNode(o.col, 0),
+		ReplyEp:  flit.ToBank,
+		ReplyPos: 0,
+		Cookie:   &o.fill,
+	}
+	req := c.sys.Net.NewPacket(flit.MemReadReq, c.Node, c.sys.Topo.Mem, flit.ToMem, o.addr)
+	req.Payload = &o.memReq
+	o.pending++
+	c.sys.Net.Send(req, now)
+}
+
+// dataArrived is the CPU-visible completion: fill in the request's
+// results, record latency and stats, and hand the request back to its
+// issuer through Done. The op forgets the request first: the issuer may
+// reissue it from inside Done.
 func (c *Controller) dataArrived(o *op, now int64) {
 	if o.dataDone {
 		return
 	}
 	o.dataDone = true
 	r := o.req
+	o.req = nil
 	r.DataAt = now
-	total := now - r.Issued
+	r.Hit = o.hitPos >= 0
+	r.HitBank = o.hitPos
+	total := now - o.issued
 	net := total - o.bankCycles - o.memCycles
 	if net < 0 {
 		net = 0
@@ -193,14 +218,15 @@ func (c *Controller) dataArrived(o *op, now int64) {
 }
 
 // checkComplete frees the column when both the data and the replacement
-// chain have finished, and dispatches the next queued request.
+// chain have finished, and dispatches the next queued request. The op
+// itself retires later, in consumed, once no message points at it.
 func (c *Controller) checkComplete(o *op, now int64) {
 	if !o.dataDone || !o.chainDone() || o.finished {
 		return
 	}
 	o.finished = true
 	c.sys.tel.OpFinished(now, o.id)
-	c.sys.Lat.AddOccupancy(now - o.req.Issued)
+	c.sys.Lat.AddOccupancy(now - o.issued)
 	cs := &c.cols[o.col]
 	for i, a := range cs.active {
 		if a == o {

@@ -2,8 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"maps"
-	"sort"
 
 	"nucanet/internal/bank"
 )
@@ -41,7 +39,7 @@ func registerDirectory(builtinsDone) Policy {
 func (e *directoryEngine) Probe(a *agent, o *op, now int64) {
 	if d := a.sys.Dir; d != nil {
 		if _, hit := a.bk.Lookup(o.set, o.tag); hit {
-			d.cols[a.col].hits[OwnerOf(o.tag)]++
+			d.hit(a.col, o.tag)
 		}
 	}
 	e.inner.Probe(a, o, now)
@@ -49,11 +47,7 @@ func (e *directoryEngine) Probe(a *agent, o *op, now int64) {
 
 func (e *directoryEngine) Fill(a *agent, o *op, now int64) {
 	if d := a.sys.Dir; d != nil {
-		// The only path a new block enters the cache on: attribute the
-		// fill and raise the owner's occupancy.
-		own := OwnerOf(o.tag)
-		d.cols[a.col].fills[own]++
-		d.cols[a.col].live[own]++
+		d.fill(a.col, o.tag)
 	}
 	e.inner.Fill(a, o, now)
 }
@@ -61,7 +55,7 @@ func (e *directoryEngine) Fill(a *agent, o *op, now int64) {
 func (e *directoryEngine) Unit(a *agent, m *unitMsg, now int64) {
 	if d := a.sys.Dir; d != nil {
 		if _, hit := a.bk.Lookup(m.o.set, m.o.tag); hit {
-			d.cols[a.col].hits[OwnerOf(m.o.tag)]++
+			d.hit(a.col, m.o.tag)
 		}
 	}
 	e.inner.Unit(a, m, now)
@@ -78,16 +72,31 @@ func (e *directoryEngine) GoldenAccess(g *Golden, st [][]uint64, hb, hw int, tag
 
 // DirStats is the per-system directory state. Columns accumulate
 // independently and Report merges them in deterministic column order.
+//
+// Owners index the counters densely: a CMP run has one owner per core,
+// so every counter is a slice entry, not a map slot. n is the owner
+// count the slices cover; it is sized from the warm state and grows the
+// first time a new owner's tag shows up.
 type DirStats struct {
 	cols []dirCol
+	n    int
+	// backing holds every column's counters, column c at
+	// [c*stride, (c+1)*stride) with stride 4n + n*n; the dirCol slices
+	// view into it.
+	backing []int64
+	// seen marks the owners the merged report lists under Live: resident
+	// at the last seed, or filled since.
+	seen []bool
 }
 
+// dirCol is one column's counters, each indexed by owner; cross is the
+// n x n eviction matrix, [victim*n + evictor].
 type dirCol struct {
-	live  map[uint64]int64 // owner -> blocks currently resident
-	fills map[uint64]int64 // owner -> miss fills
-	hits  map[uint64]int64 // owner -> tag-match hits
-	drops map[uint64]int64 // owner -> blocks evicted out of the cache
-	cross map[OwnerPair]int64
+	live  []int64 // blocks currently resident
+	fills []int64 // miss fills
+	hits  []int64 // tag-match hits
+	drops []int64 // blocks evicted out of the cache
+	cross []int64
 }
 
 // OwnerPair attributes one capacity eviction: Victim's block was pushed
@@ -109,56 +118,137 @@ func (p *OwnerPair) UnmarshalText(b []byte) error {
 
 func newDirStats(columns int) *DirStats {
 	d := &DirStats{cols: make([]dirCol, columns)}
-	for i := range d.cols {
-		d.cols[i] = dirCol{
-			live:  make(map[uint64]int64),
-			fills: make(map[uint64]int64),
-			hits:  make(map[uint64]int64),
-			drops: make(map[uint64]int64),
-			cross: make(map[OwnerPair]int64),
-		}
-	}
+	d.resize(1)
 	return d
+}
+
+// stride is the length of one column's counters for n owners.
+func stride(n int) int { return 4*n + n*n }
+
+// resize re-lays every column's counters out for n owners (n >= d.n),
+// keeping their values.
+func (d *DirStats) resize(n int) {
+	old, per := d.n, stride(n)
+	d.backing = make([]int64, len(d.cols)*per)
+	for c := range d.cols {
+		col := &d.cols[c]
+		b := d.backing[c*per : (c+1)*per : (c+1)*per]
+		next := dirCol{
+			live: b[0:n:n], fills: b[n : 2*n : 2*n], hits: b[2*n : 3*n : 3*n],
+			drops: b[3*n : 4*n : 4*n], cross: b[4*n:],
+		}
+		if old > 0 {
+			copy(next.live, col.live)
+			copy(next.fills, col.fills)
+			copy(next.hits, col.hits)
+			copy(next.drops, col.drops)
+			for v := 0; v < old; v++ {
+				copy(next.cross[v*n:v*n+old], col.cross[v*old:(v+1)*old])
+			}
+		}
+		*col = next
+	}
+	seen := make([]bool, n)
+	copy(seen, d.seen)
+	d.seen = seen
+	d.n = n
+}
+
+// owner returns the counter index of tag's owner, growing the counters
+// the first time the owner appears.
+func (d *DirStats) owner(tag uint64) int {
+	o := OwnerOf(tag)
+	if o >= uint64(d.n) {
+		d.resize(int(o) + 1)
+	}
+	return int(o)
 }
 
 // seed (re)builds the occupancy baseline by walking the resident blocks
 // after a per-block Warm. A WarmClone copies the image's counts instead
 // (seedFrom).
 func (d *DirStats) seed(s *System) {
+	cols := make([][]*bank.Bank, len(s.agents))
+	for c, col := range s.agents {
+		for _, a := range col {
+			cols[c] = append(cols[c], a.bk)
+		}
+	}
+	d.seedFrom(countOwners(cols))
+}
+
+// seedFrom sets the occupancy baseline to precounted per-column owner
+// occupancies (WarmImage.liveOwners): owners[c][o] is owner o's resident
+// blocks in column c, every row the same length.
+func (d *DirStats) seedFrom(owners [][]int64) {
+	if len(owners) > 0 && len(owners[0]) > d.n {
+		d.resize(len(owners[0]))
+	}
+	clear(d.seen)
 	for c := range d.cols {
 		live := d.cols[c].live
 		clear(live)
-		for _, a := range s.agents[c] {
-			countOwners(live, a.bk)
+		copy(live, owners[c])
+		for o, n := range owners[c] {
+			if n != 0 {
+				d.seen[o] = true
+			}
 		}
 	}
 }
 
-// seedFrom sets the occupancy baseline to precounted per-column owner
-// occupancies (WarmImage.liveOwners).
-func (d *DirStats) seedFrom(owners []map[uint64]int64) {
-	for c := range d.cols {
-		live := d.cols[c].live
-		clear(live)
-		maps.Copy(live, owners[c])
+// countOwners counts the resident blocks of each column's banks per
+// owner, as dense rows of equal length (the highest owner seen plus one).
+func countOwners(cols [][]*bank.Bank) [][]int64 {
+	out := make([][]int64, len(cols))
+	n := 0
+	for c, col := range cols {
+		var row []int64
+		for _, bk := range col {
+			eachResident(bk, func(blk bank.Block) {
+				o := int(OwnerOf(blk.Tag))
+				if o >= len(row) {
+					row = append(row, make([]int64, o+1-len(row))...)
+				}
+				row[o]++
+			})
+		}
+		out[c] = row
+		n = max(n, len(row))
+	}
+	for c, row := range out {
+		out[c] = append(row, make([]int64, n-len(row))...)
+	}
+	return out
+}
+
+// eachResident calls f on every block resident in bk.
+func eachResident(bk *bank.Bank, f func(bank.Block)) {
+	for set := 0; set < bk.NumSets(); set++ {
+		bk.EachBlock(set, f)
 	}
 }
 
-// countOwners adds bk's resident blocks to live, per owner.
-func countOwners(live map[uint64]int64, bk *bank.Bank) {
-	count := func(blk bank.Block) { live[OwnerOf(blk.Tag)]++ }
-	for set := 0; set < bk.NumSets(); set++ {
-		bk.EachBlock(set, count)
-	}
+// hit records a tag-match hit on tag's block in column col.
+func (d *DirStats) hit(col int, tag uint64) { d.cols[col].hits[d.owner(tag)]++ }
+
+// fill records tag's block entering column col — the only path a new
+// block enters the cache on — and raises its owner's occupancy.
+func (d *DirStats) fill(col int, tag uint64) {
+	own := d.owner(tag)
+	d.seen[own] = true
+	d.cols[col].fills[own]++
+	d.cols[col].live[own]++
 }
 
 // dropped records a victim leaving the cache, attributed to the access
 // that pushed it out.
-func (c *dirCol) dropped(victimTag, byTag uint64) {
-	vo := OwnerOf(victimTag)
+func (d *DirStats) dropped(col int, victimTag, byTag uint64) {
+	vo, eo := d.owner(victimTag), d.owner(byTag)
+	c := &d.cols[col]
 	c.drops[vo]++
 	c.live[vo]--
-	c.cross[OwnerPair{Victim: vo, Evictor: OwnerOf(byTag)}]++
+	c.cross[vo*d.n+eo]++
 }
 
 // DirReport is the merged directory view: per-owner occupancy and the
@@ -177,7 +267,10 @@ type DirReport struct {
 	CrossDrops int64
 }
 
-// Report merges the per-column accumulators.
+// Report merges the per-column accumulators. Like the maps it returns,
+// it lists an owner under Fills, Hits, Drops and Cross only where the
+// count is non-zero, and under Live (and Owners) every owner resident at
+// warm-up or filled since, even once its occupancy has fallen to zero.
 func (d *DirStats) Report() DirReport {
 	r := DirReport{
 		Live:  make(map[uint64]int64),
@@ -186,37 +279,44 @@ func (d *DirStats) Report() DirReport {
 		Drops: make(map[uint64]int64),
 		Cross: make(map[OwnerPair]int64),
 	}
-	owners := make(map[uint64]bool)
-	for _, c := range d.cols {
-		for o, n := range c.live {
-			r.Live[o] += n
-			owners[o] = true
+	n, per := d.n, stride(d.n)
+	sum := make([]int64, per)
+	for c := range d.cols {
+		for i, v := range d.backing[c*per : (c+1)*per] {
+			sum[i] += v
 		}
-		for o, n := range c.fills {
-			r.Fills[o] += n
-			owners[o] = true
+	}
+	live, fills, hits, drops, cross := sum[:n], sum[n:2*n], sum[2*n:3*n], sum[3*n:4*n], sum[4*n:]
+	for o := 0; o < n; o++ {
+		own := uint64(o)
+		listed := d.seen[o]
+		if listed {
+			r.Live[own] = live[o]
 		}
-		for o, n := range c.hits {
-			r.Hits[o] += n
-			owners[o] = true
+		put := func(m map[uint64]int64, v int64) {
+			if v != 0 {
+				m[own] = v
+				listed = true
+			}
 		}
-		for o, n := range c.drops {
-			r.Drops[o] += n
-			owners[o] = true
+		put(r.Fills, fills[o])
+		put(r.Hits, hits[o])
+		put(r.Drops, drops[o])
+		if listed {
+			r.Owners = append(r.Owners, own)
 		}
-		for p, n := range c.cross {
-			r.Cross[p] += n
-			if p.Victim == p.Evictor {
-				r.SelfDrops += n
+		for e, v := range cross[o*n : (o+1)*n] {
+			if v == 0 {
+				continue
+			}
+			r.Cross[OwnerPair{Victim: own, Evictor: uint64(e)}] = v
+			if o == e {
+				r.SelfDrops += v
 			} else {
-				r.CrossDrops += n
+				r.CrossDrops += v
 			}
 		}
 	}
-	for o := range owners {
-		r.Owners = append(r.Owners, o)
-	}
-	sort.Slice(r.Owners, func(i, j int) bool { return r.Owners[i] < r.Owners[j] })
 	return r
 }
 

@@ -27,7 +27,7 @@ func (e *lruEngine) Probe(a *agent, o *op, now int64) {
 			return
 		}
 		blk := a.removeWay(o.set, way)
-		if o.req.Write {
+		if o.write {
 			blk.Dirty = true
 		}
 		a.sendData(o, fin, true)
@@ -37,7 +37,7 @@ func (e *lruEngine) Probe(a *agent, o *op, now int64) {
 			o.chainNeeded = 2
 		}
 		o.store.blk = blk
-		a.sendBank(fin, flit.BlockToMRU, 0, o.req.Addr, &o.store)
+		a.sendBank(fin, flit.BlockToMRU, 0, o, &o.store)
 		return
 	}
 
@@ -77,7 +77,7 @@ func (e *lruEngine) startFastChain(a *agent, o *op, fin int64) {
 		return
 	}
 	o.chain.blk = blk
-	a.sendBank(fin, flit.ReplaceBlock, 1, o.req.Addr, &o.chain)
+	a.sendBank(fin, flit.ReplaceBlock, 1, o, &o.chain)
 }
 
 // forwardUnit evicts (if full) and forwards the unicast Fast-LRU
@@ -90,7 +90,7 @@ func (e *lruEngine) forwardUnit(a *agent, o *op, fin int64) {
 		m.hasBlock = true
 	}
 	if a.pos < a.last {
-		a.sendBank(fin, flit.ReplaceBlock, a.pos+1, o.req.Addr, m)
+		a.sendBank(fin, flit.ReplaceBlock, a.pos+1, o, m)
 		return
 	}
 	// LRU bank: replacement is complete; the victim leaves the cache.
@@ -114,18 +114,16 @@ func (e *lruEngine) Unit(a *agent, m *unitMsg, now int64) {
 	if hit {
 		a.sys.tel.BankHit(a.col, a.pos)
 		blk := a.removeWay(o.set, way)
-		if o.req.Write {
+		if o.write {
 			blk.Dirty = true
 		}
 		if hasIncoming {
 			a.insert(o.set, incoming)
 		}
 		o.hitPos = a.pos
-		o.req.Hit = true
-		o.req.HitBank = a.pos
 		a.sendData(o, fin, true)
 		o.store.blk = blk
-		a.sendBank(fin, flit.BlockToMRU, 0, o.req.Addr, &o.store)
+		a.sendBank(fin, flit.BlockToMRU, 0, o, &o.store)
 		return
 	}
 	// Evict first, then absorb the incoming block, then travel on: the
@@ -139,7 +137,7 @@ func (e *lruEngine) Unit(a *agent, m *unitMsg, now int64) {
 		a.insert(o.set, incoming)
 	}
 	if a.pos < a.last {
-		a.sendBank(fin, flit.ReplaceBlock, a.pos+1, o.req.Addr, m)
+		a.sendBank(fin, flit.ReplaceBlock, a.pos+1, o, m)
 		return
 	}
 	if m.hasBlock {
@@ -174,7 +172,7 @@ func (e *lruEngine) Fill(a *agent, o *op, now int64) {
 	lat := a.bk.Latency()
 	fin := a.access(now, lat.TagRepl)
 	o.bankCycles += int64(lat.TagRepl)
-	blk := bank.Block{Tag: o.tag, Dirty: o.req.Write}
+	blk := bank.Block{Tag: o.tag, Dirty: o.write}
 	if e.fast {
 		// The probe's eviction chain already made room everywhere.
 		a.insert(o.set, blk)
@@ -236,7 +234,7 @@ func chainStep(a *agent, m *chainMsg, now int64) {
 		return
 	}
 	m.blk = victim
-	a.sendBank(fin, flit.ReplaceBlock, a.pos+1, o.req.Addr, m)
+	a.sendBank(fin, flit.ReplaceBlock, a.pos+1, o, m)
 }
 
 // fillEvictChain is the policy-shared miss fill for schemes that make
@@ -256,7 +254,7 @@ func fillEvictChain(a *agent, o *op, blk bank.Block, fin int64) {
 		return
 	}
 	o.chain.blk = victim
-	a.sendBank(fin, flit.ReplaceBlock, 1, o.req.Addr, &o.chain)
+	a.sendBank(fin, flit.ReplaceBlock, 1, o, &o.chain)
 }
 
 // goldenMissFill is the shared reference-model miss: the new block

@@ -22,12 +22,12 @@ func (e *promotionEngine) Probe(a *agent, o *op, now int64) {
 			return
 		}
 		blk := a.removeWay(o.set, way)
-		if o.req.Write {
+		if o.write {
 			blk.Dirty = true
 		}
 		a.sendData(o, fin, true)
 		o.promote.blk = blk
-		a.sendBank(fin, flit.ReplaceBlock, a.pos-1, o.req.Addr, &o.promote)
+		a.sendBank(fin, flit.ReplaceBlock, a.pos-1, o, &o.promote)
 		return
 	}
 	if a.sys.Mode == Multicast {
@@ -50,7 +50,7 @@ func (e *promotionEngine) Promote(a *agent, m *promoteMsg, now int64) {
 	victim := a.evictLRU(o.set)
 	a.insert(o.set, m.blk)
 	o.demote.blk = victim
-	a.sendBank(fin, flit.ReplaceBlock, a.pos+1, o.req.Addr, &o.demote)
+	a.sendBank(fin, flit.ReplaceBlock, a.pos+1, o, &o.demote)
 }
 
 // Demote stores the displaced block back into the hit bank's hole.
@@ -73,7 +73,7 @@ func (e *promotionEngine) Fill(a *agent, o *op, now int64) {
 	lat := a.bk.Latency()
 	fin := a.access(now, lat.TagRepl)
 	o.bankCycles += int64(lat.TagRepl)
-	fillEvictChain(a, o, bank.Block{Tag: o.tag, Dirty: o.req.Write}, fin)
+	fillEvictChain(a, o, bank.Block{Tag: o.tag, Dirty: o.write}, fin)
 	a.sendData(o, fin, false)
 }
 

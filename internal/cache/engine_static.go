@@ -49,7 +49,7 @@ func (e *staticEngine) Fill(a *agent, o *op, now int64) {
 	lat := a.bk.Latency()
 	fin := a.access(now, lat.TagRepl)
 	o.bankCycles += int64(lat.TagRepl)
-	fillEvictChain(a, o, bank.Block{Tag: o.tag, Dirty: o.req.Write}, fin)
+	fillEvictChain(a, o, bank.Block{Tag: o.tag, Dirty: o.write}, fin)
 	a.sendData(o, fin, false)
 }
 

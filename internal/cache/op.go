@@ -1,11 +1,18 @@
 package cache
 
 import (
+	"fmt"
+
+	"nucanet/internal/flit"
 	"nucanet/internal/mem"
 	"nucanet/internal/stats"
 )
 
-// Request is one CPU-visible L2 access handed to the Controller.
+// Request is one CPU-visible L2 access handed to the Controller. Its
+// issuer owns it: the controller reads Addr and Write when it dispatches
+// the access, fills in the result fields, and lets go of the request once
+// Done returns, so the issuer may reissue the same Request from inside
+// Done.
 type Request struct {
 	Addr  uint64
 	Write bool
@@ -31,8 +38,18 @@ func (r *Request) Latency() int64 { return r.DataAt - r.Issued }
 
 // op is the shared protocol state of one in-flight column operation; every
 // packet of the operation carries a typed message pointing back to it.
+// Ops come from their System's opPool and return to it once retired (see
+// opPool).
 type op struct {
-	req *Request
+	// req is the request being served, nil once its Done has run: the
+	// issuer may reuse the Request from then on, so everything the
+	// protocol needs afterwards is copied into the op (addr, write,
+	// issued).
+	req    *Request
+	addr   uint64
+	write  bool
+	issued int64
+
 	id  uint64 // system-wide operation serial (telemetry correlation)
 	col int
 	set int
@@ -63,6 +80,15 @@ type op struct {
 	chainRecv   int
 	finished    bool
 
+	// pending counts the deliveries still due that point at this op: one
+	// per scheduled or in-flight message, one per bank a multicast probe
+	// will reach, one for an off-chip read until its fill lands (the
+	// memory's reply carries the same cookie), and stashed messages until
+	// they replay. The op retires once it has finished and pending is
+	// zero; retired marks it back in the pool.
+	pending int
+	retired bool
+
 	// Bit pos of probed records that the bank at position pos has
 	// performed its tag-match for this operation; it is tracked only
 	// when multicast is set. Multicast delivery order is not guaranteed
@@ -73,12 +99,12 @@ type op struct {
 	multicast bool
 	probed    uint64
 
-	// One instance of every protocol message, pre-wired to this op by
-	// newOp. Chain-style messages are mutated in place and resent hop by
-	// hop (replacement chains are strictly sequential), so the whole
-	// operation costs a single allocation. memReq is the embedded
-	// off-chip read request; its cookie is the fill message, which
-	// memory echoes back as the MemBlock payload.
+	// One instance of every protocol message, pre-wired to this op.
+	// Chain-style messages are mutated in place and resent hop by hop
+	// (replacement chains are strictly sequential), so the whole
+	// operation is one pooled object. memReq is the embedded off-chip
+	// read request; its cookie is the fill message, which memory echoes
+	// back as the MemBlock payload.
 	probe   probeMsg
 	data    dataMsg
 	miss    missMsg
@@ -92,10 +118,10 @@ type op struct {
 	memReq  mem.ReadReq
 }
 
-// newOp builds the per-access protocol state with every embedded message
-// pointing back at it.
-func newOp() *op {
-	o := &op{}
+// reset zeroes the op for a new access and points every embedded message
+// back at it.
+func (o *op) reset() {
+	*o = op{}
 	o.probe.o = o
 	o.data.o = o
 	o.miss.o = o
@@ -106,10 +132,84 @@ func newOp() *op {
 	o.store.o = o
 	o.promote.o = o
 	o.demote.o = o
-	return o
 }
 
 // maxColumnBanks is the widest column op.probed can track.
 const maxColumnBanks = 64
 
 func (o *op) chainDone() bool { return o.chainRecv >= o.chainNeeded }
+
+// opPool recycles the ops of one System through a free list, the same
+// discipline as flit.PacketPool: one pool per run, touched only from the
+// goroutine driving its kernel.
+//
+// Ownership: the controller takes an op at dispatch; every send of a
+// message pointing at it adds to op.pending and every consumer — an
+// agent's dispatch, the controller's Deliver, stale drops included —
+// calls consumed once it is done with the op. The op is retired (put)
+// when it has finished and nothing is left pointing at it, so a late
+// MissNotify from a bank probed after the hit landed keeps its op alive
+// until the controller drops it. After a drained run Live is zero.
+type opPool struct {
+	free []*op
+
+	gets, puts, news uint64
+
+	// quarantine parks retired ops instead of reusing them, so a message
+	// that reaches an op after its retirement finds it still marked
+	// retired and panics rather than corrupting a later access. The
+	// conformance harnesses turn it on.
+	quarantine bool
+}
+
+// get returns a reset op.
+func (p *opPool) get() *op {
+	p.gets++
+	var o *op
+	if n := len(p.free); n > 0 {
+		o = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	} else {
+		p.news++
+		o = new(op)
+	}
+	o.reset()
+	return o
+}
+
+// check returns o, the op of a message just received; it panics when o
+// is retired: the pending count missed a reference. Every receiver runs
+// it before touching the op.
+func (p *opPool) check(o *op) *op {
+	if o.retired {
+		panic(fmt.Sprintf("cache: message for retired op %d (col %d set %d)", o.id, o.col, o.set))
+	}
+	return o
+}
+
+// consumed records one delivery of a message pointing at o and retires o
+// once it has finished and no delivery is left. It panics on more
+// deliveries than sends.
+func (p *opPool) consumed(o *op) {
+	o.pending--
+	if o.pending < 0 {
+		panic(fmt.Sprintf("cache: op %d consumed more deliveries than were sent", o.id))
+	}
+	// Only a controller delivery finishes an op, and it calls consumed
+	// after, so this is the one place an op can become retirable.
+	if !o.finished || o.pending != 0 {
+		return
+	}
+	o.retired = true
+	p.puts++
+	if !p.quarantine {
+		p.free = append(p.free, o)
+	}
+}
+
+// stats returns the pool's accounting; Live is ops taken and not yet
+// retired.
+func (p *opPool) stats() flit.PoolStats {
+	return flit.PoolStats{Gets: p.gets, Puts: p.puts, Allocated: p.news, Live: p.gets - p.puts}
+}

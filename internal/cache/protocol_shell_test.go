@@ -24,8 +24,8 @@ func TestStashHoldsReplacementUntilProbe(t *testing.T) {
 	a := s.agents[0][1]
 
 	mkOp := func(tag uint64) *op {
-		o := newOp()
-		o.req = &Request{Addr: s.AM.Compose(tag, 0, 0)}
+		o := s.ops.get()
+		o.addr = s.AM.Compose(tag, 0, 0)
 		o.col, o.set, o.tag = 0, 0, tag
 		o.ctrl = s.Topo.Core
 		o.hitPos = -1
@@ -42,7 +42,7 @@ func TestStashHoldsReplacementUntilProbe(t *testing.T) {
 	deliverChain := func(o *op) {
 		pkt := pool.Get()
 		pkt.Kind, pkt.Src, pkt.Dst, pkt.DstEp = flit.ReplaceBlock, a.node, a.node, flit.ToBank
-		pkt.DstPos, pkt.Addr, pkt.Payload = int16(a.pos), o.req.Addr, &o.chain
+		pkt.DstPos, pkt.Addr, pkt.Payload = int16(a.pos), o.addr, &o.chain
 		a.Deliver(pkt, 0)
 		pool.Put(pkt)
 	}
@@ -65,7 +65,7 @@ func TestStashHoldsReplacementUntilProbe(t *testing.T) {
 	// block is absorbed), o2's chain keeps waiting for o2's probe.
 	a.Deliver(&flit.Packet{
 		Kind: flit.ReadReq, Src: s.Topo.Core, Dst: a.node, DstEp: flit.ToBank,
-		DstPos: int16(a.pos), Addr: o1.req.Addr, Payload: &o1.probe,
+		DstPos: int16(a.pos), Addr: o1.addr, Payload: &o1.probe,
 	}, 0)
 	if o1.probed&a.bit() == 0 {
 		t.Fatal("probe did not mark the bank probed")

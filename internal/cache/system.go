@@ -40,6 +40,7 @@ type System struct {
 	tel    *telemetry.Collector
 	eng    PolicyEngine // the registered engine driving Policy
 	opSeq  uint64       // operation serial counter (telemetry correlation)
+	ops    opPool       // every controller's ops, recycled once retired
 }
 
 // New builds a system over a fresh kernel-registered network. It errors
@@ -127,7 +128,7 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 				sys: s, node: node, col: c, pos: p, last: len(col) - 1,
 				bk: bank.NewIn(d.Banks[p], pre.Arena.BankArena()),
 			}
-			a.sched.register(k, s.Net)
+			a.sched.register(k, s.Net, pre.Arena)
 			s.agents[c][p] = a
 			// Concentrated topologies place several banks of one column
 			// on a router; a mux demuxes ToBank deliveries by DstPos.
@@ -235,11 +236,17 @@ func (s *System) BankAccessesBySize() map[int]uint64 {
 	return out
 }
 
-// Issue submits one access; done (optional) fires when the data reaches
-// the core.
+// Submit issues a caller-owned request at the current cycle: the caller
+// sets Addr, Write and Done, and may reuse r once Done has run (the
+// allocation-free path cpu.Core drives).
+func (s *System) Submit(r *Request) { s.Ctrl.Issue(r, s.K.Now()) }
+
+// Issue submits one access in a fresh Request the caller may keep and
+// read after the run; done (optional) fires when the data reaches the
+// core.
 func (s *System) Issue(addr uint64, write bool, done func(*Request, int64)) *Request {
 	r := &Request{Addr: addr, Write: write, Done: done}
-	s.Ctrl.Issue(r, s.K.Now())
+	s.Submit(r)
 	return r
 }
 
@@ -274,7 +281,8 @@ func (s *System) NewGoldenFor() *Golden {
 }
 
 // Drain runs the kernel until all protocol activity quiesces or the cycle
-// budget is exhausted; it errors on a stuck protocol.
+// budget is exhausted; it errors on a stuck protocol, including an
+// operation that never retired.
 func (s *System) Drain(maxCycles int64) error {
 	if _, idle := s.K.Run(maxCycles); !idle {
 		return fmt.Errorf("cache: system did not quiesce within %d cycles (pending=%d, inflight=%d)",
@@ -285,6 +293,9 @@ func (s *System) Drain(maxCycles int64) error {
 	}
 	if f := s.Net.InFlight(); f != 0 {
 		return fmt.Errorf("cache: %d flits stuck in the network", f)
+	}
+	if st := s.ops.stats(); st.Live != 0 {
+		return fmt.Errorf("cache: %d operations never retired (gets=%d puts=%d)", st.Live, st.Gets, st.Puts)
 	}
 	return nil
 }

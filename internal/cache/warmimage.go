@@ -20,7 +20,7 @@ type WarmImage struct {
 	banks [][]*bank.Bank // [column][position], never mutated after build
 
 	ownersOnce sync.Once
-	owners     []map[uint64]int64 // [column] owner -> resident blocks; see liveOwners
+	owners     [][]int64 // [column][owner] resident blocks; see liveOwners
 }
 
 // BuildWarmImage warms template banks for the design from a warm-state
@@ -72,15 +72,7 @@ func (s *System) WarmClone(img *WarmImage) {
 // directory policy's occupancy baseline after warm-up, a function of the
 // image alone. The first directory run over the image counts them; every
 // later one copies the counts instead of walking every set again.
-func (img *WarmImage) liveOwners() []map[uint64]int64 {
-	img.ownersOnce.Do(func() {
-		img.owners = make([]map[uint64]int64, len(img.banks))
-		for c, col := range img.banks {
-			img.owners[c] = map[uint64]int64{}
-			for _, bk := range col {
-				countOwners(img.owners[c], bk)
-			}
-		}
-	})
+func (img *WarmImage) liveOwners() [][]int64 {
+	img.ownersOnce.Do(func() { img.owners = countOwners(img.banks) })
 	return img.owners
 }

@@ -76,24 +76,27 @@ func MergeWarm(am trace.AddrMap, ways int, warm [][]uint64, cores int) [][]uint6
 
 // portOp is the port-side record of one access: the request handed to
 // the home controller, both forwarding envelopes, and the completion
-// bookkeeping, in a single allocation.
+// bookkeeping. Each port recycles its portOps through a free list once
+// the issuer's Done has returned, so a warm port allocates nothing per
+// access.
 type portOp struct {
-	req    cache.Request
-	fwd    coreReq  // rides to a remote home controller
-	back   coreData // rides back with the data or write acknowledgment
-	home   int      // controller index owning the column
+	port   *Port
+	req    cache.Request  // the home controller's copy of the access
+	caller *cache.Request // the issuer's request, answered at completion
+	fwd    coreReq        // rides to a remote home controller
+	back   coreData       // rides back with the data or write acknowledgment
+	home   int            // controller index owning the column
 	issued int64
-	done   func(*cache.Request, int64)
+	// atHome is req.Done: po.dataAtHome bound once when the portOp is
+	// built, not per access.
+	atHome func(*cache.Request, int64)
 }
 
 // coreReq carries a remote core's request to the home controller.
 type coreReq struct{ op *portOp }
 
 // coreData carries the completed data notice back to the requesting core.
-type coreData struct {
-	op   *portOp
-	port *Port
-}
+type coreData struct{ op *portOp }
 
 // The CMP forwarding envelopes are protocol messages (flit.Payload).
 func (*coreReq) ProtocolMessage() {}
@@ -126,10 +129,8 @@ type Port struct {
 	RemoteIssues uint64
 	LocalIssues  uint64
 
-	pend map[*cache.Request]*portOp
-	// atHome is the Request.Done of every access this port issues,
-	// bound once at Attach instead of closed over per access.
-	atHome func(*cache.Request, int64)
+	free    []*portOp // retired portOps, reused by Submit
+	pending int       // accesses issued and not yet completed
 }
 
 // hub is the ToCore endpoint at a controller's router: it demultiplexes
@@ -144,7 +145,7 @@ func (h *hub) Deliver(pkt *flit.Packet, now int64) {
 	case *coreReq:
 		h.ctrl.Issue(&p.op.req, now)
 	case *coreData:
-		p.port.complete(p.op, now)
+		p.op.port.complete(p.op, now)
 	default:
 		h.ctrl.Deliver(pkt, now)
 	}
@@ -171,9 +172,7 @@ func Attach(cs *cache.System, n int) (*Fabric, error) {
 			ctrl = cache.NewControllerAt(cs, node)
 		}
 		port := &Port{fab: f, id: i, node: node, ctrl: ctrl,
-			Lat:  stats.NewLatency(len(cs.Design.Banks)),
-			pend: make(map[*cache.Request]*portOp)}
-		port.atHome = port.dataAtHome
+			Lat: stats.NewLatency(len(cs.Design.Banks))}
 		f.ports = append(f.ports, port)
 		f.ctrls = append(f.ctrls, ctrl)
 		f.nodes = append(f.nodes, node)
@@ -228,7 +227,7 @@ func (f *Fabric) Port(i int) *Port { return f.ports[i] }
 func (f *Fabric) Pending() int {
 	n := 0
 	for _, p := range f.ports {
-		n += len(p.pend)
+		n += p.pending
 	}
 	for _, c := range f.ctrls {
 		n += c.Pending()
@@ -236,45 +235,65 @@ func (f *Fabric) Pending() int {
 	return n
 }
 
-// Issue submits core-side access i: local columns go straight to the
-// co-located controller; remote columns cross the top row to their home.
+// Issue submits one access in a fresh Request the caller may keep and
+// read after the run; done (optional) fires when the data reaches this
+// core.
 func (p *Port) Issue(addr uint64, write bool, done func(*cache.Request, int64)) *cache.Request {
+	r := &cache.Request{Addr: addr, Write: write, Done: done}
+	p.Submit(r)
+	return r
+}
+
+// Submit issues a caller-owned request (cpu.L2): local columns go
+// straight to the co-located controller; remote columns cross the top
+// row to their home. The port answers r — results, DataAt at this core,
+// Done — when the data arrives here, and lets go of it once Done returns.
+func (p *Port) Submit(r *cache.Request) {
 	now := p.fab.Sys.K.Now()
-	h := p.fab.home[p.fab.Sys.AM.ColumnOf(addr)]
-	po := &portOp{
-		req:  cache.Request{Addr: addr, Write: write, Done: p.atHome},
-		home: h, issued: now, done: done,
-	}
-	po.fwd.op = po
-	po.back = coreData{op: po, port: p}
-	r := &po.req
-	p.pend[r] = po
+	h := p.fab.home[p.fab.Sys.AM.ColumnOf(r.Addr)]
+	po := p.getOp()
+	po.req = cache.Request{Addr: r.Addr, Write: r.Write, Done: po.atHome}
+	po.caller, po.home, po.issued = r, h, now
+	r.Issued = now
+	p.pending++
 
 	if h == p.id {
 		p.LocalIssues++
-		p.ctrl.Issue(r, now)
-		return r
+		p.ctrl.Issue(&po.req, now)
+		return
 	}
 	p.RemoteIssues++
 	kind := flit.ReadReq
-	if write {
+	if r.Write {
 		kind = flit.WriteData
 	}
 	net := p.fab.Sys.Net
-	pkt := net.NewPacket(kind, p.node, p.fab.nodes[h], flit.ToCore, addr)
+	pkt := net.NewPacket(kind, p.node, p.fab.nodes[h], flit.ToCore, r.Addr)
 	pkt.Payload = &po.fwd
 	net.Send(pkt, now)
-	return r
+}
+
+// getOp returns a portOp from the free list, building one (with its
+// envelopes and bound callback wired) when the list is empty.
+func (p *Port) getOp() *portOp {
+	if n := len(p.free); n > 0 {
+		po := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return po
+	}
+	po := &portOp{port: p}
+	po.fwd.op = po
+	po.back.op = po
+	po.atHome = po.dataAtHome
+	return po
 }
 
 // dataAtHome runs at the home controller when the data arrives there:
 // a local access completes on the spot, a remote one forwards the data
 // (or write acknowledgment) to the requesting core.
-func (p *Port) dataAtHome(r *cache.Request, now int64) {
-	po, ok := p.pend[r]
-	if !ok {
-		panic("cmp: completion for unknown request")
-	}
+func (po *portOp) dataAtHome(r *cache.Request, now int64) {
+	p := po.port
 	if po.home == p.id {
 		p.complete(po, now)
 		return
@@ -289,23 +308,29 @@ func (p *Port) dataAtHome(r *cache.Request, now int64) {
 	net.Send(pkt, now)
 }
 
-// complete fires when the data reaches this core's router.
+// complete fires when the data reaches this core's router: it records
+// the core-observed latency, answers the issuer's request, and recycles
+// the portOp once the issuer's Done has returned.
 func (p *Port) complete(po *portOp, now int64) {
-	r := &po.req
-	if _, ok := p.pend[r]; !ok {
-		panic("cmp: completion for unknown request")
+	if po.caller == nil {
+		panic("cmp: completion for a portOp with no access in flight")
 	}
-	delete(p.pend, r)
+	home, r := &po.req, po.caller
+	po.caller = nil
+	p.pending--
 	lat := now - po.issued
-	if r.Hit {
-		p.Lat.RecordHit(lat, r.HitBank, r.Breakdown)
+	if home.Hit {
+		p.Lat.RecordHit(lat, home.HitBank, home.Breakdown)
 	} else {
-		p.Lat.RecordMiss(lat, r.Breakdown)
+		p.Lat.RecordMiss(lat, home.Breakdown)
 	}
-	if po.done != nil {
-		po.done(r, now)
+	r.DataAt = now
+	r.Hit, r.HitBank, r.Breakdown = home.Hit, home.HitBank, home.Breakdown
+	if r.Done != nil {
+		r.Done(r, now)
 	}
+	p.free = append(p.free, po)
 }
 
 // Pending returns outstanding core-side requests.
-func (p *Port) Pending() int { return len(p.pend) }
+func (p *Port) Pending() int { return p.pending }

@@ -18,16 +18,16 @@ var allocBudgetRuns = []struct {
 }
 
 // TestSimulateAllocBudget bounds the heap objects of the simulate phase
-// of a whole run, artifacts and instance already built: the protocol
-// allocates a Request and an op per access (one portOp and an op on the
-// CMP path) and nothing per send, so what is left above 2.0 is one-time
-// growth — send queues, the packet pool, the kernel's far-event heap, the
-// rare injection ring that outgrows its carved burst — amortized over the
-// run, plus assembling the Result (reads 2.18 / 2.16 / 2.13). The runs
-// are the benchmark's length because that growth does not shrink with
-// the run.
+// of a whole run, artifacts and instance already built: an access
+// allocates nothing once warm (the core owns its requests, ops and CMP
+// port ops are recycled), so what is left is one-time growth — the op
+// and packet free lists filling to their high-water marks, the kernel's
+// far-event heap, the rare injection ring that outgrows its carved burst
+// — amortized over the run, plus assembling the Result (reads 0.051 /
+// 0.026 / 0.073). The runs are the benchmark's length because that
+// growth does not shrink with the run.
 func TestSimulateAllocBudget(t *testing.T) {
-	const budget = 2.25
+	const budget = 0.10
 	for _, tc := range allocBudgetRuns {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt
@@ -54,7 +54,7 @@ func TestSimulateAllocBudget(t *testing.T) {
 			per := float64(after.Mallocs-before.Mallocs) / float64(accesses)
 			t.Logf("%.3f heap objects per access", per)
 			if per > budget {
-				t.Fatalf("simulate allocates %.3f objects per access, budget %.1f", per, budget)
+				t.Fatalf("simulate allocates %.3f objects per access, budget %.2f", per, budget)
 			}
 		})
 	}
@@ -62,13 +62,14 @@ func TestSimulateAllocBudget(t *testing.T) {
 
 // TestRunAllocBudget bounds the heap cost of a whole Run — prepare and
 // build included — once the process is warm: the gated design, the warm
-// table and image are shared and the construction arena is recycled, so
-// a run pays for its access stream (24 B per access), the per-component
-// objects of its instance, and the simulate phase bounded above (reads
-// 2.60 / 2.57 / 2.29 objects and 0.52 / 0.52 / 0.60 KiB). Each run has
-// its own seed, as the benchmark's ops do.
+// table and image are shared and the construction arena (routers, send
+// queues, banks) is recycled, so a run pays for its access stream (24 B
+// per access), the per-component objects of its instance, and the
+// simulate phase bounded above (reads 0.28 / 0.25 / 0.16 objects and
+// 0.09 / 0.09 / 0.15 KiB). Each run has its own seed, as the benchmark's
+// ops do.
 func TestRunAllocBudget(t *testing.T) {
-	const objBudget, kibBudget = 2.75, 0.65
+	const objBudget, kibBudget = 0.35, 0.20
 	for _, tc := range allocBudgetRuns {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt
@@ -91,7 +92,7 @@ func TestRunAllocBudget(t *testing.T) {
 			kib := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / accesses
 			t.Logf("%.2f heap objects and %.2f KiB per access", objs, kib)
 			if objs > objBudget || kib > kibBudget {
-				t.Fatalf("a warm Run allocates %.2f objects and %.2f KiB per access, budget %.1f and %.1f", objs, kib, objBudget, kibBudget)
+				t.Fatalf("a warm Run allocates %.2f objects and %.2f KiB per access, budget %.2f and %.2f", objs, kib, objBudget, kibBudget)
 			}
 		})
 	}

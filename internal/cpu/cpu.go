@@ -52,9 +52,10 @@ func (r Result) IPC() float64 {
 }
 
 // L2 is the cache interface the core drives: the single-core
-// cache.System, or a per-core port of a CMP system.
+// cache.System, or a per-core port of a CMP system. Submit issues a
+// caller-owned request; the L2 lets go of it once its Done has run.
 type L2 interface {
-	Issue(addr uint64, write bool, done func(*cache.Request, int64)) *cache.Request
+	Submit(r *cache.Request)
 }
 
 // Core drives an L2 with a fixed access list.
@@ -67,6 +68,9 @@ type Core struct {
 	// done is c.onData bound once: passing the method value per access
 	// would allocate a fresh closure each time.
 	done func(*cache.Request, int64)
+	// free holds the requests not in flight: Window of them, the MSHRs,
+	// allocated once and reused as each access's Done runs.
+	free []*cache.Request
 
 	prof trace.Profile
 	cpi  float64
@@ -94,6 +98,11 @@ func New(k *sim.Kernel, sys L2, prof trace.Profile, accs []trace.Access, cfg Con
 		rng: sim.NewRNG(cfg.Seed ^ 0xc0de),
 	}
 	c.done = c.onData
+	reqs := make([]cache.Request, cfg.Window)
+	c.free = make([]*cache.Request, cfg.Window)
+	for i := range reqs {
+		c.free[i] = &reqs[i]
+	}
 	c.kid = k.Register(c)
 	return c
 }
@@ -136,7 +145,10 @@ func (c *Core) tryIssue(now int64) {
 	c.idx++
 	c.instrIssued += a.Gap
 	c.outstanding++
-	req := c.sys.Issue(a.Addr, a.Write, c.done)
+	req := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	*req = cache.Request{Addr: a.Addr, Write: a.Write, Done: c.done}
+	c.sys.Submit(req)
 	if !a.Write && c.rng.Bool(c.cfg.BlockingProb) {
 		// A dependent load: the core cannot run ahead.
 		c.blockedOn = req
@@ -152,8 +164,11 @@ func (c *Core) scheduleNext(now int64) {
 	c.k.WakeAt(now+c.gapCycles(c.accs[c.idx].Gap), c.kid)
 }
 
-// onData is the completion callback from the cache controller.
+// onData is the completion callback from the cache controller. The L2
+// is done with req, so it goes back on the free list at once: an access
+// issued below may reuse it.
 func (c *Core) onData(req *cache.Request, now int64) {
+	c.free = append(c.free, req)
 	c.outstanding--
 	c.completed++
 	if c.completed == len(c.accs) {

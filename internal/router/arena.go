@@ -32,6 +32,9 @@ type Arena struct {
 	bools   slab.Chunk[bool]
 	words   slab.Chunk[uint64]
 	pkts    slab.Chunk[*flit.Packet]
+	routers slab.Chunk[Router]
+	links   slab.Chunk[*Router]
+	timed   slab.Chunk[flit.Timed]
 
 	// Banks carves cache-bank state (frame slabs, fill counts); see
 	// bank.NewIn. Access through BankArena for nil-safety.
@@ -62,6 +65,9 @@ func (a *Arena) Reset() {
 	a.bools.Reset()
 	a.words.Reset()
 	a.pkts.Reset()
+	a.routers.Reset()
+	a.links.Reset()
+	a.timed.Reset()
 	a.Banks.Reset()
 }
 
@@ -112,4 +118,34 @@ func (a *Arena) pktSlab(n int) []*flit.Packet {
 		return make([]*flit.Packet, n)
 	}
 	return slab.Grab(&a.pkts, n)
+}
+
+// routerChunk is how many Router structs a fresh arena chunk holds: a
+// Router is a few hundred bytes, so the default chunk of thousands would
+// dwarf a batch's networks.
+const routerChunk = 64
+
+// router returns a zeroed Router to build in place.
+func (a *Arena) router() *Router {
+	if a == nil {
+		return new(Router)
+	}
+	return &slab.GrabIn(&a.routers, 1, routerChunk)[0]
+}
+
+func (a *Arena) linkSlab(n int) []*Router {
+	if a == nil {
+		return make([]*Router, n)
+	}
+	return slab.Grab(&a.links, n)
+}
+
+// TimedSlab returns an empty send queue with room for n scheduled
+// packets, carved from the arena (allocated directly for a nil arena).
+// Appending past n moves the queue to the heap, leaving the arena intact.
+func (a *Arena) TimedSlab(n int) []flit.Timed {
+	if a == nil {
+		return make([]flit.Timed, 0, n)
+	}
+	return slab.Grab(&a.timed, n)[:0]
 }

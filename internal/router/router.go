@@ -270,14 +270,15 @@ func New(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Con
 	cfg, np := b.cfg, b.numPorts
 	nVC := cfg.VCsPerPC
 	words := ((np+1)*nVC + 63) / 64
-	r := &Router{
+	r := ar.router()
+	*r = Router{
 		base: b,
 		nVC:  nVC, bufDepth: cfg.BufDepth, stages: int64(cfg.Stages),
 		vcs:        ar.vcSlab((np + 1) * nVC),
 		credits:    ar.intSlab(np * nVC),
 		owner:      ar.pktSlab(np * nVC),
-		neighbor:   make([]*Router, np),
-		upstream:   make([]*Router, np+1),
+		neighbor:   ar.linkSlab(np),
+		upstream:   ar.linkSlab(np + 1),
 		upstreamOP: ar.intSlab(np + 1),
 		rrOut:      ar.intSlab(np + 1),
 		usedIn:     ar.boolSlab(np + 1),

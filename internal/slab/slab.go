@@ -26,17 +26,19 @@ const chunkMin = 4096
 // three-index carve keeps an overflowing append from bleeding into a
 // neighboring slice. The slice is zeroed, except that memory recycled
 // by Rewind keeps what an earlier round wrote there.
-func Grab[T any](c *Chunk[T], n int) []T {
+func Grab[T any](c *Chunk[T], n int) []T { return GrabIn(c, n, chunkMin) }
+
+// GrabIn is Grab with fresh chunks of at least chunk elements instead of
+// chunkMin, for element types too large to allocate thousands of at once.
+// Use one chunk size per Chunk.
+func GrabIn[T any](c *Chunk[T], n, chunk int) []T {
 	for n > len(c.buf) {
 		if c.idx+1 < len(c.chunks) {
 			c.idx++
 			c.buf = c.chunks[c.idx]
 			continue
 		}
-		sz := n
-		if sz < chunkMin {
-			sz = chunkMin
-		}
+		sz := max(n, chunk)
 		fresh := make([]T, sz)
 		c.chunks = append(c.chunks, fresh)
 		c.idx = len(c.chunks) - 1

@@ -51,6 +51,30 @@ func TestEarlierCarvesSurviveChunkGrowth(t *testing.T) {
 	}
 }
 
+// TestGrabInSizesFreshChunks: GrabIn allocates chunks of the requested
+// size (or the carve, if larger), not chunkMin, and reuses them after a
+// Reset like Grab does.
+func TestGrabInSizesFreshChunks(t *testing.T) {
+	var c Chunk[int]
+	for i := 0; i < 5; i++ {
+		GrabIn(&c, 1, 2)
+	}
+	GrabIn(&c, 7, 2)
+	if len(c.chunks) != 4 || cap(c.chunks[0]) != 2 || cap(c.chunks[3]) != 7 {
+		t.Fatalf("chunks of %d elements: %d chunks, first cap %d, last cap %d; want 4 chunks of 2, 2, 2, 7",
+			2, len(c.chunks), cap(c.chunks[0]), cap(c.chunks[len(c.chunks)-1]))
+	}
+	c.Reset()
+	if allocs := testing.AllocsPerRun(10, func() {
+		c.Reset()
+		for i := 0; i < 5; i++ {
+			GrabIn(&c, 1, 2)
+		}
+	}); allocs != 0 {
+		t.Fatalf("carving within the high-water mark after Reset allocates %.0f", allocs)
+	}
+}
+
 func TestResetRecyclesWithoutAllocating(t *testing.T) {
 	var c Chunk[int]
 	for _, n := range roundSizes {
