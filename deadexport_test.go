@@ -18,6 +18,7 @@ var deadExportAllowed = map[string]string{
 	"UnmarshalText":           "reached through encoding.TextUnmarshaler",
 	"IsBoolFlag":              "reached through the flag package's boolFlag interface",
 	"MustNew":                 "cache.MustNew / network.MustNew: fixture many tests build on",
+	"MustBuild":               "topology fixture many tests build on",
 	"NewSimplifiedMesh":       "topology constructor: fixture many tests build on",
 	"NewMinimalMesh":          "topology constructor: fixture many tests build on",
 	"NewCMesh":                "topology constructor: fixture many tests build on",

@@ -161,20 +161,6 @@ func TestCMeshStructure(t *testing.T) {
 	}
 }
 
-func TestCMeshBadConcentration(t *testing.T) {
-	_, err := Build("cmesh", Params{W: 4, H: 16, CoreX: 1, MemX: 2, Concentration: 3})
-	if err == nil || !strings.Contains(err.Error(), "concentration") {
-		t.Fatalf("expected concentration-divisibility error, got %v", err)
-	}
-}
-
-func TestRingTooSmall(t *testing.T) {
-	_, err := Build("ring", Params{W: 2, H: 1})
-	if err == nil {
-		t.Fatal("a 2-node ring must be rejected")
-	}
-}
-
 func TestHaloRenderNonUniform(t *testing.T) {
 	// Design F's shape: 16 spikes of length 5 with non-uniform wire
 	// delays. Render coordinates must stay a compact distinct grid

@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // hierForTest is the H2 shape: two 8x4 chiplet meshes plus a 4-bridge
 // ring, with the core column chosen so the dateline lands on an interior
@@ -99,32 +96,6 @@ func TestHierRingPositions(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("node %d (X=%d, Y=%d): ring position %d, want %d", id, nd.X, nd.Y, got, want)
-		}
-	}
-}
-
-func TestHierRejectsBadSpecs(t *testing.T) {
-	cases := []struct {
-		name string
-		spec HierSpec
-		want string
-	}{
-		{"one chiplet", HierSpec{W: 16, H: 4, Chiplets: 1}, "chiplets"},
-		{"uneven split", HierSpec{W: 15, H: 4, Chiplets: 2}, "split"},
-		{"narrow chiplets", HierSpec{W: 4, H: 2, Chiplets: 4}, "columns"},
-		{"core out of range", HierSpec{W: 16, H: 4, Chiplets: 2, CoreX: 16}, "out of range"},
-		{"vdelay mismatch", HierSpec{W: 16, H: 4, Chiplets: 2, VertDelay: []int{1, 2}}, "vertical delays"},
-	}
-	for _, c := range cases {
-		_, err := Build("hier", Params{W: c.spec.W, H: c.spec.H, Chiplets: c.spec.Chiplets,
-			CoreX: c.spec.CoreX, MemX: c.spec.MemX,
-			HorizDelay: c.spec.HorizDelay, VertDelay: c.spec.VertDelay})
-		if err == nil {
-			t.Errorf("%s: no error", c.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
 }

@@ -61,3 +61,13 @@ func Build(name string, p Params) (*Topology, error) {
 
 // Names returns the registered family names, sorted.
 func Names() []string { return families.Sorted() }
+
+// MustBuild is Build for fixtures: it panics on an unknown family or
+// malformed parameters.
+func MustBuild(family string, p Params) *Topology {
+	t, err := Build(family, p)
+	if err != nil {
+		panic(err.Error())
+	}
+	return t
+}

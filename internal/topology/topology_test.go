@@ -241,21 +241,60 @@ func TestMeshPropertyDimensions(t *testing.T) {
 	}
 }
 
-func TestBadSpecsPanic(t *testing.T) {
-	cases := []func(){
-		func() { NewMesh(MeshSpec{W: 0, H: 4, CoreX: 0, MemX: 0}) },
-		func() { NewMesh(MeshSpec{W: 4, H: 4, CoreX: 9, MemX: 0}) },
-		func() { NewHalo(HaloSpec{Spikes: 0, Length: 4}) },
-		func() { NewHalo(HaloSpec{Spikes: 4, Length: 0}) },
+// TestBuildRejectsBadParams pins, for every family, the full error text
+// Build returns for each malformed parameter set (rows with two faults pin
+// which check runs first) and that MustBuild panics with the same text.
+func TestBuildRejectsBadParams(t *testing.T) {
+	cases := []struct {
+		family string
+		p      Params
+		want   string
+	}{
+		{"mesh", Params{W: 0, H: 4}, "topology: bad mesh 0x4"},
+		{"mesh", Params{W: 4, H: -1}, "topology: bad mesh 4x-1"},
+		{"mesh", Params{W: 4, H: 4, CoreX: 9}, "topology: core/mem column out of range"},
+		{"mesh", Params{W: 4, H: 4, MemX: -1}, "topology: core/mem column out of range"},
+		{"mesh", Params{W: 4, H: 4, VertDelay: []int{1, 2}}, "topology: 2 vertical delays for 4 rows"},
+		{"mesh", Params{W: 4, H: 4, VertDelay: []int{0}}, "topology mesh: node 0 port 2: delay 0 < 1"},
+		{"mesh", Params{W: 0, H: 4, CoreX: 9}, "topology: bad mesh 0x4"},
+		{"simplified-mesh", Params{W: 16, H: 0}, "topology: bad mesh 16x0"},
+		{"simplified-mesh", Params{W: 4, H: 4, CoreX: 4}, "topology: core/mem column out of range"},
+		{"minimal-mesh", Params{W: 4, H: 4, VertDelay: []int{1, 1, 1}}, "topology: 3 vertical delays for 4 rows"},
+		{"minimal-mesh", Params{W: 4, H: 4, MemX: 4, VertDelay: []int{1, 1, 1}}, "topology: core/mem column out of range"},
+		{"halo", Params{W: 0, H: 4}, "topology: bad halo 0x4"},
+		{"halo", Params{W: 4, H: 0}, "topology: bad halo 4x0"},
+		{"halo", Params{W: 4, H: 4, VertDelay: []int{1, 2}}, "topology: 2 spike delays for length 4"},
+		{"ring", Params{W: 8, H: 2}, "topology: ring has one bank per node, H must be 1 (got 2)"},
+		{"ring", Params{W: 2, H: 1}, "topology: ring needs >= 3 nodes, got 2"},
+		{"ring", Params{W: 2, H: 2}, "topology: ring has one bank per node, H must be 1 (got 2)"},
+		{"ring", Params{W: 8, H: 1, MemX: 8}, "topology: core/mem position out of range"},
+		{"ring", Params{W: 8, H: 1, CoreX: -1}, "topology: core/mem position out of range"},
+		{"cmesh", Params{W: 0, H: 16, Concentration: 4}, "topology: bad cmesh 0x16"},
+		{"cmesh", Params{W: 4, H: 16, CoreX: 1, MemX: 2, Concentration: 3}, "topology: concentration 3 does not divide 16 ways"},
+		{"cmesh", Params{W: 4, H: 16}, "topology: concentration 0 does not divide 16 ways"},
+		{"cmesh", Params{W: 4, H: 16, CoreX: 4, Concentration: 4}, "topology: core/mem column out of range"},
+		{"cmesh", Params{W: 4, H: 16, Concentration: 4, VertDelay: []int{1, 2}}, "topology: 2 vertical delays for 4 router rows"},
+		{"hier", Params{W: 16, H: 4, Chiplets: 1}, "topology: hierarchical topology needs >= 2 chiplets, got 1"},
+		{"hier", Params{W: 0, H: 4, Chiplets: 1}, "topology: hierarchical topology needs >= 2 chiplets, got 1"},
+		{"hier", Params{W: 0, H: 4, Chiplets: 2}, "topology: bad hier 0x4"},
+		{"hier", Params{W: 15, H: 4, Chiplets: 2}, "topology: 15 columns do not split into 2 chiplets"},
+		{"hier", Params{W: 4, H: 2, Chiplets: 4}, "topology: chiplets need >= 2 columns, got 1"},
+		{"hier", Params{W: 16, H: 4, Chiplets: 2, CoreX: 16}, "topology: core/mem column out of range"},
+		{"hier", Params{W: 16, H: 4, Chiplets: 2, VertDelay: []int{1, 2}}, "topology: 2 vertical delays for 4 rows"},
 	}
-	for i, f := range cases {
+	for _, c := range cases {
+		_, err := Build(c.family, c.p)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s %+v: error %v, want %q", c.family, c.p, err, c.want)
+			continue
+		}
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
+				if r := recover(); r != c.want {
+					t.Errorf("%s %+v: MustBuild panicked with %v, want %q", c.family, c.p, r, c.want)
 				}
 			}()
-			f()
+			MustBuild(c.family, c.p)
 		}()
 	}
 }
