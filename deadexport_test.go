@@ -18,13 +18,6 @@ var deadExportAllowed = map[string]string{
 	"UnmarshalText":           "reached through encoding.TextUnmarshaler",
 	"IsBoolFlag":              "reached through the flag package's boolFlag interface",
 	"MustNew":                 "cache.MustNew / network.MustNew: fixture many tests build on",
-	"MustBuild":               "topology fixture many tests build on",
-	"NewSimplifiedMesh":       "topology constructor: fixture many tests build on",
-	"NewMinimalMesh":          "topology constructor: fixture many tests build on",
-	"NewCMesh":                "topology constructor: fixture many tests build on",
-	"NewHalo":                 "topology constructor: fixture many tests build on",
-	"NewRing":                 "topology constructor: fixture many tests build on",
-	"NewHier":                 "topology constructor: fixture many tests build on",
 	"NumBanks":                "Topology.NumBanks: fixture many tests build on",
 	"HitWays":                 "Latency.HitWays: fixture many tests build on",
 	"DefaultExpConfig":        "fixture many tests build on",

@@ -46,7 +46,7 @@ import (
 // fully drained) instead of allocating fresh ones, so a measured region
 // is exactly the steady-state network.
 func steadyMesh(engine string, reuse bool) (*sim.Kernel, *network.Network, func()) {
-	topo := topology.NewMesh(topology.MeshSpec{W: 16, H: 16, CoreX: 7, MemX: 8})
+	topo := topology.MustBuild("mesh", topology.Params{W: 16, H: 16, CoreX: 7, MemX: 8})
 	k := sim.NewKernel()
 	cfg := router.DefaultConfig()
 	cfg.Engine = engine

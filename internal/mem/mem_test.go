@@ -30,7 +30,7 @@ func (s *sink) Deliver(p *flit.Packet, now int64) {
 
 func build(t *testing.T, wire int) (*sim.Kernel, *network.Network, *Memory, *sink) {
 	t.Helper()
-	topo := topology.NewMesh(topology.MeshSpec{W: 4, H: 4, CoreX: 1, MemX: 2})
+	topo := topology.MustBuild("mesh", topology.Params{W: 4, H: 4, CoreX: 1, MemX: 2})
 	topo.MemWireDelay = wire
 	k := sim.NewKernel()
 	net := network.MustNew(k, topo, routing.XY{}, router.DefaultConfig())
@@ -136,7 +136,7 @@ func TestWriteBackAbsorbed(t *testing.T) {
 }
 
 func TestHaloWireDelayPickedUpFromTopology(t *testing.T) {
-	topo := topology.NewHalo(topology.HaloSpec{Spikes: 4, Length: 4, MemWireDelay: 16})
+	topo := topology.MustBuild("halo", topology.Params{W: 4, H: 4, MemWireDelay: 16})
 	k := sim.NewKernel()
 	net := network.MustNew(k, topo, routing.Spike{}, router.DefaultConfig())
 	m := New(k, net, DefaultConfig())

@@ -266,8 +266,8 @@ func TestEnginesConserveUnderLoad(t *testing.T) {
 	}{
 		{"bufferless-mesh", "bufferless", mesh16()},
 		{"ring-lite-mesh", "ring-lite", mesh16()},
-		{"bufferless-ring", "bufferless", topology.NewRing(topology.RingSpec{N: 16, CoreX: 0, MemX: 8})},
-		{"ring-lite-ring", "ring-lite", topology.NewRing(topology.RingSpec{N: 16, CoreX: 0, MemX: 8})},
+		{"bufferless-ring", "bufferless", topology.MustBuild("ring", topology.Params{W: 16, H: 1, CoreX: 0, MemX: 8})},
+		{"ring-lite-ring", "ring-lite", topology.MustBuild("ring", topology.Params{W: 16, H: 1, CoreX: 0, MemX: 8})},
 	}
 	for _, tc := range cases {
 		tc := tc

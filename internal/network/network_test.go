@@ -76,7 +76,7 @@ func mustFor(topo *topology.Topology) routing.Algorithm {
 }
 
 func mesh16() *topology.Topology {
-	return topology.NewMesh(topology.MeshSpec{W: 16, H: 16, CoreX: 7, MemX: 8})
+	return topology.MustBuild("mesh", topology.Params{W: 16, H: 16, CoreX: 7, MemX: 8})
 }
 
 func TestUnicastZeroLoadLatency(t *testing.T) {
@@ -112,7 +112,7 @@ func TestFiveFlitPacketLatency(t *testing.T) {
 }
 
 func TestWireDelayAddsLatency(t *testing.T) {
-	topo := topology.NewMesh(topology.MeshSpec{W: 4, H: 4, CoreX: 1, MemX: 2, VertDelay: []int{3}})
+	topo := topology.MustBuild("mesh", topology.Params{W: 4, H: 4, CoreX: 1, MemX: 2, VertDelay: []int{3}})
 	r := newRig(topo)
 	dst := topo.NodeAt(1, 3)
 	p := r.net.NewPacket(flit.ReadReq, topo.Core, dst, flit.ToBank, 0)
@@ -176,7 +176,7 @@ func TestMulticastColumnDelivery(t *testing.T) {
 }
 
 func TestMulticastOnSimplifiedMesh(t *testing.T) {
-	topo := topology.NewSimplifiedMesh(topology.MeshSpec{W: 16, H: 16, CoreX: 7, MemX: 7})
+	topo := topology.MustBuild("simplified-mesh", topology.Params{W: 16, H: 16, CoreX: 7, MemX: 7})
 	r := newRig(topo)
 	last := topo.NodeAt(2, 15)
 	p := r.net.NewPacket(flit.ReadReq, topo.Core, last, flit.ToBank, 0x80)
@@ -191,7 +191,7 @@ func TestMulticastOnSimplifiedMesh(t *testing.T) {
 }
 
 func TestMulticastOnHaloSpike(t *testing.T) {
-	topo := topology.NewHalo(topology.HaloSpec{Spikes: 16, Length: 16})
+	topo := topology.MustBuild("halo", topology.Params{W: 16, H: 16})
 	r := newRig(topo)
 	spike := 5
 	last := topo.Column(spike)[15]

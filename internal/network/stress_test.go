@@ -14,7 +14,7 @@ import (
 // and upward replies (the two XYX traffic classes) and require the
 // network to drain completely.
 func TestXYXNoDeadlockUnderSaturation(t *testing.T) {
-	topo := topology.NewSimplifiedMesh(topology.MeshSpec{W: 8, H: 8, CoreX: 3, MemX: 3})
+	topo := topology.MustBuild("simplified-mesh", topology.Params{W: 8, H: 8, CoreX: 3, MemX: 3})
 	r := newRig(topo)
 	rng := sim.NewRNG(5)
 	const N = 400
@@ -41,7 +41,7 @@ func TestXYXNoDeadlockUnderSaturation(t *testing.T) {
 
 // TestHaloHubArbitration drives all 16 spikes through the hub at once.
 func TestHaloHubArbitration(t *testing.T) {
-	topo := topology.NewHalo(topology.HaloSpec{Spikes: 16, Length: 5})
+	topo := topology.MustBuild("halo", topology.Params{W: 16, H: 5})
 	r := newRig(topo)
 	const per = 10
 	for s := 0; s < 16; s++ {
@@ -74,9 +74,9 @@ func TestHaloHubArbitration(t *testing.T) {
 // the core and memory columns are adjacent.
 func TestMinimalMeshRemovesPaperLinkCount(t *testing.T) {
 	for _, n := range []int{4, 8, 16} {
-		spec := topology.MeshSpec{W: n, H: n, CoreX: n/2 - 1, MemX: n / 2}
-		full := topology.NewMesh(spec).CountLinks()
-		minimal := topology.NewMinimalMesh(spec).CountLinks()
+		spec := topology.Params{W: n, H: n, CoreX: n/2 - 1, MemX: n / 2}
+		full := topology.MustBuild("mesh", spec).CountLinks()
+		minimal := topology.MustBuild("minimal-mesh", spec).CountLinks()
 		if removed := full - minimal; removed != (n-2)*(n-2) {
 			t.Errorf("n=%d: removed %d links, want (n-2)^2 = %d", n, removed, (n-2)*(n-2))
 		}
@@ -84,7 +84,7 @@ func TestMinimalMeshRemovesPaperLinkCount(t *testing.T) {
 }
 
 func TestMissingEndpointPanics(t *testing.T) {
-	topo := topology.NewMesh(topology.MeshSpec{W: 4, H: 4, CoreX: 1, MemX: 2})
+	topo := topology.MustBuild("mesh", topology.Params{W: 4, H: 4, CoreX: 1, MemX: 2})
 	k := sim.NewKernel()
 	net := MustNew(k, topo, mustFor(topo), router.DefaultConfig())
 	// No endpoints attached: delivery must panic loudly rather than

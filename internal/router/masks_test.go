@@ -102,8 +102,8 @@ func (tc traffic) drive(t *testing.T, check func(), fs ...*fabric) int {
 // and on a 16-spike halo whose hub has 17 PCs x 4 VCs = 68 VCs, so its
 // injection VCs live in the second mask word.
 func saturatingTraffic() []traffic {
-	mesh := topology.NewMesh(topology.MeshSpec{W: 4, H: 4, CoreX: 1, MemX: 2})
-	halo := topology.NewHalo(topology.HaloSpec{Spikes: 16, Length: 5})
+	mesh := topology.MustBuild("mesh", topology.Params{W: 4, H: 4, CoreX: 1, MemX: 2})
+	halo := topology.MustBuild("halo", topology.Params{W: 16, H: 5})
 	waves := func(wave func(f *fabric) int) func(f *fabric, n int) int {
 		return func(f *fabric, n int) int {
 			if n == 0 || n == 21 {
@@ -260,7 +260,7 @@ func sameDecisions(a, b *Router) bool {
 // on the same cycles — on the saturated waves, where both paths run, and
 // on a light stream of mostly lone packets.
 func TestOneVCTickMatchesArbitration(t *testing.T) {
-	mesh := topology.NewMesh(topology.MeshSpec{W: 4, H: 4, CoreX: 1, MemX: 2})
+	mesh := topology.MustBuild("mesh", topology.Params{W: 4, H: 4, CoreX: 1, MemX: 2})
 	light := traffic{"light-mesh4x4", mesh, 600, func(f *fabric, n int) int {
 		if n%8 != 0 {
 			return 0

@@ -45,7 +45,7 @@ type parkingCase struct {
 // H2 chiplet fabric whose links all take 2 cycles, and the mesh with a
 // 2-stage router pipeline.
 func parkingTraffic() []parkingCase {
-	h2 := topology.NewHier(topology.HierSpec{W: 16, H: 4, Chiplets: 2, CoreX: 3, MemX: 3,
+	h2 := topology.MustBuild("hier", topology.Params{W: 16, H: 4, Chiplets: 2, CoreX: 3, MemX: 3,
 		HorizDelay: 2, VertDelay: []int{2}})
 	h2Waves := traffic{"h2", h2, 21, func(f *fabric, n int) int {
 		if n != 0 && n != 21 {
@@ -153,7 +153,7 @@ func TestParkingMatchesEagerWakeups(t *testing.T) {
 // one whose flits are all still crossing a link — the kernel goes idle
 // on the very cycle the last flit ejects, and every credit is back.
 func TestCreditReturnWakesNoRouter(t *testing.T) {
-	f := newFabric(topology.NewMesh(topology.MeshSpec{W: 3, H: 1, CoreX: 0, MemX: 2, HorizDelay: 3}), DefaultConfig())
+	f := newFabric(topology.MustBuild("mesh", topology.Params{W: 3, H: 1, CoreX: 0, MemX: 2, HorizDelay: 3}), DefaultConfig())
 	for i := 0; i < 3; i++ {
 		f.send(flit.HitData, 0, 2, false) // 5 flits each down the line
 		f.send(flit.HitData, 2, 0, false) // and back up it

@@ -31,7 +31,7 @@ func mustTable(topo *topology.Topology, alg routing.Algorithm) *routing.Table {
 
 func newPair(cfg Config) *pair {
 	p := &pair{k: sim.NewKernel()}
-	p.topo = topology.NewMesh(topology.MeshSpec{W: 2, H: 1, CoreX: 0, MemX: 1})
+	p.topo = topology.MustBuild("mesh", topology.Params{W: 2, H: 1, CoreX: 0, MemX: 1})
 	tb := mustTable(p.topo, routing.XY{})
 	p.a = New(0, p.topo, tb, cfg, p.k, nil)
 	p.b = New(1, p.topo, tb, cfg, p.k, nil)
@@ -116,7 +116,7 @@ func TestStagesDelayEachHop(t *testing.T) {
 func TestNoRoutePanics(t *testing.T) {
 	// A packet addressed beyond the wired ports must fail loudly.
 	p := newPair(DefaultConfig())
-	topo3 := topology.NewMesh(topology.MeshSpec{W: 3, H: 1, CoreX: 0, MemX: 2})
+	topo3 := topology.MustBuild("mesh", topology.Params{W: 3, H: 1, CoreX: 0, MemX: 2})
 	// Router built over a 3-wide topology but wired only to one neighbor:
 	r := New(0, topo3, mustTable(topo3, routing.XY{}), DefaultConfig(), p.k, nil)
 	r.SetKernelID(p.k.Register(r))

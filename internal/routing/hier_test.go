@@ -9,13 +9,13 @@ import (
 func hierTestTopos() map[string]*topology.Topology {
 	return map[string]*topology.Topology{
 		// The H2 catalogue shape: dateline on an interior chiplet-1 link.
-		"2x(8x4)": topology.NewHier(topology.HierSpec{W: 16, H: 4, Chiplets: 2,
+		"2x(8x4)": topology.MustBuild("hier", topology.Params{W: 16, H: 4, Chiplets: 2,
 			CoreX: 3, MemX: 3, HorizDelay: 2, VertDelay: []int{2}}),
 		// Narrow chiplets: every mesh column touches a bridge. CoreX 5
 		// projects to ring position 10, so the dateline (position 2 -> 3)
 		// is a mesh-to-bridge link — the asymmetric case where one open
 		// chain ends on a bridge.
-		"4x(2x2)": topology.NewHier(topology.HierSpec{W: 8, H: 2, Chiplets: 4,
+		"4x(2x2)": topology.MustBuild("hier", topology.Params{W: 8, H: 2, Chiplets: 4,
 			CoreX: 5, MemX: 0}),
 	}
 }

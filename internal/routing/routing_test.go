@@ -9,11 +9,11 @@ import (
 )
 
 func mesh16() *topology.Topology {
-	return topology.NewMesh(topology.MeshSpec{W: 16, H: 16, CoreX: 7, MemX: 8})
+	return topology.MustBuild("mesh", topology.Params{W: 16, H: 16, CoreX: 7, MemX: 8})
 }
 
 func simpl16() *topology.Topology {
-	return topology.NewSimplifiedMesh(topology.MeshSpec{W: 16, H: 16, CoreX: 7, MemX: 7})
+	return topology.MustBuild("simplified-mesh", topology.Params{W: 16, H: 16, CoreX: 7, MemX: 7})
 }
 
 func TestXYReachesAllPairsMinimally(t *testing.T) {
@@ -117,7 +117,7 @@ func TestXYXRepliesGoYFirst(t *testing.T) {
 // channel ranks, and ranks must be unique per directed channel.
 func TestXYXChannelOrderTotal(t *testing.T) {
 	for _, dims := range [][2]int{{4, 4}, {16, 16}, {16, 5}, {3, 3}} {
-		m := topology.NewSimplifiedMesh(topology.MeshSpec{
+		m := topology.MustBuild("simplified-mesh", topology.Params{
 			W: dims[0], H: dims[1], CoreX: dims[0] / 2, MemX: dims[0] / 2})
 		seen := map[int]bool{}
 		for n := 0; n < m.NumNodes(); n++ {
@@ -160,7 +160,7 @@ func TestXYXChannelOrderProperty(t *testing.T) {
 	if err := quick.Check(func(w8, h8, s8, d8 uint8) bool {
 		w := int(w8%12) + 2
 		h := int(h8%12) + 2
-		m := topology.NewSimplifiedMesh(topology.MeshSpec{W: w, H: h, CoreX: w / 2, MemX: w / 2})
+		m := topology.MustBuild("simplified-mesh", topology.Params{W: w, H: h, CoreX: w / 2, MemX: w / 2})
 		// Random bank -> core and core -> bank routes stay monotone.
 		n := (int(s8)*int(d8) + int(s8)) % m.NumNodes()
 		for _, pr := range [][2]int{{m.Core, n}, {n, m.Core}} {
@@ -187,7 +187,7 @@ func TestXYXChannelOrderProperty(t *testing.T) {
 }
 
 func TestSpikeRouting(t *testing.T) {
-	h := topology.NewHalo(topology.HaloSpec{Spikes: 16, Length: 16})
+	h := topology.MustBuild("halo", topology.Params{W: 16, H: 16})
 	alg := Spike{}
 	hub := h.Hub()
 	// Hub to every bank and back.
@@ -228,7 +228,7 @@ func TestSpikeRouting(t *testing.T) {
 
 func TestHaloMRUOneHop(t *testing.T) {
 	// The halo's raison d'etre: every MRU bank is one hop, equal latency.
-	h := topology.NewHalo(topology.HaloSpec{Spikes: 16, Length: 5})
+	h := topology.MustBuild("halo", topology.Params{W: 16, H: 5})
 	for s := 0; s < 16; s++ {
 		lat, err := PathLatency(h, Spike{}, h.Hub(), h.Column(s)[0])
 		if err != nil {
@@ -247,7 +247,7 @@ func TestHaloMRUOneHop(t *testing.T) {
 }
 
 func TestPathLatencySumsWireDelays(t *testing.T) {
-	m := topology.NewSimplifiedMesh(topology.MeshSpec{W: 16, H: 5, CoreX: 7, MemX: 7,
+	m := topology.MustBuild("simplified-mesh", topology.Params{W: 16, H: 5, CoreX: 7, MemX: 7,
 		HorizDelay: 3, VertDelay: []int{0, 1, 2, 2, 3}})
 	// Core (7,0) to LRU bank of column 9: 2 horizontal (3 each) + 1+2+2+3.
 	lat, err := PathLatency(m, XYX{}, m.Core, m.NodeAt(9, 4))
@@ -260,15 +260,15 @@ func TestPathLatencySumsWireDelays(t *testing.T) {
 }
 
 func TestForPicksDefaultAlgorithm(t *testing.T) {
-	std := topology.MeshSpec{W: 8, H: 8, CoreX: 3, MemX: 4}
+	std := topology.Params{W: 8, H: 8, CoreX: 3, MemX: 4}
 	cases := []struct {
 		topo *topology.Topology
 		want string
 	}{
-		{topology.NewMesh(std), "XY"},
-		{topology.NewMinimalMesh(std), "XY"},
-		{topology.NewSimplifiedMesh(std), "XYX"},
-		{topology.NewHalo(topology.HaloSpec{Spikes: 8, Length: 8}), "Spike"},
+		{topology.MustBuild("mesh", std), "XY"},
+		{topology.MustBuild("minimal-mesh", std), "XY"},
+		{topology.MustBuild("simplified-mesh", std), "XYX"},
+		{topology.MustBuild("halo", topology.Params{W: 8, H: 8}), "Spike"},
 	}
 	for _, c := range cases {
 		alg, err := For(c.topo)
@@ -303,7 +303,7 @@ func TestXYOnMinimalMeshCacheTraffic(t *testing.T) {
 	// Figure 4(b)'s minimal mesh must still route the cache communication
 	// patterns under XY: requests along row 0, replies X-toward-core then
 	// Y-, memory traffic along the bottom row.
-	m := topology.NewMinimalMesh(topology.MeshSpec{W: 8, H: 8, CoreX: 3, MemX: 4})
+	m := topology.MustBuild("minimal-mesh", topology.Params{W: 8, H: 8, CoreX: 3, MemX: 4})
 	alg := XY{}
 	for n := 0; n < m.NumNodes(); n++ {
 		if n == m.Core {

@@ -19,7 +19,7 @@ func TestTablePrecomputeMatchesAlgorithm(t *testing.T) {
 	}{
 		{"XY/mesh", mesh16(), XY{}},
 		{"XYX/simplified", simpl16(), XYX{}},
-		{"Spike/halo", topology.NewHalo(topology.HaloSpec{Spikes: 16, Length: 16}), Spike{}},
+		{"Spike/halo", topology.MustBuild("halo", topology.Params{W: 16, H: 16}), Spike{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

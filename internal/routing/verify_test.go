@@ -45,7 +45,7 @@ func TestVerifyAllCatalogueDesigns(t *testing.T) {
 // entry: XY over the minimal mesh (Figure 4(b)) with its one-way middle
 // rows.
 func TestVerifyMinimalMesh(t *testing.T) {
-	m := topology.NewMinimalMesh(topology.MeshSpec{W: 16, H: 16, CoreX: 7, MemX: 8})
+	m := topology.MustBuild("minimal-mesh", topology.Params{W: 16, H: 16, CoreX: 7, MemX: 8})
 	if err := routing.VerifyDeadlockFree(m, routing.XY{}); err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +119,10 @@ func TestVerifyRejectsBadRouting(t *testing.T) {
 		return tp
 	}
 	mesh := func() *topology.Topology {
-		return topology.NewMesh(topology.MeshSpec{W: 6, H: 6, CoreX: 2, MemX: 3})
+		return topology.MustBuild("mesh", topology.Params{W: 6, H: 6, CoreX: 2, MemX: 3})
 	}
 	simplified := func() *topology.Topology {
-		return topology.NewSimplifiedMesh(topology.MeshSpec{W: 6, H: 6, CoreX: 2, MemX: 2})
+		return topology.MustBuild("simplified-mesh", topology.Params{W: 6, H: 6, CoreX: 2, MemX: 2})
 	}
 	cases := []struct {
 		name    string

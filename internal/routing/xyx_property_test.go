@@ -22,7 +22,7 @@ import (
 // Pairs are drawn from the traffic the simplified mesh actually carries:
 // same-column routes plus routes with an endpoint in the core row.
 func TestXYXRouteProperties(t *testing.T) {
-	topo := topology.NewSimplifiedMesh(topology.MeshSpec{W: 16, H: 16, CoreX: 7, MemX: 7})
+	topo := topology.MustBuild("simplified-mesh", topology.Params{W: 16, H: 16, CoreX: 7, MemX: 7})
 	alg := XYX{}
 	rng := sim.NewRNG(20260806)
 	const pairs = 4000

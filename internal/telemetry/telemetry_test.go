@@ -11,7 +11,7 @@ import (
 )
 
 func mesh4() *topology.Topology {
-	return topology.NewMesh(topology.MeshSpec{W: 4, H: 4, CoreX: 1, MemX: 2})
+	return topology.MustBuild("mesh", topology.Params{W: 4, H: 4, CoreX: 1, MemX: 2})
 }
 
 func TestNewDisabledIsNil(t *testing.T) {
@@ -123,7 +123,7 @@ func TestHeatmapCountersAndRender(t *testing.T) {
 }
 
 func TestHeatmapHaloRender(t *testing.T) {
-	topo := topology.NewHalo(topology.HaloSpec{Spikes: 8, Length: 2})
+	topo := topology.MustBuild("halo", topology.Params{W: 8, H: 2})
 	h := NewHeatmap(topo)
 	f := flit.Flit{Pkt: &flit.Packet{ID: 1}}
 	h.link(topo.Hub(), 0)

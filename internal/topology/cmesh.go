@@ -2,108 +2,56 @@ package topology
 
 import "fmt"
 
-// CMeshSpec configures a concentrated mesh: a full W x rows router grid
-// where every router hosts Concentration consecutive positions of its
-// bank-set column, so a column of Ways = rows * Concentration banks needs
-// only rows routers. Concentration amortizes router and link area over
-// several banks — the standard CMP NUCA layout.
-type CMeshSpec struct {
-	W int // columns (= bank-set columns)
-	// Ways is the banks per column; Concentration must divide it.
-	Ways          int
-	Concentration int
-	// HorizDelay is the horizontal link delay; VertDelay[r] the delay of
-	// the vertical link entering router row r (nil = 1, single element
-	// broadcast).
-	HorizDelay int
-	VertDelay  []int
-	// CoreX and MemX are the columns of the core (top router row) and
-	// the memory controller (bottom router row).
-	CoreX, MemX  int
-	MemWireDelay int
-}
+func init() { Register("cmesh", newCMesh) }
 
-func (s *CMeshSpec) check() error {
-	if s.W < 1 || s.Ways < 1 {
-		return fmt.Errorf("topology: bad cmesh %dx%d", s.W, s.Ways)
-	}
-	if s.Concentration < 1 || s.Ways%s.Concentration != 0 {
-		return fmt.Errorf("topology: concentration %d does not divide %d ways",
-			s.Concentration, s.Ways)
-	}
-	if s.CoreX < 0 || s.CoreX >= s.W || s.MemX < 0 || s.MemX >= s.W {
-		return fmt.Errorf("topology: core/mem column out of range")
-	}
-	rows := s.Ways / s.Concentration
-	if len(s.VertDelay) > 1 && len(s.VertDelay) != rows {
-		return fmt.Errorf("topology: %d vertical delays for %d router rows", len(s.VertDelay), rows)
-	}
-	return nil
-}
-
-func (s *CMeshSpec) vdelay(r int) int {
-	switch {
-	case len(s.VertDelay) == 0:
-		return 1
-	case len(s.VertDelay) == 1:
-		return s.VertDelay[0]
-	default:
-		return s.VertDelay[r]
-	}
-}
-
-func (s *CMeshSpec) hdelay() int {
-	if s.HorizDelay <= 0 {
-		return 1
-	}
-	return s.HorizDelay
-}
-
-func init() {
-	Register("cmesh", func(p Params) (*Topology, error) {
-		return newCMesh(CMeshSpec{W: p.W, Ways: p.H, Concentration: p.Concentration,
-			HorizDelay: p.HorizDelay, VertDelay: p.VertDelay,
-			CoreX: p.CoreX, MemX: p.MemX, MemWireDelay: p.MemWireDelay})
-	})
-}
-
-func newCMesh(spec CMeshSpec) (*Topology, error) {
-	if err := spec.check(); err != nil {
+// newCMesh builds a concentrated mesh: a full W x rows router grid where
+// every router hosts Concentration consecutive positions of its bank-set
+// column, so a column of H banks needs only rows = H / Concentration
+// routers. Concentration amortizes router and link area over several
+// banks — the standard CMP NUCA layout. It reads W, H, Concentration
+// (which must divide H), CoreX (core in the top router row), MemX (memory
+// controller in the bottom router row), HorizDelay, VertDelay per router
+// row and MemWireDelay.
+func newCMesh(p Params) (*Topology, error) {
+	if err := p.checkGrid("cmesh"); err != nil {
 		return nil, err
 	}
-	rows := spec.Ways / spec.Concentration
-	b := NewBuilder("cmesh", "xy", spec.W, rows)
-	at := func(x, r int) NodeID { return r*spec.W + x }
+	if p.Concentration < 1 || p.H%p.Concentration != 0 {
+		return nil, fmt.Errorf("topology: concentration %d does not divide %d ways",
+			p.Concentration, p.H)
+	}
+	rows := p.H / p.Concentration
+	if err := firstErr(p.checkEnds("column"),
+		p.checkVertDelays(rows, "topology: %d vertical delays for %d router rows")); err != nil {
+		return nil, err
+	}
+	b := NewBuilder("cmesh", "xy", p.W, rows)
+	at := func(x, r int) NodeID { return r*p.W + x }
 	for r := 0; r < rows; r++ {
-		for x := 0; x < spec.W; x++ {
+		for x := 0; x < p.W; x++ {
 			b.AddNode(x, r, 4)
 		}
 	}
 	for r := 1; r < rows; r++ {
-		d := spec.vdelay(r)
-		for x := 0; x < spec.W; x++ {
-			b.Connect(at(x, r-1), PortSouth, at(x, r), PortNorth, d)
+		for x := 0; x < p.W; x++ {
+			b.Connect(at(x, r-1), PortSouth, at(x, r), PortNorth, p.vdelay(r))
 		}
 	}
 	for r := 0; r < rows; r++ {
-		for x := 0; x+1 < spec.W; x++ {
-			b.Connect(at(x, r), PortEast, at(x+1, r), PortWest, spec.hdelay())
+		for x := 0; x+1 < p.W; x++ {
+			b.Connect(at(x, r), PortEast, at(x+1, r), PortWest, p.hdelay())
 		}
 	}
-	for x := 0; x < spec.W; x++ {
-		col := make([]NodeID, 0, spec.Ways)
+	for x := 0; x < p.W; x++ {
+		col := make([]NodeID, 0, p.H)
 		for r := 0; r < rows; r++ {
-			for c := 0; c < spec.Concentration; c++ {
+			for c := 0; c < p.Concentration; c++ {
 				col = append(col, at(x, r))
 			}
 		}
 		b.Column(col...)
 	}
-	b.Endpoints(at(spec.CoreX, 0), at(spec.MemX, rows-1))
-	b.MemWire(spec.MemWireDelay)
+	b.Endpoints(at(p.CoreX, 0), at(p.MemX, rows-1))
+	b.MemWire(p.MemWireDelay)
 	return b.Build()
 }
-
-// NewCMesh builds a concentrated mesh. It panics on a malformed spec;
-// Build("cmesh", params) returns errors instead.
-func NewCMesh(spec CMeshSpec) *Topology { return must(newCMesh(spec)) }

@@ -25,22 +25,6 @@ func TestRegistryUnknownName(t *testing.T) {
 	}
 }
 
-func TestRegistryBuildMatchesConstructors(t *testing.T) {
-	// The registered builders must produce the same graphs as the typed
-	// constructors: same node/bank/link counts and endpoints.
-	built, err := Build("mesh", Params{W: 8, H: 8, CoreX: 3, MemX: 4,
-		HorizDelay: 1, VertDelay: []int{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := NewMesh(MeshSpec{W: 8, H: 8, CoreX: 3, MemX: 4,
-		HorizDelay: 1, VertDelay: []int{1}})
-	if built.NumNodes() != direct.NumNodes() || built.CountLinks() != direct.CountLinks() ||
-		built.Core != direct.Core || built.Mem != direct.Mem || built.Name != direct.Name {
-		t.Fatalf("registry mesh differs from NewMesh: %+v vs %+v", built, direct)
-	}
-}
-
 func TestRingStructure(t *testing.T) {
 	r, err := Build("ring", Params{W: 8, H: 1, CoreX: 0, MemX: 4, HorizDelay: 2})
 	if err != nil {
@@ -165,7 +149,7 @@ func TestHaloRenderNonUniform(t *testing.T) {
 	// Design F's shape: 16 spikes of length 5 with non-uniform wire
 	// delays. Render coordinates must stay a compact distinct grid
 	// regardless of the delays.
-	h := NewHalo(HaloSpec{Spikes: 16, Length: 5, LinkDelay: []int{1, 1, 2, 2, 3}, MemWireDelay: 9})
+	h := MustBuild("halo", Params{W: 16, H: 5, VertDelay: []int{1, 1, 2, 2, 3}, MemWireDelay: 9})
 	w, ht := h.RenderSize()
 	if w != 16 || ht != 6 {
 		t.Fatalf("RenderSize = %dx%d, want 16x6 (spikes x length+hub row)", w, ht)

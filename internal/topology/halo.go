@@ -1,81 +1,39 @@
 package topology
 
-import "fmt"
+func init() { Register("halo", newHalo) }
 
-// HaloSpec configures a halo network (Figure 6(c)/(d)).
-type HaloSpec struct {
-	Spikes int
-	Length int // banks per spike
-	// LinkDelay[p] is the wire delay of the link entering spike position
-	// p (LinkDelay[0] connects the hub to the MRU bank). nil means 1
-	// cycle everywhere; a single element is broadcast.
-	LinkDelay []int
-	// MemWireDelay is the extra per-direction wire delay to off-chip
-	// memory (the memory controller sits at the die centre): 16 cycles
-	// in Design E, 9 in Design F.
-	MemWireDelay int
-}
-
-func (s *HaloSpec) check() error {
-	if s.Spikes < 1 || s.Length < 1 {
-		return fmt.Errorf("topology: bad halo %dx%d", s.Spikes, s.Length)
-	}
-	if len(s.LinkDelay) > 1 && len(s.LinkDelay) != s.Length {
-		return fmt.Errorf("topology: %d spike delays for length %d", len(s.LinkDelay), s.Length)
-	}
-	return nil
-}
-
-func (s *HaloSpec) delay(p int) int {
-	switch {
-	case len(s.LinkDelay) == 0:
-		return 1
-	case len(s.LinkDelay) == 1:
-		return s.LinkDelay[0]
-	default:
-		return s.LinkDelay[p]
-	}
-}
-
-func init() {
-	Register("halo", func(p Params) (*Topology, error) {
-		return newHalo(HaloSpec{Spikes: p.W, Length: p.H,
-			LinkDelay: p.VertDelay, MemWireDelay: p.MemWireDelay})
-	})
-}
-
-func newHalo(spec HaloSpec) (*Topology, error) {
-	if err := spec.check(); err != nil {
+// newHalo builds a halo (Figure 6(c)/(d)): a hub router (hosting the core
+// and the memory controller) with one port per spike, and each spike a
+// chain of bank-bearing routers. Every MRU bank is exactly one hop from
+// the hub, which is the topology's defining property. It reads W spikes,
+// H banks per spike, VertDelay per spike position ([0] is the hub link)
+// and MemWireDelay (the memory controller sits at the die centre: 16
+// cycles in Design E, 9 in Design F).
+func newHalo(p Params) (*Topology, error) {
+	if err := firstErr(p.checkGrid("halo"),
+		p.checkVertDelays(p.H, "topology: %d spike delays for length %d")); err != nil {
 		return nil, err
 	}
-	b := NewBuilder("halo", "spike", spec.Spikes, spec.Length)
+	b := NewBuilder("halo", "spike", p.W, p.H)
 	// Node 0 is the hub: no bank, one port per spike, rendered centered
 	// in an extra top row with the spikes hanging below it.
-	b.RenderSize(spec.Spikes, spec.Length+1)
-	hub := b.AddNode(-1, -1, spec.Spikes)
-	b.PlaceAt(hub, spec.Spikes/2, 0)
-	for s := 0; s < spec.Spikes; s++ {
-		col := make([]NodeID, spec.Length)
-		for p := 0; p < spec.Length; p++ {
-			id := b.AddNode(s, p, 2)
-			b.PlaceAt(id, s, p+1)
-			col[p] = id
+	b.RenderSize(p.W, p.H+1)
+	hub := b.AddNode(-1, -1, p.W)
+	b.PlaceAt(hub, p.W/2, 0)
+	for s := 0; s < p.W; s++ {
+		col := make([]NodeID, p.H)
+		for i := range col {
+			col[i] = b.AddNode(s, i, 2)
+			b.PlaceAt(col[i], s, i+1)
 		}
-		b.Connect(hub, s, col[0], PortUp, spec.delay(0))
-		for p := 1; p < spec.Length; p++ {
-			b.Connect(col[p-1], PortDown, col[p], PortUp, spec.delay(p))
+		b.Connect(hub, s, col[0], PortUp, p.vdelay(0))
+		for i := 1; i < p.H; i++ {
+			b.Connect(col[i-1], PortDown, col[i], PortUp, p.vdelay(i))
 		}
 		b.Column(col...)
 	}
 	b.Endpoints(hub, hub)
 	b.Radial()
-	b.MemWire(spec.MemWireDelay)
+	b.MemWire(p.MemWireDelay)
 	return b.Build()
 }
-
-// NewHalo builds a halo: a hub router (hosting the core and the memory
-// controller) with one port per spike, and each spike a chain of
-// bank-bearing routers. Every MRU bank is exactly one hop from the hub,
-// which is the topology's defining property. It panics on a malformed
-// spec; Build("halo", params) returns errors instead.
-func NewHalo(spec HaloSpec) *Topology { return must(newHalo(spec)) }

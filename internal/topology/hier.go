@@ -2,75 +2,7 @@ package topology
 
 import "fmt"
 
-// HierSpec configures the two-level hierarchical topology: Chiplets
-// intra-chiplet simplified meshes (horizontal links only in row 0)
-// stitched by an inter-chiplet bridge ring. Each chiplet gets two bridge
-// routers — a west bridge feeding its first row-0 router and an east
-// bridge fed by its last — and the bridges close into one bidirectional
-// ring, so row-0 lateral traffic inside a chiplet stays on the mesh while
-// cross-chiplet traffic hops bridge to bridge.
-//
-// The bridges are ordinary nodes of the graph (two ports, no banks, off
-// the logical grid like the halo hub), so routing precompute, the static
-// verifiers, and every router engine compose with the hierarchy
-// unchanged.
-type HierSpec struct {
-	W, H       int // total columns across all chiplets x mesh height
-	Chiplets   int
-	HorizDelay int
-	VertDelay  []int
-	// CoreX and MemX are global row-0 columns (the CMP fabric ignores
-	// CoreX and spreads its cores; the single-core path uses it as is).
-	CoreX, MemX int
-}
-
-func init() {
-	Register("hier", func(p Params) (*Topology, error) {
-		return newHier(HierSpec{W: p.W, H: p.H, Chiplets: p.Chiplets,
-			CoreX: p.CoreX, MemX: p.MemX,
-			HorizDelay: p.HorizDelay, VertDelay: p.VertDelay})
-	})
-}
-
-func (s *HierSpec) check() error {
-	if s.Chiplets < 2 {
-		return fmt.Errorf("topology: hierarchical topology needs >= 2 chiplets, got %d", s.Chiplets)
-	}
-	if s.W < 1 || s.H < 1 {
-		return fmt.Errorf("topology: bad hier %dx%d", s.W, s.H)
-	}
-	if s.W%s.Chiplets != 0 {
-		return fmt.Errorf("topology: %d columns do not split into %d chiplets", s.W, s.Chiplets)
-	}
-	if s.W/s.Chiplets < 2 {
-		return fmt.Errorf("topology: chiplets need >= 2 columns, got %d", s.W/s.Chiplets)
-	}
-	if s.CoreX < 0 || s.CoreX >= s.W || s.MemX < 0 || s.MemX >= s.W {
-		return fmt.Errorf("topology: core/mem column out of range")
-	}
-	if len(s.VertDelay) > 1 && len(s.VertDelay) != s.H {
-		return fmt.Errorf("topology: %d vertical delays for %d rows", len(s.VertDelay), s.H)
-	}
-	return nil
-}
-
-func (s *HierSpec) vdelay(y int) int {
-	switch {
-	case len(s.VertDelay) == 0:
-		return 1
-	case len(s.VertDelay) == 1:
-		return s.VertDelay[0]
-	default:
-		return s.VertDelay[y]
-	}
-}
-
-func (s *HierSpec) hdelay() int {
-	if s.HorizDelay <= 0 {
-		return 1
-	}
-	return s.HorizDelay
-}
+func init() { Register("hier", newHier) }
 
 // HierRingPos returns the bridge ring position of a node: bridges carry
 // their position directly (their logical X; they sit off the grid at
@@ -98,32 +30,53 @@ func HierChiplets(t *Topology) int {
 	return nb / 2
 }
 
-func newHier(spec HierSpec) (*Topology, error) {
-	if err := spec.check(); err != nil {
+// newHier builds the two-level hierarchical topology: Chiplets
+// intra-chiplet simplified meshes (horizontal links only in row 0)
+// stitched by an inter-chiplet bridge ring. Each chiplet gets two bridge
+// routers — a west bridge feeding its first row-0 router and an east
+// bridge fed by its last — and the bridges close into one bidirectional
+// ring, so row-0 lateral traffic inside a chiplet stays on the mesh while
+// cross-chiplet traffic hops bridge to bridge.
+//
+// The bridges are ordinary nodes of the graph (two ports, no banks, off
+// the logical grid like the halo hub), so routing precompute, the static
+// verifiers, and every router engine compose with the hierarchy
+// unchanged.
+//
+// It reads W total columns across all chiplets, H mesh rows, Chiplets,
+// CoreX and MemX (global row-0 columns of the two controllers; the CMP
+// fabric ignores CoreX and spreads its cores), HorizDelay for row-0 and
+// bridge links, and per-row VertDelay.
+func newHier(p Params) (*Topology, error) {
+	if p.Chiplets < 2 {
+		return nil, fmt.Errorf("topology: hierarchical topology needs >= 2 chiplets, got %d", p.Chiplets)
+	}
+	if err := p.checkGrid("hier"); err != nil {
 		return nil, err
 	}
-	W, H, C := spec.W, spec.H, spec.Chiplets
+	W, H, C := p.W, p.H, p.Chiplets
+	if W%C != 0 {
+		return nil, fmt.Errorf("topology: %d columns do not split into %d chiplets", W, C)
+	}
 	cw := W / C
-	b := NewBuilder("hier", "hier", W, H)
+	if cw < 2 {
+		return nil, fmt.Errorf("topology: chiplets need >= 2 columns, got %d", cw)
+	}
+	// The chiplet meshes are one simplified-mesh grid with its row-0
+	// links cut at chiplet edges.
+	b, err := meshGraph("hier", "hier", p, false)
+	if err != nil {
+		return nil, err
+	}
+	at := func(x, y int) NodeID { return y*W + x }
 	// Render with one extra top row for the bridge ring: mesh row y draws
 	// at render row y+1, each chiplet's bridges at its edge columns of
 	// render row 0.
 	b.RenderSize(W, H+1)
-	at := func(x, y int) NodeID { return y*W + x }
-	for y := 0; y < H; y++ {
-		for x := 0; x < W; x++ {
-			id := b.AddNode(x, y, 4)
-			b.PlaceAt(id, x, y+1)
-		}
+	for id := 0; id < W*H; id++ {
+		b.PlaceAt(id, id%W, id/W+1)
 	}
-	// Vertical links in every global column, as in the simplified mesh.
-	for y := 1; y < H; y++ {
-		d := spec.vdelay(y)
-		for x := 0; x < W; x++ {
-			b.Connect(at(x, y-1), PortSouth, at(x, y), PortNorth, d)
-		}
-	}
-	hd := spec.hdelay()
+	hd := p.hdelay()
 	// Row-0 horizontal links stay inside each chiplet.
 	for x := 0; x+1 < W; x++ {
 		if x/cw == (x+1)/cw {
@@ -147,17 +100,7 @@ func newHier(spec HierSpec) (*Topology, error) {
 	for i := 0; i < C; i++ {
 		b.Connect(east[i], PortEast, west[(i+1)%C], PortWest, hd)
 	}
-	for x := 0; x < W; x++ {
-		col := make([]NodeID, H)
-		for y := 0; y < H; y++ {
-			col[y] = at(x, y)
-		}
-		b.Column(col...)
-	}
-	b.Endpoints(at(spec.CoreX, 0), at(spec.MemX, 0))
+	// Both controllers sit in row 0.
+	b.Endpoints(at(p.CoreX, 0), at(p.MemX, 0))
 	return b.Build()
 }
-
-// NewHier builds a hierarchical multi-chiplet topology, panicking on a
-// malformed spec; Build("hier", params) returns errors instead.
-func NewHier(spec HierSpec) *Topology { return must(newHier(spec)) }

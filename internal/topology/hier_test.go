@@ -6,7 +6,7 @@ import "testing"
 // ring, with the core column chosen so the dateline lands on an interior
 // mesh link.
 func hierForTest() *Topology {
-	return NewHier(HierSpec{W: 16, H: 4, Chiplets: 2, CoreX: 3, MemX: 3,
+	return MustBuild("hier", Params{W: 16, H: 4, Chiplets: 2, CoreX: 3, MemX: 3,
 		HorizDelay: 2, VertDelay: []int{2}})
 }
 

@@ -2,53 +2,24 @@ package topology
 
 import "fmt"
 
-// RingSpec configures a bidirectional ring: N routers in a cycle, one
-// bank per router (single-way bank-set columns), with the cache
-// controller and memory controller at chosen positions. Rings exercise
-// 2-port routers and the dateline-avoiding ring routing algorithm.
-type RingSpec struct {
-	N int // ring size (= number of bank-set columns)
-	// LinkDelay is the wire delay of every ring link (<= 0 means 1).
-	LinkDelay int
-	// CoreX and MemX are the ring positions of the cache controller and
-	// the memory controller.
-	CoreX, MemX int
-	// MemWireDelay is the extra per-direction wire delay to the pins.
-	MemWireDelay int
-}
+func init() { Register("ring", newRing) }
 
-func (s *RingSpec) check() error {
-	if s.N < 3 {
-		return fmt.Errorf("topology: ring needs >= 3 nodes, got %d", s.N)
+// newRing builds a bidirectional ring: W routers in a cycle, one bank per
+// router (single-way bank-set columns), exercising 2-port routers and the
+// dateline-avoiding ring routing algorithm. It reads W, H (which must be
+// at most 1), the CoreX and MemX ring positions of the two controllers,
+// HorizDelay for every ring link and MemWireDelay.
+func newRing(p Params) (*Topology, error) {
+	if p.H > 1 {
+		return nil, fmt.Errorf("topology: ring has one bank per node, H must be 1 (got %d)", p.H)
 	}
-	if s.CoreX < 0 || s.CoreX >= s.N || s.MemX < 0 || s.MemX >= s.N {
-		return fmt.Errorf("topology: core/mem position out of range")
+	if p.W < 3 {
+		return nil, fmt.Errorf("topology: ring needs >= 3 nodes, got %d", p.W)
 	}
-	return nil
-}
-
-func (s *RingSpec) delay() int {
-	if s.LinkDelay <= 0 {
-		return 1
-	}
-	return s.LinkDelay
-}
-
-func init() {
-	Register("ring", func(p Params) (*Topology, error) {
-		if p.H > 1 {
-			return nil, fmt.Errorf("topology: ring has one bank per node, H must be 1 (got %d)", p.H)
-		}
-		return newRing(RingSpec{N: p.W, LinkDelay: p.HorizDelay,
-			CoreX: p.CoreX, MemX: p.MemX, MemWireDelay: p.MemWireDelay})
-	})
-}
-
-func newRing(spec RingSpec) (*Topology, error) {
-	if err := spec.check(); err != nil {
+	if err := p.checkEnds("position"); err != nil {
 		return nil, err
 	}
-	n := spec.N
+	n := p.W
 	b := NewBuilder("ring", "ring", n, 1)
 	// Render the cycle folded into two rows: the first half left to
 	// right on top, the second half right to left underneath, so render
@@ -65,13 +36,9 @@ func newRing(spec RingSpec) (*Topology, error) {
 		b.Column(id)
 	}
 	for i := 0; i < n; i++ {
-		b.Connect(i, PortEast, (i+1)%n, PortWest, spec.delay())
+		b.Connect(i, PortEast, (i+1)%n, PortWest, p.hdelay())
 	}
-	b.Endpoints(spec.CoreX, spec.MemX)
-	b.MemWire(spec.MemWireDelay)
+	b.Endpoints(p.CoreX, p.MemX)
+	b.MemWire(p.MemWireDelay)
 	return b.Build()
 }
-
-// NewRing builds a bidirectional ring. It panics on a malformed spec;
-// Build("ring", params) returns errors instead.
-func NewRing(spec RingSpec) *Topology { return must(newRing(spec)) }

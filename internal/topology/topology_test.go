@@ -1,16 +1,17 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func std16() MeshSpec {
-	return MeshSpec{W: 16, H: 16, CoreX: 7, MemX: 8}
+func std16() Params {
+	return Params{W: 16, H: 16, CoreX: 7, MemX: 8}
 }
 
 func TestMeshStructure(t *testing.T) {
-	m := NewMesh(std16())
+	m := MustBuild("mesh", std16())
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestMeshStructure(t *testing.T) {
 }
 
 func TestMeshColumnsAreBankSets(t *testing.T) {
-	m := NewMesh(std16())
+	m := MustBuild("mesh", std16())
 	if m.Columns() != 16 || m.Ways() != 16 {
 		t.Fatalf("columns=%d ways=%d, want 16/16", m.Columns(), m.Ways())
 	}
@@ -51,7 +52,7 @@ func TestMeshColumnsAreBankSets(t *testing.T) {
 }
 
 func TestSimplifiedMeshRemovesHorizontalLinks(t *testing.T) {
-	s := NewSimplifiedMesh(std16())
+	s := MustBuild("simplified-mesh", std16())
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestSimplifiedMeshRemovesHorizontalLinks(t *testing.T) {
 	}
 	// Link savings: full mesh has 960 directed links; simplified removes
 	// horizontal ones except row 0: 2*15*15 = 450 directed.
-	full := NewMesh(std16()).CountLinks()
+	full := MustBuild("mesh", std16()).CountLinks()
 	if got := full - s.CountLinks(); got != 2*15*15 {
 		t.Fatalf("removed %d directed links, want %d", got, 2*15*15)
 	}
@@ -82,8 +83,8 @@ func TestSimplifiedMeshRemovesHorizontalLinks(t *testing.T) {
 func TestMinimalMeshLinkCount(t *testing.T) {
 	// Paper: we can remove (n-2)^2 of the 4(n-1)^2 links of an n x n mesh.
 	for _, n := range []int{4, 8, 16} {
-		spec := MeshSpec{W: n, H: n, CoreX: n/2 - 1, MemX: n / 2}
-		m := NewMinimalMesh(spec)
+		spec := Params{W: n, H: n, CoreX: n/2 - 1, MemX: n / 2}
+		m := MustBuild("minimal-mesh", spec)
 		if err := m.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestMinimalMeshLinkCount(t *testing.T) {
 }
 
 func TestHaloStructure(t *testing.T) {
-	h := NewHalo(HaloSpec{Spikes: 16, Length: 16, MemWireDelay: 16})
+	h := MustBuild("halo", Params{W: 16, H: 16, MemWireDelay: 16})
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestHaloStructure(t *testing.T) {
 func TestHaloNonUniformDelays(t *testing.T) {
 	// Design F: 5 banks per spike (64,64,128,256,512 KB) with wire
 	// delays 1,1,2,2,3.
-	h := NewHalo(HaloSpec{Spikes: 16, Length: 5, LinkDelay: []int{1, 1, 2, 2, 3}, MemWireDelay: 9})
+	h := MustBuild("halo", Params{W: 16, H: 5, VertDelay: []int{1, 1, 2, 2, 3}, MemWireDelay: 9})
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestHaloNonUniformDelays(t *testing.T) {
 }
 
 func TestVerticalDelayBroadcast(t *testing.T) {
-	m := NewMesh(MeshSpec{W: 4, H: 4, CoreX: 1, MemX: 2, VertDelay: []int{2}})
+	m := MustBuild("mesh", Params{W: 4, H: 4, CoreX: 1, MemX: 2, VertDelay: []int{2}})
 	l, ok := m.Link(m.NodeAt(0, 0), PortSouth)
 	if !ok || l.Delay != 2 {
 		t.Fatalf("broadcast vertical delay = %d, want 2", l.Delay)
@@ -183,7 +184,7 @@ func TestVerticalDelayBroadcast(t *testing.T) {
 func TestPerRowVerticalDelay(t *testing.T) {
 	// Design D rows: 64,64,128,256,512 KB with delays 1,1,2,2,3 entering
 	// each row.
-	m := NewSimplifiedMesh(MeshSpec{W: 16, H: 5, CoreX: 7, MemX: 7,
+	m := MustBuild("simplified-mesh", Params{W: 16, H: 5, CoreX: 7, MemX: 7,
 		HorizDelay: 3, VertDelay: []int{0, 1, 2, 2, 3}})
 	for y := 1; y < 5; y++ {
 		want := []int{0, 1, 2, 2, 3}[y]
@@ -220,17 +221,17 @@ func TestLinkSymmetry(t *testing.T) {
 			}
 		}
 	}
-	check(NewMesh(std16()))
-	check(NewSimplifiedMesh(std16()))
-	check(NewHalo(HaloSpec{Spikes: 16, Length: 5}))
-	check(NewMinimalMesh(std16()))
+	check(MustBuild("mesh", std16()))
+	check(MustBuild("simplified-mesh", std16()))
+	check(MustBuild("halo", Params{W: 16, H: 5}))
+	check(MustBuild("minimal-mesh", std16()))
 }
 
 func TestMeshPropertyDimensions(t *testing.T) {
 	if err := quick.Check(func(w8, h8 uint8) bool {
 		w := int(w8%10) + 2
 		h := int(h8%10) + 2
-		m := NewMesh(MeshSpec{W: w, H: h, CoreX: w / 2, MemX: w / 2})
+		m := MustBuild("mesh", Params{W: w, H: h, CoreX: w / 2, MemX: w / 2})
 		if m.Validate() != nil {
 			return false
 		}
@@ -241,48 +242,63 @@ func TestMeshPropertyDimensions(t *testing.T) {
 	}
 }
 
-// TestBuildRejectsBadParams pins, for every family, the full error text
-// Build returns for each malformed parameter set (rows with two faults pin
-// which check runs first) and that MustBuild panics with the same text.
-func TestBuildRejectsBadParams(t *testing.T) {
-	cases := []struct {
-		family string
-		p      Params
-		want   string
-	}{
-		{"mesh", Params{W: 0, H: 4}, "topology: bad mesh 0x4"},
-		{"mesh", Params{W: 4, H: -1}, "topology: bad mesh 4x-1"},
-		{"mesh", Params{W: 4, H: 4, CoreX: 9}, "topology: core/mem column out of range"},
-		{"mesh", Params{W: 4, H: 4, MemX: -1}, "topology: core/mem column out of range"},
-		{"mesh", Params{W: 4, H: 4, VertDelay: []int{1, 2}}, "topology: 2 vertical delays for 4 rows"},
-		{"mesh", Params{W: 4, H: 4, VertDelay: []int{0}}, "topology mesh: node 0 port 2: delay 0 < 1"},
-		{"mesh", Params{W: 0, H: 4, CoreX: 9}, "topology: bad mesh 0x4"},
-		{"simplified-mesh", Params{W: 16, H: 0}, "topology: bad mesh 16x0"},
-		{"simplified-mesh", Params{W: 4, H: 4, CoreX: 4}, "topology: core/mem column out of range"},
-		{"minimal-mesh", Params{W: 4, H: 4, VertDelay: []int{1, 1, 1}}, "topology: 3 vertical delays for 4 rows"},
-		{"minimal-mesh", Params{W: 4, H: 4, MemX: 4, VertDelay: []int{1, 1, 1}}, "topology: core/mem column out of range"},
-		{"halo", Params{W: 0, H: 4}, "topology: bad halo 0x4"},
-		{"halo", Params{W: 4, H: 0}, "topology: bad halo 4x0"},
-		{"halo", Params{W: 4, H: 4, VertDelay: []int{1, 2}}, "topology: 2 spike delays for length 4"},
-		{"ring", Params{W: 8, H: 2}, "topology: ring has one bank per node, H must be 1 (got 2)"},
-		{"ring", Params{W: 2, H: 1}, "topology: ring needs >= 3 nodes, got 2"},
-		{"ring", Params{W: 2, H: 2}, "topology: ring has one bank per node, H must be 1 (got 2)"},
-		{"ring", Params{W: 8, H: 1, MemX: 8}, "topology: core/mem position out of range"},
-		{"ring", Params{W: 8, H: 1, CoreX: -1}, "topology: core/mem position out of range"},
-		{"cmesh", Params{W: 0, H: 16, Concentration: 4}, "topology: bad cmesh 0x16"},
-		{"cmesh", Params{W: 4, H: 16, CoreX: 1, MemX: 2, Concentration: 3}, "topology: concentration 3 does not divide 16 ways"},
-		{"cmesh", Params{W: 4, H: 16}, "topology: concentration 0 does not divide 16 ways"},
-		{"cmesh", Params{W: 4, H: 16, CoreX: 4, Concentration: 4}, "topology: core/mem column out of range"},
-		{"cmesh", Params{W: 4, H: 16, Concentration: 4, VertDelay: []int{1, 2}}, "topology: 2 vertical delays for 4 router rows"},
-		{"hier", Params{W: 16, H: 4, Chiplets: 1}, "topology: hierarchical topology needs >= 2 chiplets, got 1"},
-		{"hier", Params{W: 0, H: 4, Chiplets: 1}, "topology: hierarchical topology needs >= 2 chiplets, got 1"},
-		{"hier", Params{W: 0, H: 4, Chiplets: 2}, "topology: bad hier 0x4"},
-		{"hier", Params{W: 15, H: 4, Chiplets: 2}, "topology: 15 columns do not split into 2 chiplets"},
-		{"hier", Params{W: 4, H: 2, Chiplets: 4}, "topology: chiplets need >= 2 columns, got 1"},
-		{"hier", Params{W: 16, H: 4, Chiplets: 2, CoreX: 16}, "topology: core/mem column out of range"},
-		{"hier", Params{W: 16, H: 4, Chiplets: 2, VertDelay: []int{1, 2}}, "topology: 2 vertical delays for 4 rows"},
-	}
-	for _, c := range cases {
+// badParam is one malformed parameter set and the full error text Build
+// returns for it.
+type badParam struct {
+	family string
+	p      Params
+	want   string
+}
+
+// badParams is the one rejection table over every family (rows with two
+// faults pin which check runs first). Each family's rows are checked by
+// exactly one of the tests below, and TestBadSpecsPanic checks that every
+// registered family has rows.
+var badParams = []badParam{
+	{"mesh", Params{W: 0, H: 4}, "topology: bad mesh 0x4"},
+	{"mesh", Params{W: 4, H: -1}, "topology: bad mesh 4x-1"},
+	{"mesh", Params{W: 4, H: 4, CoreX: 9}, "topology: core/mem column out of range"},
+	{"mesh", Params{W: 4, H: 4, MemX: -1}, "topology: core/mem column out of range"},
+	{"mesh", Params{W: 4, H: 4, VertDelay: []int{1, 2}}, "topology: 2 vertical delays for 4 rows"},
+	{"mesh", Params{W: 4, H: 4, VertDelay: []int{0}}, "topology mesh: node 0 port 2: delay 0 < 1"},
+	{"mesh", Params{W: 0, H: 4, CoreX: 9}, "topology: bad mesh 0x4"},
+	{"simplified-mesh", Params{W: 16, H: 0}, "topology: bad mesh 16x0"},
+	{"simplified-mesh", Params{W: 4, H: 4, CoreX: 4}, "topology: core/mem column out of range"},
+	{"minimal-mesh", Params{W: 4, H: 4, VertDelay: []int{1, 1, 1}}, "topology: 3 vertical delays for 4 rows"},
+	{"minimal-mesh", Params{W: 4, H: 4, MemX: 4, VertDelay: []int{1, 1, 1}}, "topology: core/mem column out of range"},
+	{"halo", Params{W: 0, H: 4}, "topology: bad halo 0x4"},
+	{"halo", Params{W: 4, H: 0}, "topology: bad halo 4x0"},
+	{"halo", Params{W: 4, H: 4, VertDelay: []int{1, 2}}, "topology: 2 spike delays for length 4"},
+	{"ring", Params{W: 8, H: 2}, "topology: ring has one bank per node, H must be 1 (got 2)"},
+	{"ring", Params{W: 2, H: 1}, "topology: ring needs >= 3 nodes, got 2"},
+	{"ring", Params{W: 2, H: 2}, "topology: ring has one bank per node, H must be 1 (got 2)"},
+	{"ring", Params{W: 8, H: 1, MemX: 8}, "topology: core/mem position out of range"},
+	{"ring", Params{W: 8, H: 1, CoreX: -1}, "topology: core/mem position out of range"},
+	{"cmesh", Params{W: 0, H: 16, Concentration: 4}, "topology: bad cmesh 0x16"},
+	{"cmesh", Params{W: 4, H: 16, CoreX: 1, MemX: 2, Concentration: 3}, "topology: concentration 3 does not divide 16 ways"},
+	{"cmesh", Params{W: 4, H: 16}, "topology: concentration 0 does not divide 16 ways"},
+	{"cmesh", Params{W: 4, H: 16, CoreX: 4, Concentration: 4}, "topology: core/mem column out of range"},
+	{"cmesh", Params{W: 4, H: 16, Concentration: 4, VertDelay: []int{1, 2}}, "topology: 2 vertical delays for 4 router rows"},
+	{"hier", Params{W: 16, H: 4, Chiplets: 1}, "topology: hierarchical topology needs >= 2 chiplets, got 1"},
+	{"hier", Params{W: 0, H: 4, Chiplets: 1}, "topology: hierarchical topology needs >= 2 chiplets, got 1"},
+	{"hier", Params{W: 0, H: 4, Chiplets: 2}, "topology: bad hier 0x4"},
+	{"hier", Params{W: 15, H: 4, Chiplets: 2}, "topology: 15 columns do not split into 2 chiplets"},
+	{"hier", Params{W: 4, H: 2, Chiplets: 4}, "topology: chiplets need >= 2 columns, got 1"},
+	{"hier", Params{W: 16, H: 4, Chiplets: 2, CoreX: 16}, "topology: core/mem column out of range"},
+	{"hier", Params{W: 16, H: 4, Chiplets: 2, VertDelay: []int{1, 2}}, "topology: 2 vertical delays for 4 rows"},
+}
+
+// checkRejections asserts that Build rejects every badParams row of the
+// given families with its full error text and that MustBuild panics with
+// the same text.
+func checkRejections(t *testing.T, families ...string) {
+	t.Helper()
+	n := 0
+	for _, c := range badParams {
+		if !slices.Contains(families, c.family) {
+			continue
+		}
+		n++
 		_, err := Build(c.family, c.p)
 		if err == nil || err.Error() != c.want {
 			t.Errorf("%s %+v: error %v, want %q", c.family, c.p, err, c.want)
@@ -297,7 +313,27 @@ func TestBuildRejectsBadParams(t *testing.T) {
 			MustBuild(c.family, c.p)
 		}()
 	}
+	if n == 0 {
+		t.Fatalf("no rejection rows for %v", families)
+	}
 }
+
+// TestBadSpecsPanic covers the mesh and halo families and that the
+// rejection table has rows for every registered family.
+func TestBadSpecsPanic(t *testing.T) {
+	for _, name := range Names() {
+		if !slices.ContainsFunc(badParams, func(c badParam) bool { return c.family == name }) {
+			t.Errorf("family %q has no rejection rows", name)
+		}
+	}
+	checkRejections(t, "mesh", "simplified-mesh", "minimal-mesh", "halo")
+}
+
+func TestRingTooSmall(t *testing.T) { checkRejections(t, "ring") }
+
+func TestCMeshBadConcentration(t *testing.T) { checkRejections(t, "cmesh") }
+
+func TestHierRejectsBadSpecs(t *testing.T) { checkRejections(t, "hier") }
 
 func TestHubPanicsOnMesh(t *testing.T) {
 	defer func() {
@@ -305,16 +341,16 @@ func TestHubPanicsOnMesh(t *testing.T) {
 			t.Fatal("Hub on mesh should panic")
 		}
 	}()
-	NewMesh(std16()).Hub()
+	MustBuild("mesh", std16()).Hub()
 }
 
 // TestRenderCoords pins the telemetry heatmap coordinate export: every
 // node of every topology family maps to a distinct in-bounds grid cell.
 func TestRenderCoords(t *testing.T) {
 	topos := map[string]*Topology{
-		"mesh":       NewMesh(std16()),
-		"simplified": NewSimplifiedMesh(std16()),
-		"halo":       NewHalo(HaloSpec{Spikes: 16, Length: 4}),
+		"mesh":       MustBuild("mesh", std16()),
+		"simplified": MustBuild("simplified-mesh", std16()),
+		"halo":       MustBuild("halo", Params{W: 16, H: 4}),
 	}
 	for name, topo := range topos {
 		w, h := topo.RenderSize()
