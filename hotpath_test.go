@@ -424,8 +424,9 @@ func TestCanonicalKeyAllocBound(t *testing.T) {
 // TestServeHitAllocBound bounds a nucad cache hit — decode, option
 // checks, key, lookup, response — through the service's own handler. The
 // request is built and the response discarded outside the handler, as
-// net/http does; what is left is the hit path itself (reads 26; 353
-// before the design memo).
+// net/http does; what is left is the hit path itself (reads 13; 26
+// while the design check built the catalogue, 353 before the design
+// memo).
 func TestServeHitAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -456,7 +457,7 @@ func TestServeHitAllocBound(t *testing.T) {
 			t.Fatalf("a measured request was not a cache hit: status %d, cache %q", w.status, w.h.Get("X-Nucad-Cache"))
 		}
 	}
-	const maxAllocs = 60
+	const maxAllocs = 16
 	if allocs > maxAllocs {
 		t.Fatalf("a nucad cache hit allocates %.1f objects, want <= %d", allocs, maxAllocs)
 	}

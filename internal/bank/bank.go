@@ -119,18 +119,20 @@ type Bank struct {
 
 // New allocates an empty bank.
 func New(spec Spec) *Bank {
-	return NewIn(spec, nil)
+	b := NewIn(spec, nil)
+	return &b
 }
 
-// NewIn is New with its storage carved from an arena — batch
-// construction lays a lane's bank state contiguously and recycles it
-// across construction rounds. A nil arena allocates normally.
-func NewIn(spec Spec, ar *Arena) *Bank {
+// NewIn returns an empty bank by value, for its owner to embed, with its
+// storage carved from an arena — batch construction lays a lane's bank
+// state contiguously and recycles it across construction rounds. A nil
+// arena allocates normally.
+func NewIn(spec Spec, ar *Arena) Bank {
 	if spec.SizeKB <= 0 || spec.Ways <= 0 || spec.Ways > maxWays {
 		panic(fmt.Sprintf("bank: bad spec %+v", spec))
 	}
 	sets := spec.Sets()
-	return &Bank{
+	return Bank{
 		spec: spec, lat: LatencyFor(spec.SizeKB),
 		fill:   ar.fillSlab(sets),
 		frames: ar.frameSlab(sets * spec.Ways),

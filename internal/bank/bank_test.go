@@ -381,7 +381,7 @@ func TestArenaRewindLeaksNoStaleFrames(t *testing.T) {
 		}
 	}
 	b.CloneState(img)
-	if got, want := contents(b), contents(img); !reflect.DeepEqual(got, want) {
+	if got, want := contents(&b), contents(img); !reflect.DeepEqual(got, want) {
 		t.Fatal("clone over stale frames differs from the image")
 	}
 	for set := 0; set < spec.Sets(); set++ {

@@ -20,7 +20,7 @@ type agent struct {
 	col  int
 	pos  int // position within the column, 0 = MRU bank
 	last int // position of the LRU bank
-	bk   *bank.Bank
+	bk   bank.Bank
 
 	busyUntil int64
 	sched     scheduler

@@ -41,6 +41,12 @@ type colState struct {
 	active []*op
 }
 
+// queueCap is a column queue's starting capacity, so the queues do not
+// regrow during a run: the deepest queue a column reaches on the
+// benchmark's runs is 2 with one core (Designs A and F) and 7 with H2's
+// eight.
+const queueCap = 8
+
 func newController(sys *System) *Controller {
 	return NewControllerAt(sys, sys.Topo.Core)
 }
@@ -50,7 +56,16 @@ func newController(sys *System) *Controller {
 // and routes requests to it (each column must be owned by exactly one
 // controller; column state is controller-local).
 func NewControllerAt(sys *System, node int) *Controller {
-	return &Controller{sys: sys, Node: node, cols: make([]colState, sys.Topo.Columns())}
+	n := sys.Topo.Columns()
+	c := &Controller{sys: sys, Node: node, cols: sys.arena.colSlab(n)}
+	// Each column's queue and window are carved side by side from two
+	// slabs; a queue that outgrows its carve moves to the heap alone.
+	qs, as := sys.arena.reqSlab(n*queueCap), sys.arena.activeSlab(n*ColumnWindow)
+	for i := range c.cols {
+		c.cols[i].q = qs[i*queueCap : i*queueCap : (i+1)*queueCap]
+		c.cols[i].active = as[i*ColumnWindow : i*ColumnWindow : (i+1)*ColumnWindow]
+	}
+	return c
 }
 
 // Issue accepts one CPU request, clearing its result fields (a reissued

@@ -168,10 +168,11 @@ func (d *DirStats) owner(tag uint64) int {
 // after a per-block Warm. A WarmClone copies the image's counts instead
 // (seedFrom).
 func (d *DirStats) seed(s *System) {
-	cols := make([][]*bank.Bank, len(s.agents))
-	for c, col := range s.agents {
-		for _, a := range col {
-			cols[c] = append(cols[c], a.bk)
+	cols := make([][]*bank.Bank, s.Topo.Columns())
+	for c := range cols {
+		agents := s.column(c)
+		for p := range agents {
+			cols[c] = append(cols[c], &agents[p].bk)
 		}
 	}
 	d.seedFrom(countOwners(cols))

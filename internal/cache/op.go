@@ -140,8 +140,9 @@ const maxColumnBanks = 64
 func (o *op) chainDone() bool { return o.chainRecv >= o.chainNeeded }
 
 // opPool recycles the ops of one System through a free list, the same
-// discipline as flit.PacketPool: one pool per run, touched only from the
-// goroutine driving its kernel.
+// discipline as flit.PacketPool: one pool serves one run at a time,
+// touched only from the goroutine driving its kernel, and a worker's
+// Arena carries it from run to run.
 //
 // Ownership: the controller takes an op at dispatch; every send of a
 // message pointing at it adds to op.pending and every consumer — an
@@ -207,6 +208,10 @@ func (p *opPool) consumed(o *op) {
 		p.free = append(p.free, o)
 	}
 }
+
+// resetStats zeroes the accounting and keeps the free ops, so a pool
+// carried from run to run reports each run alone.
+func (p *opPool) resetStats() { p.gets, p.puts, p.news = 0, 0, 0 }
 
 // stats returns the pool's accounting; Live is ops taken and not yet
 // retired.

@@ -21,7 +21,7 @@ func TestStashHoldsReplacementUntilProbe(t *testing.T) {
 	d := testDesign(2, 2)
 	k := sim.NewKernel()
 	s := MustNew(k, d, FastLRU, Multicast)
-	a := s.agents[0][1]
+	a := s.agent(0, 1)
 
 	mkOp := func(tag uint64) *op {
 		o := s.ops.get()

@@ -2,13 +2,13 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"nucanet/internal/bank"
 	"nucanet/internal/config"
 	"nucanet/internal/flit"
 	"nucanet/internal/mem"
 	"nucanet/internal/network"
-	"nucanet/internal/router"
 	"nucanet/internal/routing"
 	"nucanet/internal/sim"
 	"nucanet/internal/stats"
@@ -36,11 +36,12 @@ type System struct {
 	// policy (see engine_directory.go).
 	Dir *DirStats
 
-	agents [][]*agent // [column][position]
+	agents []agent // column c's bank at position p is agents[c*len(Design.Banks)+p]
+	arena  *Arena  // the construction arena, nil when built without one
 	tel    *telemetry.Collector
 	eng    PolicyEngine // the registered engine driving Policy
 	opSeq  uint64       // operation serial counter (telemetry correlation)
-	ops    opPool       // every controller's ops, recycled once retired
+	ops    *opPool      // every controller's ops, recycled once retired
 }
 
 // New builds a system over a fresh kernel-registered network. It errors
@@ -61,8 +62,10 @@ type Prebuilt struct {
 	// Alg, when non-nil, is the routing algorithm or precomputed
 	// *routing.Table to use instead of routing.For(Topo).
 	Alg routing.Algorithm
-	// Arena and Prechecked pass through to network.BuildOpts.
-	Arena      *router.Arena
+	// Arena, when non-nil, supplies the system's construction memory and
+	// free lists (see Arena); its router arena passes through to
+	// network.BuildOpts with Prechecked.
+	Arena      *Arena
 	Prechecked bool
 }
 
@@ -97,10 +100,12 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 	}
 	s := &System{
 		K: k, Design: d, Policy: policy, Mode: mode,
-		Topo: topo,
-		AM:   d.AddrMap(),
-		Lat:  stats.NewLatency(len(d.Banks)),
-		eng:  policy.engine(),
+		Topo:  topo,
+		AM:    d.AddrMap(),
+		Lat:   stats.NewLatency(len(d.Banks)),
+		eng:   policy.engine(),
+		arena: pre.Arena,
+		ops:   pre.Arena.opPool(),
 	}
 	if _, ok := s.eng.(*directoryEngine); ok {
 		s.Dir = newDirStats(topo.Columns())
@@ -112,36 +117,35 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 			return nil, err
 		}
 	}
+	ra := pre.Arena.RouterArena()
 	var err error
 	s.Net, err = network.NewOpts(k, topo, alg, d.Router,
-		network.BuildOpts{Arena: pre.Arena, Prechecked: pre.Prechecked})
+		network.BuildOpts{Arena: ra, Prechecked: pre.Prechecked})
 	if err != nil {
 		return nil, err
 	}
-	muxes := make(map[topology.NodeID]*bankMux)
-	s.agents = make([][]*agent, topo.Columns())
+	s.agents = pre.Arena.agentSlab(topo.Columns() * len(d.Banks))
 	for c := 0; c < topo.Columns(); c++ {
 		col := topo.Column(c)
-		s.agents[c] = make([]*agent, len(col))
 		for p, node := range col {
-			a := &agent{
+			a := s.agent(c, p)
+			*a = agent{
 				sys: s, node: node, col: c, pos: p, last: len(col) - 1,
-				bk: bank.NewIn(d.Banks[p], pre.Arena.BankArena()),
+				bk: bank.NewIn(d.Banks[p], ra.BankArena()),
 			}
-			a.sched.register(k, s.Net, pre.Arena)
-			s.agents[c][p] = a
+			a.sched.register(k, s.Net, ra)
 			// Concentrated topologies place several banks of one column
-			// on a router; a mux demuxes ToBank deliveries by DstPos.
-			// Single-bank nodes attach the agent directly, keeping the
-			// one-bank-per-router fast path allocation-free.
-			if m, ok := muxes[node]; ok {
-				m.agents = append(m.agents, a)
-			} else if topo.BanksAt(node) > 1 {
-				m = &bankMux{agents: []*agent{a}}
-				muxes[node] = m
-				s.Net.Attach(node, flit.ToBank, m)
-			} else {
+			// on a router; a mux, attached at the node's first position,
+			// demuxes ToBank deliveries by DstPos. Single-bank nodes
+			// attach the agent directly, keeping the one-bank-per-router
+			// fast path free of the mux.
+			switch {
+			case topo.BanksAt(node) == 1:
 				s.Net.Attach(node, flit.ToBank, a)
+			case slices.Index(col, node) == p:
+				m := pre.Arena.mux()
+				*m = bankMux{node: node, col: s.column(c)}
+				s.Net.Attach(node, flit.ToBank, m)
 			}
 		}
 	}
@@ -165,21 +169,22 @@ func MustNew(k *sim.Kernel, d config.Design, policy Policy, mode Mode) *System {
 // position; -1 delivers to every hosted bank in ascending position
 // order — the node-local leg of a multicast tag-match.
 type bankMux struct {
-	agents []*agent // ascending column-position order
+	node topology.NodeID
+	col  []agent // the column's agents, the hosted ones among them
 }
 
 func (m *bankMux) Deliver(pkt *flit.Packet, now int64) {
 	if pkt.DstPos < 0 {
-		for _, a := range m.agents {
-			a.Deliver(pkt, now)
+		for i := range m.col {
+			if a := &m.col[i]; a.node == m.node {
+				a.Deliver(pkt, now)
+			}
 		}
 		return
 	}
-	for _, a := range m.agents {
-		if int16(a.pos) == pkt.DstPos {
-			a.Deliver(pkt, now)
-			return
-		}
+	if p := int(pkt.DstPos); p < len(m.col) && m.col[p].node == m.node {
+		m.col[p].Deliver(pkt, now)
+		return
 	}
 	panic(fmt.Sprintf("cache: no bank at position %d of node %d for %v", pkt.DstPos, pkt.Dst, pkt))
 }
@@ -200,6 +205,15 @@ func (s *System) EnableTelemetry(c *telemetry.Collector) {
 	}
 }
 
+// agent returns the bank agent at (column, position).
+func (s *System) agent(col, pos int) *agent { return &s.agents[col*len(s.Design.Banks)+pos] }
+
+// column returns the bank agents of one column, MRU bank first.
+func (s *System) column(col int) []agent {
+	n := len(s.Design.Banks)
+	return s.agents[col*n : (col+1)*n]
+}
+
 // bankNode returns the router of the bank at (column, position).
 func (s *System) bankNode(col, pos int) topology.NodeID {
 	return s.Topo.Column(col)[pos]
@@ -210,16 +224,14 @@ func (s *System) lastPos() int { return len(s.Design.Banks) - 1 }
 
 // Bank returns the bank state at (column, position) — for tests and
 // validation against the golden model.
-func (s *System) Bank(col, pos int) *bank.Bank { return s.agents[col][pos].bk }
+func (s *System) Bank(col, pos int) *bank.Bank { return &s.agent(col, pos).bk }
 
 // BankAccesses sums bank accesses across the cache (Fast-LRU roughly
 // halves this versus classic LRU, a claim of the paper).
 func (s *System) BankAccesses() uint64 {
 	var n uint64
-	for _, col := range s.agents {
-		for _, a := range col {
-			n += a.Accesses
-		}
+	for i := range s.agents {
+		n += s.agents[i].Accesses
 	}
 	return n
 }
@@ -228,10 +240,9 @@ func (s *System) BankAccesses() uint64 {
 // as the energy model needs.
 func (s *System) BankAccessesBySize() map[int]uint64 {
 	out := make(map[int]uint64)
-	for _, col := range s.agents {
-		for _, a := range col {
-			out[a.bk.Spec().SizeKB] += a.Accesses
-		}
+	for i := range s.agents {
+		a := &s.agents[i]
+		out[a.bk.Spec().SizeKB] += a.Accesses
 	}
 	return out
 }
@@ -260,7 +271,9 @@ func (s *System) Warm(warm [][]uint64) {
 		for c := 0; c < cols; c++ {
 			tags := warm[set*cols+c]
 			i := 0
-			for p, a := range s.agents[c] {
+			col := s.column(c)
+			for p := range col {
+				a := &col[p]
 				ways := s.Design.Banks[p].Ways
 				for w := 0; w < ways && i < len(tags); w++ {
 					a.bk.InsertLRU(set, bank.Block{Tag: tags[i]})
@@ -303,9 +316,10 @@ func (s *System) Drain(maxCycles int64) error {
 // Contents returns the tags of one set across the column's banks, MRU
 // first within each bank — comparable with Golden.Contents.
 func (s *System) Contents(col, set int) [][]uint64 {
-	out := make([][]uint64, len(s.agents[col]))
-	for p, a := range s.agents[col] {
-		blocks := a.bk.Blocks(set)
+	agents := s.column(col)
+	out := make([][]uint64, len(agents))
+	for p := range agents {
+		blocks := agents[p].bk.Blocks(set)
 		tags := make([]uint64, len(blocks))
 		for i, b := range blocks {
 			tags[i] = b.Tag

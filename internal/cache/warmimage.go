@@ -58,9 +58,9 @@ func BuildWarmImage(d config.Design, warm [][]uint64) *WarmImage {
 // of clearing one byte per set. The image's geometry must match the
 // system's.
 func (s *System) WarmClone(img *WarmImage) {
-	for c, col := range s.agents {
-		for p, a := range col {
-			a.bk.CloneState(img.banks[c][p])
+	for c, col := range img.banks {
+		for p, bk := range col {
+			s.agent(c, p).bk.CloneState(bk)
 		}
 	}
 	if s.Dir != nil {

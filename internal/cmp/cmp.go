@@ -76,7 +76,7 @@ func MergeWarm(am trace.AddrMap, ways int, warm [][]uint64, cores int) [][]uint6
 
 // portOp is the port-side record of one access: the request handed to
 // the home controller, both forwarding envelopes, and the completion
-// bookkeeping. Each port recycles its portOps through a free list once
+// bookkeeping. The ports recycle their portOps through a free list once
 // the issuer's Done has returned, so a warm port allocates nothing per
 // access.
 type portOp struct {
@@ -103,6 +103,28 @@ func (*coreReq) ProtocolMessage() {}
 
 func (*coreData) ProtocolMessage() {}
 
+// Arena is a worker's whole construction arena: the cache arena a
+// system is built from plus the free list of the port ops a fabric over
+// it recycles. A drained run returns every port op to the list, so the
+// next fabric built with the arena starts with them. Single-goroutine,
+// like cache.Arena; a nil *Arena allocates directly.
+type Arena struct {
+	cache cache.Arena
+	ops   portOps
+}
+
+// CacheArena returns the embedded cache arena, nil for a nil Arena.
+func (a *Arena) CacheArena() *cache.Arena {
+	if a == nil {
+		return nil
+	}
+	return &a.cache
+}
+
+// Reset recycles the arena for a fresh round of construction; the port
+// ops stay on the free list.
+func (a *Arena) Reset() { a.cache.Reset() }
+
 // Fabric is the CMP attachment over a shared cache system: N ports, N
 // co-located controllers, and the column home map.
 type Fabric struct {
@@ -113,6 +135,7 @@ type Fabric struct {
 	ctrls []*cache.Controller
 	nodes []topology.NodeID // controller/core routers
 	home  []int             // column -> controller index
+	ops   *portOps          // every port's retired portOps; the arena's when built with one
 }
 
 // Port is one core's interface to the shared cache; it satisfies cpu.L2.
@@ -129,8 +152,7 @@ type Port struct {
 	RemoteIssues uint64
 	LocalIssues  uint64
 
-	free    []*portOp // retired portOps, reused by Submit
-	pending int       // accesses issued and not yet completed
+	pending int // accesses issued and not yet completed
 }
 
 // hub is the ToCore endpoint at a controller's router: it demultiplexes
@@ -158,10 +180,19 @@ func (h *hub) Deliver(pkt *flit.Packet, now int64) {
 // gridless topologies no top row) and on out-of-range core counts, so
 // batch runners can skip and report unsupported combinations.
 func Attach(cs *cache.System, n int) (*Fabric, error) {
+	return AttachIn(cs, n, nil)
+}
+
+// AttachIn is Attach with the port ops recycled through ar's free list
+// (see Arena); a nil ar gives the fabric a list of its own.
+func AttachIn(cs *cache.System, n int, ar *Arena) (*Fabric, error) {
 	if err := SupportsHost(cs.Topo, cs.Design.ID, n); err != nil {
 		return nil, err
 	}
-	f := &Fabric{Sys: cs, N: n}
+	f := &Fabric{Sys: cs, N: n, ops: new(portOps)}
+	if ar != nil {
+		f.ops = &ar.ops
+	}
 	w := cs.Topo.W
 
 	for i := 0; i < n; i++ {
@@ -251,7 +282,7 @@ func (p *Port) Issue(addr uint64, write bool, done func(*cache.Request, int64)) 
 func (p *Port) Submit(r *cache.Request) {
 	now := p.fab.Sys.K.Now()
 	h := p.fab.home[p.fab.Sys.AM.ColumnOf(r.Addr)]
-	po := p.getOp()
+	po := p.fab.ops.get(p)
 	po.req = cache.Request{Addr: r.Addr, Write: r.Write, Done: po.atHome}
 	po.caller, po.home, po.issued = r, h, now
 	r.Issued = now
@@ -273,13 +304,17 @@ func (p *Port) Submit(r *cache.Request) {
 	net.Send(pkt, now)
 }
 
-// getOp returns a portOp from the free list, building one (with its
-// envelopes and bound callback wired) when the list is empty.
-func (p *Port) getOp() *portOp {
-	if n := len(p.free); n > 0 {
-		po := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+// portOps is a free list of retired portOps, shared by a fabric's ports.
+type portOps struct{ free []*portOp }
+
+// get returns a portOp for port p from the free list, building one (with
+// its envelopes and bound callback wired) when the list is empty.
+func (l *portOps) get(p *Port) *portOp {
+	if n := len(l.free); n > 0 {
+		po := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		po.port = p
 		return po
 	}
 	po := &portOp{port: p}
@@ -329,7 +364,7 @@ func (p *Port) complete(po *portOp, now int64) {
 	if r.Done != nil {
 		r.Done(r, now)
 	}
-	p.free = append(p.free, po)
+	p.fab.ops.free = append(p.fab.ops.free, po)
 }
 
 // Pending returns outstanding core-side requests.

@@ -15,6 +15,8 @@ package config
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"nucanet/internal/bank"
 	"nucanet/internal/router"
@@ -186,6 +188,22 @@ func ExtraDesigns() []Design {
 		},
 	}
 }
+
+// designIDs is the catalogue's design ids, sorted, built on first use:
+// the catalogue is constant.
+var designIDs = sync.OnceValue(func() []string {
+	var ids []string
+	for _, d := range append(Designs(), ExtraDesigns()...) {
+		ids = append(ids, d.ID)
+	}
+	slices.Sort(ids)
+	return ids
+})
+
+// DesignIDs returns the ids of every catalogue design, sorted, without
+// building the catalogue after the first call. The slice is shared:
+// callers must not modify it.
+func DesignIDs() []string { return designIDs() }
 
 // DesignByID looks up a design: A-F from Table 3, or an extra
 // registered-family design (R, G, H2). A miss names the catalogue.

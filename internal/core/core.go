@@ -11,12 +11,12 @@ import (
 	"sync"
 
 	"nucanet/internal/cache"
+	"nucanet/internal/cmp"
 	"nucanet/internal/config"
 	"nucanet/internal/cpu"
 	"nucanet/internal/energy"
 	"nucanet/internal/mem"
 	"nucanet/internal/network"
-	"nucanet/internal/router"
 	"nucanet/internal/stats"
 	"nucanet/internal/telemetry"
 )
@@ -157,18 +157,18 @@ const maxFreeArenas = 4
 // of timing.
 var arenas struct {
 	sync.Mutex
-	free []*router.Arena // reset, at most maxFreeArenas
+	free []*cmp.Arena // reset, at most maxFreeArenas
 }
 
 // runPooled builds art's Instance from a recycled arena and drives it to
 // completion.
 func runPooled(art *Artifacts) (Result, error) {
 	arenas.Lock()
-	var ar *router.Arena
+	var ar *cmp.Arena
 	if n := len(arenas.free); n > 0 {
 		ar, arenas.free = arenas.free[n-1], arenas.free[:n-1]
 	} else {
-		ar = new(router.Arena)
+		ar = new(cmp.Arena)
 	}
 	arenas.Unlock()
 	defer func() {

@@ -10,7 +10,6 @@ import (
 	"nucanet/internal/config"
 	"nucanet/internal/cpu"
 	"nucanet/internal/energy"
-	"nucanet/internal/router"
 	"nucanet/internal/routing"
 	"nucanet/internal/sim"
 	"nucanet/internal/telemetry"
@@ -101,9 +100,9 @@ type traceEntry struct {
 // warmKey identifies a warm L2 state. The generator's warm table is a
 // function of the address geometry alone — no seed, no benchmark (see
 // trace.Synthetic.WarmBlocks) — cores says how many private tag ranges
-// interleave in it, and the bank-stack string how its ways split into
-// banks. Designs differing only in placement, router or workload share
-// one state.
+// interleave in it, and the bank-stack string (stackKey) how its ways
+// split into banks. Designs differing only in placement, router or
+// workload share one state.
 type warmKey struct {
 	columns, sets, ways int
 	cores               int // 0 = classic single-core table
@@ -152,11 +151,12 @@ func sharedWarmFor(key warmKey) *warmState {
 	return ws
 }
 
-// warmFor resolves the warm table and image of a design: the batch's
-// pinned state when pc has one, the process-wide state otherwise.
-func (pc *PrepCache) warmFor(d config.Design, prof trace.Profile, cores int) *warmState {
+// warmFor resolves the warm table and image of a resolved design: the
+// batch's pinned state when pc has one, the process-wide state otherwise.
+func (pc *PrepCache) warmFor(rd *resolvedDesign, prof trace.Profile, cores int) *warmState {
+	d := &rd.d
 	am := d.AddrMap()
-	key := warmKey{am.Columns, am.Sets, d.Ways(), cores, fmt.Sprint(d.Banks)}
+	key := warmKey{am.Columns, am.Sets, d.Ways(), cores, rd.stack}
 	if pc != nil {
 		if ws, ok := pc.warms[key]; ok {
 			return ws
@@ -168,7 +168,7 @@ func (pc *PrepCache) warmFor(d config.Design, prof trace.Profile, cores int) *wa
 		if cores > 0 {
 			ws.table = cmp.MergeWarm(am, d.Ways(), ws.table, cores)
 		}
-		ws.img = cache.BuildWarmImage(d, ws.table)
+		ws.img = cache.BuildWarmImage(*d, ws.table)
 	})
 	if pc != nil {
 		pc.warms[key] = ws
@@ -217,7 +217,7 @@ func Prepare(opt Options, pc *PrepCache) (*Artifacts, error) {
 	}
 	d := rd.design()
 	te := pc.traceFor(d, prof, opt.Seed, opt.Accesses, opt.Cores)
-	ws := pc.warmFor(d, prof, opt.Cores)
+	ws := pc.warmFor(rd, prof, opt.Cores)
 	return &Artifacts{
 		Opt: opt, Design: d, Prof: prof,
 		Topo: rd.topo, Table: rd.tb,
@@ -243,12 +243,14 @@ type Instance struct {
 }
 
 // NewInstance assembles the mutable simulation state over art. ar, when
-// non-nil, is the construction arena the lanes of one batch worker
-// recycle (see router.Arena); it must not be shared across goroutines.
-func NewInstance(art *Artifacts, ar *router.Arena) (*Instance, error) {
-	k := sim.NewKernel()
+// non-nil, is the arena the runs of one worker recycle: construction
+// memory, kernel and free lists (see cmp.Arena); it must not be shared
+// across goroutines.
+func NewInstance(art *Artifacts, ar *cmp.Arena) (*Instance, error) {
+	ca := ar.CacheArena()
+	k := ca.RouterArena().Kernel()
 	sys, err := cache.NewPrebuilt(k, art.Design, art.Opt.Policy, art.Opt.Mode, cache.Prebuilt{
-		Topo: art.Topo, Alg: art.Table, Arena: ar, Prechecked: true,
+		Topo: art.Topo, Alg: art.Table, Arena: ca, Prechecked: true,
 	})
 	if err != nil {
 		return nil, err
@@ -258,7 +260,7 @@ func NewInstance(art *Artifacts, ar *router.Arena) (*Instance, error) {
 	// runner used (its Cores=1 goldens pin the resulting event order).
 	var fab *cmp.Fabric
 	if art.Opt.Cores > 0 {
-		if fab, err = cmp.Attach(sys, art.Opt.Cores); err != nil {
+		if fab, err = cmp.AttachIn(sys, art.Opt.Cores, ar); err != nil {
 			return nil, err
 		}
 	}

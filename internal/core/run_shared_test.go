@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nucanet/internal/cache"
+	"nucanet/internal/cmp"
 	"nucanet/internal/telemetry"
 )
 
@@ -164,4 +165,45 @@ func TestRunConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestArenaCarriesAcrossDesigns: one worker arena, carrying its kernel
+// and its packet, op and port-op free lists from run to run, builds
+// Design A (multicast Fast-LRU), F, a 4-core H2 under the directory
+// policy, G (whose concentrated routers demux through bankMux) and A
+// again. Every Result equals the unpooled instance's, every carried
+// pool is back to Live == 0 after every run (ops: Drain fails the run
+// otherwise), and the second A run mints no packet.
+func TestArenaCarriesAcrossDesigns(t *testing.T) {
+	a := DefaultOptions()
+	a.Accesses = 300
+	f, g := a, a
+	f.DesignID, g.DesignID = "F", "G"
+	h2 := cmpOpts("H2", 4, 300)
+	h2.Policy = cache.Directory
+	ar := new(cmp.Arena)
+	for i, opt := range []Options{a, f, h2, g, a} {
+		in, err := NewInstance(mustPrepare(t, opt, nil), ar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := in.RunToCompletion()
+		if err != nil {
+			t.Fatalf("run %d (%s): %v", i, opt.DesignID, err)
+		}
+		st := in.Sys.Net.PoolStats()
+		if st.Live != 0 {
+			t.Errorf("run %d (%s): %d packets still out after the run", i, opt.DesignID, st.Live)
+		}
+		if in.Fab != nil && in.Fab.Pending() != 0 {
+			t.Errorf("run %d (%s): %d port ops still out after the run", i, opt.DesignID, in.Fab.Pending())
+		}
+		if i == 4 && st.Allocated != 0 {
+			t.Errorf("second A run minted %d packets; the arena's free list should have served them all", st.Allocated)
+		}
+		if !reflect.DeepEqual(got, runUnpooled(t, opt)) {
+			t.Errorf("run %d (%s x %d cores): Result differs from the unpooled instance", i, opt.DesignID, opt.Cores)
+		}
+		ar.Reset()
+	}
 }

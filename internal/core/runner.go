@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 
+	"nucanet/internal/bank"
 	"nucanet/internal/cache"
 	"nucanet/internal/cmp"
 	"nucanet/internal/config"
@@ -42,8 +44,23 @@ type resolvedDesign struct {
 	// head is the canonical encoding (hash.go) up to the design's end:
 	// `{"Design":` + the JSON of d + `,`.
 	head []byte
-	topo *topology.Topology
-	tb   *routing.Table
+	// stack is d's bank stack as warmKey spells it (see stackKey).
+	stack string
+	topo  *topology.Topology
+	tb    *routing.Table
+}
+
+// stackKey spells a bank stack as a comparable string, "size/ways," per
+// bank, MRU bank first.
+func stackKey(banks []bank.Spec) string {
+	b := make([]byte, 0, 8*len(banks))
+	for _, s := range banks {
+		b = strconv.AppendInt(b, int64(s.SizeKB), 10)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(s.Ways), 10)
+		b = append(b, ',')
+	}
+	return string(b)
 }
 
 // design returns a private copy of the resolved design. Banks and
@@ -149,7 +166,7 @@ func newResolvedDesign(o Options) (*resolvedDesign, error) {
 		return nil, fmt.Errorf("core: canonical encoding: %w", err)
 	}
 	head := append([]byte(`{"Design":`), frag...)
-	return &resolvedDesign{d: d, head: append(head, ',')}, nil
+	return &resolvedDesign{d: d, head: append(head, ','), stack: stackKey(d.Banks)}, nil
 }
 
 // normalizedCPU is the core model configuration o simulates with: a zero

@@ -3,10 +3,12 @@ package flit
 // PacketPool recycles Packets through a freelist so the paths that mint
 // a short-lived packet per message — every protocol send (through
 // network.NewPacket) and the routers' multicast replicators — stop
-// reaching the garbage collector. One pool belongs to one simulation run
-// (one kernel) and is only touched from the goroutine driving that
-// kernel, so it needs no synchronization — the same per-run ownership
-// discipline as the rest of the simulator state.
+// reaching the garbage collector. One pool serves one simulation run
+// (one kernel) at a time and is only touched from the goroutine driving
+// that kernel, so it needs no synchronization — the same per-run
+// ownership discipline as the rest of the simulator state. A worker's
+// construction arena carries its pool from one run to the next (see
+// router.Arena), so a warm worker mints no packets at all.
 //
 // Ownership: a pooled packet belongs to whoever holds it in the chain
 // Get -> sender (until Send) -> network -> Put at ejection. The router
@@ -67,6 +69,11 @@ type PoolStats struct {
 	Allocated uint64 // gets served by a fresh allocation
 	Live      uint64 // packets currently out (Gets - Puts)
 }
+
+// ResetStats zeroes the accounting and keeps the free packets, so a pool
+// carried from run to run reports each run alone. A packet a failed run
+// never returned stays out of the free list and is not counted again.
+func (p *PacketPool) ResetStats() { p.gets, p.puts, p.news = 0, 0, 0 }
 
 // Stats returns the pool's accounting snapshot (zero for a nil pool).
 func (p *PacketPool) Stats() PoolStats {

@@ -56,8 +56,9 @@ type Network struct {
 
 	eps [][3]Endpoint // [node][flit.Endpoint]
 	// pool recycles every packet NewPacket hands out and every multicast
-	// replica the routers mint; all routers share it.
-	pool flit.PacketPool
+	// replica the routers mint; all routers share it. It is the
+	// construction arena's, so its packets outlive the network.
+	pool *flit.PacketPool
 	// Traffic counters. Per-Network state, mutated only from Send and
 	// deliver, both of which run on the goroutine driving this network's
 	// kernel — parallel sweeps give every run its own Network — so these
@@ -89,7 +90,8 @@ func New(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg rout
 type BuildOpts struct {
 	// Arena, when non-nil, supplies the backing storage every router
 	// carves its construction-time state from, laying a batch of
-	// networks out contiguously (see router.Arena).
+	// networks out contiguously, and the packet free list the network
+	// mints from (see router.Arena).
 	Arena *router.Arena
 	// Prechecked skips the static progress proof and Supports gate. Only
 	// set it when Check already accepted this exact (topology, routing,
@@ -147,9 +149,10 @@ func NewOpts(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg 
 	n := &Network{K: k, Topo: topo, Alg: tb}
 	n.Routers = make([]router.Engine, topo.NumNodes())
 	n.eps = make([][3]Endpoint, topo.NumNodes())
+	n.pool = o.Arena.Packets()
 	for id := 0; id < topo.NumNodes(); id++ {
 		n.Routers[id] = eng.New(id, topo, tb, cfg, k, o.Arena)
-		n.Routers[id].SetPool(&n.pool)
+		n.Routers[id].SetPool(n.pool)
 	}
 	for id := 0; id < topo.NumNodes(); id++ {
 		for p := 0; p < topo.NumPorts(id); p++ {
@@ -161,11 +164,8 @@ func NewOpts(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg 
 		}
 	}
 	for id := 0; id < topo.NumNodes(); id++ {
-		node := id
 		n.Routers[id].SetKernelID(k.Register(n.Routers[id]))
-		n.Routers[id].SetDeliver(func(pkt *flit.Packet, now int64) {
-			n.deliver(node, pkt, now)
-		})
+		n.Routers[id].SetSink(n)
 	}
 	return n, nil
 }
@@ -193,7 +193,9 @@ func (n *Network) Attach(node topology.NodeID, which flit.Endpoint, ep Endpoint)
 	n.eps[node][which] = ep
 }
 
-func (n *Network) deliver(node topology.NodeID, pkt *flit.Packet, now int64) {
+// Eject hands a packet ejected at node to the endpoint attached there
+// for its class; every router of the network ejects through it.
+func (n *Network) Eject(node topology.NodeID, pkt *flit.Packet, now int64) {
 	ep := n.eps[node][pkt.DstEp]
 	if ep == nil {
 		panic(fmt.Sprintf("network: no %v endpoint at node %d for %v", pkt.DstEp, node, pkt))

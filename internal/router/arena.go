@@ -3,6 +3,7 @@ package router
 import (
 	"nucanet/internal/bank"
 	"nucanet/internal/flit"
+	"nucanet/internal/sim"
 	"nucanet/internal/slab"
 )
 
@@ -19,7 +20,9 @@ import (
 // Banks is the cache-bank construction arena riding along: one Arena per
 // worker provisions everything a lane builds, and one Reset recycles it
 // all. Its frame slab is the one carve that is not zeroed (see
-// bank.Arena.Reset).
+// bank.Arena.Reset). The arena also keeps the run's kernel and packet
+// free list, so the next run registers its components and mints its
+// packets into the capacity the previous one left.
 //
 // An Arena is single-goroutine state: share one per worker, never across
 // workers. A nil *Arena falls back to plain allocation, so every existing
@@ -36,6 +39,9 @@ type Arena struct {
 	links   slab.Chunk[*Router]
 	timed   slab.Chunk[flit.Timed]
 
+	kernel  sim.Kernel
+	packets flit.PacketPool
+
 	// Banks carves cache-bank state (frame slabs, fill counts); see
 	// bank.NewIn. Access through BankArena for nil-safety.
 	Banks bank.Arena
@@ -49,10 +55,30 @@ func (a *Arena) BankArena() *bank.Arena {
 	return &a.Banks
 }
 
+// Kernel returns the arena's kernel (a fresh one for a nil arena): empty
+// at cycle 0 until the round's components register with it.
+func (a *Arena) Kernel() *sim.Kernel {
+	if a == nil {
+		return sim.NewKernel()
+	}
+	return &a.kernel
+}
+
+// Packets returns the arena's packet free list (a fresh one for a nil
+// arena). The packets a drained run returned to it serve the next run's
+// gets; its accounting restarts at every Reset.
+func (a *Arena) Packets() *flit.PacketPool {
+	if a == nil {
+		return new(flit.PacketPool)
+	}
+	return &a.packets
+}
+
 // Reset recycles every chunk for a fresh round of construction: memory
 // is zeroed (bank frames aside) and carving restarts from the first
 // chunk, so no new allocations happen until usage exceeds the arena's
-// high-water mark.
+// high-water mark. The kernel is emptied and the packet free list keeps
+// its packets.
 // Every slice previously carved from the arena is invalidated — callers
 // must only Reset once nothing built from the arena is referenced
 // (core.Engine.RunAll resets between lanes, whose instances are
@@ -68,6 +94,8 @@ func (a *Arena) Reset() {
 	a.routers.Reset()
 	a.links.Reset()
 	a.timed.Reset()
+	a.kernel.Reset()
+	a.packets.ResetStats()
 	a.Banks.Reset()
 }
 

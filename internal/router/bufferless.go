@@ -299,9 +299,6 @@ func (b *Bufferless) eject(e entry, pi int, now int64) {
 	b.tel.FlitEjected(now, e.f, int(b.ID), pi)
 	pkt.Delivered = now
 	b.stats.PacketsEjected++
-	if b.deliver == nil {
-		panic(fmt.Sprintf("router %d: ejection with no endpoint for %v", b.ID, pkt))
-	}
 	b.deliver(pkt, now)
 	b.pool.Put(pkt)
 }

@@ -44,11 +44,12 @@ func newFabric(topo *topology.Topology, cfg Config) *fabric {
 			}
 		}
 	}
+	sink := sinkFunc(func(node topology.NodeID, p *flit.Packet, now int64) {
+		f.ejected = append(f.ejected, ejection{p.ID, node, now})
+	})
 	for _, r := range f.rs {
 		r.SetKernelID(f.k.Register(r))
-		r.SetDeliver(func(p *flit.Packet, now int64) {
-			f.ejected = append(f.ejected, ejection{p.ID, r.ID, now})
-		})
+		r.SetSink(sink)
 	}
 	return f
 }

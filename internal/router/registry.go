@@ -39,8 +39,8 @@ type Engine interface {
 	// the given delay.
 	Wire(p int, n Engine, np, delay int)
 
-	// SetDeliver installs the local ejection callback.
-	SetDeliver(f func(*flit.Packet, int64))
+	// SetSink installs where the node ejects its packets.
+	SetSink(s Sink)
 	// SetKernelID records the component id used for activations.
 	SetKernelID(id int)
 	// SetTelemetry installs the probe collector (nil disables probes).
@@ -53,6 +53,14 @@ type Engine interface {
 	SetPool(p *flit.PacketPool)
 }
 
+// Sink receives every packet a node ejects, with the node it left at —
+// one sink (the network) serves all the nodes of an interconnect. The
+// ownership contract is network.Endpoint's: the node recycles pkt once
+// Eject returns.
+type Sink interface {
+	Eject(node topology.NodeID, pkt *flit.Packet, now int64)
+}
+
 // Builder describes one registered router microarchitecture.
 type Builder struct {
 	// Name is the registry key ("vc-wormhole", "bufferless", "ring-lite").
@@ -61,7 +69,7 @@ type Builder struct {
 	Description string
 
 	// New constructs one unwired node. The network package wires links,
-	// installs the pool/deliver/kernel hooks, and registers it. ar, when
+	// installs the pool/sink/kernel hooks, and registers it. ar, when
 	// non-nil, is the construction arena the node must carve its state
 	// from (batch construction, see Arena); a nil arena
 	// means per-router allocation and must produce identical behavior.

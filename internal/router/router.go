@@ -203,7 +203,7 @@ const injRingFlits = 4 * flit.BlockFlits
 
 // base is the plumbing the three engines share: identity, the routing
 // table and kernel handles, the per-out-port link wiring, the ejection
-// callback, the replica pool, the probe collector, and the counters.
+// sink, the replica pool, the probe collector, and the counters.
 // Engines embed it by value — no extra heap object, no pointer hop on the
 // hot path — and keep their own buffers, typed neighbor pointers, Wire,
 // Inject and Tick.
@@ -219,9 +219,9 @@ type base struct {
 	neighborIn []int // per out port: in-port index at the neighbor
 	linkDelay  []int // per out port
 
-	deliver func(*flit.Packet, int64)
-	pool    *flit.PacketPool
-	tel     *telemetry.Collector // nil when probes are disabled
+	sink Sink
+	pool *flit.PacketPool
+	tel  *telemetry.Collector // nil when probes are disabled
 
 	occ   int // flits buffered here, injection queue included
 	stats Stats
@@ -239,8 +239,16 @@ func newBase(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg
 	}
 }
 
-// SetDeliver installs the local ejection callback.
-func (b *base) SetDeliver(f func(*flit.Packet, int64)) { b.deliver = f }
+// SetSink installs where the router ejects its packets.
+func (b *base) SetSink(s Sink) { b.sink = s }
+
+// deliver hands a packet ejected here to the sink.
+func (b *base) deliver(pkt *flit.Packet, now int64) {
+	if b.sink == nil {
+		panic(fmt.Sprintf("router %d: ejection with no endpoint for %v", b.ID, pkt))
+	}
+	b.sink.Eject(b.ID, pkt, now)
+}
 
 // SetKernelID records the component id for activations.
 func (b *base) SetKernelID(id int) { b.kid = id }
@@ -260,7 +268,7 @@ func (b *base) Stats() Stats { return b.stats }
 func (b *base) Occupancy() int { return b.occ }
 
 // New creates an unwired router; the network package connects neighbors,
-// sets the deliver callback, and registers it with the kernel. Routers
+// sets the sink, and registers it with the kernel. Routers
 // consume routing only through a precomputed table (routing.Precompute),
 // never a raw algorithm: route lookup is a flat array index regardless
 // of the topology family. A non-nil arena supplies the backing storage
@@ -733,9 +741,6 @@ func (r *Router) traverse(idx, o int, isEject bool, now int64) {
 			// (they still hold buffers and links until ejected).
 			pkt.Delivered = now
 			r.stats.PacketsEjected++
-			if r.deliver == nil {
-				panic(fmt.Sprintf("router %d: ejection with no endpoint for %v", r.ID, pkt))
-			}
 			r.deliver(pkt, now)
 		}
 		if e.f.Tail {

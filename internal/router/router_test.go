@@ -39,13 +39,18 @@ func newPair(cfg Config) *pair {
 	p.b.Wire(topology.PortWest, p.a, topology.PortEast, 1)
 	p.a.SetKernelID(p.k.Register(p.a))
 	p.b.SetKernelID(p.k.Register(p.b))
-	p.a.SetDeliver(func(pkt *flit.Packet, now int64) { p.gotA = append(p.gotA, pkt) })
-	p.b.SetDeliver(func(pkt *flit.Packet, now int64) {
+	p.a.SetSink(sinkFunc(func(_ topology.NodeID, pkt *flit.Packet, now int64) { p.gotA = append(p.gotA, pkt) }))
+	p.b.SetSink(sinkFunc(func(_ topology.NodeID, pkt *flit.Packet, now int64) {
 		p.gotB = append(p.gotB, pkt)
 		p.timesB = append(p.timesB, now)
-	})
+	}))
 	return p
 }
+
+// sinkFunc adapts a function to Sink.
+type sinkFunc func(node topology.NodeID, pkt *flit.Packet, now int64)
+
+func (f sinkFunc) Eject(node topology.NodeID, pkt *flit.Packet, now int64) { f(node, pkt, now) }
 
 func TestDirectDelivery(t *testing.T) {
 	p := newPair(DefaultConfig())

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"encoding/json"
-	"sort"
+	"slices"
 	"strings"
 
 	"nucanet/internal/cache"
@@ -39,16 +39,6 @@ type TelemetryRequest struct {
 	SampleEvery int  `json:"sample_every,omitempty"`
 }
 
-// knownDesignIDs lists the catalogue ids for error messages.
-func knownDesignIDs() []string {
-	var ids []string
-	for _, d := range append(config.Designs(), config.ExtraDesigns()...) {
-		ids = append(ids, d.ID)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // options validates the request field by field and builds the
 // core.Options it denotes. Every rejection is a field-scoped 400 whose
 // message is composed from registry knowledge (never from internal
@@ -56,9 +46,9 @@ func knownDesignIDs() []string {
 func (r RunRequest) options(maxAccesses int) (core.Options, *apiError) {
 	o := core.DefaultOptions()
 	if r.Design != "" {
-		if _, err := config.DesignByID(r.Design); err != nil {
+		if _, ok := slices.BinarySearch(config.DesignIDs(), r.Design); !ok {
 			return o, badField("design", "unknown design %q; known designs: %s",
-				r.Design, strings.Join(knownDesignIDs(), ", "))
+				r.Design, strings.Join(config.DesignIDs(), ", "))
 		}
 		o.DesignID = r.Design
 	}

@@ -101,8 +101,8 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// Kernel drives registered components cycle by cycle.
-// The zero value is not usable; call NewKernel.
+// Kernel drives registered components cycle by cycle. The zero value is
+// an empty kernel at cycle 0, like NewKernel's.
 type Kernel struct {
 	now   int64
 	comps []Component
@@ -119,6 +119,19 @@ type Kernel struct {
 // NewKernel returns an empty kernel at cycle 0.
 func NewKernel() *Kernel {
 	return &Kernel{}
+}
+
+// Reset empties the kernel for a fresh run at cycle 0, keeping the
+// capacity its component, wheel, event and deferred-increment slices
+// grew to, so the next run of the same size registers and schedules
+// without allocating. Every component registered so far is dropped.
+func (k *Kernel) Reset() {
+	clear(k.comps)
+	clear(k.wheel)
+	clear(k.due)
+	k.now, k.busy = 0, 0
+	k.comps, k.wheel, k.due = k.comps[:0], k.wheel[:0], k.due[:0]
+	k.events, k.incrs = k.events[:0], k.incrs[:0]
 }
 
 // Register adds a component and returns its id. Ids order ticking within a
