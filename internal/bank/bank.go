@@ -17,9 +17,9 @@ import (
 
 // Arena carves bank construction state — the frame slab and the per-set
 // fill counts, a lane's two largest construction allocations — from
-// recyclable chunks (see internal/slab). A nil *Arena falls back to
-// plain allocation. Single-goroutine, like every slab arena; batch
-// construction reaches it through router.Arena.Banks.
+// recyclable chunks (see internal/slab). Single-goroutine, like every
+// slab arena; batch construction reaches it through router.Arena.Banks,
+// and cache.BuildWarmImage carves an image's template banks from one.
 type Arena struct {
 	frames slab.Chunk[Block]
 	fills  slab.Chunk[uint8]
@@ -33,20 +33,6 @@ type Arena struct {
 func (a *Arena) Reset() {
 	a.frames.Rewind()
 	a.fills.Reset()
-}
-
-func (a *Arena) frameSlab(n int) []Block {
-	if a == nil {
-		return make([]Block, n)
-	}
-	return slab.Grab(&a.frames, n)
-}
-
-func (a *Arena) fillSlab(n int) []uint8 {
-	if a == nil {
-		return make([]uint8, n)
-	}
-	return slab.Grab(&a.fills, n)
 }
 
 // BlockBytes is the cache block size (Table 1).
@@ -117,16 +103,9 @@ type Bank struct {
 	Stores uint64 // block installs
 }
 
-// New allocates an empty bank.
-func New(spec Spec) *Bank {
-	b := NewIn(spec, nil)
-	return &b
-}
-
 // NewIn returns an empty bank by value, for its owner to embed, with its
 // storage carved from an arena — batch construction lays a lane's bank
-// state contiguously and recycles it across construction rounds. A nil
-// arena allocates normally.
+// state contiguously and recycles it across construction rounds.
 func NewIn(spec Spec, ar *Arena) Bank {
 	if spec.SizeKB <= 0 || spec.Ways <= 0 || spec.Ways > maxWays {
 		panic(fmt.Sprintf("bank: bad spec %+v", spec))
@@ -134,8 +113,8 @@ func NewIn(spec Spec, ar *Arena) Bank {
 	sets := spec.Sets()
 	return Bank{
 		spec: spec, lat: LatencyFor(spec.SizeKB),
-		fill:   ar.fillSlab(sets),
-		frames: ar.frameSlab(sets * spec.Ways),
+		fill:   slab.Grab(&ar.fills, sets),
+		frames: slab.Grab(&ar.frames, sets*spec.Ways),
 	}
 }
 

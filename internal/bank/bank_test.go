@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// newBank returns an empty bank carved from an arena of its own.
+func newBank(spec Spec) *Bank {
+	b := NewIn(spec, new(Arena))
+	return &b
+}
+
 func TestSpecSets(t *testing.T) {
 	cases := []struct {
 		spec Spec
@@ -52,7 +58,7 @@ func TestLatencyForUnknownPanics(t *testing.T) {
 }
 
 func TestInsertLookupTouch(t *testing.T) {
-	b := New(Spec{512, 8})
+	b := newBank(Spec{512, 8})
 	for i := 0; i < 8; i++ {
 		b.Insert(3, Block{Tag: uint64(100 + i)})
 	}
@@ -77,7 +83,7 @@ func TestInsertLookupTouch(t *testing.T) {
 }
 
 func TestEvictLRU(t *testing.T) {
-	b := New(Spec{128, 2})
+	b := newBank(Spec{128, 2})
 	b.Insert(0, Block{Tag: 1})
 	b.Insert(0, Block{Tag: 2})
 	blk, ok := b.EvictLRU(0)
@@ -96,7 +102,7 @@ func TestEvictLRU(t *testing.T) {
 }
 
 func TestInsertFullPanics(t *testing.T) {
-	b := New(Spec{64, 1})
+	b := newBank(Spec{64, 1})
 	b.Insert(5, Block{Tag: 1})
 	defer func() {
 		if recover() == nil {
@@ -107,7 +113,7 @@ func TestInsertFullPanics(t *testing.T) {
 }
 
 func TestInsertLRUOrdering(t *testing.T) {
-	b := New(Spec{256, 4})
+	b := newBank(Spec{256, 4})
 	b.Insert(0, Block{Tag: 10})
 	b.InsertLRU(0, Block{Tag: 20})
 	got := b.Blocks(0)
@@ -117,7 +123,7 @@ func TestInsertLRUOrdering(t *testing.T) {
 }
 
 func TestRemoveMiddle(t *testing.T) {
-	b := New(Spec{256, 4})
+	b := newBank(Spec{256, 4})
 	for _, tag := range []uint64{1, 2, 3, 4} {
 		b.Insert(0, Block{Tag: tag})
 	}
@@ -136,7 +142,7 @@ func TestRemoveMiddle(t *testing.T) {
 }
 
 func TestSetDirty(t *testing.T) {
-	b := New(Spec{64, 1})
+	b := newBank(Spec{64, 1})
 	b.Insert(0, Block{Tag: 7})
 	b.SetDirty(0, 0)
 	if !b.Blocks(0)[0].Dirty {
@@ -145,7 +151,7 @@ func TestSetDirty(t *testing.T) {
 }
 
 func TestSetsIsolated(t *testing.T) {
-	b := New(Spec{64, 1})
+	b := newBank(Spec{64, 1})
 	b.Insert(1, Block{Tag: 11})
 	b.Insert(2, Block{Tag: 22})
 	if _, ok := b.Lookup(1, 22); ok {
@@ -162,7 +168,7 @@ func TestSetsIsolated(t *testing.T) {
 // starts out reading set 0 through a warm image.
 func TestBankInvariantsProperty(t *testing.T) {
 	spec := Spec{256, 4}
-	img := New(spec)
+	img := newBank(spec)
 	img.InsertLRU(0, Block{Tag: 1 << 40})
 	img.InsertLRU(0, Block{Tag: 1<<40 + 1, Dirty: true})
 	want := img.Blocks(0)
@@ -170,8 +176,8 @@ func TestBankInvariantsProperty(t *testing.T) {
 		name  string
 		fresh func() *Bank
 	}{
-		{"owned", func() *Bank { return New(spec) }},
-		{"read-through", func() *Bank { b := New(spec); b.CloneState(img); return b }},
+		{"owned", func() *Bank { return newBank(spec) }},
+		{"read-through", func() *Bank { b := newBank(spec); b.CloneState(img); return b }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := quick.Check(func(ops []byte, seed uint16) bool {
@@ -244,7 +250,7 @@ func TestBankInvariantsProperty(t *testing.T) {
 // set s holds s mod (ways+1) blocks, so empty, partial and full sets all
 // occur, with tags unique to the set and every third block dirty.
 func warmTemplate(spec Spec) *Bank {
-	img := New(spec)
+	img := newBank(spec)
 	for set := 0; set < spec.Sets(); set++ {
 		for w := 0; w < set%(spec.Ways+1); w++ {
 			img.InsertLRU(set, Block{Tag: uint64(set<<8 | w), Dirty: w%3 == 2})
@@ -280,7 +286,7 @@ func TestCloneReadsThrough(t *testing.T) {
 	spec := Spec{256, 4}
 	img := warmTemplate(spec)
 	img.Probes = 11
-	b := New(spec)
+	b := newBank(spec)
 	b.Insert(3, Block{Tag: 999})
 	b.CloneState(img)
 	if b.Probes != img.Probes || b.Stores != img.Stores {
@@ -336,7 +342,7 @@ func TestFirstWriteCopiesOneSet(t *testing.T) {
 		{"SetDirty", full, func(b *Bank) { b.SetDirty(full, 0) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clone, owned := New(spec), New(spec)
+			clone, owned := newBank(spec), newBank(spec)
 			clone.CloneState(img)
 			for _, blk := range img.Blocks(tc.set) {
 				owned.InsertLRU(tc.set, blk)
@@ -411,7 +417,7 @@ func TestArenaRewindLeaksNoStaleFrames(t *testing.T) {
 // TestNewInRejectsWaysBeyondFill: a set's fill is a uint8 holding the
 // block count plus one.
 func TestNewInRejectsWaysBeyondFill(t *testing.T) {
-	b := NewIn(Spec{SizeKB: 512, Ways: 254}, nil)
+	b := NewIn(Spec{SizeKB: 512, Ways: 254}, new(Arena))
 	for w := 0; w < 254; w++ {
 		b.InsertLRU(1, Block{Tag: uint64(w)})
 	}
@@ -423,11 +429,11 @@ func TestNewInRejectsWaysBeyondFill(t *testing.T) {
 			t.Fatalf("255 ways: recovered %q, want a bad-spec panic", msg)
 		}
 	}()
-	NewIn(Spec{SizeKB: 512, Ways: 255}, nil)
+	NewIn(Spec{SizeKB: 512, Ways: 255}, new(Arena))
 }
 
 func TestProbeStoreCounters(t *testing.T) {
-	b := New(Spec{64, 1})
+	b := newBank(Spec{64, 1})
 	b.Insert(0, Block{Tag: 1})
 	b.Lookup(0, 1)
 	b.Lookup(0, 2)

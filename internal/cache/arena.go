@@ -12,8 +12,7 @@ import (
 // queues and the op free list. The ops a drained run retired serve the
 // next run's accesses, so a warm worker builds and runs a system without
 // growing any of them. One Reset recycles it all; see router.Arena.Reset
-// for the aliasing contract. An Arena is single-goroutine state, and a
-// nil *Arena allocates directly.
+// for the aliasing contract. An Arena is single-goroutine state.
 type Arena struct {
 	net router.Arena
 
@@ -25,13 +24,8 @@ type Arena struct {
 	ops    opPool
 }
 
-// RouterArena returns the embedded router arena, nil for a nil Arena.
-func (a *Arena) RouterArena() *router.Arena {
-	if a == nil {
-		return nil
-	}
-	return &a.net
-}
+// RouterArena returns the embedded router arena.
+func (a *Arena) RouterArena() *router.Arena { return &a.net }
 
 // Reset recycles the arena for a fresh round of construction. The op
 // free list keeps its ops and restarts its accounting.
@@ -49,49 +43,15 @@ func (a *Arena) Reset() {
 // count, so one chunk serves the largest catalogue design.
 const agentChunk = 256
 
-func (a *Arena) agentSlab(n int) []agent {
-	if a == nil {
-		return make([]agent, n)
-	}
-	return slab.GrabIn(&a.agents, n, agentChunk)
-}
+func (a *Arena) agentSlab(n int) []agent { return slab.GrabIn(&a.agents, n, agentChunk) }
 
 // muxChunk is how many bank muxes a fresh chunk holds: one per router of
 // a concentrated design, and Design G has 16.
 const muxChunk = 16
 
-func (a *Arena) mux() *bankMux {
-	if a == nil {
-		return new(bankMux)
-	}
-	return &slab.GrabIn(&a.muxes, 1, muxChunk)[0]
-}
+func (a *Arena) mux() *bankMux { return &slab.GrabIn(&a.muxes, 1, muxChunk)[0] }
 
-func (a *Arena) colSlab(n int) []colState {
-	if a == nil {
-		return make([]colState, n)
-	}
-	return slab.Grab(&a.cols, n)
-}
-
-func (a *Arena) reqSlab(n int) []*Request {
-	if a == nil {
-		return make([]*Request, n)
-	}
-	return slab.Grab(&a.reqs, n)
-}
-
-func (a *Arena) activeSlab(n int) []*op {
-	if a == nil {
-		return make([]*op, n)
-	}
-	return slab.Grab(&a.active, n)
-}
-
-// opPool returns the arena's op free list (a fresh one for a nil arena).
-func (a *Arena) opPool() *opPool {
-	if a == nil {
-		return new(opPool)
-	}
-	return &a.ops
-}
+// The carves behind the controllers' column queues and windows.
+func (a *Arena) colSlab(n int) []colState { return slab.Grab(&a.cols, n) }
+func (a *Arena) reqSlab(n int) []*Request { return slab.Grab(&a.reqs, n) }
+func (a *Arena) activeSlab(n int) []*op   { return slab.Grab(&a.active, n) }

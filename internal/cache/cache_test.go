@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -643,17 +644,37 @@ func TestParsePolicyAndMode(t *testing.T) {
 	}
 }
 
-// TestWarmCloneMatchesWarm: every core.Run warms by cloning a shared
-// image, so the clone must leave the banks — and, under the directory
-// policy, the per-column ownership baseline — exactly as the insertion
-// replay does, on uniform and multi-way bank stacks. Four systems clone
-// one fresh image at once, as concurrent runs do: the first directory
-// clone counts the image's owners and the others wait for the count.
+// TestWarmCloneMatchesWarm: every system warms by cloning an image, so
+// a clone must hold exactly what a Golden model warmed from the same
+// table holds, on uniform and multi-way bank stacks, and under the
+// directory policy must start each column's ownership baseline at the
+// owners of those Golden contents. Every third row of the table moves to
+// a second owner, so the baseline has two owners to get right. Four
+// systems clone one fresh image at once, as concurrent runs do: the
+// first directory clone counts the image's owners and the others wait
+// for the count.
 func TestWarmCloneMatchesWarm(t *testing.T) {
 	for _, d := range []config.Design{testDesign(4, 4), nonUniformTestDesign()} {
-		warm := trace.NewSynthetic(mustProfile(t, "gcc"), d.AddrMap(), 1).WarmBlocks(d.Ways())
-		replayed := MustNew(sim.NewKernel(), d, Directory, Multicast)
-		replayed.Warm(warm)
+		am := d.AddrMap()
+		warm := trace.NewSynthetic(mustProfile(t, "gcc"), am, 1).WarmBlocks(d.Ways())
+		for i := 0; i < len(warm); i += 3 {
+			for j := range warm[i] {
+				warm[i][j] += OwnerStride
+			}
+		}
+		g := NewGolden(Directory, d.Banks, am.Columns, am.Sets)
+		live := make([][]int64, am.Columns) // [column][owner] resident blocks
+		for c := range live {
+			live[c] = make([]int64, 2)
+			for set := 0; set < am.Sets; set++ {
+				g.Warm(c, set, warm[set*am.Columns+c])
+				for _, tags := range g.Contents(c, set) {
+					for _, tag := range tags {
+						live[c][OwnerOf(tag)]++
+					}
+				}
+			}
+		}
 		img := BuildWarmImage(d, warm)
 		clones := make([]*System, 4)
 		var wg sync.WaitGroup
@@ -666,16 +687,19 @@ func TestWarmCloneMatchesWarm(t *testing.T) {
 			}(clones[i])
 		}
 		wg.Wait()
-		for col := 0; col < d.AddrMap().Columns; col++ {
-			for set := 0; set < d.AddrMap().Sets; set++ {
-				if got, want := clones[0].Contents(col, set), replayed.Contents(col, set); !reflect.DeepEqual(got, want) {
-					t.Fatalf("design %s column %d set %d: clone holds %v, replay %v", d.ID, col, set, got, want)
+		for i, s := range clones {
+			for c := 0; c < am.Columns; c++ {
+				for set := 0; set < am.Sets; set++ {
+					if got, want := s.Contents(c, set), g.Contents(c, set); !slices.EqualFunc(got, want, slices.Equal) {
+						t.Fatalf("design %s clone %d column %d set %d: holds %v, golden %v", d.ID, i, c, set, got, want)
+					}
+				}
+				if got := s.Dir.cols[c].live; !slices.Equal(got, live[c]) {
+					t.Errorf("design %s clone %d column %d: directory baseline %v, golden owners %v", d.ID, i, c, got, live[c])
 				}
 			}
-		}
-		for _, cloned := range clones {
-			if !reflect.DeepEqual(cloned.Dir, replayed.Dir) {
-				t.Errorf("design %s: directory seeded from the clone reports %+v, from the replay %+v", d.ID, cloned.Dir.Report(), replayed.Dir.Report())
+			if owners := s.Dir.Report().Owners; !slices.Equal(owners, []uint64{0, 1}) {
+				t.Errorf("design %s clone %d: directory lists owners %v, want [0 1]", d.ID, i, owners)
 			}
 		}
 	}

@@ -69,7 +69,7 @@ func TestDirStatsReportMatchesMaps(t *testing.T) {
 	const cols = 3
 	d, m := newDirStats(cols), newMapDir(cols)
 	seed := [][]int64{{4, 1}, {0, 3}, {2, 0}}
-	d.seedFrom(seed)
+	d.setBaseline(seed)
 	for c, row := range seed {
 		for o, n := range row {
 			if n != 0 {

@@ -85,7 +85,7 @@ type DirStats struct {
 	// view into it.
 	backing []int64
 	// seen marks the owners the merged report lists under Live: resident
-	// at the last seed, or filled since.
+	// at warm-up, or filled since.
 	seen []bool
 }
 
@@ -164,24 +164,10 @@ func (d *DirStats) owner(tag uint64) int {
 	return int(o)
 }
 
-// seed (re)builds the occupancy baseline by walking the resident blocks
-// after a per-block Warm. A WarmClone copies the image's counts instead
-// (seedFrom).
-func (d *DirStats) seed(s *System) {
-	cols := make([][]*bank.Bank, s.Topo.Columns())
-	for c := range cols {
-		agents := s.column(c)
-		for p := range agents {
-			cols[c] = append(cols[c], &agents[p].bk)
-		}
-	}
-	d.seedFrom(countOwners(cols))
-}
-
-// seedFrom sets the occupancy baseline to precounted per-column owner
+// setBaseline sets the occupancy baseline to precounted per-column owner
 // occupancies (WarmImage.liveOwners): owners[c][o] is owner o's resident
 // blocks in column c, every row the same length.
-func (d *DirStats) seedFrom(owners [][]int64) {
+func (d *DirStats) setBaseline(owners [][]int64) {
 	if len(owners) > 0 && len(owners[0]) > d.n {
 		d.resize(len(owners[0]))
 	}
@@ -200,13 +186,13 @@ func (d *DirStats) seedFrom(owners [][]int64) {
 
 // countOwners counts the resident blocks of each column's banks per
 // owner, as dense rows of equal length (the highest owner seen plus one).
-func countOwners(cols [][]*bank.Bank) [][]int64 {
+func countOwners(cols [][]bank.Bank) [][]int64 {
 	out := make([][]int64, len(cols))
 	n := 0
 	for c, col := range cols {
 		var row []int64
-		for _, bk := range col {
-			eachResident(bk, func(blk bank.Block) {
+		for p := range col {
+			eachResident(&col[p], func(blk bank.Block) {
 				o := int(OwnerOf(blk.Tag))
 				if o >= len(row) {
 					row = append(row, make([]int64, o+1-len(row))...)

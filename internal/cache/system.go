@@ -37,7 +37,7 @@ type System struct {
 	Dir *DirStats
 
 	agents []agent // column c's bank at position p is agents[c*len(Design.Banks)+p]
-	arena  *Arena  // the construction arena, nil when built without one
+	arena  *Arena  // the construction arena
 	tel    *telemetry.Collector
 	eng    PolicyEngine // the registered engine driving Policy
 	opSeq  uint64       // operation serial counter (telemetry correlation)
@@ -62,9 +62,9 @@ type Prebuilt struct {
 	// Alg, when non-nil, is the routing algorithm or precomputed
 	// *routing.Table to use instead of routing.For(Topo).
 	Alg routing.Algorithm
-	// Arena, when non-nil, supplies the system's construction memory and
-	// free lists (see Arena); its router arena passes through to
-	// network.BuildOpts with Prechecked.
+	// Arena supplies the system's construction memory and free lists
+	// (see Arena); its router arena passes through to network.BuildOpts
+	// with Prechecked. Nil gives the system a fresh one.
 	Arena      *Arena
 	Prechecked bool
 }
@@ -91,6 +91,9 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 		return nil, fmt.Errorf("cache: design %s has %d banks per column, more than the %d an operation can track",
 			d.ID, len(d.Banks), maxColumnBanks)
 	}
+	if pre.Arena == nil {
+		pre.Arena = new(Arena)
+	}
 	topo := pre.Topo
 	if topo == nil {
 		var err error
@@ -105,7 +108,7 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 		Lat:   stats.NewLatency(len(d.Banks)),
 		eng:   policy.engine(),
 		arena: pre.Arena,
-		ops:   pre.Arena.opPool(),
+		ops:   &pre.Arena.ops,
 	}
 	if _, ok := s.eng.(*directoryEngine); ok {
 		s.Dir = newDirStats(topo.Columns())
@@ -117,7 +120,7 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 			return nil, err
 		}
 	}
-	ra := pre.Arena.RouterArena()
+	ra := &pre.Arena.net
 	var err error
 	s.Net, err = network.NewOpts(k, topo, alg, d.Router,
 		network.BuildOpts{Arena: ra, Prechecked: pre.Prechecked})
@@ -131,7 +134,7 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 			a := s.agent(c, p)
 			*a = agent{
 				sys: s, node: node, col: c, pos: p, last: len(col) - 1,
-				bk: bank.NewIn(d.Banks[p], ra.BankArena()),
+				bk: bank.NewIn(d.Banks[p], &ra.Banks),
 			}
 			a.sched.register(k, s.Net, ra)
 			// Concentrated topologies place several banks of one column
@@ -262,30 +265,10 @@ func (s *System) Issue(addr uint64, write bool, done func(*Request, int64)) *Req
 }
 
 // Warm preloads every bank from a warm-state table as produced by
-// (*trace.Synthetic).WarmBlocks: warm[set*Columns+col] lists tags in
-// MRU-to-LRU order. The same table warms a Golden model, keeping the two
-// in lock-step from the first access.
-func (s *System) Warm(warm [][]uint64) {
-	cols := s.AM.Columns
-	for set := 0; set < s.AM.Sets; set++ {
-		for c := 0; c < cols; c++ {
-			tags := warm[set*cols+c]
-			i := 0
-			col := s.column(c)
-			for p := range col {
-				a := &col[p]
-				ways := s.Design.Banks[p].Ways
-				for w := 0; w < ways && i < len(tags); w++ {
-					a.bk.InsertLRU(set, bank.Block{Tag: tags[i]})
-					i++
-				}
-			}
-		}
-	}
-	if s.Dir != nil {
-		s.Dir.seed(s)
-	}
-}
+// (*trace.Synthetic).WarmBlocks (see BuildWarmImage), through an image of
+// its own. The same table warms a Golden model, keeping the two in
+// lock-step from the first access.
+func (s *System) Warm(warm [][]uint64) { s.WarmClone(BuildWarmImage(s.Design, warm)) }
 
 // NewGoldenFor builds a golden reference model matching this system's
 // geometry and policy.

@@ -107,19 +107,14 @@ func (*coreData) ProtocolMessage() {}
 // system is built from plus the free list of the port ops a fabric over
 // it recycles. A drained run returns every port op to the list, so the
 // next fabric built with the arena starts with them. Single-goroutine,
-// like cache.Arena; a nil *Arena allocates directly.
+// like cache.Arena.
 type Arena struct {
 	cache cache.Arena
 	ops   portOps
 }
 
-// CacheArena returns the embedded cache arena, nil for a nil Arena.
-func (a *Arena) CacheArena() *cache.Arena {
-	if a == nil {
-		return nil
-	}
-	return &a.cache
-}
+// CacheArena returns the embedded cache arena.
+func (a *Arena) CacheArena() *cache.Arena { return &a.cache }
 
 // Reset recycles the arena for a fresh round of construction; the port
 // ops stay on the free list.
@@ -135,7 +130,7 @@ type Fabric struct {
 	ctrls []*cache.Controller
 	nodes []topology.NodeID // controller/core routers
 	home  []int             // column -> controller index
-	ops   *portOps          // every port's retired portOps; the arena's when built with one
+	ops   *portOps          // every port's retired portOps; the arena's
 }
 
 // Port is one core's interface to the shared cache; it satisfies cpu.L2.
@@ -184,15 +179,15 @@ func Attach(cs *cache.System, n int) (*Fabric, error) {
 }
 
 // AttachIn is Attach with the port ops recycled through ar's free list
-// (see Arena); a nil ar gives the fabric a list of its own.
+// (see Arena); a nil ar gives the fabric a fresh arena.
 func AttachIn(cs *cache.System, n int, ar *Arena) (*Fabric, error) {
 	if err := SupportsHost(cs.Topo, cs.Design.ID, n); err != nil {
 		return nil, err
 	}
-	f := &Fabric{Sys: cs, N: n, ops: new(portOps)}
-	if ar != nil {
-		f.ops = &ar.ops
+	if ar == nil {
+		ar = new(Arena)
 	}
+	f := &Fabric{Sys: cs, N: n, ops: &ar.ops}
 	w := cs.Topo.W
 
 	for i := 0; i < n; i++ {

@@ -50,9 +50,8 @@ type Artifacts struct {
 	// warm table (cmp.MergeWarm).
 	CoreAccs [][]trace.Access
 
-	// WarmImg is the precomputed post-warm-up bank state for (bank stack,
-	// Warm); NewInstance clones it instead of replaying Warm's insert
-	// stream. Every Prepare sets it.
+	// WarmImg is the post-warm-up bank state built from Warm, shared per
+	// (bank stack, Warm); NewInstance clones it. Every Prepare sets it.
 	WarmImg *cache.WarmImage
 }
 
@@ -242,11 +241,14 @@ type Instance struct {
 	tel   *telemetry.Collector
 }
 
-// NewInstance assembles the mutable simulation state over art. ar, when
-// non-nil, is the arena the runs of one worker recycle: construction
-// memory, kernel and free lists (see cmp.Arena); it must not be shared
-// across goroutines.
+// NewInstance assembles the mutable simulation state over art. ar is the
+// arena the runs of one worker recycle: construction memory, kernel and
+// free lists (see cmp.Arena); it must not be shared across goroutines.
+// Nil builds the instance from a fresh arena.
 func NewInstance(art *Artifacts, ar *cmp.Arena) (*Instance, error) {
+	if ar == nil {
+		ar = new(cmp.Arena)
+	}
 	ca := ar.CacheArena()
 	k := ca.RouterArena().Kernel()
 	sys, err := cache.NewPrebuilt(k, art.Design, art.Opt.Policy, art.Opt.Mode, cache.Prebuilt{

@@ -20,9 +20,9 @@ func mustPrepare(t *testing.T, opt Options, pc *PrepCache) *Artifacts {
 	return art
 }
 
-// runUnpooled is Run without the pooled arena: every construction slice
-// comes from the heap.
-func runUnpooled(t *testing.T, opt Options) Result {
+// runFreshArena is Run on a fresh arena instead of a recycled one: no
+// construction slice, kernel or free list carries over from another run.
+func runFreshArena(t *testing.T, opt Options) Result {
 	t.Helper()
 	in, err := NewInstance(mustPrepare(t, opt, nil), nil)
 	if err != nil {
@@ -113,26 +113,26 @@ func TestRunWarmCacheEviction(t *testing.T) {
 	}
 }
 
-// TestRunMatchesUnpooledInstance: Run — pooled arena, shared warm image
-// — returns exactly what Prepare + NewInstance(art, nil) +
+// TestRunMatchesFreshArena: Run — recycled arena, shared warm image —
+// returns exactly what Prepare + NewInstance on a fresh arena +
 // RunToCompletion returns. The probed run's telemetry is serialized only
 // after a later Run has reset and reused the arena, so a Result holding
 // arena memory would show.
-func TestRunMatchesUnpooledInstance(t *testing.T) {
+func TestRunMatchesFreshArena(t *testing.T) {
 	probed := DefaultOptions()
 	probed.Accesses = 150
 	probed.Telemetry = telemetry.Config{Trace: true, Heatmap: true, SampleEvery: 50}
 	got := mustRun(t, probed)
 
 	for _, opt := range runMix() {
-		if !reflect.DeepEqual(mustRun(t, opt), runUnpooled(t, opt)) {
-			t.Errorf("%s x %d cores: Run differs from the unpooled instance", opt.DesignID, opt.Cores)
+		if !reflect.DeepEqual(mustRun(t, opt), runFreshArena(t, opt)) {
+			t.Errorf("%s x %d cores: Run differs from the fresh-arena instance", opt.DesignID, opt.Cores)
 		}
 	}
 
-	want := runUnpooled(t, probed)
+	want := runFreshArena(t, probed)
 	if !reflect.DeepEqual(got, want) {
-		t.Error("probed Run differs from the unpooled instance")
+		t.Error("probed Run differs from the fresh-arena instance")
 	}
 	if !bytes.Equal(telemetryFingerprint(t, []Result{got}), telemetryFingerprint(t, []Result{want})) {
 		t.Error("probed Run's telemetry changed once its arena was reused")
@@ -171,7 +171,7 @@ func TestRunConcurrent(t *testing.T) {
 // and its packet, op and port-op free lists from run to run, builds
 // Design A (multicast Fast-LRU), F, a 4-core H2 under the directory
 // policy, G (whose concentrated routers demux through bankMux) and A
-// again. Every Result equals the unpooled instance's, every carried
+// again. Every Result equals the fresh-arena instance's, every carried
 // pool is back to Live == 0 after every run (ops: Drain fails the run
 // otherwise), and the second A run mints no packet.
 func TestArenaCarriesAcrossDesigns(t *testing.T) {
@@ -201,8 +201,8 @@ func TestArenaCarriesAcrossDesigns(t *testing.T) {
 		if i == 4 && st.Allocated != 0 {
 			t.Errorf("second A run minted %d packets; the arena's free list should have served them all", st.Allocated)
 		}
-		if !reflect.DeepEqual(got, runUnpooled(t, opt)) {
-			t.Errorf("run %d (%s x %d cores): Result differs from the unpooled instance", i, opt.DesignID, opt.Cores)
+		if !reflect.DeepEqual(got, runFreshArena(t, opt)) {
+			t.Errorf("run %d (%s x %d cores): Result differs from the fresh-arena instance", i, opt.DesignID, opt.Cores)
 		}
 		ar.Reset()
 	}

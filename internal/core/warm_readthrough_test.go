@@ -90,8 +90,8 @@ func readThroughMix() []Options {
 // process-wide warm images read-only. Every bank mutator copies a set on
 // its first write, so no run moves a template bank — one that wrote
 // through would change the image the next run warms from — and every
-// run equals the same run on heap-built banks, so a mutator that skipped
-// the copy and worked on stale arena frames shows as well. In a run only
+// run equals the same run on a fresh arena's banks, so a mutator that
+// skipped the copy and worked on stale arena frames shows as well. In a run only
 // Touch, Remove and EvictLRU ever write a set first: warm sets are full,
 // so an Insert follows an eviction or removal in its set and SetDirty
 // follows Touch. bank's TestFirstWriteCopiesOneSet holds the others.
@@ -103,7 +103,7 @@ func TestRunLeavesWarmImageUnchanged(t *testing.T) {
 	for i, opt := range opts {
 		arts[i] = mustPrepare(t, opt, nil)
 		before[i] = imageHash(t, arts[i])
-		want[i] = runUnpooled(t, opt)
+		want[i] = runFreshArena(t, opt)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -116,7 +116,7 @@ func TestRunLeavesWarmImageUnchanged(t *testing.T) {
 				if err != nil {
 					t.Error(err)
 				} else if !reflect.DeepEqual(got, want[i]) {
-					t.Errorf("goroutine %d: %s/%v differs from the run on heap-built banks", g, opts[i].DesignID, opts[i].Policy)
+					t.Errorf("goroutine %d: %s/%v differs from the run on a fresh arena", g, opts[i].DesignID, opts[i].Policy)
 				}
 			}
 		}(g)
@@ -133,11 +133,12 @@ func TestRunLeavesWarmImageUnchanged(t *testing.T) {
 }
 
 // TestDirectoryBaselineCopiedFromImage: a directory run copies its
-// per-column owner occupancy from the warm image instead of walking
-// every set of its banks. The copy must equal, column by column, the walk
-// a per-block Warm of the same table does — for H2 at 1, 2 and 8 cores
-// and for every catalogue design the directory policy runs on — and must
-// match the blocks the clone holds (DirStats.Verify).
+// per-column owner occupancy from the shared warm image instead of
+// walking every set of its banks. The copy must equal, column by column,
+// the baseline of a system warmed from the same table through an image
+// of its own (System.Warm) — for H2 at 1, 2 and 8 cores and for every
+// catalogue design the directory policy runs on — and must match the
+// blocks the clone holds (DirStats.Verify).
 func TestDirectoryBaselineCopiedFromImage(t *testing.T) {
 	var opts []Options
 	for _, cores := range []int{1, 2, 8} {
@@ -159,14 +160,14 @@ func TestDirectoryBaselineCopiedFromImage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		walked, err := cache.NewPrebuilt(sim.NewKernel(), art.Design, opt.Policy, opt.Mode,
+		warmed, err := cache.NewPrebuilt(sim.NewKernel(), art.Design, opt.Policy, opt.Mode,
 			cache.Prebuilt{Topo: art.Topo, Alg: art.Table, Prechecked: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		walked.Warm(art.Warm)
-		if !reflect.DeepEqual(in.Sys.Dir, walked.Dir) {
-			t.Errorf("%s x %d cores: copied baseline %+v, walk %+v", opt.DesignID, opt.Cores, in.Sys.Dir.Report().Live, walked.Dir.Report().Live)
+		warmed.Warm(art.Warm)
+		if !reflect.DeepEqual(in.Sys.Dir, warmed.Dir) {
+			t.Errorf("%s x %d cores: copied baseline %+v, warmed %+v", opt.DesignID, opt.Cores, in.Sys.Dir.Report().Live, warmed.Dir.Report().Live)
 		}
 		if v := in.Sys.Dir.Verify(in.Sys); len(v) != 0 {
 			t.Errorf("%s x %d cores: %v", opt.DesignID, opt.Cores, v)

@@ -21,9 +21,7 @@ package flit
 // Packets from Get are marked internally; Put on a packet that did not
 // come from a pool (or was already returned) is a no-op, so drain paths
 // may call Put unconditionally on every ejected packet and callers may
-// still inject packets they own. A nil *PacketPool degrades gracefully:
-// Get falls back to a plain heap allocation and Put does nothing, so
-// unwired routers keep working without a pool.
+// still inject packets they own.
 type PacketPool struct {
 	free []*Packet
 
@@ -32,11 +30,8 @@ type PacketPool struct {
 	news uint64 // gets that had to allocate (freelist empty)
 }
 
-// Get returns a zeroed pooled packet (or a plain allocation when p is nil).
+// Get returns a zeroed pooled packet.
 func (p *PacketPool) Get() *Packet {
-	if p == nil {
-		return &Packet{}
-	}
 	p.gets++
 	if n := len(p.free); n > 0 {
 		pkt := p.free[n-1]
@@ -52,7 +47,7 @@ func (p *PacketPool) Get() *Packet {
 // Put returns a pooled packet to the freelist, dropping its payload
 // reference. Non-pooled, already-returned, and nil packets are ignored.
 func (p *PacketPool) Put(pkt *Packet) {
-	if p == nil || pkt == nil || !pkt.pooled {
+	if pkt == nil || !pkt.pooled {
 		return
 	}
 	pkt.pooled = false
@@ -75,10 +70,7 @@ type PoolStats struct {
 // never returned stays out of the free list and is not counted again.
 func (p *PacketPool) ResetStats() { p.gets, p.puts, p.news = 0, 0, 0 }
 
-// Stats returns the pool's accounting snapshot (zero for a nil pool).
+// Stats returns the pool's accounting snapshot.
 func (p *PacketPool) Stats() PoolStats {
-	if p == nil {
-		return PoolStats{}
-	}
 	return PoolStats{Gets: p.gets, Puts: p.puts, Allocated: p.news, Live: p.gets - p.puts}
 }

@@ -57,18 +57,6 @@ func TestPoolForeignAndNilPutIgnored(t *testing.T) {
 	}
 }
 
-func TestPoolNilReceiver(t *testing.T) {
-	var p *PacketPool
-	a := p.Get()
-	if a == nil || a.pooled {
-		t.Fatalf("nil pool Get: %+v", a)
-	}
-	p.Put(a) // must not panic
-	if st := p.Stats(); st != (PoolStats{}) {
-		t.Fatalf("nil pool stats: %+v", st)
-	}
-}
-
 // TestPoolLeakInvariant cycles many packets through the pool and checks
 // the accounting identity Gets == Puts + Live, with Live == 0 after a
 // full drain and allocations bounded by the peak working set.

@@ -102,8 +102,9 @@ func TestEnginesCannotMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := wh.New(0, topo, tb, router.DefaultConfig(), k, nil)
-	b := bl.New(1, topo, tb, router.DefaultConfig(), k, nil)
+	var ar router.Arena
+	a := wh.New(0, topo, tb, router.DefaultConfig(), k, &ar)
+	b := bl.New(1, topo, tb, router.DefaultConfig(), k, &ar)
 	defer func() {
 		if recover() == nil {
 			t.Error("wiring a wormhole router to a bufferless router did not panic")

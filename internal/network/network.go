@@ -43,10 +43,6 @@ func (s *Stats) Merge(o Stats) {
 	s.Router.Merge(o.Router)
 }
 
-// Clone returns an independent copy (Stats is a plain value; Clone keeps
-// the aggregation API uniform across stats types).
-func (s Stats) Clone() Stats { return s }
-
 // Network owns the routers and endpoint bindings of one interconnect.
 type Network struct {
 	K       *sim.Kernel
@@ -88,10 +84,10 @@ func New(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg rout
 // BuildOpts tunes network construction for batch evaluation; the zero
 // value is the ordinary single-run path.
 type BuildOpts struct {
-	// Arena, when non-nil, supplies the backing storage every router
-	// carves its construction-time state from, laying a batch of
-	// networks out contiguously, and the packet free list the network
-	// mints from (see router.Arena).
+	// Arena supplies the backing storage every router carves its
+	// construction-time state from, laying a batch of networks out
+	// contiguously, and the packet free list the network and its routers
+	// mint from (see router.Arena). Nil gives the network a fresh one.
 	Arena *router.Arena
 	// Prechecked skips the static progress proof and Supports gate. Only
 	// set it when Check already accepted this exact (topology, routing,
@@ -146,13 +142,15 @@ func NewOpts(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg 
 	} else if tb, err = Check(topo, alg, cfg); err != nil {
 		return nil, err
 	}
+	if o.Arena == nil {
+		o.Arena = new(router.Arena)
+	}
 	n := &Network{K: k, Topo: topo, Alg: tb}
 	n.Routers = make([]router.Engine, topo.NumNodes())
 	n.eps = make([][3]Endpoint, topo.NumNodes())
 	n.pool = o.Arena.Packets()
 	for id := 0; id < topo.NumNodes(); id++ {
 		n.Routers[id] = eng.New(id, topo, tb, cfg, k, o.Arena)
-		n.Routers[id].SetPool(n.pool)
 	}
 	for id := 0; id < topo.NumNodes(); id++ {
 		for p := 0; p < topo.NumPorts(id); p++ {

@@ -25,8 +25,8 @@ import (
 // packets into the capacity the previous one left.
 //
 // An Arena is single-goroutine state: share one per worker, never across
-// workers. A nil *Arena falls back to plain allocation, so every existing
-// construction path is unchanged.
+// workers. Every router of a network carves from the network's arena and
+// mints its multicast replicas from the arena's packet free list.
 type Arena struct {
 	entries slab.Chunk[entry]
 	rings   slab.Chunk[flitRing]
@@ -43,36 +43,18 @@ type Arena struct {
 	packets flit.PacketPool
 
 	// Banks carves cache-bank state (frame slabs, fill counts); see
-	// bank.NewIn. Access through BankArena for nil-safety.
+	// bank.NewIn.
 	Banks bank.Arena
 }
 
-// BankArena returns the embedded cache-bank arena, nil for a nil Arena.
-func (a *Arena) BankArena() *bank.Arena {
-	if a == nil {
-		return nil
-	}
-	return &a.Banks
-}
+// Kernel returns the arena's kernel: empty at cycle 0 until the round's
+// components register with it.
+func (a *Arena) Kernel() *sim.Kernel { return &a.kernel }
 
-// Kernel returns the arena's kernel (a fresh one for a nil arena): empty
-// at cycle 0 until the round's components register with it.
-func (a *Arena) Kernel() *sim.Kernel {
-	if a == nil {
-		return sim.NewKernel()
-	}
-	return &a.kernel
-}
-
-// Packets returns the arena's packet free list (a fresh one for a nil
-// arena). The packets a drained run returned to it serve the next run's
-// gets; its accounting restarts at every Reset.
-func (a *Arena) Packets() *flit.PacketPool {
-	if a == nil {
-		return new(flit.PacketPool)
-	}
-	return &a.packets
-}
+// Packets returns the arena's packet free list. The packets a drained
+// run returned to it serve the next run's gets; its accounting restarts
+// at every Reset.
+func (a *Arena) Packets() *flit.PacketPool { return &a.packets }
 
 // Reset recycles every chunk for a fresh round of construction: memory
 // is zeroed (bank frames aside) and carving restarts from the first
@@ -99,54 +81,15 @@ func (a *Arena) Reset() {
 	a.Banks.Reset()
 }
 
-func (a *Arena) entrySlab(n int) []entry {
-	if a == nil {
-		return make([]entry, n)
-	}
-	return slab.Grab(&a.entries, n)
-}
-
-func (a *Arena) ringSlab(n int) []flitRing {
-	if a == nil {
-		return make([]flitRing, n)
-	}
-	return slab.Grab(&a.rings, n)
-}
-
-func (a *Arena) vcSlab(n int) []vcState {
-	if a == nil {
-		return make([]vcState, n)
-	}
-	return slab.Grab(&a.vcs, n)
-}
-
-func (a *Arena) intSlab(n int) []int {
-	if a == nil {
-		return make([]int, n)
-	}
-	return slab.Grab(&a.ints, n)
-}
-
-func (a *Arena) boolSlab(n int) []bool {
-	if a == nil {
-		return make([]bool, n)
-	}
-	return slab.Grab(&a.bools, n)
-}
-
-func (a *Arena) wordSlab(n int) []uint64 {
-	if a == nil {
-		return make([]uint64, n)
-	}
-	return slab.Grab(&a.words, n)
-}
-
-func (a *Arena) pktSlab(n int) []*flit.Packet {
-	if a == nil {
-		return make([]*flit.Packet, n)
-	}
-	return slab.Grab(&a.pkts, n)
-}
+// The carves behind the engines' construction-time slices.
+func (a *Arena) entrySlab(n int) []entry      { return slab.Grab(&a.entries, n) }
+func (a *Arena) ringSlab(n int) []flitRing    { return slab.Grab(&a.rings, n) }
+func (a *Arena) vcSlab(n int) []vcState       { return slab.Grab(&a.vcs, n) }
+func (a *Arena) intSlab(n int) []int          { return slab.Grab(&a.ints, n) }
+func (a *Arena) boolSlab(n int) []bool        { return slab.Grab(&a.bools, n) }
+func (a *Arena) wordSlab(n int) []uint64      { return slab.Grab(&a.words, n) }
+func (a *Arena) pktSlab(n int) []*flit.Packet { return slab.Grab(&a.pkts, n) }
+func (a *Arena) linkSlab(n int) []*Router     { return slab.Grab(&a.links, n) }
 
 // routerChunk is how many Router structs a fresh arena chunk holds: a
 // Router is a few hundred bytes, so the default chunk of thousands would
@@ -154,26 +97,9 @@ func (a *Arena) pktSlab(n int) []*flit.Packet {
 const routerChunk = 64
 
 // router returns a zeroed Router to build in place.
-func (a *Arena) router() *Router {
-	if a == nil {
-		return new(Router)
-	}
-	return &slab.GrabIn(&a.routers, 1, routerChunk)[0]
-}
-
-func (a *Arena) linkSlab(n int) []*Router {
-	if a == nil {
-		return make([]*Router, n)
-	}
-	return slab.Grab(&a.links, n)
-}
+func (a *Arena) router() *Router { return &slab.GrabIn(&a.routers, 1, routerChunk)[0] }
 
 // TimedSlab returns an empty send queue with room for n scheduled
-// packets, carved from the arena (allocated directly for a nil arena).
-// Appending past n moves the queue to the heap, leaving the arena intact.
-func (a *Arena) TimedSlab(n int) []flit.Timed {
-	if a == nil {
-		return make([]flit.Timed, 0, n)
-	}
-	return slab.Grab(&a.timed, n)[:0]
-}
+// packets, carved from the arena. Appending past n moves the queue to
+// the heap, leaving the arena intact.
+func (a *Arena) TimedSlab(n int) []flit.Timed { return slab.Grab(&a.timed, n)[:0] }

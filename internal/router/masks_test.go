@@ -11,10 +11,11 @@ import (
 	"nucanet/internal/topology"
 )
 
-// fabric wires one wormhole router per node of topo, as the network
-// package does, with an endpoint that logs every delivery.
+// fabric wires one wormhole router per node of topo from one arena, as
+// the network package does, with an endpoint that logs every delivery.
 type fabric struct {
 	k       *sim.Kernel
+	ar      Arena
 	rs      []*Router
 	ejected []ejection
 	nextID  uint64
@@ -35,7 +36,7 @@ func newFabric(topo *topology.Topology, cfg Config) *fabric {
 	tb := mustTable(topo, alg)
 	f := &fabric{k: sim.NewKernel(), rs: make([]*Router, topo.NumNodes())}
 	for id := range f.rs {
-		f.rs[id] = New(id, topo, tb, cfg, f.k, nil)
+		f.rs[id] = New(id, topo, tb, cfg, f.k, &f.ar)
 	}
 	for id, r := range f.rs {
 		for p := 0; p < topo.NumPorts(id); p++ {

@@ -45,12 +45,6 @@ type Engine interface {
 	SetKernelID(id int)
 	// SetTelemetry installs the probe collector (nil disables probes).
 	SetTelemetry(c *telemetry.Collector)
-	// SetPool installs the per-run packet freelist: the engine mints
-	// its multicast replicas from it and must Put every packet it
-	// ejects — replica or not — once the last flit has been delivered
-	// (protocol packets come from the same pool; Put ignores packets
-	// that do not). A nil pool falls back to plain allocation.
-	SetPool(p *flit.PacketPool)
 }
 
 // Sink receives every packet a node ejects, with the node it left at —
@@ -69,10 +63,12 @@ type Builder struct {
 	Description string
 
 	// New constructs one unwired node. The network package wires links,
-	// installs the pool/sink/kernel hooks, and registers it. ar, when
-	// non-nil, is the construction arena the node must carve its state
-	// from (batch construction, see Arena); a nil arena
-	// means per-router allocation and must produce identical behavior.
+	// installs the sink/kernel hooks, and registers it. ar is the
+	// construction arena the node carves its state from (see Arena),
+	// shared by every node of the network. The node mints its multicast
+	// replicas from ar's packet pool and must Put every packet it ejects
+	// — replica or not — once the last flit has been delivered (protocol
+	// packets come from the same pool; Put ignores packets that do not).
 	New func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) Engine
 
 	// Supports rejects (topology, config) pairs the engine cannot run,

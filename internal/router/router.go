@@ -127,11 +127,6 @@ func (s *Stats) Merge(o Stats) {
 	s.Deflections += o.Deflections
 }
 
-// Clone returns an independent copy. Stats is a plain value today; Clone
-// keeps the aggregation API uniform with stats.Latency if reference
-// fields are ever added.
-func (s Stats) Clone() Stats { return s }
-
 const unassigned = -1
 
 // entry is one buffered flit plus the cycle it became available here.
@@ -227,8 +222,8 @@ type base struct {
 	stats Stats
 }
 
-// newBase fills the shared part of an unwired engine; a nil arena
-// allocates the port slices directly.
+// newBase fills the shared part of an unwired engine from its arena,
+// replica pool included.
 func newBase(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) base {
 	np := topo.NumPorts(id)
 	return base{
@@ -236,6 +231,7 @@ func newBase(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg
 		numPorts:   np,
 		neighborIn: ar.intSlab(np),
 		linkDelay:  ar.intSlab(np),
+		pool:       ar.Packets(),
 	}
 }
 
@@ -256,11 +252,6 @@ func (b *base) SetKernelID(id int) { b.kid = id }
 // SetTelemetry installs the probe collector (nil disables all probes).
 func (b *base) SetTelemetry(c *telemetry.Collector) { b.tel = c }
 
-// SetPool installs the packet freelist for multicast replicas. The
-// network installs one shared pool per run; a nil pool (the default for
-// unwired routers) falls back to plain allocation.
-func (b *base) SetPool(p *flit.PacketPool) { b.pool = p }
-
 // Stats returns a copy of the router's counters.
 func (b *base) Stats() Stats { return b.stats }
 
@@ -271,8 +262,8 @@ func (b *base) Occupancy() int { return b.occ }
 // sets the sink, and registers it with the kernel. Routers
 // consume routing only through a precomputed table (routing.Precompute),
 // never a raw algorithm: route lookup is a flat array index regardless
-// of the topology family. A non-nil arena supplies the backing storage
-// for every construction-time slice (see Arena); nil allocates directly.
+// of the topology family. The arena supplies the backing storage for
+// every construction-time slice and the replica pool (see Arena).
 func New(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) *Router {
 	b := newBase(id, topo, tb, cfg, k, ar)
 	cfg, np := b.cfg, b.numPorts

@@ -11,9 +11,11 @@ import (
 	"nucanet/internal/topology"
 )
 
-// pair wires two routers of a 2x1 mesh directly (no network package).
+// pair wires two routers of a 2x1 mesh directly (no network package),
+// built from one arena as a network's routers are.
 type pair struct {
 	k      *sim.Kernel
+	ar     Arena
 	topo   *topology.Topology
 	a, b   *Router
 	gotA   []*flit.Packet
@@ -33,8 +35,8 @@ func newPair(cfg Config) *pair {
 	p := &pair{k: sim.NewKernel()}
 	p.topo = topology.MustBuild("mesh", topology.Params{W: 2, H: 1, CoreX: 0, MemX: 1})
 	tb := mustTable(p.topo, routing.XY{})
-	p.a = New(0, p.topo, tb, cfg, p.k, nil)
-	p.b = New(1, p.topo, tb, cfg, p.k, nil)
+	p.a = New(0, p.topo, tb, cfg, p.k, &p.ar)
+	p.b = New(1, p.topo, tb, cfg, p.k, &p.ar)
 	p.a.Wire(topology.PortEast, p.b, topology.PortWest, 1)
 	p.b.Wire(topology.PortWest, p.a, topology.PortEast, 1)
 	p.a.SetKernelID(p.k.Register(p.a))
@@ -123,7 +125,7 @@ func TestNoRoutePanics(t *testing.T) {
 	p := newPair(DefaultConfig())
 	topo3 := topology.MustBuild("mesh", topology.Params{W: 3, H: 1, CoreX: 0, MemX: 2})
 	// Router built over a 3-wide topology but wired only to one neighbor:
-	r := New(0, topo3, mustTable(topo3, routing.XY{}), DefaultConfig(), p.k, nil)
+	r := New(0, topo3, mustTable(topo3, routing.XY{}), DefaultConfig(), p.k, &p.ar)
 	r.SetKernelID(p.k.Register(r))
 	r.Inject(&flit.Packet{Kind: flit.ReadReq, Src: 0, Dst: 2, DstEp: flit.ToBank}, 0)
 	defer func() {
