@@ -29,7 +29,9 @@ import (
 	"fmt"
 
 	"nucanet/internal/cache"
+	"nucanet/internal/cpu"
 	"nucanet/internal/flit"
+	"nucanet/internal/sim"
 	"nucanet/internal/stats"
 	"nucanet/internal/topology"
 	"nucanet/internal/trace"
@@ -104,21 +106,57 @@ func (*coreReq) ProtocolMessage() {}
 func (*coreData) ProtocolMessage() {}
 
 // Arena is a worker's whole construction arena: the cache arena a
-// system is built from plus the free list of the port ops a fabric over
-// it recycles. A drained run returns every port op to the list, so the
-// next fabric built with the arena starts with them. Single-goroutine,
-// like cache.Arena.
+// system is built from, the free list of the port ops a fabric over it
+// recycles, and one lane per core. A drained run returns every port op
+// to the list, so the next fabric built with the arena starts with them,
+// and the next run renews the lanes in place. Single-goroutine, like
+// cache.Arena.
 type Arena struct {
 	cache cache.Arena
 	ops   portOps
+	lanes []*lane // grown to the most cores a run has used
+}
+
+// lane is one core's recycled run state: the core model and the
+// synthetic stream it draws, relocated into core id's tag range as it is
+// drawn (OffsetAddr; core 0's range is the classic single-core one).
+type lane struct {
+	core cpu.Core
+	gen  trace.Synthetic
+	am   trace.AddrMap
+	id   int
+}
+
+func (l *lane) Next() trace.Access {
+	a := l.gen.Next()
+	if l.id > 0 {
+		a.Addr = OffsetAddr(l.am, a.Addr, l.id)
+	}
+	return a
 }
 
 // CacheArena returns the embedded cache arena.
 func (a *Arena) CacheArena() *cache.Arena { return &a.cache }
 
 // Reset recycles the arena for a fresh round of construction; the port
-// ops stay on the free list.
+// ops stay on the free list and the lanes keep their memory.
 func (a *Arena) Reset() { a.cache.Reset() }
+
+// Core renews core i of the run being built on the arena and returns
+// it, registered on k to issue that many accesses to l2. cfg.Seed is
+// the run's seed; core i's RNG and its stream, which restarts as
+// trace.NewSynthetic(prof, am, cpu.CoreSeed(cfg.Seed, i)), share the
+// derived seed, which for core 0 is the run's own.
+func (a *Arena) Core(i int, k *sim.Kernel, l2 cpu.L2, prof trace.Profile, am trace.AddrMap, accesses int, cfg cpu.Config) *cpu.Core {
+	for len(a.lanes) <= i {
+		a.lanes = append(a.lanes, new(lane))
+	}
+	l := a.lanes[i]
+	cfg.Seed = cpu.CoreSeed(cfg.Seed, i)
+	l.gen.Reset(prof, am, cfg.Seed)
+	l.am, l.id = am, i
+	return l.core.Renew(k, l2, prof, l, accesses, cfg)
+}
 
 // Fabric is the CMP attachment over a shared cache system: N ports, N
 // co-located controllers, and the column home map.

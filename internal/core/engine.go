@@ -58,11 +58,11 @@ func (r SweepReport) Speedup() float64 {
 // RunAll executes every Options and returns the results in submission
 // order. The whole batch is prepared first, on this goroutine, so lanes
 // of one design share its topology, routing table and static
-// verification, and lanes of one (benchmark, seed, geometry) share the
-// access stream; each lane then builds its Instance from a recycled
-// arena and a clone of the shared warm image, as Run does. A
-// preparation error (lowest index first) fails the batch before any
-// lane runs; otherwise the lowest-index lane's error is returned,
+// verification; each lane then builds its Instance from a recycled
+// arena and a clone of the shared warm image, and its cores draw their
+// access streams from that arena's generators as the lane runs, as in
+// Run. A preparation error (lowest index first) fails the batch before
+// any lane runs; otherwise the lowest-index lane's error is returned,
 // exactly as a sequential loop would.
 func (e *Engine) RunAll(opts []Options) ([]Result, SweepReport, error) {
 	rep := SweepReport{Runs: len(opts), Workers: e.workers}

@@ -147,7 +147,7 @@ func TestEngineBitIdentity(t *testing.T) {
 }
 
 // TestEngineSharedArtifacts pins that sharing actually happens: lanes of
-// one design+benchmark reuse one topology and one access stream.
+// one design reuse one topology, routing table and warm image.
 func TestEngineSharedArtifacts(t *testing.T) {
 	pc := NewPrepCache()
 	opt := DefaultOptions()
@@ -167,14 +167,10 @@ func TestEngineSharedArtifacts(t *testing.T) {
 	if a1.Table != a2.Table {
 		t.Error("same design prepared twice did not share the routing table")
 	}
-	if &a1.Accs[0] != &a2.Accs[0] {
-		t.Error("same trace key prepared twice did not share the access stream")
-	}
 	if a1.WarmImg == nil || a1.WarmImg != a2.WarmImg {
 		t.Error("same design+trace prepared twice did not share one warm image")
 	}
-	// A different design with the same geometry shares the trace but not
-	// the topology.
+	// A different design does not share the topology.
 	opt2 := opt
 	opt2.DesignID = "D"
 	a3, err := Prepare(opt2, pc)
@@ -183,9 +179,6 @@ func TestEngineSharedArtifacts(t *testing.T) {
 	}
 	if a3.Topo == a1.Topo {
 		t.Error("distinct designs share a topology")
-	}
-	if &a3.Accs[0] != &a1.Accs[0] {
-		t.Error("same-geometry designs did not share the access stream")
 	}
 	// A catalogue design is gated once per process: runs without a
 	// PrepCache share its topology and table too.

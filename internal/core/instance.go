@@ -19,11 +19,12 @@ import (
 
 // This file splits Run into the two halves batch evaluation needs:
 // Prepare produces the run's immutable artifacts (resolved design,
-// topology, routing table, warm-state table, access stream) and
-// NewInstance assembles the mutable simulation state (kernel, cache
-// system, core) over them. Run is Prepare + NewInstance + run-to-idle,
-// preserving the pre-split construction sequence exactly — the 48
-// regression goldens and TestEngineBitIdentity are the proof.
+// topology, routing table, warm-state table and image) and NewInstance
+// assembles the mutable simulation state (kernel, cache system, cores
+// and the access streams they draw from) over them. Run is Prepare +
+// NewInstance + run-to-idle, preserving the pre-split construction
+// sequence exactly — the 48 regression goldens and TestEngineBitIdentity
+// are the proof.
 // Engine.RunAll shares one PrepCache across a batch and builds every
 // lane's Instance over the shared Artifacts.
 
@@ -32,23 +33,19 @@ import (
 // goroutine or several — may be built over the same Artifacts, and
 // Artifacts of different runs may alias the same Topo/Table through the
 // gated design (process-wide for a catalogue design, per PrepCache for
-// an ad-hoc one), the same Accs through a PrepCache and the same
-// Warm/WarmImg through the process-wide warm state.
+// an ad-hoc one) and the same Warm/WarmImg through the process-wide warm
+// state. The access streams are not artifacts: each core draws its own
+// while the run executes (see NewInstance).
 type Artifacts struct {
 	Opt    Options       // original options, recorded in Result.Options
 	Design config.Design // resolved, router-normalized, validated
 	Prof   trace.Profile
 	Topo   *topology.Topology
 	Table  *routing.Table
-	Warm   [][]uint64     // WarmBlocks table for the design's 16 ways
-	Accs   []trace.Access // the measured access stream (single-core runs)
-	CPU    cpu.Config     // normalized core model config
-
-	// CoreAccs holds the per-core access streams of a CMP run (Options.
-	// Cores >= 1): core i's stream, already offset into its private tag
-	// range. Accs is nil in that mode, and Warm is the cores' interleaved
-	// warm table (cmp.MergeWarm).
-	CoreAccs [][]trace.Access
+	// Warm is the WarmBlocks table for the design's ways; in a CMP run
+	// (Options.Cores >= 1) the cores' interleaved table (cmp.MergeWarm).
+	Warm [][]uint64
+	CPU  cpu.Config // normalized core model config
 
 	// WarmImg is the post-warm-up bank state built from Warm, shared per
 	// (bank stack, Warm); NewInstance clones it. Every Prepare sets it.
@@ -58,17 +55,15 @@ type Artifacts struct {
 // PrepCache shares Prepare's expensive immutable artifacts across the
 // runs of a batch: the gated ad-hoc designs (Options.Design; catalogue
 // designs are gated once per process, see designMemo) per canonical
-// encoding and the access streams per distinct (benchmark, seed,
-// geometry, accesses) key. It also pins every warm
-// state the batch uses, so a batch builds each at most once however
-// many the process-wide cache (sharedWarm) retains. A nil *PrepCache
-// shares only that process-wide warm state. The maps are unguarded:
-// Prepare with one PrepCache from one goroutine at a time (Engine.RunAll
-// prepares its whole batch before fanning out); what Prepare returns is
-// immutable and may be read from any number.
+// encoding. It also pins every warm state the batch uses, so a batch
+// builds each at most once however many the process-wide cache
+// (sharedWarm) retains. A nil *PrepCache shares only that process-wide
+// warm state. The maps are unguarded: Prepare with one PrepCache from
+// one goroutine at a time (Engine.RunAll prepares its whole batch before
+// fanning out); what Prepare returns is immutable and may be read from
+// any number.
 type PrepCache struct {
 	designs map[string]*resolvedDesign
-	traces  map[traceKey]*traceEntry
 	warms   map[warmKey]*warmState
 }
 
@@ -76,24 +71,8 @@ type PrepCache struct {
 func NewPrepCache() *PrepCache {
 	return &PrepCache{
 		designs: map[string]*resolvedDesign{},
-		traces:  map[traceKey]*traceEntry{},
 		warms:   map[warmKey]*warmState{},
 	}
-}
-
-type traceKey struct {
-	bench    string
-	seed     uint64
-	columns  int
-	sets     int
-	ways     int
-	accesses int
-	cores    int // 0 = classic single-core stream
-}
-
-type traceEntry struct {
-	accs     []trace.Access
-	coreAccs [][]trace.Access
 }
 
 // warmKey identifies a warm L2 state. The generator's warm table is a
@@ -175,37 +154,6 @@ func (pc *PrepCache) warmFor(rd *resolvedDesign, prof trace.Profile, cores int) 
 	return ws
 }
 
-// traceFor resolves the access stream, sharing across designs with the
-// same address geometry and total ways. cores >= 1 produces the CMP
-// form: per-core streams offset into private tag ranges (seeded by
-// cpu.CoreSeed so core 0 replays the classic stream).
-func (pc *PrepCache) traceFor(d config.Design, prof trace.Profile, seed uint64, accesses, cores int) *traceEntry {
-	am := d.AddrMap()
-	key := traceKey{prof.Name, seed, am.Columns, am.Sets, d.Ways(), accesses, cores}
-	if pc != nil {
-		if e, ok := pc.traces[key]; ok {
-			return e
-		}
-	}
-	e := &traceEntry{}
-	if cores < 1 {
-		e.accs = trace.Take(trace.NewSynthetic(prof, am, seed), accesses)
-	} else {
-		e.coreAccs = make([][]trace.Access, cores)
-		for i := range e.coreAccs {
-			accs := trace.Take(trace.NewSynthetic(prof, am, cpu.CoreSeed(seed, i)), accesses)
-			for j := range accs {
-				accs[j].Addr = cmp.OffsetAddr(am, accs[j].Addr, i)
-			}
-			e.coreAccs[i] = accs
-		}
-	}
-	if pc != nil {
-		pc.traces[key] = e
-	}
-	return e
-}
-
 // Prepare resolves and validates opt into the run's immutable artifacts:
 // checkOptions, the same gate Validate and CanonicalKey apply, hands over
 // the design's checked topology and routing table.
@@ -214,14 +162,11 @@ func Prepare(opt Options, pc *PrepCache) (*Artifacts, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := rd.design()
-	te := pc.traceFor(d, prof, opt.Seed, opt.Accesses, opt.Cores)
 	ws := pc.warmFor(rd, prof, opt.Cores)
 	return &Artifacts{
-		Opt: opt, Design: d, Prof: prof,
+		Opt: opt, Design: rd.design(), Prof: prof,
 		Topo: rd.topo, Table: rd.tb,
 		Warm: ws.table, WarmImg: ws.img,
-		Accs: te.accs, CoreAccs: te.coreAccs,
 		CPU: normalizedCPU(opt),
 	}, nil
 }
@@ -233,18 +178,18 @@ type Instance struct {
 	Art *Artifacts
 	K   *sim.Kernel
 	Sys *cache.System
-	C   *cpu.Core // the classic single core; nil in CMP mode
-	// Fab and cores are the CMP form (Options.Cores >= 1): the fabric
-	// attachment over Sys and one trace-driven core per port.
+	// Fab is the CMP attachment over Sys (Options.Cores >= 1); nil for
+	// the classic single core.
 	Fab   *cmp.Fabric
-	cores []*cpu.Core
+	cores []*cpu.Core // one per port, or the classic core alone
 	tel   *telemetry.Collector
 }
 
 // NewInstance assembles the mutable simulation state over art. ar is the
-// arena the runs of one worker recycle: construction memory, kernel and
-// free lists (see cmp.Arena); it must not be shared across goroutines.
-// Nil builds the instance from a fresh arena.
+// arena the runs of one worker recycle: construction memory, kernel,
+// free lists, and each core with the access stream it draws from (see
+// cmp.Arena); it must not be shared across goroutines. Nil builds the
+// instance from a fresh arena.
 func NewInstance(art *Artifacts, ar *cmp.Arena) (*Instance, error) {
 	if ar == nil {
 		ar = new(cmp.Arena)
@@ -267,17 +212,13 @@ func NewInstance(art *Artifacts, ar *cmp.Arena) (*Instance, error) {
 		}
 	}
 	sys.WarmClone(art.WarmImg)
-	var c *cpu.Core
-	var cores []*cpu.Core
-	if fab != nil {
-		cores = make([]*cpu.Core, art.Opt.Cores)
-		for i := range cores {
-			cfg := art.CPU
-			cfg.Seed = cpu.CoreSeed(art.Opt.Seed, i)
-			cores[i] = cpu.New(k, fab.Port(i), art.Prof, art.CoreAccs[i], cfg)
+	cores := make([]*cpu.Core, max(art.Opt.Cores, 1))
+	for i := range cores {
+		var l2 cpu.L2 = sys
+		if fab != nil {
+			l2 = fab.Port(i)
 		}
-	} else {
-		c = cpu.New(k, sys, art.Prof, art.Accs, art.CPU)
+		cores[i] = ar.Core(i, k, l2, art.Prof, sys.AM, art.Opt.Accesses, art.CPU)
 	}
 	// Telemetry is wired after every working component so its sampling
 	// observer registers with the highest component id and ticks last
@@ -286,24 +227,15 @@ func NewInstance(art *Artifacts, ar *cmp.Arena) (*Instance, error) {
 	if tel != nil {
 		sys.EnableTelemetry(tel)
 	}
-	return &Instance{Art: art, K: k, Sys: sys, C: c, Fab: fab, cores: cores, tel: tel}, nil
-}
-
-// start arms every core's first access.
-func (in *Instance) start() {
-	if in.Fab != nil {
-		for _, c := range in.cores {
-			c.Start()
-		}
-		return
-	}
-	in.C.Start()
+	return &Instance{Art: art, K: k, Sys: sys, Fab: fab, cores: cores, tel: tel}, nil
 }
 
 // RunToCompletion drives the instance to quiescence and assembles the
 // Result. Call it once.
 func (in *Instance) RunToCompletion() (Result, error) {
-	in.start()
+	for _, c := range in.cores {
+		c.Start()
+	}
 	if _, idle := in.K.Run(1 << 40); !idle {
 		return Result{}, in.wrapErr(fmt.Errorf("run did not complete within the cycle budget"))
 	}
@@ -313,18 +245,14 @@ func (in *Instance) RunToCompletion() (Result, error) {
 // finishIdle collects the Result once the kernel has gone idle. It
 // errors when an access stream did not complete.
 func (in *Instance) finishIdle() (Result, error) {
-	if in.Fab == nil {
-		cr, err := in.C.Result()
-		if err != nil {
-			return Result{}, in.wrapErr(err)
-		}
-		return in.finish([]cpu.Result{cr})
-	}
 	rs := make([]cpu.Result, len(in.cores))
 	for i, c := range in.cores {
 		r, err := c.Result()
 		if err != nil {
-			return Result{}, in.wrapErr(fmt.Errorf("core %d: %w", i, err))
+			if in.Fab != nil {
+				err = fmt.Errorf("core %d: %w", i, err)
+			}
+			return Result{}, in.wrapErr(err)
 		}
 		rs[i] = r
 	}

@@ -167,13 +167,15 @@ func TestRunConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestArenaCarriesAcrossDesigns: one worker arena, carrying its kernel
-// and its packet, op and port-op free lists from run to run, builds
-// Design A (multicast Fast-LRU), F, a 4-core H2 under the directory
-// policy, G (whose concentrated routers demux through bankMux) and A
-// again. Every Result equals the fresh-arena instance's, every carried
-// pool is back to Live == 0 after every run (ops: Drain fails the run
-// otherwise), and the second A run mints no packet.
+// TestArenaCarriesAcrossDesigns: one worker arena, carrying its kernel,
+// its packet, op and port-op free lists and its cores with their access
+// streams from run to run, builds Design A (multicast Fast-LRU), F, a
+// 4-core H2 under the directory policy, G (whose concentrated routers
+// demux through bankMux), A again, then an 8-core H2, A and the 4-core
+// H2 again, so the recycled cores and streams shrink and grow. Every
+// Result equals the fresh-arena instance's, every carried pool is back
+// to Live == 0 after every run (ops: Drain fails the run otherwise), and
+// the second A run mints no packet.
 func TestArenaCarriesAcrossDesigns(t *testing.T) {
 	a := DefaultOptions()
 	a.Accesses = 300
@@ -181,8 +183,10 @@ func TestArenaCarriesAcrossDesigns(t *testing.T) {
 	f.DesignID, g.DesignID = "F", "G"
 	h2 := cmpOpts("H2", 4, 300)
 	h2.Policy = cache.Directory
+	h8 := h2
+	h8.Cores = 8
 	ar := new(cmp.Arena)
-	for i, opt := range []Options{a, f, h2, g, a} {
+	for i, opt := range []Options{a, f, h2, g, a, h8, a, h2} {
 		in, err := NewInstance(mustPrepare(t, opt, nil), ar)
 		if err != nil {
 			t.Fatal(err)

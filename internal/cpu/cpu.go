@@ -58,23 +58,25 @@ type L2 interface {
 	Submit(r *cache.Request)
 }
 
-// Core drives an L2 with a fixed access list.
+// Core drives an L2 with the accesses it draws from a generator.
 type Core struct {
 	k   *sim.Kernel
 	kid int
 	cfg Config
 	sys L2
-	rng *sim.RNG
-	// done is c.onData bound once: passing the method value per access
-	// would allocate a fresh closure each time.
+	rng sim.RNG
+	// done is c.onData bound once for the core's lifetime: passing the
+	// method value per access would allocate a fresh closure each time.
 	done func(*cache.Request, int64)
 	// free holds the requests not in flight: Window of them, the MSHRs,
-	// allocated once and reused as each access's Done runs.
+	// reused as each access's Done runs and kept by Renew.
 	free []*cache.Request
 
 	prof trace.Profile
 	cpi  float64
-	accs []trace.Access
+	gen  trace.Generator
+	n    int          // accesses to issue
+	next trace.Access // access idx, drawn from gen once (see draw)
 
 	idx         int // next access to issue
 	outstanding int
@@ -86,33 +88,57 @@ type Core struct {
 	endCycle    int64
 }
 
-// New prepares a core over sys that will replay accs (drawn from a
-// generator for prof).
-func New(k *sim.Kernel, sys L2, prof trace.Profile, accs []trace.Access, cfg Config) *Core {
+// New prepares a core over sys that will issue n accesses drawn from
+// gen, a generator for prof, as the run reaches them.
+func New(k *sim.Kernel, sys L2, prof trace.Profile, gen trace.Generator, n int, cfg Config) *Core {
+	return new(Core).Renew(k, sys, prof, gen, n, cfg)
+}
+
+// Renew re-arms c in place as New would build it and returns c. It keeps
+// the bound completion callback and, once a run has returned them all,
+// the requests, so a core recycled from run to run allocates nothing
+// while its Window does not grow.
+func (c *Core) Renew(k *sim.Kernel, sys L2, prof trace.Profile, gen trace.Generator, n int, cfg Config) *Core {
 	if cfg.Window <= 0 {
 		cfg.Window = 8
 	}
-	c := &Core{
-		k: k, cfg: cfg, sys: sys, prof: prof, accs: accs,
-		cpi: 1 / prof.PerfectIPC,
-		rng: sim.NewRNG(cfg.Seed ^ 0xc0de),
+	done, free := c.done, c.free
+	if len(free) < cfg.Window {
+		reqs := make([]cache.Request, cfg.Window)
+		free = make([]*cache.Request, cfg.Window)
+		for i := range reqs {
+			free[i] = &reqs[i]
+		}
 	}
-	c.done = c.onData
-	reqs := make([]cache.Request, cfg.Window)
-	c.free = make([]*cache.Request, cfg.Window)
-	for i := range reqs {
-		c.free[i] = &reqs[i]
+	*c = Core{
+		k: k, cfg: cfg, sys: sys, prof: prof, gen: gen, n: n,
+		cpi: 1 / prof.PerfectIPC, done: done, free: free[:cfg.Window],
 	}
+	if c.done == nil {
+		c.done = c.onData
+	}
+	c.rng.Seed(cfg.Seed ^ 0xc0de)
 	c.kid = k.Register(c)
 	return c
 }
 
-// Start arms the first access; call once before running the kernel.
+// Start draws and arms the first access; call once before running the
+// kernel.
 func (c *Core) Start() {
-	if len(c.accs) == 0 {
-		panic("cpu: empty access list")
+	if c.n == 0 {
+		panic("cpu: empty access stream")
 	}
-	c.k.WakeAt(c.k.Now()+c.gapCycles(c.accs[0].Gap), c.kid)
+	c.draw()
+	c.k.WakeAt(c.k.Now()+c.gapCycles(c.next.Gap), c.kid)
+}
+
+// draw takes access idx from the generator into next, once per access:
+// Start draws the first and each issue the one after it, before
+// gapCycles — which carries state — converts its gap.
+func (c *Core) draw() {
+	if c.idx < c.n {
+		c.next = c.gen.Next()
+	}
 }
 
 // gapCycles converts an instruction gap to perfect-IPC execute cycles,
@@ -134,15 +160,16 @@ func (c *Core) Tick(now int64) bool {
 }
 
 func (c *Core) tryIssue(now int64) {
-	if c.idx >= len(c.accs) || c.blockedOn != nil {
+	if c.idx >= c.n || c.blockedOn != nil {
 		return
 	}
 	if c.outstanding >= c.cfg.Window {
 		c.stalledFull = true
 		return
 	}
-	a := c.accs[c.idx]
+	a := c.next
 	c.idx++
+	c.draw()
 	c.instrIssued += a.Gap
 	c.outstanding++
 	req := c.free[len(c.free)-1]
@@ -158,10 +185,10 @@ func (c *Core) tryIssue(now int64) {
 }
 
 func (c *Core) scheduleNext(now int64) {
-	if c.idx >= len(c.accs) {
+	if c.idx >= c.n {
 		return
 	}
-	c.k.WakeAt(now+c.gapCycles(c.accs[c.idx].Gap), c.kid)
+	c.k.WakeAt(now+c.gapCycles(c.next.Gap), c.kid)
 }
 
 // onData is the completion callback from the cache controller. The L2
@@ -171,7 +198,7 @@ func (c *Core) onData(req *cache.Request, now int64) {
 	c.free = append(c.free, req)
 	c.outstanding--
 	c.completed++
-	if c.completed == len(c.accs) {
+	if c.completed == c.n {
 		c.endCycle = now
 	}
 	if req == c.blockedOn {
@@ -190,28 +217,18 @@ func (c *Core) onData(req *cache.Request, now int64) {
 	}
 }
 
-// Run executes the whole access list to completion and returns the result.
-func (c *Core) Run(maxCycles int64) (Result, error) {
-	c.Start()
-	if _, idle := c.k.Run(maxCycles); !idle {
-		return Result{}, fmt.Errorf("cpu: run did not complete within %d cycles (%d/%d accesses)",
-			maxCycles, c.completed, len(c.accs))
-	}
-	return c.Result()
-}
-
-// Result returns the outcome once the kernel has drained. Multi-core
-// drivers Start several cores, run the shared kernel to idle, then
-// collect each core's Result. It errors if the core has pending accesses.
+// Result returns the outcome once the kernel has drained: drivers Start
+// every core, run the shared kernel to idle, then collect each core's
+// Result. It errors if the core has pending accesses.
 func (c *Core) Result() (Result, error) {
-	if c.completed != len(c.accs) {
-		return Result{}, fmt.Errorf("cpu: only %d/%d accesses completed", c.completed, len(c.accs))
+	if c.completed != c.n {
+		return Result{}, fmt.Errorf("cpu: only %d/%d accesses completed", c.completed, c.n)
 	}
 	return Result{
 		Benchmark:    c.prof.Name,
 		Instructions: c.instrIssued,
 		Cycles:       c.endCycle,
-		Accesses:     int64(len(c.accs)),
+		Accesses:     int64(c.n),
 		PerfectIPC:   c.prof.PerfectIPC,
 	}, nil
 }

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"nucanet/internal/bank"
@@ -35,12 +37,21 @@ func runBench(t *testing.T, name string, n int, seed uint64) (Result, *cache.Sys
 	sys := cache.MustNew(k, testDesign(), cache.FastLRU, cache.Multicast)
 	gen := trace.NewSynthetic(prof, sys.AM, seed)
 	sys.Warm(gen.WarmBlocks(sys.Design.Ways()))
-	core := New(k, sys, prof, trace.Take(gen, n), DefaultConfig())
-	res, err := core.Run(1_000_000_000)
+	core := New(k, sys, prof, gen, n, DefaultConfig())
+	res, err := run(core)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, sys
+}
+
+// run starts c and runs its kernel to idle.
+func run(c *Core) (Result, error) {
+	c.Start()
+	if _, idle := c.k.Run(1 << 30); !idle {
+		return Result{}, fmt.Errorf("cpu: run did not complete (%d/%d accesses)", c.completed, c.n)
+	}
+	return c.Result()
 }
 
 func TestIPCBelowPerfect(t *testing.T) {
@@ -77,13 +88,12 @@ func TestInstructionAccounting(t *testing.T) {
 	sys := cache.MustNew(k, testDesign(), cache.FastLRU, cache.Multicast)
 	gen := trace.NewSynthetic(prof, sys.AM, 3)
 	sys.Warm(gen.WarmBlocks(sys.Design.Ways()))
-	accs := trace.Take(gen, 500)
 	var wantInstr int64
-	for _, a := range accs {
+	for _, a := range trace.Take(trace.NewSynthetic(prof, sys.AM, 3), 500) {
 		wantInstr += a.Gap
 	}
-	core := New(k, sys, prof, accs, DefaultConfig())
-	res, err := core.Run(1_000_000_000)
+	core := New(k, sys, prof, gen, 500, DefaultConfig())
+	res, err := run(core)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +126,8 @@ func TestWindowLimitsOverlap(t *testing.T) {
 		sys.Warm(gen.WarmBlocks(sys.Design.Ways()))
 		cfg := DefaultConfig()
 		cfg.Window = window
-		core := New(k, sys, prof, trace.Take(gen, 1200), cfg)
-		res, err := core.Run(1_000_000_000)
+		core := New(k, sys, prof, gen, 1200, cfg)
+		res, err := run(core)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +147,8 @@ func TestBlockingProbSlowsCore(t *testing.T) {
 		sys.Warm(gen.WarmBlocks(sys.Design.Ways()))
 		cfg := DefaultConfig()
 		cfg.BlockingProb = p
-		core := New(k, sys, prof, trace.Take(gen, 1500), cfg)
-		res, err := core.Run(1_000_000_000)
+		core := New(k, sys, prof, gen, 1500, cfg)
+		res, err := run(core)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +163,103 @@ func TestEmptyAccessListPanics(t *testing.T) {
 	prof, _ := trace.ProfileByName("gcc")
 	k := sim.NewKernel()
 	sys := cache.MustNew(k, testDesign(), cache.FastLRU, cache.Multicast)
-	core := New(k, sys, prof, nil, DefaultConfig())
+	core := New(k, sys, prof, trace.NewSynthetic(prof, sys.AM, 1), 0, DefaultConfig())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
 	core.Start()
+}
+
+// echoL2 answers every request a fixed latency after its submission, in
+// submission order, and records what it was asked. Before answering it
+// notes whether the core was blocked on that request (a dependent load)
+// or stalled on a full window, so a test can show both paths ran.
+type echoL2 struct {
+	k    *sim.Kernel
+	kid  int
+	lat  int64
+	core *Core
+	got  []trace.Access
+	due  []*cache.Request
+	at   []int64
+
+	blocking, full int
+}
+
+func newEchoL2(k *sim.Kernel, lat int64) *echoL2 {
+	e := &echoL2{k: k, lat: lat}
+	e.kid = k.Register(e)
+	return e
+}
+
+func (e *echoL2) Submit(r *cache.Request) {
+	e.got = append(e.got, trace.Access{Addr: r.Addr, Write: r.Write})
+	e.due = append(e.due, r)
+	e.at = append(e.at, e.k.Now()+e.lat)
+	e.k.WakeAt(e.k.Now()+e.lat, e.kid)
+}
+
+func (e *echoL2) Tick(now int64) bool {
+	for len(e.due) > 0 && e.at[0] <= now {
+		r := e.due[0]
+		e.due, e.at = e.due[1:], e.at[1:]
+		if e.core.blockedOn == r {
+			e.blocking++
+		}
+		if e.core.stalledFull {
+			e.full++
+		}
+		r.Done(r, now)
+	}
+	return false
+}
+
+// TestStreamedCoreIssuesTake: a core drawing from a generator issues
+// exactly the accesses trace.Take drains from the same generator, in
+// order — addresses, write bits and, through the instruction count, the
+// gaps — with dependent loads and a full window both exercised. Each
+// access is drawn once: a core that drew again while scheduling would
+// skip accesses. A core renewed in place issues the same stream again.
+func TestStreamedCoreIssuesTake(t *testing.T) {
+	prof, _ := trace.ProfileByName("mcf")
+	am := trace.AddrMap{Columns: 4, Sets: 64}
+	const n = 600
+	want := trace.Take(trace.NewSynthetic(prof, am, 5), n)
+	var wantInstr int64
+	for i := range want {
+		wantInstr += want[i].Gap
+		want[i].Gap = 0 // the L2 sees no gap
+	}
+	cfg := Config{Window: 2, BlockingProb: 0.3, Seed: 5}
+	var c Core
+	var first Result
+	for round := 0; round < 2; round++ {
+		k := sim.NewKernel()
+		l2 := newEchoL2(k, 40)
+		l2.core = c.Renew(k, l2, prof, trace.NewSynthetic(prof, am, 5), n, cfg)
+		res, err := run(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(l2.got, want) {
+			i := 0
+			for i < min(len(l2.got), len(want)) && l2.got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("round %d: core issued %d accesses diverging from trace.Take at %d", round, len(l2.got), i)
+		}
+		if res.Instructions != wantInstr || res.Accesses != n {
+			t.Fatalf("round %d: %d instructions over %d accesses, want %d over %d", round, res.Instructions, res.Accesses, wantInstr, n)
+		}
+		if l2.blocking == 0 || l2.full == 0 {
+			t.Fatalf("round %d: %d blocking loads and %d full-window stalls, want both exercised", round, l2.blocking, l2.full)
+		}
+		if round == 0 {
+			first = res
+		} else if res != first {
+			t.Fatalf("renewed core gave %+v, fresh core %+v", res, first)
+		}
+	}
 }

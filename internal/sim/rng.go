@@ -12,6 +12,10 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
+// Seed restarts r as NewRNG(seed) would start it, for generators held
+// by value and recycled from run to run.
+func (r *RNG) Seed(seed uint64) { r.state = seed }
+
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

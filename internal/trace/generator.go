@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 
 	"nucanet/internal/sim"
 )
@@ -45,13 +46,14 @@ type Synthetic struct {
 
 	prof Profile
 	am   AddrMap
-	rng  *sim.RNG
+	rng  sim.RNG
 
 	cdf []float64 // Zipf CDF over depths 1..hitDepth
 	// hot holds the reuse stacks of the sets the stream touches — rows
 	// [0, hotSets*Columns) of the set*Columns+col table, maxStack tags
-	// each — materialised by the first Next. Every other stack keeps its
-	// warm prefill forever, which warmTag gives in closed form.
+	// each — primed by the first Next (empty until then; Reset empties
+	// it and keeps its capacity). Every other stack keeps its warm
+	// prefill forever, which warmTag gives in closed form.
 	hot     []uint64
 	hotSets int // SetsPerColumn as the first Next clamped it
 	nextTag uint64
@@ -71,14 +73,24 @@ func warmTag(row, j int) uint64 { return uint64(row*maxStack + j + 1) }
 // with 100 M instructions before measuring). Use WarmBlocks to preload a
 // cache with the same state.
 func NewSynthetic(p Profile, am AddrMap, seed uint64) *Synthetic {
-	g := &Synthetic{
-		prof: p, am: am, rng: sim.NewRNG(seed), SetsPerColumn: 16,
-		nextTag: warmTag(am.Columns*am.Sets, 0), // first tag past every prefill
+	g := new(Synthetic)
+	g.Reset(p, am, seed)
+	return g
+}
+
+// Reset re-seeds g in place into the generator NewSynthetic(p, am, seed)
+// returns, SetsPerColumn back at its default, keeping the capacity of
+// its reuse stacks and Zipf table: a recycled generator allocates
+// nothing once its stacks have grown to the largest geometry it serves.
+func (g *Synthetic) Reset(p Profile, am AddrMap, seed uint64) {
+	g.prof, g.am = p, am
+	g.rng.Seed(seed)
+	g.SetsPerColumn = min(16, am.Sets)
+	g.hot, g.hotSets = g.hot[:0], 0
+	g.nextTag = warmTag(am.Columns*am.Sets, 0) // first tag past every prefill
+	if g.cdf == nil {
+		g.cdf = make([]float64, hitDepth)
 	}
-	if g.SetsPerColumn > am.Sets {
-		g.SetsPerColumn = am.Sets
-	}
-	g.cdf = make([]float64, hitDepth)
 	sum := 0.0
 	for d := 1; d <= hitDepth; d++ {
 		sum += 1.0 / math.Pow(float64(d), p.Alpha)
@@ -92,11 +104,7 @@ func NewSynthetic(p Profile, am AddrMap, seed uint64) *Synthetic {
 	} else {
 		g.meanGap = 1
 	}
-	return g
 }
-
-// Profile returns the generator's profile.
-func (g *Synthetic) Profile() Profile { return g.prof }
 
 // WarmBlocks returns, for each (column, set), the `ways` most recently
 // used tags in MRU-to-LRU order — the warm cache contents matching the
@@ -128,12 +136,13 @@ func (g *Synthetic) WarmBlocks(ways int) [][]uint64 {
 
 // Next produces the next access.
 func (g *Synthetic) Next() Access {
-	if g.hot == nil {
+	if len(g.hot) == 0 {
 		g.hotSets = g.SetsPerColumn
 		if g.hotSets < 1 || g.hotSets > g.am.Sets {
 			g.hotSets = g.am.Sets
 		}
-		g.hot = make([]uint64, g.hotSets*g.am.Columns*maxStack)
+		n := g.hotSets * g.am.Columns * maxStack
+		g.hot = slices.Grow(g.hot, n)[:n]
 		for i := range g.hot {
 			g.hot[i] = warmTag(0, i)
 		}

@@ -388,3 +388,62 @@ func TestSyntheticAllocatesHotStacksOnly(t *testing.T) {
 		t.Fatalf("NewSynthetic + first Next allocate %d bytes, want < 200 KB", per)
 	}
 }
+
+// TestResetMatchesFresh: a used generator Reset in place — across
+// profiles (gcc on Design A, lucas on Design F: both map 16 columns of
+// 1024 sets), an address map that shrinks and regrows its reuse stacks,
+// and a changed SetsPerColumn — gives the stream and warm table of a
+// fresh NewSynthetic with the same arguments.
+func TestResetMatchesFresh(t *testing.T) {
+	g := new(Synthetic)
+	for i, tc := range []struct {
+		bench string
+		am    AddrMap
+		spc   int // 0: leave the default
+	}{
+		{"gcc", am16(), 0},
+		{"lucas", am16(), 0},
+		{"lucas", AddrMap{Columns: 4, Sets: 8}, 0},
+		{"gcc", am16(), 4},
+		{"gcc", am16(), 0},
+	} {
+		p, _ := ProfileByName(tc.bench)
+		seed := uint64(10 + i)
+		g.Reset(p, tc.am, seed)
+		fresh := NewSynthetic(p, tc.am, seed)
+		if !reflect.DeepEqual(g.WarmBlocks(16), fresh.WarmBlocks(16)) {
+			t.Fatalf("round %d: WarmBlocks after Reset differs from a fresh generator's", i)
+		}
+		if tc.spc != 0 {
+			g.SetsPerColumn, fresh.SetsPerColumn = tc.spc, tc.spc
+		}
+		for j := 0; j < 3000; j++ {
+			if a, b := g.Next(), fresh.Next(); a != b {
+				t.Fatalf("round %d (%s %+v spc=%d): access %d is %+v after Reset, %+v fresh", i, tc.bench, tc.am, tc.spc, j, a, b)
+			}
+		}
+		if !reflect.DeepEqual(g.WarmBlocks(16), fresh.WarmBlocks(16)) {
+			t.Fatalf("round %d: WarmBlocks after 3000 accesses differs from a fresh generator's", i)
+		}
+	}
+}
+
+// TestPrimedNextAllocatesNothing: once the first Next has primed the
+// reuse stacks, drawing an access allocates nothing, and neither do
+// Reset and re-priming on the same geometry.
+func TestPrimedNextAllocatesNothing(t *testing.T) {
+	p, _ := ProfileByName("gcc")
+	g := NewSynthetic(p, am16(), 1)
+	g.Next()
+	if n := testing.AllocsPerRun(1000, func() { g.Next() }); n != 0 {
+		t.Fatalf("a primed Next allocates %.1f objects", n)
+	}
+	seed := uint64(1)
+	if n := testing.AllocsPerRun(20, func() {
+		seed++
+		g.Reset(p, am16(), seed)
+		g.Next()
+	}); n != 0 {
+		t.Fatalf("Reset and the re-priming Next allocate %.1f objects", n)
+	}
+}
