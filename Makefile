@@ -1,5 +1,5 @@
 # Tier-1 verification is `make test`; `make check` is the CI gate: gofmt,
-# vet, the full test suite (which includes cmd/cli_test.go's end-to-end
+# vet (root and benchmark modules), the full test suite (which includes cmd/cli_test.go's end-to-end
 # drive of the five binaries and the two examples: telemetry trace, the
 # CMP CLI golden, the cmp and pareto sweeps, static routing verification,
 # the examples' stdout goldens, a deterministic placement search and a
@@ -30,8 +30,11 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The benchmark module is vetted too: the root ./... does not reach it,
+# so an internal API change could otherwise break the harness unseen.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # Short-mode subset under the race detector: exercises the parallel
 # experiment engine, the CMP sweep, and every unit test, while skipping

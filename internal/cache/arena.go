@@ -1,36 +1,46 @@
 package cache
 
 import (
+	"nucanet/internal/network"
 	"nucanet/internal/router"
 	"nucanet/internal/slab"
 )
 
 // Arena is one worker's construction arena for the systems it builds in
-// turn: the router arena (routers, banks, send queues, the kernel and
-// the packet free list) plus the cache layer's own state — the bank
-// agents and concentrated routers' bank muxes, the controllers' column
-// queues and the op free list. The ops a drained run retired serve the
-// next run's accesses, so a warm worker builds and runs a system without
-// growing any of them. One Reset recycles it all; see router.Arena.Reset
-// for the aliasing contract. An Arena is single-goroutine state.
+// turn: the network arena (the network and its tables, routers, banks,
+// send queues, the kernel and the packet free list) plus the cache
+// layer's own state — the systems with the latency record, directory
+// and memory each holds, the controllers, the bank agents and
+// concentrated routers' bank muxes, the controllers' column queues and
+// the op free list. The ops a drained run retired serve the next run's
+// accesses, so a warm worker builds and runs a system without growing
+// any of them. One Reset recycles it all; see router.Arena.Reset for the
+// aliasing contract. An Arena is single-goroutine state.
 type Arena struct {
-	net router.Arena
+	net network.Arena
 
-	agents slab.Chunk[agent]
-	muxes  slab.Chunk[bankMux]
-	cols   slab.Chunk[colState]
-	reqs   slab.Chunk[*Request]
-	active slab.Chunk[*op]
-	ops    opPool
+	// systems is rewound, not zeroed: NewPrebuilt renews a slot in place,
+	// so the slot's latency record, directory and memory keep the storage
+	// an earlier run grew.
+	systems slab.Chunk[System]
+	ctrls   slab.Chunk[Controller]
+	agents  slab.Chunk[agent]
+	muxes   slab.Chunk[bankMux]
+	cols    slab.Chunk[colState]
+	reqs    slab.Chunk[*Request]
+	active  slab.Chunk[*op]
+	ops     opPool
 }
 
 // RouterArena returns the embedded router arena.
-func (a *Arena) RouterArena() *router.Arena { return &a.net }
+func (a *Arena) RouterArena() *router.Arena { return &a.net.Arena }
 
 // Reset recycles the arena for a fresh round of construction. The op
 // free list keeps its ops and restarts its accounting.
 func (a *Arena) Reset() {
 	a.net.Reset()
+	a.systems.Rewind()
+	a.ctrls.Reset()
 	a.agents.Reset()
 	a.muxes.Reset()
 	a.cols.Reset()
@@ -38,6 +48,12 @@ func (a *Arena) Reset() {
 	a.active.Reset()
 	a.ops.resetStats()
 }
+
+// system returns the slot's system from an earlier round, if any, for
+// NewPrebuilt to renew in place. A fresh controller chunk holds an
+// 8-core fabric's controllers.
+func (a *Arena) system() *System         { return &slab.GrabIn(&a.systems, 1, 1)[0] }
+func (a *Arena) controller() *Controller { return &slab.GrabIn(&a.ctrls, 1, 8)[0] }
 
 // agentChunk is how many agents a fresh chunk holds: Design A's bank
 // count, so one chunk serves the largest catalogue design.

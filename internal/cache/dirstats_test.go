@@ -64,10 +64,18 @@ func (m *mapDir) report() DirReport {
 // reference through one random stream of seeds, fills, hits and drops —
 // owners beyond the seeded ones included, so the counters grow mid-run —
 // and requires identical reports, down to an owner whose occupancy fell
-// back to zero staying listed under Live.
+// back to zero staying listed under Live. The directory is renewed in
+// place after a wider run of its own, so a count reset leaves behind
+// shows too.
 func TestDirStatsReportMatchesMaps(t *testing.T) {
 	const cols = 3
-	d, m := newDirStats(cols), newMapDir(cols)
+	var d DirStats
+	d.reset(cols + 2)
+	d.setBaseline([][]int64{{1, 0, 0, 2}, {0, 5, 0, 0}, {0, 0, 0, 0}, {3, 0, 0, 0}, {0, 0, 1, 0}})
+	d.fill(4, 11*OwnerStride)
+	d.dropped(1, OwnerStride, 3*OwnerStride)
+	d.reset(cols)
+	m := newMapDir(cols)
 	seed := [][]int64{{4, 1}, {0, 3}, {2, 0}}
 	d.setBaseline(seed)
 	for c, row := range seed {

@@ -2,8 +2,10 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"nucanet/internal/bank"
+	"nucanet/internal/slab"
 )
 
 // OwnerStride separates per-owner tag spaces: owner i's blocks carry
@@ -116,42 +118,53 @@ func (p *OwnerPair) UnmarshalText(b []byte) error {
 	return err
 }
 
-func newDirStats(columns int) *DirStats {
-	d := &DirStats{cols: make([]dirCol, columns)}
-	d.resize(1)
-	return d
+// reset empties the directory for a system of the given columns, one
+// owner wide, keeping its storage.
+func (d *DirStats) reset(columns int) {
+	d.cols = slab.Reuse(d.cols, columns)
+	d.clearFor(1)
 }
 
 // stride is the length of one column's counters for n owners.
 func stride(n int) int { return 4*n + n*n }
 
-// resize re-lays every column's counters out for n owners (n >= d.n),
-// keeping their values.
-func (d *DirStats) resize(n int) {
-	old, per := d.n, stride(n)
-	d.backing = make([]int64, len(d.cols)*per)
+// layout lays every column's counters out for n owners over backing,
+// which holds len(d.cols)*stride(n) counters.
+func (d *DirStats) layout(n int, backing []int64) {
+	per := stride(n)
 	for c := range d.cols {
-		col := &d.cols[c]
-		b := d.backing[c*per : (c+1)*per : (c+1)*per]
-		next := dirCol{
+		b := backing[c*per : (c+1)*per : (c+1)*per]
+		d.cols[c] = dirCol{
 			live: b[0:n:n], fills: b[n : 2*n : 2*n], hits: b[2*n : 3*n : 3*n],
 			drops: b[3*n : 4*n : 4*n], cross: b[4*n:],
 		}
-		if old > 0 {
-			copy(next.live, col.live)
-			copy(next.fills, col.fills)
-			copy(next.hits, col.hits)
-			copy(next.drops, col.drops)
-			for v := 0; v < old; v++ {
-				copy(next.cross[v*n:v*n+old], col.cross[v*old:(v+1)*old])
-			}
-		}
-		*col = next
 	}
-	seen := make([]bool, n)
-	copy(seen, d.seen)
-	d.seen = seen
-	d.n = n
+	d.backing, d.n = backing, n
+}
+
+// clearFor zeroes every counter and lays them out for n owners, keeping
+// the directory's storage when it is large enough.
+func (d *DirStats) clearFor(n int) {
+	d.seen = slab.Reuse(d.seen, n)
+	d.layout(n, slab.Reuse(d.backing, len(d.cols)*stride(n)))
+}
+
+// resize re-lays every column's counters out for n owners (n >= d.n),
+// keeping their values.
+func (d *DirStats) resize(n int) {
+	old, oldCols := d.n, slices.Clone(d.cols)
+	d.layout(n, make([]int64, len(d.cols)*stride(n)))
+	for c, prev := range oldCols {
+		next := &d.cols[c]
+		copy(next.live, prev.live)
+		copy(next.fills, prev.fills)
+		copy(next.hits, prev.hits)
+		copy(next.drops, prev.drops)
+		for v := 0; v < old; v++ {
+			copy(next.cross[v*n:v*n+old], prev.cross[v*old:(v+1)*old])
+		}
+	}
+	d.seen = append(d.seen, make([]bool, n-old)...)
 }
 
 // owner returns the counter index of tag's owner, growing the counters
@@ -164,20 +177,20 @@ func (d *DirStats) owner(tag uint64) int {
 	return int(o)
 }
 
-// setBaseline sets the occupancy baseline to precounted per-column owner
-// occupancies (WarmImage.liveOwners): owners[c][o] is owner o's resident
-// blocks in column c, every row the same length.
+// setBaseline restarts the directory at precounted per-column owner
+// occupancies (WarmImage.liveOwners), as warming replaces every bank's
+// contents: owners[c][o] is owner o's resident blocks in column c, every
+// row the same length. Every other counter starts at zero.
 func (d *DirStats) setBaseline(owners [][]int64) {
-	if len(owners) > 0 && len(owners[0]) > d.n {
-		d.resize(len(owners[0]))
+	n := d.n
+	if len(owners) > 0 {
+		n = max(n, len(owners[0]))
 	}
-	clear(d.seen)
+	d.clearFor(n)
 	for c := range d.cols {
-		live := d.cols[c].live
-		clear(live)
-		copy(live, owners[c])
-		for o, n := range owners[c] {
-			if n != 0 {
+		copy(d.cols[c].live, owners[c])
+		for o, v := range owners[c] {
+			if v != 0 {
 				d.seen[o] = true
 			}
 		}
@@ -259,13 +272,6 @@ type DirReport struct {
 // count is non-zero, and under Live (and Owners) every owner resident at
 // warm-up or filled since, even once its occupancy has fallen to zero.
 func (d *DirStats) Report() DirReport {
-	r := DirReport{
-		Live:  make(map[uint64]int64),
-		Fills: make(map[uint64]int64),
-		Hits:  make(map[uint64]int64),
-		Drops: make(map[uint64]int64),
-		Cross: make(map[OwnerPair]int64),
-	}
 	n, per := d.n, stride(d.n)
 	sum := make([]int64, per)
 	for c := range d.cols {
@@ -274,6 +280,20 @@ func (d *DirStats) Report() DirReport {
 		}
 	}
 	live, fills, hits, drops, cross := sum[:n], sum[n:2*n], sum[2*n:3*n], sum[3*n:4*n], sum[4*n:]
+	// Sized up front, so assembling the report does not regrow its maps.
+	pairs := 0
+	for _, v := range cross {
+		if v != 0 {
+			pairs++
+		}
+	}
+	r := DirReport{
+		Live:  make(map[uint64]int64, n),
+		Fills: make(map[uint64]int64, n),
+		Hits:  make(map[uint64]int64, n),
+		Drops: make(map[uint64]int64, n),
+		Cross: make(map[OwnerPair]int64, pairs),
+	}
 	for o := 0; o < n; o++ {
 		own := uint64(o)
 		listed := d.seen[o]

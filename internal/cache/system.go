@@ -42,6 +42,12 @@ type System struct {
 	eng    PolicyEngine // the registered engine driving Policy
 	opSeq  uint64       // operation serial counter (telemetry correlation)
 	ops    *opPool      // every controller's ops, recycled once retired
+
+	// The storage behind Lat, Dir and Memory, renewed in place with the
+	// system (see Arena).
+	lat    stats.Latency
+	dir    DirStats
+	memory mem.Memory
 }
 
 // New builds a system over a fresh kernel-registered network. It errors
@@ -63,7 +69,7 @@ type Prebuilt struct {
 	// *routing.Table to use instead of routing.For(Topo).
 	Alg routing.Algorithm
 	// Arena supplies the system's construction memory and free lists
-	// (see Arena); its router arena passes through to network.BuildOpts
+	// (see Arena); its network arena passes through to network.BuildOpts
 	// with Prechecked. Nil gives the system a fresh one.
 	Arena      *Arena
 	Prechecked bool
@@ -101,17 +107,21 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 			return nil, err
 		}
 	}
-	s := &System{
+	s := pre.Arena.system()
+	*s = System{
 		K: k, Design: d, Policy: policy, Mode: mode,
 		Topo:  topo,
 		AM:    d.AddrMap(),
-		Lat:   stats.NewLatency(len(d.Banks)),
+		Lat:   &s.lat,
 		eng:   policy.engine(),
 		arena: pre.Arena,
 		ops:   &pre.Arena.ops,
+		lat:   s.lat, dir: s.dir, memory: s.memory,
 	}
+	s.lat.Reset(len(d.Banks))
 	if _, ok := s.eng.(*directoryEngine); ok {
-		s.Dir = newDirStats(topo.Columns())
+		s.Dir = &s.dir
+		s.Dir.reset(topo.Columns())
 	}
 	alg := pre.Alg
 	if alg == nil {
@@ -120,10 +130,10 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 			return nil, err
 		}
 	}
-	ra := &pre.Arena.net
+	ra := &pre.Arena.net.Arena
 	var err error
 	s.Net, err = network.NewOpts(k, topo, alg, d.Router,
-		network.BuildOpts{Arena: ra, Prechecked: pre.Prechecked})
+		network.BuildOpts{Arena: &pre.Arena.net, Prechecked: pre.Prechecked})
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +164,7 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 	}
 	s.Ctrl = newController(s)
 	s.Net.Attach(topo.Core, flit.ToCore, s.Ctrl)
-	s.Memory = mem.New(k, s.Net, mem.DefaultConfig())
+	s.Memory = s.memory.Renew(k, s.Net, mem.DefaultConfig())
 	return s, nil
 }
 

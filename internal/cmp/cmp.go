@@ -32,6 +32,7 @@ import (
 	"nucanet/internal/cpu"
 	"nucanet/internal/flit"
 	"nucanet/internal/sim"
+	"nucanet/internal/slab"
 	"nucanet/internal/stats"
 	"nucanet/internal/topology"
 	"nucanet/internal/trace"
@@ -107,24 +108,45 @@ func (*coreData) ProtocolMessage() {}
 
 // Arena is a worker's whole construction arena: the cache arena a
 // system is built from, the free list of the port ops a fabric over it
-// recycles, and one lane per core. A drained run returns every port op
-// to the list, so the next fabric built with the arena starts with them,
-// and the next run renews the lanes in place. Single-goroutine, like
+// recycles, the fabric, and one lane per core. A drained run returns
+// every port op to the list, so the next fabric built with the arena
+// starts with them, and the next run renews the fabric and the lanes in
+// place. An arena carries one run at a time: a round builds one system,
+// at most one fabric over it, and its cores. Single-goroutine, like
 // cache.Arena.
 type Arena struct {
 	cache cache.Arena
 	ops   portOps
+	fab   Fabric
 	lanes []*lane // grown to the most cores a run has used
+
+	// Run holds the recycled state of the layer driving the runs built
+	// on the arena (core keeps its Instance there); the arena never
+	// reads it.
+	Run any
 }
 
 // lane is one core's recycled run state: the core model and the
 // synthetic stream it draws, relocated into core id's tag range as it is
-// drawn (OffsetAddr; core 0's range is the classic single-core one).
+// drawn (OffsetAddr; core 0's range is the classic single-core one), and
+// in a CMP run the core's port, the hub at its router and the port's
+// latency record.
 type lane struct {
 	core cpu.Core
 	gen  trace.Synthetic
 	am   trace.AddrMap
 	id   int
+	port Port
+	hub  hub
+	lat  stats.Latency
+}
+
+// lane returns lane i, growing the lanes to hold it.
+func (a *Arena) lane(i int) *lane {
+	for len(a.lanes) <= i {
+		a.lanes = append(a.lanes, new(lane))
+	}
+	return a.lanes[i]
 }
 
 func (l *lane) Next() trace.Access {
@@ -148,10 +170,7 @@ func (a *Arena) Reset() { a.cache.Reset() }
 // trace.NewSynthetic(prof, am, cpu.CoreSeed(cfg.Seed, i)), share the
 // derived seed, which for core 0 is the run's own.
 func (a *Arena) Core(i int, k *sim.Kernel, l2 cpu.L2, prof trace.Profile, am trace.AddrMap, accesses int, cfg cpu.Config) *cpu.Core {
-	for len(a.lanes) <= i {
-		a.lanes = append(a.lanes, new(lane))
-	}
-	l := a.lanes[i]
+	l := a.lane(i)
 	cfg.Seed = cpu.CoreSeed(cfg.Seed, i)
 	l.gen.Reset(prof, am, cfg.Seed)
 	l.am, l.id = am, i
@@ -216,8 +235,10 @@ func Attach(cs *cache.System, n int) (*Fabric, error) {
 	return AttachIn(cs, n, nil)
 }
 
-// AttachIn is Attach with the port ops recycled through ar's free list
-// (see Arena); a nil ar gives the fabric a fresh arena.
+// AttachIn is Attach built from ar (see Arena): the fabric, the ports
+// with their hubs and latency records, renewed in place, and the port
+// ops recycled through ar's free list; the extra controllers come from
+// the system's own arena. A nil ar gives the fabric a fresh arena.
 func AttachIn(cs *cache.System, n int, ar *Arena) (*Fabric, error) {
 	if err := SupportsHost(cs.Topo, cs.Design.ID, n); err != nil {
 		return nil, err
@@ -225,7 +246,9 @@ func AttachIn(cs *cache.System, n int, ar *Arena) (*Fabric, error) {
 	if ar == nil {
 		ar = new(Arena)
 	}
-	f := &Fabric{Sys: cs, N: n, ops: &ar.ops}
+	f := &ar.fab
+	*f = Fabric{Sys: cs, N: n, ops: &ar.ops,
+		ports: f.ports[:0], ctrls: f.ctrls[:0], nodes: f.nodes[:0], home: f.home}
 	w := cs.Topo.W
 
 	for i := 0; i < n; i++ {
@@ -235,15 +258,17 @@ func AttachIn(cs *cache.System, n int, ar *Arena) (*Fabric, error) {
 		if node != ctrl.Node || i > 0 {
 			ctrl = cache.NewControllerAt(cs, node)
 		}
-		port := &Port{fab: f, id: i, node: node, ctrl: ctrl,
-			Lat: stats.NewLatency(len(cs.Design.Banks))}
-		f.ports = append(f.ports, port)
+		l := ar.lane(i)
+		l.lat.Reset(len(cs.Design.Banks))
+		l.port = Port{fab: f, id: i, node: node, ctrl: ctrl, Lat: &l.lat}
+		l.hub = hub{ctrl: ctrl, port: &l.port}
+		f.ports = append(f.ports, &l.port)
 		f.ctrls = append(f.ctrls, ctrl)
 		f.nodes = append(f.nodes, node)
-		cs.Net.Attach(node, flit.ToCore, &hub{ctrl: ctrl, port: port})
+		cs.Net.Attach(node, flit.ToCore, &l.hub)
 	}
 	// Home every column on the nearest controller.
-	f.home = make([]int, w)
+	f.home = slab.Reuse(f.home, w)
 	for col := 0; col < w; col++ {
 		best, bestDist := 0, 1<<30
 		for i, node := range f.nodes {

@@ -5,17 +5,28 @@ import (
 	"testing"
 
 	"nucanet/internal/cache"
+	"nucanet/internal/cmp"
 )
 
-// allocBudgetRuns are the benchmark's direct workloads, at its lengths.
-var allocBudgetRuns = []struct {
+// budgetRun is one run whose heap cost a budget test bounds.
+type budgetRun struct {
 	name string
 	opt  Options
-}{
+}
+
+// allocBudgetRuns are the benchmark's direct workloads, at its lengths.
+var allocBudgetRuns = []budgetRun{
 	{"A-multicast-fastlru-gcc", Options{DesignID: "A", Policy: cache.FastLRU, Mode: cache.Multicast, Benchmark: "gcc", Accesses: 4000}},
 	{"A-unicast-lru-lucas", Options{DesignID: "A", Policy: cache.LRU, Mode: cache.Unicast, Benchmark: "lucas", Accesses: 4000}},
 	{"H2-directory-4core", Options{DesignID: "H2", Policy: cache.Directory, Mode: cache.Multicast, Benchmark: "gcc", Accesses: 1000, Cores: 4}},
 }
+
+// runBudgetRuns adds the benchmark's cmp_h2 run and serve_mixed's run
+// shape (nucad's default policy and mode) to allocBudgetRuns.
+var runBudgetRuns = append(allocBudgetRuns[:len(allocBudgetRuns):len(allocBudgetRuns)],
+	budgetRun{"H2-directory-8core", Options{DesignID: "H2", Policy: cache.Directory, Mode: cache.Multicast, Benchmark: "gcc", Accesses: 1000, Cores: 8}},
+	budgetRun{"F-serve", Options{DesignID: "F", Policy: cache.FastLRU, Mode: cache.Multicast, Benchmark: "gcc", Accesses: 400}},
+)
 
 // TestSimulateAllocBudget bounds the heap objects of the simulate phase
 // of a whole run, artifacts and instance already built: an access
@@ -25,7 +36,7 @@ var allocBudgetRuns = []struct {
 // far-event heap, the rare injection ring that outgrows its carved burst,
 // each fresh core's reuse stacks, primed by its first draw — amortized
 // over the run, plus assembling the Result (reads 0.040 / 0.014 /
-// 0.044). The runs are the benchmark's length because that
+// 0.043). The runs are the benchmark's length because that
 // growth does not shrink with the run.
 func TestSimulateAllocBudget(t *testing.T) {
 	const budget = 0.10
@@ -63,19 +74,23 @@ func TestSimulateAllocBudget(t *testing.T) {
 
 // TestRunAllocBudget bounds the heap cost of a whole Run — prepare and
 // build included — once the process is warm: the gated design, the warm
-// table and image are shared, and the worker's arena recycles the
-// construction memory (routers, send queues, bank agents and their
-// banks), the kernel, the packet, op and port-op free lists, and the
-// cores with the access streams they draw from. What a run still
-// allocates is a fixed set of objects — controllers and latency
-// records, the Result — however many banks and routers the design has
-// and however long the run, so the bound is per run (reads 41 / 20 / 83
-// objects, the packet free list still growing past two runs' high-water
-// mark among them; 0.008 / 0.008 / 0.012 KiB per access). Each run has
-// its own seed, as the benchmark's ops do.
+// table and image are shared, and the worker's arena recycles every
+// object a run is built from (the system, network, memory, controllers,
+// latency records, routers, bank agents and their banks, the kernel,
+// the packet, op and port-op free lists, the fabric and the cores with
+// their ports and access streams), so building the instance allocates
+// nothing. What a run still allocates is its artifacts record and its
+// Result, however many cores, banks and routers the design has and
+// however long the run, so the bound is per run: it reads 28 / 7 / 26 /
+// 26 / 7 objects (the packet free list still growing past two runs'
+// high-water mark, and the directory report's maps, among them) and
+// 0.002 / 0.002 / 0.002 / 0.001 / 0.015 KiB per access (serve's short
+// run carries its 5 KiB latency copy over 400 accesses). The budgets
+// leave about 40 % headroom over the largest reading. Each run has its
+// own seed, as the benchmark's ops do.
 func TestRunAllocBudget(t *testing.T) {
-	const objBudget, kibBudget = 150, 0.03
-	for _, tc := range allocBudgetRuns {
+	const objBudget, kibBudget = 40, 0.02
+	for _, tc := range runBudgetRuns {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt
 			for _, warmUp := range []uint64{1, 2} {
@@ -99,5 +114,45 @@ func TestRunAllocBudget(t *testing.T) {
 				t.Fatalf("a warm Run allocates %d objects and %.3f KiB per access, budget %d and %.2f", objs, kib, objBudget, kibBudget)
 			}
 		})
+	}
+}
+
+// TestNewInstanceOnWarmArenaAllocatesNothing: once an arena has carried
+// a run, building an instance of the same shape on it again — system,
+// network, memory, controllers, directory, latency records, fabric,
+// ports, cores and the Instance itself — allocates no heap object, with
+// telemetry off. Radial F hosts no cores and G's four-wide grid no more
+// than four, so those pairs are skipped.
+func TestNewInstanceOnWarmArenaAllocatesNothing(t *testing.T) {
+	for _, d := range []string{"A", "F", "G", "H2"} {
+		for _, cores := range []int{0, 1, 4, 8} {
+			opt := cmpOpts(d, cores, 200)
+			opt.Policy = cache.Directory
+			art, err := Prepare(opt, nil)
+			if err != nil {
+				if cores > 0 && (d == "F" || d == "G" && cores == 8) {
+					continue
+				}
+				t.Fatal(err)
+			}
+			ar := new(cmp.Arena)
+			in, err := NewInstance(art, ar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := in.RunToCompletion(); err != nil {
+				t.Fatal(err)
+			}
+			ar.Reset()
+			n := testing.AllocsPerRun(5, func() {
+				if _, err := NewInstance(art, ar); err != nil {
+					t.Fatal(err)
+				}
+				ar.Reset()
+			})
+			if n != 0 {
+				t.Errorf("%s x %d cores: NewInstance on a warm arena allocates %v objects, want 0", d, cores, n)
+			}
+		}
 	}
 }

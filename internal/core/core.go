@@ -161,7 +161,9 @@ var arenas struct {
 }
 
 // runPooled builds art's Instance from a recycled arena and drives it to
-// completion.
+// completion. The arena goes back to the free list only when the run
+// returns: one a panic unwound through may hold a half-built or
+// half-run system, so it is dropped.
 func runPooled(art *Artifacts) (Result, error) {
 	arenas.Lock()
 	var ar *cmp.Arena
@@ -171,17 +173,16 @@ func runPooled(art *Artifacts) (Result, error) {
 		ar = new(cmp.Arena)
 	}
 	arenas.Unlock()
-	defer func() {
-		ar.Reset()
-		arenas.Lock()
-		if len(arenas.free) < maxFreeArenas {
-			arenas.free = append(arenas.free, ar)
-		}
-		arenas.Unlock()
-	}()
 	in, err := NewInstance(art, ar)
-	if err != nil {
-		return Result{}, err
+	var res Result
+	if err == nil {
+		res, err = in.RunToCompletion()
 	}
-	return in.RunToCompletion()
+	ar.Reset()
+	arenas.Lock()
+	if len(arenas.free) < maxFreeArenas {
+		arenas.free = append(arenas.free, ar)
+	}
+	arenas.Unlock()
+	return res, err
 }

@@ -187,12 +187,19 @@ type Instance struct {
 
 // NewInstance assembles the mutable simulation state over art. ar is the
 // arena the runs of one worker recycle: construction memory, kernel,
-// free lists, and each core with the access stream it draws from (see
-// cmp.Arena); it must not be shared across goroutines. Nil builds the
-// instance from a fresh arena.
+// free lists, each core with the access stream it draws from (see
+// cmp.Arena), and the Instance itself; it must not be shared across
+// goroutines, and the Instance lives until ar is reset. Nil builds the
+// instance from a fresh arena. Once ar has carried a run of the same
+// shape, NewInstance allocates nothing unless telemetry is on.
 func NewInstance(art *Artifacts, ar *cmp.Arena) (*Instance, error) {
 	if ar == nil {
 		ar = new(cmp.Arena)
+	}
+	in, _ := ar.Run.(*Instance)
+	if in == nil {
+		in = new(Instance)
+		ar.Run = in
 	}
 	ca := ar.CacheArena()
 	k := ca.RouterArena().Kernel()
@@ -212,22 +219,21 @@ func NewInstance(art *Artifacts, ar *cmp.Arena) (*Instance, error) {
 		}
 	}
 	sys.WarmClone(art.WarmImg)
-	cores := make([]*cpu.Core, max(art.Opt.Cores, 1))
-	for i := range cores {
+	*in = Instance{Art: art, K: k, Sys: sys, Fab: fab, cores: in.cores[:0]}
+	for i := range max(art.Opt.Cores, 1) {
 		var l2 cpu.L2 = sys
 		if fab != nil {
 			l2 = fab.Port(i)
 		}
-		cores[i] = ar.Core(i, k, l2, art.Prof, sys.AM, art.Opt.Accesses, art.CPU)
+		in.cores = append(in.cores, ar.Core(i, k, l2, art.Prof, sys.AM, art.Opt.Accesses, art.CPU))
 	}
 	// Telemetry is wired after every working component so its sampling
 	// observer registers with the highest component id and ticks last
 	// within a cycle (see sim.Observer).
-	tel := telemetry.New(art.Opt.Telemetry, sys.Topo)
-	if tel != nil {
-		sys.EnableTelemetry(tel)
+	if in.tel = telemetry.New(art.Opt.Telemetry, sys.Topo); in.tel != nil {
+		sys.EnableTelemetry(in.tel)
 	}
-	return &Instance{Art: art, K: k, Sys: sys, Fab: fab, cores: cores, tel: tel}, nil
+	return in, nil
 }
 
 // RunToCompletion drives the instance to quiescence and assembles the
@@ -312,6 +318,9 @@ func (in *Instance) finish(rs []cpu.Result) (Result, error) {
 		Latency:      sys.Lat.Clone(),
 		Energy:       erep,
 		Telemetry:    in.tel,
+	}
+	if in.Fab != nil {
+		res.Cores = make([]CoreResult, 0, len(rs))
 	}
 	for i, cr := range rs {
 		res.IPC += cr.IPC()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"reflect"
 	"sync"
 	"testing"
@@ -209,5 +210,59 @@ func TestArenaCarriesAcrossDesigns(t *testing.T) {
 			t.Errorf("run %d (%s x %d cores): Result differs from the fresh-arena instance", i, opt.DesignID, opt.Cores)
 		}
 		ar.Reset()
+	}
+}
+
+// TestRunShuffledOnOneArena: one arena carries a mixed list — A, F, G
+// and H2 single-core and, where the grid hosts them, at 1, 4 and 8
+// cores, each under the directory policy, multicast Fast-LRU and unicast
+// LRU — in three seeded random orders, and every Result equals the
+// fresh-arena instance's. Whatever a run renews in place (latency
+// records, directories, memories, fabrics, ports, cores) must not carry
+// anything from whichever run the arena held before.
+func TestRunShuffledOnOneArena(t *testing.T) {
+	type pair struct {
+		policy cache.Policy
+		mode   cache.Mode
+	}
+	pairs := []pair{{cache.Directory, cache.Multicast}, {cache.FastLRU, cache.Multicast}, {cache.LRU, cache.Unicast}}
+	var opts []Options
+	for _, d := range []string{"A", "F", "G", "H2"} {
+		for _, cores := range []int{0, 1, 4, 8} {
+			for _, p := range pairs {
+				opt := cmpOpts(d, cores, 80)
+				opt.Policy, opt.Mode, opt.Seed = p.policy, p.mode, uint64(len(opts)+1)
+				if opt.Validate() == nil {
+					opts = append(opts, opt)
+				}
+			}
+		}
+	}
+	if len(opts) != 36 {
+		t.Fatalf("the mix holds %d runs, want 36 (A and H2 at 0, 1, 4 and 8 cores, F at 0, G at 0, 1 and 4)", len(opts))
+	}
+	want := make([]Result, len(opts))
+	for i, opt := range opts {
+		want[i] = runFreshArena(t, opt)
+	}
+	ar := new(cmp.Arena)
+	for _, seed := range []uint64{1, 2, 3} {
+		order := rand.New(rand.NewPCG(seed, 0)).Perm(len(opts))
+		for _, i := range order {
+			opt := opts[i]
+			in, err := NewInstance(mustPrepare(t, opt, nil), ar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := in.RunToCompletion()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ar.Reset()
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("order %d: %s x %d cores, %v/%v: Result differs from the fresh-arena instance",
+					seed, opt.DesignID, opt.Cores, opt.Policy, opt.Mode)
+			}
+		}
 	}
 }

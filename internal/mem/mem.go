@@ -85,9 +85,11 @@ type Memory struct {
 	stats    Stats
 }
 
-// New attaches a memory to the topology's memory router and registers it.
-func New(k *sim.Kernel, net *network.Network, cfg Config) *Memory {
-	m := &Memory{cfg: cfg, k: k, net: net, node: net.Topo.Mem}
+// Renew makes m a fresh memory attached to the topology's memory router
+// and registered with k. Its reply queue keeps the capacity an earlier
+// run grew, so a memory renewed run after run stops allocating.
+func (m *Memory) Renew(k *sim.Kernel, net *network.Network, cfg Config) *Memory {
+	*m = Memory{cfg: cfg, k: k, net: net, node: net.Topo.Mem, replies: m.replies[:0]}
 	if net.Topo.MemWireDelay > 0 && cfg.WireDelay == 0 {
 		m.cfg.WireDelay = net.Topo.MemWireDelay
 	}

@@ -34,7 +34,7 @@ func build(t *testing.T, wire int) (*sim.Kernel, *network.Network, *Memory, *sin
 	topo.MemWireDelay = wire
 	k := sim.NewKernel()
 	net := network.MustNew(k, topo, routing.XY{}, router.DefaultConfig())
-	m := New(k, net, DefaultConfig())
+	m := new(Memory).Renew(k, net, DefaultConfig())
 	s := &sink{}
 	for id := 0; id < topo.NumNodes(); id++ {
 		net.Attach(id, flit.ToBank, s)
@@ -139,7 +139,7 @@ func TestHaloWireDelayPickedUpFromTopology(t *testing.T) {
 	topo := topology.MustBuild("halo", topology.Params{W: 4, H: 4, MemWireDelay: 16})
 	k := sim.NewKernel()
 	net := network.MustNew(k, topo, routing.Spike{}, router.DefaultConfig())
-	m := New(k, net, DefaultConfig())
+	m := new(Memory).Renew(k, net, DefaultConfig())
 	s := &sink{}
 	for id := 0; id < topo.NumNodes(); id++ {
 		net.Attach(id, flit.ToBank, s)

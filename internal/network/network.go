@@ -11,6 +11,7 @@ import (
 	"nucanet/internal/router"
 	"nucanet/internal/routing"
 	"nucanet/internal/sim"
+	"nucanet/internal/slab"
 	"nucanet/internal/telemetry"
 	"nucanet/internal/topology"
 )
@@ -84,11 +85,12 @@ func New(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg rout
 // BuildOpts tunes network construction for batch evaluation; the zero
 // value is the ordinary single-run path.
 type BuildOpts struct {
-	// Arena supplies the backing storage every router carves its
+	// Arena supplies the network itself, its router and endpoint
+	// tables, the backing storage every router carves its
 	// construction-time state from, laying a batch of networks out
 	// contiguously, and the packet free list the network and its routers
-	// mint from (see router.Arena). Nil gives the network a fresh one.
-	Arena *router.Arena
+	// mint from (see Arena). Nil gives the network a fresh one.
+	Arena *Arena
 	// Prechecked skips the static progress proof and Supports gate. Only
 	// set it when Check already accepted this exact (topology, routing,
 	// config) triple — core.Prepare verifies once per design and
@@ -143,14 +145,16 @@ func NewOpts(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg 
 		return nil, err
 	}
 	if o.Arena == nil {
-		o.Arena = new(router.Arena)
+		o.Arena = new(Arena)
 	}
-	n := &Network{K: k, Topo: topo, Alg: tb}
-	n.Routers = make([]router.Engine, topo.NumNodes())
-	n.eps = make([][3]Endpoint, topo.NumNodes())
-	n.pool = o.Arena.Packets()
+	n := o.Arena.network()
+	*n = Network{K: k, Topo: topo, Alg: tb,
+		Routers: o.Arena.engineSlab(topo.NumNodes()),
+		eps:     o.Arena.endpointSlab(topo.NumNodes()),
+		pool:    o.Arena.Packets(),
+	}
 	for id := 0; id < topo.NumNodes(); id++ {
-		n.Routers[id] = eng.New(id, topo, tb, cfg, k, o.Arena)
+		n.Routers[id] = eng.New(id, topo, tb, cfg, k, &o.Arena.Arena)
 	}
 	for id := 0; id < topo.NumNodes(); id++ {
 		for p := 0; p < topo.NumPorts(id); p++ {
@@ -167,6 +171,35 @@ func NewOpts(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg 
 	}
 	return n, nil
 }
+
+// Arena is a router arena plus the network layer's own construction
+// state: the Network structs and their router and endpoint tables, so a
+// network is built without the heap once the arena has held one of its
+// size. One Reset recycles it all; see router.Arena for the aliasing
+// contract. An Arena is single-goroutine state.
+type Arena struct {
+	router.Arena
+
+	nets    slab.Chunk[Network]
+	engines slab.Chunk[router.Engine]
+	eps     slab.Chunk[[3]Endpoint]
+}
+
+// Reset recycles the arena for a fresh round of construction.
+func (a *Arena) Reset() {
+	a.Arena.Reset()
+	a.nets.Reset()
+	a.engines.Reset()
+	a.eps.Reset()
+}
+
+// tableChunk is how many router or endpoint slots a fresh chunk holds:
+// twice Design A's 256 routers.
+const tableChunk = 512
+
+func (a *Arena) network() *Network                { return &slab.GrabIn(&a.nets, 1, 4)[0] }
+func (a *Arena) engineSlab(n int) []router.Engine { return slab.GrabIn(&a.engines, n, tableChunk) }
+func (a *Arena) endpointSlab(n int) [][3]Endpoint { return slab.GrabIn(&a.eps, n, tableChunk) }
 
 // MustNew is New for topology/algorithm pairs the caller knows to be
 // valid (tests, examples); it panics on construction errors.

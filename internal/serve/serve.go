@@ -27,6 +27,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -201,13 +202,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // execute runs one simulation on a scheduler worker, publishes the
 // result to the cache (before releasing waiters, so a late requester
 // can never miss both the flight and the cache), and releases the
-// leader and any coalesced followers.
+// leader and any coalesced followers. A run that panics fails the call
+// like a run error: the panic and its stack are logged, the worker
+// lives on, and nothing is cached, so a retry runs the key again.
 func (s *Server) execute(key string, opts core.Options, c *call) {
+	defer close(c.done)
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("serve: run panicked: %v\n%s", p, debug.Stack())
+			c.err = fmt.Errorf("run panicked: %v", p)
+		}
+	}()
 	t0 := time.Now()
 	res, err := s.run(opts)
 	if err != nil {
 		c.err = err
-		close(c.done)
 		return
 	}
 	s.runNS.Add(int64(time.Since(t0)))
@@ -215,12 +224,10 @@ func (s *Server) execute(key string, opts core.Options, c *call) {
 	body, err := buildResponse(key, res)
 	if err != nil {
 		c.err = err
-		close(c.done)
 		return
 	}
 	c.body, c.res = body, res
 	s.cache.Put(key, body, res)
-	close(c.done)
 }
 
 // finish responds for a completed call.

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"nucanet/internal/cache"
@@ -152,5 +154,42 @@ func TestStatsReflectsTraffic(t *testing.T) {
 	}
 	if resp := getJSON(t, ts, "/v1/healthz", &hz); resp.StatusCode != 200 || hz.Status != "ok" {
 		t.Fatalf("healthz = %d %q, want 200 ok", resp.StatusCode, hz.Status)
+	}
+}
+
+// TestServePanickingRunFailsOneRequest: a run that panics fails its
+// request with the usual 500, the failure is not cached (retrying the
+// key runs it again), and the server's only worker survives to serve the
+// next request.
+func TestServePanickingRunFailsOneRequest(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[uint64]int{}
+	run := func(o core.Options) (core.Result, error) {
+		mu.Lock()
+		calls[o.Seed]++
+		mu.Unlock()
+		if o.Seed == 13 {
+			panic("injected fault")
+		}
+		return fakeResult(o)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, Run: run})
+
+	for try := 1; try <= 2; try++ {
+		resp, b := postAs(t, ts, "c", runBody(13))
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(b), "simulation failed") {
+			t.Fatalf("try %d: panicking run answered %d %s, want 500 simulation failed", try, resp.StatusCode, b)
+		}
+	}
+	if resp, b := postAs(t, ts, "c", runBody(14)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panics answered %d %s, want 200", resp.StatusCode, b)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls[13] != 2 || calls[14] != 1 {
+		t.Fatalf("runs per seed %v, want the panicking key run on each try and the next key once", calls)
+	}
+	if s.failed.Load() != 2 {
+		t.Fatalf("failed counter %d, want 2", s.failed.Load())
 	}
 }

@@ -73,3 +73,15 @@ func (c *Chunk[T]) Rewind() {
 		c.idx, c.buf = 0, c.chunks[0]
 	}
 }
+
+// Reuse returns s resized to n zeroed elements: in place when its
+// capacity allows, so storage renewed run after run stops allocating
+// once it has held its largest size.
+func Reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}

@@ -138,3 +138,24 @@ func TestRewindReusesWindowsUnzeroed(t *testing.T) {
 		}
 	}
 }
+
+// TestReuseZeroesInPlace: Reuse keeps a slice's backing array while it
+// fits, zeroing the elements it hands back, and allocates only to grow.
+func TestReuseZeroesInPlace(t *testing.T) {
+	s := Reuse([]int(nil), 6)
+	for i := range s {
+		s[i] = i + 1
+	}
+	r := Reuse(s, 4)
+	if len(r) != 4 || &r[0] != &s[0] {
+		t.Fatalf("Reuse to 4 gave len %d on a new array; want len 4 in place", len(r))
+	}
+	for _, v := range Reuse(s, 6) {
+		if v != 0 {
+			t.Fatalf("Reuse handed back a stale element %d", v)
+		}
+	}
+	if g := Reuse(s, 7); len(g) != 7 || &g[0] == &s[0] {
+		t.Fatal("Reuse past the capacity did not move to a new array of length 7")
+	}
+}

@@ -144,7 +144,7 @@ func TestHistogramMergeTable(t *testing.T) {
 // TestLatencyMergeCombinesHist pins that Latency.Merge carries the
 // histogram: combined percentiles are exact over both runs.
 func TestLatencyMergeCombinesHist(t *testing.T) {
-	a, b := NewLatency(2), NewLatency(2)
+	a, b := newLatency(2), newLatency(2)
 	for i := 0; i < 99; i++ {
 		a.RecordHit(10, 0, Breakdown{Bank: 10})
 	}

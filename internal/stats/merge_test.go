@@ -31,14 +31,14 @@ func TestLatencyMergeTable(t *testing.T) {
 	}{
 		{
 			name: "empty+empty",
-			a:    func() *Latency { return NewLatency(4) },
-			b:    func() *Latency { return NewLatency(4) },
+			a:    func() *Latency { return newLatency(4) },
+			b:    func() *Latency { return newLatency(4) },
 		},
 		{
 			name: "empty+nonempty",
-			a:    func() *Latency { return NewLatency(4) },
+			a:    func() *Latency { return newLatency(4) },
 			b: func() *Latency {
-				l := NewLatency(4)
+				l := newLatency(4)
 				fill(l, []int64{10, 20}, []int64{100}, []int64{30})
 				return l
 			},
@@ -47,22 +47,22 @@ func TestLatencyMergeTable(t *testing.T) {
 		{
 			name: "nonempty+empty",
 			a: func() *Latency {
-				l := NewLatency(4)
+				l := newLatency(4)
 				fill(l, []int64{10, 20}, []int64{100}, []int64{30})
 				return l
 			},
-			b:     func() *Latency { return NewLatency(4) },
+			b:     func() *Latency { return newLatency(4) },
 			wantN: 3, wantSum: 130, wantMax: 100, wantHits: 2, wantOcc: 1,
 		},
 		{
 			name: "max and occupancy combine",
 			a: func() *Latency {
-				l := NewLatency(2)
+				l := newLatency(2)
 				fill(l, []int64{50}, nil, []int64{60, 70})
 				return l
 			},
 			b: func() *Latency {
-				l := NewLatency(2)
+				l := newLatency(2)
 				fill(l, []int64{10}, []int64{200}, []int64{5})
 				return l
 			},
@@ -89,17 +89,17 @@ func TestLatencyMergeTable(t *testing.T) {
 
 func TestLatencyMergeOrderInvariance(t *testing.T) {
 	mk := func() []*Latency {
-		l1, l2, l3 := NewLatency(4), NewLatency(4), NewLatency(4)
+		l1, l2, l3 := newLatency(4), newLatency(4), newLatency(4)
 		fill(l1, []int64{10, 12, 14}, []int64{150}, []int64{20})
 		fill(l2, []int64{8}, []int64{170, 180}, nil)
 		fill(l3, nil, nil, []int64{33, 44})
 		return []*Latency{l1, l2, l3}
 	}
-	fwd := NewLatency(4)
+	fwd := newLatency(4)
 	for _, l := range mk() {
 		fwd.Merge(l)
 	}
-	rev := NewLatency(4)
+	rev := newLatency(4)
 	ls := mk()
 	for i := len(ls) - 1; i >= 0; i-- {
 		rev.Merge(ls[i])
@@ -111,7 +111,7 @@ func TestLatencyMergeOrderInvariance(t *testing.T) {
 }
 
 func TestLatencyMergeGrowsHitWays(t *testing.T) {
-	small, big := NewLatency(2), NewLatency(8)
+	small, big := newLatency(2), newLatency(8)
 	small.RecordHit(5, 1, Breakdown{Network: 5})
 	big.RecordHit(7, 6, Breakdown{Network: 7})
 	small.Merge(big)
@@ -122,7 +122,7 @@ func TestLatencyMergeGrowsHitWays(t *testing.T) {
 }
 
 func TestLatencyCloneIsDeep(t *testing.T) {
-	l := NewLatency(4)
+	l := newLatency(4)
 	fill(l, []int64{10, 20}, []int64{90}, []int64{15})
 	c := l.Clone()
 	if !reflect.DeepEqual(l, c) {
@@ -136,7 +136,7 @@ func TestLatencyCloneIsDeep(t *testing.T) {
 }
 
 func TestLatencyCloneEmpty(t *testing.T) {
-	l := NewLatency(0)
+	l := newLatency(0)
 	c := l.Clone()
 	c.Merge(l)
 	if c.Count != 0 {

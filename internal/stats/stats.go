@@ -4,7 +4,11 @@
 // hit-way distribution that explains why LRU beats Promotion.
 package stats
 
-import "fmt"
+import (
+	"fmt"
+
+	"nucanet/internal/slab"
+)
 
 // Breakdown splits cycles of one access among the three latency sources.
 type Breakdown struct {
@@ -43,9 +47,12 @@ type Latency struct {
 	hitWays []int64
 }
 
-// NewLatency sizes the hit-way histogram for a bank-set associativity.
-func NewLatency(ways int) *Latency {
-	return &Latency{hitWays: make([]int64, ways)}
+// Reset empties the record in place and sizes its hit-way histogram
+// for a bank-set associativity, keeping the histogram's storage, so a
+// record renewed run after run allocates nothing. The zero Latency is an
+// empty record with no hit ways.
+func (l *Latency) Reset(ways int) {
+	*l = Latency{hitWays: slab.Reuse(l.hitWays, ways)}
 }
 
 // RecordHit logs a hit at the given bank-set way.

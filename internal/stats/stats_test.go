@@ -2,12 +2,13 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
 func TestAverages(t *testing.T) {
-	l := NewLatency(16)
+	l := newLatency(16)
 	l.RecordHit(10, 0, Breakdown{Bank: 2, Network: 8})
 	l.RecordHit(20, 3, Breakdown{Bank: 5, Network: 15})
 	l.RecordMiss(200, Breakdown{Bank: 30, Network: 40, Memory: 130})
@@ -33,7 +34,7 @@ func TestAverages(t *testing.T) {
 
 func TestSharesSumToOne(t *testing.T) {
 	if err := quick.Check(func(vals [][3]uint8) bool {
-		l := NewLatency(4)
+		l := newLatency(4)
 		any := false
 		for _, v := range vals {
 			b := Breakdown{Bank: int64(v[0]), Network: int64(v[1]), Memory: int64(v[2])}
@@ -55,7 +56,7 @@ func TestSharesSumToOne(t *testing.T) {
 }
 
 func TestHitWayHistogram(t *testing.T) {
-	l := NewLatency(4)
+	l := newLatency(4)
 	l.RecordHit(1, 0, Breakdown{Network: 1})
 	l.RecordHit(1, 0, Breakdown{Network: 1})
 	l.RecordHit(1, 3, Breakdown{Network: 1})
@@ -73,8 +74,34 @@ func TestHitWayHistogram(t *testing.T) {
 }
 
 func TestEmptyIsZero(t *testing.T) {
-	l := NewLatency(2)
+	l := newLatency(2)
 	if l.Avg() != 0 || l.AvgHit() != 0 || l.AvgMiss() != 0 || l.HitRate() != 0 {
 		t.Fatal("empty stats must read zero")
+	}
+}
+
+// newLatency returns an empty record with ways hit ways.
+func newLatency(ways int) *Latency {
+	l := new(Latency)
+	l.Reset(ways)
+	return l
+}
+
+// TestResetRenewsInPlace: a used record, reset, equals a fresh one of the
+// new associativity, and renewing it within its storage allocates nothing.
+func TestResetRenewsInPlace(t *testing.T) {
+	l := newLatency(8)
+	l.RecordHit(10, 7, Breakdown{Bank: 3})
+	l.RecordMiss(300, Breakdown{Memory: 130})
+	l.AddOccupancy(40)
+	l.Reset(4)
+	if want := newLatency(4); !reflect.DeepEqual(l, want) {
+		t.Fatalf("reset record %+v, want a fresh one", l)
+	}
+	if n := testing.AllocsPerRun(10, func() { l.Reset(8); l.RecordHit(5, 6, Breakdown{}) }); n != 0 {
+		t.Fatalf("Reset within the record's storage allocated %v objects", n)
+	}
+	if l.HitWayShare(6) != 1 {
+		t.Fatal("hit way 6 lost after regrowing the record to 8 ways")
 	}
 }
