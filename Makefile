@@ -47,16 +47,16 @@ race:
 # (topology builders, routing verifier, policy and router registries)
 # and every piece of cross-goroutine state (the CMP fabric's ports,
 # nucad's scheduler, cache, and coalescing map) — plus the engine
-# (shared prepared artifacts), Run (the process-wide warm image every
-# run's banks read through to until they first write a set, the arena
-# free list), CMP and canonical-hash tests of internal/core, whose full
-# figure sweeps are too long for the detector.
+# (shared prepared artifacts), Run and core.Runtime (the warm images
+# every run's banks read through to until they first write a set, the
+# worker free list, the design memo), CMP and canonical-hash tests of
+# internal/core, whose full figure sweeps are too long for the detector.
 RACELONG_PKGS = ./internal/topology/ ./internal/routing/ ./internal/cache/ \
 	./internal/router/ ./internal/network/ ./internal/place/ \
 	./internal/cmp/ ./internal/cpu/ ./internal/serve/
 racelong:
 	$(GO) test -race $(RACELONG_PKGS)
-	$(GO) test -race -run 'TestEngine|TestCMP|TestCanonicalKey|TestRun' ./internal/core/
+	$(GO) test -race -run 'TestEngine|TestCMP|TestCanonicalKey|TestRun|TestRuntime' ./internal/core/
 
 check: fmt vet test benchmark-test race racelong
 

@@ -396,9 +396,9 @@ func TestDisabledProbeHotPathAllocFree(t *testing.T) {
 }
 
 // TestCanonicalKeyAllocBound pins the memoised key: a catalogue design
-// resolves to its process-wide entry, so hashing splices the entry's
-// pre-encoded design into one SHA-256 with the encoding of the small
-// remaining fields — no topology build, no design marshal. The key
+// resolves to the default runtime's entry, so hashing splices the
+// entry's pre-encoded design into one SHA-256 with the encoding of the
+// small remaining fields — no topology build, no design marshal. The key
 // string is the one allocation left (reads 1).
 func TestCanonicalKeyAllocBound(t *testing.T) {
 	if raceEnabled {

@@ -119,11 +119,6 @@ type Arena struct {
 	ops   portOps
 	fab   Fabric
 	lanes []*lane // grown to the most cores a run has used
-
-	// Run holds the recycled state of the layer driving the runs built
-	// on the arena (core keeps its Instance there); the arena never
-	// reads it.
-	Run any
 }
 
 // lane is one core's recycled run state: the core model and the

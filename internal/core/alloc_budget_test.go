@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nucanet/internal/cache"
-	"nucanet/internal/cmp"
 )
 
 // budgetRun is one run whose heap cost a budget test bounds.
@@ -117,7 +116,7 @@ func TestRunAllocBudget(t *testing.T) {
 	}
 }
 
-// TestNewInstanceOnWarmArenaAllocatesNothing: once an arena has carried
+// TestNewInstanceOnWarmArenaAllocatesNothing: once a worker has carried
 // a run, building an instance of the same shape on it again — system,
 // network, memory, controllers, directory, latency records, fabric,
 // ports, cores and the Instance itself — allocates no heap object, with
@@ -135,20 +134,20 @@ func TestNewInstanceOnWarmArenaAllocatesNothing(t *testing.T) {
 				}
 				t.Fatal(err)
 			}
-			ar := new(cmp.Arena)
-			in, err := NewInstance(art, ar)
+			w := new(Worker)
+			in, err := NewInstance(art, w)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := in.RunToCompletion(); err != nil {
 				t.Fatal(err)
 			}
-			ar.Reset()
+			w.reset()
 			n := testing.AllocsPerRun(5, func() {
-				if _, err := NewInstance(art, ar); err != nil {
+				if _, err := NewInstance(art, w); err != nil {
 					t.Fatal(err)
 				}
-				ar.Reset()
+				w.reset()
 			})
 			if n != 0 {
 				t.Errorf("%s x %d cores: NewInstance on a warm arena allocates %v objects, want 0", d, cores, n)

@@ -131,58 +131,84 @@ type CoreResult struct {
 	Cycles       int64
 }
 
-// Run executes one simulation to completion. Each run owns its kernel,
-// RNG streams, and stats, so concurrent Run calls on distinct Options
-// never share mutable state (the property the parallel engine depends
-// on; see engine.go and the determinism regression test). Run is the
-// composition of the batch-evaluation API in instance.go: Prepare the
-// immutable artifacts, assemble an Instance, drive it to quiescence.
-func Run(opt Options) (Result, error) {
-	art, err := Prepare(opt, nil)
+// Run executes one simulation to completion on the default Runtime.
+// Each run owns its kernel, RNG streams, and stats, so concurrent Run
+// calls on distinct Options never share mutable state (the property the
+// parallel engine depends on; see engine.go and the determinism
+// regression test). Run is the composition of the batch-evaluation API
+// in instance.go: Prepare the immutable artifacts, assemble an Instance,
+// drive it to quiescence.
+func Run(opt Options) (Result, error) { return std.Run(opt) }
+
+// maxFreeArenas bounds a Runtime's free list of workers: building a
+// Design A instance on a fresh arena allocates 6.3 MB, 4.2 MB of it bank
+// frames, and more runs than this are rarely in flight at once.
+const maxFreeArenas = 4
+
+// Runtime owns what runs share across calls: the warm-state LRU (see
+// warmFor), the free list of workers (a list rather than a sync.Pool,
+// which drops its contents at every GC and made bytes per run a matter
+// of timing) and the memo of gated catalogue designs (see
+// resolveDesign). Its zero value is ready to use, from any number of
+// goroutines; Run, Prepare, Validate, CanonicalKey and NewEngine use
+// the package's default one. Runtimes share nothing.
+type Runtime struct {
+	mu      sync.Mutex
+	warm    []*warmState // most recently used first, at most maxSharedWarm
+	free    []*Worker    // reset, at most maxFreeArenas
+	designs map[designKey]*resolvedDesign
+}
+
+// std is the default Runtime behind the package-level API.
+var std Runtime
+
+// Worker is the state one worker's runs recycle: the construction arena
+// (see cmp.Arena) and the Instance built on it. A finished run's Result
+// holds nothing carved from a worker, and a reset worker pins nothing of
+// the run it carried.
+type Worker struct {
+	ar cmp.Arena
+	in Instance
+}
+
+func (w *Worker) reset() {
+	w.ar.Reset()
+	w.in = Instance{cores: w.in.cores[:0]}
+}
+
+// Run is the package-level Run on rt.
+func (rt *Runtime) Run(opt Options) (Result, error) {
+	art, err := rt.prepare(opt, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	return runPooled(art)
+	return rt.runPooled(art)
 }
 
-// maxFreeArenas bounds the arena free list: building a Design A instance
-// on a fresh arena allocates 6.3 MB, 4.2 MB of it bank frames, and more
-// runs than this are rarely in flight at once.
-const maxFreeArenas = 4
-
-// arenas recycles construction memory from run to run: a finished run's
-// Result holds nothing carved from its arena, so the next run on any
-// goroutine reuses the same memory. A free list rather than a sync.Pool,
-// which drops its contents at every GC and made bytes per run a matter
-// of timing.
-var arenas struct {
-	sync.Mutex
-	free []*cmp.Arena // reset, at most maxFreeArenas
-}
-
-// runPooled builds art's Instance from a recycled arena and drives it to
-// completion. The arena goes back to the free list only when the run
+// runPooled builds art's Instance on a recycled worker and drives it to
+// completion. The worker goes back to the free list only when the run
 // returns: one a panic unwound through may hold a half-built or
 // half-run system, so it is dropped.
-func runPooled(art *Artifacts) (Result, error) {
-	arenas.Lock()
-	var ar *cmp.Arena
-	if n := len(arenas.free); n > 0 {
-		ar, arenas.free = arenas.free[n-1], arenas.free[:n-1]
-	} else {
-		ar = new(cmp.Arena)
+func (rt *Runtime) runPooled(art *Artifacts) (Result, error) {
+	rt.mu.Lock()
+	var w *Worker
+	if n := len(rt.free); n > 0 {
+		w, rt.free = rt.free[n-1], rt.free[:n-1]
 	}
-	arenas.Unlock()
-	in, err := NewInstance(art, ar)
+	rt.mu.Unlock()
+	if w == nil {
+		w = new(Worker)
+	}
+	in, err := NewInstance(art, w)
 	var res Result
 	if err == nil {
 		res, err = in.RunToCompletion()
 	}
-	ar.Reset()
-	arenas.Lock()
-	if len(arenas.free) < maxFreeArenas {
-		arenas.free = append(arenas.free, ar)
+	w.reset()
+	rt.mu.Lock()
+	if len(rt.free) < maxFreeArenas {
+		rt.free = append(rt.free, w)
 	}
-	arenas.Unlock()
+	rt.mu.Unlock()
 	return res, err
 }

@@ -19,6 +19,7 @@ import (
 // regression tests).
 type Engine struct {
 	workers int
+	rt      *Runtime
 }
 
 // NewEngine returns an engine with the given parallelism. workers <= 0
@@ -28,7 +29,7 @@ func NewEngine(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{workers: workers}
+	return &Engine{workers: workers, rt: &std}
 }
 
 // Workers returns the engine's parallelism.
@@ -70,7 +71,7 @@ func (e *Engine) RunAll(opts []Options) ([]Result, SweepReport, error) {
 	pc := NewPrepCache()
 	arts := make([]*Artifacts, len(opts))
 	for i, opt := range opts {
-		art, err := Prepare(opt, pc)
+		art, err := e.rt.prepare(opt, pc)
 		if err != nil {
 			return nil, rep, err
 		}
@@ -79,7 +80,7 @@ func (e *Engine) RunAll(opts []Options) ([]Result, SweepReport, error) {
 	rep.Work = time.Since(start)
 
 	out, durs, _, err := sim.TimedParMap(e.workers, len(opts), func(i int) (Result, error) {
-		return runPooled(arts[i])
+		return e.rt.runPooled(arts[i])
 	})
 	rep.Wall = time.Since(start)
 	if err != nil {

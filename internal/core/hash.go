@@ -43,8 +43,10 @@ type canonicalTail struct {
 // imply byte-identical Results; the serving layer uses the key to
 // collapse repeat requests into cache hits. A design Validate rejects
 // returns Validate's error; an undefined policy or mode is an error too.
-func CanonicalKey(o Options) (string, error) {
-	rd, err := resolveDesign(o, nil)
+func CanonicalKey(o Options) (string, error) { return std.canonicalKey(o) }
+
+func (rt *Runtime) canonicalKey(o Options) (string, error) {
+	rd, err := rt.resolveDesign(o, nil)
 	if err != nil {
 		return "", err
 	}

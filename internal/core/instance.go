@@ -32,8 +32,8 @@ import (
 // All reference fields are shared read-only: many Instances — on one
 // goroutine or several — may be built over the same Artifacts, and
 // Artifacts of different runs may alias the same Topo/Table through the
-// gated design (process-wide for a catalogue design, per PrepCache for
-// an ad-hoc one) and the same Warm/WarmImg through the process-wide warm
+// gated design (per Runtime for a catalogue design, per PrepCache for an
+// ad-hoc one) and the same Warm/WarmImg through the Runtime's warm
 // state. The access streams are not artifacts: each core draws its own
 // while the run executes (see NewInstance).
 type Artifacts struct {
@@ -54,14 +54,13 @@ type Artifacts struct {
 
 // PrepCache shares Prepare's expensive immutable artifacts across the
 // runs of a batch: the gated ad-hoc designs (Options.Design; catalogue
-// designs are gated once per process, see designMemo) per canonical
-// encoding. It also pins every warm state the batch uses, so a batch
-// builds each at most once however many the process-wide cache
-// (sharedWarm) retains. A nil *PrepCache shares only that process-wide
-// warm state. The maps are unguarded: Prepare with one PrepCache from
-// one goroutine at a time (Engine.RunAll prepares its whole batch before
-// fanning out); what Prepare returns is immutable and may be read from
-// any number.
+// designs are gated once per Runtime) per canonical encoding. It also
+// pins every warm state the batch uses, so a batch builds each at most
+// once however many the Runtime retains. A nil *PrepCache shares only
+// the Runtime's warm state. The maps are unguarded: Prepare with one
+// PrepCache from one goroutine at a time (Engine.RunAll prepares its
+// whole batch before fanning out); what Prepare returns is immutable and
+// may be read from any number.
 type PrepCache struct {
 	designs map[string]*resolvedDesign
 	warms   map[warmKey]*warmState
@@ -96,42 +95,17 @@ type warmState struct {
 	img   *cache.WarmImage
 }
 
-// maxSharedWarm bounds the process-wide warm cache. A state is a
-// 2.5 MB table plus a bank image of about 4.5 MB, and a process rarely
+// maxSharedWarm bounds a Runtime's warm-state LRU. A state is a 2.5 MB
+// table plus a bank image of about 4.5 MB, and a process rarely
 // alternates between more than a few (bank stack, core count) pairs.
 const maxSharedWarm = 4
 
-// sharedWarm is the process-wide warm cache. The mutex guards the list
-// only; a state is built outside it, under the state's own once, so
-// distinct keys warm concurrently.
-var sharedWarm struct {
-	sync.Mutex
-	mru []*warmState // most recently used first, at most maxSharedWarm
-}
-
-// sharedWarmFor returns the process-wide state for key, inserting an
-// unbuilt one in place of the least recently used when it is absent.
-func sharedWarmFor(key warmKey) *warmState {
-	sw := &sharedWarm
-	sw.Lock()
-	defer sw.Unlock()
-	i := slices.IndexFunc(sw.mru, func(ws *warmState) bool { return ws.key == key })
-	if i < 0 {
-		if len(sw.mru) < maxSharedWarm {
-			sw.mru = append(sw.mru, nil)
-		}
-		i = len(sw.mru) - 1
-		sw.mru[i] = &warmState{key: key}
-	}
-	ws := sw.mru[i]
-	copy(sw.mru[1:i+1], sw.mru[:i])
-	sw.mru[0] = ws
-	return ws
-}
-
 // warmFor resolves the warm table and image of a resolved design: the
-// batch's pinned state when pc has one, the process-wide state otherwise.
-func (pc *PrepCache) warmFor(rd *resolvedDesign, prof trace.Profile, cores int) *warmState {
+// batch's pinned state when pc has one, rt's otherwise, inserted in
+// place of rt's least recently used when absent. rt's lock guards the
+// list only; a state is built outside it, under the state's own once,
+// so distinct keys warm concurrently.
+func (rt *Runtime) warmFor(pc *PrepCache, rd *resolvedDesign, prof trace.Profile, cores int) *warmState {
 	d := &rd.d
 	am := d.AddrMap()
 	key := warmKey{am.Columns, am.Sets, d.Ways(), cores, rd.stack}
@@ -140,7 +114,19 @@ func (pc *PrepCache) warmFor(rd *resolvedDesign, prof trace.Profile, cores int) 
 			return ws
 		}
 	}
-	ws := sharedWarmFor(key)
+	rt.mu.Lock()
+	i := slices.IndexFunc(rt.warm, func(ws *warmState) bool { return ws.key == key })
+	if i < 0 {
+		if len(rt.warm) < maxSharedWarm {
+			rt.warm = append(rt.warm, nil)
+		}
+		i = len(rt.warm) - 1
+		rt.warm[i] = &warmState{key: key}
+	}
+	ws := rt.warm[i]
+	copy(rt.warm[1:i+1], rt.warm[:i])
+	rt.warm[0] = ws
+	rt.mu.Unlock()
 	ws.once.Do(func() {
 		ws.table = trace.NewSynthetic(prof, am, 0).WarmBlocks(d.Ways())
 		if cores > 0 {
@@ -157,12 +143,14 @@ func (pc *PrepCache) warmFor(rd *resolvedDesign, prof trace.Profile, cores int) 
 // Prepare resolves and validates opt into the run's immutable artifacts:
 // checkOptions, the same gate Validate and CanonicalKey apply, hands over
 // the design's checked topology and routing table.
-func Prepare(opt Options, pc *PrepCache) (*Artifacts, error) {
-	rd, prof, err := checkOptions(opt, pc)
+func Prepare(opt Options, pc *PrepCache) (*Artifacts, error) { return std.prepare(opt, pc) }
+
+func (rt *Runtime) prepare(opt Options, pc *PrepCache) (*Artifacts, error) {
+	rd, prof, err := rt.checkOptions(opt, pc)
 	if err != nil {
 		return nil, err
 	}
-	ws := pc.warmFor(rd, prof, opt.Cores)
+	ws := rt.warmFor(pc, rd, prof, opt.Cores)
 	return &Artifacts{
 		Opt: opt, Design: rd.design(), Prof: prof,
 		Topo: rd.topo, Table: rd.tb,
@@ -185,22 +173,18 @@ type Instance struct {
 	tel   *telemetry.Collector
 }
 
-// NewInstance assembles the mutable simulation state over art. ar is the
-// arena the runs of one worker recycle: construction memory, kernel,
-// free lists, each core with the access stream it draws from (see
-// cmp.Arena), and the Instance itself; it must not be shared across
-// goroutines, and the Instance lives until ar is reset. Nil builds the
-// instance from a fresh arena. Once ar has carried a run of the same
+// NewInstance assembles the mutable simulation state over art. w is the
+// worker whose arena supplies construction memory, kernel, free lists
+// and each core with the access stream it draws from (see cmp.Arena),
+// and which holds the Instance itself; it must not be shared across
+// goroutines, and the Instance lives until w is reset. Nil builds the
+// instance on a fresh worker. Once w has carried a run of the same
 // shape, NewInstance allocates nothing unless telemetry is on.
-func NewInstance(art *Artifacts, ar *cmp.Arena) (*Instance, error) {
-	if ar == nil {
-		ar = new(cmp.Arena)
+func NewInstance(art *Artifacts, w *Worker) (*Instance, error) {
+	if w == nil {
+		w = new(Worker)
 	}
-	in, _ := ar.Run.(*Instance)
-	if in == nil {
-		in = new(Instance)
-		ar.Run = in
-	}
+	ar, in := &w.ar, &w.in
 	ca := ar.CacheArena()
 	k := ca.RouterArena().Kernel()
 	sys, err := cache.NewPrebuilt(k, art.Design, art.Opt.Policy, art.Opt.Mode, cache.Prebuilt{

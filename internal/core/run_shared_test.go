@@ -8,13 +8,17 @@ import (
 	"testing"
 
 	"nucanet/internal/cache"
-	"nucanet/internal/cmp"
 	"nucanet/internal/telemetry"
 )
 
 func mustPrepare(t *testing.T, opt Options, pc *PrepCache) *Artifacts {
 	t.Helper()
-	art, err := Prepare(opt, pc)
+	return mustPrepareOn(t, &std, opt, pc)
+}
+
+func mustPrepareOn(t *testing.T, rt *Runtime, opt Options, pc *PrepCache) *Artifacts {
+	t.Helper()
+	art, err := rt.prepare(opt, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +42,12 @@ func runFreshArena(t *testing.T, opt Options) Result {
 
 func mustRun(t *testing.T, opt Options) Result {
 	t.Helper()
-	res, err := Run(opt)
+	return mustRunOn(t, &std, opt)
+}
+
+func mustRunOn(t *testing.T, rt *Runtime, opt Options) Result {
+	t.Helper()
+	res, err := rt.Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +69,20 @@ func runMix() []Options {
 }
 
 // TestRunSharesWarmStateByGeometry: the warm table and image have no
-// seed or benchmark in their key, so plain Prepares share them
-// process-wide; the bank stack and the core count are in the key.
+// seed or benchmark in their key, so plain Prepares on one runtime share
+// them; the bank stack and the core count are in the key.
 func TestRunSharesWarmStateByGeometry(t *testing.T) {
+	rt := new(Runtime)
 	opt := DefaultOptions()
 	opt.Accesses = 50
 	other := opt
 	other.Benchmark, other.Seed, other.Policy = "lucas", 977, cache.LRU
-	a, b := mustPrepare(t, opt, nil), mustPrepare(t, other, nil)
+	a, b := mustPrepareOn(t, rt, opt, nil), mustPrepareOn(t, rt, other, nil)
 	if a.WarmImg == nil || a.WarmImg != b.WarmImg || &a.Warm[0] != &b.Warm[0] {
 		t.Error("two Prepares differing in seed, benchmark and policy did not share one warm state")
 	}
-	if c := mustPrepare(t, other, NewPrepCache()); c.WarmImg != a.WarmImg {
-		t.Error("a batch's PrepCache did not pick up the process-wide warm image")
+	if c := mustPrepareOn(t, rt, other, NewPrepCache()); c.WarmImg != a.WarmImg {
+		t.Error("a batch's PrepCache did not pick up the runtime's warm image")
 	}
 	for name, mut := range map[string]func(*Options){
 		"bank stack D": func(o *Options) { o.DesignID = "D" },
@@ -81,7 +91,7 @@ func TestRunSharesWarmStateByGeometry(t *testing.T) {
 	} {
 		diff := opt
 		mut(&diff)
-		if d := mustPrepare(t, diff, nil); d.WarmImg == a.WarmImg || &d.Warm[0] == &a.Warm[0] {
+		if d := mustPrepareOn(t, rt, diff, nil); d.WarmImg == a.WarmImg || &d.Warm[0] == &a.Warm[0] {
 			t.Errorf("%s shares Design A's single-core warm state", name)
 		}
 	}
@@ -91,24 +101,25 @@ func TestRunSharesWarmStateByGeometry(t *testing.T) {
 // least recently used state, a rebuilt state gives the same Result, and
 // a batch's PrepCache still builds each of its states once.
 func TestRunWarmCacheEviction(t *testing.T) {
+	rt := new(Runtime)
 	opt := DefaultOptions()
 	opt.Accesses = 50
-	first := mustRun(t, opt)
-	img := mustPrepare(t, opt, nil).WarmImg
+	first := mustRunOn(t, rt, opt)
+	img := mustPrepareOn(t, rt, opt, nil).WarmImg
 
 	pc := NewPrepCache()
 	pinned := make([]*cache.WarmImage, maxSharedWarm+1)
 	for i := range pinned {
-		pinned[i] = mustPrepare(t, cmpOpts("A", i+1, 50), pc).WarmImg
+		pinned[i] = mustPrepareOn(t, rt, cmpOpts("A", i+1, 50), pc).WarmImg
 	}
-	if again := mustPrepare(t, opt, nil).WarmImg; again == img {
+	if again := mustPrepareOn(t, rt, opt, nil).WarmImg; again == img {
 		t.Fatalf("%d newer warm states did not evict the oldest", len(pinned))
 	}
-	if again := mustRun(t, opt); !reflect.DeepEqual(again, first) {
+	if again := mustRunOn(t, rt, opt); !reflect.DeepEqual(again, first) {
 		t.Error("Result changed after its warm state was evicted and rebuilt")
 	}
 	for i, want := range pinned {
-		if got := mustPrepare(t, cmpOpts("A", i+1, 50), pc).WarmImg; got != want {
+		if got := mustPrepareOn(t, rt, cmpOpts("A", i+1, 50), pc).WarmImg; got != want {
 			t.Errorf("%d cores: the batch rebuilt a warm image it had already built", i+1)
 		}
 	}
@@ -168,7 +179,7 @@ func TestRunConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestArenaCarriesAcrossDesigns: one worker arena, carrying its kernel,
+// TestArenaCarriesAcrossDesigns: one worker, its arena carrying its kernel,
 // its packet, op and port-op free lists and its cores with their access
 // streams from run to run, builds Design A (multicast Fast-LRU), F, a
 // 4-core H2 under the directory policy, G (whose concentrated routers
@@ -186,9 +197,9 @@ func TestArenaCarriesAcrossDesigns(t *testing.T) {
 	h2.Policy = cache.Directory
 	h8 := h2
 	h8.Cores = 8
-	ar := new(cmp.Arena)
+	w := new(Worker)
 	for i, opt := range []Options{a, f, h2, g, a, h8, a, h2} {
-		in, err := NewInstance(mustPrepare(t, opt, nil), ar)
+		in, err := NewInstance(mustPrepare(t, opt, nil), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,11 +220,11 @@ func TestArenaCarriesAcrossDesigns(t *testing.T) {
 		if !reflect.DeepEqual(got, runFreshArena(t, opt)) {
 			t.Errorf("run %d (%s x %d cores): Result differs from the fresh-arena instance", i, opt.DesignID, opt.Cores)
 		}
-		ar.Reset()
+		w.reset()
 	}
 }
 
-// TestRunShuffledOnOneArena: one arena carries a mixed list — A, F, G
+// TestRunShuffledOnOneArena: one worker carries a mixed list — A, F, G
 // and H2 single-core and, where the grid hosts them, at 1, 4 and 8
 // cores, each under the directory policy, multicast Fast-LRU and unicast
 // LRU — in three seeded random orders, and every Result equals the
@@ -245,12 +256,12 @@ func TestRunShuffledOnOneArena(t *testing.T) {
 	for i, opt := range opts {
 		want[i] = runFreshArena(t, opt)
 	}
-	ar := new(cmp.Arena)
+	w := new(Worker)
 	for _, seed := range []uint64{1, 2, 3} {
 		order := rand.New(rand.NewPCG(seed, 0)).Perm(len(opts))
 		for _, i := range order {
 			opt := opts[i]
-			in, err := NewInstance(mustPrepare(t, opt, nil), ar)
+			in, err := NewInstance(mustPrepare(t, opt, nil), w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +269,7 @@ func TestRunShuffledOnOneArena(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ar.Reset()
+			w.reset()
 			if !reflect.DeepEqual(got, want[i]) {
 				t.Errorf("order %d: %s x %d cores, %v/%v: Result differs from the fresh-arena instance",
 					seed, opt.DesignID, opt.Cores, opt.Policy, opt.Mode)

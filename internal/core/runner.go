@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 
 	"nucanet/internal/bank"
 	"nucanet/internal/cache"
@@ -27,7 +26,7 @@ import (
 // messages (both go through checkOptions); use Validate to fail fast
 // before queuing work (e.g. building a sweep).
 func (o Options) Validate() error {
-	_, _, err := checkOptions(o, nil)
+	_, _, err := std.checkOptions(o, nil)
 	return err
 }
 
@@ -74,27 +73,20 @@ func (rd *resolvedDesign) design() config.Design {
 
 type designKey struct{ id, router string }
 
-// designMemo holds every catalogue design (Options.Design == nil) that
-// passed the design gate, per (DesignID, Router), for the life of the
-// process. Catalogue designs are constants and the topology, router and
-// routing registries are read-only after init, so an entry never goes
-// stale. Only successes are stored, so it holds at most |catalogue| x
-// (|engines| + 1) entries — 36 today — and needs no bound or eviction.
-var designMemo struct {
-	sync.Mutex
-	m map[designKey]*resolvedDesign
-}
-
-// resolveDesign resolves o's design and runs it through the design gate:
-// from designMemo when o names a catalogue design, from pc's designs
-// (keyed by the canonical head) when o carries an ad-hoc Options.Design
-// and pc is non-nil. An ad-hoc design is never stored process-wide.
-func resolveDesign(o Options, pc *PrepCache) (*resolvedDesign, error) {
+// resolveDesign resolves o's design and runs it through the design gate.
+// A catalogue design (Options.Design == nil) comes from rt's memo, per
+// (DesignID, Router): catalogue designs are constants and the topology,
+// router and routing registries are read-only after init, so an entry
+// never goes stale, and only successes are stored, so the memo holds at
+// most |catalogue| x (|engines| + 1) entries — 36 today — and needs no
+// bound or eviction. An ad-hoc design comes from pc's designs, keyed by
+// the canonical head, when pc is non-nil, and is never stored in rt.
+func (rt *Runtime) resolveDesign(o Options, pc *PrepCache) (*resolvedDesign, error) {
 	key := designKey{o.DesignID, o.Router}
 	if o.Design == nil {
-		designMemo.Lock()
-		rd := designMemo.m[key]
-		designMemo.Unlock()
+		rt.mu.Lock()
+		rd := rt.designs[key]
+		rt.mu.Unlock()
 		if rd != nil {
 			return rd, nil
 		}
@@ -126,15 +118,15 @@ func resolveDesign(o Options, pc *PrepCache) (*resolvedDesign, error) {
 	}
 	// The first resolution stored wins, so concurrent first calls still
 	// hand every caller one topology and one table.
-	designMemo.Lock()
-	defer designMemo.Unlock()
-	if prev := designMemo.m[key]; prev != nil {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if prev := rt.designs[key]; prev != nil {
 		return prev, nil
 	}
-	if designMemo.m == nil {
-		designMemo.m = map[designKey]*resolvedDesign{}
+	if rt.designs == nil {
+		rt.designs = map[designKey]*resolvedDesign{}
 	}
-	designMemo.m[key] = rd
+	rt.designs[key] = rd
 	return rd, nil
 }
 
@@ -187,8 +179,8 @@ func normalizedCPU(o Options) cpu.Config {
 // build on; pc, when non-nil, shares an ad-hoc design's gate across a
 // batch. The check order is the order Run has always surfaced these
 // errors in.
-func checkOptions(o Options, pc *PrepCache) (rd *resolvedDesign, prof trace.Profile, err error) {
-	if rd, err = resolveDesign(o, pc); err != nil {
+func (rt *Runtime) checkOptions(o Options, pc *PrepCache) (rd *resolvedDesign, prof trace.Profile, err error) {
+	if rd, err = rt.resolveDesign(o, pc); err != nil {
 		return nil, prof, err
 	}
 	if prof, err = trace.ProfileByName(o.Benchmark); err != nil {

@@ -11,11 +11,11 @@ import (
 	"nucanet/internal/topology"
 )
 
-// memoEntry reports whether the design memo holds (id, rtr).
-func memoEntry(id, rtr string) bool {
-	designMemo.Lock()
-	defer designMemo.Unlock()
-	_, ok := designMemo.m[designKey{id, rtr}]
+// memoEntry reports whether rt's design memo holds (id, rtr).
+func memoEntry(rt *Runtime, id, rtr string) bool {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	_, ok := rt.designs[designKey{id, rtr}]
 	return ok
 }
 
@@ -74,7 +74,7 @@ func TestCanonicalKeyMemoSkipsErrors(t *testing.T) {
 				}
 			}
 		}
-		if memoEntry(o.DesignID, o.Router) {
+		if memoEntry(&std, o.DesignID, o.Router) {
 			t.Errorf("%s: the failed resolution left a memo entry", name)
 		}
 	}
@@ -83,8 +83,8 @@ func TestCanonicalKeyMemoSkipsErrors(t *testing.T) {
 	}
 }
 
-// TestCanonicalKeyMemoConcurrent fills the memo from scratch on 8
-// goroutines mixing Validate, CanonicalKey and Run over every catalogue
+// TestCanonicalKeyMemoConcurrent fills a private runtime's memo from
+// scratch on 8 goroutines mixing Validate, CanonicalKey and Run over every catalogue
 // design and router: every answer equals the sequential one, runs of one
 // pair share one topology however their gates raced, and the filled memo
 // holds exactly |catalogue| x (|engines| + 1) entries.
@@ -111,9 +111,7 @@ func TestCanonicalKeyMemoConcurrent(t *testing.T) {
 		want[i] = mustRun(t, opts(p))
 	}
 
-	designMemo.Lock()
-	designMemo.m = nil
-	designMemo.Unlock()
+	rt := new(Runtime)
 	var wg sync.WaitGroup
 	topos := make([]*topology.Topology, 8)
 	for g := 0; g < 8; g++ {
@@ -121,7 +119,7 @@ func TestCanonicalKeyMemoConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			// Goroutines g and g+4 race to gate one pair on an empty memo.
-			if art, err := Prepare(opts(runs[g%len(runs)]), nil); err != nil {
+			if art, err := rt.prepare(opts(runs[g%len(runs)]), nil); err != nil {
 				t.Error(err)
 			} else {
 				topos[g] = art.Topo
@@ -129,15 +127,15 @@ func TestCanonicalKeyMemoConcurrent(t *testing.T) {
 			for j := range pairs {
 				i := (g*5 + j) % len(pairs)
 				o := opts(pairs[i])
-				if err := o.Validate(); err != nil {
+				if _, _, err := rt.checkOptions(o, nil); err != nil {
 					t.Error(err)
 				}
-				if k, err := CanonicalKey(o); err != nil || k != keys[i] {
+				if k, err := rt.canonicalKey(o); err != nil || k != keys[i] {
 					t.Errorf("goroutine %d: %v: key %s (%v), want %s", g, pairs[i], k, err, keys[i])
 				}
 			}
 			i := g % len(runs)
-			if got, err := Run(opts(runs[i])); err != nil {
+			if got, err := rt.Run(opts(runs[i])); err != nil {
 				t.Error(err)
 			} else if !reflect.DeepEqual(got, want[i]) {
 				t.Errorf("goroutine %d: %v differs from the sequential run", g, runs[i])
@@ -146,14 +144,11 @@ func TestCanonicalKeyMemoConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for g, topo := range topos {
-		if want := mustPrepare(t, opts(runs[g%len(runs)]), nil).Topo; topo != want {
+		if want := mustPrepareOn(t, rt, opts(runs[g%len(runs)]), nil).Topo; topo != want {
 			t.Errorf("goroutine %d: %v prepared its own topology, not the memoised one", g, runs[g%len(runs)])
 		}
 	}
-	designMemo.Lock()
-	n := len(designMemo.m)
-	designMemo.Unlock()
-	if n != len(pairs) {
+	if n := len(rt.designs); n != len(pairs) {
 		t.Errorf("memo holds %d entries, want %d (catalogue x (engines + 1))", n, len(pairs))
 	}
 }

@@ -73,7 +73,7 @@ func copiedSets(t *testing.T, sys *cache.System) int {
 // through to a shared image: Fast-LRU multicast chains, an LRU unicast
 // lucas run (write hits, write-backs, removals), static in-place hits,
 // promotion swaps, and an 8-core directory run. Its four warm states fit
-// the process-wide cache together.
+// a runtime's warm-state LRU together.
 func readThroughMix() []Options {
 	a := DefaultOptions()
 	a.Accesses = 200
@@ -87,7 +87,7 @@ func readThroughMix() []Options {
 }
 
 // TestRunLeavesWarmImageUnchanged: runs on 8 goroutines share the
-// process-wide warm images read-only. Every bank mutator copies a set on
+// default runtime's warm images read-only. Every bank mutator copies a set on
 // its first write, so no run moves a template bank — one that wrote
 // through would change the image the next run warms from — and every
 // run equals the same run on a fresh arena's banks, so a mutator that

@@ -11,7 +11,7 @@ import (
 // test binary registers test-picky, an engine whose Supports rejects
 // every topology (engines_test.go); core's own tests cannot register one
 // without leaking it into every sweep over router.Names(). Core's
-// process-wide design memo stores successes only, so a rejected catalogue
+// design memo stores successes only, so a rejected catalogue
 // design fails identically on every call through every entry point, and
 // the design still resolves under its own engine afterwards.
 func TestCanonicalKeyUnsupportedEngineNotMemoised(t *testing.T) {

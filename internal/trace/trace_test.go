@@ -359,8 +359,8 @@ func TestSparseMatchesDenseGenerator(t *testing.T) {
 	}
 }
 
-// TestWarmTableIgnoresSeedAndProfile pins the property the process-wide
-// warm state in internal/core rests on: the warm table is a function of
+// TestWarmTableIgnoresSeedAndProfile pins the property the shared warm
+// state in internal/core rests on: the warm table is a function of
 // the address geometry alone.
 func TestWarmTableIgnoresSeedAndProfile(t *testing.T) {
 	gcc, _ := ProfileByName("gcc")
