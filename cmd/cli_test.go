@@ -12,10 +12,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"nucanet/internal/cpu"
 )
 
 // run executes one built binary and returns its output and exit code.
@@ -64,12 +67,14 @@ func TestCLI(t *testing.T) {
 		}
 		return string(data)
 	}
+	def := cpu.DefaultConfig()
 
 	for _, tc := range []struct {
 		name, bin string
 		args      []string
 		exit      int
 		stdout    string   // when set: the exact stdout, per-run " [N.NNs]" timings stripped
+		sameAs    []string // when set: args whose stdout, timings stripped, must equal this run's
 		mentions  []string // substrings stdout+stderr must carry
 		trace     string   // when set: a JSONL trace the run must have written
 	}{
@@ -82,6 +87,12 @@ func TestCLI(t *testing.T) {
 		// attribution and per-core reporting, pinned to the golden.
 		{name: "4-core H2 directory run equals the golden", bin: "nucasim", stdout: golden("nucasim/testdata/cmp_smoke.golden"),
 			args: []string{"-design", "H2", "-policy", "directory", "-cores", "4", "-n", "500"}},
+		// The core-model flags default to the model's own defaults
+		// (cpu.DefaultConfig, which core.DefaultOptions and nucad run):
+		// leaving them out prints what spelling them out does.
+		{name: "nucasim core flags default to the model's", bin: "nucasim", args: []string{"-design", "A", "-n", "400"},
+			sameAs: []string{"-design", "A", "-n", "400", "-window", strconv.Itoa(def.Window),
+				"-blocking", strconv.FormatFloat(def.BlockingProb, 'g', -1, 64)}},
 		{name: "cmp sweep", bin: "paperbench", args: []string{"-exp", "cmp", "-n", "300"},
 			mentions: []string{"=== CMP sharing contention"}},
 		// Every registered engine over designs A/D/F/R under both schemes:
@@ -113,8 +124,15 @@ func TestCLI(t *testing.T) {
 			if exit != tc.exit {
 				t.Fatalf("exit %d, want %d\nstderr: %s", exit, tc.exit, stderr)
 			}
-			if got := runTiming.ReplaceAllString(stdout, ""); tc.stdout != "" && got != tc.stdout {
+			got := runTiming.ReplaceAllString(stdout, "")
+			if tc.stdout != "" && got != tc.stdout {
 				t.Errorf("output drifted from the committed golden:\n--- got\n%s--- want\n%s", got, tc.stdout)
+			}
+			if tc.sameAs != nil {
+				want, _, _ := run(t, bin(tc.bin), tc.sameAs...)
+				if want = runTiming.ReplaceAllString(want, ""); got != want {
+					t.Errorf("output differs from %v:\n--- got\n%s--- want\n%s", tc.sameAs, got, want)
+				}
 			}
 			for _, m := range tc.mentions {
 				if !strings.Contains(stdout+stderr, m) {

@@ -51,13 +51,14 @@ import (
 )
 
 func main() {
+	def := cpu.DefaultConfig()
 	var (
 		design   = cliutil.Design(flag.CommandLine)
 		bench    = flag.String("bench", "gcc", "benchmark profile (Table 2) or 'all'")
 		n        = flag.Int("n", 8000, "measured L2 accesses")
 		seed     = flag.Uint64("seed", 42, "random seed")
-		window   = flag.Int("window", 8, "CPU outstanding-access window (MSHRs)")
-		blocking = flag.Float64("blocking", 0.35, "fraction of reads that stall the core")
+		window   = flag.Int("window", def.Window, "CPU outstanding-access window (MSHRs)")
+		blocking = flag.Float64("blocking", def.BlockingProb, "fraction of reads that stall the core")
 		jobs     = cliutil.Jobs(flag.CommandLine)
 		cores    = cliutil.Cores(flag.CommandLine)
 		tflags   = cliutil.Telemetry(flag.CommandLine)

@@ -19,9 +19,10 @@ import (
 type Arena struct {
 	net network.Arena
 
-	// systems is rewound, not zeroed: NewPrebuilt renews a slot in place,
-	// so the slot's latency record, directory and memory keep the storage
-	// an earlier run grew.
+	// systems is rewound, not zeroed: Reset releases each slot (see
+	// System.release), so its latency record, directory, memory and
+	// controller list keep the storage an earlier run grew while the slot
+	// pins nothing of that run.
 	systems slab.Chunk[System]
 	ctrls   slab.Chunk[Controller]
 	agents  slab.Chunk[agent]
@@ -39,7 +40,7 @@ func (a *Arena) RouterArena() *router.Arena { return &a.net.Arena }
 // free list keeps its ops and restarts its accounting.
 func (a *Arena) Reset() {
 	a.net.Reset()
-	a.systems.Rewind()
+	a.systems.RewindEach((*System).release)
 	a.ctrls.Reset()
 	a.agents.Reset()
 	a.muxes.Reset()
@@ -49,9 +50,9 @@ func (a *Arena) Reset() {
 	a.ops.resetStats()
 }
 
-// system returns the slot's system from an earlier round, if any, for
-// NewPrebuilt to renew in place. A fresh controller chunk holds an
-// 8-core fabric's controllers.
+// system returns a fresh system slot, or one an earlier round left
+// released, for NewPrebuilt to renew in place. A fresh controller chunk
+// holds an 8-core fabric's controllers.
 func (a *Arena) system() *System         { return &slab.GrabIn(&a.systems, 1, 1)[0] }
 func (a *Arena) controller() *Controller { return &slab.GrabIn(&a.ctrls, 1, 8)[0] }
 

@@ -220,12 +220,7 @@ func RunScenario(sc Scenario) []string {
 				fmt.Sprintf("set %d contents: sim %v, golden %v", set, got, want))
 		}
 	}
-	violations = append(violations, ck.finish(sys)...)
-	if st := sys.Net.PoolStats(); st.Live != 0 {
-		violations = append(violations,
-			fmt.Sprintf("packet pool leak: %d live replica packets after drain", st.Live))
-	}
-	return violations
+	return append(violations, ck.finish(sys)...)
 }
 
 // RunConformance runs the full scenario matrix and returns the number of

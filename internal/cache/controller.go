@@ -53,13 +53,15 @@ func newController(sys *System) *Controller {
 
 // NewControllerAt creates an additional controller attached at a given
 // router — the CMP building block — from the system's arena, like the
-// primary controller. The caller attaches it to the network
-// and routes requests to it (each column must be owned by exactly one
-// controller; column state is controller-local).
+// primary controller, and enrolls it in the system's Drain. The caller
+// attaches it to the network and routes requests to it (each column
+// must be owned by exactly one controller; column state is
+// controller-local).
 func NewControllerAt(sys *System, node int) *Controller {
 	n := sys.Topo.Columns()
 	c := sys.arena.controller()
 	*c = Controller{sys: sys, Node: node, cols: sys.arena.colSlab(n)}
+	sys.ctrls = append(sys.ctrls, c)
 	// Each column's queue and window are carved side by side from two
 	// slabs; a queue that outgrows its carve moves to the heap alone.
 	qs, as := sys.arena.reqSlab(n*queueCap), sys.arena.activeSlab(n*ColumnWindow)

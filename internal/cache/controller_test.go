@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 
 	"nucanet/internal/flit"
@@ -74,5 +75,17 @@ func TestControllerAtCustomNode(t *testing.T) {
 	}
 	if other.Issued != 1 {
 		t.Fatal("custom controller must own the request")
+	}
+}
+
+// TestDrainCoversEveryController: a request left queued at a CMP home
+// controller (one NewControllerAt built) while the kernel is idle fails
+// the drain, as one at the primary controller does.
+func TestDrainCoversEveryController(t *testing.T) {
+	s := MustNew(sim.NewKernel(), testDesign(4, 4), FastLRU, Multicast)
+	home := NewControllerAt(s, s.Topo.NodeAt(0, 0))
+	home.cols[1].q = append(home.cols[1].q, &Request{})
+	if err := s.Drain(1000); err == nil || !strings.Contains(err.Error(), "1 requests stuck") {
+		t.Fatalf("drain with a request queued at a home controller: err %v, want a stuck-request error", err)
 	}
 }

@@ -141,6 +141,16 @@ func TestDrainReportsUnretiredOps(t *testing.T) {
 	}
 }
 
+// TestDrainReportsLeakedPacket: a pooled packet taken and never sent is
+// a leak the drain check names.
+func TestDrainReportsLeakedPacket(t *testing.T) {
+	s := MustNew(sim.NewKernel(), testDesign(4, 4), FastLRU, Multicast)
+	s.Net.NewPacket(flit.ReadReq, s.Topo.Core, s.Topo.Mem, flit.ToMem, 0)
+	if err := s.Drain(10); err == nil || !strings.Contains(err.Error(), "1 packets never returned") {
+		t.Fatalf("drain with a packet out of the pool: err %v, want a leaked-packet error", err)
+	}
+}
+
 // TestOpReuseResetsState: a recycled op carries nothing of its previous
 // access and its embedded messages point back at it.
 func TestOpReuseResetsState(t *testing.T) {

@@ -43,11 +43,20 @@ type System struct {
 	opSeq  uint64       // operation serial counter (telemetry correlation)
 	ops    *opPool      // every controller's ops, recycled once retired
 
-	// The storage behind Lat, Dir and Memory, renewed in place with the
-	// system (see Arena).
+	// The storage behind Lat, Dir, Memory and the controller list,
+	// renewed in place with the system (see Arena.Reset).
 	lat    stats.Latency
 	dir    DirStats
 	memory mem.Memory
+	ctrls  []*Controller // every controller built, Ctrl first: what Drain proves idle
+}
+
+// release drops the system's references to its run's inputs and outputs
+// — kernel, design, topology, network, telemetry — and keeps only the
+// storage its latency record, directory, memory and controller list
+// grew, for the next system NewPrebuilt builds in the slot.
+func (s *System) release() {
+	*s = System{lat: s.lat, dir: s.dir, memory: s.memory, ctrls: s.ctrls[:0]}
 }
 
 // New builds a system over a fresh kernel-registered network. It errors
@@ -107,17 +116,10 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 			return nil, err
 		}
 	}
-	s := pre.Arena.system()
-	*s = System{
-		K: k, Design: d, Policy: policy, Mode: mode,
-		Topo:  topo,
-		AM:    d.AddrMap(),
-		Lat:   &s.lat,
-		eng:   policy.engine(),
-		arena: pre.Arena,
-		ops:   &pre.Arena.ops,
-		lat:   s.lat, dir: s.dir, memory: s.memory,
-	}
+	s := pre.Arena.system() // fresh, or released by Arena.Reset
+	s.K, s.Design, s.Policy, s.Mode = k, d, policy, mode
+	s.Topo, s.AM, s.Lat = topo, d.AddrMap(), &s.lat
+	s.eng, s.arena, s.ops = policy.engine(), pre.Arena, &pre.Arena.ops
 	s.lat.Reset(len(d.Banks))
 	if _, ok := s.eng.(*directoryEngine); ok {
 		s.Dir = &s.dir
@@ -286,19 +288,28 @@ func (s *System) NewGoldenFor() *Golden {
 	return NewGolden(s.Policy, s.Design.Banks, s.AM.Columns, s.AM.Sets)
 }
 
-// Drain runs the kernel until all protocol activity quiesces or the cycle
-// budget is exhausted; it errors on a stuck protocol, including an
-// operation that never retired.
+// Drain runs the kernel until it goes idle or the cycle budget runs out,
+// then proves the run complete: no request queued or in flight at any
+// controller the system built, no flit in the network, no packet out of
+// the pool and no operation live. Every run ends through it; it names
+// the first check that fails.
 func (s *System) Drain(maxCycles int64) error {
-	if _, idle := s.K.Run(maxCycles); !idle {
+	_, idle := s.K.Run(maxCycles)
+	pending, inflight := 0, s.Net.InFlight()
+	for _, c := range s.ctrls {
+		pending += c.Pending()
+	}
+	switch {
+	case !idle:
 		return fmt.Errorf("cache: system did not quiesce within %d cycles (pending=%d, inflight=%d)",
-			maxCycles, s.Ctrl.Pending(), s.Net.InFlight())
+			maxCycles, pending, inflight)
+	case pending != 0:
+		return fmt.Errorf("cache: %d requests stuck after quiescence", pending)
+	case inflight != 0:
+		return fmt.Errorf("cache: %d flits stuck in the network", inflight)
 	}
-	if p := s.Ctrl.Pending(); p != 0 {
-		return fmt.Errorf("cache: %d requests stuck after quiescence", p)
-	}
-	if f := s.Net.InFlight(); f != 0 {
-		return fmt.Errorf("cache: %d flits stuck in the network", f)
+	if st := s.Net.PoolStats(); st.Live != 0 {
+		return fmt.Errorf("cache: %d packets never returned to the pool", st.Live)
 	}
 	if st := s.ops.stats(); st.Live != 0 {
 		return fmt.Errorf("cache: %d operations never retired (gets=%d puts=%d)", st.Live, st.Gets, st.Puts)

@@ -27,6 +27,7 @@ package cmp
 
 import (
 	"fmt"
+	"math"
 
 	"nucanet/internal/cache"
 	"nucanet/internal/cpu"
@@ -179,7 +180,6 @@ type Fabric struct {
 	N   int
 
 	ports []*Port
-	ctrls []*cache.Controller
 	nodes []topology.NodeID // controller/core routers
 	home  []int             // column -> controller index
 	ops   *portOps          // every port's retired portOps; the arena's
@@ -243,7 +243,7 @@ func AttachIn(cs *cache.System, n int, ar *Arena) (*Fabric, error) {
 	}
 	f := &ar.fab
 	*f = Fabric{Sys: cs, N: n, ops: &ar.ops,
-		ports: f.ports[:0], ctrls: f.ctrls[:0], nodes: f.nodes[:0], home: f.home}
+		ports: f.ports[:0], nodes: f.nodes[:0], home: f.home}
 	w := cs.Topo.W
 
 	for i := 0; i < n; i++ {
@@ -258,14 +258,13 @@ func AttachIn(cs *cache.System, n int, ar *Arena) (*Fabric, error) {
 		l.port = Port{fab: f, id: i, node: node, ctrl: ctrl, Lat: &l.lat}
 		l.hub = hub{ctrl: ctrl, port: &l.port}
 		f.ports = append(f.ports, &l.port)
-		f.ctrls = append(f.ctrls, ctrl)
 		f.nodes = append(f.nodes, node)
 		cs.Net.Attach(node, flit.ToCore, &l.hub)
 	}
 	// Home every column on the nearest controller.
 	f.home = slab.Reuse(f.home, w)
 	for col := 0; col < w; col++ {
-		best, bestDist := 0, 1<<30
+		best, bestDist := 0, math.MaxInt
 		for i, node := range f.nodes {
 			d := abs(cs.Topo.Nodes[node].X - col)
 			if d < bestDist {
@@ -305,16 +304,13 @@ func abs(x int) int {
 // Port returns core i's cache interface.
 func (f *Fabric) Port(i int) *Port { return f.ports[i] }
 
-// Pending returns outstanding work across every port and controller —
-// the fabric-wide complement of (*cache.Controller).Pending that a
-// multi-controller drain must check.
+// Pending returns the accesses issued through the ports and not yet
+// completed at their cores — the one piece of fabric state
+// (*cache.System).Drain, which proves every controller idle, cannot see.
 func (f *Fabric) Pending() int {
 	n := 0
 	for _, p := range f.ports {
 		n += p.pending
-	}
-	for _, c := range f.ctrls {
-		n += c.Pending()
 	}
 	return n
 }

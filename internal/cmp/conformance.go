@@ -232,15 +232,10 @@ func RunMultiCoreScenario(sc MCScenario) (cache.DirReport, []string) {
 
 	var violations []string
 	drain := func() {
-		if _, idle := k.Run(1_000_000); !idle {
-			violations = append(violations, "fabric did not quiesce")
-			return
-		}
-		if n := f.Pending(); n != 0 {
-			violations = append(violations, fmt.Sprintf("%d requests stuck across the fabric", n))
-		}
-		if fl := sys.Net.InFlight(); fl != 0 {
-			violations = append(violations, fmt.Sprintf("%d flits stuck in the network", fl))
+		if err := sys.Drain(1_000_000); err != nil {
+			violations = append(violations, err.Error())
+		} else if n := f.Pending(); n != 0 {
+			violations = append(violations, fmt.Sprintf("%d accesses stuck at the ports", n))
 		}
 	}
 	touched := map[[2]int]bool{}
@@ -278,10 +273,6 @@ func RunMultiCoreScenario(sc MCScenario) (cache.DirReport, []string) {
 	}
 
 	violations = append(violations, probe.Finish(sys)...)
-	if st := sys.Net.PoolStats(); st.Live != 0 {
-		violations = append(violations,
-			fmt.Sprintf("packet pool leak: %d live replica packets after drain", st.Live))
-	}
 	violations = append(violations, sys.Dir.Verify(sys)...)
 	return sys.Dir.Report(), violations
 }

@@ -220,21 +220,25 @@ func NewInstance(art *Artifacts, w *Worker) (*Instance, error) {
 	return in, nil
 }
 
-// RunToCompletion drives the instance to quiescence and assembles the
-// Result. Call it once.
+// runBudget is the cycle budget of every run: far past the length of any
+// run that quiesces, so only a protocol that never goes idle spends it.
+const runBudget = 1 << 40
+
+// RunToCompletion starts the cores, drives the instance through the
+// system's Drain — the one quiescence proof, covering every controller
+// of a CMP fabric too — and assembles the Result. Call it once.
 func (in *Instance) RunToCompletion() (Result, error) {
 	for _, c := range in.cores {
 		c.Start()
 	}
-	if _, idle := in.K.Run(1 << 40); !idle {
-		return Result{}, in.wrapErr(fmt.Errorf("run did not complete within the cycle budget"))
+	if err := in.Sys.Drain(runBudget); err != nil {
+		return Result{}, in.wrapErr(err)
 	}
-	return in.finishIdle()
-}
-
-// finishIdle collects the Result once the kernel has gone idle. It
-// errors when an access stream did not complete.
-func (in *Instance) finishIdle() (Result, error) {
+	if in.Fab != nil {
+		if p := in.Fab.Pending(); p != 0 {
+			return Result{}, in.wrapErr(fmt.Errorf("%d accesses stuck at the CMP ports after quiescence", p))
+		}
+	}
 	rs := make([]cpu.Result, len(in.cores))
 	for i, c := range in.cores {
 		r, err := c.Result()
@@ -246,7 +250,7 @@ func (in *Instance) finishIdle() (Result, error) {
 		}
 		rs[i] = r
 	}
-	return in.finish(rs)
+	return in.finish(rs), nil
 }
 
 func (in *Instance) wrapErr(err error) error {
@@ -254,24 +258,13 @@ func (in *Instance) wrapErr(err error) error {
 		in.Art.Design.ID, in.Art.Opt.Policy, in.Art.Opt.Mode, in.Art.Opt.Benchmark, err)
 }
 
-// finish drains the system and assembles the Result from the cores'
-// outcomes (one for the classic path). The scalar fields aggregate over
-// rs — IPC and instructions sum, cycles take the slowest core — and the
-// latency statistics are the shared cache's protocol-side view. A CMP
-// run adds the fabric's quiescence check and the per-core rows from the
-// ports' core-observed accumulators.
-func (in *Instance) finish(rs []cpu.Result) (Result, error) {
+// finish assembles the Result of a drained run from the cores' outcomes
+// (one for the classic path). The scalar fields aggregate over rs — IPC
+// and instructions sum, cycles take the slowest core — and the latency
+// statistics are the shared cache's protocol-side view. A CMP run adds
+// the per-core rows from the ports' core-observed accumulators.
+func (in *Instance) finish(rs []cpu.Result) Result {
 	opt, d, sys := in.Art.Opt, in.Art.Design, in.Sys
-	if err := sys.Drain(1 << 30); err != nil {
-		return Result{}, err
-	}
-	// Drain checks the primary controller; the fabric's extra controllers
-	// and ports need their own quiescence proof.
-	if in.Fab != nil {
-		if p := in.Fab.Pending(); p != 0 {
-			return Result{}, fmt.Errorf("core: %d requests stuck across the CMP fabric after quiescence", p)
-		}
-	}
 	in.tel.Finish(in.K.Now())
 
 	bank, net, memShare := sys.Lat.Shares()
@@ -331,5 +324,5 @@ func (in *Instance) finish(rs []cpu.Result) (Result, error) {
 		rep := sys.Dir.Report()
 		res.Directory = &rep
 	}
-	return res, nil
+	return res
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,21 +14,26 @@ import (
 
 // TestRuntimeFreeWorkersPinNoRun: a worker back on a runtime's free list
 // holds neither the artifacts nor the telemetry of the run it carried,
-// so a warm image evicted from the runtime's LRU is collected instead of
-// outliving the LRU's bound through a free worker.
+// so a warm image evicted from the runtime's LRU, and the collector of a
+// dropped Result, are collected instead of outliving their run through a
+// free worker.
 func TestRuntimeFreeWorkersPinNoRun(t *testing.T) {
 	rt := new(Runtime)
 	opt := DefaultOptions()
 	opt.Accesses = 50
 	opt.Telemetry = telemetry.Config{Heatmap: true}
 	var wg sync.WaitGroup
+	var tels atomic.Int32 // run collectors collected
 	for range maxFreeArenas {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := rt.Run(opt); err != nil {
+			res, err := rt.Run(opt)
+			if err != nil {
 				t.Error(err)
+				return
 			}
+			runtime.SetFinalizer(res.Telemetry, func(*telemetry.Collector) { tels.Add(1) })
 		}()
 	}
 	wg.Wait()
@@ -43,21 +49,25 @@ func TestRuntimeFreeWorkersPinNoRun(t *testing.T) {
 		}
 	}
 
-	collected := make(chan struct{})
-	runtime.SetFinalizer(mustPrepareOn(t, rt, opt, nil).WarmImg, func(*cache.WarmImage) { close(collected) })
+	var img atomic.Bool
+	runtime.SetFinalizer(mustPrepareOn(t, rt, opt, nil).WarmImg, func(*cache.WarmImage) { img.Store(true) })
 	for i := range maxSharedWarm {
 		mustPrepareOn(t, rt, cmpOpts("A", i+1, 50), nil)
 	}
 	defer runtime.KeepAlive(rt) // its free workers must stay reachable
 	for range 20 {
 		runtime.GC()
-		select {
-		case <-collected:
+		if img.Load() && tels.Load() == maxFreeArenas {
 			return
-		case <-time.After(10 * time.Millisecond):
 		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatal("a warm image evicted from the runtime's LRU was never collected")
+	if !img.Load() {
+		t.Error("a warm image evicted from the runtime's LRU was never collected")
+	}
+	if n := tels.Load(); n != maxFreeArenas {
+		t.Errorf("%d of %d dropped runs' telemetry collectors were collected", n, maxFreeArenas)
+	}
 }
 
 // TestRuntimesShareNothing: two private runtimes prepare the same

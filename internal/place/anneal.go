@@ -59,11 +59,6 @@ type Config struct {
 	// candidates cannot host a core grid and are gated out as unsafe.
 	Cores int
 
-	// InitTemp and Cool shape the annealing schedule: acceptance
-	// temperature starts at InitTemp (as a fraction of the current
-	// score) and multiplies by Cool each wave (defaults 0.02, 0.85).
-	InitTemp, Cool float64
-
 	// Log, when non-nil, receives one line per wave.
 	Log func(format string, args ...any)
 }
@@ -90,14 +85,15 @@ func (c Config) withDefaults() Config {
 	if len(c.Benchmarks) == 0 {
 		c.Benchmarks = DefaultBenchmarks
 	}
-	if c.InitTemp <= 0 {
-		c.InitTemp = 0.02
-	}
-	if c.Cool <= 0 || c.Cool >= 1 {
-		c.Cool = 0.85
-	}
 	return c
 }
+
+// The annealing schedule: the acceptance temperature starts at initTemp,
+// as a fraction of the current score, and multiplies by cool each wave.
+const (
+	initTemp = 0.02
+	cool     = 0.85
+)
 
 // maxStalledWaves bounds the restart attempts after the reachable
 // neighborhood is exhausted: the search terminates even when the gated
@@ -199,7 +195,7 @@ func Search(cfg Config) (*Result, error) {
 	logf("seed   %-40s ipc %.4f area %.1fmm2 (gate %.1fmm2)",
 		cur.Candidate, cur.Score, cur.AreaMM2, budgetMM2)
 
-	temp := cfg.InitTemp
+	temp := initTemp
 	stalled := 0
 	for wave := 0; res.Screened < cfg.Budget && stalled < maxStalledWaves; wave++ {
 		// Propose a wave of gated, unscored neighbors.
@@ -236,7 +232,7 @@ func Search(cfg Config) (*Result, error) {
 			// already-screened candidate to escape; give up for good after
 			// maxStalledWaves consecutive dry waves.
 			stalled++
-			temp = cfg.InitTemp
+			temp = initTemp
 			if keys := sortedKeys(scores); len(keys) > 0 {
 				cur = scores[keys[rng.Intn(len(keys))]]
 			}
@@ -261,7 +257,7 @@ func Search(cfg Config) (*Result, error) {
 		}
 		logf("wave %2d: %d screened (%d/%d budget), cur %-40s ipc %.4f T=%.4f",
 			wave, len(wv), res.Screened, cfg.Budget, cur.Candidate, cur.Score, temp)
-		temp *= cfg.Cool
+		temp *= cool
 	}
 
 	// Shortlist: top screening scores (ties broken by encoding for

@@ -281,10 +281,10 @@ func buildResponse(key string, res core.Result) ([]byte, error) {
 			tr.BankAccesses = tel.Heat.BankAccesses
 			tr.BankHits = tel.Heat.BankHits
 		}
-		if tel.Series != nil {
-			tr.Samples = tel.Series.Len()
-			tr.MaxInFlight, _ = stats32Max(tel.Series.InFlight)
-			tr.MaxPending, _ = stats32Max(tel.Series.Pending)
+		if s := tel.Series; s != nil && s.Len() > 0 {
+			tr.Samples = s.Len()
+			tr.MaxInFlight = slices.Max(s.InFlight)
+			tr.MaxPending = slices.Max(s.Pending)
 		}
 		resp.Telemetry = tr
 	}
@@ -293,15 +293,6 @@ func buildResponse(key string, res core.Result) ([]byte, error) {
 		return nil, err
 	}
 	return append(body, '\n'), nil
-}
-
-func stats32Max(v []int32) (max int32, ok bool) {
-	for _, x := range v {
-		if x > max {
-			max = x
-		}
-	}
-	return max, len(v) > 0
 }
 
 // latencySummary condenses a merged stats.Latency for /v1/stats.

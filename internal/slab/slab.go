@@ -74,6 +74,18 @@ func (c *Chunk[T]) Rewind() {
 	}
 }
 
+// RewindEach is Rewind that first hands every retained element to
+// renew, for storage that keeps part of a round's state in place and
+// must drop the rest.
+func (c *Chunk[T]) RewindEach(renew func(*T)) {
+	for _, ch := range c.chunks {
+		for i := range ch {
+			renew(&ch[i])
+		}
+	}
+	c.Rewind()
+}
+
 // Reuse returns s resized to n zeroed elements: in place when its
 // capacity allows, so storage renewed run after run stops allocating
 // once it has held its largest size.

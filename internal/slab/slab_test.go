@@ -139,6 +139,31 @@ func TestRewindReusesWindowsUnzeroed(t *testing.T) {
 	}
 }
 
+// TestRewindEachRenewsEveryElement: RewindEach hands each retained
+// element to renew once, then carving restarts over the same windows.
+func TestRewindEachRenewsEveryElement(t *testing.T) {
+	var c Chunk[int]
+	first := make([][]int, len(roundSizes))
+	for i, n := range roundSizes {
+		first[i] = Grab(&c, n)
+		for j := range first[i] {
+			first[i][j] = i + 1
+		}
+	}
+	c.RewindEach(func(v *int) { *v = -*v })
+	for i, n := range roundSizes {
+		s := Grab(&c, n)
+		if n > 0 && &s[0] != &first[i][0] {
+			t.Fatalf("carve %d after RewindEach is a different window", i)
+		}
+		for j, v := range s {
+			if v != -(i + 1) {
+				t.Fatalf("carve %d after RewindEach at %d: %d, want %d", i, j, v, -(i + 1))
+			}
+		}
+	}
+}
+
 // TestReuseZeroesInPlace: Reuse keeps a slice's backing array while it
 // fits, zeroing the elements it hands back, and allocates only to grow.
 func TestReuseZeroesInPlace(t *testing.T) {
