@@ -8,7 +8,7 @@
 # no non-test file names), the benchmark module's own tests, the race
 # detector over the short-mode subset (which includes the engine's
 # determinism regressions) and one full race pass over the quick
-# packages.
+# packages, the protocol conformance matrices among them.
 
 GO ?= go
 
@@ -46,14 +46,15 @@ race:
 # un-shortened — everything shared across the parallel engine's workers
 # (topology builders, routing verifier, policy and router registries)
 # and every piece of cross-goroutine state (the CMP fabric's ports,
-# nucad's scheduler, cache, and coalescing map) — plus the engine
+# nucad's scheduler, cache, and coalescing map), the single-core and CMP
+# protocol conformance matrices (internal/conformance) — plus the engine
 # (shared prepared artifacts), Run and core.Runtime (the warm images
 # every run's banks read through to until they first write a set, the
 # worker free list, the design memo), CMP and canonical-hash tests of
 # internal/core, whose full figure sweeps are too long for the detector.
 RACELONG_PKGS = ./internal/topology/ ./internal/routing/ ./internal/cache/ \
 	./internal/router/ ./internal/network/ ./internal/place/ \
-	./internal/cmp/ ./internal/cpu/ ./internal/serve/
+	./internal/cmp/ ./internal/cpu/ ./internal/serve/ ./internal/conformance/
 racelong:
 	$(GO) test -race $(RACELONG_PKGS)
 	$(GO) test -race -run 'TestEngine|TestCMP|TestCanonicalKey|TestRun|TestRuntime' ./internal/core/

@@ -116,6 +116,10 @@ func TestCLI(t *testing.T) {
 			mentions: []string{`unknown design "Z"`, "[A B C D E F R G H2]"}},
 		{name: "unknown benchmark", bin: "nucasim", args: []string{"-bench", "nope"}, exit: 1,
 			mentions: []string{`unknown benchmark "nope"`, "applu", "vpr"}},
+		// A zero window selects the default core model, so a blocking
+		// probability beside it would be silently dropped.
+		{name: "blocking without a window", bin: "nucasim", args: []string{"-window", "0", "-blocking", "0.95"}, exit: 1,
+			mentions: []string{"CPU.BlockingProb 0.95 needs a positive CPU.Window"}},
 		{name: "unknown experiment", bin: "paperbench", args: []string{"-exp", "nope"}, exit: 1,
 			mentions: []string{`unknown experiment "nope"`, "t1 t2 t3 t4 f7 f8 f9 headline"}},
 	} {

@@ -1,7 +1,7 @@
 // Customworkload: drive a halo cache directly with your own access stream
 // through the lower-level cache.System API — build the system, preload it,
 // issue accesses with completion callbacks, and validate the protocol
-// against the golden functional model as you go.
+// against the golden functional model as you go and at the end.
 package main
 
 import (
@@ -61,6 +61,14 @@ func main() {
 	}
 	if err := sys.Drain(10_000_000); err != nil {
 		log.Fatal(err)
+	}
+	// The replacement chains must leave every set the stream touched
+	// exactly as the golden model does.
+	for _, a := range accs {
+		col, set := am.ColumnOf(a.Addr), am.SetOf(a.Addr)
+		if got, want := sys.Contents(col, set), golden.Contents(col, set); fmt.Sprint(got) != fmt.Sprint(want) {
+			log.Fatalf("column %d set %d: cache holds %v, golden model %v", col, set, got, want)
+		}
 	}
 
 	fmt.Printf("issued %d accesses on design F (halo, non-uniform banks)\n", len(accs))

@@ -158,8 +158,9 @@ type opPool struct {
 
 	// quarantine parks retired ops instead of reusing them, so a message
 	// that reaches an op after its retirement finds it still marked
-	// retired and panics rather than corrupting a later access. The
-	// conformance harnesses turn it on.
+	// retired and panics rather than corrupting a later access.
+	// EnableTelemetry turns it on with a Protocol probe; every system
+	// build turns it off.
 	quarantine bool
 }
 

@@ -7,6 +7,7 @@ import (
 	"nucanet/internal/flit"
 	"nucanet/internal/sim"
 	"nucanet/internal/stats"
+	"nucanet/internal/telemetry"
 	"nucanet/internal/trace"
 )
 
@@ -107,6 +108,47 @@ func TestLateMissNotifyKeepsOpLive(t *testing.T) {
 	}
 	if len(s.ops.free) != 0 {
 		t.Fatal("a quarantined op reached the free list")
+	}
+}
+
+// nopProbe is a Protocol probe that ignores every event.
+type nopProbe struct{}
+
+func (nopProbe) OpIssued(int64, uint64, int, int, bool) {}
+func (nopProbe) OpData(int64, uint64, bool, int)        {}
+func (nopProbe) OpFinished(int64, uint64)               {}
+func (nopProbe) BlockInserted(int, int, int, uint64)    {}
+func (nopProbe) BlockEvicted(int, int, int, uint64)     {}
+
+// TestQuarantineFollowsProtocolProbe: a system with a Protocol probe
+// parks every retired op instead of reusing it, and the next system
+// built on the same arena without one reuses ops again: the setting
+// does not ride the pool from run to run.
+func TestQuarantineFollowsProtocolProbe(t *testing.T) {
+	ar := new(Arena)
+	runFour := func(probe telemetry.ProtocolProbe) flit.PoolStats {
+		t.Helper()
+		ar.Reset()
+		s, err := NewPrebuilt(sim.NewKernel(), testDesign(4, 4), FastLRU, Multicast, Prebuilt{Arena: ar})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probe != nil {
+			s.EnableTelemetry(&telemetry.Collector{Protocol: probe})
+		}
+		for tag := range uint64(4) {
+			s.Issue(s.AM.Compose(tag, 0, 0), false, nil)
+			if err := s.Drain(1_000_000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.ops.stats()
+	}
+	if st := runFour(nopProbe{}); st.Puts != 4 || st.Allocated != 4 || len(ar.ops.free) != 0 {
+		t.Fatalf("with a protocol probe: %+v, %d ops free; want every retired op parked", st, len(ar.ops.free))
+	}
+	if st := runFour(nil); st.Puts != 4 || st.Allocated != 1 || len(ar.ops.free) != 1 {
+		t.Fatalf("next system without a probe: %+v, %d ops free; want one op reused four times", st, len(ar.ops.free))
 	}
 }
 

@@ -120,6 +120,7 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 	s.K, s.Design, s.Policy, s.Mode = k, d, policy, mode
 	s.Topo, s.AM, s.Lat = topo, d.AddrMap(), &s.lat
 	s.eng, s.arena, s.ops = policy.engine(), pre.Arena, &pre.Arena.ops
+	s.ops.quarantine = false // the pool outlives the system; see EnableTelemetry
 	s.lat.Reset(len(d.Banks))
 	if _, ok := s.eng.(*directoryEngine); ok {
 		s.Dir = &s.dir
@@ -207,11 +208,14 @@ func (m *bankMux) Deliver(pkt *flit.Packet, now int64) {
 // EnableTelemetry installs the probe collector across the system: the
 // routers (flit trace, link heatmap), the bank agents (per-bank access
 // and hit counts), and — when sampling is on — a sim.Observer polling
-// queue occupancy and in-flight operations. Call after New and before
-// issuing traffic; registering here keeps the observer's component id
-// above every working component, so it ticks last within a cycle.
+// queue occupancy and in-flight operations. A Protocol probe also turns
+// the op pool's quarantine on, so a message reaching a retired op panics
+// instead of serving a later access. Call after New and before issuing
+// traffic; registering here keeps the observer's component id above
+// every working component, so it ticks last within a cycle.
 func (s *System) EnableTelemetry(c *telemetry.Collector) {
 	s.tel = c
+	s.ops.quarantine = c != nil && c.Protocol != nil
 	s.Net.SetTelemetry(c)
 	if every := c.SampleEvery(); every > 0 {
 		sim.Observe(s.K, every, func(now int64) {

@@ -170,7 +170,7 @@ func TestCMPPrepCacheMatchesPlainRun(t *testing.T) {
 // TestCMPDirectoryPolicyRun drives the ownership-tracking policy
 // through a full trace-driven multi-core run and reconciles the
 // directory against the resident blocks afterwards — the end-to-end
-// complement of the scripted conformance matrix in internal/cmp.
+// complement of the scripted conformance matrix in internal/conformance.
 func TestCMPDirectoryPolicyRun(t *testing.T) {
 	opt := cmpOpts("A", 4, 600)
 	opt.Policy = cache.Directory

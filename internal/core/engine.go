@@ -100,17 +100,18 @@ func (e *Engine) RunAll(opts []Options) ([]Result, SweepReport, error) {
 // same aggregate (pinned by TestAggregateMergeOrderInvariance).
 type Aggregate struct {
 	Runs     int
-	Accesses int64
+	Accesses int64 // simulated accesses, every core's counted
 	Latency  stats.Latency
 	Network  network.Stats
 	MemReads uint64
 	MemWB    uint64
 }
 
-// Add folds one run's statistics into the aggregate.
+// Add folds one run's statistics into the aggregate. A CMP run counts
+// the accesses of every core.
 func (a *Aggregate) Add(r Result) {
 	a.Runs++
-	a.Accesses += int64(r.Options.Accesses)
+	a.Accesses += int64(r.Options.Accesses) * int64(max(r.Options.Cores, 1))
 	if r.Latency != nil {
 		a.Latency.Merge(r.Latency)
 	}

@@ -326,6 +326,24 @@ func TestSweepReportSpeedup(t *testing.T) {
 	}
 }
 
+// TestAggregateCountsEveryCore: a CMP run simulates Accesses on every
+// core, and the aggregate counts them all, as its latency record does.
+func TestAggregateCountsEveryCore(t *testing.T) {
+	for _, cores := range []int{0, 4} {
+		opt := cmpOpts("H2", cores, 200)
+		opt.Policy = cache.Directory
+		r, err := Run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := AggregateOf([]Result{r, r})
+		if want := int64(2 * 200 * max(cores, 1)); agg.Accesses != want || agg.Latency.Count != want {
+			t.Errorf("%d cores: aggregate of two runs counts %d accesses and %d latencies, want %d",
+				cores, agg.Accesses, agg.Latency.Count, want)
+		}
+	}
+}
+
 // TestAggregateMergeOrderInvariance pins the property that lets the
 // engine combine run statistics in submission order while workers finish
 // in any order: the merged aggregate is independent of merge order.

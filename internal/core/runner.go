@@ -162,7 +162,8 @@ func newResolvedDesign(o Options) (*resolvedDesign, error) {
 }
 
 // normalizedCPU is the core model configuration o simulates with: a zero
-// Window selects the defaults, and the run's seed drives the CPU RNG.
+// config selects the defaults (checkOptions rejects a zero Window with a
+// non-zero BlockingProb), and the run's seed drives the CPU RNG.
 // Prepare and CanonicalKey both call it, so configurations that simulate
 // identically share one content address.
 func normalizedCPU(o Options) cpu.Config {
@@ -196,6 +197,14 @@ func (rt *Runtime) checkOptions(o Options, pc *PrepCache) (rd *resolvedDesign, p
 		if err := cmp.SupportsHost(rd.topo, rd.d.ID, o.Cores); err != nil {
 			return nil, prof, err
 		}
+	}
+	switch c := o.CPU; {
+	case c.Window < 0:
+		return nil, prof, fmt.Errorf("core: CPU.Window must be non-negative, got %d", c.Window)
+	case !(c.BlockingProb >= 0 && c.BlockingProb <= 1):
+		return nil, prof, fmt.Errorf("core: CPU.BlockingProb must be in [0,1], got %v", c.BlockingProb)
+	case c.Window == 0 && c.BlockingProb != 0:
+		return nil, prof, fmt.Errorf("core: CPU.BlockingProb %v needs a positive CPU.Window: a zero window selects the default core model", c.BlockingProb)
 	}
 	return rd, prof, cache.ValidatePair(o.Policy, o.Mode)
 }

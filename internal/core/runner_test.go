@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -179,6 +180,11 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative cores", func(o *Options) { o.Cores = -1 }, "cores must be non-negative"},
 		{"halo with cores", func(o *Options) { o.DesignID, o.Cores = "F", 2 }, "design F is radial (halo)"},
 		{"mesh narrower than cores", func(o *Options) { o.Cores = 17 }, "out of range [1,16]"},
+		{"negative window", func(o *Options) { o.CPU.Window = -4 }, "CPU.Window must be non-negative"},
+		{"blocking above one", func(o *Options) { o.CPU.BlockingProb = 7 }, "CPU.BlockingProb must be in [0,1]"},
+		{"negative blocking", func(o *Options) { o.CPU.BlockingProb = -1 }, "CPU.BlockingProb must be in [0,1]"},
+		{"NaN blocking", func(o *Options) { o.CPU.BlockingProb = math.NaN() }, "CPU.BlockingProb must be in [0,1]"},
+		{"blocking without a window", func(o *Options) { o.CPU.Window, o.CPU.BlockingProb = 0, 0.95 }, "needs a positive CPU.Window"},
 	}
 	for _, tc := range cases {
 		o := DefaultOptions()
