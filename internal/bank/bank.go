@@ -18,8 +18,8 @@ import (
 // Arena carves bank construction state — the frame slab and the per-set
 // fill counts, a lane's two largest construction allocations — from
 // recyclable chunks (see internal/slab). Single-goroutine, like every
-// slab arena; batch construction reaches it through router.Arena.Banks,
-// and cache.BuildWarmImage carves an image's template banks from one.
+// slab arena; batch construction reaches it through cache.Arena, and
+// cache.BuildWarmImage carves an image's template banks from one.
 type Arena struct {
 	frames slab.Chunk[Block]
 	fills  slab.Chunk[uint8]

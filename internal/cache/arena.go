@@ -1,23 +1,31 @@
 package cache
 
 import (
+	"nucanet/internal/bank"
 	"nucanet/internal/network"
-	"nucanet/internal/router"
+	"nucanet/internal/sim"
 	"nucanet/internal/slab"
 )
 
 // Arena is one worker's construction arena for the systems it builds in
-// turn: the network arena (the network and its tables, routers, banks,
-// send queues, the kernel and the packet free list) plus the cache
-// layer's own state — the systems with the latency record, directory
-// and memory each holds, the controllers, the bank agents and
-// concentrated routers' bank muxes, the controllers' column queues and
-// the op free list. The ops a drained run retired serve the next run's
-// accesses, so a warm worker builds and runs a system without growing
-// any of them. One Reset recycles it all; see router.Arena.Reset for the
-// aliasing contract. An Arena is single-goroutine state.
+// turn: the network arena (the network and its tables, the routers and
+// the packet free list), the run's kernel, plus the cache layer's own
+// state — the systems with the latency record, directory and memory each
+// holds, the controllers, the banks, the bank agents with their send
+// queues and concentrated routers' bank muxes, the controllers' column
+// queues and the op free list. The ops a drained run retired serve the
+// next run's accesses, and the next run registers its components into
+// the kernel capacity the previous one left, so a warm worker builds and
+// runs a system without growing any of them. One Reset recycles it all;
+// see router.Arena.Reset for the aliasing contract. An Arena is
+// single-goroutine state.
 type Arena struct {
-	net network.Arena
+	net    network.Arena
+	kernel sim.Kernel
+	// banks carves the banks' frame slabs and fill counts (see
+	// bank.NewIn); its frame slab is the one carve Reset does not zero
+	// (see bank.Arena.Reset).
+	banks bank.Arena
 
 	// systems is rewound, not zeroed: Reset releases each slot (see
 	// System.release), so its latency record, directory, memory and
@@ -30,16 +38,21 @@ type Arena struct {
 	cols    slab.Chunk[colState]
 	reqs    slab.Chunk[*Request]
 	active  slab.Chunk[*op]
+	timed   slab.Chunk[timed]
 	ops     opPool
 }
 
-// RouterArena returns the embedded router arena.
-func (a *Arena) RouterArena() *router.Arena { return &a.net.Arena }
+// Kernel returns the arena's kernel: empty at cycle 0 until the round's
+// components register with it.
+func (a *Arena) Kernel() *sim.Kernel { return &a.kernel }
 
-// Reset recycles the arena for a fresh round of construction. The op
-// free list keeps its ops and restarts its accounting.
+// Reset recycles the arena for a fresh round of construction. The
+// kernel is emptied; the op free list keeps its ops and restarts its
+// accounting.
 func (a *Arena) Reset() {
 	a.net.Reset()
+	a.kernel.Reset()
+	a.banks.Reset()
 	a.systems.RewindEach((*System).release)
 	a.ctrls.Reset()
 	a.agents.Reset()
@@ -47,6 +60,7 @@ func (a *Arena) Reset() {
 	a.cols.Reset()
 	a.reqs.Reset()
 	a.active.Reset()
+	a.timed.Reset()
 	a.ops.resetStats()
 }
 
@@ -72,3 +86,8 @@ func (a *Arena) mux() *bankMux { return &slab.GrabIn(&a.muxes, 1, muxChunk)[0] }
 func (a *Arena) colSlab(n int) []colState { return slab.Grab(&a.cols, n) }
 func (a *Arena) reqSlab(n int) []*Request { return slab.Grab(&a.reqs, n) }
 func (a *Arena) activeSlab(n int) []*op   { return slab.Grab(&a.active, n) }
+
+// timedSlab returns an empty send queue with room for n scheduled
+// packets. Appending past n moves the queue to the heap, leaving the
+// arena intact.
+func (a *Arena) timedSlab(n int) []timed { return slab.Grab(&a.timed, n)[:0] }

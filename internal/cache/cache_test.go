@@ -584,10 +584,10 @@ func TestWorksOnAllSixDesigns(t *testing.T) {
 }
 
 func TestParsePolicyAndMode(t *testing.T) {
-	if p, err := ParsePolicy("fastlru"); err != nil || p != FastLRU {
-		t.Fatal("ParsePolicy failed")
+	if p, err := PolicyByName("fastlru"); err != nil || p != FastLRU {
+		t.Fatal("PolicyByName failed")
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
+	if _, err := PolicyByName("bogus"); err == nil {
 		t.Fatal("expected error")
 	}
 	if m, err := ParseMode("multicast"); err != nil || m != Multicast {
@@ -613,7 +613,7 @@ func TestParsePolicyAndMode(t *testing.T) {
 		t.Fatalf("unknown policy error = %v", err)
 	}
 	// Every registered policy — built-ins and registry additions alike —
-	// round-trips through String and ParsePolicy, so CLI flags, JSON
+	// round-trips through String and PolicyByName, so CLI flags, JSON
 	// reports, and error messages always agree on the registered name.
 	for _, name := range names {
 		p, err := PolicyByName(name)
@@ -626,12 +626,12 @@ func TestParsePolicyAndMode(t *testing.T) {
 		if p.String() != name {
 			t.Fatalf("policy %q prints as %q", name, p.String())
 		}
-		rt, err := ParsePolicy(p.String())
+		rt, err := PolicyByName(p.String())
 		if err != nil || rt != p {
 			t.Fatalf("policy %q does not round-trip: got %v, %v", name, rt, err)
 		}
 		// Parsing is case- and hyphen-insensitive ("Fast-LRU" == "fastlru").
-		loose, err := ParsePolicy(strings.ToUpper(name))
+		loose, err := PolicyByName(strings.ToUpper(name))
 		if err != nil || loose != p {
 			t.Fatalf("policy %q not parsed case-insensitively: %v, %v", name, loose, err)
 		}

@@ -75,7 +75,7 @@ func (m Mode) Valid() bool { return m <= Multicast }
 //
 //	fs.Var(&opt.Policy, "policy", "replacement policy")
 func (p *Policy) Set(s string) error {
-	v, err := ParsePolicy(s)
+	v, err := PolicyByName(s)
 	if err != nil {
 		return err
 	}
@@ -91,13 +91,6 @@ func (m *Mode) Set(s string) error {
 	}
 	*m = v
 	return nil
-}
-
-// ParsePolicy resolves a registered policy name ("promotion", "lru",
-// "fastlru", "static", ...); it is PolicyByName under the parse-style
-// name the flag helpers expect.
-func ParsePolicy(s string) (Policy, error) {
-	return PolicyByName(s)
 }
 
 // ParseMode reads a mode name ("unicast", "multicast").

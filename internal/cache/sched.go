@@ -3,7 +3,6 @@ package cache
 import (
 	"nucanet/internal/flit"
 	"nucanet/internal/network"
-	"nucanet/internal/router"
 	"nucanet/internal/sim"
 )
 
@@ -23,12 +22,20 @@ type scheduler struct {
 // the queues do not regrow during a run.
 const sendQueueCap = 4
 
+// timed is a built packet waiting in a send queue for its injection
+// cycle At; Seq breaks ties in scheduling order.
+type timed struct {
+	At  int64
+	Seq int
+	Pkt *flit.Packet
+}
+
 // timedHeap is a hand-rolled binary min-heap ordered by (At, Seq).
 // container/heap would box every entry through `any` on Push/Pop — a
 // heap allocation per scheduled send — so the sift loops are inlined
 // here, mirroring the kernel's event heap.
 type timedHeap struct {
-	s []flit.Timed
+	s []timed
 }
 
 func (h *timedHeap) less(i, j int) bool {
@@ -38,7 +45,7 @@ func (h *timedHeap) less(i, j int) bool {
 	return h.s[i].Seq < h.s[j].Seq
 }
 
-func (h *timedHeap) push(e flit.Timed) {
+func (h *timedHeap) push(e timed) {
 	h.s = append(h.s, e)
 	i := len(h.s) - 1
 	for i > 0 {
@@ -51,11 +58,11 @@ func (h *timedHeap) push(e flit.Timed) {
 	}
 }
 
-func (h *timedHeap) pop() flit.Timed {
+func (h *timedHeap) pop() timed {
 	top := h.s[0]
 	n := len(h.s) - 1
 	h.s[0] = h.s[n]
-	h.s[n] = flit.Timed{} // the packet now belongs to the network
+	h.s[n] = timed{} // the packet now belongs to the network
 	h.s = h.s[:n]
 	i := 0
 	for {
@@ -77,11 +84,11 @@ func (h *timedHeap) pop() flit.Timed {
 }
 
 // register makes s a kernel component sending into net, its queue
-// carved from ar (nil allocates it).
-func (s *scheduler) register(k *sim.Kernel, net *network.Network, ar *router.Arena) {
+// carved from ar.
+func (s *scheduler) register(k *sim.Kernel, net *network.Network, ar *Arena) {
 	s.k = k
 	s.net = net
-	s.q.s = ar.TimedSlab(sendQueueCap)
+	s.q.s = ar.timedSlab(sendQueueCap)
 	s.kid = k.Register(s)
 }
 
@@ -89,7 +96,7 @@ func (s *scheduler) register(k *sim.Kernel, net *network.Network, ar *router.Are
 // passed).
 func (s *scheduler) at(t int64, pkt *flit.Packet) {
 	s.seq++
-	s.q.push(flit.Timed{At: t, Seq: s.seq, Pkt: pkt})
+	s.q.push(timed{At: t, Seq: s.seq, Pkt: pkt})
 	s.k.WakeAt(t, s.kid)
 }
 

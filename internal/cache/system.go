@@ -133,7 +133,6 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 			return nil, err
 		}
 	}
-	ra := &pre.Arena.net.Arena
 	var err error
 	s.Net, err = network.NewOpts(k, topo, alg, d.Router,
 		network.BuildOpts{Arena: &pre.Arena.net, Prechecked: pre.Prechecked})
@@ -147,9 +146,9 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 			a := s.agent(c, p)
 			*a = agent{
 				sys: s, node: node, col: c, pos: p, last: len(col) - 1,
-				bk: bank.NewIn(d.Banks[p], &ra.Banks),
+				bk: bank.NewIn(d.Banks[p], &pre.Arena.banks),
 			}
-			a.sched.register(k, s.Net, ra)
+			a.sched.register(k, s.Net, pre.Arena)
 			// Concentrated topologies place several banks of one column
 			// on a router; a mux, attached at the node's first position,
 			// demuxes ToBank deliveries by DstPos. Single-bank nodes

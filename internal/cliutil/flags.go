@@ -21,8 +21,8 @@ func Design(fs *flag.FlagSet) *string {
 
 // Scheme registers the typed -policy and -mode flags. cache.Policy and
 // cache.Mode implement flag.Value, so parse errors surface through the
-// flag package with the registered names — no per-binary ParsePolicy /
-// ParseMode plumbing. The help text enumerates the registry, so a policy
+// flag package with the registered names — no per-binary policy and
+// mode parsing plumbing. The help text enumerates the registry, so a policy
 // added with cache.RegisterPolicy shows up (and parses) on every binary
 // automatically.
 func Scheme(fs *flag.FlagSet) (*cache.Policy, *cache.Mode) {

@@ -315,15 +315,6 @@ func (f *Fabric) Pending() int {
 	return n
 }
 
-// Issue submits one access in a fresh Request the caller may keep and
-// read after the run; done (optional) fires when the data reaches this
-// core.
-func (p *Port) Issue(addr uint64, write bool, done func(*cache.Request, int64)) *cache.Request {
-	r := &cache.Request{Addr: addr, Write: write, Done: done}
-	p.Submit(r)
-	return r
-}
-
 // Submit issues a caller-owned request (cpu.L2): local columns go
 // straight to the co-located controller; remote columns cross the top
 // row to their home. The port answers r — results, DataAt at this core,
@@ -415,6 +406,3 @@ func (p *Port) complete(po *portOp, now int64) {
 	}
 	p.fab.ops.free = append(p.fab.ops.free, po)
 }
-
-// Pending returns outstanding core-side requests.
-func (p *Port) Pending() int { return p.pending }

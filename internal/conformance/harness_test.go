@@ -169,7 +169,8 @@ func run(sc Scenario) (*cache.System, []string) {
 		addr := sys.AM.Compose(tag, acc.Set, acc.Col)
 		var req *cache.Request
 		if f != nil {
-			req = f.Port(acc.Core).Issue(addr, acc.Write, nil)
+			req = &cache.Request{Addr: addr, Write: acc.Write}
+			f.Port(acc.Core).Submit(req)
 		} else {
 			req = sys.Issue(addr, acc.Write, nil)
 		}

@@ -41,20 +41,14 @@ type canonicalTail struct {
 // the deterministic encoding of the fully resolved configuration.
 // Because Run is deterministic in its resolved configuration, equal keys
 // imply byte-identical Results; the serving layer uses the key to
-// collapse repeat requests into cache hits. A design Validate rejects
-// returns Validate's error; an undefined policy or mode is an error too.
+// collapse repeat requests into cache hits. A key exists exactly when a
+// run would: options Validate rejects return Validate's error.
 func CanonicalKey(o Options) (string, error) { return std.canonicalKey(o) }
 
 func (rt *Runtime) canonicalKey(o Options) (string, error) {
-	rd, err := rt.resolveDesign(o, nil)
+	rd, _, err := rt.checkOptions(o, nil)
 	if err != nil {
 		return "", err
-	}
-	if !o.Policy.Valid() {
-		return "", fmt.Errorf("core: invalid policy %v", o.Policy)
-	}
-	if !o.Mode.Valid() {
-		return "", fmt.Errorf("core: invalid mode %v", o.Mode)
 	}
 	t := canonicalTail{
 		Policy:    o.Policy.String(),

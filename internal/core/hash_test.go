@@ -27,9 +27,9 @@ func allPolicies(t *testing.T) []cache.Policy {
 	names := cache.PolicyNames()
 	out := make([]cache.Policy, len(names))
 	for i, n := range names {
-		p, err := cache.ParsePolicy(n)
+		p, err := cache.PolicyByName(n)
 		if err != nil {
-			t.Fatalf("ParsePolicy(%q): %v", n, err)
+			t.Fatalf("PolicyByName(%q): %v", n, err)
 		}
 		out[i] = p
 	}
@@ -394,19 +394,26 @@ func TestCanonicalKeyTailMatchesJSON(t *testing.T) {
 // TestCanonicalKeyErrors pins that unresolvable options error instead of
 // hashing (totality is over *valid* configurations only).
 func TestCanonicalKeyErrors(t *testing.T) {
-	bad := DefaultOptions()
-	bad.DesignID = "no-such-design"
-	if _, err := CanonicalKey(bad); err == nil {
-		t.Error("unknown design: want error")
-	}
-	bad = DefaultOptions()
-	bad.Policy = cache.Policy(250)
-	if _, err := CanonicalKey(bad); err == nil {
-		t.Error("invalid policy: want error")
-	}
-	bad = DefaultOptions()
-	bad.Mode = cache.Mode(250)
-	if _, err := CanonicalKey(bad); err == nil {
-		t.Error("invalid mode: want error")
+	for _, tc := range []struct {
+		name string
+		edit func(*Options)
+	}{
+		{"unknown design", func(o *Options) { o.DesignID = "no-such-design" }},
+		{"invalid policy", func(o *Options) { o.Policy = cache.Policy(250) }},
+		{"invalid mode", func(o *Options) { o.Mode = cache.Mode(250) }},
+		{"unknown benchmark", func(o *Options) { o.Benchmark = "no-such-benchmark" }},
+		{"zero accesses", func(o *Options) { o.Accesses = 0 }},
+		{"negative cores", func(o *Options) { o.Cores = -3 }},
+		{"cores on a radial design", func(o *Options) { o.DesignID, o.Cores = "E", 2 }},
+		{"negative window", func(o *Options) { o.CPU.Window = -1 }},
+	} {
+		bad := DefaultOptions()
+		tc.edit(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s: Validate accepts the options", tc.name)
+		}
+		if _, err := CanonicalKey(bad); err == nil {
+			t.Errorf("%s: CanonicalKey returns a key for options Validate rejects", tc.name)
+		}
 	}
 }

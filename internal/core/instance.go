@@ -186,7 +186,7 @@ func NewInstance(art *Artifacts, w *Worker) (*Instance, error) {
 	}
 	ar, in := &w.ar, &w.in
 	ca := ar.CacheArena()
-	k := ca.RouterArena().Kernel()
+	k := ca.Kernel()
 	sys, err := cache.NewPrebuilt(k, art.Design, art.Opt.Policy, art.Opt.Mode, cache.Prebuilt{
 		Topo: art.Topo, Alg: art.Table, Arena: ca, Prechecked: true,
 	})

@@ -159,14 +159,6 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("pkt#%d %s %d->%d/%s addr=%#x%s", p.ID, p.Kind, p.Src, p.Dst, p.DstEp, p.Addr, mc)
 }
 
-// Timed is a built packet waiting for its injection cycle At in an
-// endpoint's send queue; Seq breaks ties in scheduling order.
-type Timed struct {
-	At  int64
-	Seq int
-	Pkt *Packet
-}
-
 // Flit is one link-width slice of a packet.
 type Flit struct {
 	Pkt  *Packet

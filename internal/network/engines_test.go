@@ -16,7 +16,7 @@ import (
 // verifier must reject it) and one whose Supports check refuses every
 // topology. Their constructors must never run.
 func init() {
-	mustNotBuild := func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg router.Config, k *sim.Kernel, ar *router.Arena) router.Engine {
+	mustNotBuild := func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg router.Config, k *sim.Kernel, s router.Sink, ar *router.Arena) router.Engine {
 		panic("test engine constructed despite failing its construction gate")
 	}
 	router.Register(router.Builder{
@@ -86,31 +86,39 @@ func TestEngineConstructionGates(t *testing.T) {
 
 // TestEnginesCannotMix pins the wiring contract: all engines of one
 // network come from one builder, and wiring across microarchitectures
-// panics loudly instead of corrupting flow control.
+// panics loudly instead of corrupting flow control. Every ordered pair
+// of built-in engines is a row; bufferless and ring-lite share a latch
+// core, so only each Wire's own type assertion tells them apart. Wiring
+// an engine to its own kind must not panic.
 func TestEnginesCannotMix(t *testing.T) {
 	topo := mesh16()
 	tb, err := routing.Precompute(topo, mustFor(topo))
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := sim.NewKernel()
-	wh, err := router.ByName(router.DefaultEngine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl, err := router.ByName("bufferless")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ar router.Arena
-	a := wh.New(0, topo, tb, router.DefaultConfig(), k, &ar)
-	b := bl.New(1, topo, tb, router.DefaultConfig(), k, &ar)
-	defer func() {
-		if recover() == nil {
-			t.Error("wiring a wormhole router to a bufferless router did not panic")
+	builtin := []string{router.DefaultEngine, "bufferless", "ring-lite"}
+	for _, from := range builtin {
+		for _, to := range builtin {
+			t.Run(from+"->"+to, func(t *testing.T) {
+				var ar router.Arena
+				k := sim.NewKernel()
+				build := func(name string, id topology.NodeID) router.Engine {
+					b, err := router.ByName(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return b.New(id, topo, tb, router.DefaultConfig(), k, nil, &ar)
+				}
+				a, b := build(from, 0), build(to, 1)
+				defer func() {
+					if panicked := recover() != nil; panicked != (from != to) {
+						t.Errorf("wiring a %s router to a %s router: panicked = %v", from, to, panicked)
+					}
+				}()
+				a.Wire(topology.PortEast, b, topology.PortWest, 1)
+			})
 		}
-	}()
-	a.Wire(topology.PortEast, b, topology.PortWest, 1)
+	}
 }
 
 // TestBufferlessLivelockBound is the dynamic half of the livelock

@@ -153,8 +153,10 @@ func NewOpts(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg 
 		eps:     o.Arena.endpointSlab(topo.NumNodes()),
 		pool:    o.Arena.Packets(),
 	}
+	// The routers register with k first, in node order: their kernel
+	// ids, and so the tick order, precede every endpoint's.
 	for id := 0; id < topo.NumNodes(); id++ {
-		n.Routers[id] = eng.New(id, topo, tb, cfg, k, &o.Arena.Arena)
+		n.Routers[id] = eng.New(id, topo, tb, cfg, k, n, &o.Arena.Arena)
 	}
 	for id := 0; id < topo.NumNodes(); id++ {
 		for p := 0; p < topo.NumPorts(id); p++ {
@@ -164,10 +166,6 @@ func NewOpts(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg 
 			}
 			n.Routers[id].Wire(p, n.Routers[l.To], l.ToPort, l.Delay)
 		}
-	}
-	for id := 0; id < topo.NumNodes(); id++ {
-		n.Routers[id].SetKernelID(k.Register(n.Routers[id]))
-		n.Routers[id].SetSink(n)
 	}
 	return n, nil
 }

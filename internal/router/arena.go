@@ -1,9 +1,7 @@
 package router
 
 import (
-	"nucanet/internal/bank"
 	"nucanet/internal/flit"
-	"nucanet/internal/sim"
 	"nucanet/internal/slab"
 )
 
@@ -15,14 +13,8 @@ import (
 // allocation: every carved slice starts zeroed with the exact length and
 // capacity the direct make call produced, and engines never grow a
 // carved slice past its capacity (credit flow control bounds
-// neighbor-fed VCs).
-//
-// Banks is the cache-bank construction arena riding along: one Arena per
-// worker provisions everything a lane builds, and one Reset recycles it
-// all. Its frame slab is the one carve that is not zeroed (see
-// bank.Arena.Reset). The arena also keeps the run's kernel and packet
-// free list, so the next run registers its components and mints its
-// packets into the capacity the previous one left.
+// neighbor-fed VCs). The arena also keeps the packet free list, so the
+// next run mints its packets into the capacity the previous one left.
 //
 // An Arena is single-goroutine state: share one per worker, never across
 // workers. Every router of a network carves from the network's arena and
@@ -37,19 +29,9 @@ type Arena struct {
 	pkts    slab.Chunk[*flit.Packet]
 	routers slab.Chunk[Router]
 	links   slab.Chunk[*Router]
-	timed   slab.Chunk[flit.Timed]
 
-	kernel  sim.Kernel
 	packets flit.PacketPool
-
-	// Banks carves cache-bank state (frame slabs, fill counts); see
-	// bank.NewIn.
-	Banks bank.Arena
 }
-
-// Kernel returns the arena's kernel: empty at cycle 0 until the round's
-// components register with it.
-func (a *Arena) Kernel() *sim.Kernel { return &a.kernel }
 
 // Packets returns the arena's packet free list. The packets a drained
 // run returned to it serve the next run's gets; its accounting restarts
@@ -57,10 +39,9 @@ func (a *Arena) Kernel() *sim.Kernel { return &a.kernel }
 func (a *Arena) Packets() *flit.PacketPool { return &a.packets }
 
 // Reset recycles every chunk for a fresh round of construction: memory
-// is zeroed (bank frames aside) and carving restarts from the first
-// chunk, so no new allocations happen until usage exceeds the arena's
-// high-water mark. The kernel is emptied and the packet free list keeps
-// its packets.
+// is zeroed and carving restarts from the first chunk, so no new
+// allocations happen until usage exceeds the arena's high-water mark.
+// The packet free list keeps its packets.
 // Every slice previously carved from the arena is invalidated — callers
 // must only Reset once nothing built from the arena is referenced
 // (core.Engine.RunAll resets between lanes, whose instances are
@@ -75,10 +56,7 @@ func (a *Arena) Reset() {
 	a.pkts.Reset()
 	a.routers.Reset()
 	a.links.Reset()
-	a.timed.Reset()
-	a.kernel.Reset()
 	a.packets.ResetStats()
-	a.Banks.Reset()
 }
 
 // The carves behind the engines' construction-time slices.
@@ -98,8 +76,3 @@ const routerChunk = 64
 
 // router returns a zeroed Router to build in place.
 func (a *Arena) router() *Router { return &slab.GrabIn(&a.routers, 1, routerChunk)[0] }
-
-// TimedSlab returns an empty send queue with room for n scheduled
-// packets, carved from the arena. Appending past n moves the queue to
-// the heap, leaving the arena intact.
-func (a *Arena) TimedSlab(n int) []flit.Timed { return slab.Grab(&a.timed, n)[:0] }

@@ -42,11 +42,9 @@ import (
 // are expanded at the source instead: Inject mints one unicast replica
 // per distinct column router, each routed and delivered independently.
 type Bufferless struct {
-	base // occ weights buffered units by Flits
+	latched
 
-	in       []flitRing // per-port unit latches; injection queue is unbounded
-	neighbor []*Bufferless
-	wired    []int // wired out-port indices, ascending
+	wired []int // wired out-port indices, ascending
 
 	// Per-cycle scratch, reused — the hot path allocates nothing.
 	cand    []blCand
@@ -63,8 +61,12 @@ func init() {
 	Register(Builder{
 		Name:        "bufferless",
 		Description: "bufferless deflection router: age-based arbitration, no VCs, no credits",
-		New: func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) Engine {
-			return newBufferless(id, topo, tb, cfg, k, ar)
+		New: func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) Engine {
+			b := &Bufferless{latched: newLatched(id, topo, tb, cfg, k, s, ar)}
+			b.cand = make([]blCand, 0, b.numPorts+1)
+			b.outUsed = ar.boolSlab(b.numPorts)
+			b.kid = k.Register(b)
+			return b
 		},
 		Supports:    bufferlessSupports,
 		Deflecting:  true,
@@ -98,18 +100,6 @@ func bufferlessSupports(topo *topology.Topology, _ Config) error {
 	return nil
 }
 
-func newBufferless(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) *Bufferless {
-	b := newBase(id, topo, tb, cfg, k, ar)
-	np := b.numPorts
-	return &Bufferless{
-		base:     b,
-		in:       ar.ringSlab(np + 1),
-		neighbor: make([]*Bufferless, np),
-		cand:     make([]blCand, 0, np+1),
-		outUsed:  ar.boolSlab(np),
-	}
-}
-
 // Wire connects out-port p to neighbor n and records it in the wired-port
 // scan order used by deflection.
 func (b *Bufferless) Wire(p int, n Engine, np, delay int) {
@@ -117,9 +107,7 @@ func (b *Bufferless) Wire(p int, n Engine, np, delay int) {
 	if !ok {
 		panic(fmt.Sprintf("router: bufferless router %d wired to %T (engines cannot mix within one network)", b.ID, n))
 	}
-	b.neighbor[p] = nb
-	b.neighborIn[p] = np
-	b.linkDelay[p] = delay
+	b.link(p, &nb.latched, np, delay)
 	b.wired = b.wired[:0]
 	for o := 0; o < b.numPorts; o++ {
 		if b.neighbor[o] != nil {
@@ -141,27 +129,14 @@ func (b *Bufferless) Inject(p *flit.Packet, now int64) {
 					continue
 				}
 				prev = n
-				rp := b.pool.Get()
-				rp.ID, rp.Kind, rp.Src, rp.Dst = p.ID, p.Kind, p.Src, n
-				rp.DstEp, rp.DstPos, rp.Addr = flit.ToBank, p.DstPos, p.Addr
-				rp.Payload, rp.Injected = p.Payload, p.Injected
+				rp := b.replica(p, n)
 				b.stats.ReplicasSpawned += uint64(rp.Flits())
 				b.tel.ReplicaForked(now, flit.Flit{Pkt: rp, Head: true, Tail: true}, int(b.ID), b.numPorts, 0)
 				b.enqueue(rp, now)
 			}
 		}
 	}
-	b.enqueue(p, now)
-	b.k.Activate(b.kid)
-}
-
-func (b *Bufferless) enqueue(p *flit.Packet, now int64) {
-	n := p.Flits()
-	for i := 0; i < n; i++ {
-		b.tel.FlitInjected(now, flit.Flit{Pkt: p, Seq: i, Head: i == 0, Tail: i == n-1}, int(b.ID))
-	}
-	b.in[b.numPorts].push(entry{f: flit.Flit{Pkt: p, Head: true, Tail: true}, arrived: now})
-	b.occ += n
+	b.latched.Inject(p, now)
 }
 
 // Tick runs one deflection cycle: eject, then allocate outputs to transit
@@ -172,23 +147,14 @@ func (b *Bufferless) Tick(now int64) bool {
 	// endpoint channel, the rest compete for outputs.
 	cands := b.cand[:0]
 	for pi := range b.in {
-		q := &b.in[pi]
-		if q.len() == 0 {
-			continue
+		e := b.ready(pi, now)
+		switch {
+		case e == nil:
+		case e.f.Pkt.Dst == b.ID:
+			b.eject(b.in[pi].pop(), pi, now)
+		case pi < b.numPorts: // injection joins only after transit traffic is placed
+			cands = append(cands, blCand{port: pi, e: *e})
 		}
-		e := *q.front()
-		if e.arrived+int64(b.cfg.Stages) > now {
-			continue
-		}
-		if e.f.Pkt.Dst == b.ID {
-			q.pop()
-			b.eject(e, pi, now)
-			continue
-		}
-		if pi == b.numPorts {
-			continue // injection joins only after transit traffic is placed
-		}
-		cands = append(cands, blCand{port: pi, e: e})
 	}
 
 	// Oldest-first: the age-monotone order the livelock argument needs.
@@ -218,12 +184,8 @@ func (b *Bufferless) Tick(now int64) bool {
 	}
 
 	// Phase C: injection claims a leftover output, productive if possible.
-	if q := &b.in[b.numPorts]; q.len() > 0 && granted < len(b.wired) {
-		e := *q.front()
-		if e.arrived+int64(b.cfg.Stages) <= now {
-			q.pop()
-			b.route(e, now)
-		}
+	if granted < len(b.wired) && b.ready(b.numPorts, now) != nil {
+		b.route(b.in[b.numPorts].pop(), now)
 	}
 
 	return b.occ > 0
@@ -257,14 +219,7 @@ func (b *Bufferless) route(e entry, now int64) {
 		b.stats.Deflections += uint64(pkt.Flits())
 	}
 	b.outUsed[o] = true
-	b.occ -= pkt.Flits()
-	b.stats.FlitsRouted += uint64(pkt.Flits())
-	b.tel.FlitRouted(now, e.f, int(b.ID), o, 0)
-	nb := b.neighbor[o]
-	e.arrived = now + int64(b.linkDelay[o]-1)
-	nb.in[b.neighborIn[o]].push(e)
-	nb.occ += pkt.Flits()
-	b.k.Activate(nb.kid)
+	b.hop(e, o, now, 0)
 }
 
 // firstFree scans the wired ports cyclically from the one after desired
@@ -288,17 +243,4 @@ func (b *Bufferless) firstFree(desired int) int {
 		}
 	}
 	panic(fmt.Sprintf("router: bufferless router %d out of outputs (capacity invariant violated)", b.ID))
-}
-
-// eject delivers a unit to the local endpoint and recycles pooled
-// replicas (probe replicas are consumed synchronously by their agents).
-func (b *Bufferless) eject(e entry, pi int, now int64) {
-	pkt := e.f.Pkt
-	b.occ -= pkt.Flits()
-	b.stats.FlitsRouted += uint64(pkt.Flits())
-	b.tel.FlitEjected(now, e.f, int(b.ID), pi)
-	pkt.Delivered = now
-	b.stats.PacketsEjected++
-	b.deliver(pkt, now)
-	b.pool.Put(pkt)
 }

@@ -35,8 +35,11 @@ func newFabric(topo *topology.Topology, cfg Config) *fabric {
 	}
 	tb := mustTable(topo, alg)
 	f := &fabric{k: sim.NewKernel(), rs: make([]*Router, topo.NumNodes())}
+	sink := sinkFunc(func(node topology.NodeID, p *flit.Packet, now int64) {
+		f.ejected = append(f.ejected, ejection{p.ID, node, now})
+	})
 	for id := range f.rs {
-		f.rs[id] = New(id, topo, tb, cfg, f.k, &f.ar)
+		f.rs[id] = New(id, topo, tb, cfg, f.k, sink, &f.ar)
 	}
 	for id, r := range f.rs {
 		for p := 0; p < topo.NumPorts(id); p++ {
@@ -44,13 +47,6 @@ func newFabric(topo *topology.Topology, cfg Config) *fabric {
 				r.Wire(p, f.rs[l.To], l.ToPort, l.Delay)
 			}
 		}
-	}
-	sink := sinkFunc(func(node topology.NodeID, p *flit.Packet, now int64) {
-		f.ejected = append(f.ejected, ejection{p.ID, node, now})
-	})
-	for _, r := range f.rs {
-		r.SetKernelID(f.k.Register(r))
-		r.SetSink(sink)
 	}
 	return f
 }

@@ -39,10 +39,6 @@ type Engine interface {
 	// the given delay.
 	Wire(p int, n Engine, np, delay int)
 
-	// SetSink installs where the node ejects its packets.
-	SetSink(s Sink)
-	// SetKernelID records the component id used for activations.
-	SetKernelID(id int)
 	// SetTelemetry installs the probe collector (nil disables probes).
 	SetTelemetry(c *telemetry.Collector)
 }
@@ -62,14 +58,14 @@ type Builder struct {
 	// Description is one line for -list=routers and GET /v1/routers.
 	Description string
 
-	// New constructs one unwired node. The network package wires links,
-	// installs the sink/kernel hooks, and registers it. ar is the
-	// construction arena the node carves its state from (see Arena),
+	// New constructs one unwired node, registers it with k and makes s
+	// the sink it ejects into; the network package wires its links. ar is
+	// the construction arena the node carves its state from (see Arena),
 	// shared by every node of the network. The node mints its multicast
 	// replicas from ar's packet pool and must Put every packet it ejects
 	// — replica or not — once the last flit has been delivered (protocol
 	// packets come from the same pool; Put ignores packets that do not).
-	New func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) Engine
+	New func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) Engine
 
 	// Supports rejects (topology, config) pairs the engine cannot run,
 	// with a descriptive error; nil means unconstrained. network.New

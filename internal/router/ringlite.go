@@ -34,10 +34,7 @@ const ringLatchCap = 2
 // every visited router, so a same-column stop hands the local bank its
 // copy directly — no stolen VCs needed.
 type RingLite struct {
-	base // occ weights buffered units by Flits
-
-	in       []flitRing // per-port unit latches; injection queue is unbounded
-	neighbor []*RingLite
+	latched
 
 	usedIn []bool // per-cycle scratch: input ports already granted
 }
@@ -46,22 +43,14 @@ func init() {
 	Register(Builder{
 		Name:        "ring-lite",
 		Description: "two-entry-latch store-and-forward ring stop: no VCs, no credits, transit priority",
-		New: func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) Engine {
-			return newRingLite(id, topo, tb, cfg, k, ar)
+		New: func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) Engine {
+			r := &RingLite{latched: newLatched(id, topo, tb, cfg, k, s, ar)}
+			r.usedIn = ar.boolSlab(r.numPorts + 1)
+			r.kid = k.Register(r)
+			return r
 		},
 		BufferFlitsPerPort: func(Config) int { return ringLatchCap },
 	})
-}
-
-func newRingLite(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) *RingLite {
-	b := newBase(id, topo, tb, cfg, k, ar)
-	np := b.numPorts
-	return &RingLite{
-		base:     b,
-		in:       ar.ringSlab(np + 1),
-		neighbor: make([]*RingLite, np),
-		usedIn:   ar.boolSlab(np + 1),
-	}
 }
 
 // Wire connects out-port p to neighbor n.
@@ -70,21 +59,7 @@ func (r *RingLite) Wire(p int, n Engine, np, delay int) {
 	if !ok {
 		panic(fmt.Sprintf("router: ring-lite router %d wired to %T (engines cannot mix within one network)", r.ID, n))
 	}
-	r.neighbor[p] = nb
-	r.neighborIn[p] = np
-	r.linkDelay[p] = delay
-}
-
-// Inject queues a packet at the injection interface (unbounded: the NI is
-// the source).
-func (r *RingLite) Inject(p *flit.Packet, now int64) {
-	n := p.Flits()
-	for i := 0; i < n; i++ {
-		r.tel.FlitInjected(now, flit.Flit{Pkt: p, Seq: i, Head: i == 0, Tail: i == n-1}, int(r.ID))
-	}
-	r.in[r.numPorts].push(entry{f: flit.Flit{Pkt: p, Head: true, Tail: true}, arrived: now})
-	r.occ += n
-	r.k.Activate(r.kid)
+	r.link(p, &nb.latched, np, delay)
 }
 
 // Tick runs one ring-stop cycle: eject self-addressed fronts, then for
@@ -100,18 +75,9 @@ func (r *RingLite) Tick(now int64) bool {
 	// Phase A: ejection, one unit per port (the endpoint interface is as
 	// wide as the input side, matching the wormhole router).
 	for pi := range r.in {
-		q := &r.in[pi]
-		if q.len() == 0 {
-			continue
-		}
-		e := *q.front()
-		if e.arrived+int64(r.cfg.Stages) > now {
-			continue
-		}
-		if e.f.Pkt.Dst == r.ID {
-			q.pop()
+		if e := r.ready(pi, now); e != nil && e.f.Pkt.Dst == r.ID {
 			usedIn[pi] = true
-			r.eject(e, pi, now)
+			r.eject(r.in[pi].pop(), pi, now)
 		}
 	}
 
@@ -143,11 +109,8 @@ func (r *RingLite) pickOldest(o int, now int64, usedIn []bool) int {
 	best := -1
 	var bestPkt *flit.Packet
 	for pi := 0; pi < r.numPorts; pi++ {
-		if usedIn[pi] || r.in[pi].len() == 0 {
-			continue
-		}
-		e := r.in[pi].front()
-		if e.arrived+int64(r.cfg.Stages) > now {
+		e := r.ready(pi, now)
+		if usedIn[pi] || e == nil {
 			continue
 		}
 		if p, ok := r.tb.NextPort(r.topo, r.ID, e.f.Pkt.Dst); !ok || p != o {
@@ -161,12 +124,9 @@ func (r *RingLite) pickOldest(o int, now int64, usedIn []bool) int {
 		return best
 	}
 	pi := r.numPorts
-	if !usedIn[pi] && r.in[pi].len() > 0 {
-		e := r.in[pi].front()
-		if e.arrived+int64(r.cfg.Stages) <= now {
-			if p, ok := r.tb.NextPort(r.topo, r.ID, e.f.Pkt.Dst); ok && p == o {
-				return pi
-			}
+	if e := r.ready(pi, now); !usedIn[pi] && e != nil {
+		if p, ok := r.tb.NextPort(r.topo, r.ID, e.f.Pkt.Dst); ok && p == o {
+			return pi
 		}
 	}
 	return -1
@@ -179,18 +139,13 @@ func (r *RingLite) pickOldest(o int, now int64, usedIn []bool) int {
 func (r *RingLite) forward(cp, o int, now int64) {
 	e := r.in[cp].pop()
 	pkt := e.f.Pkt
-	r.occ -= pkt.Flits()
-	r.stats.FlitsRouted += uint64(pkt.Flits())
 
 	// Path multicast: the whole packet is latched here, so a same-column
 	// stop hands the local bank its copy directly as the unit departs —
 	// each visited column router replicates exactly once, the same
 	// replication points as the wormhole router's route assignment.
 	if pkt.PathDeliver && r.topo.SameColumn(r.ID, pkt.Dst) {
-		rp := r.pool.Get()
-		rp.ID, rp.Kind, rp.Src, rp.Dst = pkt.ID, pkt.Kind, pkt.Src, r.ID
-		rp.DstEp, rp.DstPos, rp.Addr = flit.ToBank, pkt.DstPos, pkt.Addr
-		rp.Payload, rp.Injected = pkt.Payload, pkt.Injected
+		rp := r.replica(pkt, r.ID)
 		rp.Delivered = now
 		r.stats.ReplicasSpawned += uint64(rp.Flits())
 		r.stats.PacketsEjected++
@@ -200,24 +155,5 @@ func (r *RingLite) forward(cp, o int, now int64) {
 		r.deliver(rp, now)
 		r.pool.Put(rp)
 	}
-
-	r.tel.FlitRouted(now, e.f, int(r.ID), o, 0)
-	nb := r.neighbor[o]
-	e.arrived = now + int64(r.linkDelay[o]-1) + int64(pkt.Flits()-1)
-	nb.in[r.neighborIn[o]].push(e)
-	nb.occ += pkt.Flits()
-	r.k.Activate(nb.kid)
-}
-
-// eject delivers a unit to the local endpoint; pooled replicas are
-// recycled (consumed synchronously by their agents).
-func (r *RingLite) eject(e entry, pi int, now int64) {
-	pkt := e.f.Pkt
-	r.occ -= pkt.Flits()
-	r.stats.FlitsRouted += uint64(pkt.Flits())
-	r.tel.FlitEjected(now, e.f, int(r.ID), pi)
-	pkt.Delivered = now
-	r.stats.PacketsEjected++
-	r.deliver(pkt, now)
-	r.pool.Put(pkt)
+	r.hop(e, o, now, int64(pkt.Flits()-1))
 }

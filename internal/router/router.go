@@ -2,7 +2,8 @@
 // (registry.go): pluggable Engine implementations the network layer
 // selects by name — the paper's VC wormhole router (this file, the
 // default), a bufferless deflection router (bufferless.go), and a
-// minimal two-entry-latch ring router (ringlite.go).
+// minimal two-entry-latch ring router (ringlite.go); the last two share
+// one whole-packet latch core (latch.go).
 //
 // The default engine is the paper's single-cycle multicasting wormhole
 // router (Section 3.1). Each physical channel (PC) holds several virtual
@@ -81,8 +82,8 @@ func init() {
 	Register(Builder{
 		Name:        DefaultEngine,
 		Description: "credit-based VC wormhole router with hybrid multicast replication (Table 1)",
-		New: func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) Engine {
-			return New(id, topo, tb, cfg, k, ar)
+		New: func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) Engine {
+			return New(id, topo, tb, cfg, k, s, ar)
 		},
 		BufferFlitsPerPort: func(cfg Config) int {
 			cfg = cfg.withDefaults()
@@ -208,7 +209,7 @@ type base struct {
 	topo *topology.Topology
 	tb   *routing.Table
 	k    *sim.Kernel
-	kid  int
+	kid  int // set by the engine's constructor, which registers it with k
 
 	numPorts   int   // neighbor ports (injection is index numPorts)
 	neighborIn []int // per out port: in-port index at the neighbor
@@ -224,19 +225,17 @@ type base struct {
 
 // newBase fills the shared part of an unwired engine from its arena,
 // replica pool included.
-func newBase(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) base {
+func newBase(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) base {
 	np := topo.NumPorts(id)
 	return base{
 		ID: id, cfg: cfg.withDefaults(), topo: topo, tb: tb, k: k,
 		numPorts:   np,
 		neighborIn: ar.intSlab(np),
 		linkDelay:  ar.intSlab(np),
+		sink:       s,
 		pool:       ar.Packets(),
 	}
 }
-
-// SetSink installs where the router ejects its packets.
-func (b *base) SetSink(s Sink) { b.sink = s }
 
 // deliver hands a packet ejected here to the sink.
 func (b *base) deliver(pkt *flit.Packet, now int64) {
@@ -246,8 +245,15 @@ func (b *base) deliver(pkt *flit.Packet, now int64) {
 	b.sink.Eject(b.ID, pkt, now)
 }
 
-// SetKernelID records the component id for activations.
-func (b *base) SetKernelID(id int) { b.kid = id }
+// replica mints from the pool the copy of path-multicast packet pkt that
+// router dst hands its local bank.
+func (b *base) replica(pkt *flit.Packet, dst topology.NodeID) *flit.Packet {
+	rp := b.pool.Get()
+	rp.ID, rp.Kind, rp.Src, rp.Dst = pkt.ID, pkt.Kind, pkt.Src, dst
+	rp.DstEp, rp.DstPos, rp.Addr = flit.ToBank, pkt.DstPos, pkt.Addr
+	rp.Payload, rp.Injected = pkt.Payload, pkt.Injected
+	return rp
+}
 
 // SetTelemetry installs the probe collector (nil disables all probes).
 func (b *base) SetTelemetry(c *telemetry.Collector) { b.tel = c }
@@ -258,14 +264,14 @@ func (b *base) Stats() Stats { return b.stats }
 // Occupancy returns the flits buffered here, injection queue included.
 func (b *base) Occupancy() int { return b.occ }
 
-// New creates an unwired router; the network package connects neighbors,
-// sets the sink, and registers it with the kernel. Routers
+// New creates an unwired router registered with k that ejects into s;
+// the network package connects its neighbors. Routers
 // consume routing only through a precomputed table (routing.Precompute),
 // never a raw algorithm: route lookup is a flat array index regardless
 // of the topology family. The arena supplies the backing storage for
 // every construction-time slice and the replica pool (see Arena).
-func New(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) *Router {
-	b := newBase(id, topo, tb, cfg, k, ar)
+func New(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) *Router {
+	b := newBase(id, topo, tb, cfg, k, s, ar)
 	cfg, np := b.cfg, b.numPorts
 	nVC := cfg.VCsPerPC
 	words := ((np+1)*nVC + 63) / 64
@@ -305,6 +311,7 @@ func New(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Con
 	for i := range r.credits {
 		r.credits[i] = cfg.BufDepth
 	}
+	r.kid = k.Register(r)
 	return r
 }
 
@@ -557,11 +564,7 @@ func (r *Router) assignRoute(idx int, pkt *flit.Packet) {
 	// router lies on the destination column/spike.
 	if pkt.PathDeliver && r.topo.SameColumn(r.ID, pkt.Dst) {
 		v.replNeed = true
-		rp := r.pool.Get()
-		rp.ID, rp.Kind, rp.Src, rp.Dst = pkt.ID, pkt.Kind, pkt.Src, r.ID
-		rp.DstEp, rp.DstPos, rp.Addr = flit.ToBank, pkt.DstPos, pkt.Addr
-		rp.Payload, rp.Injected = pkt.Payload, pkt.Injected
-		v.replPkt = rp
+		v.replPkt = r.replica(pkt, r.ID)
 	}
 }
 

@@ -35,17 +35,15 @@ func newPair(cfg Config) *pair {
 	p := &pair{k: sim.NewKernel()}
 	p.topo = topology.MustBuild("mesh", topology.Params{W: 2, H: 1, CoreX: 0, MemX: 1})
 	tb := mustTable(p.topo, routing.XY{})
-	p.a = New(0, p.topo, tb, cfg, p.k, &p.ar)
-	p.b = New(1, p.topo, tb, cfg, p.k, &p.ar)
-	p.a.Wire(topology.PortEast, p.b, topology.PortWest, 1)
-	p.b.Wire(topology.PortWest, p.a, topology.PortEast, 1)
-	p.a.SetKernelID(p.k.Register(p.a))
-	p.b.SetKernelID(p.k.Register(p.b))
-	p.a.SetSink(sinkFunc(func(_ topology.NodeID, pkt *flit.Packet, now int64) { p.gotA = append(p.gotA, pkt) }))
-	p.b.SetSink(sinkFunc(func(_ topology.NodeID, pkt *flit.Packet, now int64) {
+	p.a = New(0, p.topo, tb, cfg, p.k, sinkFunc(func(_ topology.NodeID, pkt *flit.Packet, now int64) {
+		p.gotA = append(p.gotA, pkt)
+	}), &p.ar)
+	p.b = New(1, p.topo, tb, cfg, p.k, sinkFunc(func(_ topology.NodeID, pkt *flit.Packet, now int64) {
 		p.gotB = append(p.gotB, pkt)
 		p.timesB = append(p.timesB, now)
-	}))
+	}), &p.ar)
+	p.a.Wire(topology.PortEast, p.b, topology.PortWest, 1)
+	p.b.Wire(topology.PortWest, p.a, topology.PortEast, 1)
 	return p
 }
 
@@ -125,8 +123,7 @@ func TestNoRoutePanics(t *testing.T) {
 	p := newPair(DefaultConfig())
 	topo3 := topology.MustBuild("mesh", topology.Params{W: 3, H: 1, CoreX: 0, MemX: 2})
 	// Router built over a 3-wide topology but wired only to one neighbor:
-	r := New(0, topo3, mustTable(topo3, routing.XY{}), DefaultConfig(), p.k, &p.ar)
-	r.SetKernelID(p.k.Register(r))
+	r := New(0, topo3, mustTable(topo3, routing.XY{}), DefaultConfig(), p.k, nil, &p.ar)
 	r.Inject(&flit.Packet{Kind: flit.ReadReq, Src: 0, Dst: 2, DstEp: flit.ToBank}, 0)
 	defer func() {
 		if recover() == nil {

@@ -53,7 +53,7 @@ func (r RunRequest) options(maxAccesses int) (core.Options, *apiError) {
 		o.DesignID = r.Design
 	}
 	if r.Policy != "" {
-		p, err := cache.ParsePolicy(r.Policy)
+		p, err := cache.PolicyByName(r.Policy)
 		if err != nil {
 			return o, badField("policy", "unknown policy %q; known policies: %s",
 				r.Policy, strings.Join(cache.PolicyNames(), ", "))

@@ -2,8 +2,7 @@
 // sequential (the kernel is single-threaded by design), but independent
 // runs share nothing — each owns its kernel, RNG streams, and stats — so
 // a sweep of runs is embarrassingly parallel. ParMap is the bounded
-// fan-out primitive the experiment engine (internal/core) and the CMP
-// driver (internal/cmp) build on.
+// fan-out primitive the experiment engine (internal/core) builds on.
 package sim
 
 import (

@@ -1,0 +1,94 @@
+package nucanet
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// interconnectPkgs are the network layer's packages and cacheLayerPkgs
+// the packages built on top of it. The paper keeps the interconnect and
+// the cache system apart; so does the import graph.
+var (
+	interconnectPkgs = []string{"flit", "topology", "routing", "router", "network"}
+	cacheLayerPkgs   = []string{"bank", "mem", "cache", "cmp", "cpu", "trace", "config", "core"}
+)
+
+// TestInterconnectLayering fails when a network-layer package under
+// internal/ reaches a cache-layer package, directly or through other
+// internal packages, counting only non-test files (what go list -deps
+// sees).
+func TestInterconnectLayering(t *testing.T) {
+	const prefix = "nucanet/internal/"
+	imports := map[string]map[string]bool{} // package dir under internal/ -> internal imports
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.ToSlash(filepath.Dir(strings.TrimPrefix(path, "internal"+string(filepath.Separator))))
+		if imports[pkg] == nil {
+			imports[pkg] = map[string]bool{}
+		}
+		for _, im := range f.Imports {
+			p, err := strconv.Unquote(im.Path.Value)
+			if err != nil {
+				return err
+			}
+			if dep, ok := strings.CutPrefix(p, prefix); ok {
+				imports[pkg][dep] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forbidden := map[string]bool{}
+	for _, p := range cacheLayerPkgs {
+		forbidden[p] = true
+	}
+	for _, root := range interconnectPkgs {
+		if imports[root] == nil {
+			t.Errorf("internal/%s: no such package", root)
+			continue
+		}
+		// via[p] is the package that first reached p from root.
+		via := map[string]string{root: ""}
+		queue := []string{root}
+		for len(queue) > 0 {
+			p := queue[0]
+			queue = queue[1:]
+			deps := make([]string, 0, len(imports[p]))
+			for d := range imports[p] {
+				deps = append(deps, d)
+			}
+			sort.Strings(deps)
+			for _, d := range deps {
+				if _, seen := via[d]; seen {
+					continue
+				}
+				via[d] = p
+				if !forbidden[d] {
+					queue = append(queue, d)
+					continue
+				}
+				chain := []string{d}
+				for q := p; q != ""; q = via[q] {
+					chain = append([]string{q}, chain...)
+				}
+				t.Errorf("interconnect package %s reaches cache-layer package %s: %s",
+					root, d, strings.Join(chain, " -> "))
+			}
+		}
+	}
+}
