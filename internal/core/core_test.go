@@ -166,8 +166,8 @@ func TestTable4Rows(t *testing.T) {
 }
 
 func TestFig8SchemesOrder(t *testing.T) {
-	s := Fig8Schemes()
-	if len(s) != 5 || s[0].Name != "unicast+promotion" || s[4].Name != "multicast+fastLRU" {
+	s := fig8Cells
+	if len(s) != 5 || s[0].scheme() != "unicast+promotion" || s[4].scheme() != "multicast+fastLRU" {
 		t.Fatalf("scheme list wrong: %+v", s)
 	}
 }

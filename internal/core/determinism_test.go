@@ -153,17 +153,20 @@ func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestExperimentDriversDeterministicAcrossWorkers pins the user-visible
-// guarantee: paperbench -exp f9 -j 1 and -j 8 print identical rows.
+// guarantee: paperbench -exp X -j 1 and -j 8 print identical rows, for
+// every experiment that prints a paper claim.
 func TestExperimentDriversDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full driver sweep; skipped in -short")
 	}
 	cfgSeq := ExpConfig{Accesses: 150, Seed: 7, Workers: 1}
 	cfgPar := ExpConfig{Accesses: 150, Seed: 7, Workers: 8}
-	var seq, par bytes.Buffer
-	runExperiment(t, "f9", cfgSeq).Render(&seq)
-	runExperiment(t, "f9", cfgPar).Render(&par)
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Errorf("f9 rows differ between j=1 and j=8:\n%s\n%s", &seq, &par)
+	for _, name := range []string{"f7", "f8", "f9", "headline"} {
+		var seq, par bytes.Buffer
+		runExperiment(t, name, cfgSeq).Render(&seq)
+		runExperiment(t, name, cfgPar).Render(&par)
+		if !bytes.Equal(seq.Bytes(), par.Bytes()) {
+			t.Errorf("%s rows differ between j=1 and j=8:\n%s\n%s", name, &seq, &par)
+		}
 	}
 }

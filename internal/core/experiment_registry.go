@@ -8,10 +8,10 @@ import (
 )
 
 // Rows is a rendered experiment result: every experiment returns its
-// typed rows (SweepRows for the simulation sweeps, ParetoRows, Headline,
-// ...) behind this interface, and Render writes the exact human-readable
-// table cmd/paperbench prints. Callers needing the underlying data
-// type-assert to the concrete type.
+// rows (SweepRows for the simulation sweeps, a print closure for the
+// static tables and the Pareto sweep) behind this interface, and Render
+// writes the exact human-readable table cmd/paperbench prints. Callers
+// needing a sweep's runs type-assert to SweepRows.
 type Rows interface {
 	Render(w io.Writer)
 }

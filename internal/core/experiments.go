@@ -2,7 +2,7 @@ package core
 
 import (
 	"io"
-	"math"
+	"slices"
 
 	"nucanet/internal/area"
 	"nucanet/internal/bank"
@@ -12,25 +12,6 @@ import (
 	"nucanet/internal/telemetry"
 	"nucanet/internal/trace"
 )
-
-// Scheme pairs a replacement policy with a request mode — the five bars
-// of Figure 8.
-type Scheme struct {
-	Name   string
-	Policy cache.Policy
-	Mode   cache.Mode
-}
-
-// Fig8Schemes returns the five evaluated schemes in the paper's order.
-func Fig8Schemes() []Scheme {
-	return []Scheme{
-		{"unicast+promotion", cache.Promotion, cache.Unicast},
-		{"unicast+LRU", cache.LRU, cache.Unicast},
-		{"unicast+fastLRU", cache.FastLRU, cache.Unicast},
-		{"multicast+promotion", cache.Promotion, cache.Multicast},
-		{"multicast+fastLRU", cache.FastLRU, cache.Multicast},
-	}
-}
 
 // ExpConfig bounds the experiment size and its parallelism.
 type ExpConfig struct {
@@ -82,7 +63,7 @@ func (cfg ExpConfig) bench() string {
 }
 
 // DefaultExpConfig keeps the full figure sweeps (paperbench -exp all) to
-// 26–30 s wall at -j 2 on a 2-vCPU Xeon @ 2.10 GHz.
+// about 25 s wall at -j 2 on a 2-vCPU Xeon @ 2.10 GHz.
 func DefaultExpConfig() ExpConfig { return ExpConfig{Accesses: 8000, Seed: 42} }
 
 // scheme resolves the configured override against an experiment's paper
@@ -102,10 +83,10 @@ func (cfg ExpConfig) scheme(p cache.Policy, m cache.Mode) (cache.Policy, cache.M
 	return p, m, nil
 }
 
-// run builds the Options for one (design, scheme, benchmark) cell.
-func (cfg ExpConfig) run(designID string, p cache.Policy, m cache.Mode, bench string) Options {
+// run builds the Options of cell c on bench.
+func (cfg ExpConfig) run(c cell, bench string) Options {
 	return Options{
-		DesignID: designID, Policy: p, Mode: m, Router: cfg.RouterName,
+		DesignID: c.design, Policy: c.policy, Mode: c.mode, Router: cfg.RouterName,
 		Benchmark: bench, Accesses: cfg.Accesses, Seed: cfg.Seed,
 		Cores: cfg.Cores,
 	}
@@ -147,45 +128,66 @@ func sweepExperiment(jobs func(ExpConfig) ([]Options, error), render func(io.Wri
 	}
 }
 
-// fig7Jobs is Figure 7's grid: the unicast LRU baseline on Design A,
-// one run per benchmark.
-func fig7Jobs(cfg ExpConfig) ([]Options, error) {
-	var opts []Options
-	for _, name := range trace.Names() {
-		opts = append(opts, cfg.run("A", cache.LRU, cache.Unicast, name))
-	}
-	return opts, nil
+// cell is one design under one scheme (a replacement policy and a
+// request mode): a column of a figure's grid.
+type cell struct {
+	design string
+	policy cache.Policy
+	mode   cache.Mode
 }
 
-// fig8Jobs is Figure 8's grid: all five schemes on Design A, benchmark
-// major.
-func fig8Jobs(cfg ExpConfig) ([]Options, error) {
-	schemes := Fig8Schemes()
+// scheme names c's scheme as the tables print it, e.g. "multicast+fastLRU".
+func (c cell) scheme() string { return c.mode.String() + "+" + c.policy.String() }
+
+var (
+	meshPromo = cell{"A", cache.Promotion, cache.Multicast}
+	meshFast  = cell{"A", cache.FastLRU, cache.Multicast}
+	haloFast  = cell{"F", cache.FastLRU, cache.Multicast}
+	meshLRU   = cell{"A", cache.LRU, cache.Unicast}
+	meshUFast = cell{"A", cache.FastLRU, cache.Unicast}
+	// fig8Cells are the five bars of Figure 8, in the paper's order.
+	fig8Cells = []cell{{"A", cache.Promotion, cache.Unicast}, meshLRU, meshUFast, meshPromo, meshFast}
+)
+
+// grid crosses the benchmarks (outer) with the cells (inner): the job
+// list of every figure sweep.
+func (cfg ExpConfig) grid(benches []string, cells ...cell) []Options {
 	var opts []Options
-	for _, name := range trace.Names() {
-		for _, s := range schemes {
-			opts = append(opts, cfg.run("A", s.Policy, s.Mode, name))
+	for _, b := range benches {
+		for _, c := range cells {
+			opts = append(opts, cfg.run(c, b))
 		}
 	}
-	return opts, nil
+	return opts
 }
 
-// fig9Jobs is Figure 9's grid: Designs A-F under multicast Fast-LRU (or
-// the config's scheme override), benchmark major, so each benchmark's
-// block leads with the Design A run the others normalize to.
-func fig9Jobs(cfg ExpConfig) ([]Options, error) {
+// designCells is Designs A-F under multicast Fast-LRU, or under the
+// config's scheme override.
+func (cfg ExpConfig) designCells() ([]cell, error) {
 	p, m, err := cfg.scheme(cache.FastLRU, cache.Multicast)
-	if err != nil {
-		return nil, err
+	var cells []cell
+	for _, d := range config.Designs() {
+		cells = append(cells, cell{d.ID, p, m})
 	}
-	designs := config.Designs()
-	var opts []Options
-	for _, name := range trace.Names() {
-		for _, d := range designs {
-			opts = append(opts, cfg.run(d.ID, p, m, name))
-		}
-	}
-	return opts, nil
+	return cells, err
+}
+
+// fig7Jobs is Figure 7's grid: the unicast LRU baseline on Design A.
+func fig7Jobs(cfg ExpConfig) ([]Options, error) { return cfg.grid(trace.Names(), meshLRU), nil }
+
+// fig8Jobs is Figure 8's grid: all five schemes on Design A.
+func fig8Jobs(cfg ExpConfig) ([]Options, error) { return cfg.grid(trace.Names(), fig8Cells...), nil }
+
+// fig9Jobs is Figure 9's grid: Designs A-F under one scheme.
+func fig9Jobs(cfg ExpConfig) ([]Options, error) {
+	cells, err := cfg.designCells()
+	return cfg.grid(trace.Names(), cells...), err
+}
+
+// headlineJobs is the abstract's grid: mesh multicast Promotion, mesh
+// multicast Fast-LRU and halo multicast Fast-LRU.
+func headlineJobs(cfg ExpConfig) ([]Options, error) {
+	return cfg.grid(trace.Names(), meshPromo, meshFast, haloFast), nil
 }
 
 // Table4 regenerates the area analysis.
@@ -193,88 +195,12 @@ func Table4() ([]area.Report, error) {
 	return area.Table4(area.DefaultModel())
 }
 
-// Headline carries the abstract's three claims, recomputed.
-type Headline struct {
-	// IPCGainVsMeshPromotion: halo (F) multicast Fast-LRU vs mesh (A)
-	// multicast Promotion — the paper reports +38% on average.
-	IPCGainVsMeshPromotion float64
-	// InterconnectAreaRatio: design F network area over design A's —
-	// the paper reports 23%.
-	InterconnectAreaRatio float64
-	// FastLRUIPCGain: multicast Fast-LRU vs multicast Promotion on the
-	// mesh — the paper reports +20%.
-	FastLRUIPCGain float64
-	// HaloIPCGain: design F vs design A, both multicast Fast-LRU — the
-	// abstract attributes +18% to the halo topology.
-	HaloIPCGain float64
-}
-
-// ComputeHeadline reruns the relevant configurations and aggregates the
-// geometric-mean gains across all benchmarks.
-func ComputeHeadline(cfg ExpConfig) (Headline, SweepReport, error) {
-	var h Headline
-	names := trace.Names()
-	// Three runs per benchmark: mesh Promotion base, mesh Fast-LRU,
-	// halo Fast-LRU — flattened so the engine sees one job list.
-	var opts []Options
-	for _, name := range names {
-		opts = append(opts,
-			cfg.run("A", cache.Promotion, cache.Multicast, name),
-			cfg.run("A", cache.FastLRU, cache.Multicast, name),
-			cfg.run("F", cache.FastLRU, cache.Multicast, name))
-	}
-	rs, rep, err := cfg.sweep(opts)
-	if err != nil {
-		return h, rep, err
-	}
-	gm := func(ratios []float64) float64 {
-		p := 1.0
-		for _, r := range ratios {
-			p *= r
-		}
-		return math.Pow(p, 1/float64(len(ratios)))
-	}
-	var vsPromo, fastGain, haloGain []float64
-	for i := range names {
-		base, meshFast, haloFast := rs[3*i], rs[3*i+1], rs[3*i+2]
-		vsPromo = append(vsPromo, haloFast.IPC/base.IPC)
-		fastGain = append(fastGain, meshFast.IPC/base.IPC)
-		haloGain = append(haloGain, haloFast.IPC/meshFast.IPC)
-	}
-	h.IPCGainVsMeshPromotion = gm(vsPromo)
-	h.FastLRUIPCGain = gm(fastGain)
-	h.HaloIPCGain = gm(haloGain)
-
-	reps, err := Table4()
-	if err != nil {
-		return h, rep, err
-	}
-	var aNet, fNet float64
-	for _, r := range reps {
-		switch r.DesignID {
-		case "A":
-			aNet = r.NetworkMM2()
-		case "F":
-			fNet = r.NetworkMM2()
-		}
-	}
-	h.InterconnectAreaRatio = fNet / aNet
-	return h, rep, nil
-}
-
 // energyJobs estimates the energy of all six designs under multicast
 // Fast-LRU (or the config's scheme override) on one benchmark (extension
 // experiment: the paper names energy analysis as future work).
 func energyJobs(cfg ExpConfig) ([]Options, error) {
-	p, m, err := cfg.scheme(cache.FastLRU, cache.Multicast)
-	if err != nil {
-		return nil, err
-	}
-	var opts []Options
-	for _, d := range config.Designs() {
-		opts = append(opts, cfg.run(d.ID, p, m, cfg.bench()))
-	}
-	return opts, nil
+	cells, err := cfg.designCells()
+	return cfg.grid([]string{cfg.bench()}, cells...), err
 }
 
 // powerJobs gates the farthest banks of every Design A column, shrinking
@@ -299,7 +225,7 @@ func powerJobs(cfg ExpConfig) ([]Options, error) {
 		gated.Params.H = ways
 		gated.Banks = gated.Banks[:ways]       // re-slice only: the backing array is shared read-only
 		gated.Params.MemX = gated.Params.CoreX // keep the memory column valid for short meshes
-		o := cfg.run("", p, m, cfg.bench())
+		o := cfg.run(cell{"", p, m}, cfg.bench())
 		o.Design = &gated
 		opts = append(opts, o)
 	}
@@ -345,20 +271,16 @@ func (p ParetoPoint) dominated(q ParetoPoint) bool {
 // Supports declaration) are reported as skipped rather than failing the
 // sweep, so registering a constrained engine never breaks the experiment.
 func ParetoSweep(cfg ExpConfig, bench string) ([]ParetoPoint, SweepReport, error) {
-	schemes := []Scheme{
-		{"multicast+promotion", cache.Promotion, cache.Multicast},
-		{"multicast+fastLRU", cache.FastLRU, cache.Multicast},
-	}
-	ids := []string{"A", "D", "F", "R"}
 	model := area.DefaultModel()
 	var opts []Options
 	var pts []ParetoPoint
 	for _, rt := range router.Names() {
-		for _, id := range ids {
-			for _, s := range schemes {
-				o := cfg.run(id, s.Policy, s.Mode, bench)
+		for _, id := range []string{"A", "D", "F", "R"} {
+			for _, p := range []cache.Policy{cache.Promotion, cache.FastLRU} {
+				c := cell{id, p, cache.Multicast}
+				o := cfg.run(c, bench)
 				o.Router = rt
-				pt := ParetoPoint{RouterName: rt, DesignID: id, Scheme: s.Name}
+				pt := ParetoPoint{RouterName: rt, DesignID: id, Scheme: c.scheme()}
 				if err := o.Validate(); err != nil {
 					pt.Skipped = err.Error()
 					pts = append(pts, pt)
@@ -384,29 +306,17 @@ func ParetoSweep(cfg ExpConfig, bench string) ([]ParetoPoint, SweepReport, error
 		return nil, rep, err
 	}
 	// Results map back in submission order; skipped points consumed none.
-	j := 0
 	for i := range pts {
-		if pts[i].Skipped != "" {
-			continue
+		if pts[i].Skipped == "" {
+			r := rs[0]
+			rs = rs[1:]
+			pts[i].IPC, pts[i].AvgLat, pts[i].EnergyNJ = r.IPC, r.AvgLatency, r.Energy.PerAccessNJ()
 		}
-		r := rs[j]
-		j++
-		pts[i].IPC = r.IPC
-		pts[i].AvgLat = r.AvgLatency
-		pts[i].EnergyNJ = r.Energy.PerAccessNJ()
 	}
-	for i := range pts {
-		if pts[i].Skipped != "" {
-			continue
-		}
-		dom := false
-		for k := range pts {
-			if k != i && pts[k].Skipped == "" && pts[i].dominated(pts[k]) {
-				dom = true
-				break
-			}
-		}
-		pts[i].Frontier = !dom
+	for i, p := range pts {
+		pts[i].Frontier = p.Skipped == "" && !slices.ContainsFunc(pts, func(q ParetoPoint) bool {
+			return q.Skipped == "" && p.dominated(q)
+		})
 	}
 	return pts, rep, nil
 }
@@ -427,12 +337,9 @@ func Table2Check(n int, seed uint64) []Table2Row {
 	var out []Table2Row
 	for _, p := range trace.Profiles() {
 		g := trace.NewSynthetic(p, am, seed)
-		ref := cache.NewGolden(cache.LRU, uniformSpecs(16), am.Columns, am.Sets)
-		warm := g.WarmBlocks(16)
-		for set := 0; set < am.Sets; set++ {
-			for c := 0; c < am.Columns; c++ {
-				ref.Warm(c, set, warm[set*am.Columns+c])
-			}
+		ref := cache.NewGolden(cache.LRU, slices.Repeat([]bank.Spec{{SizeKB: 64, Ways: 1}}, 16), am.Columns, am.Sets)
+		for i, blocks := range g.WarmBlocks(16) {
+			ref.Warm(i%am.Columns, i/am.Columns, blocks)
 		}
 		writes, hits := 0, 0
 		var instr int64
@@ -457,14 +364,6 @@ func Table2Check(n int, seed uint64) []Table2Row {
 	return out
 }
 
-func uniformSpecs(n int) []bank.Spec {
-	out := make([]bank.Spec, n)
-	for i := range out {
-		out[i] = bank.Spec{SizeKB: 64, Ways: 1}
-	}
-	return out
-}
-
 // cmpJobs is the sharing-contention sweep (extension: the paper's primary
 // stated future work): 1, 2, 4, and 8 trace-driven cores on the
 // two-chiplet hierarchical design under the directory policy, measuring
@@ -485,7 +384,7 @@ func cmpJobs(cfg ExpConfig) ([]Options, error) {
 	}
 	var opts []Options
 	for _, n := range []int{1, 2, 4, 8} {
-		o := cfg.run("H2", cache.Directory, m, cfg.bench())
+		o := cfg.run(cell{"H2", cache.Directory, m}, cfg.bench())
 		o.Cores = n
 		o.Telemetry = telemetry.Config{Heatmap: true}
 		opts = append(opts, o)
@@ -500,18 +399,13 @@ func cmpJobs(cfg ExpConfig) ([]Options, error) {
 // workload's traffic.
 func telemetryJobs(cfg ExpConfig) ([]Options, error) {
 	p, m, err := cfg.scheme(cache.FastLRU, cache.Multicast)
-	if err != nil {
-		return nil, err
-	}
 	tcfg := cfg.Telemetry
 	if !tcfg.Enabled() {
 		tcfg = telemetry.Config{Heatmap: true, SampleEvery: 200}
 	}
-	var opts []Options
-	for _, id := range []string{"A", "D", "F"} {
-		o := cfg.run(id, p, m, cfg.bench())
-		o.Telemetry = tcfg
-		opts = append(opts, o)
+	opts := cfg.grid([]string{cfg.bench()}, cell{"A", p, m}, cell{"D", p, m}, cell{"F", p, m})
+	for i := range opts {
+		opts[i].Telemetry = tcfg
 	}
-	return opts, nil
+	return opts, err
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"nucanet/internal/cache"
@@ -39,20 +42,20 @@ func TestFig8Driver(t *testing.T) {
 		t.Skip("full sweep; skipped in -short")
 	}
 	runs := sweepRuns(t, "f8", ExpConfig{Accesses: 200, Seed: 7})
-	schemes := Fig8Schemes()
+	schemes := fig8Cells
 	if len(runs) != 12*len(schemes) {
 		t.Fatalf("runs = %d, want 60", len(runs))
 	}
 	for i, r := range runs {
 		s := schemes[i%len(schemes)]
-		if r.Options.Policy != s.Policy || r.Options.Mode != s.Mode {
-			t.Errorf("run %d (%s) is not scheme %s", i, r.Options.Benchmark, s.Name)
+		if r.Options.Policy != s.policy || r.Options.Mode != s.mode {
+			t.Errorf("run %d (%s) is not scheme %s", i, r.Options.Benchmark, s.scheme())
 		}
 		if r.AvgLatency <= 0 || r.IPC <= 0 {
-			t.Errorf("%s/%s: empty measurement", r.Options.Benchmark, s.Name)
+			t.Errorf("%s/%s: empty measurement", r.Options.Benchmark, s.scheme())
 		}
 		if r.AvgOccupancy < r.AvgLatency {
-			t.Errorf("%s/%s: occupancy %.1f below latency %.1f", r.Options.Benchmark, s.Name, r.AvgOccupancy, r.AvgLatency)
+			t.Errorf("%s/%s: occupancy %.1f below latency %.1f", r.Options.Benchmark, s.scheme(), r.AvgOccupancy, r.AvgLatency)
 		}
 	}
 }
@@ -109,22 +112,75 @@ func TestEnergyComparisonDriver(t *testing.T) {
 	}
 }
 
-func TestComputeHeadlineSmall(t *testing.T) {
+// claimByID returns the claim table's row id.
+func claimByID(t *testing.T, id string) claim {
+	t.Helper()
+	for _, c := range claims {
+		if c.id == id {
+			return c
+		}
+	}
+	t.Fatalf("no claim %q", id)
+	return claim{}
+}
+
+// TestHeadlineClaimsSmall reads the abstract's claims from the claim
+// table on a short headline sweep.
+func TestHeadlineClaimsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	h, _, err := ComputeHeadline(ExpConfig{Accesses: 300, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	runs := sweepRuns(t, "headline", ExpConfig{Accesses: 300, Seed: 7})
+	if g := claimByID(t, "headline/halo-fast-vs-mesh-promo").measure(runs); g <= 0 {
+		t.Errorf("halo fastLRU vs mesh promotion gain = %+.1f%%, want > 0", g)
 	}
-	if h.IPCGainVsMeshPromotion <= 1.0 {
-		t.Errorf("halo fastLRU vs mesh promotion gain = %.3f, want > 1", h.IPCGainVsMeshPromotion)
+	if g := claimByID(t, "headline/fast-vs-promo").measure(runs); g <= 0 {
+		t.Errorf("fastLRU vs promotion gain = %+.1f%%, want > 0", g)
 	}
-	if h.FastLRUIPCGain <= 1.0 {
-		t.Errorf("fastLRU vs promotion gain = %.3f, want > 1", h.FastLRUIPCGain)
+	if a := claimByID(t, "headline/area").measure(runs); a <= 10 || a >= 40 {
+		t.Errorf("area share = %.1f%%, want ~23%%", a)
 	}
-	if h.InterconnectAreaRatio <= 0.1 || h.InterconnectAreaRatio >= 0.4 {
-		t.Errorf("area ratio = %.3f, want ~0.23", h.InterconnectAreaRatio)
+}
+
+// TestClaimTable pins the claim table to the tables that print it: ids
+// are unique and name their experiment, and each claim sits on exactly
+// one line of that experiment's golden — the line holding its label and
+// its paper text (for a claim the paper gives no value, the line holding
+// its label and no paper text).
+func TestClaimTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, c := range claims {
+		if seen[c.id] {
+			t.Errorf("claim id %q repeats", c.id)
+		}
+		seen[c.id] = true
+		if !strings.HasPrefix(c.id, c.exp+"/") {
+			t.Errorf("claim %q does not lead with its experiment %q", c.id, c.exp)
+		}
+		golden, err := os.ReadFile(filepath.Join("testdata", "exp_"+c.exp+".golden"))
+		if err != nil {
+			t.Fatalf("claim %q: %v", c.id, err)
+		}
+		n := 0
+		for _, line := range strings.Split(string(golden), "\n") {
+			if !strings.Contains(line, c.label) {
+				continue
+			}
+			if c.paper == "" && !strings.Contains(line, "(paper") || c.paper != "" && strings.Contains(line, c.paper) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("claim %q (label %q, paper %q) sits on %d lines of exp_%s.golden, want 1", c.id, c.label, c.paper, n, c.exp)
+		}
+	}
+	// renderFig9 prints its columns from config.Designs() and its avg row
+	// from the f9 claims: the two must line up.
+	f9 := claimsOf("f9/")
+	for i, d := range config.Designs() {
+		if i >= len(f9) || f9[i].label != d.ID {
+			t.Fatalf("f9 claim %d does not follow the design catalogue's %s", i, d.ID)
+		}
 	}
 }
 

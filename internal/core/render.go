@@ -8,6 +8,7 @@ import (
 	"nucanet/internal/bank"
 	"nucanet/internal/config"
 	"nucanet/internal/mem"
+	"nucanet/internal/trace"
 )
 
 // This file renders every built-in experiment's table (the exp_*.golden
@@ -29,10 +30,13 @@ func schemeLabel(cfg ExpConfig) string {
 	return m + "+" + p
 }
 
-// Table1Rows renders the static system parameters of Table 1.
-type Table1Rows struct{}
+// rowsFunc is the Rows of an experiment that prints without a sweep.
+type rowsFunc func(w io.Writer)
 
-func (Table1Rows) Render(w io.Writer) {
+func (f rowsFunc) Render(w io.Writer) { f(w) }
+
+// renderTable1 prints the static system parameters of Table 1.
+func renderTable1(w io.Writer) {
 	fmt.Fprintln(w, "memory: block 64B; latency 130 cycles + 4 cycles per 8B (pipelined)")
 	fmt.Fprintln(w, "router: 4-flit buffers, 4 VCs per PC, 128-bit flits, 1 cycle per stage")
 	fmt.Fprintln(w, "bank size    wire delay   tag only   tag+replacement")
@@ -45,10 +49,8 @@ func (Table1Rows) Render(w io.Writer) {
 	fmt.Fprintf(w, "derived: 64B block read = %d cycles at the pins\n", c.ReadLatency())
 }
 
-// Table2Rows renders the generator self-check against Table 2.
-type Table2Rows []Table2Row
-
-func (rows Table2Rows) Render(w io.Writer) {
+// renderTable2 prints the generator self-check against Table 2.
+func renderTable2(w io.Writer, rows []Table2Row) {
 	fmt.Fprintln(w, "name     instr   perfIPC  reads(M) writes(M)  acc/instr | gen acc/instr  gen wr%   gen hit% (16-way LRU)")
 	for _, row := range rows {
 		p := row.Profile
@@ -58,19 +60,15 @@ func (rows Table2Rows) Render(w io.Writer) {
 	}
 }
 
-// Table3Rows renders the design catalogue of Table 3.
-type Table3Rows []config.Design
-
-func (rows Table3Rows) Render(w io.Writer) {
-	for _, d := range rows {
+// renderTable3 prints the design catalogue of Table 3.
+func renderTable3(w io.Writer) {
+	for _, d := range config.Designs() {
 		fmt.Fprintf(w, "  %s: %-55s banks/column: %v\n", d.ID, d.Description, d.Banks)
 	}
 }
 
-// Table4Rows renders the area analysis of Table 4.
-type Table4Rows []area.Report
-
-func (rows Table4Rows) Render(w io.Writer) {
+// renderTable4 prints the area analysis of Table 4 next to the paper's.
+func renderTable4(w io.Writer, rows []area.Report) {
 	fmt.Fprintln(w, "design   bank%   router%   link%     L2 mm2    chip mm2")
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %s     %5.1f     %5.1f   %5.1f   %8.2f   %9.2f\n",
@@ -83,71 +81,51 @@ func (rows Table4Rows) Render(w io.Writer) {
 // renderFig7 prints the latency-split bars of Figure 7.
 func renderFig7(w io.Writer, _ ExpConfig, runs []Result) {
 	fmt.Fprintln(w, "benchmark   bank%   network%   memory%     p50     p99")
-	var b, nw, m float64
 	for _, r := range runs {
-		bank, net, mem := 100*r.BankShare, 100*r.NetworkShare, 100*r.MemShare
-		fmt.Fprintf(w, "  %-9s %5.1f      %5.1f     %5.1f   %5d   %5d\n",
-			r.Options.Benchmark, bank, net, mem, r.Latency.Percentile(0.50), r.Latency.Percentile(0.99))
-		b += bank
-		nw += net
-		m += mem
+		fmt.Fprintf(w, "  %-9s %5.1f      %5.1f     %5.1f   %5d   %5d\n", r.Options.Benchmark,
+			100*r.BankShare, 100*r.NetworkShare, 100*r.MemShare, r.Latency.Percentile(0.50), r.Latency.Percentile(0.99))
 	}
-	k := float64(len(runs))
-	fmt.Fprintf(w, "  %-9s %5.1f      %5.1f     %5.1f   (paper avg: 25 / 65 / 10)\n",
-		"avg", b/k, nw/k, m/k)
+	cs := claimsOf("f7/")
+	fmt.Fprintf(w, "  %-9s %s      %s     %s   %s\n", cs[0].label, cs[0].show(runs), cs[1].show(runs), cs[2].show(runs),
+		paperNote(cs[0].label+": ", " / ", cs[0].paper, cs[1].paper, cs[2].paper))
 }
 
 // renderFig8 prints the scheme comparison of Figure 8: one line per
-// benchmark (fig8Jobs runs benchmark major, one run per scheme), then
-// the summary ratios the paper quotes.
+// benchmark, one column per scheme, then the summary claims.
 func renderFig8(w io.Writer, _ ExpConfig, runs []Result) {
-	schemes := Fig8Schemes()
 	fmt.Fprintln(w, "(a) average / (b) hit / (c) miss latency in cycles; IPC")
 	fmt.Fprintf(w, "%-9s", "benchmark")
-	for _, s := range schemes {
-		fmt.Fprintf(w, " | %-19s", s.Name)
+	for _, c := range fig8Cells {
+		fmt.Fprintf(w, " | %-19s", c.scheme())
 	}
 	fmt.Fprintln(w)
-	for i, r := range runs {
-		if i%len(schemes) == 0 {
-			fmt.Fprintf(w, "%-9s", r.Options.Benchmark)
+	for _, b := range trace.Names() {
+		fmt.Fprintf(w, "%-9s", b)
+		for _, c := range fig8Cells {
+			r := c.of(runs, b)
+			fmt.Fprintf(w, " | %5.1f %5.1f %6.1f", r.AvgLatency, r.AvgHit, r.AvgMiss)
 		}
-		fmt.Fprintf(w, " | %5.1f %5.1f %6.1f", r.AvgLatency, r.AvgHit, r.AvgMiss)
-		if i%len(schemes) == len(schemes)-1 {
-			fmt.Fprintln(w)
-		}
+		fmt.Fprintln(w)
 	}
 	// Two readings: the CPU-visible access latency (request -> data) and
 	// the column occupancy (request -> replacement complete); the paper's
 	// hop-count examples (Fig. 2: 21 vs 12 hops) count the full occupancy,
 	// which is where Fast-LRU's structural win lives at any load level.
-	// Averages sum in benchmark order.
-	avgOf := func(scheme string, occ bool) float64 {
-		var s float64
-		for i, r := range runs {
-			if schemes[i%len(schemes)].Name != scheme {
-				continue
-			}
-			if occ {
-				s += r.AvgOccupancy
-			} else {
-				s += r.AvgLatency
-			}
-		}
-		return s / float64(len(runs)/len(schemes))
-	}
-	uLRU, uFast := avgOf("unicast+LRU", false), avgOf("unicast+fastLRU", false)
-	mPromo, mFast := avgOf("multicast+promotion", false), avgOf("multicast+fastLRU", false)
-	uLRUo, uFasto := avgOf("unicast+LRU", true), avgOf("unicast+fastLRU", true)
-	mFasto := avgOf("multicast+fastLRU", true)
 	fmt.Fprintf(w, "\naccess latency (request->data):\n")
-	fmt.Fprintf(w, "  multicast fastLRU vs unicast LRU:       %+.1f%%\n", 100*(mFast-uLRU)/uLRU)
-	fmt.Fprintf(w, "  multicast fastLRU vs multicast promo:   %+.1f%%\n", 100*(mFast-mPromo)/mPromo)
-	fmt.Fprintf(w, "  unicast fastLRU vs unicast LRU:         %+.1f%%\n", 100*(uFast-uLRU)/uLRU)
+	printClaimLines(w, claimsOf("f8/latency/"), runs)
 	fmt.Fprintf(w, "column occupancy (request->replacement done; the paper's hop metric):\n")
-	fmt.Fprintf(w, "  multicast fastLRU vs unicast LRU:       %+.1f%% (paper -46%%)\n", 100*(mFasto-uLRUo)/uLRUo)
-	fmt.Fprintf(w, "  unicast fastLRU vs unicast LRU:         %+.1f%% (paper -30%%)\n",
-		100*(uFasto-uLRUo)/uLRUo)
+	printClaimLines(w, claimsOf("f8/occupancy/"), runs)
+}
+
+// printClaimLines prints one Figure 8 summary line per claim.
+func printClaimLines(w io.Writer, cs []claim, runs []Result) {
+	for _, c := range cs {
+		fmt.Fprintf(w, "  %-40s%s", c.label, c.show(runs))
+		if c.paper != "" {
+			fmt.Fprint(w, " "+paperNote("", "", c.paper))
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // renderFig9 prints the normalized-IPC matrix of Figure 9: each
@@ -160,64 +138,43 @@ func renderFig9(w io.Writer, _ ExpConfig, runs []Result) {
 		fmt.Fprintf(w, "   %s  ", d.ID)
 	}
 	fmt.Fprintln(w)
-	sums := map[string]float64{}
-	p50s := map[string]int64{}
-	p99s := map[string]int64{}
-	count := 0
-	var cur string
-	var baseIPC float64
-	for _, r := range runs {
-		if r.Options.Benchmark != cur {
-			if cur != "" {
-				fmt.Fprintln(w)
-			}
-			fmt.Fprintf(w, "%-9s", r.Options.Benchmark)
-			cur = r.Options.Benchmark
-			count++
+	for _, b := range trace.Names() {
+		fmt.Fprintf(w, "%-9s", b)
+		for _, d := range config.Designs() {
+			fmt.Fprintf(w, " %5.3f", normIPC(runs, fig9Run(runs, d.ID, b)))
 		}
-		// Each benchmark's block leads with Design A: its IPC is the
-		// block's base.
-		if r.Design.ID == "A" {
-			baseIPC = r.IPC
-		}
-		norm := r.IPC / baseIPC
-		fmt.Fprintf(w, " %5.3f", norm)
-		sums[r.Design.ID] += norm
-		p50s[r.Design.ID] += r.Latency.Percentile(0.50)
-		p99s[r.Design.ID] += r.Latency.Percentile(0.99)
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-9s", "avg")
-	for _, d := range config.Designs() {
-		fmt.Fprintf(w, " %5.3f", sums[d.ID]/float64(count))
+	var notes []string
+	for _, c := range claimsOf("f9/") {
+		fmt.Fprintf(w, " %s", c.show(runs))
+		notes = append(notes, c.label+" "+c.paper)
 	}
-	fmt.Fprintln(w, "\n(paper avgs: A 1.00, B ~1.00, C 0.86, D 0.88, E 1.12, F 1.13)")
+	fmt.Fprintln(w, "\n"+paperNote("avgs: ", ", ", notes...))
 	// Per-design access-latency percentiles averaged over the benchmarks
 	// (mean of the per-run percentile estimates, not the percentile of a
 	// pooled distribution).
-	k := int64(count)
-	fmt.Fprintf(w, "%-9s", "p50 avg")
-	for _, d := range config.Designs() {
-		fmt.Fprintf(w, " %5d", p50s[d.ID]/k)
+	for _, q := range []float64{0.50, 0.99} {
+		fmt.Fprintf(w, "%-9s", fmt.Sprintf("p%.0f avg", 100*q))
+		for _, d := range config.Designs() {
+			var sum int64
+			for _, r := range runs {
+				if r.Design.ID == d.ID {
+					sum += r.Latency.Percentile(q)
+				}
+			}
+			fmt.Fprintf(w, " %5d", sum/int64(len(trace.Names())))
+		}
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-9s", "p99 avg")
-	for _, d := range config.Designs() {
-		fmt.Fprintf(w, " %5d", p99s[d.ID]/k)
-	}
-	fmt.Fprintln(w)
 }
 
-// Render prints the recomputed abstract claims.
-func (h Headline) Render(w io.Writer) {
-	fmt.Fprintf(w, "halo+fastLRU IPC vs mesh+multicast-promotion: %+.1f%%  (paper +38%%)\n",
-		100*(h.IPCGainVsMeshPromotion-1))
-	fmt.Fprintf(w, "multicast fastLRU IPC vs multicast promotion: %+.1f%%  (paper +20%%)\n",
-		100*(h.FastLRUIPCGain-1))
-	fmt.Fprintf(w, "halo (F) IPC vs mesh (A), same policy:        %+.1f%%  (paper +18%%/+13%%)\n",
-		100*(h.HaloIPCGain-1))
-	fmt.Fprintf(w, "interconnect area, F as a share of A:          %.1f%%  (paper 23%%)\n",
-		100*h.InterconnectAreaRatio)
+// renderHeadline prints the abstract's claims, recomputed.
+func renderHeadline(w io.Writer, _ ExpConfig, runs []Result) {
+	for _, c := range claimsOf("headline/") {
+		fmt.Fprintf(w, "%-45s %s  %s\n", c.label, c.show(runs), paperNote("", "", c.paper))
+	}
 }
 
 // renderEnergy prints the per-design energy comparison, captioned with
@@ -243,10 +200,8 @@ func renderPower(w io.Writer, cfg ExpConfig, runs []Result) {
 	}
 }
 
-// ParetoRows renders the router/design/scheme cost-performance sweep.
-type ParetoRows []ParetoPoint
-
-func (rows ParetoRows) Render(w io.Writer) {
+// renderPareto prints the router/design/scheme cost-performance sweep.
+func renderPareto(w io.Writer, rows []ParetoPoint) {
 	fmt.Fprintln(w, "   router        design  scheme                 L2 mm2   net mm2   avg lat   nJ/acc     IPC")
 	for _, p := range rows {
 		if p.Skipped != "" {
@@ -319,28 +274,27 @@ func init() {
 	RegisterExperiment(Experiment{
 		Name: "t1", About: "Table 1 system parameters (bank latencies, memory, router)",
 		Title: staticTitle("Table 1: system parameters"), InAll: true,
-		Run: func(ExpConfig) (Rows, SweepReport, error) { return Table1Rows{}, SweepReport{}, nil },
+		Run: func(ExpConfig) (Rows, SweepReport, error) { return rowsFunc(renderTable1), SweepReport{}, nil },
 	})
 	RegisterExperiment(Experiment{
 		Name: "t2", About: "Table 2 benchmark profiles vs generator self-check",
 		Title: staticTitle("Table 2: benchmarks (profile vs generator self-check)"), InAll: true,
 		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			return Table2Rows(Table2Check(40000, cfg.Seed)), SweepReport{}, nil
+			rows := Table2Check(40000, cfg.Seed)
+			return rowsFunc(func(w io.Writer) { renderTable2(w, rows) }), SweepReport{}, nil
 		},
 	})
 	RegisterExperiment(Experiment{
 		Name: "t3", About: "Table 3 network design catalogue",
 		Title: staticTitle("Table 3: network designs"), InAll: true,
-		Run: func(ExpConfig) (Rows, SweepReport, error) {
-			return Table3Rows(config.Designs()), SweepReport{}, nil
-		},
+		Run: func(ExpConfig) (Rows, SweepReport, error) { return rowsFunc(renderTable3), SweepReport{}, nil },
 	})
 	RegisterExperiment(Experiment{
 		Name: "t4", About: "Table 4 area analysis (cacti-lite model)",
 		Title: staticTitle("Table 4: area analysis (cacti-lite model)"), InAll: true,
 		Run: func(ExpConfig) (Rows, SweepReport, error) {
 			reps, err := Table4()
-			return Table4Rows(reps), SweepReport{}, err
+			return rowsFunc(func(w io.Writer) { renderTable4(w, reps) }), SweepReport{}, err
 		},
 	})
 	RegisterExperiment(Experiment{
@@ -362,10 +316,7 @@ func init() {
 	RegisterExperiment(Experiment{
 		Name: "headline", About: "abstract's headline claims, recomputed",
 		Title: staticTitle("Headline claims (abstract)"), InAll: true,
-		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			h, rep, err := ComputeHeadline(cfg)
-			return h, rep, err
-		},
+		Run: sweepExperiment(headlineJobs, renderHeadline),
 	})
 	RegisterExperiment(Experiment{
 		Name: "energy", About: "per-design energy estimate (extension: the paper's stated future work)",
@@ -385,7 +336,7 @@ func init() {
 		InAll: true,
 		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
 			pts, rep, err := ParetoSweep(cfg, cfg.bench())
-			return ParetoRows(pts), rep, err
+			return rowsFunc(func(w io.Writer) { renderPareto(w, pts) }), rep, err
 		},
 	})
 	RegisterExperiment(Experiment{
