@@ -44,7 +44,7 @@ race:
 
 # Full (non-short) race pass over the packages whose tests stay quick
 # un-shortened — everything shared across the parallel engine's workers
-# (topology builders, routing verifier, policy and router registries)
+# (topology builders, routing verifier, policy and router engines)
 # and every piece of cross-goroutine state (the CMP fabric's ports,
 # nucad's scheduler, cache, and coalescing map), the single-core and CMP
 # protocol conformance matrices (internal/conformance) — plus the engine

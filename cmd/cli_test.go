@@ -152,6 +152,16 @@ func TestCLI(t *testing.T) {
 		})
 	}
 
+	// Every catalogue is a table in the package that owns it, so what a
+	// binary lists cannot depend on which packages it links.
+	t.Run("nucasim and paperbench list the same catalogues", func(t *testing.T) {
+		sim, _, simExit := run(t, bin("nucasim"), "-list=all")
+		bench, _, benchExit := run(t, bin("paperbench"), "-list=all")
+		if simExit != 0 || benchExit != 0 || sim != bench {
+			t.Errorf("-list=all differs (exit %d, %d):\n--- nucasim\n%s--- paperbench\n%s", simExit, benchExit, sim, bench)
+		}
+	})
+
 	// Tiny-budget placement search, twice with the same seed: identical
 	// output (wall clock stripped) down to the best candidate's canonical
 	// encoding and hash pins the optimizer's end-to-end determinism —

@@ -8,11 +8,11 @@
 //
 //	POST /v1/run         run (or fetch) one configuration
 //	GET  /v1/designs     design catalogue
-//	GET  /v1/policies    registered replacement policies
-//	GET  /v1/routings    registered routing algorithms
-//	GET  /v1/routers     registered router microarchitectures
+//	GET  /v1/policies    replacement policies
+//	GET  /v1/routings    routing algorithms
+//	GET  /v1/routers     router microarchitectures
 //	GET  /v1/benchmarks  Table 2 workload profiles
-//	GET  /v1/experiments registered experiment catalogue (paperbench -exp)
+//	GET  /v1/experiments experiment catalogue (paperbench -exp)
 //	GET  /v1/stats       cache/queue/aggregate counters
 //	GET  /v1/healthz     ok, or draining during shutdown
 //
@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	_ "nucanet/internal/place" // registers the "placement" experiment in the catalogue
 	"nucanet/internal/serve"
 )
 

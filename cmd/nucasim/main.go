@@ -30,7 +30,7 @@
 //	nucasim -design H2 -policy directory -cores 4   # full-system CMP on the chiplet hierarchy
 //	nucasim -verify-routing
 //	nucasim -router bufferless -verify-routing
-//	nucasim -list                # every registry catalogue
+//	nucasim -list                # every catalogue
 //	nucasim -list=designs        # one catalogue (designs, topologies, routers, policies, experiments)
 package main
 

@@ -3,31 +3,28 @@
 //
 // Usage:
 //
-//	paperbench -list             # catalogue of registered experiments
-//	paperbench -list=all         # every registry catalogue (designs, routers, ...)
+//	paperbench -list             # the experiment catalogue
+//	paperbench -list=all         # every catalogue (designs, routers, ...)
 //	paperbench -exp all          # everything (~25 s at -j 2 on a 2-vCPU Xeon @ 2.10 GHz)
 //	paperbench -exp f9 -n 4000   # one experiment, smaller runs
 //	paperbench -exp f9 -j 8      # fan the sweep out to 8 workers
 //	paperbench -exp telemetry -heatmap -sample 200
-//	paperbench -exp f9 -policy static    # any registered policy name
+//	paperbench -exp f9 -policy static    # any policy name (-list=policies)
 //
-// Experiments dispatch through the core experiment registry
-// (core.RegisterExperiment): every name -exp accepts, this command's
-// -list output, and nucad's GET /v1/experiments derive from the same
-// catalogue, so a newly registered experiment is reachable everywhere
-// with no flag plumbing. "-exp all" runs the registered experiments
-// that opt into the full reproduction (the paper's tables and figures);
-// special-purpose experiments (telemetry, placement) run only when
-// named.
+// Experiments dispatch through core's experiment table: every name -exp
+// accepts, every binary's -list=experiments output, and nucad's GET
+// /v1/experiments derive from it, so a row added there is reachable
+// everywhere with no flag plumbing. "-exp all" runs the experiments that
+// opt into the full reproduction (the paper's tables and figures);
+// special-purpose experiments (telemetry, cmp) run only when named. The
+// placement search is cmd/nucaopt.
 //
 // -policy and -mode steer the single-scheme experiments (f9, energy,
-// power, telemetry); names resolve through the cache policy registry, so
-// policies added with cache.RegisterPolicy work unchanged. The
+// power, telemetry); names resolve through cache.PolicyByName. The
 // fixed-scheme reproductions (t1-t4, f7, f8, headline) ignore them.
-// -router overrides the router microarchitecture of every simulated run;
-// it resolves through the router registry (-list=routers on nucasim).
-// -bench selects the benchmark of the single-benchmark experiments
-// (energy, power, pareto, telemetry, placement).
+// -router overrides the router microarchitecture of every simulated run
+// (-list=routers). -bench selects the benchmark of the single-benchmark
+// experiments (energy, power, pareto, telemetry).
 //
 // The telemetry section compares designs A, D, and F side by side on one
 // benchmark with cycle-level probes: -heatmap prints ASCII link/bank
@@ -44,7 +41,6 @@ import (
 
 	"nucanet/internal/cliutil"
 	"nucanet/internal/core"
-	_ "nucanet/internal/place" // registers the "placement" experiment in the catalogue
 )
 
 func main() {
@@ -68,9 +64,9 @@ func main() {
 	workers, err := cliutil.ResolveJobs(*jobs)
 	fatal(err)
 	// The scheme flags steer the single-scheme experiments (f9, energy,
-	// power, telemetry); any name registered with cache.RegisterPolicy
-	// parses. The fixed-scheme reproductions (t1-t4, f7, f8, headline)
-	// ignore them by design. Defaults match the paper configuration.
+	// power, telemetry); any policy name parses. The fixed-scheme
+	// reproductions (t1-t4, f7, f8, headline) ignore them by design.
+	// Defaults match the paper configuration.
 	cfg := core.ExpConfig{
 		Accesses: *n, Seed: *seed, Workers: workers,
 		PolicyName: policy.String(), ModeName: mode.String(),

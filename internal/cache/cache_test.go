@@ -584,8 +584,10 @@ func TestWorksOnAllSixDesigns(t *testing.T) {
 }
 
 func TestParsePolicyAndMode(t *testing.T) {
-	if p, err := PolicyByName("fastlru"); err != nil || p != FastLRU {
-		t.Fatal("PolicyByName failed")
+	for _, s := range []string{"fastlru", "Fast-LRU", "-fast-l-r-u-"} {
+		if p, err := PolicyByName(s); err != nil || p != FastLRU {
+			t.Fatalf("PolicyByName(%q) = %v, %v; want fastLRU", s, p, err)
+		}
 	}
 	if _, err := PolicyByName("bogus"); err == nil {
 		t.Fatal("expected error")
@@ -597,24 +599,23 @@ func TestParsePolicyAndMode(t *testing.T) {
 		t.Fatal("expected error")
 	}
 
-	// The catalogue in registration order: the built-ins' ids equal the
-	// package constants, the registry additions follow. A miss lists it.
+	// The catalogue in id order: each name's index is its constant. A
+	// miss lists it.
 	names := PolicyNames()
 	if want := []string{"promotion", "LRU", "fastLRU", "directory", "static"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("PolicyNames() = %v, want %v", names, want)
 	}
 	for id, want := range []Policy{Promotion, LRU, FastLRU, Directory, Static} {
 		if Policy(id) != want {
-			t.Fatalf("policy %q registered as id %d, but its constant is %d", names[id], id, want)
+			t.Fatalf("policy %q listed at id %d, but its constant is %d", names[id], id, want)
 		}
 	}
 	if _, err := PolicyByName("mru"); err == nil ||
 		err.Error() != `cache: unknown policy "mru" (registered: promotion, LRU, fastLRU, directory, static)` {
 		t.Fatalf("unknown policy error = %v", err)
 	}
-	// Every registered policy — built-ins and registry additions alike —
-	// round-trips through String and PolicyByName, so CLI flags, JSON
-	// reports, and error messages always agree on the registered name.
+	// Every policy round-trips through String and PolicyByName, so CLI
+	// flags, JSON reports, and error messages always agree on its name.
 	for _, name := range names {
 		p, err := PolicyByName(name)
 		if err != nil {

@@ -3,8 +3,6 @@ package cache
 import (
 	"fmt"
 	"strings"
-
-	"nucanet/internal/registry"
 )
 
 // PolicyEngine is one replacement policy's protocol behavior. The agent
@@ -15,9 +13,8 @@ import (
 // (every per-operation datum lives in the op), so one instance serves
 // every System concurrently, including parallel sweeps.
 //
-// New policies register through RegisterPolicy and need no changes to
-// the shells; see DESIGN.md ("Protocol engines as a registry") and the
-// staticEngine for a worked example.
+// A new policy is one row in the policies table and needs no change to
+// the shells; staticEngine is the smallest example.
 type PolicyEngine interface {
 	// Probe handles a tag-match request at a bank: the unicast first
 	// hop or a multicast delivery. The shell marks the bank probed
@@ -74,69 +71,46 @@ func (baseEngine) Demote(a *agent, m *demoteMsg, now int64) {
 	panic(fmt.Sprintf("cache: %v sent no demotion, bank %d/%d got one", a.sys.Policy, a.col, a.pos))
 }
 
-// policies is the policy registry; an entry's index is its Policy id.
-// Names fold case and dashes, so "fastLRU", "fastlru", and "fast-lru"
-// name the same policy.
-var policies = registry.New[PolicyEngine]("cache", "policy", func(s string) string {
-	return strings.ReplaceAll(strings.ToLower(s), "-", "")
-})
-
-// RegisterPolicy adds a replacement policy under a display name and
-// returns its Policy id. Ids are assigned in registration order; the
-// built-in policies register first so their ids match the package
-// constants. Call from an init path; the registry is read-only once
-// simulation starts. It panics on a duplicate (normalized) name.
-func RegisterPolicy(name string, eng PolicyEngine) Policy {
-	if eng == nil {
-		panic("cache: RegisterPolicy with nil engine")
-	}
-	return Policy(policies.Register(name, eng))
+// policies is the closed catalogue of replacement policies, indexed by
+// Policy: a new policy is one constant and one row here, and needs no
+// change to the shells.
+var policies = [...]struct {
+	name string
+	eng  PolicyEngine
+}{
+	Promotion: {"promotion", &promotionEngine{}},
+	LRU:       {"LRU", &lruEngine{}},
+	FastLRU:   {"fastLRU", &lruEngine{fast: true}},
+	Directory: {"directory", &directoryEngine{inner: lruEngine{fast: true}}},
+	Static:    {"static", &staticEngine{}},
 }
 
-// PolicyByName resolves a registered policy name (case- and
-// dash-insensitive: "fastLRU" == "fast-lru" == "fastlru").
+// PolicyByName resolves a policy name, ignoring case and dashes:
+// "fastLRU" == "fast-lru" == "fastlru".
 func PolicyByName(s string) (Policy, error) {
-	i, ok := policies.Index(s)
-	if !ok {
-		return 0, policies.Unknown(s, strings.Join(policies.Names(), ", "))
+	key := strings.ReplaceAll(s, "-", "")
+	for p, e := range policies {
+		if strings.EqualFold(key, e.name) {
+			return Policy(p), nil
+		}
 	}
-	return Policy(i), nil
+	return 0, fmt.Errorf("cache: unknown policy %q (registered: %s)", s, strings.Join(PolicyNames(), ", "))
 }
 
-// PolicyNames lists the registered policy display names in registration
-// order (the built-ins first).
-func PolicyNames() []string { return policies.Names() }
+// PolicyNames lists the policy display names in Policy id order.
+func PolicyNames() []string {
+	names := make([]string, len(policies))
+	for p, e := range policies {
+		names[p] = e.name
+	}
+	return names
+}
 
-// engine returns the policy's registered engine; it panics on an
-// unregistered id (New validates ids before any packet flows).
+// engine returns the policy's engine; it panics on an unknown id (New
+// validates ids before any packet flows).
 func (p Policy) engine() PolicyEngine {
 	if !p.Valid() {
 		panic(fmt.Sprintf("cache: unknown policy %v", p))
 	}
-	return policies.At(int(p))
-}
-
-// builtinsDone orders registration: variables initialized from it (the
-// extra policies, e.g. Static) are guaranteed to register after the
-// built-ins, keeping the built-in ids equal to the package constants
-// regardless of file names.
-type builtinsDone struct{}
-
-var builtinPolicies = registerBuiltins()
-
-func registerBuiltins() builtinsDone {
-	for _, r := range []struct {
-		name string
-		want Policy
-		eng  PolicyEngine
-	}{
-		{"promotion", Promotion, &promotionEngine{}},
-		{"LRU", LRU, &lruEngine{}},
-		{"fastLRU", FastLRU, &lruEngine{fast: true}},
-	} {
-		if got := RegisterPolicy(r.name, r.eng); got != r.want {
-			panic(fmt.Sprintf("cache: built-in policy %s registered as id %d, want %d", r.name, got, r.want))
-		}
-	}
-	return builtinsDone{}
+	return policies[p].eng
 }

@@ -23,19 +23,10 @@ func OwnerOf(tag uint64) uint64 { return tag / OwnerStride }
 // a directory of block ownership maintained alongside the replacement
 // state. The directory attributes every fill, hit, and capacity eviction
 // to the owning core, turning "whose working set displaced whose" from a
-// guess into a measured matrix. It registers like any other policy; the
-// agent and controller shells are untouched.
+// guess into a measured matrix. Like every policy it is one row of the
+// policies table; the agent and controller shells are untouched.
 type directoryEngine struct {
 	inner lruEngine
-}
-
-// Directory is the registered id of the ownership-tracking CMP policy.
-// Its initializer's dependency on builtinPolicies orders registration
-// after the built-ins, keeping their ids equal to the package constants.
-var Directory = registerDirectory(builtinPolicies)
-
-func registerDirectory(builtinsDone) Policy {
-	return RegisterPolicy("directory", &directoryEngine{inner: lruEngine{fast: true}})
 }
 
 func (e *directoryEngine) Probe(a *agent, o *op, now int64) {

@@ -5,21 +5,11 @@ import "nucanet/internal/bank"
 // staticEngine is the no-migration baseline (S-NUCA-style placement with
 // bank-local LRU): a hit promotes the block within its own bank only —
 // no inter-bank movement, no replacement chain — while a miss fills the
-// MRU bank and pushes down like classic LRU. It exists both as the
-// paper's natural "is migration worth its traffic?" control and as the
-// registry's proof of extensibility: the engine registers itself through
-// RegisterPolicy and touches neither the agent nor the controller shell.
+// MRU bank and pushes down like classic LRU. It is the paper's natural
+// "is migration worth its traffic?" control, and the smallest engine: it
+// touches neither the agent nor the controller shell.
 type staticEngine struct {
 	baseEngine
-}
-
-// Static is the registered id of the no-migration baseline policy. Its
-// initializer's dependency on builtinPolicies orders registration after
-// the built-ins, so their ids keep matching the package constants.
-var Static = registerStatic(builtinPolicies)
-
-func registerStatic(builtinsDone) Policy {
-	return RegisterPolicy("static", &staticEngine{})
 }
 
 func (e *staticEngine) Probe(a *agent, o *op, now int64) {

@@ -17,8 +17,8 @@ import (
 // LRU by construction, only its timing differs.
 //
 // The policy-specific semantics live in the same PolicyEngine that
-// drives the timing simulation (GoldenAccess), so a registered policy
-// automatically brings its own reference model.
+// drives the timing simulation (GoldenAccess), so every policy brings
+// its own reference model.
 type Golden struct {
 	policy Policy
 	eng    PolicyEngine
@@ -30,7 +30,7 @@ type Golden struct {
 }
 
 // NewGolden builds an empty reference model for a column layout. It
-// panics on an unregistered policy (test-facing construction).
+// panics on an unknown policy (test-facing construction).
 func NewGolden(policy Policy, specs []bank.Spec, cols, sets int) *Golden {
 	g := &Golden{policy: policy, eng: policy.engine(), specs: specs, cols: cols, sets: sets}
 	g.state = make([][][]uint64, cols*sets)

@@ -10,18 +10,16 @@
 // packets (e.g. miss notifications racing a completed multicast hit) are
 // harmless.
 //
-// Replacement policies are pluggable: each is a PolicyEngine registered
-// under a name with RegisterPolicy (an internal/registry catalogue, like
-// topology.Register and routing.RegisterAlgorithm). The agent and
-// controller shells are policy-free; adding a policy means adding one
-// engine file (see engine_static.go for the smallest example).
+// Each replacement policy is a PolicyEngine named in one table
+// (engine.go), indexed by its Policy id. The agent and controller shells
+// are policy-free; adding a policy means adding one engine file and one
+// row (see engine_static.go for the smallest example).
 package cache
 
 import "fmt"
 
-// Policy identifies a registered replacement scheme. Ids are assigned in
-// registration order; the built-in policies below register first, so
-// their constants are stable.
+// Policy identifies a replacement scheme: an index into the policies
+// table.
 type Policy uint8
 
 const (
@@ -37,12 +35,18 @@ const (
 	// bank evicts during the tag-match access and pushes its victim
 	// along with the request, overlapping replacement with the search.
 	FastLRU
+	// Directory is the ownership-tracking CMP policy: Fast-LRU plus a
+	// directory of block owners (engine_directory.go).
+	Directory
+	// Static is the no-migration baseline: bank-local LRU, no inter-bank
+	// movement (engine_static.go).
+	Static
 )
 
-// String returns the policy's registered display name.
+// String returns the policy's display name.
 func (p Policy) String() string {
 	if p.Valid() {
-		return policies.Name(int(p))
+		return policies[p].name
 	}
 	return fmt.Sprintf("Policy(%d)", uint8(p))
 }
@@ -65,8 +69,8 @@ func (m Mode) String() string {
 	return "multicast"
 }
 
-// Valid reports whether p is a registered policy.
-func (p Policy) Valid() bool { return int(p) < policies.Len() }
+// Valid reports whether p names a policy.
+func (p Policy) Valid() bool { return int(p) < len(policies) }
 
 // Valid reports whether m is one of the defined modes.
 func (m Mode) Valid() bool { return m <= Multicast }

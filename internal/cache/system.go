@@ -39,7 +39,7 @@ type System struct {
 	agents []agent // column c's bank at position p is agents[c*len(Design.Banks)+p]
 	arena  *Arena  // the construction arena
 	tel    *telemetry.Collector
-	eng    PolicyEngine // the registered engine driving Policy
+	eng    PolicyEngine // the engine driving Policy
 	opSeq  uint64       // operation serial counter (telemetry correlation)
 	ops    *opPool      // every controller's ops, recycled once retired
 

@@ -8,23 +8,23 @@ import (
 	"strings"
 
 	"nucanet/internal/cache"
+	"nucanet/internal/config"
 	"nucanet/internal/core"
 	"nucanet/internal/router"
 	"nucanet/internal/telemetry"
 )
 
-// Design registers the standard -design flag (a Table 3 id) and returns
-// its destination.
+// Design registers the standard -design flag (a catalogue design id) and
+// returns its destination. The help text enumerates config.DesignIDs.
 func Design(fs *flag.FlagSet) *string {
-	return fs.String("design", "A", "network design (A-F from Table 3, or extra: R ring, G cmesh)")
+	return fs.String("design", "A", "network design: "+strings.Join(config.DesignIDs(), ", "))
 }
 
 // Scheme registers the typed -policy and -mode flags. cache.Policy and
 // cache.Mode implement flag.Value, so parse errors surface through the
 // flag package with the registered names — no per-binary policy and
-// mode parsing plumbing. The help text enumerates the registry, so a policy
-// added with cache.RegisterPolicy shows up (and parses) on every binary
-// automatically.
+// mode parsing plumbing. The help text enumerates cache.PolicyNames, so
+// every policy in the table shows up (and parses) on every binary.
 func Scheme(fs *flag.FlagSet) (*cache.Policy, *cache.Mode) {
 	p, m := cache.FastLRU, cache.Multicast
 	fs.Var(&p, "policy", "replacement policy: "+strings.Join(cache.PolicyNames(), ", "))
@@ -32,7 +32,7 @@ func Scheme(fs *flag.FlagSet) (*cache.Policy, *cache.Mode) {
 	return &p, &m
 }
 
-// ListSchemes prints the registered replacement policies and the request
+// ListSchemes prints the replacement policies and the request
 // modes — the -list=policies output shared by the binaries.
 func ListSchemes(w io.Writer) {
 	fmt.Fprintln(w, "registered replacement policies:")
@@ -45,16 +45,16 @@ func ListSchemes(w io.Writer) {
 	}
 }
 
-// Router registers the standard -router flag (a registered router
-// microarchitecture; empty keeps the design's engine) and returns its
-// destination. The help text enumerates the registry, so an engine added
-// with router.Register shows up on every binary automatically.
+// Router registers the standard -router flag (a router microarchitecture;
+// empty keeps the design's engine) and returns its destination. The help
+// text enumerates router.Names, so every engine in the table shows up on
+// every binary.
 func Router(fs *flag.FlagSet) *string {
 	return fs.String("router", "", "router microarchitecture: "+
 		strings.Join(router.Names(), ", ")+" (default: the design's engine, "+router.DefaultEngine+")")
 }
 
-// ListRouters prints the registered router microarchitectures — the
+// ListRouters prints the router microarchitectures — the
 // -list=routers output shared by the binaries.
 func ListRouters(w io.Writer) {
 	fmt.Fprintln(w, "registered router engines:")

@@ -12,9 +12,9 @@ import (
 )
 
 // listCategories is the dispatch table of the unified -list flag, in
-// print order for "all". Every entry reads a live registry, so anything
-// added with RegisterPolicy / router.Register / topology.Register /
-// RegisterExperiment / ExtraDesigns shows up with no flag plumbing.
+// print order for "all". Every entry reads its package's catalogue, so a
+// row added there shows up with no flag plumbing, and every binary lists
+// the same catalogues.
 var listCategories = []struct {
 	name  string
 	print func(io.Writer)
@@ -35,7 +35,7 @@ func ListCategoryNames() []string {
 	return names
 }
 
-// ListFlag is the unified registry catalogue flag shared by the
+// ListFlag is the unified catalogue flag shared by the
 // binaries: `-list=<what>` prints one catalogue, `-list=all` prints them
 // all, and a bare `-list` prints the binary's default category (which
 // keeps paperbench's historical `-list` = experiments working).
@@ -48,7 +48,7 @@ type ListFlag struct {
 // bare -list selects.
 func List(fs *flag.FlagSet, dflt string) *ListFlag {
 	l := &ListFlag{dflt: dflt}
-	fs.Var(l, "list", "print a registry catalogue and exit: "+
+	fs.Var(l, "list", "print a catalogue and exit: "+
 		strings.Join(ListCategoryNames(), ", ")+", or all (bare -list = "+dflt+")")
 	return l
 }
@@ -97,7 +97,7 @@ func (l *ListFlag) Handle(w io.Writer) (bool, error) {
 }
 
 // ListDesigns prints the design catalogue: Table 3's A-F plus the extra
-// registered families (ring, cmesh, hierarchical chiplets).
+// families (ring, cmesh, hierarchical chiplets).
 func ListDesigns(w io.Writer) {
 	fmt.Fprintln(w, "catalogue designs:")
 	for _, d := range append(config.Designs(), config.ExtraDesigns()...) {
@@ -105,7 +105,7 @@ func ListDesigns(w io.Writer) {
 	}
 }
 
-// ListTopologies prints the registered topology builders.
+// ListTopologies prints the topology families.
 func ListTopologies(w io.Writer) {
 	fmt.Fprintln(w, "registered topology families:")
 	for _, name := range topology.Names() {
@@ -113,8 +113,8 @@ func ListTopologies(w io.Writer) {
 	}
 }
 
-// ListExperiments prints the experiment registry — the same catalogue
-// paperbench -exp and nucad's GET /v1/experiments dispatch through.
+// ListExperiments prints the experiment catalogue — the one paperbench
+// -exp and nucad's GET /v1/experiments dispatch through.
 func ListExperiments(w io.Writer) {
 	fmt.Fprintln(w, "registered experiments:")
 	for _, name := range core.ExperimentNames() {

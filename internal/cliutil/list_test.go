@@ -42,15 +42,15 @@ func TestListFlagBareSelectsDefault(t *testing.T) {
 }
 
 // TestListFlagCategories pins that every advertised category prints its
-// registry, registry-driven: catalogue entries added elsewhere appear
-// with no changes here.
+// catalogue, read from the owning package: rows added there appear with
+// no changes here.
 func TestListFlagCategories(t *testing.T) {
 	wantSubstring := map[string]string{
-		"designs":     "H2", // the hierarchical chiplet design registers via ExtraDesigns
+		"designs":     "H2", // the hierarchical chiplet design, from ExtraDesigns
 		"topologies":  "mesh",
 		"routers":     "bufferless",
-		"policies":    "directory", // the CMP ownership policy registers via RegisterPolicy
-		"experiments": "cmp",       // the sharing-contention experiment registers via RegisterExperiment
+		"policies":    "directory", // the CMP ownership policy
+		"experiments": "cmp",       // the sharing-contention experiment
 	}
 	for _, cat := range ListCategoryNames() {
 		l := parseList(t, "experiments", "-list="+cat)

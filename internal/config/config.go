@@ -6,7 +6,7 @@
 // (D, F). All keep 16 bank-set columns of total associativity 16 and 1024
 // sets per bank, so one address map fits all.
 //
-// A design names its topology family (the topology package's registry)
+// A design names its topology family (the topology package's catalogue)
 // and carries one topology.Params value; Build resolves the name. Beyond
 // Table 3, the catalogue carries extra registered-family designs (ring,
 // concentrated mesh) reachable through DesignByID but excluded from
@@ -42,7 +42,7 @@ type Design struct {
 	Router router.Config
 }
 
-// Build constructs the design's topology through the family registry.
+// Build constructs the design's topology through the family catalogue.
 func (d Design) Build() (*topology.Topology, error) {
 	t, err := topology.Build(d.Topology, d.Params)
 	if err != nil {

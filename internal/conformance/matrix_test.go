@@ -18,11 +18,11 @@ func rwName(write bool) string {
 }
 
 // singleCoreScenarios enumerates the single-controller matrix for every
-// registered policy: (policy x mode x occupancy x hit position x
-// read/write) on column 0, plus a dirty-writeback script and a pipelined
-// stress script per (policy, mode). The enumeration walks the registry,
-// so a policy added through RegisterPolicy is conformance-checked
-// without touching this file.
+// policy: (policy x mode x occupancy x hit position x read/write) on
+// column 0, plus a dirty-writeback script and a pipelined stress script
+// per (policy, mode). The enumeration walks cache.PolicyNames, so a row
+// added to the policies table is conformance-checked without touching
+// this file.
 func singleCoreScenarios() []Scenario {
 	warmTags := func(n int) []uint64 {
 		tags := make([]uint64, n)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -34,19 +35,13 @@ func sweepRuns(t *testing.T, name string, cfg ExpConfig) []Result {
 	return runExperiment(t, name, cfg).(SweepRows).Runs
 }
 
-// TestExperimentCatalogue pins the registry contents: the built-ins in
-// the paper's presentation order, with the special-purpose telemetry
+// TestExperimentCatalogue pins the catalogue: exactly these experiments
+// in the paper's presentation order, with the special-purpose telemetry
 // and CMP experiments excluded from "all".
 func TestExperimentCatalogue(t *testing.T) {
 	want := []string{"t1", "t2", "t3", "t4", "f7", "f8", "f9", "headline", "energy", "power", "pareto", "telemetry", "cmp"}
-	names := ExperimentNames()
-	if len(names) < len(want) {
-		t.Fatalf("ExperimentNames() = %v, want at least %v", names, want)
-	}
-	for i, name := range want {
-		if names[i] != name {
-			t.Fatalf("ExperimentNames()[%d] = %q, want %q (full: %v)", i, names[i], name, names)
-		}
+	if names := ExperimentNames(); !slices.Equal(names, want) {
+		t.Fatalf("ExperimentNames() = %v, want %v", names, want)
 	}
 	for _, name := range want {
 		e, err := ExperimentByName(name)
@@ -61,8 +56,9 @@ func TestExperimentCatalogue(t *testing.T) {
 			t.Errorf("experiment %q missing About or Title", name)
 		}
 	}
-	if _, err := ExperimentByName("no-such-experiment"); err == nil {
-		t.Error("ExperimentByName on an unknown name did not error")
+	_, err := ExperimentByName("no-such-experiment")
+	if want := `core: unknown experiment "no-such-experiment" (registered: [cmp energy f7 f8 f9 headline pareto power t1 t2 t3 t4 telemetry])`; err == nil || err.Error() != want {
+		t.Errorf("ExperimentByName miss: err = %v, want %q", err, want)
 	}
 }
 

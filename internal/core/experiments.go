@@ -26,20 +26,20 @@ type ExpConfig struct {
 	// PolicyName and ModeName override the replacement scheme of the
 	// single-scheme experiments (Fig9, energy, power gating, telemetry);
 	// empty keeps each experiment's paper configuration (multicast
-	// Fast-LRU). Names resolve through the cache registry, so a policy
-	// added with cache.RegisterPolicy works here — and on the CLIs — with
-	// no further plumbing. Fixed-scheme reproductions (Fig7's unicast-LRU
+	// Fast-LRU). Names resolve through cache.PolicyByName, so every
+	// policy works here — and on the CLIs — with no further plumbing.
+	// Fixed-scheme reproductions (Fig7's unicast-LRU
 	// baseline, Fig8's five-scheme comparison, the headline claims)
 	// ignore the override by design.
 	PolicyName string
 	ModeName   string
 	// RouterName overrides the router microarchitecture of every run in
 	// an experiment (the -router flag); empty keeps each design's engine.
-	// Names resolve through the router registry, like PolicyName through
-	// the cache registry.
+	// Names resolve through router.ByName, like PolicyName through
+	// cache.PolicyByName.
 	RouterName string
 	// Bench selects the benchmark of the single-benchmark experiments
-	// (energy, power, pareto, telemetry, placement); empty keeps the
+	// (energy, power, pareto, telemetry); empty keeps the
 	// paper's gcc. The all-benchmark sweeps (f7-f9, headline) ignore it.
 	Bench string
 	// Telemetry configures the probes of the telemetry experiment; the
@@ -264,12 +264,12 @@ func (p ParetoPoint) dominated(q ParetoPoint) bool {
 	return q.AreaMM2 < p.AreaMM2 || q.AvgLat < p.AvgLat || q.EnergyNJ < p.EnergyNJ
 }
 
-// ParetoSweep crosses every registered router microarchitecture with the
+// ParetoSweep crosses every router microarchitecture with the
 // mesh (A), simplified mesh (D), halo (F), and ring (R) representatives
 // and both multicast schemes on one benchmark, then marks the
 // area/latency/energy frontier. Combinations an engine rejects (its
 // Supports declaration) are reported as skipped rather than failing the
-// sweep, so registering a constrained engine never breaks the experiment.
+// sweep, so adding a constrained engine never breaks the experiment.
 func ParetoSweep(cfg ExpConfig, bench string) ([]ParetoPoint, SweepReport, error) {
 	model := area.DefaultModel()
 	var opts []Options

@@ -12,7 +12,7 @@ import (
 )
 
 // This file renders every built-in experiment's table (the exp_*.golden
-// files pin the bytes) and registers the built-ins in the paper's
+// files pin the bytes); the experiments table lists them in the paper's
 // presentation order. The sweep experiments render straight from their
 // runs: a render function over the []Result that sweepExperiment hands
 // it, paired with a job-list function in experiments.go.
@@ -268,92 +268,4 @@ func renderCMP(w io.Writer, _ ExpConfig, runs []Result) {
 
 func staticTitle(s string) func(ExpConfig) string {
 	return func(ExpConfig) string { return s }
-}
-
-func init() {
-	RegisterExperiment(Experiment{
-		Name: "t1", About: "Table 1 system parameters (bank latencies, memory, router)",
-		Title: staticTitle("Table 1: system parameters"), InAll: true,
-		Run: func(ExpConfig) (Rows, SweepReport, error) { return rowsFunc(renderTable1), SweepReport{}, nil },
-	})
-	RegisterExperiment(Experiment{
-		Name: "t2", About: "Table 2 benchmark profiles vs generator self-check",
-		Title: staticTitle("Table 2: benchmarks (profile vs generator self-check)"), InAll: true,
-		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			rows := Table2Check(40000, cfg.Seed)
-			return rowsFunc(func(w io.Writer) { renderTable2(w, rows) }), SweepReport{}, nil
-		},
-	})
-	RegisterExperiment(Experiment{
-		Name: "t3", About: "Table 3 network design catalogue",
-		Title: staticTitle("Table 3: network designs"), InAll: true,
-		Run: func(ExpConfig) (Rows, SweepReport, error) { return rowsFunc(renderTable3), SweepReport{}, nil },
-	})
-	RegisterExperiment(Experiment{
-		Name: "t4", About: "Table 4 area analysis (cacti-lite model)",
-		Title: staticTitle("Table 4: area analysis (cacti-lite model)"), InAll: true,
-		Run: func(ExpConfig) (Rows, SweepReport, error) {
-			reps, err := Table4()
-			return rowsFunc(func(w io.Writer) { renderTable4(w, reps) }), SweepReport{}, err
-		},
-	})
-	RegisterExperiment(Experiment{
-		Name: "f7", About: "Figure 7 latency split of the unicast LRU baseline",
-		Title: staticTitle("Figure 7: L2 access latency split, unicast LRU, Design A"), InAll: true,
-		Run: sweepExperiment(fig7Jobs, renderFig7),
-	})
-	RegisterExperiment(Experiment{
-		Name: "f8", About: "Figure 8 access latency across the five replacement schemes",
-		Title: staticTitle("Figure 8: access latency by scheme, Design A"), InAll: true,
-		Run: sweepExperiment(fig8Jobs, renderFig8),
-	})
-	RegisterExperiment(Experiment{
-		Name: "f9", About: "Figure 9 normalized IPC across designs A-F",
-		Title: func(cfg ExpConfig) string { return "Figure 9: normalized IPC by design, " + schemeLabel(cfg) },
-		InAll: true,
-		Run:   sweepExperiment(fig9Jobs, renderFig9),
-	})
-	RegisterExperiment(Experiment{
-		Name: "headline", About: "abstract's headline claims, recomputed",
-		Title: staticTitle("Headline claims (abstract)"), InAll: true,
-		Run: sweepExperiment(headlineJobs, renderHeadline),
-	})
-	RegisterExperiment(Experiment{
-		Name: "energy", About: "per-design energy estimate (extension: the paper's stated future work)",
-		Title: staticTitle("Energy comparison (extension: the paper's stated future work)"), InAll: true,
-		Run: sweepExperiment(energyJobs, renderEnergy),
-	})
-	RegisterExperiment(Experiment{
-		Name: "power", About: "power-gating sweep (extension: on-demand power control)",
-		Title: staticTitle("Power-gating sweep (extension: the paper's on-demand power control)"), InAll: true,
-		Run: sweepExperiment(powerJobs, renderPower),
-	})
-	RegisterExperiment(Experiment{
-		Name: "pareto", About: "router engine x design x scheme cost/performance frontier",
-		Title: func(cfg ExpConfig) string {
-			return fmt.Sprintf("Pareto sweep: router engine x design x scheme (%s)", cfg.bench())
-		},
-		InAll: true,
-		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			pts, rep, err := ParetoSweep(cfg, cfg.bench())
-			return rowsFunc(func(w io.Writer) { renderPareto(w, pts) }), rep, err
-		},
-	})
-	RegisterExperiment(Experiment{
-		Name: "telemetry", About: "cycle-level probe comparison of designs A, D, F",
-		Title: func(cfg ExpConfig) string {
-			return "Telemetry: spatial and temporal view, designs A / D / F on " + cfg.bench() + ", " + schemeLabel(cfg)
-		},
-		InAll: false, // runs when named or when probe flags are set
-		Run:   sweepExperiment(telemetryJobs, renderTelemetry),
-	})
-	RegisterExperiment(Experiment{
-		Name: "cmp", About: "sharing-contention sweep: 1-8 cores on the two-chiplet hierarchy (extension: the paper's CMP future work)",
-		Title: func(cfg ExpConfig) string {
-			return "CMP sharing contention: design H2 (mesh chiplets + bridge ring), " +
-				cfg.bench() + ", directory policy, 1-8 cores"
-		},
-		InAll: false, // CMP fabric study; runs when named
-		Run:   sweepExperiment(cmpJobs, renderCMP),
-	})
 }

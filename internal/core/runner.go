@@ -19,7 +19,7 @@ import (
 )
 
 // Validate checks that the options describe a runnable simulation: a
-// resolvable design whose routing a registered router engine supports
+// resolvable design whose routing a known router engine supports
 // and provably makes progress on, a known Table 2 benchmark, a positive
 // access count, a core count the design can host, and defined
 // policy/mode values. Run performs the same checks with the same
@@ -76,7 +76,7 @@ type designKey struct{ id, router string }
 // resolveDesign resolves o's design and runs it through the design gate.
 // A catalogue design (Options.Design == nil) comes from rt's memo, per
 // (DesignID, Router): catalogue designs are constants and the topology,
-// router and routing registries are read-only after init, so an entry
+// router and routing catalogues are fixed tables, so an entry
 // never goes stale, and only successes are stored, so the memo holds at
 // most |catalogue| x (|engines| + 1) entries — 36 today — and needs no
 // bound or eviction. An ad-hoc design comes from pc's designs, keyed by

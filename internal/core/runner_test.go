@@ -48,7 +48,7 @@ func TestRunDesignPrivateCopies(t *testing.T) {
 // the same options fail again with byte-identical text through every
 // entry point, leave no entry, and do not disturb a valid neighbour. (An
 // engine whose Supports rejects the topology takes the same path; it is
-// pinned in internal/network, whose test binary registers one.)
+// pinned in internal/router, whose test binary can add one.)
 func TestCanonicalKeyMemoSkipsErrors(t *testing.T) {
 	calls := map[string]func(Options) error{
 		"Validate":     func(o Options) error { return o.Validate() },
@@ -157,10 +157,10 @@ func TestCanonicalKeyMemoConcurrent(t *testing.T) {
 // TestOptionsValidate pins Validate as Run's front door: on every kind
 // of bad option the two fail with the same message. (An engine that
 // cannot run a topology, or whose routing fails its progress proof, is
-// not a row: no registered engine does either on a registered topology,
-// and registering one would leak into every test that enumerates
-// router.Names(). Both paths share resolveDesign's gate for them;
-// network's test binary, which registers such engines, pins the errors.)
+// not a row: no engine in the table does either on a catalogue design,
+// and core's tests cannot add one. Both paths share resolveDesign's gate
+// for them; router's test binary, which can add such engines, pins the
+// errors.)
 func TestOptionsValidate(t *testing.T) {
 	if err := DefaultOptions().Validate(); err != nil {
 		t.Fatalf("defaults invalid: %v", err)

@@ -14,27 +14,29 @@ import (
 // Two deliberately broken engines exercise the construction gates: one
 // deflecting engine without an age-monotone arbiter (the livelock
 // verifier must reject it) and one whose Supports check refuses every
-// topology. Their constructors must never run.
-func init() {
-	mustNotBuild := func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg router.Config, k *sim.Kernel, s router.Sink, ar *router.Arena) router.Engine {
-		panic("test engine constructed despite failing its construction gate")
-	}
-	router.Register(router.Builder{
+// topology. Neither is in router's catalogue; TestEngineConstructionGates
+// hands them to check directly. Their constructors must never run.
+func mustNotBuild(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg router.Config, k *sim.Kernel, s router.Sink, ar *router.Arena) router.Engine {
+	panic("test engine constructed despite failing its construction gate")
+}
+
+var (
+	unfairDeflect = router.Builder{
 		Name:        "test-unfair-deflect",
 		Description: "deflection without age priority (must be rejected)",
 		New:         mustNotBuild,
 		Deflecting:  true,
 		AgeMonotone: false,
-	})
-	router.Register(router.Builder{
+	}
+	picky = router.Builder{
 		Name:        "test-picky",
 		Description: "supports nothing (must be rejected)",
 		New:         mustNotBuild,
 		Supports: func(topo *topology.Topology, cfg router.Config) error {
 			return errTestPicky
 		},
-	})
-}
+	}
+)
 
 var errTestPicky = &pickyErr{}
 
@@ -73,13 +75,11 @@ func TestEngineConstructionGates(t *testing.T) {
 		t.Errorf("unknown engine: err = %v, want unknown-engine error", err)
 	}
 
-	cfg.Engine = "test-unfair-deflect"
-	if _, err := New(sim.NewKernel(), topo, alg, cfg); err == nil || !strings.Contains(err.Error(), "age-monotone") {
+	if _, err := check(topo, alg, unfairDeflect, cfg); err == nil || !strings.Contains(err.Error(), "age-monotone") {
 		t.Errorf("non-age-monotone deflection: err = %v, want livelock rejection", err)
 	}
 
-	cfg.Engine = "test-picky"
-	if _, err := New(sim.NewKernel(), topo, alg, cfg); err == nil || !strings.Contains(err.Error(), "does not support") {
+	if _, err := check(topo, alg, picky, cfg); err == nil || !strings.Contains(err.Error(), "does not support") {
 		t.Errorf("unsupported topology: err = %v, want Supports rejection", err)
 	}
 }

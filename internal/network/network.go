@@ -69,11 +69,11 @@ type Network struct {
 
 // New builds and wires a network over topo using alg and router config cfg,
 // registering every router with k. The router microarchitecture is
-// selected from the registry by cfg.Engine (empty selects the default VC
-// wormhole router). Construction fails if the engine name is unknown, the
-// routing table cannot be built, the engine's Supports check rejects the
-// (topology, config) pair, or — the static safety gate — the routes fail
-// the engine's progress proof: blocking engines must pass the
+// selected from router's engine table by cfg.Engine (empty selects the
+// default VC wormhole router). Construction fails if the engine name is
+// unknown, the routing table cannot be built, the engine's Supports check
+// rejects the (topology, config) pair, or — the static safety gate — the
+// routes fail the engine's progress proof: blocking engines must pass the
 // channel-dependence cycle check (routing.VerifyDeadlockFree), deflecting
 // engines the livelock-freedom argument
 // (routing.VerifyDeflectionLivelockFree). A configuration that could
@@ -108,6 +108,11 @@ func Check(topo *topology.Topology, alg routing.Algorithm, cfg router.Config) (*
 	if err != nil {
 		return nil, err
 	}
+	return check(topo, alg, eng, cfg)
+}
+
+// check is Check for an already resolved engine.
+func check(topo *topology.Topology, alg routing.Algorithm, eng router.Builder, cfg router.Config) (*routing.Table, error) {
 	// Precompute the routing table once so the per-flit hot path is a
 	// flat array lookup; idempotent if the caller already passed a table.
 	tb, err := routing.Precompute(topo, alg)
@@ -141,7 +146,7 @@ func NewOpts(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg 
 		if tb, err = routing.Precompute(topo, alg); err != nil {
 			return nil, err
 		}
-	} else if tb, err = Check(topo, alg, cfg); err != nil {
+	} else if tb, err = check(topo, alg, eng, cfg); err != nil {
 		return nil, err
 	}
 	if o.Arena == nil {

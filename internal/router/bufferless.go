@@ -57,23 +57,13 @@ type blCand struct {
 	e    entry
 }
 
-func init() {
-	Register(Builder{
-		Name:        "bufferless",
-		Description: "bufferless deflection router: age-based arbitration, no VCs, no credits",
-		New: func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) Engine {
-			b := &Bufferless{latched: newLatched(id, topo, tb, cfg, k, s, ar)}
-			b.cand = make([]blCand, 0, b.numPorts+1)
-			b.outUsed = ar.boolSlab(b.numPorts)
-			b.kid = k.Register(b)
-			return b
-		},
-		Supports:    bufferlessSupports,
-		Deflecting:  true,
-		AgeMonotone: true,
-		// One pipeline latch per port — the whole point of going bufferless.
-		BufferFlitsPerPort: func(Config) int { return 1 },
-	})
+// newBufferless builds one bufferless deflection node.
+func newBufferless(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) Engine {
+	b := &Bufferless{latched: newLatched(id, topo, tb, cfg, k, s, ar)}
+	b.cand = make([]blCand, 0, b.numPorts+1)
+	b.outUsed = ar.boolSlab(b.numPorts)
+	b.kid = k.Register(b)
+	return b
 }
 
 // bufferlessSupports requires every node's wired out-degree to cover its

@@ -1,8 +1,11 @@
 package router
 
 import (
+	"fmt"
+	"maps"
+	"slices"
+
 	"nucanet/internal/flit"
-	"nucanet/internal/registry"
 	"nucanet/internal/routing"
 	"nucanet/internal/sim"
 	"nucanet/internal/telemetry"
@@ -14,9 +17,8 @@ import (
 // interconnect, independent of how the node buffers, arbitrates, or
 // flow-controls its traffic. The VC wormhole router, the bufferless
 // deflection router, and the ring-lite latch router all implement it;
-// new microarchitectures register a Builder and slot into every design,
-// CLI, and sweep with no further plumbing (the same shape as the
-// topology, routing, and cache-policy registries).
+// a new microarchitecture is one Builder row in the engines table and
+// slots into every design, CLI, and sweep with no further plumbing.
 //
 // An Engine is a sim.Component: Tick runs one router cycle and reports
 // whether the node needs the next cycle. Wire connects out-port p to the
@@ -51,9 +53,9 @@ type Sink interface {
 	Eject(node topology.NodeID, pkt *flit.Packet, now int64)
 }
 
-// Builder describes one registered router microarchitecture.
+// Builder describes one router microarchitecture.
 type Builder struct {
-	// Name is the registry key ("vc-wormhole", "bufferless", "ring-lite").
+	// Name is the engines table key ("vc-wormhole", "bufferless", "ring-lite").
 	Name string
 	// Description is one line for -list=routers and GET /v1/routers.
 	Description string
@@ -105,31 +107,51 @@ func (b Builder) BufferFlits(cfg Config) int {
 	return b.BufferFlitsPerPort(cfg)
 }
 
-var engines = registry.New[Builder]("router", "engine", nil)
-
-// Register adds a router microarchitecture under a unique name. Engines
-// self-register from init; registering a duplicate name, an empty name,
-// or a nil constructor is a programming error and panics.
-func Register(b Builder) {
-	if b.New == nil {
-		panic("router: Register with nil constructor")
-	}
-	engines.Register(b.Name, b)
+// engines is the closed catalogue of router microarchitectures: a new
+// engine is one row here.
+var engines = map[string]Builder{
+	DefaultEngine: {
+		Name:        DefaultEngine,
+		Description: "credit-based VC wormhole router with hybrid multicast replication (Table 1)",
+		New: func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) Engine {
+			return New(id, topo, tb, cfg, k, s, ar)
+		},
+		BufferFlitsPerPort: func(cfg Config) int {
+			cfg = cfg.withDefaults()
+			return cfg.VCsPerPC * cfg.BufDepth
+		},
+	},
+	"bufferless": {
+		Name:        "bufferless",
+		Description: "bufferless deflection router: age-based arbitration, no VCs, no credits",
+		New:         newBufferless,
+		Supports:    bufferlessSupports,
+		Deflecting:  true,
+		AgeMonotone: true,
+		// One pipeline latch per port — the whole point of going bufferless.
+		BufferFlitsPerPort: func(Config) int { return 1 },
+	},
+	"ring-lite": {
+		Name:               "ring-lite",
+		Description:        "two-entry-latch store-and-forward ring stop: no VCs, no credits, transit priority",
+		New:                newRingLite,
+		BufferFlitsPerPort: func(Config) int { return ringLatchCap },
+	},
 }
 
-// ByName looks up a registered engine. The empty name resolves to
+// ByName looks up an engine. The empty name resolves to
 // DefaultEngine, so config zero values keep selecting the paper's
 // wormhole router.
 func ByName(name string) (Builder, error) {
 	if name == "" {
 		name = DefaultEngine
 	}
-	b, ok := engines.Lookup(name)
+	b, ok := engines[name]
 	if !ok {
-		return Builder{}, engines.Unknown(name, engines.Sorted())
+		return Builder{}, fmt.Errorf("router: unknown engine %q (registered: %v)", name, Names())
 	}
 	return b, nil
 }
 
-// Names returns the registered engine names, sorted.
-func Names() []string { return engines.Sorted() }
+// Names returns the engine names, sorted.
+func Names() []string { return slices.Sorted(maps.Keys(engines)) }

@@ -39,18 +39,12 @@ type RingLite struct {
 	usedIn []bool // per-cycle scratch: input ports already granted
 }
 
-func init() {
-	Register(Builder{
-		Name:        "ring-lite",
-		Description: "two-entry-latch store-and-forward ring stop: no VCs, no credits, transit priority",
-		New: func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) Engine {
-			r := &RingLite{latched: newLatched(id, topo, tb, cfg, k, s, ar)}
-			r.usedIn = ar.boolSlab(r.numPorts + 1)
-			r.kid = k.Register(r)
-			return r
-		},
-		BufferFlitsPerPort: func(Config) int { return ringLatchCap },
-	})
+// newRingLite builds one ring-lite node.
+func newRingLite(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) Engine {
+	r := &RingLite{latched: newLatched(id, topo, tb, cfg, k, s, ar)}
+	r.usedIn = ar.boolSlab(r.numPorts + 1)
+	r.kid = k.Register(r)
+	return r
 }
 
 // Wire connects out-port p to neighbor n.

@@ -1,5 +1,5 @@
-// Package router holds the registry of router microarchitectures
-// (registry.go): pluggable Engine implementations the network layer
+// Package router holds the table of router microarchitectures
+// (registry.go): Engine implementations the network layer
 // selects by name — the paper's VC wormhole router (this file, the
 // default), a bufferless deflection router (bufferless.go), and a
 // minimal two-entry-latch ring router (ringlite.go); the last two share
@@ -66,30 +66,16 @@ type Config struct {
 	// paper's single-cycle router; larger values model a conventional
 	// pipelined router for ablations.
 	Stages int
-	// Engine names the registered router microarchitecture ("vc-wormhole",
-	// "bufferless", "ring-lite", or any engine the embedding program
-	// registered). Empty selects DefaultEngine, so existing configs keep
-	// simulating the paper's wormhole router unchanged.
+	// Engine names the router microarchitecture ("vc-wormhole",
+	// "bufferless" or "ring-lite"). Empty selects DefaultEngine, so
+	// existing configs keep simulating the paper's wormhole router
+	// unchanged.
 	Engine string
 }
 
 // DefaultConfig returns the Table 1 router parameters.
 func DefaultConfig() Config {
 	return Config{VCsPerPC: 4, BufDepth: 4, Stages: 1}
-}
-
-func init() {
-	Register(Builder{
-		Name:        DefaultEngine,
-		Description: "credit-based VC wormhole router with hybrid multicast replication (Table 1)",
-		New: func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) Engine {
-			return New(id, topo, tb, cfg, k, s, ar)
-		},
-		BufferFlitsPerPort: func(cfg Config) int {
-			cfg = cfg.withDefaults()
-			return cfg.VCsPerPC * cfg.BufDepth
-		},
-	})
 }
 
 func (c Config) withDefaults() Config {

@@ -2,7 +2,6 @@ package router
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"nucanet/internal/flit"
@@ -157,18 +156,23 @@ func TestOccupancyTracksBufferedFlits(t *testing.T) {
 	}
 }
 
-// TestBuiltinEngines pins the engine catalogue (Names is sorted) and the
-// empty-name default; the registry's generic behaviour is tested in
-// internal/registry.
+// TestBuiltinEngines pins the engine catalogue (Names is sorted), that
+// every row's Name is its key, the empty-name default and the miss error.
 func TestBuiltinEngines(t *testing.T) {
 	want := []string{"bufferless", "ring-lite", DefaultEngine}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
+	for key, b := range engines {
+		if b.Name != key || b.New == nil {
+			t.Errorf("engines[%q]: Name %q, New set %v; want its key and a constructor", key, b.Name, b.New != nil)
+		}
+	}
 	if b, err := ByName(""); err != nil || b.Name != DefaultEngine {
 		t.Fatalf(`ByName("") = %q, %v; want the default engine`, b.Name, err)
 	}
-	if _, err := ByName("optical"); err == nil || !strings.Contains(err.Error(), "[bufferless ring-lite vc-wormhole]") {
-		t.Fatalf("unknown engine error does not list the catalogue: %v", err)
+	_, err := ByName("optical")
+	if want := `router: unknown engine "optical" (registered: [bufferless ring-lite vc-wormhole])`; err == nil || err.Error() != want {
+		t.Fatalf("ByName miss: err = %v, want %q", err, want)
 	}
 }

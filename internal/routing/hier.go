@@ -6,10 +6,6 @@ import (
 	"nucanet/internal/topology"
 )
 
-func init() {
-	RegisterAlgorithm("hier", Hier{})
-}
-
 // Hier routes on hierarchical multi-chiplet topologies (topology family
 // "hier"): XYX-style inside a chiplet — vertical traffic climbs to row 0
 // before moving laterally — with the lateral phase running on the bridge

@@ -5,7 +5,7 @@
 // row), spike routing for halo networks, and dateline-avoiding ring
 // routing for bidirectional rings.
 //
-// Algorithms register by name; a topology names the algorithm it is
+// Algorithms are named in one table; a topology names the algorithm it is
 // designed for (Topology.Routing) and For resolves it. The network layer
 // consumes algorithms only through Precompute's flat next-port tables,
 // and VerifyDeadlockFree (verify.go) checks any (topology, algorithm)
@@ -22,8 +22,9 @@ package routing
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
-	"nucanet/internal/registry"
 	"nucanet/internal/topology"
 )
 
@@ -37,29 +38,28 @@ type Algorithm interface {
 	NextPort(t *topology.Topology, cur, dst topology.NodeID) (port int, ok bool)
 }
 
-var algorithms = registry.New[Algorithm]("routing", "algorithm", nil)
-
-// RegisterAlgorithm adds an algorithm under a unique key (the name
-// topologies reference via Topology.Routing). Registering a duplicate
-// key is a programming error and panics.
-func RegisterAlgorithm(key string, alg Algorithm) {
-	if alg == nil {
-		panic("routing: RegisterAlgorithm with nil algorithm")
-	}
-	algorithms.Register(key, alg)
+// algorithms is the closed catalogue of routing algorithms, keyed by the
+// name topologies reference via Topology.Routing: a new algorithm is one
+// row here.
+var algorithms = map[string]Algorithm{
+	"xy":    XY{},
+	"xyx":   XYX{},
+	"spike": Spike{},
+	"ring":  Ring{},
+	"hier":  Hier{},
 }
 
-// AlgorithmByName resolves a registered algorithm key.
+// AlgorithmByName resolves an algorithm key.
 func AlgorithmByName(key string) (Algorithm, error) {
-	alg, ok := algorithms.Lookup(key)
+	alg, ok := algorithms[key]
 	if !ok {
-		return nil, algorithms.Unknown(key, algorithms.Sorted())
+		return nil, fmt.Errorf("routing: unknown algorithm %q (registered: %v)", key, AlgorithmNames())
 	}
 	return alg, nil
 }
 
-// AlgorithmNames returns the registered algorithm keys, sorted.
-func AlgorithmNames() []string { return algorithms.Sorted() }
+// AlgorithmNames returns the algorithm keys, sorted.
+func AlgorithmNames() []string { return slices.Sorted(maps.Keys(algorithms)) }
 
 // For returns the algorithm a topology was designed for (its Routing
 // annotation, filled in by the topology builder).
@@ -69,13 +69,6 @@ func For(t *topology.Topology) (Algorithm, error) {
 		return nil, fmt.Errorf("routing: topology %s: %w", t.Name, err)
 	}
 	return alg, nil
-}
-
-func init() {
-	RegisterAlgorithm("xy", XY{})
-	RegisterAlgorithm("xyx", XYX{})
-	RegisterAlgorithm("spike", Spike{})
-	RegisterAlgorithm("ring", Ring{})
 }
 
 // XY is dimension-ordered routing: X to the destination column, then Y.

@@ -281,9 +281,8 @@ func TestForPicksDefaultAlgorithm(t *testing.T) {
 	}
 }
 
-// TestAlgorithmRegistry pins the built-in algorithm keys (sorted) and
-// that each resolves; the registry's generic behaviour is tested in
-// internal/registry.
+// TestAlgorithmRegistry pins the algorithm keys (sorted), that each
+// resolves, and the miss error's text.
 func TestAlgorithmRegistry(t *testing.T) {
 	want := []string{"hier", "ring", "spike", "xy", "xyx"}
 	if got := AlgorithmNames(); !reflect.DeepEqual(got, want) {
@@ -294,8 +293,9 @@ func TestAlgorithmRegistry(t *testing.T) {
 			t.Fatalf("AlgorithmByName(%q) = %v, %v", name, alg, err)
 		}
 	}
-	if _, err := AlgorithmByName("no-such-algorithm"); err == nil {
-		t.Fatal("expected error for unknown algorithm name")
+	_, err := AlgorithmByName("no-such-algorithm")
+	if want := `routing: unknown algorithm "no-such-algorithm" (registered: [hier ring spike xy xyx])`; err == nil || err.Error() != want {
+		t.Fatalf("AlgorithmByName miss: err = %v, want %q", err, want)
 	}
 }
 

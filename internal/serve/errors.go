@@ -10,7 +10,7 @@ import (
 )
 
 // apiError is the structured error clients receive. It is built from
-// registry knowledge (known design ids, policy names, ...) rather than
+// catalogue knowledge (known design ids, policy names, ...) rather than
 // by forwarding internal error chains, so package prefixes, file paths,
 // and implementation details never leak to HTTP clients (pinned by
 // TestRunErrorsAreStructured).

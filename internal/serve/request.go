@@ -41,7 +41,7 @@ type TelemetryRequest struct {
 
 // options validates the request field by field and builds the
 // core.Options it denotes. Every rejection is a field-scoped 400 whose
-// message is composed from registry knowledge (never from internal
+// message is composed from catalogue knowledge (never from internal
 // error strings), satisfying the no-leak contract of errors.go.
 func (r RunRequest) options(maxAccesses int) (core.Options, *apiError) {
 	o := core.DefaultOptions()
@@ -108,20 +108,22 @@ func (r RunRequest) options(maxAccesses int) (core.Options, *apiError) {
 			SampleEvery: r.Telemetry.SampleEvery,
 		}
 	}
-	// The checks above cover every field on its own; whether the design
-	// can host the cores is left to Validate (memoised per design), so a
-	// failure that goes away at cores 0 is the cores field's. Any other
-	// residual failure is reported without the internal error text.
-	if err := o.Validate(); err != nil {
-		solo := o
-		solo.Cores = 0
-		if o.Cores > 0 && solo.Validate() == nil {
-			return o, badField("cores", "design %q cannot host %d cores: a CMP run needs a full router grid with width >= cores",
-				o.DesignID, o.Cores)
-		}
-		return o, badField("", "invalid run configuration")
-	}
 	return o, nil
+}
+
+// gateError is the API error for options the run gate (core.CanonicalKey)
+// rejected. options checks every field on its own; whether the design
+// can host the cores is left to the gate, so a failure that goes away at
+// cores 0 is the cores field's. Any other residual failure is reported
+// without the internal error text.
+func gateError(o core.Options) *apiError {
+	solo := o
+	solo.Cores = 0
+	if o.Cores > 0 && solo.Validate() == nil {
+		return badField("cores", "design %q cannot host %d cores: a CMP run needs a full router grid with width >= cores",
+			o.DesignID, o.Cores)
+	}
+	return badField("", "invalid run configuration")
 }
 
 // RunResponse is the POST /v1/run body on success: the request's

@@ -31,9 +31,9 @@ type Sched struct {
 	depth   int
 	workers int
 
-	queues   map[string]*clientQ
-	ring     []*clientQ // clients with pending jobs, round-robin order
-	next     int        // ring cursor
+	queues   map[string]*clientQ // clients with pending jobs, by id
+	ring     []*clientQ          // the same clients, round-robin order
+	next     int                 // ring cursor
 	pending  int
 	inflight int
 	rejected uint64
@@ -144,7 +144,9 @@ func (s *Sched) worker() {
 		}
 		// One job from the next client in the ring. Removing an emptied
 		// client leaves next pointing at its successor, so the lap
-		// continues where it left off either way.
+		// continues where it left off either way. An emptied client is
+		// forgotten too, so the queues map holds only clients with
+		// pending jobs, however many distinct clients a daemon sees.
 		if s.next >= len(s.ring) {
 			s.next = 0
 		}
@@ -153,6 +155,7 @@ func (s *Sched) worker() {
 		q.jobs = q.jobs[1:]
 		if len(q.jobs) == 0 {
 			s.ring = append(s.ring[:s.next], s.ring[s.next+1:]...)
+			delete(s.queues, q.id)
 		} else {
 			s.next++
 		}

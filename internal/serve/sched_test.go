@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -144,5 +145,24 @@ func TestSchedCloseDrains(t *testing.T) {
 
 	if err := s.Submit("a", func() {}); err != ErrClosed {
 		t.Fatalf("submit after Close: got %v, want ErrClosed", err)
+	}
+}
+
+// TestSchedForgetsDrainedClients: a client whose last job a worker took
+// leaves the scheduler, so a daemon that sees many distinct clients
+// (X-Client values, remote hosts) keeps no state for idle ones.
+func TestSchedForgetsDrainedClients(t *testing.T) {
+	s := NewSched(2, 4)
+	var ran sync.WaitGroup
+	ran.Add(1000)
+	for i := 0; i < 1000; i++ {
+		if err := s.Submit("client-"+strconv.Itoa(i), ran.Done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	ran.Wait()
+	if n, r := len(s.queues), len(s.ring); n != 0 || r != 0 {
+		t.Fatalf("after draining 1000 one-job clients: %d queues and %d ring entries remain, want 0", n, r)
 	}
 }

@@ -157,9 +157,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	key, err := core.CanonicalKey(opts)
 	if err != nil {
-		// options() validated everything CanonicalKey resolves, so this
-		// is unreachable; still, never forward the internal text.
-		writeError(w, badField("", "invalid run configuration"))
+		writeError(w, gateError(opts))
 		return
 	}
 
@@ -361,9 +359,9 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	}{trace.Names()})
 }
 
-// ExperimentInfo is one /v1/experiments row, straight from the core
-// experiment registry: whatever the serving binary registered (including
-// extension experiments like "placement") is what the catalogue lists.
+// ExperimentInfo is one /v1/experiments row, straight from core's
+// experiment catalogue, so nucad lists what every binary's
+// -list=experiments prints.
 type ExperimentInfo struct {
 	Name  string `json:"name"`
 	About string `json:"about"`

@@ -2,8 +2,6 @@ package topology
 
 import "fmt"
 
-func init() { Register("cmesh", newCMesh) }
-
 // newCMesh builds a concentrated mesh: a full W x rows router grid where
 // every router hosts Concentration consecutive positions of its bank-set
 // column, so a column of H banks needs only rows = H / Concentration

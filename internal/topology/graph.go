@@ -4,9 +4,8 @@ import "fmt"
 
 // Builder assembles a Topology as an explicit directed graph: add nodes,
 // give them ports, connect ports with links, declare bank-set columns and
-// endpoint placement, then Build. All registered families (mesh, halo,
-// ring, cmesh) are constructed through this API, and custom topologies
-// register builders that use it the same way (see registry.go).
+// endpoint placement, then Build. Every family in the catalogue (see
+// registry.go) is constructed through this API.
 //
 // Errors accumulate: the first problem is reported by Build, so call
 // sites chain mutations without per-call checks.
@@ -16,7 +15,7 @@ type Builder struct {
 }
 
 // NewBuilder starts a topology of the named family with logical
-// dimensions (w, h) and its routing algorithm's registered name. The
+// dimensions (w, h) and the catalogue name of its routing algorithm. The
 // render grid defaults to w x h; override with RenderSize.
 func NewBuilder(name, routing string, w, h int) *Builder {
 	b := &Builder{t: &Topology{Name: name, Routing: routing, W: w, H: h,

@@ -2,12 +2,10 @@ package topology
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
-// TestRegistryNames pins the built-in families (Names is sorted); the
-// registry's generic behaviour is tested in internal/registry.
+// TestRegistryNames pins the family catalogue (Names is sorted).
 func TestRegistryNames(t *testing.T) {
 	want := []string{"cmesh", "halo", "hier", "mesh", "minimal-mesh", "ring", "simplified-mesh"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
@@ -20,8 +18,9 @@ func TestRegistryUnknownName(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error for unregistered topology name")
 	}
-	if !strings.Contains(err.Error(), "torus") {
-		t.Fatalf("error should name the unknown topology: %v", err)
+	want := `topology: unknown family "torus" (registered: [cmesh halo hier mesh minimal-mesh ring simplified-mesh])`
+	if err.Error() != want {
+		t.Fatalf("error = %q, want %q", err, want)
 	}
 }
 

@@ -1,7 +1,5 @@
 package topology
 
-func init() { Register("halo", newHalo) }
-
 // newHalo builds a halo (Figure 6(c)/(d)): a hub router (hosting the core
 // and the memory controller) with one port per spike, and each spike a
 // chain of bank-bearing routers. Every MRU bank is exactly one hop from

@@ -2,8 +2,6 @@ package topology
 
 import "fmt"
 
-func init() { Register("hier", newHier) }
-
 // HierRingPos returns the bridge ring position of a node: bridges carry
 // their position directly (their logical X; they sit off the grid at
 // Y = -1), and a mesh node's column projects between its chiplet's two

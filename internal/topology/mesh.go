@@ -1,11 +1,5 @@
 package topology
 
-func init() {
-	Register("mesh", newMesh)
-	Register("simplified-mesh", newSimplifiedMesh)
-	Register("minimal-mesh", newMinimalMesh)
-}
-
 // MeshSpec and NewMesh exist only for the benchmark harness
 // (benchmark/layers.go), whose files are frozen; the benchmark-only
 // change of ROADMAP item 1 moves it to MustBuild and deletes both.

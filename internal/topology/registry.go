@@ -2,11 +2,11 @@ package topology
 
 import (
 	"fmt"
-
-	"nucanet/internal/registry"
+	"maps"
+	"slices"
 )
 
-// Params is the one parameter set every registered topology family
+// Params is the one parameter set every topology family
 // builds from, so configurations (internal/config) carry a family name
 // plus one Params value instead of per-family fields. Each builder's doc
 // comment names the fields it reads; a family ignores the others and
@@ -93,29 +93,29 @@ func firstErr(errs ...error) error {
 // BuilderFunc constructs one topology family from its parameters.
 type BuilderFunc func(Params) (*Topology, error)
 
-var families = registry.New[BuilderFunc]("topology", "family", nil)
-
-// Register adds a topology family under a unique name. Families
-// self-register from init; registering a duplicate name is a programming
-// error and panics.
-func Register(name string, fn BuilderFunc) {
-	if fn == nil {
-		panic("topology: Register with nil builder")
-	}
-	families.Register(name, fn)
+// families is the closed catalogue of topology families: a new family is
+// one row here.
+var families = map[string]BuilderFunc{
+	"mesh":            newMesh,
+	"simplified-mesh": newSimplifiedMesh,
+	"minimal-mesh":    newMinimalMesh,
+	"halo":            newHalo,
+	"ring":            newRing,
+	"cmesh":           newCMesh,
+	"hier":            newHier,
 }
 
 // Build constructs the named family from p.
 func Build(name string, p Params) (*Topology, error) {
-	fn, ok := families.Lookup(name)
+	fn, ok := families[name]
 	if !ok {
-		return nil, families.Unknown(name, families.Sorted())
+		return nil, fmt.Errorf("topology: unknown family %q (registered: %v)", name, Names())
 	}
 	return fn(p)
 }
 
-// Names returns the registered family names, sorted.
-func Names() []string { return families.Sorted() }
+// Names returns the family names, sorted.
+func Names() []string { return slices.Sorted(maps.Keys(families)) }
 
 // MustBuild is Build for fixtures: it panics on an unknown family or
 // malformed parameters.

@@ -2,8 +2,6 @@ package topology
 
 import "fmt"
 
-func init() { Register("ring", newRing) }
-
 // newRing builds a bidirectional ring: W routers in a cycle, one bank per
 // router (single-way bank-set columns), exercising 2-port routers and the
 // dateline-avoiding ring routing algorithm. It reads W, H (which must be

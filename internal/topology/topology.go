@@ -2,14 +2,14 @@
 // and beyond: the full 2D mesh (Design A), the simplified mesh with
 // horizontal links only in the core row (Designs B, C, D), the
 // minimal-link mesh of Figure 4(b), the halo network (Designs E, F) where
-// every MRU bank is one hop from the hub, plus registered extensions (a
+// every MRU bank is one hop from the hub, plus extensions (a
 // bidirectional ring, a concentrated mesh with several banks per router).
 //
 // A topology is a first-class directed graph: router nodes with typed
 // ports of arbitrary degree, directed port-to-port links with wire delays,
 // bank-set columns mapping cache banks onto nodes, endpoint placement
 // (core and memory routers), and render coordinates for spatial telemetry.
-// Families are produced by builders registered by name (see registry.go);
+// Families are produced by builders named in one table (see registry.go);
 // nothing downstream switches on a topology enum — consumers read the
 // graph (and the Routing/Radial annotations) instead.
 package topology
@@ -61,10 +61,10 @@ type Node struct {
 
 // Topology is an immutable interconnect graph.
 type Topology struct {
-	// Name is the registered family name ("mesh", "halo", "ring", ...).
+	// Name is the family name ("mesh", "halo", "ring", ...).
 	Name string
 	// Routing names the routing algorithm this graph is designed for
-	// (resolved via the routing package's registry).
+	// (resolved in the routing package's algorithm table).
 	Routing string
 	// W, H are the family's logical dimensions: mesh width/height, halo
 	// (#spikes, spike length), ring (size, 1), cmesh router grid.

@@ -1,6 +1,7 @@
 package nucanet
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -89,6 +90,41 @@ func TestInterconnectLayering(t *testing.T) {
 				t.Errorf("interconnect package %s reaches cache-layer package %s: %s",
 					root, d, strings.Join(chain, " -> "))
 			}
+		}
+	}
+}
+
+// TestNoLinkTimeCatalogues fails when a non-test Go file under internal/
+// or cmd/ declares func init or blank-imports a nucanet package. Every
+// catalogue (topology families, routing algorithms, router engines,
+// replacement policies, experiments) is a literal table in the package
+// that owns it, so what a binary lists never depends on which packages
+// it links.
+func TestNoLinkTimeCatalogues(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, im := range f.Imports {
+				if im.Name != nil && im.Name.Name == "_" && strings.HasPrefix(im.Path.Value, `"nucanet/`) {
+					t.Errorf("%s: blank import of %s", fset.Position(im.Pos()), im.Path.Value)
+				}
+			}
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "init" {
+					t.Errorf("%s: func init", fset.Position(fn.Pos()))
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }
