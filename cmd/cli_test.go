@@ -8,6 +8,7 @@ package cmd
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -21,11 +22,18 @@ import (
 	"nucanet/internal/cpu"
 )
 
-// run executes one built binary and returns its output and exit code.
+// runDeadline bounds one binary's run, so a command that should exit but
+// keeps serving fails its row instead of hanging the test.
+const runDeadline = 2 * time.Minute
+
+// run executes one built binary and returns its output and exit code; a
+// run past runDeadline is killed and reports exit -1.
 func run(t *testing.T, bin string, args ...string) (stdout, stderr string, exit int) {
 	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), runDeadline)
+	defer cancel()
 	var so, se bytes.Buffer
-	c := exec.Command(bin, args...)
+	c := exec.CommandContext(ctx, bin, args...)
 	c.Stdout, c.Stderr = &so, &se
 	if err := c.Run(); err != nil && c.ProcessState == nil {
 		t.Fatalf("%s: %v", filepath.Base(bin), err)
@@ -120,6 +128,15 @@ func TestCLI(t *testing.T) {
 		// probability beside it would be silently dropped.
 		{name: "blocking without a window", bin: "nucasim", args: []string{"-window", "0", "-blocking", "0.95"}, exit: 1,
 			mentions: []string{"CPU.BlockingProb 0.95 needs a positive CPU.Window"}},
+		// A negative sampling period would switch the time series off
+		// while still changing the run's content address.
+		{name: "negative sampling period", bin: "nucasim", args: []string{"-sample", "-5"}, exit: 1,
+			mentions: []string{"Telemetry.SampleEvery must be non-negative, got -5"}},
+		// nucad resolves -j as every other binary does, so a negative
+		// count exits before the daemon serves (run's deadline bounds a
+		// regression that serves instead).
+		{name: "nucad negative -j", bin: "nucad", args: []string{"-addr", "127.0.0.1:0", "-j", "-1"}, exit: 1,
+			mentions: []string{"invalid -j -1"}},
 		{name: "unknown experiment", bin: "paperbench", args: []string{"-exp", "nope"}, exit: 1,
 			mentions: []string{`unknown experiment "nope"`, "t1 t2 t3 t4 f7 f8 f9 headline"}},
 	} {

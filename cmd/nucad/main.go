@@ -32,22 +32,27 @@ import (
 	"syscall"
 	"time"
 
+	"nucanet/internal/cliutil"
 	"nucanet/internal/serve"
 )
 
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-		jobs         = flag.Int("j", 0, "simulation workers (0 = GOMAXPROCS)")
+		jobs         = cliutil.Jobs(flag.CommandLine)
 		queueDepth   = flag.Int("queue", 16, "per-client pending-run bound (backpressure threshold)")
 		cacheEntries = flag.Int("cache", 4096, "result cache capacity (entries)")
 		maxAccesses  = flag.Int("max-accesses", 200000, "per-request access-count cap")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 	)
 	flag.Parse()
+	workers, err := cliutil.ResolveJobs(*jobs)
+	if err != nil {
+		fatal(err)
+	}
 
 	srv := serve.New(serve.Config{
-		Workers:      *jobs,
+		Workers:      workers,
 		QueueDepth:   *queueDepth,
 		CacheEntries: *cacheEntries,
 		MaxAccesses:  *maxAccesses,

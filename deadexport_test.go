@@ -14,8 +14,6 @@ import (
 // deadExportAllowed lists the exported functions that may live under
 // internal/ with no non-test reference, each with the reason it stays.
 var deadExportAllowed = map[string]string{
-	"MarshalText":      "reached through encoding.TextMarshaler",
-	"UnmarshalText":    "reached through encoding.TextUnmarshaler",
 	"IsBoolFlag":       "reached through the flag package's boolFlag interface",
 	"MustNew":          "cache.MustNew / network.MustNew: fixture many tests build on",
 	"NumBanks":         "Topology.NumBanks: fixture many tests build on",

@@ -11,9 +11,10 @@ import (
 
 // agent is the policy-free protocol shell of one cache bank. It receives
 // protocol packets at its router, books bank accesses (serialized
-// through busyUntil), keeps the multicast probe stash, and hands each
-// typed message to the system's PolicyEngine, which mutates the bank and
-// emits follow-on messages through the shell's send helpers.
+// through busyUntil), keeps the multicast probe stash and the directory
+// policy's ownership counts, and hands each typed message to the
+// system's PolicyEngine, which mutates the bank and emits follow-on
+// messages through the shell's send helpers.
 type agent struct {
 	sys  *System
 	node topology.NodeID
@@ -118,6 +119,9 @@ func (a *agent) dispatch(p flit.Payload, now int64) {
 		a.markProbed(o, now)
 	case *fillMsg:
 		o = a.sys.ops.check(m.o)
+		if d := a.sys.Dir; d != nil {
+			d.fill(o.tag)
+		}
 		a.sys.eng.Fill(a, o, now)
 	case *chainMsg:
 		o = a.sys.ops.check(m.o)
@@ -165,11 +169,20 @@ func (a *agent) markProbed(o *op, now int64) {
 // tag+data access, critical-path accounting, and the hit position the
 // controller reports to the request. Returns the access completion time.
 func (a *agent) bookHit(o *op, now int64, dur int) int64 {
-	a.sys.tel.BankHit(a.col, a.pos)
+	a.recordHit(o)
 	fin := a.access(now, dur)
 	o.bankCycles += int64(dur)
 	o.hitPos = a.pos
 	return fin
+}
+
+// recordHit counts a tag-match hit at this bank in the telemetry and,
+// under the directory policy, against the block's owner.
+func (a *agent) recordHit(o *op) {
+	a.sys.tel.BankHit(a.col, a.pos)
+	if d := a.sys.Dir; d != nil {
+		d.hit(o.tag)
+	}
 }
 
 // touchInPlace completes a hit whose block stays in this bank: promote
@@ -199,10 +212,10 @@ func (a *agent) sendDone(o *op, fin int64) {
 // the access that displaced it: the directory (inert unless the
 // directory policy is active) records the drop, and a dirty block is
 // written back to memory. Every policy's drop sites route through here,
-// so the directory needs no hooks of its own in the protocol flow.
+// so one call counts every drop.
 func (a *agent) victimLeaves(o *op, blk bank.Block, fin int64) {
 	if d := a.sys.Dir; d != nil {
-		d.dropped(a.col, blk.Tag, o.tag)
+		d.dropped(blk.Tag, o.tag)
 	}
 	if blk.Dirty {
 		a.send(fin, flit.WriteBack, a.sys.Topo.Mem, flit.ToMem, o, nil)

@@ -648,7 +648,7 @@ func TestParsePolicyAndMode(t *testing.T) {
 // TestWarmCloneMatchesWarm: every system warms by cloning an image, so
 // a clone must hold exactly what a Golden model warmed from the same
 // table holds, on uniform and multi-way bank stacks, and under the
-// directory policy must start each column's ownership baseline at the
+// directory policy must start its per-owner occupancy baseline at the
 // owners of those Golden contents. Every third row of the table moves to
 // a second owner, so the baseline has two owners to get right. Four
 // systems clone one fresh image at once, as concurrent runs do: the
@@ -664,14 +664,13 @@ func TestWarmCloneMatchesWarm(t *testing.T) {
 			}
 		}
 		g := NewGolden(Directory, d.Banks, am.Columns, am.Sets)
-		live := make([][]int64, am.Columns) // [column][owner] resident blocks
-		for c := range live {
-			live[c] = make([]int64, 2)
+		want := []DirOwner{{Owner: 0}, {Owner: 1}} // resident blocks per owner
+		for c := 0; c < am.Columns; c++ {
 			for set := 0; set < am.Sets; set++ {
 				g.Warm(c, set, warm[set*am.Columns+c])
 				for _, tags := range g.Contents(c, set) {
 					for _, tag := range tags {
-						live[c][OwnerOf(tag)]++
+						want[OwnerOf(tag)].Live++
 					}
 				}
 			}
@@ -695,12 +694,9 @@ func TestWarmCloneMatchesWarm(t *testing.T) {
 						t.Fatalf("design %s clone %d column %d set %d: holds %v, golden %v", d.ID, i, c, set, got, want)
 					}
 				}
-				if got := s.Dir.cols[c].live; !slices.Equal(got, live[c]) {
-					t.Errorf("design %s clone %d column %d: directory baseline %v, golden owners %v", d.ID, i, c, got, live[c])
-				}
 			}
-			if owners := s.Dir.Report().Owners; !slices.Equal(owners, []uint64{0, 1}) {
-				t.Errorf("design %s clone %d: directory lists owners %v, want [0 1]", d.ID, i, owners)
+			if got := s.Dir.Report().Owners; !slices.Equal(got, want) {
+				t.Errorf("design %s clone %d: directory baseline %+v, golden owners %+v", d.ID, i, got, want)
 			}
 		}
 	}

@@ -9,7 +9,8 @@ import (
 // and controller shells own everything policy-independent — column
 // serialization, bank access booking, the multicast probe stash,
 // critical-path accounting, completion tracking — and call into the
-// engine at each protocol message. Engines are stateless singletons
+// engine at each protocol message. The agent shell also keeps the
+// directory policy's ownership counts (directory.go). Engines are stateless singletons
 // (every per-operation datum lives in the op), so one instance serves
 // every System concurrently, including parallel sweeps.
 //
@@ -73,7 +74,8 @@ func (baseEngine) Demote(a *agent, m *demoteMsg, now int64) {
 
 // policies is the closed catalogue of replacement policies, indexed by
 // Policy: a new policy is one constant and one row here, and needs no
-// change to the shells.
+// change to the shells. The directory policy is Fast-LRU's engine; what
+// sets it apart is the DirStats the shell keeps when it runs.
 var policies = [...]struct {
 	name string
 	eng  PolicyEngine
@@ -81,7 +83,7 @@ var policies = [...]struct {
 	Promotion: {"promotion", &promotionEngine{}},
 	LRU:       {"LRU", &lruEngine{}},
 	FastLRU:   {"fastLRU", &lruEngine{fast: true}},
-	Directory: {"directory", &directoryEngine{inner: lruEngine{fast: true}}},
+	Directory: {"directory", &lruEngine{fast: true}},
 	Static:    {"static", &staticEngine{}},
 }
 

@@ -112,7 +112,7 @@ func (e *lruEngine) Unit(a *agent, m *unitMsg, now int64) {
 	incoming, hasIncoming := m.blk, m.hasBlock
 	way, hit := a.bk.Lookup(o.set, o.tag)
 	if hit {
-		a.sys.tel.BankHit(a.col, a.pos)
+		a.recordHit(o)
 		blk := a.removeWay(o.set, way)
 		if o.write {
 			blk.Dirty = true

@@ -12,8 +12,10 @@
 //
 // Each replacement policy is a PolicyEngine named in one table
 // (engine.go), indexed by its Policy id. The agent and controller shells
-// are policy-free; adding a policy means adding one engine file and one
-// row (see engine_static.go for the smallest example).
+// are policy-free (the directory policy is Fast-LRU's engine plus the
+// ownership counts the shell keeps, directory.go); adding a policy means
+// adding one engine file and one row (see engine_static.go for the
+// smallest example).
 package cache
 
 import "fmt"
@@ -35,8 +37,9 @@ const (
 	// bank evicts during the tag-match access and pushes its victim
 	// along with the request, overlapping replacement with the search.
 	FastLRU
-	// Directory is the ownership-tracking CMP policy: Fast-LRU plus a
-	// directory of block owners (engine_directory.go).
+	// Directory is the ownership-tracking CMP policy: Fast-LRU's engine,
+	// plus a directory of block owners the protocol shell keeps
+	// (directory.go).
 	Directory
 	// Static is the no-migration baseline: bank-local LRU, no inter-bank
 	// movement (engine_static.go).

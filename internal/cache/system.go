@@ -33,7 +33,7 @@ type System struct {
 	Lat    *stats.Latency
 
 	// Dir is the ownership directory, non-nil only under the Directory
-	// policy (see engine_directory.go).
+	// policy (see directory.go).
 	Dir *DirStats
 
 	agents []agent // column c's bank at position p is agents[c*len(Design.Banks)+p]
@@ -122,9 +122,9 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 	s.eng, s.arena, s.ops = policy.engine(), pre.Arena, &pre.Arena.ops
 	s.ops.quarantine = false // the pool outlives the system; see EnableTelemetry
 	s.lat.Reset(len(d.Banks))
-	if _, ok := s.eng.(*directoryEngine); ok {
+	if policy == Directory {
 		s.Dir = &s.dir
-		s.Dir.reset(topo.Columns())
+		s.Dir.reset()
 	}
 	alg := pre.Alg
 	if alg == nil {

@@ -20,7 +20,7 @@ type WarmImage struct {
 	banks [][]bank.Bank // [column][position], never mutated after build
 
 	ownersOnce sync.Once
-	owners     [][]int64 // [column][owner] resident blocks; see liveOwners
+	owners     []int64 // [owner] resident blocks; see liveOwners
 }
 
 // BuildWarmImage warms template banks for the design, carved from one
@@ -68,11 +68,17 @@ func (s *System) WarmClone(img *WarmImage) {
 	}
 }
 
-// liveOwners returns each column's resident blocks per owner — the
+// liveOwners returns the image's resident blocks per owner — the
 // directory policy's occupancy baseline after warm-up, a function of the
 // image alone. The first directory run over the image counts them; every
 // later one copies the counts instead of walking every set again.
-func (img *WarmImage) liveOwners() [][]int64 {
-	img.ownersOnce.Do(func() { img.owners = countOwners(img.banks) })
+func (img *WarmImage) liveOwners() []int64 {
+	img.ownersOnce.Do(func() {
+		for _, col := range img.banks {
+			for p := range col {
+				img.owners = countOwners(img.owners, &col[p])
+			}
+		}
+	})
 	return img.owners
 }

@@ -1,6 +1,6 @@
 // Package cliutil holds small helpers shared by the command-line tools
-// (cmd/nucasim, cmd/paperbench), so flag conventions stay identical
-// across binaries.
+// (cmd/nucasim, cmd/paperbench, cmd/nucaopt, cmd/nucad), so flag
+// conventions stay identical across binaries.
 package cliutil
 
 import (
@@ -10,8 +10,8 @@ import (
 )
 
 // Jobs registers the standard -j worker-count flag on fs and returns its
-// destination. Both CLIs register exactly this flag; validate the parsed
-// value with ResolveJobs.
+// destination. Every binary with a worker pool registers exactly this
+// flag; validate the parsed value with ResolveJobs.
 func Jobs(fs *flag.FlagSet) *int {
 	return fs.Int("j", 0, "parallel runs (0 = one per core, 1 = sequential)")
 }

@@ -140,8 +140,8 @@ func TestMultiCoreConformanceCatchesTampering(t *testing.T) {
 }
 
 // TestDirectoryAttributesCrossEvictions pins the directory's reason to
-// exist: in the overlapping-set scenario, the ownership matrix must
-// record blocks of one core pushed out by the other.
+// exist: in the overlapping-set scenario, the directory must record
+// blocks of one core pushed out by the other, and a hit for every owner.
 func TestDirectoryAttributesCrossEvictions(t *testing.T) {
 	for _, sc := range multiCoreScenarios() {
 		if !strings.HasSuffix(sc.Name, "/overlap2") {
@@ -156,11 +156,11 @@ func TestDirectoryAttributesCrossEvictions(t *testing.T) {
 			t.Errorf("%s: no cross-core evictions attributed (%+v)", sc.Name, rep)
 		}
 		if len(rep.Owners) < 2 {
-			t.Errorf("%s: directory saw %d owners, want 2", sc.Name, rep.Owners)
+			t.Errorf("%s: directory saw %d owners, want 2", sc.Name, len(rep.Owners))
 		}
 		for _, o := range rep.Owners {
-			if rep.Hits[o] == 0 {
-				t.Errorf("%s: owner %d recorded no hits", sc.Name, o)
+			if o.Hits == 0 {
+				t.Errorf("%s: owner %d recorded no hits", sc.Name, o.Owner)
 			}
 		}
 	}

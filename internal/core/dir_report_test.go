@@ -10,12 +10,13 @@ import (
 	"nucanet/internal/cache"
 )
 
-// TestDirectoryReportMatchesMapReference pins the directory's merged
-// report on Design H2 at 1, 2 and 8 cores to testdata/dir_report_h2.json,
-// recorded from the map-per-column implementation the dense per-owner
-// counters replaced. The JSON form compares every map's key set, so an
-// owner listed with a zero count, or missing, fails as surely as a wrong
-// count.
+// TestDirectoryReportMatchesMapReference pins the directory's report on
+// Design H2 at 1, 2 and 8 cores to testdata/dir_report_h2.json, recorded
+// from the map-per-column implementation the per-owner rows replaced and
+// converted to the row shape (each owner's four counts from its maps,
+// both drop totals copied). The JSON form compares the listed owners, so
+// an owner listed with all-zero counts, or missing, fails as surely as a
+// wrong count.
 func TestDirectoryReportMatchesMapReference(t *testing.T) {
 	want, err := os.ReadFile("testdata/dir_report_h2.json")
 	if err != nil {

@@ -406,6 +406,7 @@ func TestCanonicalKeyErrors(t *testing.T) {
 		{"negative cores", func(o *Options) { o.Cores = -3 }},
 		{"cores on a radial design", func(o *Options) { o.DesignID, o.Cores = "E", 2 }},
 		{"negative window", func(o *Options) { o.CPU.Window = -1 }},
+		{"negative sampling period", func(o *Options) { o.Telemetry.SampleEvery = -1 }},
 	} {
 		bad := DefaultOptions()
 		tc.edit(&bad)

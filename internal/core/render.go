@@ -241,7 +241,7 @@ func renderTelemetry(w io.Writer, _ ExpConfig, runs []Result) {
 // another controller (the traffic the fabric and, on hierarchical
 // designs, the bridge ring carries) and the fraction of capacity
 // evictions where one core's block was pushed out by another core's
-// access (from the directory policy's ownership matrix) — then the
+// access (from the directory policy's self/cross drop split) — then the
 // largest run's link-traffic view.
 func renderCMP(w io.Writer, _ ExpConfig, runs []Result) {
 	fmt.Fprintf(w, "%5s %10s %10s %9s %8s %7s %8s %9s\n",

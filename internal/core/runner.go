@@ -21,8 +21,8 @@ import (
 // Validate checks that the options describe a runnable simulation: a
 // resolvable design whose routing a known router engine supports
 // and provably makes progress on, a known Table 2 benchmark, a positive
-// access count, a core count the design can host, and defined
-// policy/mode values. Run performs the same checks with the same
+// access count, a core count the design can host, a non-negative
+// telemetry sampling period, and defined policy/mode values. Run performs the same checks with the same
 // messages (both go through checkOptions); use Validate to fail fast
 // before queuing work (e.g. building a sweep).
 func (o Options) Validate() error {
@@ -205,6 +205,9 @@ func (rt *Runtime) checkOptions(o Options, pc *PrepCache) (rd *resolvedDesign, p
 		return nil, prof, fmt.Errorf("core: CPU.BlockingProb must be in [0,1], got %v", c.BlockingProb)
 	case c.Window == 0 && c.BlockingProb != 0:
 		return nil, prof, fmt.Errorf("core: CPU.BlockingProb %v needs a positive CPU.Window: a zero window selects the default core model", c.BlockingProb)
+	}
+	if n := o.Telemetry.SampleEvery; n < 0 {
+		return nil, prof, fmt.Errorf("core: Telemetry.SampleEvery must be non-negative, got %d", n)
 	}
 	return rd, prof, cache.ValidatePair(o.Policy, o.Mode)
 }

@@ -185,6 +185,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative blocking", func(o *Options) { o.CPU.BlockingProb = -1 }, "CPU.BlockingProb must be in [0,1]"},
 		{"NaN blocking", func(o *Options) { o.CPU.BlockingProb = math.NaN() }, "CPU.BlockingProb must be in [0,1]"},
 		{"blocking without a window", func(o *Options) { o.CPU.Window, o.CPU.BlockingProb = 0, 0.95 }, "needs a positive CPU.Window"},
+		{"negative sampling period", func(o *Options) { o.Telemetry.SampleEvery = -5 }, "Telemetry.SampleEvery must be non-negative"},
 	}
 	for _, tc := range cases {
 		o := DefaultOptions()

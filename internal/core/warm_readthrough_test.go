@@ -133,9 +133,9 @@ func TestRunLeavesWarmImageUnchanged(t *testing.T) {
 }
 
 // TestDirectoryBaselineCopiedFromImage: a directory run copies its
-// per-column owner occupancy from the shared warm image instead of
-// walking every set of its banks. The copy must equal, column by column,
-// the baseline of a system warmed from the same table through an image
+// per-owner occupancy from the shared warm image instead of walking
+// every set of its banks. The copy must equal, owner by owner, the
+// baseline of a system warmed from the same table through an image
 // of its own (System.Warm) — for H2 at 1, 2 and 8 cores and for every
 // catalogue design the directory policy runs on — and must match the
 // blocks the clone holds (DirStats.Verify).
@@ -167,7 +167,7 @@ func TestDirectoryBaselineCopiedFromImage(t *testing.T) {
 		}
 		warmed.Warm(art.Warm)
 		if !reflect.DeepEqual(in.Sys.Dir, warmed.Dir) {
-			t.Errorf("%s x %d cores: copied baseline %+v, warmed %+v", opt.DesignID, opt.Cores, in.Sys.Dir.Report().Live, warmed.Dir.Report().Live)
+			t.Errorf("%s x %d cores: copied baseline %+v, warmed %+v", opt.DesignID, opt.Cores, in.Sys.Dir.Report().Owners, warmed.Dir.Report().Owners)
 		}
 		if v := in.Sys.Dir.Verify(in.Sys); len(v) != 0 {
 			t.Errorf("%s x %d cores: %v", opt.DesignID, opt.Cores, v)

@@ -271,9 +271,7 @@ func buildResponse(key string, res core.Result) ([]byte, error) {
 	if d := res.Directory; d != nil {
 		dr := &DirectoryResponse{SelfDrops: d.SelfDrops, CrossDrops: d.CrossDrops}
 		for _, o := range d.Owners {
-			dr.Owners = append(dr.Owners, DirectoryOwner{
-				Owner: o, Live: d.Live[o], Fills: d.Fills[o], Hits: d.Hits[o], Drops: d.Drops[o],
-			})
+			dr.Owners = append(dr.Owners, DirectoryOwner(o))
 		}
 		resp.Directory = dr
 	}
