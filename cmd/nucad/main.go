@@ -42,7 +42,7 @@ func main() {
 		jobs         = cliutil.Jobs(flag.CommandLine)
 		queueDepth   = flag.Int("queue", 16, "per-client pending-run bound (backpressure threshold)")
 		cacheEntries = flag.Int("cache", 4096, "result cache capacity (entries)")
-		maxAccesses  = flag.Int("max-accesses", 200000, "per-request access-count cap")
+		maxAccesses  = flag.Int("max-accesses", 200000, "per-request cap on simulated accesses: accesses x cores, defaults included")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 	)
 	flag.Parse()

@@ -242,7 +242,7 @@ func warmGuardSystem(t *testing.T, k *sim.Kernel, policy cache.Policy) (*cache.S
 // the one caller-owned request: warm MRU hits at (set 0, col), which
 // take the identical minimal path every time, and full misses to fresh
 // tags at (set 3, col). The first access of each kind primes the
-// one-time growth (free lists, the memory's reply queue, the kernel's
+// one-time growth (free lists, the memory's outbox, the kernel's
 // far-event heap) outside the measurement.
 func accessAllocs(k *sim.Kernel, am trace.AddrMap, hitTag uint64, col int, submit func(*cache.Request)) (hit, miss float64) {
 	r := &cache.Request{}
@@ -272,7 +272,7 @@ func accessAllocs(k *sim.Kernel, am trace.AddrMap, hitTag uint64, col int, submi
 // — the probe, each bank's reply, chain hops, the off-chip read and its
 // fill — comes from the network's packet pool and returns to it at
 // ejection; and a scheduled send is a (cycle, packet) entry in the
-// agent's send queue, not a closure. MRU hits exercise the probe, the
+// agent's outbox, not a closure. MRU hits exercise the probe, the
 // MRU bank's data reply and the other three banks' miss notifications;
 // full misses the multicast miss, off-chip read, fill and a full-length
 // eviction chain. A packet literal, a timer closure, a per-hop payload or

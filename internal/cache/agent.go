@@ -5,7 +5,7 @@ import (
 
 	"nucanet/internal/bank"
 	"nucanet/internal/flit"
-	"nucanet/internal/mem"
+	"nucanet/internal/network"
 	"nucanet/internal/topology"
 )
 
@@ -24,7 +24,7 @@ type agent struct {
 	bk   bank.Bank
 
 	busyUntil int64
-	sched     scheduler
+	out       network.Outbox // packets waiting for the end of the bank access that built them
 	stash     []flit.Payload // replacement traffic awaiting this bank's probe
 
 	// Accesses counts bank accesses performed (Fast-LRU roughly halves
@@ -51,15 +51,17 @@ func (a *agent) full(set int) bool {
 
 // send schedules a packet of operation o for injection at cycle t. The
 // packet is built now, from the network's pool, and waits in the agent's
-// send queue. A payload (a message embedded in o) counts as one delivery
-// o must wait for before it can retire.
+// outbox; every t an agent passes is the completion cycle of its latest
+// bank access (see access), so its sends queue in cycle order. A payload
+// (a message embedded in o) counts as one delivery o must wait for
+// before it can retire.
 func (a *agent) send(t int64, kind flit.Kind, dst topology.NodeID, ep flit.Endpoint, o *op, payload flit.Payload) {
 	pkt := a.sys.Net.NewPacket(kind, a.node, dst, ep, o.addr)
 	if payload != nil {
 		pkt.Payload = payload
 		o.pending++
 	}
-	a.sched.at(t, pkt)
+	a.out.At(t, pkt)
 }
 
 // sendBank schedules a message of operation o to the bank at position pos
@@ -71,7 +73,7 @@ func (a *agent) sendBank(t int64, kind flit.Kind, pos int, o *op, payload flit.P
 	pkt.DstPos = int16(pos)
 	pkt.Payload = payload
 	o.pending++
-	a.sched.at(t, pkt)
+	a.out.At(t, pkt)
 }
 
 // dataKind returns the packet kind answering the core: block data for
@@ -279,17 +281,8 @@ func (a *agent) removeWay(set, way int) bank.Block {
 	return blk
 }
 
-// requestMemory asks the off-chip memory for the block, directing the
-// reply to the column's MRU bank. The read request and its cookie (the
-// fill message memory echoes back) are embedded in the op, so the miss
-// path allocates nothing; the one pending delivery the send counts is
-// consumed when the fill lands.
+// requestMemory asks the off-chip memory for the block once this bank's
+// access completes at fin.
 func (a *agent) requestMemory(o *op, fin int64) {
-	o.memReq = mem.ReadReq{
-		ReplyTo:  a.sys.bankNode(o.col, 0),
-		ReplyEp:  flit.ToBank,
-		ReplyPos: 0,
-		Cookie:   &o.fill,
-	}
-	a.send(fin, flit.MemReadReq, a.sys.Topo.Mem, flit.ToMem, o, &o.memReq)
+	a.out.At(fin, a.sys.memRead(o, a.node))
 }

@@ -11,8 +11,8 @@ import (
 // turn: the network arena (the network and its tables, the routers and
 // the packet free list), the run's kernel, plus the cache layer's own
 // state — the systems with the latency record, directory and memory each
-// holds, the controllers, the banks, the bank agents with their send
-// queues and concentrated routers' bank muxes, the controllers' column
+// holds, the controllers, the banks, the bank agents with their
+// outboxes and concentrated routers' bank muxes, the controllers' column
 // queues and the op free list. The ops a drained run retired serve the
 // next run's accesses, and the next run registers its components into
 // the kernel capacity the previous one left, so a warm worker builds and
@@ -38,7 +38,7 @@ type Arena struct {
 	cols    slab.Chunk[colState]
 	reqs    slab.Chunk[*Request]
 	active  slab.Chunk[*op]
-	timed   slab.Chunk[timed]
+	outbox  slab.Chunk[network.Timed]
 	ops     opPool
 }
 
@@ -60,7 +60,7 @@ func (a *Arena) Reset() {
 	a.cols.Reset()
 	a.reqs.Reset()
 	a.active.Reset()
-	a.timed.Reset()
+	a.outbox.Reset()
 	a.ops.resetStats()
 }
 
@@ -87,7 +87,11 @@ func (a *Arena) colSlab(n int) []colState { return slab.Grab(&a.cols, n) }
 func (a *Arena) reqSlab(n int) []*Request { return slab.Grab(&a.reqs, n) }
 func (a *Arena) activeSlab(n int) []*op   { return slab.Grab(&a.active, n) }
 
-// timedSlab returns an empty send queue with room for n scheduled
-// packets. Appending past n moves the queue to the heap, leaving the
-// arena intact.
-func (a *Arena) timedSlab(n int) []timed { return slab.Grab(&a.timed, n)[:0] }
+// sendQueueCap is a bank agent's outbox capacity: the deepest queue an
+// agent reaches on the benchmark's runs (Designs A, F and H2), so the
+// outboxes do not regrow during a run.
+const sendQueueCap = 4
+
+// outboxSlab returns an agent outbox's storage, room for n packets.
+// Queueing past n moves the outbox to the heap, leaving the arena intact.
+func (a *Arena) outboxSlab(n int) []network.Timed { return slab.Grab(&a.outbox, n) }

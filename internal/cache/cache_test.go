@@ -220,7 +220,7 @@ func TestSingleHitMRULatency(t *testing.T) {
 		t.Fatalf("want MRU hit, got hit=%v bank=%d", r.Hit, r.HitBank)
 	}
 	// Zero-load: request 1 hop + eject, 3-cycle bank, reply 5 flits.
-	if lat := r.Latency(); lat < 5 || lat > 20 {
+	if lat := r.DataAt - r.Issued; lat < 5 || lat > 20 {
 		t.Fatalf("MRU hit latency = %d, want a handful of cycles", lat)
 	}
 	if r.Breakdown.Bank != 3 {
@@ -327,7 +327,7 @@ func TestSetSerializationAndColumnWindow(t *testing.T) {
 	if err := s2.Drain(1000000); err != nil {
 		t.Fatal(err)
 	}
-	if q2.DataAt >= q1.DataAt+q1.Latency() {
+	if q2.DataAt >= q1.DataAt+(q1.DataAt-q1.Issued) {
 		t.Fatalf("different-set requests should pipeline: q1 [%d,%d], q2 at %d",
 			q1.Issued, q1.DataAt, q2.DataAt)
 	}
@@ -517,8 +517,8 @@ func TestBreakdownConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range reqs {
-		if got := r.Breakdown.Bank + r.Breakdown.Network + r.Breakdown.Memory; got != r.Latency() {
-			t.Fatalf("access %d: breakdown total %d != latency %d", i, got, r.Latency())
+		if got := r.Breakdown.Bank + r.Breakdown.Network + r.Breakdown.Memory; got != r.DataAt-r.Issued {
+			t.Fatalf("access %d: breakdown total %d != latency %d", i, got, r.DataAt-r.Issued)
 		}
 		if r.Breakdown.Bank <= 0 {
 			t.Fatalf("access %d: no bank cycles", i)

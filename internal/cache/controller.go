@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nucanet/internal/flit"
-	"nucanet/internal/mem"
 	"nucanet/internal/stats"
 )
 
@@ -192,16 +191,7 @@ func (c *Controller) missArrived(o *op, now int64) {
 	if o.missCount != c.sys.lastPos()+1 || o.hitPos >= 0 {
 		return
 	}
-	o.memReq = mem.ReadReq{
-		ReplyTo:  c.sys.bankNode(o.col, 0),
-		ReplyEp:  flit.ToBank,
-		ReplyPos: 0,
-		Cookie:   &o.fill,
-	}
-	req := c.sys.Net.NewPacket(flit.MemReadReq, c.Node, c.sys.Topo.Mem, flit.ToMem, o.addr)
-	req.Payload = &o.memReq
-	o.pending++
-	c.sys.Net.Send(req, now)
+	c.sys.Net.Send(c.sys.memRead(o, c.Node), now)
 }
 
 // dataArrived is the CPU-visible completion: fill in the request's

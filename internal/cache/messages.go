@@ -31,15 +31,15 @@ import (
 // block field of the instance it received and sends the same instance
 // onward. The packets that carry them come from the network's pool
 // (network.NewPacket) and go back to it at ejection, a scheduled send is
-// an entry in the sending agent's queue (sched.go), and the op itself is
-// recycled through the system's opPool once the last message pointing at
-// it has been consumed (op.go), so the steady-state protocol allocates
-// nothing per access, per send or per hop. Because packets are recycled,
-// a receiver keeps the message (a pointer into the op), never the packet
-// that delivered it. Instances that can be in flight several times at
-// once (missMsg from every probed bank, doneMsg from two concurrent chain
-// drains under multicast Fast-LRU) are immutable after creation, so
-// sharing is safe.
+// an entry in the sending agent's outbox (network.Outbox), and the op
+// itself is recycled through the system's opPool once the last message
+// pointing at it has been consumed (op.go), so the steady-state protocol
+// allocates nothing per access, per send or per hop. Because packets are
+// recycled, a receiver keeps the message (a pointer into the op), never
+// the packet that delivered it. Instances that can be in flight several
+// times at once (missMsg from every probed bank, doneMsg from two
+// concurrent chain drains under multicast Fast-LRU) are immutable after
+// creation, so sharing is safe.
 
 // probeMsg asks a bank (or, multicast, a column) to tag-match.
 type probeMsg struct{ o *op }

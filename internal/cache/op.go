@@ -33,9 +33,6 @@ type Request struct {
 	Done func(r *Request, now int64)
 }
 
-// Latency returns the CPU-visible access latency.
-func (r *Request) Latency() int64 { return r.DataAt - r.Issued }
-
 // op is the shared protocol state of one in-flight column operation; every
 // packet of the operation carries a typed message pointing back to it.
 // Ops come from their System's opPool and return to it once retired (see

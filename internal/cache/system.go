@@ -148,7 +148,7 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 				sys: s, node: node, col: c, pos: p, last: len(col) - 1,
 				bk: bank.NewIn(d.Banks[p], &pre.Arena.banks),
 			}
-			a.sched.register(k, s.Net, pre.Arena)
+			a.out.Register(s.Net, pre.Arena.outboxSlab(sendQueueCap))
 			// Concentrated topologies place several banks of one column
 			// on a router; a mux, attached at the node's first position,
 			// demuxes ToBank deliveries by DstPos. Single-bank nodes
@@ -166,7 +166,7 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 	}
 	s.Ctrl = newController(s)
 	s.Net.Attach(topo.Core, flit.ToCore, s.Ctrl)
-	s.Memory = s.memory.Renew(k, s.Net, mem.DefaultConfig())
+	s.Memory = s.memory.Renew(s.Net, mem.DefaultConfig())
 	return s, nil
 }
 
@@ -235,6 +235,20 @@ func (s *System) column(col int) []agent {
 // bankNode returns the router of the bank at (column, position).
 func (s *System) bankNode(col, pos int) topology.NodeID {
 	return s.Topo.Column(col)[pos]
+}
+
+// memRead builds the MemReadReq from router src that asks the off-chip
+// memory for o's block; the caller sends it exactly once. The read
+// request and its cookie (the fill message memory echoes back) are
+// embedded in the op, so the miss path allocates nothing; the reply goes
+// to the column's MRU bank, and the one pending delivery counted here is
+// consumed when the fill lands there.
+func (s *System) memRead(o *op, src topology.NodeID) *flit.Packet {
+	o.memReq = mem.ReadReq{ReplyTo: s.bankNode(o.col, 0), ReplyEp: flit.ToBank, Cookie: &o.fill}
+	pkt := s.Net.NewPacket(flit.MemReadReq, src, s.Topo.Mem, flit.ToMem, o.addr)
+	pkt.Payload = &o.memReq
+	o.pending++
+	return pkt
 }
 
 // lastPos returns the position of the LRU bank in every column.

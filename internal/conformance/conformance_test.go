@@ -55,11 +55,12 @@ func TestMultiCoreConformance(t *testing.T) {
 	runMatrix(t, multiCoreScenarios())
 }
 
-// TestMatrixSize pins both matrices: 24 scenarios per (policy, mode) on
-// the single controller, 88 on the CMP fabric, every name unique.
+// TestMatrixSize pins both matrices: 24 scenarios per (policy, mode) plus
+// 8 two-chain scenarios on the single controller, 88 on the CMP fabric,
+// every name unique.
 func TestMatrixSize(t *testing.T) {
 	single, multi := singleCoreScenarios(), multiCoreScenarios()
-	if want := 24 * 2 * len(cache.PolicyNames()); len(single) != want {
+	if want := 24*2*len(cache.PolicyNames()) + 8; len(single) != want {
 		t.Errorf("single-core matrix has %d scenarios, want %d", len(single), want)
 	}
 	if len(multi) != 88 {

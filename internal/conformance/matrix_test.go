@@ -20,7 +20,7 @@ func rwName(write bool) string {
 // singleCoreScenarios enumerates the single-controller matrix for every
 // policy: (policy x mode x occupancy x hit position x read/write) on
 // column 0, plus a dirty-writeback script and a pipelined stress script
-// per (policy, mode). The enumeration walks cache.PolicyNames, so a row
+// per (policy, mode), plus the two-chain family. The enumeration walks cache.PolicyNames, so a row
 // added to the policies table is conformance-checked without touching
 // this file.
 func singleCoreScenarios() []Scenario {
@@ -82,6 +82,40 @@ func singleCoreScenarios() []Scenario {
 					{Tag: 911, Set: 0, Write: true}, {Tag: 101, Set: 1},
 					{Tag: 100, Set: 0}, {Tag: 912, Set: 1, Write: true},
 					{Tag: 102, Set: 0, Write: true}, {Tag: 100, Set: 1},
+				},
+			})
+		}
+	}
+	return append(scs, twoChainScenarios()...)
+}
+
+// twoChainScenarios covers the operations that drain two replacement
+// chains. A multicast Fast-LRU hit beyond the MRU bank of a full set
+// sends the hit block to the MRU bank while the MRU bank's eviction
+// pushes down to the hit bank's hole; the directory policy runs the same
+// protocol. Here a hit at bank 2 of (column 2, set 1) shares the mesh
+// with hits at bank 1 of columns 3 and 1, whose traffic delays one of
+// its chains, and a second access to the same set follows it in the
+// script. That access may start only once both chains have landed: if
+// the column were released on the first completion notice, the second
+// access would meet a block still in flight.
+func twoChainScenarios() []Scenario {
+	tags := []uint64{100, 101, 102, 103}
+	var warm []Warm
+	for col := 0; col < 4; col++ {
+		for set := 0; set < 2; set++ {
+			warm = append(warm, Warm{Col: col, Set: set, Tags: tags})
+		}
+	}
+	var scs []Scenario
+	for _, p := range []cache.Policy{cache.FastLRU, cache.Directory} {
+		for _, next := range tags {
+			scs = append(scs, Scenario{
+				Name:   fmt.Sprintf("%v/%v/two-chain/then%d", p, cache.Multicast, next),
+				Policy: p, Mode: cache.Multicast, Pipelined: true, Warm: warm,
+				Accesses: []Access{
+					{Col: 3, Tag: 101}, {Col: 2, Set: 1, Tag: 102},
+					{Col: 1, Set: 1, Tag: 101}, {Col: 2, Set: 1, Tag: next},
 				},
 			})
 		}

@@ -32,9 +32,6 @@ func NewEngine(workers int) *Engine {
 	return &Engine{workers: workers, rt: &std}
 }
 
-// Workers returns the engine's parallelism.
-func (e *Engine) Workers() int { return e.workers }
-
 // SweepReport accounts one sweep: per-run execution times in submission
 // order, the summed sequential work (batch preparation plus every run),
 // and the sweep's wall time from the first Prepare to the last result.

@@ -308,10 +308,10 @@ func BenchmarkEngineWave(b *testing.B) {
 }
 
 func TestEngineWorkerDefaults(t *testing.T) {
-	if w := NewEngine(0).Workers(); w < 1 {
+	if w := NewEngine(0).workers; w < 1 {
 		t.Errorf("default workers = %d, want >= 1", w)
 	}
-	if w := NewEngine(3).Workers(); w != 3 {
+	if w := NewEngine(3).workers; w != 3 {
 		t.Errorf("workers = %d, want 3", w)
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"nucanet/internal/flit"
 	"nucanet/internal/network"
-	"nucanet/internal/sim"
 	"nucanet/internal/topology"
 )
 
@@ -67,39 +66,32 @@ type Stats struct {
 	BusyStall uint64
 }
 
-type pendingReply struct {
-	sendAt int64
-	pkt    *flit.Packet
-}
-
-// Memory is the off-chip memory endpoint and component.
+// Memory is the off-chip memory endpoint. Its blocks wait in an outbox
+// for the port to finish them; a reply's cycle never precedes an earlier
+// one's, because neither the arrival cycle nor portFree decreases.
 type Memory struct {
 	cfg  Config
-	k    *sim.Kernel
-	kid  int
 	net  *network.Network
 	node topology.NodeID // router hosting the memory controller
+	out  network.Outbox
 
 	portFree int64
-	replies  []pendingReply
 	stats    Stats
 }
 
-// Renew makes m a fresh memory attached to the topology's memory router
-// and registered with k. Its reply queue keeps the capacity an earlier
-// run grew, so a memory renewed run after run stops allocating.
-func (m *Memory) Renew(k *sim.Kernel, net *network.Network, cfg Config) *Memory {
-	*m = Memory{cfg: cfg, k: k, net: net, node: net.Topo.Mem, replies: m.replies[:0]}
+// Renew makes m a fresh memory attached to the topology's memory router,
+// its outbox registered with net's kernel. The outbox keeps the capacity
+// an earlier run grew, so a memory renewed run after run stops
+// allocating.
+func (m *Memory) Renew(net *network.Network, cfg Config) *Memory {
+	*m = Memory{cfg: cfg, net: net, node: net.Topo.Mem, out: m.out}
 	if net.Topo.MemWireDelay > 0 && cfg.WireDelay == 0 {
 		m.cfg.WireDelay = net.Topo.MemWireDelay
 	}
-	m.kid = k.Register(m)
+	m.out.Register(net, nil)
 	net.Attach(m.node, flit.ToMem, m)
 	return m
 }
-
-// Node returns the router the memory controller attaches to.
-func (m *Memory) Node() topology.NodeID { return m.node }
 
 // Stats returns a copy of the counters.
 func (m *Memory) Stats() Stats { return m.stats }
@@ -131,8 +123,7 @@ func (m *Memory) Deliver(pkt *flit.Packet, now int64) {
 		reply := m.net.NewPacket(flit.MemBlock, m.node, req.ReplyTo, req.ReplyEp, pkt.Addr)
 		reply.DstPos = req.ReplyPos
 		reply.Payload = req.Cookie
-		m.replies = append(m.replies, pendingReply{sendAt: ready, pkt: reply})
-		m.k.WakeAt(ready, m.kid)
+		m.out.At(ready, reply)
 	case flit.WriteBack:
 		m.stats.WriteBacks++
 		arrive := now + int64(m.cfg.WireDelay)
@@ -145,18 +136,4 @@ func (m *Memory) Deliver(pkt *flit.Packet, now int64) {
 	default:
 		panic(fmt.Sprintf("mem: unexpected packet %v", pkt))
 	}
-}
-
-// Tick sends replies whose time has come.
-func (m *Memory) Tick(now int64) bool {
-	rest := m.replies[:0]
-	for _, r := range m.replies {
-		if r.sendAt <= now {
-			m.net.Send(r.pkt, now)
-		} else {
-			rest = append(rest, r)
-		}
-	}
-	m.replies = rest
-	return false // parked; WakeAt re-arms per reply
 }

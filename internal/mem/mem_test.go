@@ -34,7 +34,7 @@ func build(t *testing.T, wire int) (*sim.Kernel, *network.Network, *Memory, *sin
 	topo.MemWireDelay = wire
 	k := sim.NewKernel()
 	net := network.MustNew(k, topo, routing.XY{}, router.DefaultConfig())
-	m := new(Memory).Renew(k, net, DefaultConfig())
+	m := new(Memory).Renew(net, DefaultConfig())
 	s := &sink{}
 	for id := 0; id < topo.NumNodes(); id++ {
 		net.Attach(id, flit.ToBank, s)
@@ -57,7 +57,7 @@ func TestReadRoundTrip(t *testing.T) {
 	k, net, m, s := build(t, 0)
 	mru := net.Topo.NodeAt(2, 0)
 	req := &flit.Packet{
-		Kind: flit.MemReadReq, Src: net.Topo.Core, Dst: m.Node(), DstEp: flit.ToMem,
+		Kind: flit.MemReadReq, Src: net.Topo.Core, Dst: net.Topo.Mem, DstEp: flit.ToMem,
 		Addr: 0x1000, Payload: &ReadReq{ReplyTo: mru, ReplyEp: flit.ToBank, Cookie: &cookie{"c1"}},
 	}
 	net.Send(req, 0)
@@ -82,10 +82,10 @@ func TestReadRoundTrip(t *testing.T) {
 
 func TestWireDelayAddsBothWays(t *testing.T) {
 	_, _, _, _ = build(t, 0)
-	k, net, m, s := build(t, 9)
+	k, net, _, s := build(t, 9)
 	mru := net.Topo.NodeAt(2, 0)
 	req := &flit.Packet{
-		Kind: flit.MemReadReq, Src: net.Topo.Core, Dst: m.Node(), DstEp: flit.ToMem,
+		Kind: flit.MemReadReq, Src: net.Topo.Core, Dst: net.Topo.Mem, DstEp: flit.ToMem,
 		Addr: 0x40, Payload: &ReadReq{ReplyTo: mru, ReplyEp: flit.ToBank},
 	}
 	net.Send(req, 0)
@@ -100,7 +100,7 @@ func TestPipelinedPortSerializes(t *testing.T) {
 	mru := net.Topo.NodeAt(2, 0)
 	for i := 0; i < 3; i++ {
 		req := &flit.Packet{
-			Kind: flit.MemReadReq, Src: net.Topo.Core, Dst: m.Node(), DstEp: flit.ToMem,
+			Kind: flit.MemReadReq, Src: net.Topo.Core, Dst: net.Topo.Mem, DstEp: flit.ToMem,
 			Addr: uint64(i) * 64, Payload: &ReadReq{ReplyTo: mru, ReplyEp: flit.ToBank},
 		}
 		net.Send(req, 0)
@@ -122,7 +122,7 @@ func TestPipelinedPortSerializes(t *testing.T) {
 func TestWriteBackAbsorbed(t *testing.T) {
 	k, net, m, s := build(t, 0)
 	wb := &flit.Packet{
-		Kind: flit.WriteBack, Src: net.Topo.NodeAt(2, 3), Dst: m.Node(),
+		Kind: flit.WriteBack, Src: net.Topo.NodeAt(2, 3), Dst: net.Topo.Mem,
 		DstEp: flit.ToMem, Addr: 0xbeef,
 	}
 	net.Send(wb, 0)
@@ -139,14 +139,14 @@ func TestHaloWireDelayPickedUpFromTopology(t *testing.T) {
 	topo := topology.MustBuild("halo", topology.Params{W: 4, H: 4, MemWireDelay: 16})
 	k := sim.NewKernel()
 	net := network.MustNew(k, topo, routing.Spike{}, router.DefaultConfig())
-	m := new(Memory).Renew(k, net, DefaultConfig())
+	new(Memory).Renew(net, DefaultConfig())
 	s := &sink{}
 	for id := 0; id < topo.NumNodes(); id++ {
 		net.Attach(id, flit.ToBank, s)
 	}
 	mru := topo.Column(0)[0]
 	req := &flit.Packet{
-		Kind: flit.MemReadReq, Src: topo.Hub(), Dst: m.Node(), DstEp: flit.ToMem,
+		Kind: flit.MemReadReq, Src: topo.Hub(), Dst: net.Topo.Mem, DstEp: flit.ToMem,
 		Addr: 0, Payload: &ReadReq{ReplyTo: mru, ReplyEp: flit.ToBank},
 	}
 	net.Send(req, 0)
@@ -159,9 +159,9 @@ func TestHaloWireDelayPickedUpFromTopology(t *testing.T) {
 }
 
 func TestBadPayloadPanics(t *testing.T) {
-	k, net, m, _ := build(t, 0)
+	k, net, _, _ := build(t, 0)
 	req := &flit.Packet{
-		Kind: flit.MemReadReq, Src: net.Topo.Core, Dst: m.Node(), DstEp: flit.ToMem,
+		Kind: flit.MemReadReq, Src: net.Topo.Core, Dst: net.Topo.Mem, DstEp: flit.ToMem,
 	}
 	net.Send(req, 0)
 	defer func() {

@@ -117,6 +117,45 @@ func TestStagesDelayEachHop(t *testing.T) {
 	}
 }
 
+// TestZeroLoadHopCost sends one single-flit packet along a line of k
+// hops with nothing else in flight, on every engine. Every router on the
+// route holds it for the pipeline Stages, and a mesh link's unit delay
+// adds nothing beyond them (the package doc; TestDirectDelivery), so it
+// ejects exactly (k+1)*Stages cycles after injection.
+func TestZeroLoadHopCost(t *testing.T) {
+	for _, name := range Names() {
+		b, _ := ByName(name)
+		for _, stages := range []int{1, 3} {
+			for _, hops := range []int{1, 2, 5} {
+				topo := topology.MustBuild("mesh", topology.Params{W: hops + 1, H: 1, CoreX: 0, MemX: hops})
+				tb := mustTable(topo, routing.XY{})
+				cfg := DefaultConfig()
+				cfg.Engine, cfg.Stages = name, stages
+				k := sim.NewKernel()
+				var ar Arena
+				var at []int64
+				sink := sinkFunc(func(_ topology.NodeID, _ *flit.Packet, now int64) { at = append(at, now) })
+				nodes := make([]Engine, topo.NumNodes())
+				for id := range nodes {
+					nodes[id] = b.New(id, topo, tb, cfg, k, sink, &ar)
+				}
+				for id, n := range nodes {
+					for p := 0; p < topo.NumPorts(id); p++ {
+						if l, ok := topo.Link(id, p); ok {
+							n.Wire(p, nodes[l.To], l.ToPort, l.Delay)
+						}
+					}
+				}
+				nodes[0].Inject(&flit.Packet{Kind: flit.ReadReq, Src: 0, Dst: hops, DstEp: flit.ToBank}, 0)
+				k.Run(1000)
+				if want := int64((hops + 1) * stages); len(at) != 1 || at[0] != want {
+					t.Errorf("%s, Stages %d, %d hops: ejected at %v, want [%d]", name, stages, hops, at, want)
+				}
+			}
+		}
+	}
+}
+
 func TestNoRoutePanics(t *testing.T) {
 	// A packet addressed beyond the wired ports must fail loudly.
 	p := newPair(DefaultConfig())

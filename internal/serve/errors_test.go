@@ -39,6 +39,8 @@ func TestRunErrorsAreStructured(t *testing.T) {
 		{"unknown benchmark", `{"benchmark":"linpack"}`, 400, "benchmark", `unknown benchmark "linpack"`},
 		{"negative accesses", `{"accesses":-5}`, 400, "accesses", "must be positive"},
 		{"excessive accesses", `{"accesses":5000000}`, 400, "accesses", "at most 1000"},
+		{"accesses times cores", `{"design":"A","accesses":400,"cores":4}`, 400, "accesses", "at most 1000, got 400 x 4"},
+		{"defaulted accesses", `{}`, 400, "accesses", "at most 1000, got 10000 x 1"},
 		{"negative sample_every", `{"telemetry":{"sample_every":-1}}`, 400, "telemetry.sample_every", ">= 0"},
 	}
 	for _, tc := range cases {

@@ -49,7 +49,9 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the result cache; <= 0 selects 1024.
 	CacheEntries int
-	// MaxAccesses caps the per-request access count; <= 0 selects 200000.
+	// MaxAccesses caps the accesses one request simulates: Accesses x
+	// max(Cores, 1) of the resolved options, so a defaulted field counts
+	// too; <= 0 selects 200000.
 	MaxAccesses int
 	// Run executes one simulation; nil selects core.Run. Tests inject
 	// gated fakes here to exercise fairness and shutdown deterministically.
@@ -158,6 +160,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	key, err := core.CanonicalKey(opts)
 	if err != nil {
 		writeError(w, gateError(opts))
+		return
+	}
+	if cores := max(opts.Cores, 1); opts.Accesses*cores > s.cfg.MaxAccesses {
+		writeError(w, badField("accesses", "accesses x cores must be at most %d, got %d x %d",
+			s.cfg.MaxAccesses, opts.Accesses, cores))
 		return
 	}
 

@@ -32,9 +32,6 @@ func Observe(k *Kernel, every int64, fn func(now int64)) *Observer {
 	return o
 }
 
-// Samples returns how many times the callback has fired.
-func (o *Observer) Samples() uint64 { return o.n }
-
 // Tick samples and re-arms unless the observer is the only thing left
 // keeping the kernel alive.
 func (o *Observer) Tick(now int64) bool {

@@ -34,8 +34,8 @@ func TestObserverSamplesAndParks(t *testing.T) {
 			t.Fatalf("sample %d at cycle %d, want %d", i, c, want)
 		}
 	}
-	if o.Samples() != uint64(len(at)) {
-		t.Fatalf("Samples() = %d, want %d", o.Samples(), len(at))
+	if o.n != uint64(len(at)) {
+		t.Fatalf("observer counted %d samples, want %d", o.n, len(at))
 	}
 }
 
