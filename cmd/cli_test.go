@@ -124,6 +124,10 @@ func TestCLI(t *testing.T) {
 			mentions: []string{`unknown design "Z"`, "[A B C D E F R G H2]"}},
 		{name: "unknown benchmark", bin: "nucasim", args: []string{"-bench", "nope"}, exit: 1,
 			mentions: []string{`unknown benchmark "nope"`, "applu", "vpr"}},
+		// -policy is a flag.Value, so the flag package rejects a name the
+		// catalogue lacks with its usage exit code.
+		{name: "deleted policy", bin: "nucasim", args: []string{"-policy", "static"}, exit: 2,
+			mentions: []string{`unknown policy "static" (registered: promotion, LRU, fastLRU, directory)`}},
 		// A zero window selects the default core model, so a blocking
 		// probability beside it would be silently dropped.
 		{name: "blocking without a window", bin: "nucasim", args: []string{"-window", "0", "-blocking", "0.95"}, exit: 1,

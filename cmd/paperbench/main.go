@@ -9,7 +9,7 @@
 //	paperbench -exp f9 -n 4000   # one experiment, smaller runs
 //	paperbench -exp f9 -j 8      # fan the sweep out to 8 workers
 //	paperbench -exp telemetry -heatmap -sample 200
-//	paperbench -exp f9 -policy static    # any policy name (-list=policies)
+//	paperbench -exp f9 -policy lru       # any policy name (-list=policies)
 //
 // Experiments dispatch through core's experiment table: every name -exp
 // accepts, every binary's -list=experiments output, and nucad's GET

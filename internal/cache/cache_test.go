@@ -602,16 +602,16 @@ func TestParsePolicyAndMode(t *testing.T) {
 	// The catalogue in id order: each name's index is its constant. A
 	// miss lists it.
 	names := PolicyNames()
-	if want := []string{"promotion", "LRU", "fastLRU", "directory", "static"}; !reflect.DeepEqual(names, want) {
+	if want := []string{"promotion", "LRU", "fastLRU", "directory"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("PolicyNames() = %v, want %v", names, want)
 	}
-	for id, want := range []Policy{Promotion, LRU, FastLRU, Directory, Static} {
+	for id, want := range []Policy{Promotion, LRU, FastLRU, Directory} {
 		if Policy(id) != want {
 			t.Fatalf("policy %q listed at id %d, but its constant is %d", names[id], id, want)
 		}
 	}
 	if _, err := PolicyByName("mru"); err == nil ||
-		err.Error() != `cache: unknown policy "mru" (registered: promotion, LRU, fastLRU, directory, static)` {
+		err.Error() != `cache: unknown policy "mru" (registered: promotion, LRU, fastLRU, directory)` {
 		t.Fatalf("unknown policy error = %v", err)
 	}
 	// Every policy round-trips through String and PolicyByName, so CLI

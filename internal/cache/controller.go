@@ -153,33 +153,48 @@ func (c *Controller) dispatch(col int, now int64) {
 }
 
 // Deliver consumes core-bound protocol packets — an exhaustive type
-// switch over the controller-side message catalogue. Messages from a
-// completed multicast operation (e.g. a miss notification from a bank
-// probed after the hit landed) are stale and dropped, but still consumed:
-// the op retires only once the last of them has landed.
+// switch over the controller-side message catalogue. The one stale
+// message the protocol sends is a miss notification from a bank probed
+// after a multicast hit landed: it is dropped, but still consumed, since
+// the op retires only once the last of them has landed. Any other
+// message an op cannot explain — a second data delivery, a chain done
+// after the op finished, a miss report after it finished on a miss —
+// panics via unexplained.
 func (c *Controller) Deliver(pkt *flit.Packet, now int64) {
 	var o *op
 	switch m := pkt.Payload.(type) {
 	case *dataMsg:
 		o = c.sys.ops.check(m.o)
-		if !o.finished {
-			c.dataArrived(o, now)
+		if o.dataDone {
+			unexplained(o, "has its data", pkt, now)
 		}
+		c.dataArrived(o, now)
 	case *doneMsg:
 		o = c.sys.ops.check(m.o)
-		if !o.finished {
-			o.chainRecv++
-			c.checkComplete(o, now)
+		if o.finished {
+			unexplained(o, "has finished", pkt, now)
 		}
+		o.chainRecv++
+		c.checkComplete(o, now)
 	case *missMsg:
 		o = c.sys.ops.check(m.o)
-		if !o.finished {
+		switch {
+		case !o.finished:
 			c.missArrived(o, now)
+		case o.hitPos < 0:
+			unexplained(o, "has finished on a miss", pkt, now)
 		}
 	default:
 		panic(fmt.Sprintf("cache: controller got unexpected %v", pkt))
 	}
 	c.sys.ops.consumed(o)
+}
+
+// unexplained panics on a message the protocol never sends an op in its
+// state, naming the op, its column and set, the cycle and the message,
+// the way baseEngine's handlers name the bank.
+func unexplained(o *op, state string, pkt *flit.Packet, now int64) {
+	panic(fmt.Sprintf("cache: op %d (column %d, set %d) %s, cycle %d got %v", o.id, o.col, o.set, state, now, pkt))
 }
 
 // missArrived counts one bank's multicast miss report; once every bank
@@ -199,9 +214,6 @@ func (c *Controller) missArrived(o *op, now int64) {
 // issuer through Done. The op forgets the request first: the issuer may
 // reissue it from inside Done.
 func (c *Controller) dataArrived(o *op, now int64) {
-	if o.dataDone {
-		return
-	}
 	o.dataDone = true
 	r := o.req
 	o.req = nil
@@ -230,7 +242,7 @@ func (c *Controller) dataArrived(o *op, now int64) {
 // chain have finished, and dispatches the next queued request. The op
 // itself retires later, in consumed, once no message points at it.
 func (c *Controller) checkComplete(o *op, now int64) {
-	if !o.dataDone || !o.chainDone() || o.finished {
+	if !o.dataDone || !o.chainDone() {
 		return
 	}
 	o.finished = true

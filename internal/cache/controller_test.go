@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -87,5 +88,43 @@ func TestDrainCoversEveryController(t *testing.T) {
 	home.cols[1].q = append(home.cols[1].q, &Request{})
 	if err := s.Drain(1000); err == nil || !strings.Contains(err.Error(), "1 requests stuck") {
 		t.Fatalf("drain with a request queued at a home controller: err %v, want a stuck-request error", err)
+	}
+}
+
+// TestLateDoneOrDataPanics: the protocol sends no chain done and no
+// second data delivery to an op that has finished (only a multicast
+// hit's late miss reports, TestLateMissNotifyKeepsOpLive), so one that
+// arrives panics, naming the op, its column and set, the cycle and the
+// message. The slow far link keeps the finished op live for it.
+func TestLateDoneOrDataPanics(t *testing.T) {
+	for _, kind := range []flit.Kind{flit.CompleteNotify, flit.HitData} {
+		t.Run(kind.String(), func(t *testing.T) {
+			d := testDesign(4, 4)
+			d.Params.VertDelay = []int{1, 1, 1, 40}
+			k := sim.NewKernel()
+			s := MustNew(k, d, FastLRU, Multicast)
+			warm := warmMRU(t, s)
+			const set, col = 0, 2
+			s.Issue(s.AM.Compose(warm[set*s.AM.Columns+col][0], set, col), false, nil)
+			o := s.Ctrl.cols[col].active[0]
+			for !o.finished {
+				if !k.Step() {
+					t.Fatal("kernel went idle before the op finished")
+				}
+			}
+			pkt := &flit.Packet{Kind: kind, Payload: &o.done}
+			if kind == flit.HitData {
+				pkt.Payload = &o.data
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				want := fmt.Sprintf("cache: op %d (column %d, set %d) ", o.id, col, set)
+				if !strings.HasPrefix(msg, want) || !strings.Contains(msg, fmt.Sprintf("cycle %d got", k.Now())) ||
+					!strings.Contains(msg, kind.String()) {
+					t.Fatalf("late %v: panic %q, want one naming the op (%q), the cycle and the message", kind, msg, want)
+				}
+			}()
+			s.Ctrl.Deliver(pkt, k.Now())
+		})
 	}
 }

@@ -15,7 +15,7 @@ import (
 // every System concurrently, including parallel sweeps.
 //
 // A new policy is one row in the policies table and needs no change to
-// the shells; staticEngine is the smallest example.
+// the shells; promotionEngine is the smallest example.
 type PolicyEngine interface {
 	// Probe handles a tag-match request at a bank: the unicast first
 	// hop or a multicast delivery. The shell marks the bank probed
@@ -84,7 +84,6 @@ var policies = [...]struct {
 	LRU:       {"LRU", &lruEngine{}},
 	FastLRU:   {"fastLRU", &lruEngine{fast: true}},
 	Directory: {"directory", &lruEngine{fast: true}},
-	Static:    {"static", &staticEngine{}},
 }
 
 // PolicyByName resolves a policy name, ignoring case and dashes:

@@ -238,7 +238,7 @@ func chainStep(a *agent, m *chainMsg, now int64) {
 }
 
 // fillEvictChain is the policy-shared miss fill for schemes that make
-// room at fill time (classic LRU, Promotion, static): insert at the MRU
+// room at fill time (classic LRU and Promotion): insert at the MRU
 // bank, pushing a full set's victim down the replacement chain.
 func fillEvictChain(a *agent, o *op, blk bank.Block, fin int64) {
 	if !a.full(o.set) {

@@ -14,8 +14,7 @@
 // (engine.go), indexed by its Policy id. The agent and controller shells
 // are policy-free (the directory policy is Fast-LRU's engine plus the
 // ownership counts the shell keeps, directory.go); adding a policy means
-// adding one engine file and one row (see engine_static.go for the
-// smallest example).
+// adding one engine file and one row (see engine_promotion.go).
 package cache
 
 import "fmt"
@@ -41,9 +40,6 @@ const (
 	// plus a directory of block owners the protocol shell keeps
 	// (directory.go).
 	Directory
-	// Static is the no-migration baseline: bank-local LRU, no inter-bank
-	// movement (engine_static.go).
-	Static
 )
 
 // String returns the policy's display name.

@@ -7,10 +7,9 @@ import (
 	"nucanet/internal/cache"
 )
 
-// runMatrix runs every scenario of scs and fails on any violation,
-// listing the first 20 prefixed with their scenario names.
-func runMatrix(t *testing.T, scs []Scenario) {
-	t.Helper()
+// check runs every scenario of scs and returns every violation,
+// prefixed with its scenario's name.
+func check(scs []Scenario) []string {
 	var violations []string
 	for _, sc := range scs {
 		_, vs := run(sc)
@@ -18,6 +17,14 @@ func runMatrix(t *testing.T, scs []Scenario) {
 			violations = append(violations, sc.Name+": "+v)
 		}
 	}
+	return violations
+}
+
+// runMatrix runs every scenario of scs and fails on any violation,
+// listing the first 20.
+func runMatrix(t *testing.T, scs []Scenario) {
+	t.Helper()
+	violations := check(scs)
 	if n := len(violations); n > 0 {
 		t.Fatalf("%d invariant violations across %d scenarios; first %d:\n%s",
 			n, len(scs), min(n, 20), strings.Join(violations[:min(n, 20)], "\n"))
@@ -119,6 +126,37 @@ func TestConformanceCatchesViolations(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("finish-before-data not flagged: %v", ck3.violations)
+	}
+}
+
+// TestConformanceRecoversPerScenario: a panic inside one scenario's run
+// is that scenario's one named violation, and the matrix runs on — the
+// tampered scenario placed last still reports its own violations.
+func TestConformanceRecoversPerScenario(t *testing.T) {
+	scs := append(singleCoreScenarios(), multiCoreScenarios()...)
+	faulty := &scs[len(scs)/2]
+	faulty.panicOnData = true
+	scs = append(scs, Scenario{
+		Name:   "tamper",
+		Policy: cache.LRU, Mode: cache.Multicast,
+		Warm:         []Warm{{Tags: []uint64{100, 101, 102, 103}}},
+		Accesses:     []Access{{Tag: 100}},
+		tamperGolden: true,
+	})
+	var panics, tampered int
+	for _, v := range check(scs) {
+		switch {
+		case strings.HasPrefix(v, faulty.Name+": panic: seeded fault"):
+			panics++
+		case strings.HasPrefix(v, "tamper: "):
+			tampered++
+		default:
+			t.Errorf("violation outside the two seeded scenarios: %s", v)
+		}
+	}
+	if panics != 1 || tampered == 0 {
+		t.Fatalf("%d panic violations naming %s (want 1), %d from the last scenario (want > 0)",
+			panics, faulty.Name, tampered)
 	}
 }
 

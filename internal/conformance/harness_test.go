@@ -73,6 +73,9 @@ type Scenario struct {
 	// tamperGolden skips the golden warm-up, making every warm hit
 	// disagree with the model: proof the harness is alive.
 	tamperGolden bool
+	// panicOnData panics inside the kernel at the first data delivery:
+	// proof that run turns a fault into this scenario's violation.
+	panicOnData bool
 }
 
 // design is a scaled-down 4x4 mesh of 1-way 64 KB banks: four bank
@@ -99,13 +102,21 @@ func owned(core int, tag uint64) uint64 { return tag + uint64(core)*cmp.OwnerStr
 // run executes sc on a fresh system, comparing accesses and final
 // contents with the golden model and enforcing the runtime protocol
 // invariants. It returns the system and every violation found (nil on
-// full conformance).
-func run(sc Scenario) (*cache.System, []string) {
+// full conformance). A panic — a protocol fault deep in a bank or the
+// controller — is recovered as one more violation, so a matrix goes on
+// to its next scenario.
+func run(sc Scenario) (sys *cache.System, violations []string) {
+	defer func() {
+		if r := recover(); r != nil {
+			violations = append(violations, fmt.Sprintf("panic: %v", r))
+		}
+	}()
 	sys, err := cache.New(sim.NewKernel(), design(), sc.Policy, sc.Mode)
 	if err != nil {
 		return nil, []string{fmt.Sprintf("build system: %v", err)}
 	}
 	ck := newInvariantChecker()
+	ck.panicOnData = sc.panicOnData
 	sys.EnableTelemetry(&telemetry.Collector{Protocol: ck})
 	var f *cmp.Fabric
 	if sc.Cores > 0 {
@@ -135,7 +146,6 @@ func run(sc Scenario) (*cache.System, []string) {
 	sys.Warm(warm)
 	ck.seed(sys)
 
-	var violations []string
 	type expectation struct {
 		acc  Access
 		req  *cache.Request
@@ -214,9 +224,10 @@ type opTrack struct {
 // invariantChecker implements telemetry.ProtocolProbe, reconstructing
 // block residency and operation lifecycles from the probe stream.
 type invariantChecker struct {
-	ops        map[uint64]*opTrack
-	blocks     map[bankSetKey]map[uint64]int
-	violations []string
+	ops         map[uint64]*opTrack
+	blocks      map[bankSetKey]map[uint64]int
+	violations  []string
+	panicOnData bool
 }
 
 func newInvariantChecker() *invariantChecker {
@@ -273,6 +284,9 @@ func (ck *invariantChecker) OpIssued(now int64, id uint64, col, set int, write b
 }
 
 func (ck *invariantChecker) OpData(now int64, id uint64, hit bool, hitBank int) {
+	if ck.panicOnData {
+		panic(fmt.Sprintf("seeded fault at op %d's data, cycle %d", id, now))
+	}
 	t := ck.ops[id]
 	if t == nil {
 		ck.violationf("op %d delivered data without being issued", id)

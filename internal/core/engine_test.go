@@ -92,7 +92,7 @@ func bitIdentityBatch(t *testing.T, accesses int) []Options {
 	t.Helper()
 	var opts []Options
 	for _, designID := range []string{"A", "F", "R"} {
-		for _, policy := range []cache.Policy{cache.FastLRU, cache.Promotion, cache.Static} {
+		for _, policy := range []cache.Policy{cache.FastLRU, cache.Promotion, cache.LRU} {
 			for _, engine := range []string{"", "bufferless", "ring-lite"} {
 				opt := DefaultOptions()
 				opt.DesignID = designID

@@ -71,15 +71,15 @@ func copiedSets(t *testing.T, sys *cache.System) int {
 
 // readThroughMix covers every bank mutator a run calls on sets it reads
 // through to a shared image: Fast-LRU multicast chains, an LRU unicast
-// lucas run (write hits, write-backs, removals), static in-place hits,
-// promotion swaps, and an 8-core directory run. Its four warm states fit
+// lucas run (write hits, write-backs, removals), LRU in-place hits in
+// Design D's MRU bank, promotion swaps, and an 8-core directory run. Its four warm states fit
 // a runtime's warm-state LRU together.
 func readThroughMix() []Options {
 	a := DefaultOptions()
 	a.Accesses = 200
 	lru, d, f := a, a, a
 	lru.Policy, lru.Mode, lru.Benchmark, lru.Seed = cache.LRU, cache.Unicast, "lucas", 5
-	d.DesignID, d.Policy, d.Mode = "D", cache.Static, cache.Unicast
+	d.DesignID, d.Policy, d.Mode = "D", cache.LRU, cache.Unicast
 	f.DesignID, f.Policy, f.Mode, f.Benchmark = "F", cache.Promotion, cache.Unicast, "lucas"
 	h2 := cmpOpts("H2", 8, 60)
 	h2.Policy = cache.Directory

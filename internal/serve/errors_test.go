@@ -34,6 +34,7 @@ func TestRunErrorsAreStructured(t *testing.T) {
 		{"wrong type", `{"accesses":"ten"}`, 400, "accesses", "wrong JSON type"},
 		{"unknown design", `{"design":"Z"}`, 400, "design", `unknown design "Z"`},
 		{"unknown policy", `{"policy":"mru"}`, 400, "policy", `unknown policy "mru"`},
+		{"deleted policy", `{"policy":"static"}`, 400, "policy", `unknown policy "static"; known policies: promotion, LRU, fastLRU, directory`},
 		{"unknown mode", `{"mode":"broadcast"}`, 400, "mode", `unknown mode "broadcast"`},
 		{"unknown router", `{"router":"optical"}`, 400, "router", `unknown router "optical"`},
 		{"unknown benchmark", `{"benchmark":"linpack"}`, 400, "benchmark", `unknown benchmark "linpack"`},

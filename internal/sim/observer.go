@@ -17,7 +17,6 @@ type Observer struct {
 	kid   int
 	every int64
 	fn    func(now int64)
-	n     uint64
 }
 
 // Observe registers a periodic observer that calls fn every `every`
@@ -35,7 +34,6 @@ func Observe(k *Kernel, every int64, fn func(now int64)) *Observer {
 // Tick samples and re-arms unless the observer is the only thing left
 // keeping the kernel alive.
 func (o *Observer) Tick(now int64) bool {
-	o.n++
 	o.fn(now)
 	if o.k.Idle() {
 		return false // everything else drained; let the kernel go idle

@@ -17,7 +17,7 @@ func TestObserverSamplesAndParks(t *testing.T) {
 	k.Activate(id)
 
 	var at []int64
-	o := Observe(k, 10, func(now int64) { at = append(at, now) })
+	Observe(k, 10, func(now int64) { at = append(at, now) })
 
 	cycles, idle := k.Run(1 << 20)
 	if !idle {
@@ -33,9 +33,6 @@ func TestObserverSamplesAndParks(t *testing.T) {
 		if want := int64(10 * (i + 1)); c != want {
 			t.Fatalf("sample %d at cycle %d, want %d", i, c, want)
 		}
-	}
-	if o.n != uint64(len(at)) {
-		t.Fatalf("observer counted %d samples, want %d", o.n, len(at))
 	}
 }
 
