@@ -124,10 +124,16 @@ func TestCLI(t *testing.T) {
 			mentions: []string{`unknown design "Z"`, "[A B C D E F R G H2]"}},
 		{name: "unknown benchmark", bin: "nucasim", args: []string{"-bench", "nope"}, exit: 1,
 			mentions: []string{`unknown benchmark "nope"`, "applu", "vpr"}},
-		// -policy is a flag.Value, so the flag package rejects a name the
-		// catalogue lacks with its usage exit code.
-		{name: "deleted policy", bin: "nucasim", args: []string{"-policy", "static"}, exit: 2,
+		{name: "deleted policy", bin: "nucasim", args: []string{"-policy", "static"}, exit: 1,
 			mentions: []string{`unknown policy "static" (registered: promotion, LRU, fastLRU, directory)`}},
+		{name: "unknown mode", bin: "nucasim", args: []string{"-mode", "broadcast"}, exit: 1,
+			mentions: []string{`unknown mode "broadcast" (registered: unicast, multicast)`}},
+		// Every binary that reads -policy and -mode resolves them the same
+		// way (cliutil.Scheme).
+		{name: "paperbench unknown mode", bin: "paperbench", args: []string{"-mode", "broadcast"}, exit: 1,
+			mentions: []string{`paperbench: cache: unknown mode "broadcast" (registered: `}},
+		{name: "nucaopt unknown policy", bin: "nucaopt", args: []string{"-policy", "static"}, exit: 1,
+			mentions: []string{`nucaopt: cache: unknown policy "static" (registered: `}},
 		// A zero window selects the default core model, so a blocking
 		// probability beside it would be silently dropped.
 		{name: "blocking without a window", bin: "nucasim", args: []string{"-window", "0", "-blocking", "0.95"}, exit: 1,
@@ -148,6 +154,10 @@ func TestCLI(t *testing.T) {
 			stdout, stderr, exit := run(t, bin(tc.bin), tc.args...)
 			if exit != tc.exit {
 				t.Fatalf("exit %d, want %d\nstderr: %s", exit, tc.exit, stderr)
+			}
+			// A rejected input is one named error, never the usage text.
+			if tc.exit == 1 && strings.Count(stderr, "\n") != 1 {
+				t.Errorf("stderr is not one line:\n%s", stderr)
 			}
 			got := runTiming.ReplaceAllString(stdout, "")
 			if tc.stdout != "" && got != tc.stdout {

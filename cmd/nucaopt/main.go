@@ -48,8 +48,10 @@ func main() {
 		cores = flag.Int("cores", 0,
 			"score candidates as N-core CMP runs (geomean over per-core IPCs; grid families only, 0 = classic single-core)")
 	)
-	policy, mode := cliutil.Scheme(flag.CommandLine)
+	scheme := cliutil.Scheme(flag.CommandLine)
 	flag.Parse()
+	policy, mode, err := scheme()
+	fatal(err)
 	workers, err := cliutil.ResolveJobs(*jobs)
 	fatal(err)
 
@@ -62,8 +64,8 @@ func main() {
 		Shortlist:       *short,
 		Benchmarks:      strings.Split(*benches, ","),
 		Workers:         workers,
-		Policy:          policy.String(),
-		Mode:            mode.String(),
+		Policy:          policy,
+		Mode:            mode,
 		Cores:           *cores,
 	}
 	if !*quiet {

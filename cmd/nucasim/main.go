@@ -67,8 +67,10 @@ func main() {
 	)
 	listFlag := cliutil.List(flag.CommandLine, "all")
 	routerName := cliutil.Router(flag.CommandLine)
-	policy, mode := cliutil.Scheme(flag.CommandLine)
+	scheme := cliutil.Scheme(flag.CommandLine)
 	flag.Parse()
+	p, m, err := scheme()
+	fatal(err)
 
 	if done, err := listFlag.Handle(os.Stdout); done {
 		fatal(err)
@@ -78,7 +80,6 @@ func main() {
 		os.Exit(verifyRouting(os.Stdout, *routerName))
 	}
 
-	p, m := *policy, *mode
 	workers, err := cliutil.ResolveJobs(*jobs)
 	fatal(err)
 

@@ -20,8 +20,11 @@
 // placement search is cmd/nucaopt.
 //
 // -policy and -mode steer the single-scheme experiments (f9, energy,
-// power, telemetry); names resolve through cache.PolicyByName. The
-// fixed-scheme reproductions (t1-t4, f7, f8, headline) ignore them.
+// power, telemetry), and -mode the cmp sweep; the defaults are the
+// paper's multicast Fast-LRU, and an unknown name exits 1 listing the
+// catalogue. The fixed-scheme reproductions (t1-t4, f7, f8, headline,
+// pareto) ignore them. The CMP study is -exp cmp (1-8 cores); every
+// other experiment runs the classic single-core path.
 // -router overrides the router microarchitecture of every simulated run
 // (-list=routers). -bench selects the benchmark of the single-benchmark
 // experiments (energy, power, pareto, telemetry).
@@ -44,35 +47,30 @@ import (
 )
 
 func main() {
+	cfg := core.DefaultExpConfig()
 	var (
 		exp    = flag.String("exp", "all", "experiment name (see -list), or all")
-		n      = flag.Int("n", 8000, "measured L2 accesses per run")
-		seed   = flag.Uint64("seed", 42, "random seed")
+		n      = flag.Int("n", cfg.Accesses, "measured L2 accesses per run")
+		seed   = flag.Uint64("seed", cfg.Seed, "random seed")
 		bench  = flag.String("bench", "", "benchmark for the single-benchmark experiments (default gcc)")
 		jobs   = cliutil.Jobs(flag.CommandLine)
-		cores  = cliutil.Cores(flag.CommandLine)
 		tflags = cliutil.Telemetry(flag.CommandLine)
 	)
 	listFlag := cliutil.List(flag.CommandLine, "experiments")
 	routerName := cliutil.Router(flag.CommandLine)
-	policy, mode := cliutil.Scheme(flag.CommandLine)
+	scheme := cliutil.Scheme(flag.CommandLine)
 	flag.Parse()
+	var err error
+	cfg.Policy, cfg.Mode, err = scheme()
+	fatal(err)
 	if done, err := listFlag.Handle(os.Stdout); done {
 		fatal(err)
 		return
 	}
-	workers, err := cliutil.ResolveJobs(*jobs)
+	cfg.Workers, err = cliutil.ResolveJobs(*jobs)
 	fatal(err)
-	// The scheme flags steer the single-scheme experiments (f9, energy,
-	// power, telemetry); any policy name parses. The fixed-scheme
-	// reproductions (t1-t4, f7, f8, headline) ignore them by design.
-	// Defaults match the paper configuration.
-	cfg := core.ExpConfig{
-		Accesses: *n, Seed: *seed, Workers: workers,
-		PolicyName: policy.String(), ModeName: mode.String(),
-		RouterName: *routerName, Bench: *bench,
-		Telemetry: tflags.Config(), Cores: *cores,
-	}
+	cfg.Accesses, cfg.Seed = *n, *seed
+	cfg.RouterName, cfg.Bench, cfg.Telemetry = *routerName, *bench, tflags.Config()
 	traceOut := *tflags.TracePath
 
 	if *exp == "all" {

@@ -14,12 +14,11 @@ import (
 // deadExportAllowed lists the exported functions that may live under
 // internal/ with no non-test reference, each with the reason it stays.
 var deadExportAllowed = map[string]string{
-	"IsBoolFlag":       "reached through the flag package's boolFlag interface",
-	"MustNew":          "cache.MustNew / network.MustNew: fixture many tests build on",
-	"NumBanks":         "Topology.NumBanks: fixture many tests build on",
-	"HitWays":          "Latency.HitWays: fixture many tests build on",
-	"DefaultExpConfig": "fixture many tests build on",
-	"PathLatency":      "reserved for ROADMAP items 3/4c (zero-load latency component)",
+	"IsBoolFlag":  "reached through the flag package's boolFlag interface",
+	"MustNew":     "cache.MustNew / network.MustNew: fixture many tests build on",
+	"NumBanks":    "Topology.NumBanks: fixture many tests build on",
+	"HitWays":     "Latency.HitWays: fixture many tests build on",
+	"PathLatency": "reserved for ROADMAP items 3/4c (zero-load latency component)",
 }
 
 // TestNoDeadExports keeps the rule "every line has a caller": an exported

@@ -71,7 +71,7 @@ func (m Model) RouterAreaFor(cfg router.Config, ports int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	scale := float64(eng.BufferFlits(cfg)) / float64(calib.BufferFlits(router.DefaultConfig()))
+	scale := float64(eng.BufferFlitsPerPort(cfg)) / float64(calib.BufferFlitsPerPort(router.DefaultConfig()))
 	p := float64(ports)
 	return m.RouterPortLinear*p*scale + m.RouterPortQuad*p*p, nil
 }

@@ -595,8 +595,10 @@ func TestParsePolicyAndMode(t *testing.T) {
 	if m, err := ParseMode("multicast"); err != nil || m != Multicast {
 		t.Fatal("ParseMode failed")
 	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("expected error")
+	// A mode miss lists the modes, the same form as a policy miss.
+	if _, err := ParseMode("broadcast"); err == nil ||
+		err.Error() != `cache: unknown mode "broadcast" (registered: unicast, multicast)` {
+		t.Fatalf("unknown mode error = %v", err)
 	}
 
 	// The catalogue in id order: each name's index is its constant. A

@@ -74,28 +74,6 @@ func (p Policy) Valid() bool { return int(p) < len(policies) }
 // Valid reports whether m is one of the defined modes.
 func (m Mode) Valid() bool { return m <= Multicast }
 
-// Set parses a policy name, making *Policy a flag.Value:
-//
-//	fs.Var(&opt.Policy, "policy", "replacement policy")
-func (p *Policy) Set(s string) error {
-	v, err := PolicyByName(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
-
-// Set parses a mode name, making *Mode a flag.Value.
-func (m *Mode) Set(s string) error {
-	v, err := ParseMode(s)
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
-}
-
 // ParseMode reads a mode name ("unicast", "multicast").
 func ParseMode(s string) (Mode, error) {
 	switch s {
@@ -104,5 +82,5 @@ func ParseMode(s string) (Mode, error) {
 	case "multicast":
 		return Multicast, nil
 	}
-	return 0, fmt.Errorf("cache: unknown mode %q", s)
+	return 0, fmt.Errorf("cache: unknown mode %q (registered: unicast, multicast)", s)
 }

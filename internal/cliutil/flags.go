@@ -20,16 +20,25 @@ func Design(fs *flag.FlagSet) *string {
 	return fs.String("design", "A", "network design: "+strings.Join(config.DesignIDs(), ", "))
 }
 
-// Scheme registers the typed -policy and -mode flags. cache.Policy and
-// cache.Mode implement flag.Value, so parse errors surface through the
-// flag package with the registered names — no per-binary policy and
-// mode parsing plumbing. The help text enumerates cache.PolicyNames, so
-// every policy in the table shows up (and parses) on every binary.
-func Scheme(fs *flag.FlagSet) (*cache.Policy, *cache.Mode) {
-	p, m := cache.FastLRU, cache.Multicast
-	fs.Var(&p, "policy", "replacement policy: "+strings.Join(cache.PolicyNames(), ", "))
-	fs.Var(&m, "mode", "request mode: unicast, multicast")
-	return &p, &m
+// Scheme registers -policy and -mode as plain string flags, defaulting
+// to the paper's multicast Fast-LRU, and returns the resolver to call
+// after fs.Parse. The resolver is the one place a binary turns the two
+// names into a cache.Policy and a cache.Mode: an unknown name comes back
+// as an error naming the catalogue (cache.PolicyByName, cache.ParseMode),
+// which the binary reports and exits 1 on, as it does for -design or
+// -bench. The help text enumerates cache.PolicyNames, so every policy in
+// the table shows up (and parses) on every binary.
+func Scheme(fs *flag.FlagSet) func() (cache.Policy, cache.Mode, error) {
+	policy := fs.String("policy", cache.FastLRU.String(), "replacement policy: "+strings.Join(cache.PolicyNames(), ", "))
+	mode := fs.String("mode", cache.Multicast.String(), "request mode: unicast, multicast")
+	return func() (cache.Policy, cache.Mode, error) {
+		p, err := cache.PolicyByName(*policy)
+		if err != nil {
+			return p, 0, err
+		}
+		m, err := cache.ParseMode(*mode)
+		return p, m, err
+	}
 }
 
 // ListSchemes prints the replacement policies and the request

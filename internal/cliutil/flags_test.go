@@ -17,36 +17,44 @@ func quietFlagSet() *flag.FlagSet {
 
 func TestSchemeDefaults(t *testing.T) {
 	fs := quietFlagSet()
-	p, m := Scheme(fs)
+	scheme := Scheme(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if *p != cache.FastLRU || *m != cache.Multicast {
-		t.Fatalf("defaults: %v/%v, want fastLRU/multicast", *p, *m)
+	if p, m, err := scheme(); err != nil || p != cache.FastLRU || m != cache.Multicast {
+		t.Fatalf("defaults: %v/%v, %v; want fastLRU/multicast", p, m, err)
 	}
 }
 
 func TestSchemeParsesNames(t *testing.T) {
 	fs := quietFlagSet()
-	p, m := Scheme(fs)
+	scheme := Scheme(fs)
 	if err := fs.Parse([]string{"-policy", "promotion", "-mode", "unicast"}); err != nil {
 		t.Fatal(err)
 	}
-	if *p != cache.Promotion || *m != cache.Unicast {
-		t.Fatalf("parsed %v/%v, want promotion/unicast", *p, *m)
+	if p, m, err := scheme(); err != nil || p != cache.Promotion || m != cache.Unicast {
+		t.Fatalf("parsed %v/%v, %v; want promotion/unicast", p, m, err)
 	}
 }
 
+// TestSchemeRejectsUnknown: the flag package accepts any name, and the
+// resolver rejects a miss with the catalogue's own error.
 func TestSchemeRejectsUnknown(t *testing.T) {
-	fs := quietFlagSet()
-	Scheme(fs)
-	if err := fs.Parse([]string{"-policy", "bogus"}); err == nil {
-		t.Fatal("accepted unknown policy")
-	}
-	fs = quietFlagSet()
-	Scheme(fs)
-	if err := fs.Parse([]string{"-mode", "broadcast"}); err == nil {
-		t.Fatal("accepted unknown mode")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-policy", "bogus"}, `cache: unknown policy "bogus" (registered: promotion, LRU, fastLRU, directory)`},
+		{[]string{"-mode", "broadcast"}, `cache: unknown mode "broadcast" (registered: unicast, multicast)`},
+	} {
+		fs := quietFlagSet()
+		scheme := Scheme(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: flag parse: %v", tc.args, err)
+		}
+		if _, _, err := scheme(); err == nil || err.Error() != tc.want {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
 	}
 }
 

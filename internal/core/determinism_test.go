@@ -159,8 +159,8 @@ func TestExperimentDriversDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full driver sweep; skipped in -short")
 	}
-	cfgSeq := ExpConfig{Accesses: 150, Seed: 7, Workers: 1}
-	cfgPar := ExpConfig{Accesses: 150, Seed: 7, Workers: 8}
+	cfgSeq, cfgPar := paperCfg(150, 7), paperCfg(150, 7)
+	cfgSeq.Workers, cfgPar.Workers = 1, 8
 	for _, name := range []string{"f7", "f8", "f9", "headline"} {
 		var seq, par bytes.Buffer
 		runExperiment(t, name, cfgSeq).Render(&seq)

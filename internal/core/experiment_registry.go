@@ -81,7 +81,7 @@ var experiments = []Experiment{
 	},
 	{
 		Name: "f9", About: "Figure 9 normalized IPC across designs A-F",
-		Title: func(cfg ExpConfig) string { return "Figure 9: normalized IPC by design, " + schemeLabel(cfg) },
+		Title: func(cfg ExpConfig) string { return "Figure 9: normalized IPC by design, " + cfg.cell("").scheme() },
 		InAll: true,
 		Run:   sweepExperiment(fig9Jobs, renderFig9),
 	},
@@ -107,14 +107,14 @@ var experiments = []Experiment{
 		},
 		InAll: true,
 		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			pts, rep, err := ParetoSweep(cfg, cfg.bench())
+			pts, rep, err := ParetoSweep(cfg)
 			return rowsFunc(func(w io.Writer) { renderPareto(w, pts) }), rep, err
 		},
 	},
 	{
 		Name: "telemetry", About: "cycle-level probe comparison of designs A, D, F",
 		Title: func(cfg ExpConfig) string {
-			return "Telemetry: spatial and temporal view, designs A / D / F on " + cfg.bench() + ", " + schemeLabel(cfg)
+			return "Telemetry: spatial and temporal view, designs A / D / F on " + cfg.bench() + ", " + cfg.cell("").scheme()
 		},
 		InAll: false, // runs when named or when probe flags are set
 		Run:   sweepExperiment(telemetryJobs, renderTelemetry),

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"nucanet/internal/cache"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite experiment golden files")
@@ -33,6 +35,14 @@ func runExperiment(t *testing.T, name string, cfg ExpConfig) Rows {
 func sweepRuns(t *testing.T, name string, cfg ExpConfig) []Result {
 	t.Helper()
 	return runExperiment(t, name, cfg).(SweepRows).Runs
+}
+
+// paperCfg is DefaultExpConfig, the paper's multicast Fast-LRU, at a
+// test's size.
+func paperCfg(accesses int, seed uint64) ExpConfig {
+	cfg := DefaultExpConfig()
+	cfg.Accesses, cfg.Seed = accesses, seed
+	return cfg
 }
 
 // TestExperimentCatalogue pins the catalogue: exactly these experiments
@@ -67,7 +77,7 @@ func TestExperimentCatalogue(t *testing.T) {
 // drivers into Experiment.Run/Rows.Render changed no output. Regenerate
 // with: go test ./internal/core/ -run TestExperimentGoldens -update
 func TestExperimentGoldens(t *testing.T) {
-	cfg := ExpConfig{Accesses: 200, Seed: 42}
+	cfg := paperCfg(200, 42)
 	// The sweeps added after the first seven (~5 s together) are skipped
 	// under -short; the first seven always run.
 	long := map[string]bool{"f8": true, "f9": true, "headline": true, "pareto": true, "telemetry": true, "cmp": true}
@@ -101,15 +111,68 @@ func TestExperimentGoldens(t *testing.T) {
 	}
 }
 
-// TestExperimentSchemeOverride pins that the registry path still honors
-// the scheme override plumbing (the -policy/-mode flags).
+// TestExperimentSchemeOverride: ExpConfig's Policy and Mode reach every
+// run of the single-scheme experiments and name the scheme in their
+// titles; cmp keeps its directory policy and takes the mode. (A bad name
+// cannot reach ExpConfig: the CLIs resolve it, cmd/cli_test.go's rows.)
 func TestExperimentSchemeOverride(t *testing.T) {
-	cfg := ExpConfig{Accesses: 100, Seed: 42, PolicyName: "no-such-policy"}
-	e, err := ExperimentByName("energy")
+	cfg := paperCfg(40, 42)
+	cfg.Policy, cfg.Mode = cache.LRU, cache.Unicast
+	for _, name := range []string{"f9", "energy", "power", "telemetry", "cmp"} {
+		want := cache.LRU
+		if name == "cmp" {
+			want = cache.Directory
+		}
+		for i, r := range sweepRuns(t, name, cfg) {
+			if r.Options.Policy != want || r.Options.Mode != cache.Unicast {
+				t.Errorf("%s run %d ran %v+%v, want unicast+%v", name, i, r.Options.Mode, r.Options.Policy, want)
+			}
+		}
+	}
+	for _, name := range []string{"f9", "telemetry"} {
+		e, err := ExperimentByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if title := e.Title(cfg); !strings.HasSuffix(title, ", unicast+LRU") {
+			t.Errorf("%s title %q does not name unicast+LRU", name, title)
+		}
+	}
+}
+
+// TestExperimentBenchReachesRuns: ExpConfig.Bench is the benchmark of
+// every run of the single-benchmark experiments. Pareto returns points,
+// not runs, so each measured point must equal a direct run on the bench.
+func TestExperimentBenchReachesRuns(t *testing.T) {
+	cfg := paperCfg(40, 42)
+	cfg.Bench = "mcf"
+	for _, name := range []string{"energy", "power", "telemetry", "cmp"} {
+		for i, r := range sweepRuns(t, name, cfg) {
+			if r.Options.Benchmark != "mcf" {
+				t.Errorf("%s run %d ran %q, want mcf", name, i, r.Options.Benchmark)
+			}
+		}
+	}
+	pts, _, err := ParetoSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Run(cfg); err == nil || !strings.Contains(err.Error(), "no-such-policy") {
-		t.Errorf("energy with bad policy override: err = %v, want mention of the name", err)
+	for _, pt := range pts {
+		if pt.Skipped != "" {
+			continue
+		}
+		p, err := cache.PolicyByName(strings.TrimPrefix(pt.Scheme, "multicast+"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Run(Options{DesignID: pt.DesignID, Policy: p, Mode: cache.Multicast, Router: pt.RouterName,
+			Benchmark: "mcf", Accesses: cfg.Accesses, Seed: cfg.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.IPC != pt.IPC || r.AvgLatency != pt.AvgLat {
+			t.Errorf("pareto %s/%s/%s: ipc %v lat %v, an mcf run gives %v %v",
+				pt.RouterName, pt.DesignID, pt.Scheme, pt.IPC, pt.AvgLat, r.IPC, r.AvgLatency)
+		}
 	}
 }

@@ -23,20 +23,18 @@ type ExpConfig struct {
 	// value of Workers produces byte-identical experiment output (pinned
 	// by the determinism regression test).
 	Workers int
-	// PolicyName and ModeName override the replacement scheme of the
-	// single-scheme experiments (Fig9, energy, power gating, telemetry);
-	// empty keeps each experiment's paper configuration (multicast
-	// Fast-LRU). Names resolve through cache.PolicyByName, so every
-	// policy works here — and on the CLIs — with no further plumbing.
-	// Fixed-scheme reproductions (Fig7's unicast-LRU
-	// baseline, Fig8's five-scheme comparison, the headline claims)
-	// ignore the override by design.
-	PolicyName string
-	ModeName   string
+	// Policy and Mode are the replacement scheme of the single-scheme
+	// experiments (Fig9, energy, power gating, telemetry);
+	// DefaultExpConfig sets the paper configuration, multicast Fast-LRU.
+	// The cmp experiment takes Mode only: its policy is the directory.
+	// Fixed-scheme reproductions (Fig7's unicast-LRU baseline, Fig8's
+	// five-scheme comparison, the headline claims, the Pareto sweep)
+	// ignore both by design.
+	Policy cache.Policy
+	Mode   cache.Mode
 	// RouterName overrides the router microarchitecture of every run in
 	// an experiment (the -router flag); empty keeps each design's engine.
-	// Names resolve through router.ByName, like PolicyName through
-	// cache.PolicyByName.
+	// Names resolve through router.ByName.
 	RouterName string
 	// Bench selects the benchmark of the single-benchmark experiments
 	// (energy, power, pareto, telemetry); empty keeps the
@@ -46,12 +44,6 @@ type ExpConfig struct {
 	// zero value selects its default probe set. Other experiments ignore
 	// it.
 	Telemetry telemetry.Config
-	// Cores runs every simulation with N trace-driven cores on the CMP
-	// fabric (the -cores flag); 0 keeps the classic single-core path.
-	// Experiments over designs that cannot host cores (the radial halos)
-	// reject the combination. The cmp experiment ignores it: sweeping
-	// core counts is the experiment.
-	Cores int
 }
 
 // bench resolves the single-benchmark experiments' benchmark.
@@ -62,33 +54,21 @@ func (cfg ExpConfig) bench() string {
 	return cfg.Bench
 }
 
-// DefaultExpConfig keeps the full figure sweeps (paperbench -exp all) to
-// about 25 s wall at -j 2 on a 2-vCPU Xeon @ 2.10 GHz.
-func DefaultExpConfig() ExpConfig { return ExpConfig{Accesses: 8000, Seed: 42} }
-
-// scheme resolves the configured override against an experiment's paper
-// defaults, erroring on names no registered policy or mode answers to.
-func (cfg ExpConfig) scheme(p cache.Policy, m cache.Mode) (cache.Policy, cache.Mode, error) {
-	var err error
-	if cfg.PolicyName != "" {
-		if p, err = cache.PolicyByName(cfg.PolicyName); err != nil {
-			return p, m, err
-		}
-	}
-	if cfg.ModeName != "" {
-		if m, err = cache.ParseMode(cfg.ModeName); err != nil {
-			return p, m, err
-		}
-	}
-	return p, m, nil
+// DefaultExpConfig is the paper configuration: multicast Fast-LRU, with
+// the full figure sweeps (paperbench -exp all) kept to about 25 s wall
+// at -j 2 on a 2-vCPU Xeon @ 2.10 GHz.
+func DefaultExpConfig() ExpConfig {
+	return ExpConfig{Accesses: 8000, Seed: 42, Policy: cache.FastLRU, Mode: cache.Multicast}
 }
+
+// cell is the given design under the configured scheme.
+func (cfg ExpConfig) cell(design string) cell { return cell{design, cfg.Policy, cfg.Mode} }
 
 // run builds the Options of cell c on bench.
 func (cfg ExpConfig) run(c cell, bench string) Options {
 	return Options{
 		DesignID: c.design, Policy: c.policy, Mode: c.mode, Router: cfg.RouterName,
 		Benchmark: bench, Accesses: cfg.Accesses, Seed: cfg.Seed,
-		Cores: cfg.Cores,
 	}
 }
 
@@ -114,13 +94,9 @@ func (s SweepRows) Render(w io.Writer) { s.render(w, s.cfg, s.Runs) }
 // sweepExperiment is the one driver under the sweep experiments: build
 // the job list, fan it out on the engine once, and hand the runs — in
 // submission order — to the experiment's renderer.
-func sweepExperiment(jobs func(ExpConfig) ([]Options, error), render func(io.Writer, ExpConfig, []Result)) func(ExpConfig) (Rows, SweepReport, error) {
+func sweepExperiment(jobs func(ExpConfig) []Options, render func(io.Writer, ExpConfig, []Result)) func(ExpConfig) (Rows, SweepReport, error) {
 	return func(cfg ExpConfig) (Rows, SweepReport, error) {
-		opts, err := jobs(cfg)
-		if err != nil {
-			return nil, SweepReport{}, err
-		}
-		runs, rep, err := cfg.sweep(opts)
+		runs, rep, err := cfg.sweep(jobs(cfg))
 		if err != nil {
 			return nil, rep, err
 		}
@@ -161,33 +137,28 @@ func (cfg ExpConfig) grid(benches []string, cells ...cell) []Options {
 	return opts
 }
 
-// designCells is Designs A-F under multicast Fast-LRU, or under the
-// config's scheme override.
-func (cfg ExpConfig) designCells() ([]cell, error) {
-	p, m, err := cfg.scheme(cache.FastLRU, cache.Multicast)
+// designCells is Designs A-F under the configured scheme.
+func (cfg ExpConfig) designCells() []cell {
 	var cells []cell
 	for _, d := range config.Designs() {
-		cells = append(cells, cell{d.ID, p, m})
+		cells = append(cells, cfg.cell(d.ID))
 	}
-	return cells, err
+	return cells
 }
 
 // fig7Jobs is Figure 7's grid: the unicast LRU baseline on Design A.
-func fig7Jobs(cfg ExpConfig) ([]Options, error) { return cfg.grid(trace.Names(), meshLRU), nil }
+func fig7Jobs(cfg ExpConfig) []Options { return cfg.grid(trace.Names(), meshLRU) }
 
 // fig8Jobs is Figure 8's grid: all five schemes on Design A.
-func fig8Jobs(cfg ExpConfig) ([]Options, error) { return cfg.grid(trace.Names(), fig8Cells...), nil }
+func fig8Jobs(cfg ExpConfig) []Options { return cfg.grid(trace.Names(), fig8Cells...) }
 
 // fig9Jobs is Figure 9's grid: Designs A-F under one scheme.
-func fig9Jobs(cfg ExpConfig) ([]Options, error) {
-	cells, err := cfg.designCells()
-	return cfg.grid(trace.Names(), cells...), err
-}
+func fig9Jobs(cfg ExpConfig) []Options { return cfg.grid(trace.Names(), cfg.designCells()...) }
 
 // headlineJobs is the abstract's grid: mesh multicast Promotion, mesh
 // multicast Fast-LRU and halo multicast Fast-LRU.
-func headlineJobs(cfg ExpConfig) ([]Options, error) {
-	return cfg.grid(trace.Names(), meshPromo, meshFast, haloFast), nil
+func headlineJobs(cfg ExpConfig) []Options {
+	return cfg.grid(trace.Names(), meshPromo, meshFast, haloFast)
 }
 
 // Table4 regenerates the area analysis.
@@ -195,12 +166,11 @@ func Table4() ([]area.Report, error) {
 	return area.Table4(area.DefaultModel())
 }
 
-// energyJobs estimates the energy of all six designs under multicast
-// Fast-LRU (or the config's scheme override) on one benchmark (extension
-// experiment: the paper names energy analysis as future work).
-func energyJobs(cfg ExpConfig) ([]Options, error) {
-	cells, err := cfg.designCells()
-	return cfg.grid([]string{cfg.bench()}, cells...), err
+// energyJobs estimates the energy of all six designs under the
+// configured scheme on one benchmark (extension experiment: the paper
+// names energy analysis as future work).
+func energyJobs(cfg ExpConfig) []Options {
+	return cfg.grid([]string{cfg.bench()}, cfg.designCells()...)
 }
 
 // powerJobs gates the farthest banks of every Design A column, shrinking
@@ -209,15 +179,8 @@ func energyJobs(cfg ExpConfig) ([]Options, error) {
 // subset of cache systems"): gated banks contribute neither capacity nor
 // network/bank activity. The gated designs run through the engine via the
 // Options.Design override.
-func powerJobs(cfg ExpConfig) ([]Options, error) {
-	base, err := config.DesignByID("A")
-	if err != nil {
-		return nil, err
-	}
-	p, m, err := cfg.scheme(cache.FastLRU, cache.Multicast)
-	if err != nil {
-		return nil, err
-	}
+func powerJobs(cfg ExpConfig) []Options {
+	base := config.Designs()[0] // Table 3's Design A
 	var opts []Options
 	for _, ways := range []int{16, 12, 8, 4, 2} {
 		gated := base
@@ -225,11 +188,11 @@ func powerJobs(cfg ExpConfig) ([]Options, error) {
 		gated.Params.H = ways
 		gated.Banks = gated.Banks[:ways]       // re-slice only: the backing array is shared read-only
 		gated.Params.MemX = gated.Params.CoreX // keep the memory column valid for short meshes
-		o := cfg.run(cell{"", p, m}, cfg.bench())
+		o := cfg.run(cfg.cell(""), cfg.bench())
 		o.Design = &gated
 		opts = append(opts, o)
 	}
-	return opts, nil
+	return opts
 }
 
 // ParetoPoint is one (router, design, scheme) operating point of the
@@ -266,11 +229,11 @@ func (p ParetoPoint) dominated(q ParetoPoint) bool {
 
 // ParetoSweep crosses every router microarchitecture with the
 // mesh (A), simplified mesh (D), halo (F), and ring (R) representatives
-// and both multicast schemes on one benchmark, then marks the
+// and both multicast schemes on the configured benchmark, then marks the
 // area/latency/energy frontier. Combinations an engine rejects (its
 // Supports declaration) are reported as skipped rather than failing the
 // sweep, so adding a constrained engine never breaks the experiment.
-func ParetoSweep(cfg ExpConfig, bench string) ([]ParetoPoint, SweepReport, error) {
+func ParetoSweep(cfg ExpConfig) ([]ParetoPoint, SweepReport, error) {
 	model := area.DefaultModel()
 	var opts []Options
 	var pts []ParetoPoint
@@ -278,7 +241,7 @@ func ParetoSweep(cfg ExpConfig, bench string) ([]ParetoPoint, SweepReport, error
 		for _, id := range []string{"A", "D", "F", "R"} {
 			for _, p := range []cache.Policy{cache.Promotion, cache.FastLRU} {
 				c := cell{id, p, cache.Multicast}
-				o := cfg.run(c, bench)
+				o := cfg.run(c, cfg.bench())
 				o.Router = rt
 				pt := ParetoPoint{RouterName: rt, DesignID: id, Scheme: c.scheme()}
 				if err := o.Validate(); err != nil {
@@ -370,42 +333,33 @@ func Table2Check(n int, seed uint64) []Table2Row {
 // how aggregate throughput, tail latency, and cross-core interference
 // scale as the fabric is shared. Every run records the link heatmap; the
 // table shows the largest run's.
-func cmpJobs(cfg ExpConfig) ([]Options, error) {
+func cmpJobs(cfg ExpConfig) []Options {
 	// The policy is part of the experiment's definition: the x-evict
 	// column exists only under the directory policy's ownership
-	// bookkeeping, so the -policy override is ignored here (the mode
-	// override still applies).
-	m := cache.Multicast
-	if cfg.ModeName != "" {
-		var err error
-		if m, err = cache.ParseMode(cfg.ModeName); err != nil {
-			return nil, err
-		}
-	}
+	// bookkeeping, so cfg.Policy is ignored here (cfg.Mode applies).
 	var opts []Options
 	for _, n := range []int{1, 2, 4, 8} {
-		o := cfg.run(cell{"H2", cache.Directory, m}, cfg.bench())
+		o := cfg.run(cell{"H2", cache.Directory, cfg.Mode}, cfg.bench())
 		o.Cores = n
 		o.Telemetry = telemetry.Config{Heatmap: true}
 		opts = append(opts, o)
 	}
-	return opts, nil
+	return opts
 }
 
 // telemetryJobs runs a mesh (A), a simplified mesh (D), and a halo (F)
 // on one benchmark with the configured probes (a heatmap plus a
-// 200-cycle series when none is set) under multicast Fast-LRU — the
+// 200-cycle series when none is set) under the configured scheme — the
 // side-by-side spatial view of how the three topologies spread the same
 // workload's traffic.
-func telemetryJobs(cfg ExpConfig) ([]Options, error) {
-	p, m, err := cfg.scheme(cache.FastLRU, cache.Multicast)
+func telemetryJobs(cfg ExpConfig) []Options {
 	tcfg := cfg.Telemetry
 	if !tcfg.Enabled() {
 		tcfg = telemetry.Config{Heatmap: true, SampleEvery: 200}
 	}
-	opts := cfg.grid([]string{cfg.bench()}, cell{"A", p, m}, cell{"D", p, m}, cell{"F", p, m})
+	opts := cfg.grid([]string{cfg.bench()}, cfg.cell("A"), cfg.cell("D"), cfg.cell("F"))
 	for i := range opts {
 		opts[i].Telemetry = tcfg
 	}
-	return opts, err
+	return opts
 }

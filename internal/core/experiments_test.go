@@ -13,7 +13,7 @@ import (
 )
 
 // tiny keeps the full-sweep drivers testable in seconds.
-var tiny = ExpConfig{Accesses: 250, Seed: 7}
+var tiny = paperCfg(250, 7)
 
 func TestFig7Driver(t *testing.T) {
 	if testing.Short() {
@@ -41,7 +41,7 @@ func TestFig8Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	runs := sweepRuns(t, "f8", ExpConfig{Accesses: 200, Seed: 7})
+	runs := sweepRuns(t, "f8", paperCfg(200, 7))
 	schemes := fig8Cells
 	if len(runs) != 12*len(schemes) {
 		t.Fatalf("runs = %d, want 60", len(runs))
@@ -64,7 +64,7 @@ func TestFig9Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	runs := sweepRuns(t, "f9", ExpConfig{Accesses: 200, Seed: 7})
+	runs := sweepRuns(t, "f9", paperCfg(200, 7))
 	designs := config.Designs()
 	if len(runs) != 12*len(designs) {
 		t.Fatalf("runs = %d, want 72", len(runs))
@@ -86,7 +86,7 @@ func TestFig9Driver(t *testing.T) {
 }
 
 func TestEnergyComparisonDriver(t *testing.T) {
-	runs := sweepRuns(t, "energy", ExpConfig{Accesses: 600, Seed: 7})
+	runs := sweepRuns(t, "energy", paperCfg(600, 7))
 	if len(runs) != 6 {
 		t.Fatalf("runs = %d, want 6", len(runs))
 	}
@@ -130,7 +130,7 @@ func TestHeadlineClaimsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	runs := sweepRuns(t, "headline", ExpConfig{Accesses: 300, Seed: 7})
+	runs := sweepRuns(t, "headline", paperCfg(300, 7))
 	if g := claimByID(t, "headline/halo-fast-vs-mesh-promo").measure(runs); g <= 0 {
 		t.Errorf("halo fastLRU vs mesh promotion gain = %+.1f%%, want > 0", g)
 	}
@@ -188,7 +188,7 @@ func TestPowerGatingSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	runs := sweepRuns(t, "power", ExpConfig{Accesses: 800, Seed: 7})
+	runs := sweepRuns(t, "power", paperCfg(800, 7))
 	if len(runs) != 5 || len(runs[0].Design.Banks) != 16 || len(runs[4].Design.Banks) != 2 {
 		t.Fatalf("sweep shape wrong: %d runs", len(runs))
 	}
@@ -218,7 +218,9 @@ func TestPowerGatingSweep(t *testing.T) {
 // included (they once dropped it, so -exp power -router X printed the
 // default router's table).
 func TestPowerGatingFollowsRouterOverride(t *testing.T) {
-	for _, r := range sweepRuns(t, "power", ExpConfig{Accesses: 100, Seed: 7, RouterName: "bufferless"}) {
+	cfg := paperCfg(100, 7)
+	cfg.RouterName = "bufferless"
+	for _, r := range sweepRuns(t, "power", cfg) {
 		if got := r.Design.Router.Engine; got != "bufferless" {
 			t.Errorf("%d-way gated run simulated on router %q, want bufferless", len(r.Design.Banks), got)
 		}

@@ -17,19 +17,6 @@ import (
 // runs: a render function over the []Result that sweepExperiment hands
 // it, paired with a job-list function in experiments.go.
 
-// schemeLabel names the scheme a single-scheme experiment actually ran
-// under (the -policy/-mode override, or the paper default).
-func schemeLabel(cfg ExpConfig) string {
-	p, m := cfg.PolicyName, cfg.ModeName
-	if p == "" {
-		p = "fastLRU"
-	}
-	if m == "" {
-		m = "multicast"
-	}
-	return m + "+" + p
-}
-
 // rowsFunc is the Rows of an experiment that prints without a sweep.
 type rowsFunc func(w io.Writer)
 
@@ -180,7 +167,7 @@ func renderHeadline(w io.Writer, _ ExpConfig, runs []Result) {
 // renderEnergy prints the per-design energy comparison, captioned with
 // the benchmark and scheme the runs measured.
 func renderEnergy(w io.Writer, cfg ExpConfig, runs []Result) {
-	fmt.Fprintf(w, "design    nJ/access   network%%   banks%%   memory%%     IPC   (%s, %s)\n", cfg.bench(), schemeLabel(cfg))
+	fmt.Fprintf(w, "design    nJ/access   network%%   banks%%   memory%%     IPC   (%s, %s)\n", cfg.bench(), cfg.cell("").scheme())
 	for _, r := range runs {
 		e := r.Energy
 		fmt.Fprintf(w, "  %s       %7.2f      %5.1f    %5.1f     %5.1f   %5.3f\n",

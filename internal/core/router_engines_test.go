@@ -163,7 +163,7 @@ func TestRouterOptionValidation(t *testing.T) {
 func TestParetoSweepShape(t *testing.T) {
 	cfg := DefaultExpConfig()
 	cfg.Accesses = 120
-	pts, _, err := ParetoSweep(cfg, "gcc")
+	pts, _, err := ParetoSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

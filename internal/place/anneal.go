@@ -19,7 +19,7 @@ import (
 var DefaultBenchmarks = []string{"gcc", "mcf", "art", "apsi"}
 
 // Config tunes one optimizer search; zero fields take the listed
-// defaults. The search is deterministic: same Config, same result, same
+// defaults, except the scheme (Policy, Mode), which has none. The search is deterministic: same Config, same result, same
 // Hash (pinned by cmd/cli_test.go and TestSearchDeterministic).
 type Config struct {
 	Seed uint64 // RNG seed for the annealing schedule (default 1)
@@ -46,10 +46,11 @@ type Config struct {
 	Benchmarks []string // scoring mix (default DefaultBenchmarks)
 	Workers    int      // engine workers; 0 selects GOMAXPROCS
 
-	// Policy and Mode name the replacement scheme of every scored run;
-	// empty selects the paper's winner (multicast Fast-LRU).
-	Policy string
-	Mode   string
+	// Policy and Mode are the replacement scheme of every scored run.
+	// They have no default: the paper's winner is FastLRU with
+	// Multicast, the pair cmd/nucaopt's flags default to.
+	Policy cache.Policy
+	Mode   cache.Mode
 
 	// Cores > 0 scores every candidate as a full-system CMP run: N
 	// trace-driven cores share each candidate's fabric, the benchmark
@@ -149,11 +150,6 @@ type Result struct {
 // returned Best is a confirmed, not screened, winner.
 func Search(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	policy, mode, err := scheme(cfg)
-	if err != nil {
-		return nil, err
-	}
-
 	model := area.DefaultModel()
 	baseline := Seed().Canon()
 	if cfg.Cores > 0 {
@@ -175,7 +171,7 @@ func Search(cfg Config) (*Result, error) {
 	scores := map[string]Scored{} // canonical encoding -> screening score
 
 	eval := func(cands []Candidate, accesses int) ([]Scored, error) {
-		return res.score(cands, accesses, policy, mode, cfg)
+		return res.score(cands, accesses, cfg)
 	}
 
 	// Screen the seed.
@@ -290,7 +286,7 @@ func Search(cfg Config) (*Result, error) {
 
 // score evaluates candidates on the benchmark mix as one engine batch
 // of len(cands) x len(benchmarks) lanes.
-func (res *Result) score(cands []Candidate, accesses int, policy cache.Policy, mode cache.Mode, cfg Config) ([]Scored, error) {
+func (res *Result) score(cands []Candidate, accesses int, cfg Config) ([]Scored, error) {
 	model := area.DefaultModel()
 	opts := make([]core.Options, 0, len(cands)*len(cfg.Benchmarks))
 	designs := make([]config.Design, len(cands))
@@ -300,7 +296,7 @@ func (res *Result) score(cands []Candidate, accesses int, policy cache.Policy, m
 			opt := core.DefaultOptions()
 			opt.DesignID = designs[i].ID
 			opt.Design = &designs[i]
-			opt.Policy, opt.Mode = policy, mode
+			opt.Policy, opt.Mode = cfg.Policy, cfg.Mode
 			opt.Benchmark = bench
 			opt.Accesses = accesses
 			opt.Seed = 42
@@ -348,24 +344,6 @@ func (res *Result) score(cands []Candidate, accesses int, policy cache.Policy, m
 		}
 	}
 	return out, nil
-}
-
-// scheme resolves the configured replacement scheme, defaulting to the
-// paper's multicast Fast-LRU.
-func scheme(cfg Config) (cache.Policy, cache.Mode, error) {
-	policy, mode := cache.FastLRU, cache.Multicast
-	var err error
-	if cfg.Policy != "" {
-		if policy, err = cache.PolicyByName(cfg.Policy); err != nil {
-			return policy, mode, err
-		}
-	}
-	if cfg.Mode != "" {
-		if mode, err = cache.ParseMode(cfg.Mode); err != nil {
-			return policy, mode, err
-		}
-	}
-	return policy, mode, nil
 }
 
 // topK returns the k highest screening scores, deterministically (score

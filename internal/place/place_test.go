@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nucanet/internal/cache"
 	"nucanet/internal/config"
 	"nucanet/internal/sim"
 )
@@ -117,6 +118,7 @@ func TestSearchDeterministicAndSound(t *testing.T) {
 		Seed: 5, Budget: 6, Wave: 3,
 		ScreenAccesses: 60, ConfirmAccesses: 120,
 		Benchmarks: []string{"gcc"}, Workers: 2,
+		Policy: cache.FastLRU, Mode: cache.Multicast,
 	}
 	run := func() *Result {
 		res, err := Search(cfg)
@@ -150,6 +152,7 @@ func TestSearchWithCoresScreensCMP(t *testing.T) {
 		Seed: 5, Budget: 5, Wave: 3,
 		ScreenAccesses: 60, ConfirmAccesses: 120,
 		Benchmarks: []string{"gcc"}, Workers: 2,
+		Policy: cache.FastLRU, Mode: cache.Multicast,
 		Cores: 2,
 	}
 	run := func() *Result {
@@ -181,6 +184,7 @@ func TestSearchWithCoresScreensCMP(t *testing.T) {
 		Seed: 5, Budget: 5, Wave: 3,
 		ScreenAccesses: 60, ConfirmAccesses: 120,
 		Benchmarks: []string{"gcc"}, Workers: 2,
+		Policy: cache.FastLRU, Mode: cache.Multicast,
 	}
 	rs, err := Search(solo)
 	if err != nil {

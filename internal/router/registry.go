@@ -87,25 +87,14 @@ type Builder struct {
 	// BufferFlitsPerPort returns the flit-buffer depth one input port
 	// carries under cfg — the area model's per-engine buffer cost (the
 	// wormhole's 4 VCs x 4 flits = 16; the deflection router's single
-	// pipeline latch = 1; ring-lite's two-entry latch = 2).
+	// pipeline latch = 1; ring-lite's two-entry latch = 2). Required,
+	// like New.
 	BufferFlitsPerPort func(cfg Config) int
 }
 
 // DefaultEngine is the microarchitecture an empty Config.Engine selects:
 // the paper's VC wormhole router.
 const DefaultEngine = "vc-wormhole"
-
-// BufferFlits returns BufferFlitsPerPort(cfg), defaulting to the wormhole
-// calibration point (default VCs x depth) for builders that do not model
-// their buffers — area estimates then err conservative instead of
-// panicking.
-func (b Builder) BufferFlits(cfg Config) int {
-	if b.BufferFlitsPerPort == nil {
-		d := DefaultConfig()
-		return d.VCsPerPC * d.BufDepth
-	}
-	return b.BufferFlitsPerPort(cfg)
-}
 
 // engines is the closed catalogue of router microarchitectures: a new
 // engine is one row here.

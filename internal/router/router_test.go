@@ -196,15 +196,18 @@ func TestOccupancyTracksBufferedFlits(t *testing.T) {
 }
 
 // TestBuiltinEngines pins the engine catalogue (Names is sorted), that
-// every row's Name is its key, the empty-name default and the miss error.
+// every row's Name is its key and sets its two required funcs (New, and
+// BufferFlitsPerPort for the area model), the empty-name default and the
+// miss error.
 func TestBuiltinEngines(t *testing.T) {
 	want := []string{"bufferless", "ring-lite", DefaultEngine}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
 	for key, b := range engines {
-		if b.Name != key || b.New == nil {
-			t.Errorf("engines[%q]: Name %q, New set %v; want its key and a constructor", key, b.Name, b.New != nil)
+		if b.Name != key || b.New == nil || b.BufferFlitsPerPort == nil {
+			t.Errorf("engines[%q]: Name %q, New set %v, BufferFlitsPerPort set %v; want its key and both funcs",
+				key, b.Name, b.New != nil, b.BufferFlitsPerPort != nil)
 		}
 	}
 	if b, err := ByName(""); err != nil || b.Name != DefaultEngine {
