@@ -1,9 +1,9 @@
 # Tier-1 verification is `make test`; `make check` is the CI gate: gofmt,
 # vet (root and benchmark modules), the full test suite (which includes cmd/cli_test.go's end-to-end
-# drive of the five binaries and the two examples: telemetry trace, the
+# drive of the four binaries and the two examples: telemetry trace, the
 # CMP CLI golden, the cmp and pareto sweeps, static routing verification,
 # the examples' stdout goldens, a deterministic placement search and a
-# nucad/nucaload serve-and-drain cycle; and the root package's
+# nucad serve-and-drain cycle over net/http; and the root package's
 # dead-export test, which fails on an exported func under internal/ that
 # no non-test file names), the benchmark module's own tests, the race
 # detector over the short-mode subset (which includes the engine's

@@ -1,7 +1,7 @@
 // Package cmd holds the end-to-end gate over the command-line binaries:
-// one test builds nucasim, paperbench, nucaopt, nucad and nucaload plus
-// the two example programs and drives them the way a user (or a script)
-// would, so flag wiring, exit codes, the committed stdout goldens and the
+// one test builds nucasim, paperbench, nucaopt and nucad plus the two
+// example programs and drives them the way a user (or a script) would,
+// so flag wiring, exit codes, the committed stdout goldens and the
 // daemon's boot / serve / drain cycle cannot rot outside `go test ./...`.
 // It is skipped under -short.
 package cmd
@@ -9,6 +9,9 @@ package cmd
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -48,7 +51,7 @@ var (
 
 func TestCLI(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs the five binaries and two examples")
+		t.Skip("builds and runs the four binaries and two examples")
 	}
 	tmp := t.TempDir()
 	// `go build` reads the sources, not this test, so the test cache
@@ -61,7 +64,7 @@ func TestCLI(t *testing.T) {
 		}
 	}
 	build := exec.Command("go", "build", "-o", tmp+string(filepath.Separator),
-		"./nucasim", "./paperbench", "./nucaopt", "./nucad", "./nucaload",
+		"./nucasim", "./paperbench", "./nucaopt", "./nucad",
 		"../examples/quickstart", "../examples/customworkload")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
@@ -128,6 +131,10 @@ func TestCLI(t *testing.T) {
 			mentions: []string{`unknown policy "static" (registered: promotion, LRU, fastLRU, directory)`}},
 		{name: "unknown mode", bin: "nucasim", args: []string{"-mode", "broadcast"}, exit: 1,
 			mentions: []string{`unknown mode "broadcast" (registered: unicast, multicast)`}},
+		// Policy and mode names are read by one rule: case and dashes do
+		// not count.
+		{name: "scheme names ignore case", bin: "nucasim", args: []string{"-policy", "LRU", "-mode", "Unicast", "-n", "10"},
+			sameAs: []string{"-policy", "lru", "-mode", "unicast", "-n", "10"}},
 		// Every binary that reads -policy and -mode resolves them the same
 		// way (cliutil.Scheme).
 		{name: "paperbench unknown mode", bin: "paperbench", args: []string{"-mode", "broadcast"}, exit: 1,
@@ -215,10 +222,11 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
-	// Boot the daemon on an ephemeral port, fire a short mixed load at it
-	// that must see content-addressed cache hits, then SIGTERM: listener,
+	// Boot the daemon on an ephemeral port, repeat one request, which
+	// must come back from the content-addressed cache byte for byte, send
+	// a few distinct ones from several clients, then SIGTERM: listener,
 	// scheduler, cache and graceful drain end to end.
-	t.Run("nucad serves nucaload and drains on SIGTERM", func(t *testing.T) {
+	t.Run("nucad serves over HTTP and drains on SIGTERM", func(t *testing.T) {
 		addrFile, logFile := filepath.Join(tmp, "nucad.addr"), filepath.Join(tmp, "nucad.log")
 		logW, err := os.Create(logFile)
 		if err != nil {
@@ -252,10 +260,37 @@ func TestCLI(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 			addr, _ = os.ReadFile(addrFile)
 		}
-		stdout, stderr, exit := run(t, bin("nucaload"), "-addr", "http://"+string(addr),
-			"-n", "60", "-c", "4", "-clients", "3", "-unique", "6", "-accesses", "300", "-require-hits")
-		if exit != 0 {
-			t.Errorf("nucaload exit %d\n%s%s", exit, stdout, stderr)
+		post := func(body, client string) (cacheSrc string, resp []byte) {
+			t.Helper()
+			req, err := http.NewRequest(http.MethodPost, "http://"+string(addr)+"/v1/run", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("X-Client", client)
+			res, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Body.Close()
+			if resp, err = io.ReadAll(res.Body); err != nil || res.StatusCode != http.StatusOK {
+				t.Fatalf("POST %s: status %d, %v\n%s", body, res.StatusCode, err, resp)
+			}
+			return res.Header.Get("X-Nucad-Cache"), resp
+		}
+		const repeated = `{"design":"F","accesses":300,"seed":1}`
+		first, cold := post(repeated, "client-0")
+		second, warm := post(repeated, "client-1")
+		if first != "miss" || second != "hit" || !bytes.Equal(cold, warm) {
+			t.Errorf("one request twice: X-Nucad-Cache %q then %q, same body %v; want miss, hit, true", first, second, bytes.Equal(cold, warm))
+		}
+		for seed := 2; seed <= 4; seed++ {
+			body := fmt.Sprintf(`{"design":"F","accesses":300,"seed":%d}`, seed)
+			if seed == 3 {
+				body = fmt.Sprintf(`{"design":"F","accesses":300,"seed":%d,"router":"bufferless"}`, seed)
+			}
+			if src, _ := post(body, fmt.Sprintf("client-%d", seed%3)); src != "miss" {
+				t.Errorf("%s, never sent before: X-Nucad-Cache %q, want miss", body, src)
+			}
 		}
 		if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
 			t.Fatal(err)

@@ -90,27 +90,26 @@ const maxWays = 254
 // first n frames. Readers read an unwritten set through img; the first
 // mutation copies it into the bank's frames. A clone of a warm image
 // therefore costs one clear of fill, and a run pays for the sets it
-// writes, not for the size of the cache.
+// writes, not for the size of the cache. An image may hold fewer sets
+// than the banks cloned from it (a warm image holds only the sets a
+// stream reaches); reading a set past it panics.
 type Bank struct {
 	spec   Spec
 	lat    Latency
 	fill   []uint8
 	frames []Block
 	img    *Bank // read-through source of unwritten sets; never written through
-
-	// Counters for experiment reporting.
-	Probes uint64 // tag-match accesses
-	Stores uint64 // block installs
 }
 
-// NewIn returns an empty bank by value, for its owner to embed, with its
-// storage carved from an arena — batch construction lays a lane's bank
-// state contiguously and recycles it across construction rounds.
-func NewIn(spec Spec, ar *Arena) Bank {
-	if spec.SizeKB <= 0 || spec.Ways <= 0 || spec.Ways > maxWays {
-		panic(fmt.Sprintf("bank: bad spec %+v", spec))
+// NewIn returns an empty bank of the given number of sets by value, for
+// its owner to embed, with its storage carved from an arena — batch
+// construction lays a lane's bank state contiguously and recycles it
+// across construction rounds. A cache's banks hold spec.Sets() sets; a
+// warm image's template banks hold the prefix of them it warms.
+func NewIn(spec Spec, sets int, ar *Arena) Bank {
+	if spec.SizeKB <= 0 || spec.Ways <= 0 || spec.Ways > maxWays || sets > spec.Sets() {
+		panic(fmt.Sprintf("bank: bad spec %+v with %d sets", spec, sets))
 	}
-	sets := spec.Sets()
 	return Bank{
 		spec: spec, lat: LatencyFor(spec.SizeKB),
 		fill:   slab.Grab(&ar.fills, sets),
@@ -118,18 +117,18 @@ func NewIn(spec Spec, ar *Arena) Bank {
 	}
 }
 
-// CloneState makes this bank's state that of src — blocks and counters.
-// Both banks must have the same spec. Nothing is copied up front: every
-// set reads through to src until this bank first writes it (see Bank),
-// so src must not change while this bank is in use. A warmed template
-// is cloned this way into every run (see cache.WarmImage).
+// CloneState makes this bank's blocks those of src. Both banks must have
+// the same spec, and src may hold a prefix of this bank's sets. Nothing
+// is copied up front: every set reads through to src until this bank
+// first writes it (see Bank), so src must not change while this bank is
+// in use. A warmed template is cloned this way into every run (see
+// cache.WarmImage).
 func (b *Bank) CloneState(src *Bank) {
 	if b.spec != src.spec {
 		panic(fmt.Sprintf("bank: clone of %s into %s", src.spec, b.spec))
 	}
 	clear(b.fill)
 	b.img = src
-	b.Probes, b.Stores = src.Probes, src.Stores
 }
 
 // Spec returns the bank geometry.
@@ -146,7 +145,8 @@ func (b *Bank) checkSet(set int) {
 }
 
 // view returns the set's blocks for reading, MRU first: the bank's own
-// frames once it has written the set, the image's before.
+// frames once it has written the set, the image's before. A set past
+// the image's panics, naming the set and the image's size.
 func (b *Bank) view(set int) []Block {
 	b.checkSet(set)
 	src := b
@@ -155,6 +155,9 @@ func (b *Bank) view(set int) []Block {
 			return nil
 		}
 		src = src.img
+		if set >= len(src.fill) {
+			panic(fmt.Sprintf("bank: set %d read past its image's %d sets", set, len(src.fill)))
+		}
 	}
 	o := set * src.spec.Ways
 	return src.frames[o : o+int(src.fill[set])-1]
@@ -170,11 +173,7 @@ func (b *Bank) own(set int) []Block {
 	frames := b.frames[set*w : (set+1)*w : (set+1)*w]
 	f := b.fill[set]
 	if f == 0 {
-		var src []Block
-		if b.img != nil {
-			src = b.img.view(set)
-		}
-		f = uint8(copy(frames, src)) + 1
+		f = uint8(copy(frames, b.view(set))) + 1
 		b.fill[set] = f
 	}
 	return frames[:f-1]
@@ -184,7 +183,6 @@ func (b *Bank) setLen(set, n int) { b.fill[set] = uint8(n) + 1 }
 
 // Lookup tag-matches a set; it does not touch recency.
 func (b *Bank) Lookup(set int, tag uint64) (way int, ok bool) {
-	b.Probes++
 	for i, blk := range b.view(set) {
 		if blk.Tag == tag {
 			return i, true
@@ -231,7 +229,6 @@ func (b *Bank) Insert(set int, blk Block) {
 	if n >= b.spec.Ways {
 		panic(fmt.Sprintf("bank: insert into full set %d (%s)", set, b.spec))
 	}
-	b.Stores++
 	blks = blks[:n+1]
 	copy(blks[1:], blks[:n])
 	blks[0] = blk
@@ -248,7 +245,6 @@ func (b *Bank) InsertLRU(set int, blk Block) {
 	if n >= b.spec.Ways {
 		panic(fmt.Sprintf("bank: insertLRU into full set %d (%s)", set, b.spec))
 	}
-	b.Stores++
 	blks = blks[:n+1]
 	blks[n] = blk
 	b.setLen(set, n+1)
@@ -281,6 +277,3 @@ func (b *Bank) EachBlock(set int, f func(Block)) {
 
 // Ways returns the bank associativity.
 func (b *Bank) Ways() int { return b.spec.Ways }
-
-// NumSets returns the set count.
-func (b *Bank) NumSets() int { return len(b.fill) }

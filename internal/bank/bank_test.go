@@ -1,6 +1,7 @@
 package bank
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 // newBank returns an empty bank carved from an arena of its own.
 func newBank(spec Spec) *Bank {
-	b := NewIn(spec, new(Arena))
+	b := NewIn(spec, spec.Sets(), new(Arena))
 	return &b
 }
 
@@ -261,7 +262,7 @@ func warmTemplate(spec Spec) *Bank {
 
 // contents is every set's Blocks.
 func contents(b *Bank) [][]Block {
-	out := make([][]Block, b.NumSets())
+	out := make([][]Block, len(b.fill))
 	for set := range out {
 		out[set] = b.Blocks(set)
 	}
@@ -280,18 +281,14 @@ func copiedSets(b *Bank) int {
 }
 
 // TestCloneReadsThrough: a clone answers every read from the image —
-// Lookup, Occupancy, Blocks and EachBlock, plus the counters — without
-// copying a single set, and drops whatever the bank held before.
+// Lookup, Occupancy, Blocks and EachBlock — without copying a single
+// set, and drops whatever the bank held before.
 func TestCloneReadsThrough(t *testing.T) {
 	spec := Spec{256, 4}
 	img := warmTemplate(spec)
-	img.Probes = 11
 	b := newBank(spec)
 	b.Insert(3, Block{Tag: 999})
 	b.CloneState(img)
-	if b.Probes != img.Probes || b.Stores != img.Stores {
-		t.Fatalf("counters %d/%d, image %d/%d", b.Probes, b.Stores, img.Probes, img.Stores)
-	}
 	for set := 0; set < spec.Sets(); set++ {
 		want := img.Blocks(set)
 		if got := b.Blocks(set); !reflect.DeepEqual(got, want) {
@@ -370,14 +367,14 @@ func TestArenaRewindLeaksNoStaleFrames(t *testing.T) {
 	spec := Spec{256, 4}
 	img := warmTemplate(spec)
 	var ar Arena
-	old := NewIn(spec, &ar)
+	old := NewIn(spec, spec.Sets(), &ar)
 	for set := 0; set < spec.Sets(); set++ {
 		for w := 0; w < spec.Ways; w++ {
 			old.Insert(set, Block{Tag: 1<<40 | uint64(set<<8|w), Dirty: true})
 		}
 	}
 	ar.Reset()
-	b := NewIn(spec, &ar)
+	b := NewIn(spec, spec.Sets(), &ar)
 	if &b.frames[0] != &old.frames[0] || b.frames[0] != old.frames[0] {
 		t.Fatal("the rewound arena did not hand back the previous round's frames as they were")
 	}
@@ -417,7 +414,8 @@ func TestArenaRewindLeaksNoStaleFrames(t *testing.T) {
 // TestNewInRejectsWaysBeyondFill: a set's fill is a uint8 holding the
 // block count plus one.
 func TestNewInRejectsWaysBeyondFill(t *testing.T) {
-	b := NewIn(Spec{SizeKB: 512, Ways: 254}, new(Arena))
+	spec := Spec{SizeKB: 512, Ways: 254}
+	b := NewIn(spec, spec.Sets(), new(Arena))
 	for w := 0; w < 254; w++ {
 		b.InsertLRU(1, Block{Tag: uint64(w)})
 	}
@@ -429,15 +427,64 @@ func TestNewInRejectsWaysBeyondFill(t *testing.T) {
 			t.Fatalf("255 ways: recovered %q, want a bad-spec panic", msg)
 		}
 	}()
-	NewIn(Spec{SizeKB: 512, Ways: 255}, new(Arena))
+	NewIn(Spec{SizeKB: 512, Ways: 255}, 1, new(Arena))
 }
 
-func TestProbeStoreCounters(t *testing.T) {
+// TestLookupReadsInsertFills: Insert fills one frame of its set, and
+// Lookup finds a block by tag without writing any set.
+func TestLookupReadsInsertFills(t *testing.T) {
 	b := newBank(Spec{64, 1})
 	b.Insert(0, Block{Tag: 1})
-	b.Lookup(0, 1)
-	b.Lookup(0, 2)
-	if b.Probes != 2 || b.Stores != 1 {
-		t.Fatalf("probes=%d stores=%d, want 2/1", b.Probes, b.Stores)
+	if got := b.Blocks(0); !reflect.DeepEqual(got, []Block{{Tag: 1}}) || b.fill[0] != 2 {
+		t.Fatalf("after Insert set 0 holds %v at fill %d, want one block at fill 2", got, b.fill[0])
+	}
+	if w, ok := b.Lookup(0, 1); !ok || w != 0 {
+		t.Fatalf("Lookup(0, 1) = %d,%v, want 0,true", w, ok)
+	}
+	if _, ok := b.Lookup(0, 2); ok {
+		t.Fatal("Lookup(0, 2) hit a tag never inserted")
+	}
+	if _, ok := b.Lookup(1, 1); ok {
+		t.Fatal("Lookup(1, 1) hit a tag inserted into set 0")
+	}
+	if n := copiedSets(b); n != 1 || b.fill[0] != 2 {
+		t.Fatalf("lookups changed the fills: %d sets written, set 0 at fill %d", n, b.fill[0])
+	}
+}
+
+// TestCloneReadPastImagePanics: an image may hold a prefix of its
+// clones' sets. A clone reads and writes those through to it; the first
+// read of a set past them — a lookup, or the copy a first write makes —
+// panics naming the set and the image's size instead of answering from
+// sets nothing warmed.
+func TestCloneReadPastImagePanics(t *testing.T) {
+	spec := Spec{256, 4}
+	var ar Arena
+	img := NewIn(spec, 4, &ar)
+	img.InsertLRU(3, Block{Tag: 7})
+	b := newBank(spec)
+	b.CloneState(&img)
+	if w, ok := b.Lookup(3, 7); !ok || w != 0 {
+		t.Fatalf("Lookup(3, 7) = %d,%v through a 4-set image, want 0,true", w, ok)
+	}
+	b.Touch(3, 0)
+	for _, tc := range []struct {
+		name string
+		set  int
+		read func(set int)
+	}{
+		{"Lookup", 4, func(set int) { b.Lookup(set, 7) }},
+		{"EvictLRU", 4, func(set int) { b.EvictLRU(set) }},
+		{"Insert", 5, func(set int) { b.Insert(set, Block{Tag: 9}) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("set %d ", tc.set)) || !strings.Contains(msg, "4 sets") {
+					t.Errorf("%s of set %d past a 4-set image: recovered %q, want a panic naming the set and the image's 4 sets", tc.name, tc.set, msg)
+				}
+			}()
+			tc.read(tc.set)
+		}()
 	}
 }

@@ -60,6 +60,16 @@ func mustProfile(t *testing.T, name string) trace.Profile {
 	return p
 }
 
+// warmedGolden returns a golden model of s warmed from the table s was
+// warmed from.
+func warmedGolden(s *System, warm [][]uint64) *Golden {
+	g := s.NewGoldenFor()
+	for i, tags := range warm {
+		g.Warm(i%s.AM.Columns, i/s.AM.Columns, tags)
+	}
+	return g
+}
+
 // genAccesses builds a deterministic access stream on the design's map.
 func genAccesses(t *testing.T, d config.Design, n int, seed uint64) []trace.Access {
 	t.Helper()
@@ -79,12 +89,7 @@ func TestGoldenEquivalenceAllCombos(t *testing.T) {
 				gen := trace.NewSynthetic(mustProfile(t, "gcc"), s.AM, 11)
 				warm := gen.WarmBlocks(s.Design.Ways())
 				s.Warm(warm)
-				g := s.NewGoldenFor()
-				for set := 0; set < s.AM.Sets; set++ {
-					for c := 0; c < s.AM.Columns; c++ {
-						g.Warm(c, set, warm[set*s.AM.Columns+c])
-					}
-				}
+				g := warmedGolden(s, warm)
 				accs := trace.Take(gen, 1500)
 				var reqs []*Request
 				var want []outcome
@@ -107,9 +112,9 @@ func TestGoldenEquivalenceAllCombos(t *testing.T) {
 							i, r.HitBank, want[i].bank)
 					}
 				}
-				// Final contents must match exactly.
-				mismatches := 0
-				for set := 0; set < s.AM.Sets && mismatches == 0; set++ {
+				// Final contents must match exactly, on every set the
+				// stream can reach: the sets the warm table lists.
+				for set := 0; set < len(warm)/s.AM.Columns; set++ {
 					for c := 0; c < s.AM.Columns; c++ {
 						simC := s.Contents(c, set)
 						goldC := g.Contents(c, set)
@@ -142,12 +147,7 @@ func TestGoldenEquivalenceNonUniform(t *testing.T) {
 			gen := trace.NewSynthetic(mustProfile(t, "twolf"), s.AM, 5)
 			warm := gen.WarmBlocks(s.Design.Ways())
 			s.Warm(warm)
-			g := s.NewGoldenFor()
-			for set := 0; set < s.AM.Sets; set++ {
-				for c := 0; c < s.AM.Columns; c++ {
-					g.Warm(c, set, warm[set*s.AM.Columns+c])
-				}
-			}
+			g := warmedGolden(s, warm)
 			accs := trace.Take(gen, 1200)
 			var reqs []*Request
 			var want []outcome
@@ -467,21 +467,23 @@ func TestLRUConcentratesHitsAtMRU(t *testing.T) {
 }
 
 func TestBlockConservation(t *testing.T) {
-	// After any run on a warmed cache, every set still holds exactly
-	// `ways` distinct blocks: chains never lose or duplicate one.
+	// After any run on a warmed cache, every set the stream reaches still
+	// holds exactly `ways` distinct blocks: chains never lose or
+	// duplicate one.
 	d := testDesign(4, 4)
 	for _, policy := range []Policy{Promotion, LRU, FastLRU} {
 		k := sim.NewKernel()
 		s := MustNew(k, d, policy, Multicast)
 		gen := trace.NewSynthetic(mustProfile(t, "mcf"), s.AM, 17)
-		s.Warm(gen.WarmBlocks(s.Design.Ways()))
+		warm := gen.WarmBlocks(s.Design.Ways())
+		s.Warm(warm)
 		for _, a := range trace.Take(gen, 1000) {
 			s.Issue(a.Addr, a.Write, nil)
 		}
 		if err := s.Drain(100_000_000); err != nil {
 			t.Fatal(err)
 		}
-		for set := 0; set < s.AM.Sets; set += 97 {
+		for set := 0; set < len(warm)/s.AM.Columns; set++ {
 			for c := 0; c < s.AM.Columns; c++ {
 				seen := map[uint64]bool{}
 				total := 0
@@ -592,8 +594,11 @@ func TestParsePolicyAndMode(t *testing.T) {
 	if _, err := PolicyByName("bogus"); err == nil {
 		t.Fatal("expected error")
 	}
-	if m, err := ParseMode("multicast"); err != nil || m != Multicast {
-		t.Fatal("ParseMode failed")
+	// A mode name is read by the same rule as a policy name.
+	for s, want := range map[string]Mode{"multicast": Multicast, "Unicast": Unicast, "MULTI-CAST": Multicast} {
+		if m, err := ParseMode(s); err != nil || m != want {
+			t.Fatalf("ParseMode(%q) = %v, %v; want %v", s, m, err, want)
+		}
 	}
 	// A mode miss lists the modes, the same form as a policy miss.
 	if _, err := ParseMode("broadcast"); err == nil ||
@@ -652,53 +657,70 @@ func TestParsePolicyAndMode(t *testing.T) {
 // table holds, on uniform and multi-way bank stacks, and under the
 // directory policy must start its per-owner occupancy baseline at the
 // owners of those Golden contents. Every third row of the table moves to
-// a second owner, so the baseline has two owners to get right. Four
-// systems clone one fresh image at once, as concurrent runs do: the
-// first directory clone counts the image's owners and the others wait
-// for the count.
+// a second owner, so the baseline has two owners to get right. The
+// WarmBlocks table lists the sets a stream reaches; every set past them
+// counts as a prefill row with row 0's owner split. A full-length table,
+// as the conformance harness builds, warms every set and adds nothing.
+// Four systems clone one image at once, as concurrent runs do, and each
+// directory reconciles with its banks (Verify).
 func TestWarmCloneMatchesWarm(t *testing.T) {
 	for _, d := range []config.Design{testDesign(4, 4), nonUniformTestDesign()} {
 		am := d.AddrMap()
-		warm := trace.NewSynthetic(mustProfile(t, "gcc"), am, 1).WarmBlocks(d.Ways())
-		for i := 0; i < len(warm); i += 3 {
-			for j := range warm[i] {
-				warm[i][j] += OwnerStride
+		hot := trace.NewSynthetic(mustProfile(t, "gcc"), am, 1).WarmBlocks(d.Ways())
+		full := make([][]uint64, am.Columns*am.Sets)
+		for i := range full {
+			for j := 0; j < d.Ways(); j++ {
+				full[i] = append(full[i], uint64(i*64+j+1))
 			}
 		}
-		g := NewGolden(Directory, d.Banks, am.Columns, am.Sets)
-		want := []DirOwner{{Owner: 0}, {Owner: 1}} // resident blocks per owner
-		for c := 0; c < am.Columns; c++ {
-			for set := 0; set < am.Sets; set++ {
-				g.Warm(c, set, warm[set*am.Columns+c])
-				for _, tags := range g.Contents(c, set) {
+		for _, warm := range [][][]uint64{hot, full} {
+			for i := 0; i < len(warm); i += 3 {
+				for j := range warm[i] {
+					warm[i][j] += OwnerStride
+				}
+			}
+			sets := len(warm) / am.Columns
+			g := NewGolden(Directory, d.Banks, am.Columns, am.Sets)
+			want := []DirOwner{{Owner: 0}, {Owner: 1}} // resident blocks per owner
+			for i, tags := range warm {
+				g.Warm(i%am.Columns, i/am.Columns, tags)
+				for _, tags := range g.Contents(i%am.Columns, i/am.Columns) {
 					for _, tag := range tags {
 						want[OwnerOf(tag)].Live++
 					}
 				}
 			}
-		}
-		img := BuildWarmImage(d, warm)
-		clones := make([]*System, 4)
-		var wg sync.WaitGroup
-		for i := range clones {
-			clones[i] = MustNew(sim.NewKernel(), d, Directory, Multicast)
-			wg.Add(1)
-			go func(s *System) {
-				defer wg.Done()
-				s.WarmClone(img)
-			}(clones[i])
-		}
-		wg.Wait()
-		for i, s := range clones {
-			for c := 0; c < am.Columns; c++ {
-				for set := 0; set < am.Sets; set++ {
-					if got, want := s.Contents(c, set), g.Contents(c, set); !slices.EqualFunc(got, want, slices.Equal) {
-						t.Fatalf("design %s clone %d column %d set %d: holds %v, golden %v", d.ID, i, c, set, got, want)
-					}
+			for _, tags := range g.Contents(0, 0) {
+				for _, tag := range tags {
+					want[OwnerOf(tag)].Live += int64(am.Columns * (am.Sets - sets))
 				}
 			}
-			if got := s.Dir.Report().Owners; !slices.Equal(got, want) {
-				t.Errorf("design %s clone %d: directory baseline %+v, golden owners %+v", d.ID, i, got, want)
+			img := BuildWarmImage(d, warm)
+			clones := make([]*System, 4)
+			var wg sync.WaitGroup
+			for i := range clones {
+				clones[i] = MustNew(sim.NewKernel(), d, Directory, Multicast)
+				wg.Add(1)
+				go func(s *System) {
+					defer wg.Done()
+					s.WarmClone(img)
+				}(clones[i])
+			}
+			wg.Wait()
+			for i, s := range clones {
+				for c := 0; c < am.Columns; c++ {
+					for set := 0; set < sets; set++ {
+						if got, want := s.Contents(c, set), g.Contents(c, set); !slices.EqualFunc(got, want, slices.Equal) {
+							t.Fatalf("design %s, %d sets, clone %d column %d set %d: holds %v, golden %v", d.ID, sets, i, c, set, got, want)
+						}
+					}
+				}
+				if got := s.Dir.Report().Owners; !slices.Equal(got, want) {
+					t.Errorf("design %s, %d sets, clone %d: directory baseline %+v, golden owners %+v", d.ID, sets, i, got, want)
+				}
+				if v := s.Dir.Verify(s); len(v) != 0 {
+					t.Errorf("design %s, %d sets, clone %d: %v", d.ID, sets, i, v)
+				}
 			}
 		}
 	}

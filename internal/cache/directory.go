@@ -69,7 +69,7 @@ func (d *DirStats) row(tag uint64) *DirOwner {
 }
 
 // setBaseline restarts the directory at precounted per-owner occupancies
-// (WarmImage.liveOwners), as warming replaces every bank's contents:
+// (WarmImage.owners), as warming replaces every bank's contents:
 // live[o] is owner o's resident blocks. Every other count starts at zero.
 func (d *DirStats) setBaseline(live []int64) {
 	d.reset()
@@ -79,10 +79,11 @@ func (d *DirStats) setBaseline(live []int64) {
 	}
 }
 
-// countOwners adds the blocks resident in bk to the per-owner counts,
-// growing them to the highest owner seen, and returns them.
-func countOwners(counts []int64, bk *bank.Bank) []int64 {
-	for set := 0; set < bk.NumSets(); set++ {
+// countOwners adds the blocks resident in bk's sets [0, sets) to the
+// per-owner counts, growing them to the highest owner seen, and returns
+// them.
+func countOwners(counts []int64, bk *bank.Bank, sets int) []int64 {
+	for set := 0; set < sets; set++ {
 		bk.EachBlock(set, func(blk bank.Block) {
 			o := int(OwnerOf(blk.Tag))
 			if o >= len(counts) {
@@ -136,11 +137,18 @@ func (d *DirStats) Report() DirReport {
 // owner's live count must equal the blocks of that owner actually
 // resident in the banks. It returns the discrepancies found (nil when
 // the directory is exact) — the protocol-invariant check the
-// multi-requester conformance harness enforces.
+// multi-requester conformance harness enforces. A system warmed from an
+// image is walked over the image's sets, which are all a run can reach,
+// and the sets past them add the image's closed-form count.
 func (d *DirStats) Verify(s *System) []string {
-	actual := make([]int64, len(d.rows))
+	sets, rest := s.AM.Sets, []int64(nil)
+	if s.warm != nil {
+		sets, rest = s.warm.sets, s.warm.rest
+	}
+	actual := make([]int64, max(len(d.rows), len(rest)))
+	copy(actual, rest)
 	for i := range s.agents {
-		actual = countOwners(actual, &s.agents[i].bk)
+		actual = countOwners(actual, &s.agents[i].bk, sets)
 	}
 	var violations []string
 	for o, held := range actual {

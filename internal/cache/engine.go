@@ -86,12 +86,11 @@ var policies = [...]struct {
 	Directory: {"directory", &lruEngine{fast: true}},
 }
 
-// PolicyByName resolves a policy name, ignoring case and dashes:
-// "fastLRU" == "fast-lru" == "fastlru".
+// PolicyByName resolves a policy name, ignoring case and dashes
+// (sameName): "fastLRU" == "fast-lru" == "fastlru".
 func PolicyByName(s string) (Policy, error) {
-	key := strings.ReplaceAll(s, "-", "")
 	for p, e := range policies {
-		if strings.EqualFold(key, e.name) {
+		if sameName(s, e.name) {
 			return Policy(p), nil
 		}
 	}

@@ -39,12 +39,7 @@ func TestGoldenEquivalenceExtraDesigns(t *testing.T) {
 					gen := trace.NewSynthetic(mustProfile(t, "gcc"), s.AM, 13)
 					warm := gen.WarmBlocks(s.Design.Ways())
 					s.Warm(warm)
-					g := s.NewGoldenFor()
-					for set := 0; set < s.AM.Sets; set++ {
-						for c := 0; c < s.AM.Columns; c++ {
-							g.Warm(c, set, warm[set*s.AM.Columns+c])
-						}
-					}
+					g := warmedGolden(s, warm)
 					accs := trace.Take(gen, 900)
 					var reqs []*Request
 					var want []outcome

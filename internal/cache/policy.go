@@ -17,7 +17,10 @@
 // adding one engine file and one row (see engine_promotion.go).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Policy identifies a replacement scheme: an index into the policies
 // table.
@@ -74,13 +77,19 @@ func (p Policy) Valid() bool { return int(p) < len(policies) }
 // Valid reports whether m is one of the defined modes.
 func (m Mode) Valid() bool { return m <= Multicast }
 
-// ParseMode reads a mode name ("unicast", "multicast").
+// ParseMode reads a mode name ("unicast", "multicast") by the rule
+// PolicyByName reads a policy name: case and dashes do not count.
 func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "unicast":
-		return Unicast, nil
-	case "multicast":
-		return Multicast, nil
+	for _, m := range [...]Mode{Unicast, Multicast} {
+		if sameName(s, m.String()) {
+			return m, nil
+		}
 	}
 	return 0, fmt.Errorf("cache: unknown mode %q (registered: unicast, multicast)", s)
+}
+
+// sameName is the one rule a scheme name is read by: s names name when
+// they are equal, ignoring case and dashes ("Fast-LRU" names "fastLRU").
+func sameName(s, name string) bool {
+	return strings.EqualFold(strings.ReplaceAll(s, "-", ""), name)
 }

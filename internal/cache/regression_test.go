@@ -21,12 +21,7 @@ func TestMulticastReplicaReordering(t *testing.T) {
 		gen := trace.NewSynthetic(p, s.AM, 1)
 		warm := gen.WarmBlocks(s.Design.Ways())
 		s.Warm(warm)
-		g := s.NewGoldenFor()
-		for set := 0; set < s.AM.Sets; set++ {
-			for c := 0; c < s.AM.Columns; c++ {
-				g.Warm(c, set, warm[set*s.AM.Columns+c])
-			}
-		}
+		g := warmedGolden(s, warm)
 		var reqs []*Request
 		var want []outcome
 		for _, a := range trace.Take(gen, 4000) {

@@ -42,6 +42,7 @@ type System struct {
 	eng    PolicyEngine // the engine driving Policy
 	opSeq  uint64       // operation serial counter (telemetry correlation)
 	ops    *opPool      // every controller's ops, recycled once retired
+	warm   *WarmImage   // the image the banks were last warmed from; nil before
 
 	// The storage behind Lat, Dir, Memory and the controller list,
 	// renewed in place with the system (see Arena.Reset).
@@ -146,7 +147,7 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 			a := s.agent(c, p)
 			*a = agent{
 				sys: s, node: node, col: c, pos: p, last: len(col) - 1,
-				bk: bank.NewIn(d.Banks[p], &pre.Arena.banks),
+				bk: bank.NewIn(d.Banks[p], d.Banks[p].Sets(), &pre.Arena.banks),
 			}
 			a.out.Register(s.Net, pre.Arena.outboxSlab(sendQueueCap))
 			// Concentrated topologies place several banks of one column

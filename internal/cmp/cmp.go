@@ -59,11 +59,11 @@ func OffsetAddr(am trace.AddrMap, addr uint64, core int) uint64 {
 // compete for capacity from the first access. warm is the WarmBlocks
 // table every core starts from (it does not depend on the core's seed;
 // ways entries per set), relocated here into each core's tag range; the
-// result feeds (*cache.System).Warm or cache.BuildWarmImage directly.
+// result has one row per row of warm and feeds (*cache.System).Warm or cache.BuildWarmImage directly.
 // The rows are ways-wide stripes of one backing array, each capped at
 // its own stripe, so appending to a row never reaches its neighbour.
-func MergeWarm(am trace.AddrMap, ways int, warm [][]uint64, cores int) [][]uint64 {
-	merged := make([][]uint64, am.Columns*am.Sets)
+func MergeWarm(ways int, warm [][]uint64, cores int) [][]uint64 {
+	merged := make([][]uint64, len(warm))
 	flat := make([]uint64, len(merged)*ways)
 	for idx := range merged {
 		tags := flat[idx*ways : idx*ways : (idx+1)*ways]

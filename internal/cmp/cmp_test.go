@@ -121,7 +121,7 @@ func TestWarmSplitsWays(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := trace.NewSynthetic(prof, f.Sys.AM, 1).WarmBlocks(16)
-	f.Sys.Warm(MergeWarm(f.Sys.AM, f.Sys.Design.Ways(), warm, f.N))
+	f.Sys.Warm(MergeWarm(f.Sys.Design.Ways(), warm, f.N))
 	// Every set holds 16 blocks, 4 from each core's tag range.
 	counts := map[uint64]int{}
 	for _, bankTags := range f.Sys.Contents(3, 7) {
@@ -146,12 +146,11 @@ func TestWarmSplitsWays(t *testing.T) {
 // the cores could not fill, so an append to row i never lands in row
 // i+1.
 func TestMergeWarmRowsIndependent(t *testing.T) {
-	am := trace.AddrMap{Columns: 2, Sets: 2}
 	const ways = 4
 	// Two cores; row 0 has a single block, so it merges short (2 of 4
 	// ways) and has spare room in its stripe.
 	warm := [][]uint64{{1}, {3, 4}, {5, 6}, {7, 8}}
-	merged := MergeWarm(am, ways, warm, 2)
+	merged := MergeWarm(ways, warm, 2)
 	want := [][]uint64{
 		{1, 1 + OwnerStride},
 		{3, 3 + OwnerStride, 4, 4 + OwnerStride},

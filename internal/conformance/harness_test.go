@@ -242,7 +242,7 @@ func forEachSet(sys *cache.System, fn func(key bankSetKey, bk *bank.Bank)) {
 	for col := 0; col < sys.AM.Columns; col++ {
 		for pos := range sys.Design.Banks {
 			bk := sys.Bank(col, pos)
-			for set := 0; set < bk.NumSets(); set++ {
+			for set := 0; set < sys.AM.Sets; set++ {
 				fn(bankSetKey{col, pos, set}, bk)
 			}
 		}

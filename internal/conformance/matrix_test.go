@@ -98,7 +98,10 @@ func singleCoreScenarios() []Scenario {
 // its chains, and a second access to the same set follows it in the
 // script. That access may start only once both chains have landed: if
 // the column were released on the first completion notice, the second
-// access would meet a block still in flight.
+// access would meet a block still in flight. The lone scenario is the
+// same hit at bank 2 of (column 0, set 0) followed by one more access to
+// that set, with no other traffic in the mesh: the pair of chains must
+// hold the column without any contention to stretch them.
 func twoChainScenarios() []Scenario {
 	tags := []uint64{100, 101, 102, 103}
 	var warm []Warm
@@ -119,6 +122,12 @@ func twoChainScenarios() []Scenario {
 				},
 			})
 		}
+		scs = append(scs, Scenario{
+			Name:   fmt.Sprintf("%v/%v/two-chain/lone", p, cache.Multicast),
+			Policy: p, Mode: cache.Multicast, Pipelined: true,
+			Warm:     []Warm{{Tags: tags}},
+			Accesses: []Access{{Tag: 102}, {Tag: 101}},
+		})
 	}
 	return scs
 }

@@ -216,7 +216,7 @@ func TestCanonicalKeyCoversAllOptionFields(t *testing.T) {
 }
 
 // TestCanonicalKeyGolden pins the key bytes themselves: the serving
-// cache, nucaload's expectations and every stored config_hash depend on
+// cache, the benchmark's serve_mixed hashes and every stored config_hash depend on
 // them, so a change to the encoding must show here, not only as moved
 // response fingerprints under benchmark/. The keys were computed by the
 // whole-struct json.Marshal this file's hash.go replaced (PR 24's tree);

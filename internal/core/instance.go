@@ -95,9 +95,14 @@ type warmState struct {
 	img   *cache.WarmImage
 }
 
-// maxSharedWarm bounds a Runtime's warm-state LRU. A state is a 2.5 MB
-// table plus a bank image of about 4.5 MB, and a process rarely
-// alternates between more than a few (bank stack, core count) pairs.
+// maxSharedWarm bounds a Runtime's warm-state LRU. A state holds only
+// the sets a stream reaches: on the catalogue designs a table of 40-75 KB
+// plus a bank image of 75-100 KB, built in about 0.2 ms. That is cheap,
+// but building it per prepare would still add ~29 allocations and
+// ~135 KB to every run, where a 4,000-access Design A run allocates ~8
+// objects and ~6.4 KB in all; sharing it also lets a batch's runs of one
+// geometry warm from one image. A process rarely alternates between more
+// than a few (bank stack, core count) pairs.
 const maxSharedWarm = 4
 
 // warmFor resolves the warm table and image of a resolved design: the
@@ -130,7 +135,7 @@ func (rt *Runtime) warmFor(pc *PrepCache, rd *resolvedDesign, prof trace.Profile
 	ws.once.Do(func() {
 		ws.table = trace.NewSynthetic(prof, am, 0).WarmBlocks(d.Ways())
 		if cores > 0 {
-			ws.table = cmp.MergeWarm(am, d.Ways(), ws.table, cores)
+			ws.table = cmp.MergeWarm(d.Ways(), ws.table, cores)
 		}
 		ws.img = cache.BuildWarmImage(*d, ws.table)
 	})

@@ -15,7 +15,8 @@ import (
 
 // imageHash hashes art's warm image as a fresh clone of it reads: every
 // set of a clone reads through to the shared template banks until it is
-// written, and building the instance writes none.
+// written, and building the instance writes none. It walks the sets the
+// image holds, the ones the warm table lists.
 func imageHash(t *testing.T, art *Artifacts) uint64 {
 	t.Helper()
 	in, err := NewInstance(art, nil)
@@ -35,7 +36,7 @@ func imageHash(t *testing.T, art *Artifacts) uint64 {
 	for c := 0; c < in.Sys.Topo.Columns(); c++ {
 		for p := range art.Design.Banks {
 			bk := in.Sys.Bank(c, p)
-			for set := 0; set < bk.NumSets(); set++ {
+			for set := 0; set < len(art.Warm)/art.Design.AddrMap().Columns; set++ {
 				binary.LittleEndian.PutUint64(buf[:8], uint64(bk.Occupancy(set)))
 				h.Write(buf[:8])
 				bk.EachBlock(set, hashBlock)
@@ -46,13 +47,13 @@ func imageHash(t *testing.T, art *Artifacts) uint64 {
 }
 
 // copiedSets counts the bank sets of sys that hold their own copy of
-// their blocks — the sets written since WarmClone. bank.Bank keeps a fill
+// their blocks — the sets written since WarmClone — and returns one past
+// the highest such set index (0 when none is). bank.Bank keeps a fill
 // byte per set that stays 0 while the set reads through to the image;
 // the test reads it by reflection instead of widening bank's API for one
 // assertion.
-func copiedSets(t *testing.T, sys *cache.System) int {
+func copiedSets(t *testing.T, sys *cache.System) (n, top int) {
 	t.Helper()
-	n := 0
 	for c := 0; c < sys.Topo.Columns(); c++ {
 		for p := range sys.Design.Banks {
 			fill := reflect.ValueOf(sys.Bank(c, p)).Elem().FieldByName("fill")
@@ -62,11 +63,12 @@ func copiedSets(t *testing.T, sys *cache.System) int {
 			for i := 0; i < fill.Len(); i++ {
 				if fill.Index(i).Uint() != 0 {
 					n++
+					top = max(top, i+1)
 				}
 			}
 		}
 	}
-	return n
+	return n, top
 }
 
 // readThroughMix covers every bank mutator a run calls on sets it reads
@@ -178,31 +180,49 @@ func TestDirectoryBaselineCopiedFromImage(t *testing.T) {
 // TestRunCopiesOnlySetsItWrites: warming is free of per-set work — a
 // built instance, the directory's occupancy baseline included, has copied no set —
 // and a run copies only sets it writes, never more than it has bank
-// accesses.
+// accesses. Every catalogue design's image holds min(16, Sets) sets,
+// and every set a run writes — on each design, and on H2 at 2 and 8
+// cores — lies inside it.
 func TestRunCopiesOnlySetsItWrites(t *testing.T) {
-	h2 := cmpOpts("H2", 8, 60)
-	h2.Policy = cache.Directory
-	a := DefaultOptions()
-	a.Accesses = 1000
-	for _, opt := range []Options{a, h2} {
-		in, err := NewInstance(mustPrepare(t, opt, nil), nil)
+	var opts []Options
+	for _, d := range append(config.Designs(), config.ExtraDesigns()...) {
+		o := DefaultOptions()
+		o.DesignID, o.Accesses = d.ID, 1000
+		opts = append(opts, o)
+	}
+	for _, cores := range []int{2, 8} {
+		h2 := cmpOpts("H2", cores, 60)
+		h2.Policy = cache.Directory
+		opts = append(opts, h2)
+	}
+	for _, opt := range opts {
+		art := mustPrepare(t, opt, nil)
+		am := art.Design.AddrMap()
+		sets := len(art.Warm) / am.Columns
+		if sets != min(16, am.Sets) || sets*am.Columns != len(art.Warm) {
+			t.Fatalf("%s: warm table of %d rows over %d columns, want the %d sets a stream reaches", opt.DesignID, len(art.Warm), am.Columns, min(16, am.Sets))
+		}
+		in, err := NewInstance(art, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if opt.Policy == cache.Directory && in.Sys.Dir == nil {
 			t.Fatal("directory run without DirStats")
 		}
-		if n := copiedSets(t, in.Sys); n != 0 {
+		if n, _ := copiedSets(t, in.Sys); n != 0 {
 			t.Fatalf("%s/%v: building the instance copied %d sets", opt.DesignID, opt.Policy, n)
 		}
 		res, err := in.RunToCompletion()
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := copiedSets(t, in.Sys)
-		t.Logf("%s/%v: %d sets copied, %d bank accesses", opt.DesignID, opt.Policy, n, res.BankAccesses)
+		n, top := copiedSets(t, in.Sys)
+		t.Logf("%s x %d cores: %d sets copied, %d bank accesses", opt.DesignID, opt.Cores, n, res.BankAccesses)
 		if n == 0 || uint64(n) > res.BankAccesses {
 			t.Fatalf("%s/%v: run copied %d sets for %d bank accesses", opt.DesignID, opt.Policy, n, res.BankAccesses)
+		}
+		if top > sets {
+			t.Fatalf("%s x %d cores: run wrote set %d, past the image's %d sets", opt.DesignID, opt.Cores, top-1, sets)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -25,7 +26,7 @@ func TestRunErrorsAreStructured(t *testing.T) {
 		body     string
 		wantCode int
 		field    string
-		fragment string
+		fragment string // for a 200: the same request spelled canonically
 	}{
 		{"malformed json", `{"design":`, 400, "", "malformed JSON"},
 		{"empty body", ``, 400, "", "empty request body"},
@@ -36,6 +37,9 @@ func TestRunErrorsAreStructured(t *testing.T) {
 		{"unknown policy", `{"policy":"mru"}`, 400, "policy", `unknown policy "mru"`},
 		{"deleted policy", `{"policy":"static"}`, 400, "policy", `unknown policy "static"; known policies: promotion, LRU, fastLRU, directory`},
 		{"unknown mode", `{"mode":"broadcast"}`, 400, "mode", `unknown mode "broadcast"`},
+		// A mode name folds case as a policy name does: the run is keyed
+		// as its lower-case spelling's, so that one is then a cache hit.
+		{"mode name folds case", `{"mode":"Unicast","accesses":10}`, 200, "", `{"mode":"unicast","accesses":10}`},
 		{"unknown router", `{"router":"optical"}`, 400, "router", `unknown router "optical"`},
 		{"unknown benchmark", `{"benchmark":"linpack"}`, 400, "benchmark", `unknown benchmark "linpack"`},
 		{"negative accesses", `{"accesses":-5}`, 400, "accesses", "must be positive"},
@@ -49,6 +53,13 @@ func TestRunErrorsAreStructured(t *testing.T) {
 			resp, body := postRun(t, ts, tc.body)
 			if resp.StatusCode != tc.wantCode {
 				t.Fatalf("status %d, want %d; body: %s", resp.StatusCode, tc.wantCode, body)
+			}
+			if tc.wantCode == http.StatusOK {
+				again, same := postRun(t, ts, tc.fragment)
+				if src := again.Header.Get("X-Nucad-Cache"); src != "hit" || !bytes.Equal(same, body) {
+					t.Fatalf("%s after %s: X-Nucad-Cache %q, same body %v; want a hit on one canonical key", tc.fragment, tc.body, src, bytes.Equal(same, body))
+				}
+				return
 			}
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 				t.Fatalf("Content-Type %q, want application/json", ct)

@@ -23,6 +23,14 @@ type Generator interface {
 // deepest associativity we simulate are indistinguishable misses.
 const maxStack = 48
 
+// hotSetWidth bounds how many sets of each column a stream touches.
+// Programs concentrate on a working set far smaller than the 16K sets of
+// the cache; bounding it keeps per-set access counts at scaled-down
+// trace lengths comparable to the paper's full runs (where
+// replacement-policy dynamics have time to diverge). A geometry with
+// fewer sets uses all of them.
+const hotSetWidth = 16
+
 // hitDepth is the associativity against which the profile's MissRate is
 // defined: reuse within the top hitDepth stack positions hits a warm
 // 16-way LRU cache; deeper reuse and fresh blocks miss it.
@@ -36,14 +44,6 @@ const hitDepth = 16
 // LRU (Promotion) keep different contents and therefore see different
 // hit rates on the same stream, as in the paper.
 type Synthetic struct {
-	// SetsPerColumn bounds how many sets of each column the stream
-	// touches. Programs concentrate on a working set far smaller than
-	// the 16K sets of the cache; bounding it keeps per-set access counts
-	// at scaled-down trace lengths comparable to the paper's full runs
-	// (where replacement-policy dynamics have time to diverge).
-	// Mutate before the first Next call. Default 16.
-	SetsPerColumn int
-
 	prof Profile
 	am   AddrMap
 	rng  sim.RNG
@@ -52,10 +52,9 @@ type Synthetic struct {
 	// hot holds the reuse stacks of the sets the stream touches — rows
 	// [0, hotSets*Columns) of the set*Columns+col table, maxStack tags
 	// each — primed by the first Next (empty until then; Reset empties
-	// it and keeps its capacity). Every other stack keeps its warm
-	// prefill forever, which warmTag gives in closed form.
+	// it and keeps its capacity). No stream reads any other stack.
 	hot     []uint64
-	hotSets int // SetsPerColumn as the first Next clamped it
+	hotSets int // min(hotSetWidth, am.Sets)
 	nextTag uint64
 	meanGap float64
 }
@@ -79,14 +78,13 @@ func NewSynthetic(p Profile, am AddrMap, seed uint64) *Synthetic {
 }
 
 // Reset re-seeds g in place into the generator NewSynthetic(p, am, seed)
-// returns, SetsPerColumn back at its default, keeping the capacity of
-// its reuse stacks and Zipf table: a recycled generator allocates
-// nothing once its stacks have grown to the largest geometry it serves.
+// returns, keeping the capacity of its reuse stacks and Zipf table: a
+// recycled generator allocates nothing once its stacks have grown to the
+// largest geometry it serves.
 func (g *Synthetic) Reset(p Profile, am AddrMap, seed uint64) {
 	g.prof, g.am = p, am
 	g.rng.Seed(seed)
-	g.SetsPerColumn = min(16, am.Sets)
-	g.hot, g.hotSets = g.hot[:0], 0
+	g.hot, g.hotSets = g.hot[:0], min(hotSetWidth, am.Sets)
 	g.nextTag = warmTag(am.Columns*am.Sets, 0) // first tag past every prefill
 	if g.cdf == nil {
 		g.cdf = make([]float64, hitDepth)
@@ -106,23 +104,21 @@ func (g *Synthetic) Reset(p Profile, am AddrMap, seed uint64) {
 	}
 }
 
-// WarmBlocks returns, for each (column, set), the `ways` most recently
-// used tags in MRU-to-LRU order — the warm cache contents matching the
-// generator's reuse stacks: the live contents of the hot stacks, the
-// untouched prefill of all others. Index the result with
-// set*Columns+col. The rows share one backing array but each is capped
-// at its own length, so appending to a row never reaches its neighbour.
+// WarmBlocks returns, for each (column, set) a stream can reach, the
+// `ways` most recently used tags in MRU-to-LRU order — the warm cache
+// contents matching the generator's reuse stacks. Index the result with
+// set*Columns+col. It holds the rows of the sets [0, min(hotSetWidth,
+// Sets)) only: no stream reads any other set, so a cache warmed from the
+// table needs no state for them. The rows share one backing array but
+// each is capped at its own length, so appending to a row never reaches
+// its neighbour.
 func (g *Synthetic) WarmBlocks(ways int) [][]uint64 {
-	n := ways
-	if n > maxStack {
-		n = maxStack
-	}
-	out := make([][]uint64, g.am.Columns*g.am.Sets)
+	n := min(ways, maxStack)
+	out := make([][]uint64, g.hotSets*g.am.Columns)
 	flat := make([]uint64, len(out)*n)
-	hotRows := len(g.hot) / maxStack
 	for i := range out {
 		row := flat[i*n : (i+1)*n : (i+1)*n]
-		if i < hotRows {
+		if len(g.hot) > 0 {
 			copy(row, g.hot[i*maxStack:])
 		} else {
 			for j := range row {
@@ -137,10 +133,6 @@ func (g *Synthetic) WarmBlocks(ways int) [][]uint64 {
 // Next produces the next access.
 func (g *Synthetic) Next() Access {
 	if len(g.hot) == 0 {
-		g.hotSets = g.SetsPerColumn
-		if g.hotSets < 1 || g.hotSets > g.am.Sets {
-			g.hotSets = g.am.Sets
-		}
 		n := g.hotSets * g.am.Columns * maxStack
 		g.hot = slices.Grow(g.hot, n)[:n]
 		for i := range g.hot {

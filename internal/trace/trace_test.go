@@ -233,33 +233,39 @@ func TestSyntheticLocalityShapes(t *testing.T) {
 	}
 }
 
-func TestSetsPerColumnBoundsHotSets(t *testing.T) {
-	am := am16()
+// checkHotSets runs a gcc stream on am and checks that it draws its sets
+// from [0, sets), uses every one of them, and that WarmBlocks lists
+// exactly those sets' rows.
+func checkHotSets(t *testing.T, am AddrMap, sets int) {
+	t.Helper()
 	p, _ := ProfileByName("gcc")
 	g := NewSynthetic(p, am, 4)
-	g.SetsPerColumn = 4
+	if n := len(g.WarmBlocks(16)); n != sets*am.Columns {
+		t.Fatalf("%+v: WarmBlocks lists %d rows, want %d", am, n, sets*am.Columns)
+	}
 	seen := map[int]bool{}
 	for _, a := range Take(g, 5000) {
 		set := am.SetOf(a.Addr)
-		if set >= 4 {
-			t.Fatalf("access touched set %d beyond the hot pool", set)
+		if set >= sets {
+			t.Fatalf("%+v: access touched set %d beyond the hot pool [0,%d)", am, set, sets)
 		}
 		seen[set] = true
 	}
-	if len(seen) != 4 {
-		t.Fatalf("hot pool used %d sets, want 4", len(seen))
+	if len(seen) != sets {
+		t.Fatalf("%+v: hot pool used %d sets, want %d", am, len(seen), sets)
 	}
 }
 
+// TestSetsPerColumnBoundsHotSets: on the paper's geometry a stream
+// touches 16 sets of each column (hotSetWidth), 256 rows of its 16,384.
+func TestSetsPerColumnBoundsHotSets(t *testing.T) {
+	checkHotSets(t, am16(), hotSetWidth)
+}
+
+// TestSetsPerColumnClampsToSets: a geometry with fewer sets than
+// hotSetWidth has all of them hot, and none beyond.
 func TestSetsPerColumnClampsToSets(t *testing.T) {
-	am := AddrMap{Columns: 4, Sets: 8}
-	p, _ := ProfileByName("gcc")
-	g := NewSynthetic(p, am, 4) // default 16 > 8 sets: must clamp
-	for _, a := range Take(g, 500) {
-		if s := am.SetOf(a.Addr); s >= 8 {
-			t.Fatalf("set %d out of range", s)
-		}
-	}
+	checkHotSets(t, AddrMap{Columns: 4, Sets: 8}, 8)
 }
 
 // denseSynthetic is the generator as it was before it kept only the hot
@@ -296,11 +302,7 @@ func (d *denseSynthetic) WarmBlocks(ways int) [][]uint64 {
 func (d *denseSynthetic) Next() Access {
 	g := d.Synthetic
 	col := g.rng.Intn(g.am.Columns)
-	n := g.SetsPerColumn
-	if n < 1 || n > g.am.Sets {
-		n = g.am.Sets
-	}
-	set := g.rng.Intn(n)
+	set := g.rng.Intn(min(hotSetWidth, g.am.Sets))
 	s := d.stacks[set*g.am.Columns+col]
 	var tag uint64
 	switch {
@@ -323,35 +325,32 @@ func (d *denseSynthetic) Next() Access {
 }
 
 // TestSparseMatchesDenseGenerator: keeping only the hot stacks changes
-// neither the access stream nor the warm table, before any Next or after
-// the hot stacks have been reordered, whenever SetsPerColumn is set.
+// neither the access stream nor the warm table — the dense reference's
+// first min(16, Sets)*Columns rows, the only ones a stream reaches —
+// before any Next or after the hot stacks have been reordered.
 func TestSparseMatchesDenseGenerator(t *testing.T) {
 	sameTable := func(a, b [][]uint64) bool { return slices.EqualFunc(a, b, slices.Equal[[]uint64]) }
 	for _, am := range []AddrMap{am16(), {Columns: 16, Sets: 16}, {Columns: 4, Sets: 8}} {
-		for _, spc := range []int{0, 4, 5000} { // 0: leave the default
-			for _, bench := range []string{"gcc", "lucas", "art"} {
-				p, _ := ProfileByName(bench)
-				for _, seed := range []uint64{1, 42, 1 << 40} {
-					sparse, dense := NewSynthetic(p, am, seed), newDense(p, am, seed)
-					check := func(when string) {
-						t.Helper()
-						for _, ways := range []int{16, 64} {
-							if !sameTable(sparse.WarmBlocks(ways), dense.WarmBlocks(ways)) {
-								t.Fatalf("%+v spc=%d %s seed %d: WarmBlocks(%d) differs %s", am, spc, bench, seed, ways, when)
-							}
+		rows := min(hotSetWidth, am.Sets) * am.Columns
+		for _, bench := range []string{"gcc", "lucas", "art"} {
+			p, _ := ProfileByName(bench)
+			for _, seed := range []uint64{1, 42, 1 << 40} {
+				sparse, dense := NewSynthetic(p, am, seed), newDense(p, am, seed)
+				check := func(when string) {
+					t.Helper()
+					for _, ways := range []int{16, 64} {
+						if !sameTable(sparse.WarmBlocks(ways), dense.WarmBlocks(ways)[:rows]) {
+							t.Fatalf("%+v %s seed %d: WarmBlocks(%d) differs %s", am, bench, seed, ways, when)
 						}
 					}
-					check("before any Next")
-					if spc != 0 {
-						sparse.SetsPerColumn, dense.SetsPerColumn = spc, spc
+				}
+				check("before any Next")
+				for i := 0; i < 5000; i++ {
+					if a, b := sparse.Next(), dense.Next(); a != b {
+						t.Fatalf("%+v %s seed %d: access %d is %+v, dense reference gives %+v", am, bench, seed, i, a, b)
 					}
-					for i := 0; i < 5000; i++ {
-						if a, b := sparse.Next(), dense.Next(); a != b {
-							t.Fatalf("%+v spc=%d %s seed %d: access %d is %+v, dense reference gives %+v", am, spc, bench, seed, i, a, b)
-						}
-						if i == 999 {
-							check("after 1000 accesses")
-						}
+					if i == 999 {
+						check("after 1000 accesses")
 					}
 				}
 			}
@@ -391,21 +390,19 @@ func TestSyntheticAllocatesHotStacksOnly(t *testing.T) {
 
 // TestResetMatchesFresh: a used generator Reset in place — across
 // profiles (gcc on Design A, lucas on Design F: both map 16 columns of
-// 1024 sets), an address map that shrinks and regrows its reuse stacks,
-// and a changed SetsPerColumn — gives the stream and warm table of a
-// fresh NewSynthetic with the same arguments.
+// 1024 sets) and an address map that shrinks and regrows its reuse
+// stacks — gives the stream and warm table of a fresh NewSynthetic with
+// the same arguments.
 func TestResetMatchesFresh(t *testing.T) {
 	g := new(Synthetic)
 	for i, tc := range []struct {
 		bench string
 		am    AddrMap
-		spc   int // 0: leave the default
 	}{
-		{"gcc", am16(), 0},
-		{"lucas", am16(), 0},
-		{"lucas", AddrMap{Columns: 4, Sets: 8}, 0},
-		{"gcc", am16(), 4},
-		{"gcc", am16(), 0},
+		{"gcc", am16()},
+		{"lucas", am16()},
+		{"lucas", AddrMap{Columns: 4, Sets: 8}},
+		{"gcc", am16()},
 	} {
 		p, _ := ProfileByName(tc.bench)
 		seed := uint64(10 + i)
@@ -414,12 +411,9 @@ func TestResetMatchesFresh(t *testing.T) {
 		if !reflect.DeepEqual(g.WarmBlocks(16), fresh.WarmBlocks(16)) {
 			t.Fatalf("round %d: WarmBlocks after Reset differs from a fresh generator's", i)
 		}
-		if tc.spc != 0 {
-			g.SetsPerColumn, fresh.SetsPerColumn = tc.spc, tc.spc
-		}
 		for j := 0; j < 3000; j++ {
 			if a, b := g.Next(), fresh.Next(); a != b {
-				t.Fatalf("round %d (%s %+v spc=%d): access %d is %+v after Reset, %+v fresh", i, tc.bench, tc.am, tc.spc, j, a, b)
+				t.Fatalf("round %d (%s %+v): access %d is %+v after Reset, %+v fresh", i, tc.bench, tc.am, j, a, b)
 			}
 		}
 		if !reflect.DeepEqual(g.WarmBlocks(16), fresh.WarmBlocks(16)) {
