@@ -141,6 +141,10 @@ func TestCLI(t *testing.T) {
 			mentions: []string{`paperbench: cache: unknown mode "broadcast" (registered: `}},
 		{name: "nucaopt unknown policy", bin: "nucaopt", args: []string{"-policy", "static"}, exit: 1,
 			mentions: []string{`nucaopt: cache: unknown policy "static" (registered: `}},
+		// nucaopt's counts have no zero default: a non-positive one is
+		// rejected, not replaced.
+		{name: "nucaopt non-positive budget", bin: "nucaopt", args: []string{"-budget", "0", "-screen", "60", "-confirm", "150", "-q"}, exit: 1,
+			mentions: []string{"nucaopt: -budget must be positive, got 0"}},
 		// A zero window selects the default core model, so a blocking
 		// probability beside it would be silently dropped.
 		{name: "blocking without a window", bin: "nucasim", args: []string{"-window", "0", "-blocking", "0.95"}, exit: 1,

@@ -34,40 +34,33 @@ import (
 )
 
 func main() {
+	cfg := place.DefaultConfig()
+	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "annealing RNG seed")
+	flag.IntVar(&cfg.Budget, "budget", cfg.Budget, "candidates to screen before stopping")
+	flag.IntVar(&cfg.Wave, "wave", cfg.Wave, "proposals per annealing wave (one engine batch)")
+	flag.IntVar(&cfg.ScreenAccesses, "screen", cfg.ScreenAccesses, "accesses per screening run")
+	flag.IntVar(&cfg.ConfirmAccesses, "confirm", cfg.ConfirmAccesses, "accesses per confirmation run")
+	flag.IntVar(&cfg.Shortlist, "shortlist", cfg.Shortlist, "screening candidates graduating to confirmation")
+	flag.IntVar(&cfg.Cores, "cores", cfg.Cores,
+		"score candidates as N-core CMP runs (geomean over per-core IPCs; grid families only, 0 = classic single-core)")
 	var (
-		seed    = flag.Uint64("seed", 1, "annealing RNG seed")
-		budget  = flag.Int("budget", 48, "candidates to screen before stopping")
-		wave    = flag.Int("wave", 8, "proposals per annealing wave (one engine batch)")
-		screen  = flag.Int("screen", 150, "accesses per screening run")
-		confirm = flag.Int("confirm", 4000, "accesses per confirmation run")
-		short   = flag.Int("shortlist", 3, "screening candidates graduating to confirmation")
-		benches = flag.String("benches", strings.Join(place.DefaultBenchmarks, ","),
-			"comma-separated scoring benchmark mix")
-		quiet = flag.Bool("q", false, "suppress per-wave progress")
-		jobs  = cliutil.Jobs(flag.CommandLine)
-		cores = flag.Int("cores", 0,
-			"score candidates as N-core CMP runs (geomean over per-core IPCs; grid families only, 0 = classic single-core)")
+		benches = flag.String("benches", strings.Join(cfg.Benchmarks, ","), "comma-separated scoring benchmark mix")
+		quiet   = flag.Bool("q", false, "suppress per-wave progress")
+		jobs    = cliutil.Jobs(flag.CommandLine)
 	)
 	scheme := cliutil.Scheme(flag.CommandLine)
 	flag.Parse()
-	policy, mode, err := scheme()
-	fatal(err)
-	workers, err := cliutil.ResolveJobs(*jobs)
-	fatal(err)
-
-	cfg := place.Config{
-		Seed:            *seed,
-		Budget:          *budget,
-		Wave:            *wave,
-		ScreenAccesses:  *screen,
-		ConfirmAccesses: *confirm,
-		Shortlist:       *short,
-		Benchmarks:      strings.Split(*benches, ","),
-		Workers:         workers,
-		Policy:          policy,
-		Mode:            mode,
-		Cores:           *cores,
+	for _, name := range []string{"budget", "wave", "screen", "confirm", "shortlist"} {
+		if v := flag.Lookup(name).Value.(flag.Getter).Get().(int); v <= 0 {
+			fatal(fmt.Errorf("-%s must be positive, got %d", name, v))
+		}
 	}
+	var err error
+	cfg.Policy, cfg.Mode, err = scheme()
+	fatal(err)
+	cfg.Workers, err = cliutil.ResolveJobs(*jobs)
+	fatal(err)
+	cfg.Benchmarks = strings.Split(*benches, ",")
 	if !*quiet {
 		cfg.Log = func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
@@ -76,7 +69,7 @@ func main() {
 	res, err := place.Search(cfg)
 	fatal(err)
 
-	fmt.Printf("\nconfirmed @%d accesses (best first):\n", *confirm)
+	fmt.Printf("\nconfirmed @%d accesses (best first):\n", cfg.ConfirmAccesses)
 	for _, s := range res.Confirmed {
 		fmt.Printf("  %-44s ipc %.4f  area %6.2f mm2\n", s.Candidate, s.Score, s.AreaMM2)
 	}

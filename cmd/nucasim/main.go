@@ -151,8 +151,7 @@ func main() {
 			agg.Latency.Percentile(0.99), agg.Latency.MaxLat)
 		fmt.Printf("  traffic        %d packets, %d flits; memory %d reads, %d writebacks\n",
 			agg.Network.PacketsInjected, agg.Network.FlitsInjected, agg.MemReads, agg.MemWB)
-		fmt.Printf("[%d runs, j=%d: wall %.1fs, work %.1fs, speedup %.1fx]\n",
-			rep.Runs, rep.Workers, rep.Wall.Seconds(), rep.Work.Seconds(), rep.Speedup())
+		fmt.Println(rep)
 	}
 }
 

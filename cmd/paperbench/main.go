@@ -14,10 +14,14 @@
 // Experiments dispatch through core's experiment table: every name -exp
 // accepts, every binary's -list=experiments output, and nucad's GET
 // /v1/experiments derive from it, so a row added there is reachable
-// everywhere with no flag plumbing. "-exp all" runs the experiments that
-// opt into the full reproduction (the paper's tables and figures);
-// special-purpose experiments (telemetry, cmp) run only when named. The
-// placement search is cmd/nucaopt.
+// everywhere with no flag plumbing. A row is a job list plus a renderer:
+// Experiment.Run fans the jobs out on the engine once (the static tables
+// have none and run nothing), and paperbench prints the rendered table,
+// exports the runs' traces under -trace and prints the sweep's
+// accounting line. "-exp all" runs the experiments that opt into the
+// full reproduction (the paper's tables and figures); special-purpose
+// experiments (telemetry, cmp) run only when named. The placement search
+// is cmd/nucaopt.
 //
 // -policy and -mode steer the single-scheme experiments (f9, energy,
 // power, telemetry), and -mode the cmp sweep; the defaults are the
@@ -105,30 +109,23 @@ func runNamed(name string, cfg core.ExpConfig, traceOut string) {
 }
 
 // runExperiment prints one experiment: header, rendered rows, optional
-// trace export (of whichever runs of a sweep recorded one), and the sweep
+// trace export (of whichever runs recorded one), and the sweep
 // accounting line when the experiment drove the simulation engine.
 func runExperiment(e core.Experiment, cfg core.ExpConfig, traceOut string) {
 	header(e.Title(cfg))
-	rows, rep, err := e.Run(cfg)
+	rows, err := e.Run(cfg)
 	fatal(err)
 	rows.Render(os.Stdout)
-	if sweep, ok := rows.(core.SweepRows); ok && traceOut != "" {
-		fatal(cliutil.WriteTraces(traceOut, sweep.Runs))
+	if traceOut != "" {
+		fatal(cliutil.WriteTraces(traceOut, rows.Runs))
 	}
-	if rep.Runs > 0 {
-		sweepLine(rep)
+	if rows.Report.Runs > 0 {
+		fmt.Println(rows.Report)
 	}
 }
 
 func header(s string) {
 	fmt.Printf("\n=== %s ===\n", s)
-}
-
-// sweepLine reports the engine's accounting for one sweep: total wall
-// time, summed per-run work, and the realized parallel speedup.
-func sweepLine(rep core.SweepReport) {
-	fmt.Printf("[%d runs, j=%d: wall %.1fs, work %.1fs, speedup %.1fx]\n",
-		rep.Runs, rep.Workers, rep.Wall.Seconds(), rep.Work.Seconds(), rep.Speedup())
 }
 
 func fatal(err error) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"nucanet/internal/area"
 	"nucanet/internal/trace"
 )
 
@@ -145,7 +146,7 @@ func ipcGain(a, b cell) func([]Result) float64 {
 // areaShare is Design F's interconnect area as a percentage of Design
 // A's, from Table 4; it reads no run.
 func areaShare([]Result) float64 {
-	reps, _ := Table4() // the built-in designs always analyze
+	reps, _ := area.Table4(area.DefaultModel()) // the built-in designs always analyze
 	net := map[string]float64{}
 	for _, r := range reps {
 		net[r.DesignID] = r.NetworkMM2()

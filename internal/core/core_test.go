@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"nucanet/internal/cache"
@@ -152,16 +155,19 @@ func TestTable2Check(t *testing.T) {
 	}
 }
 
+// TestTable4Rows: the t4 row, which simulates nothing (runExperiment
+// checks), prints the paper's four designs in Table 4's order.
 func TestTable4Rows(t *testing.T) {
-	reps, err := Table4()
-	if err != nil {
-		t.Fatal(err)
+	var buf bytes.Buffer
+	runExperiment(t, "t4", DefaultExpConfig()).Render(&buf)
+	var ids []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 6 && len(f[0]) == 1 {
+			ids = append(ids, f[0])
+		}
 	}
-	if len(reps) != 4 {
-		t.Fatalf("rows = %d", len(reps))
-	}
-	if reps[0].DesignID != "A" || reps[3].DesignID != "F" {
-		t.Fatalf("row order wrong: %v", reps)
+	if want := []string{"A", "B", "E", "F"}; !slices.Equal(ids, want) {
+		t.Fatalf("rows %v, want %v:\n%s", ids, want, &buf)
 	}
 }
 

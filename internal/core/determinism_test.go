@@ -154,14 +154,14 @@ func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 
 // TestExperimentDriversDeterministicAcrossWorkers pins the user-visible
 // guarantee: paperbench -exp X -j 1 and -j 8 print identical rows, for
-// every experiment that prints a paper claim.
+// every row of the catalogue.
 func TestExperimentDriversDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full driver sweep; skipped in -short")
 	}
 	cfgSeq, cfgPar := paperCfg(150, 7), paperCfg(150, 7)
 	cfgSeq.Workers, cfgPar.Workers = 1, 8
-	for _, name := range []string{"f7", "f8", "f9", "headline"} {
+	for _, name := range ExperimentNames() {
 		var seq, par bytes.Buffer
 		runExperiment(t, name, cfgSeq).Render(&seq)
 		runExperiment(t, name, cfgPar).Render(&par)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"time"
 
@@ -51,6 +52,13 @@ func (r SweepReport) Speedup() float64 {
 		return 1
 	}
 	return float64(r.Work) / float64(r.Wall)
+}
+
+// String is the sweep's accounting line, as the CLIs print it: total
+// wall time, summed per-run work, and the realized parallel speedup.
+func (r SweepReport) String() string {
+	return fmt.Sprintf("[%d runs, j=%d: wall %.1fs, work %.1fs, speedup %.1fx]",
+		r.Runs, r.Workers, r.Wall.Seconds(), r.Work.Seconds(), r.Speedup())
 }
 
 // RunAll executes every Options and returns the results in submission

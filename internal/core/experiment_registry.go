@@ -6,15 +6,6 @@ import (
 	"slices"
 )
 
-// Rows is a rendered experiment result: every experiment returns its
-// rows (SweepRows for the simulation sweeps, a print closure for the
-// static tables and the Pareto sweep) behind this interface, and Render
-// writes the exact human-readable table cmd/paperbench prints. Callers
-// needing a sweep's runs type-assert to SweepRows.
-type Rows interface {
-	Render(w io.Writer)
-}
-
 // Experiment is one experiment driver: a named, uniformly invocable
 // reproduction of a paper table/figure or an extension study. The
 // experiments table is the fifth of the repo's catalogues (topologies,
@@ -22,6 +13,7 @@ type Rows interface {
 // experiments): cmd/paperbench's -exp dispatch, every binary's
 // -list=experiments and nucad's experiment catalogue all derive from it,
 // so a row added there is reachable everywhere with no further plumbing.
+// A row is a job list and a renderer; Run is the one path that runs it.
 type Experiment struct {
 	// Name is the catalogue key (the -exp argument), e.g. "f9".
 	Name string
@@ -35,9 +27,41 @@ type Experiment struct {
 	// experiments (telemetry, cmp) leave it false and run only when
 	// named.
 	InAll bool
-	// Run executes the experiment. The SweepReport is zero for
-	// experiments that do not drive the simulation engine.
-	Run func(cfg ExpConfig) (Rows, SweepReport, error)
+
+	// jobs is the row's run list; nil for the static tables, which
+	// simulate nothing.
+	jobs func(cfg ExpConfig) []Options
+	// render prints the row's table from its runs, in job-list order.
+	render func(w io.Writer, cfg ExpConfig, runs []Result)
+}
+
+// SweepRows is what Run returns: the runs in job-list order, the
+// engine's accounting of them, and the row's renderer. Each Result
+// carries its own Options and resolved Design, so a caller reading Runs
+// (tests, the -trace export) needs no per-figure cell type.
+type SweepRows struct {
+	Runs   []Result
+	Report SweepReport
+
+	cfg    ExpConfig
+	render func(w io.Writer, cfg ExpConfig, runs []Result)
+}
+
+// Render writes the experiment's table.
+func (s SweepRows) Render(w io.Writer) { s.render(w, s.cfg, s.Runs) }
+
+// Run builds e's job list and fans it out on the engine once. A row
+// without jobs runs nothing and reports zero runs.
+func (e Experiment) Run(cfg ExpConfig) (SweepRows, error) {
+	var opts []Options
+	if e.jobs != nil {
+		opts = e.jobs(cfg)
+	}
+	runs, rep, err := NewEngine(cfg.Workers).RunAll(opts)
+	if err != nil {
+		return SweepRows{}, err
+	}
+	return SweepRows{Runs: runs, Report: rep, cfg: cfg, render: e.render}, nil
 }
 
 // experiments is the closed catalogue, in the paper's presentation
@@ -46,59 +70,53 @@ var experiments = []Experiment{
 	{
 		Name: "t1", About: "Table 1 system parameters (bank latencies, memory, router)",
 		Title: staticTitle("Table 1: system parameters"), InAll: true,
-		Run: func(ExpConfig) (Rows, SweepReport, error) { return rowsFunc(renderTable1), SweepReport{}, nil },
+		render: renderTable1,
 	},
 	{
 		Name: "t2", About: "Table 2 benchmark profiles vs generator self-check",
 		Title: staticTitle("Table 2: benchmarks (profile vs generator self-check)"), InAll: true,
-		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			rows := Table2Check(40000, cfg.Seed)
-			return rowsFunc(func(w io.Writer) { renderTable2(w, rows) }), SweepReport{}, nil
-		},
+		render: renderTable2,
 	},
 	{
 		Name: "t3", About: "Table 3 network design catalogue",
 		Title: staticTitle("Table 3: network designs"), InAll: true,
-		Run: func(ExpConfig) (Rows, SweepReport, error) { return rowsFunc(renderTable3), SweepReport{}, nil },
+		render: renderTable3,
 	},
 	{
 		Name: "t4", About: "Table 4 area analysis (cacti-lite model)",
 		Title: staticTitle("Table 4: area analysis (cacti-lite model)"), InAll: true,
-		Run: func(ExpConfig) (Rows, SweepReport, error) {
-			reps, err := Table4()
-			return rowsFunc(func(w io.Writer) { renderTable4(w, reps) }), SweepReport{}, err
-		},
+		render: renderTable4,
 	},
 	{
 		Name: "f7", About: "Figure 7 latency split of the unicast LRU baseline",
 		Title: staticTitle("Figure 7: L2 access latency split, unicast LRU, Design A"), InAll: true,
-		Run: sweepExperiment(fig7Jobs, renderFig7),
+		jobs: fig7Jobs, render: renderFig7,
 	},
 	{
 		Name: "f8", About: "Figure 8 access latency across the five replacement schemes",
 		Title: staticTitle("Figure 8: access latency by scheme, Design A"), InAll: true,
-		Run: sweepExperiment(fig8Jobs, renderFig8),
+		jobs: fig8Jobs, render: renderFig8,
 	},
 	{
 		Name: "f9", About: "Figure 9 normalized IPC across designs A-F",
 		Title: func(cfg ExpConfig) string { return "Figure 9: normalized IPC by design, " + cfg.cell("").scheme() },
 		InAll: true,
-		Run:   sweepExperiment(fig9Jobs, renderFig9),
+		jobs:  fig9Jobs, render: renderFig9,
 	},
 	{
 		Name: "headline", About: "abstract's headline claims, recomputed",
 		Title: staticTitle("Headline claims (abstract)"), InAll: true,
-		Run: sweepExperiment(headlineJobs, renderHeadline),
+		jobs: headlineJobs, render: renderHeadline,
 	},
 	{
 		Name: "energy", About: "per-design energy estimate (extension: the paper's stated future work)",
 		Title: staticTitle("Energy comparison (extension: the paper's stated future work)"), InAll: true,
-		Run: sweepExperiment(energyJobs, renderEnergy),
+		jobs: energyJobs, render: renderEnergy,
 	},
 	{
 		Name: "power", About: "power-gating sweep (extension: on-demand power control)",
 		Title: staticTitle("Power-gating sweep (extension: the paper's on-demand power control)"), InAll: true,
-		Run: sweepExperiment(powerJobs, renderPower),
+		jobs: powerJobs, render: renderPower,
 	},
 	{
 		Name: "pareto", About: "router engine x design x scheme cost/performance frontier",
@@ -106,10 +124,7 @@ var experiments = []Experiment{
 			return fmt.Sprintf("Pareto sweep: router engine x design x scheme (%s)", cfg.bench())
 		},
 		InAll: true,
-		Run: func(cfg ExpConfig) (Rows, SweepReport, error) {
-			pts, rep, err := ParetoSweep(cfg)
-			return rowsFunc(func(w io.Writer) { renderPareto(w, pts) }), rep, err
-		},
+		jobs:  paretoJobs, render: renderPareto,
 	},
 	{
 		Name: "telemetry", About: "cycle-level probe comparison of designs A, D, F",
@@ -117,7 +132,7 @@ var experiments = []Experiment{
 			return "Telemetry: spatial and temporal view, designs A / D / F on " + cfg.bench() + ", " + cfg.cell("").scheme()
 		},
 		InAll: false, // runs when named or when probe flags are set
-		Run:   sweepExperiment(telemetryJobs, renderTelemetry),
+		jobs:  telemetryJobs, render: renderTelemetry,
 	},
 	{
 		Name: "cmp", About: "sharing-contention sweep: 1-8 cores on the two-chiplet hierarchy (extension: the paper's CMP future work)",
@@ -126,7 +141,7 @@ var experiments = []Experiment{
 				cfg.bench() + ", directory policy, 1-8 cores"
 		},
 		InAll: false, // CMP fabric study; runs when named
-		Run:   sweepExperiment(cmpJobs, renderCMP),
+		jobs:  cmpJobs, render: renderCMP,
 	},
 }
 

@@ -16,25 +16,22 @@ import (
 var updateGoldens = flag.Bool("update", false, "rewrite experiment golden files")
 
 // runExperiment runs a registered experiment the way paperbench does and
-// returns its rows.
-func runExperiment(t *testing.T, name string, cfg ExpConfig) Rows {
+// returns its runs, accounting and renderer. A row without jobs must run
+// nothing; every other row accounts for each of its runs.
+func runExperiment(t *testing.T, name string, cfg ExpConfig) SweepRows {
 	t.Helper()
 	e, err := ExperimentByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := e.Run(cfg)
+	rows, err := e.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := rows.Report.Runs; n != len(rows.Runs) || (n == 0) != (e.jobs == nil) {
+		t.Fatalf("%s: Report.Runs = %d with %d runs (row has jobs: %v)", name, n, len(rows.Runs), e.jobs != nil)
+	}
 	return rows
-}
-
-// sweepRuns runs a registered sweep experiment and returns its runs in
-// job-list order.
-func sweepRuns(t *testing.T, name string, cfg ExpConfig) []Result {
-	t.Helper()
-	return runExperiment(t, name, cfg).(SweepRows).Runs
 }
 
 // paperCfg is DefaultExpConfig, the paper's multicast Fast-LRU, at a
@@ -72,16 +69,15 @@ func TestExperimentCatalogue(t *testing.T) {
 	}
 }
 
-// TestExperimentGoldens locks the registry-dispatched output bytes to
-// the committed goldens — the proof that folding the ad-hoc paperbench
-// drivers into Experiment.Run/Rows.Render changed no output. Regenerate
-// with: go test ./internal/core/ -run TestExperimentGoldens -update
+// TestExperimentGoldens locks every catalogue row's output bytes to its
+// committed golden, so a row added without one fails. Regenerate with:
+// go test ./internal/core/ -run TestExperimentGoldens -update
 func TestExperimentGoldens(t *testing.T) {
 	cfg := paperCfg(200, 42)
 	// The sweeps added after the first seven (~5 s together) are skipped
 	// under -short; the first seven always run.
 	long := map[string]bool{"f8": true, "f9": true, "headline": true, "pareto": true, "telemetry": true, "cmp": true}
-	for _, name := range []string{"t1", "t2", "t3", "t4", "f7", "f8", "f9", "headline", "energy", "power", "pareto", "telemetry", "cmp"} {
+	for _, name := range ExperimentNames() {
 		t.Run(name, func(t *testing.T) {
 			if long[name] && testing.Short() {
 				t.Skip("full sweep; skipped in -short")
@@ -123,7 +119,7 @@ func TestExperimentSchemeOverride(t *testing.T) {
 		if name == "cmp" {
 			want = cache.Directory
 		}
-		for i, r := range sweepRuns(t, name, cfg) {
+		for i, r := range runExperiment(t, name, cfg).Runs {
 			if r.Options.Policy != want || r.Options.Mode != cache.Unicast {
 				t.Errorf("%s run %d ran %v+%v, want unicast+%v", name, i, r.Options.Mode, r.Options.Policy, want)
 			}
@@ -141,23 +137,19 @@ func TestExperimentSchemeOverride(t *testing.T) {
 }
 
 // TestExperimentBenchReachesRuns: ExpConfig.Bench is the benchmark of
-// every run of the single-benchmark experiments. Pareto returns points,
-// not runs, so each measured point must equal a direct run on the bench.
+// every run of the single-benchmark experiments, and each measured Pareto
+// point equals a direct run on the bench.
 func TestExperimentBenchReachesRuns(t *testing.T) {
 	cfg := paperCfg(40, 42)
 	cfg.Bench = "mcf"
 	for _, name := range []string{"energy", "power", "telemetry", "cmp"} {
-		for i, r := range sweepRuns(t, name, cfg) {
+		for i, r := range runExperiment(t, name, cfg).Runs {
 			if r.Options.Benchmark != "mcf" {
 				t.Errorf("%s run %d ran %q, want mcf", name, i, r.Options.Benchmark)
 			}
 		}
 	}
-	pts, _, err := ParetoSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range pts {
+	for _, pt := range paretoPoints(cfg, runExperiment(t, "pareto", cfg).Runs) {
 		if pt.Skipped != "" {
 			continue
 		}

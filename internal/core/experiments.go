@@ -1,7 +1,6 @@
 package core
 
 import (
-	"io"
 	"slices"
 
 	"nucanet/internal/area"
@@ -72,38 +71,6 @@ func (cfg ExpConfig) run(c cell, bench string) Options {
 	}
 }
 
-// sweep fans the job list out on the engine configured by cfg.
-func (cfg ExpConfig) sweep(opts []Options) ([]Result, SweepReport, error) {
-	return NewEngine(cfg.Workers).RunAll(opts)
-}
-
-// SweepRows is the Rows of every sweep experiment: the runs in job-list
-// order plus the experiment's table renderer. Each Result carries its own
-// Options and resolved Design, so a caller reading Runs (tests, the -trace
-// export) needs no per-figure cell type.
-type SweepRows struct {
-	Runs []Result
-
-	cfg    ExpConfig
-	render func(w io.Writer, cfg ExpConfig, runs []Result)
-}
-
-// Render writes the experiment's table.
-func (s SweepRows) Render(w io.Writer) { s.render(w, s.cfg, s.Runs) }
-
-// sweepExperiment is the one driver under the sweep experiments: build
-// the job list, fan it out on the engine once, and hand the runs — in
-// submission order — to the experiment's renderer.
-func sweepExperiment(jobs func(ExpConfig) []Options, render func(io.Writer, ExpConfig, []Result)) func(ExpConfig) (Rows, SweepReport, error) {
-	return func(cfg ExpConfig) (Rows, SweepReport, error) {
-		runs, rep, err := cfg.sweep(jobs(cfg))
-		if err != nil {
-			return nil, rep, err
-		}
-		return SweepRows{Runs: runs, cfg: cfg, render: render}, rep, nil
-	}
-}
-
 // cell is one design under one scheme (a replacement policy and a
 // request mode): a column of a figure's grid.
 type cell struct {
@@ -161,11 +128,6 @@ func headlineJobs(cfg ExpConfig) []Options {
 	return cfg.grid(trace.Names(), meshPromo, meshFast, haloFast)
 }
 
-// Table4 regenerates the area analysis.
-func Table4() ([]area.Report, error) {
-	return area.Table4(area.DefaultModel())
-}
-
 // energyJobs estimates the energy of all six designs under the
 // configured scheme on one benchmark (extension experiment: the paper
 // names energy analysis as future work).
@@ -195,11 +157,36 @@ func powerJobs(cfg ExpConfig) []Options {
 	return opts
 }
 
-// ParetoPoint is one (router, design, scheme) operating point of the
+// paretoGrid crosses every router microarchitecture with the mesh (A),
+// simplified mesh (D), halo (F), and ring (R) representatives and both
+// multicast schemes on the configured benchmark: the Pareto sweep's
+// points, those an engine rejects included.
+func paretoGrid(cfg ExpConfig) []Options {
+	var opts []Options
+	for _, rt := range router.Names() {
+		for _, id := range []string{"A", "D", "F", "R"} {
+			for _, p := range []cache.Policy{cache.Promotion, cache.FastLRU} {
+				o := cfg.run(cell{id, p, cache.Multicast}, cfg.bench())
+				o.Router = rt
+				opts = append(opts, o)
+			}
+		}
+	}
+	return opts
+}
+
+// paretoJobs is the grid points the engines accept (their Supports
+// declaration, checked by Options.Validate), so adding a constrained
+// engine never breaks the sweep.
+func paretoJobs(cfg ExpConfig) []Options {
+	return slices.DeleteFunc(paretoGrid(cfg), func(o Options) bool { return o.Validate() != nil })
+}
+
+// paretoPoint is one (router, design, scheme) operating point of the
 // cost/performance sweep: silicon cost from the area model, energy and
 // latency from the simulation. Points no engine can run carry the reason
 // in Skipped instead of measurements.
-type ParetoPoint struct {
+type paretoPoint struct {
 	RouterName string
 	DesignID   string
 	Scheme     string
@@ -213,75 +200,46 @@ type ParetoPoint struct {
 	// Frontier marks points no other point dominates (lower area, lower
 	// latency, and lower energy, strictly better in at least one).
 	Frontier bool
-	// Skipped carries the constructor's rejection for combinations the
-	// engine declared unsupported; the point has no measurements.
+	// Skipped carries the rejection of a combination the engine declared
+	// unsupported; the point has no measurements.
 	Skipped string
 }
 
 // dominated reports whether q beats p on every Pareto axis (area,
 // latency, energy) and strictly on at least one.
-func (p ParetoPoint) dominated(q ParetoPoint) bool {
+func (p paretoPoint) dominated(q paretoPoint) bool {
 	if q.AreaMM2 > p.AreaMM2 || q.AvgLat > p.AvgLat || q.EnergyNJ > p.EnergyNJ {
 		return false
 	}
 	return q.AreaMM2 < p.AreaMM2 || q.AvgLat < p.AvgLat || q.EnergyNJ < p.EnergyNJ
 }
 
-// ParetoSweep crosses every router microarchitecture with the
-// mesh (A), simplified mesh (D), halo (F), and ring (R) representatives
-// and both multicast schemes on the configured benchmark, then marks the
-// area/latency/energy frontier. Combinations an engine rejects (its
-// Supports declaration) are reported as skipped rather than failing the
-// sweep, so adding a constrained engine never breaks the experiment.
-func ParetoSweep(cfg ExpConfig) ([]ParetoPoint, SweepReport, error) {
+// paretoPoints rebuilds the sweep's points from its runs: each grid
+// point in order, a rejected one carrying Validate's reason and every
+// other one the next run, its area from the run's resolved design; then
+// it marks the area/latency/energy frontier.
+func paretoPoints(cfg ExpConfig, runs []Result) []paretoPoint {
 	model := area.DefaultModel()
-	var opts []Options
-	var pts []ParetoPoint
-	for _, rt := range router.Names() {
-		for _, id := range []string{"A", "D", "F", "R"} {
-			for _, p := range []cache.Policy{cache.Promotion, cache.FastLRU} {
-				c := cell{id, p, cache.Multicast}
-				o := cfg.run(c, cfg.bench())
-				o.Router = rt
-				pt := ParetoPoint{RouterName: rt, DesignID: id, Scheme: c.scheme()}
-				if err := o.Validate(); err != nil {
-					pt.Skipped = err.Error()
-					pts = append(pts, pt)
-					continue
-				}
-				d, err := config.DesignByID(id)
-				if err != nil {
-					return nil, SweepReport{}, err
-				}
-				d.Router.Engine = rt
-				rep, err := model.Analyze(d)
-				if err != nil {
-					return nil, SweepReport{}, err
-				}
-				pt.AreaMM2, pt.NetMM2 = rep.L2MM2(), rep.NetworkMM2()
-				opts = append(opts, o)
-				pts = append(pts, pt)
-			}
+	var pts []paretoPoint
+	for _, o := range paretoGrid(cfg) {
+		pt := paretoPoint{RouterName: o.Router, DesignID: o.DesignID, Scheme: cell{o.DesignID, o.Policy, o.Mode}.scheme()}
+		if err := o.Validate(); err != nil {
+			pt.Skipped = err.Error()
+		} else {
+			r := runs[0]
+			runs = runs[1:]
+			rep, _ := model.Analyze(r.Design) // the design ran, so it builds and its engine is registered
+			pt.AreaMM2, pt.NetMM2 = rep.L2MM2(), rep.NetworkMM2()
+			pt.IPC, pt.AvgLat, pt.EnergyNJ = r.IPC, r.AvgLatency, r.Energy.PerAccessNJ()
 		}
-	}
-	rs, rep, err := cfg.sweep(opts)
-	if err != nil {
-		return nil, rep, err
-	}
-	// Results map back in submission order; skipped points consumed none.
-	for i := range pts {
-		if pts[i].Skipped == "" {
-			r := rs[0]
-			rs = rs[1:]
-			pts[i].IPC, pts[i].AvgLat, pts[i].EnergyNJ = r.IPC, r.AvgLatency, r.Energy.PerAccessNJ()
-		}
+		pts = append(pts, pt)
 	}
 	for i, p := range pts {
-		pts[i].Frontier = p.Skipped == "" && !slices.ContainsFunc(pts, func(q ParetoPoint) bool {
+		pts[i].Frontier = p.Skipped == "" && !slices.ContainsFunc(pts, func(q paretoPoint) bool {
 			return q.Skipped == "" && p.dominated(q)
 		})
 	}
-	return pts, rep, nil
+	return pts
 }
 
 // Table2Row reports the generator's self-check against the Table 2

@@ -19,7 +19,7 @@ func TestFig7Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	runs := sweepRuns(t, "f7", tiny)
+	runs := runExperiment(t, "f7", tiny).Runs
 	if len(runs) != 12 {
 		t.Fatalf("runs = %d, want 12", len(runs))
 	}
@@ -41,7 +41,7 @@ func TestFig8Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	runs := sweepRuns(t, "f8", paperCfg(200, 7))
+	runs := runExperiment(t, "f8", paperCfg(200, 7)).Runs
 	schemes := fig8Cells
 	if len(runs) != 12*len(schemes) {
 		t.Fatalf("runs = %d, want 60", len(runs))
@@ -64,7 +64,7 @@ func TestFig9Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	runs := sweepRuns(t, "f9", paperCfg(200, 7))
+	runs := runExperiment(t, "f9", paperCfg(200, 7)).Runs
 	designs := config.Designs()
 	if len(runs) != 12*len(designs) {
 		t.Fatalf("runs = %d, want 72", len(runs))
@@ -86,7 +86,7 @@ func TestFig9Driver(t *testing.T) {
 }
 
 func TestEnergyComparisonDriver(t *testing.T) {
-	runs := sweepRuns(t, "energy", paperCfg(600, 7))
+	runs := runExperiment(t, "energy", paperCfg(600, 7)).Runs
 	if len(runs) != 6 {
 		t.Fatalf("runs = %d, want 6", len(runs))
 	}
@@ -130,7 +130,7 @@ func TestHeadlineClaimsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	runs := sweepRuns(t, "headline", paperCfg(300, 7))
+	runs := runExperiment(t, "headline", paperCfg(300, 7)).Runs
 	if g := claimByID(t, "headline/halo-fast-vs-mesh-promo").measure(runs); g <= 0 {
 		t.Errorf("halo fastLRU vs mesh promotion gain = %+.1f%%, want > 0", g)
 	}
@@ -188,7 +188,7 @@ func TestPowerGatingSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	runs := sweepRuns(t, "power", paperCfg(800, 7))
+	runs := runExperiment(t, "power", paperCfg(800, 7)).Runs
 	if len(runs) != 5 || len(runs[0].Design.Banks) != 16 || len(runs[4].Design.Banks) != 2 {
 		t.Fatalf("sweep shape wrong: %d runs", len(runs))
 	}
@@ -220,7 +220,7 @@ func TestPowerGatingSweep(t *testing.T) {
 func TestPowerGatingFollowsRouterOverride(t *testing.T) {
 	cfg := paperCfg(100, 7)
 	cfg.RouterName = "bufferless"
-	for _, r := range sweepRuns(t, "power", cfg) {
+	for _, r := range runExperiment(t, "power", cfg).Runs {
 		if got := r.Design.Router.Engine; got != "bufferless" {
 			t.Errorf("%d-way gated run simulated on router %q, want bufferless", len(r.Design.Banks), got)
 		}

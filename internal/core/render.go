@@ -13,17 +13,12 @@ import (
 
 // This file renders every built-in experiment's table (the exp_*.golden
 // files pin the bytes); the experiments table lists them in the paper's
-// presentation order. The sweep experiments render straight from their
-// runs: a render function over the []Result that sweepExperiment hands
-// it, paired with a job-list function in experiments.go.
-
-// rowsFunc is the Rows of an experiment that prints without a sweep.
-type rowsFunc func(w io.Writer)
-
-func (f rowsFunc) Render(w io.Writer) { f(w) }
+// presentation order. Every renderer prints straight from the runs of
+// its row's job list (experiments.go), the []Result Experiment.Run hands
+// it; the static tables have no jobs and read their models directly.
 
 // renderTable1 prints the static system parameters of Table 1.
-func renderTable1(w io.Writer) {
+func renderTable1(w io.Writer, _ ExpConfig, _ []Result) {
 	fmt.Fprintln(w, "memory: block 64B; latency 130 cycles + 4 cycles per 8B (pipelined)")
 	fmt.Fprintln(w, "router: 4-flit buffers, 4 VCs per PC, 128-bit flits, 1 cycle per stage")
 	fmt.Fprintln(w, "bank size    wire delay   tag only   tag+replacement")
@@ -37,9 +32,9 @@ func renderTable1(w io.Writer) {
 }
 
 // renderTable2 prints the generator self-check against Table 2.
-func renderTable2(w io.Writer, rows []Table2Row) {
+func renderTable2(w io.Writer, cfg ExpConfig, _ []Result) {
 	fmt.Fprintln(w, "name     instr   perfIPC  reads(M) writes(M)  acc/instr | gen acc/instr  gen wr%   gen hit% (16-way LRU)")
-	for _, row := range rows {
+	for _, row := range Table2Check(40000, cfg.Seed) {
 		p := row.Profile
 		fmt.Fprintf(w, "%-8s %5.2gB  %5.2f   %8.3f %8.3f   %8.3f | %12.4f  %6.1f%%  %6.1f%%\n",
 			p.Name, float64(p.InstrTotal)/1e9, p.PerfectIPC, p.ReadsM, p.WritesM,
@@ -48,16 +43,17 @@ func renderTable2(w io.Writer, rows []Table2Row) {
 }
 
 // renderTable3 prints the design catalogue of Table 3.
-func renderTable3(w io.Writer) {
+func renderTable3(w io.Writer, _ ExpConfig, _ []Result) {
 	for _, d := range config.Designs() {
 		fmt.Fprintf(w, "  %s: %-55s banks/column: %v\n", d.ID, d.Description, d.Banks)
 	}
 }
 
 // renderTable4 prints the area analysis of Table 4 next to the paper's.
-func renderTable4(w io.Writer, rows []area.Report) {
+func renderTable4(w io.Writer, _ ExpConfig, _ []Result) {
+	reps, _ := area.Table4(area.DefaultModel()) // the built-in designs always analyze
 	fmt.Fprintln(w, "design   bank%   router%   link%     L2 mm2    chip mm2")
-	for _, r := range rows {
+	for _, r := range reps {
 		fmt.Fprintf(w, "  %s     %5.1f     %5.1f   %5.1f   %8.2f   %9.2f\n",
 			r.DesignID, r.BankPct(), r.RouterPct(), r.LinkPct(), r.L2MM2(), r.ChipMM2)
 	}
@@ -188,9 +184,9 @@ func renderPower(w io.Writer, cfg ExpConfig, runs []Result) {
 }
 
 // renderPareto prints the router/design/scheme cost-performance sweep.
-func renderPareto(w io.Writer, rows []ParetoPoint) {
+func renderPareto(w io.Writer, cfg ExpConfig, runs []Result) {
 	fmt.Fprintln(w, "   router        design  scheme                 L2 mm2   net mm2   avg lat   nJ/acc     IPC")
-	for _, p := range rows {
+	for _, p := range paretoPoints(cfg, runs) {
 		if p.Skipped != "" {
 			fmt.Fprintf(w, "   %-13s %-7s %-21s skipped: %s\n", p.RouterName, p.DesignID, p.Scheme, p.Skipped)
 			continue

@@ -158,20 +158,18 @@ func TestRouterOptionValidation(t *testing.T) {
 
 // TestParetoSweepShape runs the Pareto experiment at smoke size and pins
 // its structure: full coverage of the engine x design x scheme grid, a
-// non-empty frontier, no dominated point marked, and measurements on
-// every point the engines accept.
+// run for exactly the points the engines accept, a non-empty frontier,
+// no dominated point marked, and measurements on every accepted point.
 func TestParetoSweepShape(t *testing.T) {
 	cfg := DefaultExpConfig()
 	cfg.Accesses = 120
-	pts, _, err := ParetoSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := runExperiment(t, "pareto", cfg).Runs
+	pts := paretoPoints(cfg, runs)
 	want := len(router.Names()) * 4 * 2
 	if len(pts) != want {
 		t.Fatalf("points = %d, want %d (engines x 4 designs x 2 schemes)", len(pts), want)
 	}
-	frontier := 0
+	frontier, measured := 0, 0
 	for _, p := range pts {
 		if p.Skipped != "" {
 			if p.RouterName == router.DefaultEngine {
@@ -185,6 +183,13 @@ func TestParetoSweepShape(t *testing.T) {
 		if p.Frontier {
 			frontier++
 		}
+		if r := runs[measured]; r.Options.Router != p.RouterName || r.Design.ID != p.DesignID || r.IPC != p.IPC {
+			t.Errorf("point %s/%s/%s reads run %d (%s/%s)", p.RouterName, p.DesignID, p.Scheme, measured, r.Options.Router, r.Design.ID)
+		}
+		measured++
+	}
+	if measured != len(runs) {
+		t.Errorf("%d measured points, %d runs", measured, len(runs))
 	}
 	if frontier == 0 {
 		t.Fatal("no frontier points")

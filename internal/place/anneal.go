@@ -12,43 +12,34 @@ import (
 	"nucanet/internal/sim"
 )
 
-// DefaultBenchmarks is the scoring mix: two integer and two FP profiles
-// spanning the Table 2 access-intensity range, the same wave
-// core's BenchmarkEngineWave models. A candidate's score is the geometric-mean IPC over
-// the mix.
-var DefaultBenchmarks = []string{"gcc", "mcf", "art", "apsi"}
-
-// Config tunes one optimizer search; zero fields take the listed
-// defaults, except the scheme (Policy, Mode), which has none. The search is deterministic: same Config, same result, same
-// Hash (pinned by cmd/cli_test.go and TestSearchDeterministic).
+// Config tunes one optimizer search. Start from DefaultConfig: zero is
+// not a default, and the five counts (Budget, Wave, ScreenAccesses,
+// ConfirmAccesses, Shortlist) must be positive. The search is
+// deterministic: same Config, same result, same Hash (pinned by
+// cmd/cli_test.go and TestSearchDeterministicAndSound).
 type Config struct {
-	Seed uint64 // RNG seed for the annealing schedule (default 1)
+	Seed uint64 // RNG seed for the annealing schedule
 
 	// Budget is how many distinct candidates the search may score with
-	// screening runs before it stops (default 48). The seed candidate
-	// counts.
+	// screening runs before it stops. The seed candidate counts.
 	Budget int
 	// Wave is how many mutations each annealing step proposes; the whole
-	// wave screens as one engine batch of Wave x len(Benchmarks) lanes
-	// (default 8).
+	// wave screens as one engine batch of Wave x len(Benchmarks) lanes.
 	Wave int
 
-	// ScreenAccesses is the per-run length of screening scores (default
-	// 150: the regime the engine's shared preparation is built for).
+	// ScreenAccesses is the per-run length of screening scores.
 	// ConfirmAccesses re-scores the shortlist and the baseline at full
-	// length before the winner is declared (default 4000).
+	// length before the winner is declared.
 	ScreenAccesses  int
 	ConfirmAccesses int
 	// Shortlist is how many top screening candidates graduate to
-	// confirmation (default 3; the baseline always confirms too).
+	// confirmation (the baseline always confirms too).
 	Shortlist int
 
-	Benchmarks []string // scoring mix (default DefaultBenchmarks)
+	Benchmarks []string // scoring mix
 	Workers    int      // engine workers; 0 selects GOMAXPROCS
 
 	// Policy and Mode are the replacement scheme of every scored run.
-	// They have no default: the paper's winner is FastLRU with
-	// Multicast, the pair cmd/nucaopt's flags default to.
 	Policy cache.Policy
 	Mode   cache.Mode
 
@@ -64,29 +55,20 @@ type Config struct {
 	Log func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
-	if c.Seed == 0 {
-		c.Seed = 1
+// DefaultConfig is the search cmd/nucaopt runs with no flags: seed 1, 48
+// candidates screened in waves of 8 at 150 accesses (the regime the
+// engine's shared preparation is built for), a shortlist of 3 confirmed
+// at 4000, under the paper's multicast Fast-LRU. The scoring mix is two
+// integer and two FP profiles spanning the Table 2 access-intensity
+// range, the same wave core's BenchmarkEngineWave models; a candidate's
+// score is the geometric-mean IPC over the mix.
+func DefaultConfig() Config {
+	return Config{
+		Seed: 1, Budget: 48, Wave: 8,
+		ScreenAccesses: 150, ConfirmAccesses: 4000, Shortlist: 3,
+		Benchmarks: []string{"gcc", "mcf", "art", "apsi"},
+		Policy:     cache.FastLRU, Mode: cache.Multicast,
 	}
-	if c.Budget <= 0 {
-		c.Budget = 48
-	}
-	if c.Wave <= 0 {
-		c.Wave = 8
-	}
-	if c.ScreenAccesses <= 0 {
-		c.ScreenAccesses = 150
-	}
-	if c.ConfirmAccesses <= 0 {
-		c.ConfirmAccesses = 4000
-	}
-	if c.Shortlist <= 0 {
-		c.Shortlist = 3
-	}
-	if len(c.Benchmarks) == 0 {
-		c.Benchmarks = DefaultBenchmarks
-	}
-	return c
 }
 
 // The annealing schedule: the acceptance temperature starts at initTemp,
@@ -149,7 +131,6 @@ type Result struct {
 // re-scored at confirmation length together with the baseline, so the
 // returned Best is a confirmed, not screened, winner.
 func Search(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	model := area.DefaultModel()
 	baseline := Seed().Canon()
 	if cfg.Cores > 0 {

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"nucanet/internal/cache"
 	"nucanet/internal/config"
 	"nucanet/internal/sim"
 )
@@ -109,17 +108,22 @@ func TestVerifyRejectsMalformed(t *testing.T) {
 	}
 }
 
+// tinySearch is DefaultConfig cut to a test's size: seed 5, waves of 3,
+// 60/120-access scoring on gcc alone, two workers.
+func tinySearch(budget int) Config {
+	cfg := DefaultConfig()
+	cfg.Seed, cfg.Budget, cfg.Wave = 5, budget, 3
+	cfg.ScreenAccesses, cfg.ConfirmAccesses = 60, 120
+	cfg.Benchmarks, cfg.Workers = []string{"gcc"}, 2
+	return cfg
+}
+
 // TestSearchDeterministicAndSound runs a tiny search twice: identical
 // winners (same hash, same scores), accounting consistent, and the
 // confirmed best never below the Design F baseline — the baseline is in
 // the space and always confirmed alongside the shortlist.
 func TestSearchDeterministicAndSound(t *testing.T) {
-	cfg := Config{
-		Seed: 5, Budget: 6, Wave: 3,
-		ScreenAccesses: 60, ConfirmAccesses: 120,
-		Benchmarks: []string{"gcc"}, Workers: 2,
-		Policy: cache.FastLRU, Mode: cache.Multicast,
-	}
+	cfg := tinySearch(6)
 	run := func() *Result {
 		res, err := Search(cfg)
 		if err != nil {
@@ -148,13 +152,8 @@ func TestSearchDeterministicAndSound(t *testing.T) {
 // CMP runs through the engine, stays deterministic, and never graduates a
 // radial candidate (halos cannot host a core grid).
 func TestSearchWithCoresScreensCMP(t *testing.T) {
-	cfg := Config{
-		Seed: 5, Budget: 5, Wave: 3,
-		ScreenAccesses: 60, ConfirmAccesses: 120,
-		Benchmarks: []string{"gcc"}, Workers: 2,
-		Policy: cache.FastLRU, Mode: cache.Multicast,
-		Cores: 2,
-	}
+	cfg := tinySearch(5)
+	cfg.Cores = 2
 	run := func() *Result {
 		res, err := Search(cfg)
 		if err != nil {
@@ -180,12 +179,7 @@ func TestSearchWithCoresScreensCMP(t *testing.T) {
 	}
 	// The single-core and 2-core searches answer different questions:
 	// the per-core score under sharing must sit below the solo score.
-	solo := Config{
-		Seed: 5, Budget: 5, Wave: 3,
-		ScreenAccesses: 60, ConfirmAccesses: 120,
-		Benchmarks: []string{"gcc"}, Workers: 2,
-		Policy: cache.FastLRU, Mode: cache.Multicast,
-	}
+	solo := tinySearch(5)
 	rs, err := Search(solo)
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,6 @@ func (l *latched) eject(e entry, pi int, now int64) {
 	l.stats.FlitsRouted += uint64(pkt.Flits())
 	l.tel.FlitEjected(now, e.f, int(l.ID), pi)
 	pkt.Delivered = now
-	l.stats.PacketsEjected++
 	l.deliver(pkt, now)
 	l.pool.Put(pkt)
 }

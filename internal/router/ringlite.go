@@ -142,7 +142,6 @@ func (r *RingLite) forward(cp, o int, now int64) {
 		rp := r.replica(pkt, r.ID)
 		rp.Delivered = now
 		r.stats.ReplicasSpawned += uint64(rp.Flits())
-		r.stats.PacketsEjected++
 		rf := flit.Flit{Pkt: rp, Head: true, Tail: true}
 		r.tel.ReplicaForked(now, rf, int(r.ID), cp, 0)
 		r.tel.FlitEjected(now, rf, int(r.ID), cp)

@@ -96,7 +96,6 @@ func (c Config) withDefaults() Config {
 // bufferless router has no credits to stall on.
 type Stats struct {
 	FlitsRouted     uint64 // flits granted switch traversal
-	PacketsEjected  uint64
 	ReplicasSpawned uint64 // multicast flit copies placed into stolen VCs
 	ReplicaBlocked  uint64 // cycles a multicast flit stalled with no free VC
 	CreditStalls    uint64 // cycles the switch winner had no downstream credit
@@ -107,7 +106,6 @@ type Stats struct {
 // aggregates over routers or over runs combine in any order.
 func (s *Stats) Merge(o Stats) {
 	s.FlitsRouted += o.FlitsRouted
-	s.PacketsEjected += o.PacketsEjected
 	s.ReplicasSpawned += o.ReplicasSpawned
 	s.ReplicaBlocked += o.ReplicaBlocked
 	s.CreditStalls += o.CreditStalls
@@ -720,7 +718,6 @@ func (r *Router) traverse(idx, o int, isEject bool, now int64) {
 			// processing at head arrival; body flits drain behind it
 			// (they still hold buffers and links until ejected).
 			pkt.Delivered = now
-			r.stats.PacketsEjected++
 			r.deliver(pkt, now)
 		}
 		if e.f.Tail {
