@@ -117,6 +117,8 @@ func TestCLI(t *testing.T) {
 			mentions: []string{"design H2  deadlock-free"}},
 		{name: "verify routing, bufferless", bin: "nucasim", args: []string{"-router", "bufferless", "-verify-routing"},
 			mentions: []string{"design H2  livelock-free"}},
+		{name: "verify routing, unknown router", bin: "nucasim", args: []string{"-router", "nope", "-verify-routing"}, exit: 1,
+			mentions: []string{`nucasim: router: unknown engine "nope" (registered: `}},
 		// The examples are the documented way into the library API (core.Run;
 		// cache.System with completion callbacks and the golden model): both
 		// are deterministic, so their stdout is pinned whole.

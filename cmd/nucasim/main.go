@@ -77,7 +77,9 @@ func main() {
 		return
 	}
 	if *verify {
-		os.Exit(verifyRouting(os.Stdout, *routerName))
+		eng, err := router.ByName(*routerName)
+		fatal(err)
+		os.Exit(verifyRouting(os.Stdout, eng))
 	}
 
 	workers, err := cliutil.ResolveJobs(*jobs)
@@ -159,14 +161,9 @@ func main() {
 // over every design in the catalogue (Table 3's A-F plus the extra
 // registered families) and reports one line per design: the
 // channel-dependence deadlock check for buffered engines, the
-// productive-route livelock check when engineName resolves to a
-// deflecting engine. Returns a process exit code.
-func verifyRouting(w io.Writer, engineName string) int {
-	eng, err := router.ByName(engineName)
-	if err != nil {
-		fmt.Fprintln(w, err)
-		return 1
-	}
+// productive-route livelock check when eng is a deflecting engine.
+// Returns a process exit code.
+func verifyRouting(w io.Writer, eng router.Builder) int {
 	property := "deadlock-free"
 	if eng.Deflecting {
 		property = "livelock-free"

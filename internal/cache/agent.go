@@ -12,9 +12,10 @@ import (
 // agent is the policy-free protocol shell of one cache bank. It receives
 // protocol packets at its router, books bank accesses (serialized
 // through busyUntil), keeps the multicast probe stash and the directory
-// policy's ownership counts, and hands each typed message to the
-// system's PolicyEngine, which mutates the bank and emits follow-on
-// messages through the shell's send helpers.
+// policy's ownership counts, moves blocks between banks (chainStep,
+// unitStep), and hands probes and fills to the system's PolicyEngine,
+// which mutates the bank and emits follow-on messages through the
+// shell's send helpers.
 type agent struct {
 	sys  *System
 	node topology.NodeID
@@ -107,10 +108,11 @@ func (a *agent) Deliver(pkt *flit.Packet, now int64) {
 // bit is this bank's position in an op's probed mask.
 func (a *agent) bit() uint64 { return 1 << uint(a.pos) }
 
-// dispatch hands a bank-bound message to the policy engine — an
-// exhaustive type switch over the bank-side message catalogue — and then
-// consumes the delivery. The probe case marks the bank probed (replaying
-// stashed traffic) after the engine's tag-match has run,
+// dispatch hands a bank-bound message to its handler — an exhaustive
+// type switch over the bank-side message catalogue: the policy engine
+// for a probe or a fill, the shared hops for a block in transit — and
+// then consumes the delivery. The probe case marks the bank probed
+// (replaying stashed traffic) after the engine's tag-match has run,
 // policy-independently.
 func (a *agent) dispatch(p flit.Payload, now int64) {
 	var o *op
@@ -127,19 +129,10 @@ func (a *agent) dispatch(p flit.Payload, now int64) {
 		a.sys.eng.Fill(a, o, now)
 	case *chainMsg:
 		o = a.sys.ops.check(m.o)
-		a.sys.eng.Chain(a, m, now)
+		chainStep(a, m, now)
 	case *unitMsg:
 		o = a.sys.ops.check(m.o)
-		a.sys.eng.Unit(a, m, now)
-	case *storeMsg:
-		o = a.sys.ops.check(m.o)
-		a.sys.eng.Store(a, m, now)
-	case *promoteMsg:
-		o = a.sys.ops.check(m.o)
-		a.sys.eng.Promote(a, m, now)
-	case *demoteMsg:
-		o = a.sys.ops.check(m.o)
-		a.sys.eng.Demote(a, m, now)
+		unitStep(a, m, now)
 	default:
 		panic(fmt.Sprintf("cache: bank %d/%d got unexpected payload %T", a.col, a.pos, p))
 	}
@@ -165,6 +158,36 @@ func (a *agent) markProbed(o *op, now int64) {
 			a.stash = append(a.stash, p)
 		}
 	}
+}
+
+// chainStep is the one bank-to-bank block hop, shared by every policy:
+// classic LRU's shift, Fast-LRU's push, Promotion's swap and the hit
+// block's trip to the MRU bank. It books one tag+replacement access and
+// absorbs the block.
+func chainStep(a *agent, m *chainMsg, now int64) {
+	absorb(a, m, a.access(now, a.bk.Latency().TagRepl))
+}
+
+// absorb takes the block m carries as this bank's set MRU. A hole — the
+// hit bank's, or a set that is not full (cold sets only) — ends the
+// chain; otherwise the set's LRU block moves one bank farther in m, or
+// leaves the column at the last bank.
+func absorb(a *agent, m *chainMsg, fin int64) {
+	o := m.o
+	if o.hitPos == a.pos || !a.full(o.set) {
+		a.insert(o.set, m.blk)
+		a.sendDone(o, fin)
+		return
+	}
+	victim := a.evictLRU(o.set)
+	a.insert(o.set, m.blk)
+	if a.pos == a.last {
+		a.victimLeaves(o, victim, fin)
+		a.sendDone(o, fin)
+		return
+	}
+	m.blk = victim
+	a.sendBank(fin, flit.ReplaceBlock, a.pos+1, o, m)
 }
 
 // bookHit records a tag-match hit at this bank: telemetry, the combined

@@ -22,11 +22,6 @@ type Controller struct {
 	// core router for single-core systems; CMP systems place several
 	// controllers at different routers).
 	Node int
-
-	// Issued counts accepted requests; QueueWait accumulates cycles
-	// requests waited for their column to free up.
-	Issued    uint64
-	QueueWait int64
 }
 
 // ColumnWindow is how many operations may be in flight per bank-set
@@ -81,7 +76,6 @@ func (c *Controller) Issue(r *Request, now int64) {
 	r.Hit = false
 	r.HitBank = -1
 	r.Breakdown = stats.Breakdown{}
-	c.Issued++
 	col := c.sys.AM.ColumnOf(r.Addr)
 	cs := &c.cols[col]
 	cs.q = append(cs.q, r)
@@ -112,7 +106,6 @@ func (c *Controller) dispatch(col int, now int64) {
 		n := copy(cs.q, cs.q[1:])
 		cs.q[n] = nil
 		cs.q = cs.q[:n]
-		c.QueueWait += now - r.Issued
 		o := c.sys.ops.get()
 		o.req = r
 		o.addr, o.write, o.issued = r.Addr, r.Write, r.Issued
@@ -191,8 +184,7 @@ func (c *Controller) Deliver(pkt *flit.Packet, now int64) {
 }
 
 // unexplained panics on a message the protocol never sends an op in its
-// state, naming the op, its column and set, the cycle and the message,
-// the way baseEngine's handlers name the bank.
+// state, naming the op, its column and set, the cycle and the message.
 func unexplained(o *op, state string, pkt *flit.Packet, now int64) {
 	panic(fmt.Sprintf("cache: op %d (column %d, set %d) %s, cycle %d got %v", o.id, o.col, o.set, state, now, pkt))
 }

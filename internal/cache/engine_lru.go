@@ -13,7 +13,6 @@ import (
 // Both maintain identical ordering — only the message flow and timing
 // differ — so they share one engine and one golden-model semantics.
 type lruEngine struct {
-	baseEngine
 	fast bool
 }
 
@@ -45,7 +44,7 @@ func (e *lruEngine) Probe(a *agent, o *op, now int64) {
 	if a.sys.Mode == Multicast {
 		fin := a.missNotify(o, now, lat)
 		if e.fast && a.pos == 0 {
-			e.startFastChain(a, o, fin)
+			startFastChain(a, o, fin)
 		}
 		return
 	}
@@ -54,7 +53,7 @@ func (e *lruEngine) Probe(a *agent, o *op, now int64) {
 		// the combined request+block unit travels on from here.
 		fin := a.access(now, lat.TagRepl)
 		o.bankCycles += int64(lat.TagRepl)
-		e.forwardUnit(a, o, fin)
+		forwardUnit(a, &o.unit, fin)
 		return
 	}
 	a.missForward(o, now, lat)
@@ -62,7 +61,7 @@ func (e *lruEngine) Probe(a *agent, o *op, now int64) {
 
 // startFastChain initiates the Fast-LRU replacement chain at the MRU bank
 // after a multicast miss there.
-func (e *lruEngine) startFastChain(a *agent, o *op, fin int64) {
+func startFastChain(a *agent, o *op, fin int64) {
 	if !a.full(o.set) {
 		// Nothing to push; the chain is trivially complete and the
 		// frame for the eventual fill already exists.
@@ -80,54 +79,40 @@ func (e *lruEngine) startFastChain(a *agent, o *op, fin int64) {
 	a.sendBank(fin, flit.ReplaceBlock, 1, o, &o.chain)
 }
 
-// forwardUnit evicts (if full) and forwards the unicast Fast-LRU
-// request+block unit, or terminates at the LRU bank with a memory access.
-func (e *lruEngine) forwardUnit(a *agent, o *op, fin int64) {
-	m := &o.unit
-	m.hasBlock = false
-	if a.full(o.set) {
-		m.blk = a.evictLRU(o.set)
-		m.hasBlock = true
-	}
-	if a.pos < a.last {
-		a.sendBank(fin, flit.ReplaceBlock, a.pos+1, o, m)
-		return
-	}
-	// LRU bank: replacement is complete; the victim leaves the cache.
-	if m.hasBlock {
-		a.victimLeaves(o, m.blk, fin)
-	}
-	a.sendDone(o, fin)
-	a.requestMemory(o, fin)
-}
-
-// Unit handles the unicast Fast-LRU request+block unit at banks > 0:
+// unitStep handles the unicast Fast-LRU request+block unit at banks > 0:
 // one access tag-matches, stores the incoming block, and evicts onward.
-func (e *lruEngine) Unit(a *agent, m *unitMsg, now int64) {
+func unitStep(a *agent, m *unitMsg, now int64) {
 	o := m.o
 	lat := a.bk.Latency()
 	fin := a.access(now, lat.TagRepl)
 	o.bankCycles += int64(lat.TagRepl)
 
-	incoming, hasIncoming := m.blk, m.hasBlock
 	way, hit := a.bk.Lookup(o.set, o.tag)
-	if hit {
-		a.recordHit(o)
-		blk := a.removeWay(o.set, way)
-		if o.write {
-			blk.Dirty = true
-		}
-		if hasIncoming {
-			a.insert(o.set, incoming)
-		}
-		o.hitPos = a.pos
-		a.sendData(o, fin, true)
-		o.store.blk = blk
-		a.sendBank(fin, flit.BlockToMRU, 0, o, &o.store)
+	if !hit {
+		forwardUnit(a, m, fin)
 		return
 	}
-	// Evict first, then absorb the incoming block, then travel on: the
-	// unit message is reused in place for the next hop.
+	a.recordHit(o)
+	blk := a.removeWay(o.set, way)
+	if o.write {
+		blk.Dirty = true
+	}
+	if m.hasBlock {
+		a.insert(o.set, m.blk)
+	}
+	o.hitPos = a.pos
+	a.sendData(o, fin, true)
+	o.store.blk = blk
+	a.sendBank(fin, flit.BlockToMRU, 0, o, &o.store)
+}
+
+// forwardUnit evicts this bank's LRU block (if the set is full), absorbs
+// the block the unit carried in (if any), and sends the unit on with the
+// victim, reusing m; at the LRU bank the victim leaves the cache and the
+// search ends with a memory access.
+func forwardUnit(a *agent, m *unitMsg, fin int64) {
+	o := m.o
+	incoming, hasIncoming := m.blk, m.hasBlock
 	m.hasBlock = false
 	if a.full(o.set) {
 		m.blk = a.evictLRU(o.set)
@@ -147,26 +132,6 @@ func (e *lruEngine) Unit(a *agent, m *unitMsg, now int64) {
 	a.requestMemory(o, fin)
 }
 
-// Chain handles a plain replacement-chain block: the multicast Fast-LRU
-// push and the classic-LRU shift after a hit or a miss fill.
-func (e *lruEngine) Chain(a *agent, m *chainMsg, now int64) {
-	chainStep(a, m, now)
-}
-
-// Store handles the hit block arriving at the MRU bank.
-func (e *lruEngine) Store(a *agent, m *storeMsg, now int64) {
-	o := m.o
-	lat := a.bk.Latency()
-	fin := a.access(now, lat.TagRepl)
-	if e.fast {
-		// The frame was freed by the probe's eviction (or was free).
-		a.insert(o.set, m.blk)
-		a.sendDone(o, fin)
-		return
-	}
-	fillEvictChain(a, o, m.blk, fin)
-}
-
 // Fill stores the block returning from memory into the MRU bank.
 func (e *lruEngine) Fill(a *agent, o *op, now int64) {
 	lat := a.bk.Latency()
@@ -177,7 +142,8 @@ func (e *lruEngine) Fill(a *agent, o *op, now int64) {
 		// The probe's eviction chain already made room everywhere.
 		a.insert(o.set, blk)
 	} else {
-		fillEvictChain(a, o, blk, fin)
+		o.chain.blk = blk
+		absorb(a, &o.chain, fin)
 	}
 	a.sendData(o, fin, false)
 }
@@ -205,56 +171,6 @@ func (e *lruEngine) GoldenAccess(g *Golden, st [][]uint64, hb, hw int, tag uint6
 	}
 	evicted, ok := goldenMissFill(g, st, tag)
 	return false, -1, evicted, ok
-}
-
-// chainStep is the policy-shared replacement-chain hop: absorb the block
-// into this bank's hole (the hit bank or a non-full set) or evict onward.
-func chainStep(a *agent, m *chainMsg, now int64) {
-	o := m.o
-	lat := a.bk.Latency()
-	fin := a.access(now, lat.TagRepl)
-
-	if o.hitPos == a.pos {
-		// The hit bank's hole terminates the chain.
-		a.insert(o.set, m.blk)
-		a.sendDone(o, fin)
-		return
-	}
-	if !a.full(o.set) {
-		// A non-full bank absorbs the chain (cold sets only).
-		a.insert(o.set, m.blk)
-		a.sendDone(o, fin)
-		return
-	}
-	victim := a.evictLRU(o.set)
-	a.insert(o.set, m.blk)
-	if a.pos == a.last {
-		a.victimLeaves(o, victim, fin)
-		a.sendDone(o, fin)
-		return
-	}
-	m.blk = victim
-	a.sendBank(fin, flit.ReplaceBlock, a.pos+1, o, m)
-}
-
-// fillEvictChain is the policy-shared miss fill for schemes that make
-// room at fill time (classic LRU and Promotion): insert at the MRU
-// bank, pushing a full set's victim down the replacement chain.
-func fillEvictChain(a *agent, o *op, blk bank.Block, fin int64) {
-	if !a.full(o.set) {
-		a.insert(o.set, blk)
-		a.sendDone(o, fin)
-		return
-	}
-	victim := a.evictLRU(o.set)
-	a.insert(o.set, blk)
-	if a.last == 0 {
-		a.victimLeaves(o, victim, fin)
-		a.sendDone(o, fin)
-		return
-	}
-	o.chain.blk = victim
-	a.sendBank(fin, flit.ReplaceBlock, 1, o, &o.chain)
 }
 
 // goldenMissFill is the shared reference-model miss: the new block

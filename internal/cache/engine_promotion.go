@@ -8,9 +8,7 @@ import (
 // promotionEngine implements D-NUCA's generational promotion: a hit
 // block swaps with the LRU block of the next-closer bank; a miss fills
 // the MRU bank and recursively pushes every block one bank farther.
-type promotionEngine struct {
-	baseEngine
-}
+type promotionEngine struct{}
 
 func (e *promotionEngine) Probe(a *agent, o *op, now int64) {
 	lat := a.bk.Latency()
@@ -26,8 +24,10 @@ func (e *promotionEngine) Probe(a *agent, o *op, now int64) {
 			blk.Dirty = true
 		}
 		a.sendData(o, fin, true)
-		o.promote.blk = blk
-		a.sendBank(fin, flit.ReplaceBlock, a.pos-1, o, &o.promote)
+		// The swap is a two-hop chain: the closer bank absorbs the hit
+		// block and sends its LRU block into the hole left here.
+		o.chain.blk = blk
+		a.sendBank(fin, flit.ReplaceBlock, a.pos-1, o, &o.chain)
 		return
 	}
 	if a.sys.Mode == Multicast {
@@ -37,43 +37,14 @@ func (e *promotionEngine) Probe(a *agent, o *op, now int64) {
 	a.missForward(o, now, lat)
 }
 
-// Promote handles the hit block arriving one bank closer.
-func (e *promotionEngine) Promote(a *agent, m *promoteMsg, now int64) {
-	o := m.o
-	lat := a.bk.Latency()
-	fin := a.access(now, lat.TagRepl)
-	if !a.full(o.set) {
-		a.insert(o.set, m.blk)
-		a.sendDone(o, fin)
-		return
-	}
-	victim := a.evictLRU(o.set)
-	a.insert(o.set, m.blk)
-	o.demote.blk = victim
-	a.sendBank(fin, flit.ReplaceBlock, a.pos+1, o, &o.demote)
-}
-
-// Demote stores the displaced block back into the hit bank's hole.
-func (e *promotionEngine) Demote(a *agent, m *demoteMsg, now int64) {
-	o := m.o
-	lat := a.bk.Latency()
-	fin := a.access(now, lat.TagRepl)
-	a.insert(o.set, m.blk)
-	a.sendDone(o, fin)
-}
-
-// Chain handles the miss-fill shift (promotion swaps never chain beyond
-// one hop, but fills push recursively like LRU).
-func (e *promotionEngine) Chain(a *agent, m *chainMsg, now int64) {
-	chainStep(a, m, now)
-}
-
-// Fill stores the block returning from memory into the MRU bank.
+// Fill stores the block returning from memory into the MRU bank, pushing
+// the chain that makes room one bank farther.
 func (e *promotionEngine) Fill(a *agent, o *op, now int64) {
 	lat := a.bk.Latency()
 	fin := a.access(now, lat.TagRepl)
 	o.bankCycles += int64(lat.TagRepl)
-	fillEvictChain(a, o, bank.Block{Tag: o.tag, Dirty: o.write}, fin)
+	o.chain.blk = bank.Block{Tag: o.tag, Dirty: o.write}
+	absorb(a, &o.chain, fin)
 	a.sendData(o, fin, false)
 }
 

@@ -20,11 +20,10 @@ import (
 // drives the timing simulation (GoldenAccess), so every policy brings
 // its own reference model.
 type Golden struct {
-	policy Policy
-	eng    PolicyEngine
-	specs  []bank.Spec
-	cols   int
-	sets   int
+	eng   PolicyEngine
+	specs []bank.Spec
+	cols  int
+	sets  int
 	// state[col*sets+set][bankPos] = tags, MRU first within the bank.
 	state [][][]uint64
 }
@@ -32,21 +31,12 @@ type Golden struct {
 // NewGolden builds an empty reference model for a column layout. It
 // panics on an unknown policy (test-facing construction).
 func NewGolden(policy Policy, specs []bank.Spec, cols, sets int) *Golden {
-	g := &Golden{policy: policy, eng: policy.engine(), specs: specs, cols: cols, sets: sets}
+	g := &Golden{eng: policy.engine(), specs: specs, cols: cols, sets: sets}
 	g.state = make([][][]uint64, cols*sets)
 	for i := range g.state {
 		g.state[i] = make([][]uint64, len(specs))
 	}
 	return g
-}
-
-// Ways returns the total bank-set associativity.
-func (g *Golden) Ways() int {
-	t := 0
-	for _, s := range g.specs {
-		t += s.Ways
-	}
-	return t
 }
 
 // Warm fills a set with tags in MRU-to-LRU order, distributing them over

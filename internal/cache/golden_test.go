@@ -146,9 +146,6 @@ func TestGoldenWarmDistribution(t *testing.T) {
 	if got[0][0] != 7 || got[1][0] != 8 || got[1][1] != 9 {
 		t.Fatalf("warm distribution wrong: %v", got)
 	}
-	if g.Ways() != 3 {
-		t.Fatalf("ways = %d", g.Ways())
-	}
 }
 
 func TestGoldenColdMiss(t *testing.T) {

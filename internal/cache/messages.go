@@ -14,22 +14,23 @@ import (
 //
 // Message <-> packet-kind correspondence:
 //
-//	probeMsg    ReadReq / WriteData   tag-match request (1 or 5 flits)
-//	chainMsg    ReplaceBlock          plain replacement-chain block
-//	unitMsg     ReplaceBlock          unicast Fast-LRU request+block unit
-//	promoteMsg  ReplaceBlock          Promotion hit block moving closer
-//	demoteMsg   ReplaceBlock          Promotion displaced block moving back
-//	storeMsg    BlockToMRU            hit block bound for the MRU bank
-//	dataMsg     HitData / DataToCore / WriteDone   CPU-visible completion
-//	missMsg     MissNotify            one bank's multicast miss report
-//	doneMsg     CompleteNotify        one replacement chain drained
-//	fillMsg     MemBlock              memory fill (also the mem cookie)
+//	probeMsg  ReadReq / WriteData   tag-match request (1 or 5 flits)
+//	chainMsg  ReplaceBlock          block hopping bank to bank: the LRU shift
+//	          / BlockToMRU          and Fast-LRU push, Promotion's swap, the
+//	                                hit block's trip to the MRU bank
+//	unitMsg   ReplaceBlock          unicast Fast-LRU request+block unit
+//	dataMsg   HitData / DataToCore / WriteDone   CPU-visible completion
+//	missMsg   MissNotify            one bank's multicast miss report
+//	doneMsg   CompleteNotify        one replacement chain drained
+//	fillMsg   MemBlock              memory fill (also the mem cookie)
 //
 // Every message embeds a pointer to its operation's shared state. One
-// instance of each message type lives inside the op itself (see op.go):
-// a replacement chain is strictly sequential, so each hop mutates the
-// block field of the instance it received and sends the same instance
-// onward. The packets that carry them come from the network's pool
+// instance of each message type lives inside the op itself (see op.go),
+// and chainMsg has two, chain and store: under multicast Fast-LRU the
+// hit block bound for the MRU bank is in flight beside the push chain.
+// A chain is strictly sequential, so each hop mutates the block field of
+// the instance it received and sends the same instance onward. The
+// packets that carry them come from the network's pool
 // (network.NewPacket) and go back to it at ejection, a scheduled send is
 // an entry in the sending agent's outbox (network.Outbox), and the op
 // itself is recycled through the system's opPool once the last message
@@ -58,9 +59,8 @@ type doneMsg struct{ o *op }
 // cookie and comes back as the fill delivered to the MRU bank.
 type fillMsg struct{ o *op }
 
-// chainMsg carries a replacement-chain block to the next-farther bank:
-// the multicast Fast-LRU push, the classic-LRU shift after a hit, and
-// the miss-fill shift.
+// chainMsg carries a block from one bank of the column to another; the
+// receiving bank absorbs it (chainStep).
 type chainMsg struct {
 	o   *op
 	blk bank.Block
@@ -75,35 +75,13 @@ type unitMsg struct {
 	hasBlock bool
 }
 
-// storeMsg carries the hit block from the hit bank to the MRU bank.
-type storeMsg struct {
-	o   *op
-	blk bank.Block
-}
-
-// promoteMsg carries a Promotion hit block one bank closer.
-type promoteMsg struct {
-	o   *op
-	blk bank.Block
-}
-
-// demoteMsg carries the block a promotion displaced back to the hit
-// bank's hole.
-type demoteMsg struct {
-	o   *op
-	blk bank.Block
-}
-
-func (*probeMsg) ProtocolMessage()   {}
-func (*dataMsg) ProtocolMessage()    {}
-func (*missMsg) ProtocolMessage()    {}
-func (*doneMsg) ProtocolMessage()    {}
-func (*fillMsg) ProtocolMessage()    {}
-func (*chainMsg) ProtocolMessage()   {}
-func (*unitMsg) ProtocolMessage()    {}
-func (*storeMsg) ProtocolMessage()   {}
-func (*promoteMsg) ProtocolMessage() {}
-func (*demoteMsg) ProtocolMessage()  {}
+func (*probeMsg) ProtocolMessage() {}
+func (*dataMsg) ProtocolMessage()  {}
+func (*missMsg) ProtocolMessage()  {}
+func (*doneMsg) ProtocolMessage()  {}
+func (*fillMsg) ProtocolMessage()  {}
+func (*chainMsg) ProtocolMessage() {}
+func (*unitMsg) ProtocolMessage()  {}
 
 // AddMemCycles lets the memory model attribute its service time (wire +
 // access + port stalls) to the filling operation; package mem calls it
@@ -118,12 +96,6 @@ func stashableOp(p flit.Payload) *op {
 	case *chainMsg:
 		return m.o
 	case *unitMsg:
-		return m.o
-	case *storeMsg:
-		return m.o
-	case *promoteMsg:
-		return m.o
-	case *demoteMsg:
 		return m.o
 	case *fillMsg:
 		return m.o

@@ -96,23 +96,23 @@ type op struct {
 	multicast bool
 	probed    uint64
 
-	// One instance of every protocol message, pre-wired to this op.
-	// Chain-style messages are mutated in place and resent hop by hop
-	// (replacement chains are strictly sequential), so the whole
-	// operation is one pooled object. memReq is the embedded off-chip
-	// read request; its cookie is the fill message, which memory echoes
-	// back as the MemBlock payload.
-	probe   probeMsg
-	data    dataMsg
-	miss    missMsg
-	done    doneMsg
-	fill    fillMsg
-	chain   chainMsg
-	unit    unitMsg
-	store   storeMsg
-	promote promoteMsg
-	demote  demoteMsg
-	memReq  mem.ReadReq
+	// One instance of every protocol message, pre-wired to this op, and
+	// two chain messages: chain carries the replacement chain, store the
+	// hit block bound for the MRU bank (in flight beside the chain under
+	// multicast Fast-LRU). Both are mutated in place and resent hop by
+	// hop (a chain is strictly sequential), so the whole operation is one
+	// pooled object. memReq is the embedded off-chip read request; its
+	// cookie is the fill message, which memory echoes back as the
+	// MemBlock payload.
+	probe  probeMsg
+	data   dataMsg
+	miss   missMsg
+	done   doneMsg
+	fill   fillMsg
+	chain  chainMsg
+	store  chainMsg
+	unit   unitMsg
+	memReq mem.ReadReq
 }
 
 // reset zeroes the op for a new access and points every embedded message
@@ -125,10 +125,8 @@ func (o *op) reset() {
 	o.done.o = o
 	o.fill.o = o
 	o.chain.o = o
-	o.unit.o = o
 	o.store.o = o
-	o.promote.o = o
-	o.demote.o = o
+	o.unit.o = o
 }
 
 // maxColumnBanks is the widest column op.probed can track.

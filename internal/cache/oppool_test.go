@@ -208,8 +208,13 @@ func TestOpReuseResetsState(t *testing.T) {
 	if again.addr != 0 || again.probed != 0 || again.missCount != 0 || again.finished || again.retired || again.chain.blk.Tag != 0 {
 		t.Fatalf("reused op kept state from its previous access: %+v", *again)
 	}
-	if again.probe.o != again || again.miss.o != again || again.fill.o != again || again.demote.o != again {
-		t.Fatal("reused op's messages do not point back at it")
+	for name, back := range map[string]*op{
+		"probe": again.probe.o, "data": again.data.o, "miss": again.miss.o, "done": again.done.o,
+		"fill": again.fill.o, "chain": again.chain.o, "store": again.store.o, "unit": again.unit.o,
+	} {
+		if back != again {
+			t.Fatalf("reused op's %s message does not point back at it", name)
+		}
 	}
 	if st := p.stats(); st.Gets != 2 || st.Puts != 1 || st.Allocated != 1 || st.Live != 1 {
 		t.Fatalf("pool stats %+v", st)
