@@ -5,7 +5,9 @@
 # the examples' stdout goldens, a deterministic placement search and a
 # nucad serve-and-drain cycle over net/http; and the root package's
 # dead-export test, which fails on an exported func under internal/ that
-# no non-test file names), the benchmark module's own tests, the race
+# no non-test file names, and write-only-field test, which fails on a
+# struct field under internal/ that non-test code writes and never
+# reads), the benchmark module's own tests, the race
 # detector over the short-mode subset (which includes the engine's
 # determinism regressions) and one full race pass over the quick
 # packages, the protocol conformance matrices among them.

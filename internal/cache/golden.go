@@ -22,7 +22,6 @@ import (
 type Golden struct {
 	eng   PolicyEngine
 	specs []bank.Spec
-	cols  int
 	sets  int
 	// state[col*sets+set][bankPos] = tags, MRU first within the bank.
 	state [][][]uint64
@@ -31,7 +30,7 @@ type Golden struct {
 // NewGolden builds an empty reference model for a column layout. It
 // panics on an unknown policy (test-facing construction).
 func NewGolden(policy Policy, specs []bank.Spec, cols, sets int) *Golden {
-	g := &Golden{eng: policy.engine(), specs: specs, cols: cols, sets: sets}
+	g := &Golden{eng: policy.engine(), specs: specs, sets: sets}
 	g.state = make([][][]uint64, cols*sets)
 	for i := range g.state {
 		g.state[i] = make([][]uint64, len(specs))

@@ -85,27 +85,29 @@ type Prebuilt struct {
 	Prechecked bool
 }
 
-// ValidatePair reports the same errors New would raise for an
-// unregistered policy or an unknown mode, letting callers fail in New's
-// error order before building any artifacts.
-func ValidatePair(policy Policy, mode Mode) error {
+// Check is the cache package's rule for whether a System can be built
+// over design d under policy and mode: the policy is registered, the mode
+// is known, and a column holds no more banks than an operation can track.
+// NewPrebuilt calls it first, and core's run gate calls it, so a run the
+// gate accepts builds its system.
+func Check(d config.Design, policy Policy, mode Mode) error {
 	if !policy.Valid() {
 		return fmt.Errorf("cache: unregistered policy id %d (registered: %v)", policy, PolicyNames())
 	}
 	if !mode.Valid() {
 		return fmt.Errorf("cache: unknown mode id %d", mode)
 	}
+	if len(d.Banks) > maxColumnBanks {
+		return fmt.Errorf("cache: design %s has %d banks per column, more than the %d an operation can track",
+			d.ID, len(d.Banks), maxColumnBanks)
+	}
 	return nil
 }
 
 // NewPrebuilt is New with shared construction artifacts (see Prebuilt).
 func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre Prebuilt) (*System, error) {
-	if err := ValidatePair(policy, mode); err != nil {
+	if err := Check(d, policy, mode); err != nil {
 		return nil, err
-	}
-	if len(d.Banks) > maxColumnBanks {
-		return nil, fmt.Errorf("cache: design %s has %d banks per column, more than the %d an operation can track",
-			d.ID, len(d.Banks), maxColumnBanks)
 	}
 	if pre.Arena == nil {
 		pre.Arena = new(Arena)

@@ -173,11 +173,10 @@ func (a *Arena) Core(i int, k *sim.Kernel, l2 cpu.L2, prof trace.Profile, am tra
 	return l.core.Renew(k, l2, prof, l, accesses, cfg)
 }
 
-// Fabric is the CMP attachment over a shared cache system: N ports, N
-// co-located controllers, and the column home map.
+// Fabric is the CMP attachment over a shared cache system: one port and
+// one co-located controller per core, and the column home map.
 type Fabric struct {
 	Sys *cache.System
-	N   int
 
 	ports []*Port
 	nodes []topology.NodeID // controller/core routers
@@ -204,10 +203,7 @@ type Port struct {
 
 // hub is the ToCore endpoint at a controller's router: it demultiplexes
 // protocol packets to the controller and CMP packets to the port logic.
-type hub struct {
-	ctrl *cache.Controller
-	port *Port
-}
+type hub struct{ ctrl *cache.Controller }
 
 func (h *hub) Deliver(pkt *flit.Packet, now int64) {
 	switch p := pkt.Payload.(type) {
@@ -242,7 +238,7 @@ func AttachIn(cs *cache.System, n int, ar *Arena) (*Fabric, error) {
 		ar = new(Arena)
 	}
 	f := &ar.fab
-	*f = Fabric{Sys: cs, N: n, ops: &ar.ops,
+	*f = Fabric{Sys: cs, ops: &ar.ops,
 		ports: f.ports[:0], nodes: f.nodes[:0], home: f.home}
 	w := cs.Topo.W
 
@@ -256,7 +252,7 @@ func AttachIn(cs *cache.System, n int, ar *Arena) (*Fabric, error) {
 		l := ar.lane(i)
 		l.lat.Reset(len(cs.Design.Banks))
 		l.port = Port{fab: f, id: i, node: node, ctrl: ctrl, Lat: &l.lat}
-		l.hub = hub{ctrl: ctrl, port: &l.port}
+		l.hub = hub{ctrl: ctrl}
 		f.ports = append(f.ports, &l.port)
 		f.nodes = append(f.nodes, node)
 		cs.Net.Attach(node, flit.ToCore, &l.hub)

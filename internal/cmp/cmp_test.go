@@ -121,7 +121,7 @@ func TestWarmSplitsWays(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := trace.NewSynthetic(prof, f.Sys.AM, 1).WarmBlocks(16)
-	f.Sys.Warm(MergeWarm(f.Sys.Design.Ways(), warm, f.N))
+	f.Sys.Warm(MergeWarm(f.Sys.Design.Ways(), warm, 4))
 	// Every set holds 16 blocks, 4 from each core's tag range.
 	counts := map[uint64]int{}
 	for _, bankTags := range f.Sys.Contents(3, 7) {

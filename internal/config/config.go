@@ -248,10 +248,14 @@ func Resolve(id string, override *Design) (*Design, error) {
 	return &d, nil
 }
 
-// Validate checks a design's internal consistency: a buildable topology
-// whose column shape matches the bank specs, uniform set counts, and
-// structural graph invariants. Malformed designs surface here as errors
-// (never panics), so Resolve rejects them before a simulator is built.
+// Validate checks the rules a design's own fields set: banks present,
+// one set count across them, and a column depth equal to the bank count.
+// The topology package checks the graph's well-formedness as it builds
+// it; whether the engine can run the topology (network.Check) and whether
+// a cache system can be built over the design (cache.Check) are their
+// packages' rules, which core's run gate calls. Malformed designs surface
+// here as errors (never panics), so Resolve rejects them before a
+// simulator is built.
 func (d Design) Validate() error {
 	if len(d.Banks) == 0 {
 		return fmt.Errorf("config %s: no banks", d.ID)
@@ -268,18 +272,6 @@ func (d Design) Validate() error {
 	}
 	if len(d.Banks) != topo.Ways() {
 		return fmt.Errorf("config %s: %d bank specs for %d column positions", d.ID, len(d.Banks), topo.Ways())
-	}
-	if err := topo.Validate(); err != nil {
-		return fmt.Errorf("config %s: %v", d.ID, err)
-	}
-	eng, err := router.ByName(d.Router.Engine)
-	if err != nil {
-		return fmt.Errorf("config %s: %v", d.ID, err)
-	}
-	if eng.Supports != nil {
-		if err := eng.Supports(topo, d.Router); err != nil {
-			return fmt.Errorf("config %s: router engine %q cannot run this design: %v", d.ID, eng.Name, err)
-		}
 	}
 	return nil
 }

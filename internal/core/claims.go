@@ -16,8 +16,7 @@ import (
 // Options and walks the benchmarks in Table 2 order, so its value does
 // not depend on the order of a job list.
 type claim struct {
-	id      string // unique key, "<exp>/<what>"
-	exp     string // the experiment whose table prints the claim
+	id      string // unique key "<exp>/<what>", led by the experiment that prints it
 	label   string // what the table prints the claim under
 	paper   string // the paper's value as printed; "" where it gives none
 	verb    string // how the table prints the measured value
@@ -25,24 +24,24 @@ type claim struct {
 }
 
 var claims = []claim{
-	{"f7/bank", "f7", "avg", "25", "%5.1f", mean(meshLRU, func(r Result) float64 { return 100 * r.BankShare })},
-	{"f7/network", "f7", "avg", "65", "%5.1f", mean(meshLRU, func(r Result) float64 { return 100 * r.NetworkShare })},
-	{"f7/memory", "f7", "avg", "10", "%5.1f", mean(meshLRU, func(r Result) float64 { return 100 * r.MemShare })},
-	{"f8/latency/mfast-ulru", "f8", "multicast fastLRU vs unicast LRU:", "", "%+.1f%%", change(mean(meshFast, latency), mean(meshLRU, latency))},
-	{"f8/latency/mfast-mpromo", "f8", "multicast fastLRU vs multicast promo:", "", "%+.1f%%", change(mean(meshFast, latency), mean(meshPromo, latency))},
-	{"f8/latency/ufast-ulru", "f8", "unicast fastLRU vs unicast LRU:", "", "%+.1f%%", change(mean(meshUFast, latency), mean(meshLRU, latency))},
-	{"f8/occupancy/mfast-ulru", "f8", "multicast fastLRU vs unicast LRU:", "-46%", "%+.1f%%", change(mean(meshFast, occupancy), mean(meshLRU, occupancy))},
-	{"f8/occupancy/ufast-ulru", "f8", "unicast fastLRU vs unicast LRU:", "-30%", "%+.1f%%", change(mean(meshUFast, occupancy), mean(meshLRU, occupancy))},
-	{"f9/A", "f9", "A", "1.00", "%5.3f", fig9Mean("A")},
-	{"f9/B", "f9", "B", "~1.00", "%5.3f", fig9Mean("B")},
-	{"f9/C", "f9", "C", "0.86", "%5.3f", fig9Mean("C")},
-	{"f9/D", "f9", "D", "0.88", "%5.3f", fig9Mean("D")},
-	{"f9/E", "f9", "E", "1.12", "%5.3f", fig9Mean("E")},
-	{"f9/F", "f9", "F", "1.13", "%5.3f", fig9Mean("F")},
-	{"headline/halo-fast-vs-mesh-promo", "headline", "halo+fastLRU IPC vs mesh+multicast-promotion:", "+38%", "%+.1f%%", ipcGain(haloFast, meshPromo)},
-	{"headline/fast-vs-promo", "headline", "multicast fastLRU IPC vs multicast promotion:", "+20%", "%+.1f%%", ipcGain(meshFast, meshPromo)},
-	{"headline/halo-vs-mesh", "headline", "halo (F) IPC vs mesh (A), same policy:", "+18%/+13%", "%+.1f%%", ipcGain(haloFast, meshFast)},
-	{"headline/area", "headline", "interconnect area, F as a share of A:", "23%", "%5.1f%%", areaShare},
+	{"f7/bank", "avg", "25", "%5.1f", mean(meshLRU, func(r Result) float64 { return 100 * r.BankShare })},
+	{"f7/network", "avg", "65", "%5.1f", mean(meshLRU, func(r Result) float64 { return 100 * r.NetworkShare })},
+	{"f7/memory", "avg", "10", "%5.1f", mean(meshLRU, func(r Result) float64 { return 100 * r.MemShare })},
+	{"f8/latency/mfast-ulru", "multicast fastLRU vs unicast LRU:", "", "%+.1f%%", change(mean(meshFast, latency), mean(meshLRU, latency))},
+	{"f8/latency/mfast-mpromo", "multicast fastLRU vs multicast promo:", "", "%+.1f%%", change(mean(meshFast, latency), mean(meshPromo, latency))},
+	{"f8/latency/ufast-ulru", "unicast fastLRU vs unicast LRU:", "", "%+.1f%%", change(mean(meshUFast, latency), mean(meshLRU, latency))},
+	{"f8/occupancy/mfast-ulru", "multicast fastLRU vs unicast LRU:", "-46%", "%+.1f%%", change(mean(meshFast, occupancy), mean(meshLRU, occupancy))},
+	{"f8/occupancy/ufast-ulru", "unicast fastLRU vs unicast LRU:", "-30%", "%+.1f%%", change(mean(meshUFast, occupancy), mean(meshLRU, occupancy))},
+	{"f9/A", "A", "1.00", "%5.3f", fig9Mean("A")},
+	{"f9/B", "B", "~1.00", "%5.3f", fig9Mean("B")},
+	{"f9/C", "C", "0.86", "%5.3f", fig9Mean("C")},
+	{"f9/D", "D", "0.88", "%5.3f", fig9Mean("D")},
+	{"f9/E", "E", "1.12", "%5.3f", fig9Mean("E")},
+	{"f9/F", "F", "1.13", "%5.3f", fig9Mean("F")},
+	{"headline/halo-fast-vs-mesh-promo", "halo+fastLRU IPC vs mesh+multicast-promotion:", "+38%", "%+.1f%%", ipcGain(haloFast, meshPromo)},
+	{"headline/fast-vs-promo", "multicast fastLRU IPC vs multicast promotion:", "+20%", "%+.1f%%", ipcGain(meshFast, meshPromo)},
+	{"headline/halo-vs-mesh", "halo (F) IPC vs mesh (A), same policy:", "+18%/+13%", "%+.1f%%", ipcGain(haloFast, meshFast)},
+	{"headline/area", "interconnect area, F as a share of A:", "23%", "%5.1f%%", areaShare},
 }
 
 // claimsOf lists the claims whose id starts with prefix, in table order.

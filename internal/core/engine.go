@@ -84,15 +84,18 @@ func (e *Engine) RunAll(opts []Options) ([]Result, SweepReport, error) {
 	}
 	rep.Work = time.Since(start)
 
-	out, durs, _, err := sim.TimedParMap(e.workers, len(opts), func(i int) (Result, error) {
-		return e.rt.runPooled(arts[i])
+	rep.PerRun = make([]time.Duration, len(opts))
+	out, err := sim.ParMap(e.workers, len(opts), func(i int) (Result, error) {
+		t0 := time.Now()
+		res, err := e.rt.runPooled(arts[i])
+		rep.PerRun[i] = time.Since(t0)
+		return res, err
 	})
 	rep.Wall = time.Since(start)
 	if err != nil {
 		return nil, rep, err
 	}
-	rep.PerRun = durs
-	for _, d := range durs {
+	for _, d := range rep.PerRun {
 		rep.Work += d
 	}
 	return out, rep, nil

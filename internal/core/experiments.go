@@ -289,8 +289,8 @@ func Table2Check(n int, seed uint64) []Table2Row {
 // stated future work): 1, 2, 4, and 8 trace-driven cores on the
 // two-chiplet hierarchical design under the directory policy, measuring
 // how aggregate throughput, tail latency, and cross-core interference
-// scale as the fabric is shared. Every run records the link heatmap; the
-// table shows the largest run's.
+// scale as the fabric is shared. Only the largest run records the link
+// heatmap: it is the one the table shows.
 func cmpJobs(cfg ExpConfig) []Options {
 	// The policy is part of the experiment's definition: the x-evict
 	// column exists only under the directory policy's ownership
@@ -299,9 +299,9 @@ func cmpJobs(cfg ExpConfig) []Options {
 	for _, n := range []int{1, 2, 4, 8} {
 		o := cfg.run(cell{"H2", cache.Directory, cfg.Mode}, cfg.bench())
 		o.Cores = n
-		o.Telemetry = telemetry.Config{Heatmap: true}
 		opts = append(opts, o)
 	}
+	opts[len(opts)-1].Telemetry = telemetry.Config{Heatmap: true}
 	return opts
 }
 

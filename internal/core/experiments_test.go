@@ -143,7 +143,7 @@ func TestHeadlineClaimsSmall(t *testing.T) {
 }
 
 // TestClaimTable pins the claim table to the tables that print it: ids
-// are unique and name their experiment, and each claim sits on exactly
+// are unique and lead with their experiment, and each claim sits on exactly
 // one line of that experiment's golden — the line holding its label and
 // its paper text (for a claim the paper gives no value, the line holding
 // its label and no paper text).
@@ -154,10 +154,8 @@ func TestClaimTable(t *testing.T) {
 			t.Errorf("claim id %q repeats", c.id)
 		}
 		seen[c.id] = true
-		if !strings.HasPrefix(c.id, c.exp+"/") {
-			t.Errorf("claim %q does not lead with its experiment %q", c.id, c.exp)
-		}
-		golden, err := os.ReadFile(filepath.Join("testdata", "exp_"+c.exp+".golden"))
+		exp, _, _ := strings.Cut(c.id, "/")
+		golden, err := os.ReadFile(filepath.Join("testdata", "exp_"+exp+".golden"))
 		if err != nil {
 			t.Fatalf("claim %q: %v", c.id, err)
 		}
@@ -171,7 +169,7 @@ func TestClaimTable(t *testing.T) {
 			}
 		}
 		if n != 1 {
-			t.Errorf("claim %q (label %q, paper %q) sits on %d lines of exp_%s.golden, want 1", c.id, c.label, c.paper, n, c.exp)
+			t.Errorf("claim %q (label %q, paper %q) sits on %d lines of exp_%s.golden, want 1", c.id, c.label, c.paper, n, exp)
 		}
 	}
 	// renderFig9 prints its columns from config.Designs() and its avg row

@@ -392,7 +392,8 @@ func TestCanonicalKeyTailMatchesJSON(t *testing.T) {
 }
 
 // TestCanonicalKeyErrors pins that unresolvable options error instead of
-// hashing (totality is over *valid* configurations only).
+// hashing (totality is over *valid* configurations only), with
+// Validate's error.
 func TestCanonicalKeyErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -407,14 +408,17 @@ func TestCanonicalKeyErrors(t *testing.T) {
 		{"cores on a radial design", func(o *Options) { o.DesignID, o.Cores = "E", 2 }},
 		{"negative window", func(o *Options) { o.CPU.Window = -1 }},
 		{"negative sampling period", func(o *Options) { o.Telemetry.SampleEvery = -1 }},
+		{"column past 64 banks", func(o *Options) { o.DesignID, o.Design = "", tallColumn() }},
 	} {
 		bad := DefaultOptions()
 		tc.edit(&bad)
-		if bad.Validate() == nil {
+		verr := bad.Validate()
+		if verr == nil {
 			t.Errorf("%s: Validate accepts the options", tc.name)
+			continue
 		}
-		if _, err := CanonicalKey(bad); err == nil {
-			t.Errorf("%s: CanonicalKey returns a key for options Validate rejects", tc.name)
+		if _, err := CanonicalKey(bad); err == nil || err.Error() != verr.Error() {
+			t.Errorf("%s: CanonicalKey got %v, want Validate's %q", tc.name, err, verr)
 		}
 	}
 }

@@ -34,7 +34,8 @@ func (o Options) Validate() error {
 // folded in, the engine name normalized to its registered form (empty
 // selects the default, so Result.Design records what actually simulated
 // and an empty and an explicit default engine share one CanonicalKey),
-// validated under that engine, and passed through the network gate —
+// validated, and passed through the network gate, which judges whether
+// that engine can run the topology —
 // topo and tb are the topology and routing table d.Build, routing.For
 // and network.Check produced, so every run of the design shares them.
 // It is shared and read-only; design hands out a private copy of d.
@@ -131,9 +132,9 @@ func (rt *Runtime) resolveDesign(o Options, pc *PrepCache) (*resolvedDesign, err
 }
 
 // newResolvedDesign runs the configuration checks, in the order Run has
-// always surfaced their errors: the design resolves and validates under
-// its own engine, the override names a registered engine, and the design
-// validates under the override. resolveDesign adds the network gate.
+// always surfaced their errors: the design resolves and validates, and
+// its engine, or the override, is registered. resolveDesign adds the
+// network gate, which judges whether that engine can run the topology.
 func newResolvedDesign(o Options) (*resolvedDesign, error) {
 	dp, err := config.Resolve(o.DesignID, o.Design)
 	if err != nil {
@@ -148,11 +149,6 @@ func newResolvedDesign(o Options) (*resolvedDesign, error) {
 		return nil, err
 	}
 	d.Router.Engine = eng.Name
-	if o.Router != "" {
-		if err := d.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	frag, err := json.Marshal(d)
 	if err != nil {
 		return nil, fmt.Errorf("core: canonical encoding: %w", err)
@@ -209,5 +205,5 @@ func (rt *Runtime) checkOptions(o Options, pc *PrepCache) (rd *resolvedDesign, p
 	if n := o.Telemetry.SampleEvery; n < 0 {
 		return nil, prof, fmt.Errorf("core: Telemetry.SampleEvery must be non-negative, got %d", n)
 	}
-	return rd, prof, cache.ValidatePair(o.Policy, o.Mode)
+	return rd, prof, cache.Check(rd.d, o.Policy, o.Mode)
 }

@@ -3,14 +3,26 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"nucanet/internal/bank"
 	"nucanet/internal/config"
 	"nucanet/internal/router"
 	"nucanet/internal/topology"
 )
+
+// tallColumn is an ad-hoc design whose one column holds 65 one-way 64 KB
+// banks: a well-formed mesh every engine can run, one bank deeper than a
+// cache operation can track.
+func tallColumn() *config.Design {
+	return &config.Design{ID: "tall", Topology: "mesh",
+		Params: topology.Params{W: 1, H: 65, HorizDelay: 1, VertDelay: []int{1}},
+		Banks:  slices.Repeat([]bank.Spec{{SizeKB: 64, Ways: 1}}, 65),
+		Router: router.DefaultConfig()}
+}
 
 // memoEntry reports whether rt's design memo holds (id, rtr).
 func memoEntry(rt *Runtime, id, rtr string) bool {
@@ -186,6 +198,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"NaN blocking", func(o *Options) { o.CPU.BlockingProb = math.NaN() }, "CPU.BlockingProb must be in [0,1]"},
 		{"blocking without a window", func(o *Options) { o.CPU.Window, o.CPU.BlockingProb = 0, 0.95 }, "needs a positive CPU.Window"},
 		{"negative sampling period", func(o *Options) { o.Telemetry.SampleEvery = -5 }, "Telemetry.SampleEvery must be non-negative"},
+		{"column past 64 banks", func(o *Options) { o.DesignID, o.Design = "", tallColumn() }, "cache: design tall has 65 banks per column, more than the 64 an operation can track"},
 	}
 	for _, tc := range cases {
 		o := DefaultOptions()

@@ -36,11 +36,8 @@ func DefaultConfig() Config {
 
 // Result summarizes one run.
 type Result struct {
-	Benchmark    string
 	Instructions int64
 	Cycles       int64
-	Accesses     int64
-	PerfectIPC   float64
 }
 
 // IPC returns instructions per cycle.
@@ -72,7 +69,6 @@ type Core struct {
 	// reused as each access's Done runs and kept by Renew.
 	free []*cache.Request
 
-	prof trace.Profile
 	cpi  float64
 	gen  trace.Generator
 	n    int          // accesses to issue
@@ -111,7 +107,7 @@ func (c *Core) Renew(k *sim.Kernel, sys L2, prof trace.Profile, gen trace.Genera
 		}
 	}
 	*c = Core{
-		k: k, cfg: cfg, sys: sys, prof: prof, gen: gen, n: n,
+		k: k, cfg: cfg, sys: sys, gen: gen, n: n,
 		cpi: 1 / prof.PerfectIPC, done: done, free: free[:cfg.Window],
 	}
 	if c.done == nil {
@@ -224,11 +220,5 @@ func (c *Core) Result() (Result, error) {
 	if c.completed != c.n {
 		return Result{}, fmt.Errorf("cpu: only %d/%d accesses completed", c.completed, c.n)
 	}
-	return Result{
-		Benchmark:    c.prof.Name,
-		Instructions: c.instrIssued,
-		Cycles:       c.endCycle,
-		Accesses:     int64(c.n),
-		PerfectIPC:   c.prof.PerfectIPC,
-	}, nil
+	return Result{Instructions: c.instrIssued, Cycles: c.endCycle}, nil
 }

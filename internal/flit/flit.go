@@ -138,10 +138,9 @@ type Packet struct {
 	// Payload carries protocol state opaque to the network.
 	Payload Payload
 
-	// Injected and Delivered are set by the network for latency
-	// accounting (injection cycle, final-flit delivery cycle).
-	Injected  int64
-	Delivered int64
+	// Injected is the cycle the network accepted the packet, set by the
+	// network for latency accounting.
+	Injected int64
 
 	// pooled marks a packet checked out of a PacketPool; only such
 	// packets re-enter a freelist on Put.

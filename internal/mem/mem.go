@@ -62,8 +62,6 @@ func (*ReadReq) ProtocolMessage() {}
 type Stats struct {
 	Reads      uint64
 	WriteBacks uint64
-	// BusyStall accumulates cycles requests waited for the pipelined port.
-	BusyStall uint64
 }
 
 // Memory is the off-chip memory endpoint. Its blocks wait in an outbox
@@ -105,15 +103,7 @@ func (m *Memory) Deliver(pkt *flit.Packet, now int64) {
 			panic(fmt.Sprintf("mem: MemReadReq without ReadReq payload: %v", pkt))
 		}
 		m.stats.Reads++
-		// Request reaches the pins after the controller's wire delay;
-		// the pipelined port serializes transfers.
-		arrive := now + int64(m.cfg.WireDelay)
-		start := arrive
-		if start < m.portFree {
-			m.stats.BusyStall += uint64(m.portFree - start)
-			start = m.portFree
-		}
-		m.portFree = start + int64(m.cfg.TransferCycles())
+		start := m.claimPort(now)
 		ready := start + int64(m.cfg.ReadLatency()) + int64(m.cfg.WireDelay)
 		// Attribute the full service span (wire both ways + port stall +
 		// access) to the requesting operation's latency breakdown.
@@ -126,14 +116,18 @@ func (m *Memory) Deliver(pkt *flit.Packet, now int64) {
 		m.out.At(ready, reply)
 	case flit.WriteBack:
 		m.stats.WriteBacks++
-		arrive := now + int64(m.cfg.WireDelay)
-		start := arrive
-		if start < m.portFree {
-			m.stats.BusyStall += uint64(m.portFree - start)
-			start = m.portFree
-		}
-		m.portFree = start + int64(m.cfg.TransferCycles())
+		m.claimPort(now)
 	default:
 		panic(fmt.Sprintf("mem: unexpected packet %v", pkt))
 	}
+}
+
+// claimPort books the pipelined port for a transfer whose request
+// reaches the pins at now plus the controller's wire delay, and returns
+// the cycle the transfer starts: the arrival, or the cycle the port
+// frees up after the transfers booked before it.
+func (m *Memory) claimPort(now int64) int64 {
+	start := max(now+int64(m.cfg.WireDelay), m.portFree)
+	m.portFree = start + int64(m.cfg.TransferCycles())
+	return start
 }

@@ -96,7 +96,7 @@ func TestWireDelayAddsBothWays(t *testing.T) {
 }
 
 func TestPipelinedPortSerializes(t *testing.T) {
-	k, net, m, s := build(t, 0)
+	k, net, _, s := build(t, 0)
 	mru := net.Topo.NodeAt(2, 0)
 	for i := 0; i < 3; i++ {
 		req := &flit.Packet{
@@ -113,9 +113,6 @@ func TestPipelinedPortSerializes(t *testing.T) {
 	// spaced at least ~32 cycles apart (pipelined, not fully parallel).
 	if s.at[1] < s.at[0]+30 || s.at[2] < s.at[1]+30 {
 		t.Fatalf("reply times %v not pipelined at the port", s.at)
-	}
-	if m.Stats().BusyStall == 0 {
-		t.Fatal("expected port busy stalls")
 	}
 }
 

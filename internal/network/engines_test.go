@@ -131,7 +131,7 @@ func TestEnginesCannotMix(t *testing.T) {
 func TestBufferlessLivelockBound(t *testing.T) {
 	r := newRigEngine(mesh16(), "bufferless")
 	nodes := r.topo.NumNodes()
-	var pkts []*flit.Packet
+	sent := 0
 	// Five waves of all-node crossfire: node i fires at the antipode and
 	// at a stride-7 scatter target, with two cycles between waves.
 	for wave := 0; wave < 5; wave++ {
@@ -140,9 +140,8 @@ func TestBufferlessLivelockBound(t *testing.T) {
 				if dst == i {
 					continue
 				}
-				p := ownPacket(flit.ReadReq, i, dst, flit.ToBank, uint64(i)*64)
-				r.net.Send(p, r.k.Now())
-				pkts = append(pkts, p)
+				r.net.Send(ownPacket(flit.ReadReq, i, dst, flit.ToBank, uint64(i)*64), r.k.Now())
+				sent++
 			}
 		}
 		r.k.Step()
@@ -150,22 +149,24 @@ func TestBufferlessLivelockBound(t *testing.T) {
 	}
 
 	const diameter = 30 // 16x16 mesh: (W-1)+(H-1)
-	bound := int64(len(pkts)) * diameter
+	bound := int64(sent) * diameter
 	if _, idle := r.k.Run(bound); !idle {
-		t.Fatalf("bufferless network did not drain %d packets within the %d-cycle livelock bound", len(pkts), bound)
+		t.Fatalf("bufferless network did not drain %d packets within the %d-cycle livelock bound", sent, bound)
 	}
 	if got := r.net.InFlight(); got != 0 {
 		t.Fatalf("in-flight flits after quiescence = %d, want 0", got)
 	}
 
+	var delivered int
 	var maxLat int64
-	for _, p := range pkts {
-		if p.Delivered == 0 && p.Dst != p.Src {
-			t.Fatalf("packet %v never delivered", p)
+	for _, c := range r.banks {
+		for _, d := range c.got {
+			delivered++
+			maxLat = max(maxLat, d.at-d.pkt.Injected)
 		}
-		if lat := p.Delivered - p.Injected; lat > maxLat {
-			maxLat = lat
-		}
+	}
+	if delivered != sent {
+		t.Fatalf("%d of %d packets delivered", delivered, sent)
 	}
 	if maxLat > bound {
 		t.Fatalf("max packet latency %d exceeds livelock bound %d", maxLat, bound)
@@ -175,7 +176,7 @@ func TestBufferlessLivelockBound(t *testing.T) {
 		t.Fatal("saturation produced no deflections; the test did not exercise misrouting")
 	}
 	t.Logf("%d packets, max latency %d (bound %d), %d deflections",
-		len(pkts), maxLat, bound, st.Router.Deflections)
+		sent, maxLat, bound, st.Router.Deflections)
 }
 
 // TestBufferlessMulticastExactlyOnce pins the protocol-critical property
@@ -255,7 +256,7 @@ func TestRingLiteStoreAndForwardSerialization(t *testing.T) {
 		p := ownPacket(kind, r.topo.Core, dst, flit.ToBank, 0)
 		r.net.Send(p, 0)
 		r.run(t, 10000)
-		return p.Delivered - p.Injected
+		return r.banks[dst].got[0].at - p.Injected
 	}
 	short := lat(flit.ReadReq) // 1 flit
 	long := lat(flit.HitData)  // block-sized, multi-flit

@@ -48,7 +48,6 @@ func (s *Stats) Merge(o Stats) {
 type Network struct {
 	K       *sim.Kernel
 	Topo    *topology.Topology
-	Alg     routing.Algorithm
 	Routers []router.Engine
 
 	eps [][3]Endpoint // [node][flit.Endpoint]
@@ -153,7 +152,7 @@ func NewOpts(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg 
 		o.Arena = new(Arena)
 	}
 	n := o.Arena.network()
-	*n = Network{K: k, Topo: topo, Alg: tb,
+	*n = Network{K: k, Topo: topo,
 		Routers: o.Arena.engineSlab(topo.NumNodes()),
 		eps:     o.Arena.endpointSlab(topo.NumNodes()),
 		pool:    o.Arena.Packets(),

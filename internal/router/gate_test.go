@@ -56,7 +56,7 @@ func TestCanonicalKeyUnsupportedEngineNotMemoised(t *testing.T) {
 		_, kerr := core.CanonicalKey(o)
 		_, rerr := core.Run(o)
 		for name, err := range map[string]error{"Validate": o.Validate(), "CanonicalKey": kerr, "Run": rerr} {
-			if err == nil || !strings.Contains(err.Error(), "cannot run this design") {
+			if err == nil || !strings.Contains(err.Error(), "does not support topology") {
 				t.Fatalf("%s call %d: err = %v, want the Supports rejection", name, pass, err)
 			}
 			if first == "" {

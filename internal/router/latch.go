@@ -64,7 +64,6 @@ func (l *latched) eject(e entry, pi int, now int64) {
 	l.occ -= pkt.Flits()
 	l.stats.FlitsRouted += uint64(pkt.Flits())
 	l.tel.FlitEjected(now, e.f, int(l.ID), pi)
-	pkt.Delivered = now
 	l.deliver(pkt, now)
 	l.pool.Put(pkt)
 }

@@ -140,7 +140,6 @@ func (r *RingLite) forward(cp, o int, now int64) {
 	// replication points as the wormhole router's route assignment.
 	if pkt.PathDeliver && r.topo.SameColumn(r.ID, pkt.Dst) {
 		rp := r.replica(pkt, r.ID)
-		rp.Delivered = now
 		r.stats.ReplicasSpawned += uint64(rp.Flits())
 		rf := flit.Flit{Pkt: rp, Head: true, Tail: true}
 		r.tel.ReplicaForked(now, rf, int(r.ID), cp, 0)

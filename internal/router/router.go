@@ -717,7 +717,6 @@ func (r *Router) traverse(idx, o int, isEject bool, now int64) {
 			// Cut-through endpoint interface: the endpoint starts
 			// processing at head arrival; body flits drain behind it
 			// (they still hold buffers and links until ejected).
-			pkt.Delivered = now
 			r.deliver(pkt, now)
 		}
 		if e.f.Tail {

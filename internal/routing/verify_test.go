@@ -108,6 +108,31 @@ func (badRank) ChannelRank(t *topology.Topology, from topology.NodeID, port int)
 	return 0, nil
 }
 
+// pingPong sends every packet east from an even column and west from an
+// odd one, so a packet bounces between two columns and never arrives
+// anywhere else.
+type pingPong struct{}
+
+func (pingPong) Name() string { return "ping-pong" }
+
+func (pingPong) NextPort(t *topology.Topology, cur, dst topology.NodeID) (int, bool) {
+	if cur == dst {
+		return 0, false
+	}
+	if t.Nodes[cur].X%2 == 0 {
+		return topology.PortEast, true
+	}
+	return topology.PortWest, true
+}
+
+func mesh6() *topology.Topology {
+	return topology.MustBuild("mesh", topology.Params{W: 6, H: 6, CoreX: 2, MemX: 3})
+}
+
+func simplified6() *topology.Topology {
+	return topology.MustBuild("simplified-mesh", topology.Params{W: 6, H: 6, CoreX: 2, MemX: 2})
+}
+
 // TestVerifyRejectsBadRouting is the negative acceptance table: each
 // deliberately broken table must be rejected with a descriptive error.
 func TestVerifyRejectsBadRouting(t *testing.T) {
@@ -118,12 +143,6 @@ func TestVerifyRejectsBadRouting(t *testing.T) {
 		}
 		return tp
 	}
-	mesh := func() *topology.Topology {
-		return topology.MustBuild("mesh", topology.Params{W: 6, H: 6, CoreX: 2, MemX: 3})
-	}
-	simplified := func() *topology.Topology {
-		return topology.MustBuild("simplified-mesh", topology.Params{W: 6, H: 6, CoreX: 2, MemX: 2})
-	}
 	cases := []struct {
 		name    string
 		topo    *topology.Topology
@@ -131,9 +150,9 @@ func TestVerifyRejectsBadRouting(t *testing.T) {
 		wantErr string
 	}{
 		{"cyclic-ring", ring(), allEast{}, "channel-dependence cycle"},
-		{"missing-link", simplified(), yx{}, "missing link"},
-		{"dead-end", mesh(), quitter{}, "dead-ends"},
-		{"rank-violation", simplified(), badRank{}, "violates its channel order"},
+		{"missing-link", simplified6(), yx{}, "missing link"},
+		{"dead-end", mesh6(), quitter{}, "dead-ends"},
+		{"rank-violation", simplified6(), badRank{}, "violates its channel order"},
 	}
 	for _, c := range cases {
 		c := c
@@ -144,6 +163,31 @@ func TestVerifyRejectsBadRouting(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
+// TestVerifyDeflectionRejectsBadRouting is the negative table of the
+// deflection half of the gate: an age-monotone arbiter bounds a packet's
+// deflections only if its protocol route always arrives, so a route that
+// stops short, leaves over a missing link or loops must be rejected.
+func TestVerifyDeflectionRejectsBadRouting(t *testing.T) {
+	cases := []struct {
+		name    string
+		topo    *topology.Topology
+		alg     routing.Algorithm
+		wantErr string
+	}{
+		{"dead-end", mesh6(), quitter{}, "no productive route"},
+		{"missing-link", simplified6(), yx{}, "over missing link"},
+		{"cyclic-route", mesh6(), pingPong{}, "without arriving (cyclic route)"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := routing.VerifyDeflectionLivelockFree(c.topo, c.alg, true)
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("%s on %s: err = %v, want a rejection mentioning %q", c.alg.Name(), c.topo.Name, err, c.wantErr)
 			}
 		})
 	}

@@ -45,6 +45,7 @@ func TestRunErrorsAreStructured(t *testing.T) {
 		{"negative accesses", `{"accesses":-5}`, 400, "accesses", "must be positive"},
 		{"excessive accesses", `{"accesses":5000000}`, 400, "accesses", "at most 1000"},
 		{"accesses times cores", `{"design":"A","accesses":400,"cores":4}`, 400, "accesses", "at most 1000, got 400 x 4"},
+		{"accesses times cores past int64", `{"design":"A","accesses":4611686018427387904,"cores":4}`, 400, "accesses", "at most 1000, got 4611686018427387904 x 4"},
 		{"defaulted accesses", `{}`, 400, "accesses", "at most 1000, got 10000 x 1"},
 		{"negative sample_every", `{"telemetry":{"sample_every":-1}}`, 400, "telemetry.sample_every", ">= 0"},
 	}

@@ -43,7 +43,7 @@ type TelemetryRequest struct {
 // core.Options it denotes. Every rejection is a field-scoped 400 whose
 // message is composed from catalogue knowledge (never from internal
 // error strings), satisfying the no-leak contract of errors.go.
-func (r RunRequest) options(maxAccesses int) (core.Options, *apiError) {
+func (r RunRequest) options() (core.Options, *apiError) {
 	o := core.DefaultOptions()
 	if r.Design != "" {
 		if _, ok := slices.BinarySearch(config.DesignIDs(), r.Design); !ok {
@@ -84,9 +84,6 @@ func (r RunRequest) options(maxAccesses int) (core.Options, *apiError) {
 	if r.Accesses != 0 {
 		if r.Accesses < 0 {
 			return o, badField("accesses", "accesses must be positive, got %d", r.Accesses)
-		}
-		if r.Accesses > maxAccesses {
-			return o, badField("accesses", "accesses must be at most %d, got %d", maxAccesses, r.Accesses)
 		}
 		o.Accesses = r.Accesses
 	}

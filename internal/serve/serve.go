@@ -152,7 +152,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, aerr)
 		return
 	}
-	opts, aerr := req.options(s.cfg.MaxAccesses)
+	opts, aerr := req.options()
 	if aerr != nil {
 		writeError(w, aerr)
 		return
@@ -162,7 +162,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, gateError(opts))
 		return
 	}
-	if cores := max(opts.Cores, 1); opts.Accesses*cores > s.cfg.MaxAccesses {
+	// Accesses x cores > MaxAccesses, compared without the product, which
+	// a huge accesses field would overflow.
+	if cores := max(opts.Cores, 1); opts.Accesses > s.cfg.MaxAccesses/cores {
 		writeError(w, badField("accesses", "accesses x cores must be at most %d, got %d x %d",
 			s.cfg.MaxAccesses, opts.Accesses, cores))
 		return

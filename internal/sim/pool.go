@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ParMap runs fn(0..n-1) on a bounded pool of worker goroutines and
@@ -65,19 +64,4 @@ func ParMap[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
-}
-
-// TimedParMap is ParMap plus per-index wall-clock accounting: it returns
-// each fn call's duration (submission order) and the total wall time of
-// the whole map. Work/Wall is the observed parallel speedup.
-func TimedParMap[T any](workers, n int, fn func(i int) (T, error)) (out []T, durs []time.Duration, wall time.Duration, err error) {
-	durs = make([]time.Duration, n)
-	start := time.Now()
-	out, err = ParMap(workers, n, func(i int) (T, error) {
-		t0 := time.Now()
-		v, err := fn(i)
-		durs[i] = time.Since(t0)
-		return v, err
-	})
-	return out, durs, time.Since(start), err
 }

@@ -93,16 +93,3 @@ func TestParMapZeroAndEmpty(t *testing.T) {
 		t.Fatalf("empty map: out=%v err=%v", out, err)
 	}
 }
-
-func TestTimedParMapAccounts(t *testing.T) {
-	out, durs, wall, err := TimedParMap(4, 10, func(i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 10 || len(durs) != 10 {
-		t.Fatalf("lengths: out=%d durs=%d", len(out), len(durs))
-	}
-	if wall < 0 {
-		t.Fatalf("negative wall time %v", wall)
-	}
-}
