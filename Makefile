@@ -4,10 +4,10 @@
 # CMP CLI golden, the cmp and pareto sweeps, static routing verification,
 # the examples' stdout goldens, a deterministic placement search and a
 # nucad serve-and-drain cycle over net/http; and the root package's
-# dead-export test, which fails on an exported func under internal/ that
-# no non-test file names, and write-only-field test, which fails on a
-# struct field under internal/ that non-test code writes and never
-# reads), the benchmark module's own tests, the race
+# dead-code guard, which type-checks the module once and fails on a
+# declaration under internal/ that no non-test code uses, matched by
+# object, and on a struct field there that non-test code never reads),
+# the benchmark module's own tests, the race
 # detector over the short-mode subset (which includes the engine's
 # determinism regressions) and one full race pass over the quick
 # packages, the protocol conformance matrices among them.

@@ -101,11 +101,6 @@ func (r Report) LinkPct() float64   { return 100 * r.LinkMM2 / r.L2MM2() }
 // NetworkMM2 returns the interconnect (router + link) area.
 func (r Report) NetworkMM2() float64 { return r.RouterMM2 + r.LinkMM2 }
 
-func (r Report) String() string {
-	return fmt.Sprintf("%s: bank %.1f%% router %.1f%% link %.1f%% L2 %.2fmm2 chip %.2fmm2",
-		r.DesignID, r.BankPct(), r.RouterPct(), r.LinkPct(), r.L2MM2(), r.ChipMM2)
-}
-
 // Analyze computes the Table 4 row for a design. It errors when the
 // design's topology cannot be built.
 func (m Model) Analyze(d config.Design) (Report, error) {

@@ -21,7 +21,7 @@ func TestGoldenEquivalenceExtraDesigns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Validate(); err != nil {
+		if _, err := d.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		for _, policy := range []Policy{Promotion, LRU, FastLRU} {

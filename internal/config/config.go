@@ -233,45 +233,60 @@ func DesignByID(id string) (Design, error) {
 // catalogue. The returned Design is a private copy: mutating it does not
 // affect the caller's override or the catalogue.
 func Resolve(id string, override *Design) (*Design, error) {
+	d, _, err := ResolveTopology(id, override)
+	return d, err
+}
+
+// ResolveTopology is Resolve that also returns the design's topology,
+// the one Validate builds, so a caller that runs the design builds it
+// once.
+func ResolveTopology(id string, override *Design) (*Design, *topology.Topology, error) {
 	var d Design
 	if override != nil {
 		d = *override
 	} else {
 		var err error
 		if d, err = DesignByID(id); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	if err := d.Validate(); err != nil {
-		return nil, err
+	topo, err := d.Validate()
+	if err != nil {
+		return nil, nil, err
 	}
-	return &d, nil
+	return &d, topo, nil
 }
 
 // Validate checks the rules a design's own fields set: banks present,
-// one set count across them, and a column depth equal to the bank count.
-// The topology package checks the graph's well-formedness as it builds
-// it; whether the engine can run the topology (network.Check) and whether
-// a cache system can be built over the design (cache.Check) are their
-// packages' rules, which core's run gate calls. Malformed designs surface
-// here as errors (never panics), so Resolve rejects them before a
-// simulator is built.
-func (d Design) Validate() error {
+// each of a positive size and way count, one set count across them, and
+// a column depth equal to the bank count. It returns the topology it
+// builds for the last rule. The topology package checks the graph's
+// well-formedness as it builds it; whether the engine can run the
+// topology (network.Check) and whether a cache system can be built over
+// the design (cache.Check) are their packages' rules, which core's run
+// gate calls. Malformed designs surface here as errors (never panics),
+// so Resolve rejects them before a simulator is built.
+func (d Design) Validate() (*topology.Topology, error) {
 	if len(d.Banks) == 0 {
-		return fmt.Errorf("config %s: no banks", d.ID)
+		return nil, fmt.Errorf("config %s: no banks", d.ID)
 	}
-	sets := d.Banks[0].Sets()
-	for _, b := range d.Banks {
-		if b.Sets() != sets {
-			return fmt.Errorf("config %s: bank %v has %d sets, want %d", d.ID, b, b.Sets(), sets)
+	sets := 0
+	for i, b := range d.Banks {
+		if b.SizeKB <= 0 || b.Ways <= 0 {
+			return nil, fmt.Errorf("config %s: bank %d is %v, want a positive size and way count", d.ID, i, b)
+		}
+		if i == 0 {
+			sets = b.Sets()
+		} else if b.Sets() != sets {
+			return nil, fmt.Errorf("config %s: bank %v has %d sets, want %d", d.ID, b, b.Sets(), sets)
 		}
 	}
 	topo, err := d.Build()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(d.Banks) != topo.Ways() {
-		return fmt.Errorf("config %s: %d bank specs for %d column positions", d.ID, len(d.Banks), topo.Ways())
+		return nil, fmt.Errorf("config %s: %d bank specs for %d column positions", d.ID, len(d.Banks), topo.Ways())
 	}
-	return nil
+	return topo, nil
 }

@@ -12,7 +12,7 @@ func TestAllDesignsValid(t *testing.T) {
 		t.Fatalf("designs = %d, want 6 (Table 3)", len(ds))
 	}
 	for _, d := range ds {
-		if err := d.Validate(); err != nil {
+		if _, err := d.Validate(); err != nil {
 			t.Errorf("design %s: %v", d.ID, err)
 		}
 	}

@@ -50,17 +50,31 @@ func TestResolveOverrideWins(t *testing.T) {
 }
 
 func TestResolveValidatesOverride(t *testing.T) {
-	bad, err := DesignByID("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Banks = nil
-	if _, err := Resolve("", &bad); err == nil {
-		t.Fatal("Resolve accepted an override with no banks")
-	}
-	short, _ := DesignByID("A")
-	short.Banks = short.Banks[:3] // 3 bank specs for 16 rows
-	if _, err := Resolve("", &short); err == nil {
-		t.Fatal("Resolve accepted a bank/row mismatch")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Design)
+		want   string
+	}{
+		{"no banks", func(d *Design) { d.Banks = nil }, "no banks"},
+		{"bank/row mismatch", func(d *Design) { d.Banks = d.Banks[:3] }, "3 bank specs for 16 column positions"},
+		{"zero ways", func(d *Design) {
+			for i := range d.Banks {
+				d.Banks[i].Ways = 0
+			}
+		}, "bank 0 is 64KB/0-way, want a positive size and way count"},
+		{"zero size", func(d *Design) {
+			for i := range d.Banks {
+				d.Banks[i].SizeKB = 0
+			}
+		}, "bank 0 is 0KB/1-way, want a positive size and way count"},
+	} {
+		bad, err := DesignByID("A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(&bad)
+		if _, err := Resolve("", &bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Resolve returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

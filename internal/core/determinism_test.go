@@ -28,10 +28,7 @@ func fingerprint(t *testing.T, rs []Result) []byte {
 		if r.Latency == nil {
 			t.Fatalf("run %d: nil latency snapshot", i)
 		}
-		fmt.Fprintf(&buf, "  acc=%s max=%d ways=%v occ=%d/%d split=%d/%d/%d\n",
-			r.Latency, r.Latency.MaxLat, r.Latency.HitWays(),
-			r.Latency.OccSum, r.Latency.OccCount,
-			r.Latency.Bank, r.Latency.Network, r.Latency.Memory)
+		fmt.Fprintf(&buf, "  latency=%+v\n", *r.Latency)
 	}
 	return buf.Bytes()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -357,10 +356,8 @@ func TestAggregateMergeOrderInvariance(t *testing.T) {
 	for i := len(rs) - 1; i >= 0; i-- {
 		rev.Add(rs[i])
 	}
-	fa := fmt.Sprintf("%v %v %+v ways=%v", fwd.Runs, fwd.Latency.String(), fwd.Network, fwd.Latency.HitWays())
-	fb := fmt.Sprintf("%v %v %+v ways=%v", rev.Runs, rev.Latency.String(), rev.Network, rev.Latency.HitWays())
-	if fa != fb {
-		t.Errorf("aggregate depends on merge order:\nfwd: %s\nrev: %s", fa, fb)
+	if !reflect.DeepEqual(fwd, rev) {
+		t.Errorf("aggregate depends on merge order:\nfwd: %+v\nrev: %+v", fwd, rev)
 	}
 	if fwd.Runs != 3 || fwd.Latency.Count == 0 || fwd.Network.FlitsInjected == 0 {
 		t.Errorf("aggregate empty: %+v", fwd)

@@ -101,9 +101,6 @@ func (rt *Runtime) resolveDesign(o Options, pc *PrepCache) (*resolvedDesign, err
 			return prev, nil
 		}
 	}
-	if rd.topo, err = rd.d.Build(); err != nil {
-		return nil, err
-	}
 	alg, err := routing.For(rd.topo)
 	if err != nil {
 		return nil, err
@@ -132,11 +129,12 @@ func (rt *Runtime) resolveDesign(o Options, pc *PrepCache) (*resolvedDesign, err
 }
 
 // newResolvedDesign runs the configuration checks, in the order Run has
-// always surfaced their errors: the design resolves and validates, and
-// its engine, or the override, is registered. resolveDesign adds the
-// network gate, which judges whether that engine can run the topology.
+// always surfaced their errors: the design resolves and validates, which
+// builds its topology, and its engine, or the override, is registered.
+// resolveDesign adds the network gate, which judges whether that engine
+// can run the topology.
 func newResolvedDesign(o Options) (*resolvedDesign, error) {
-	dp, err := config.Resolve(o.DesignID, o.Design)
+	dp, topo, err := config.ResolveTopology(o.DesignID, o.Design)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +152,7 @@ func newResolvedDesign(o Options) (*resolvedDesign, error) {
 		return nil, fmt.Errorf("core: canonical encoding: %w", err)
 	}
 	head := append([]byte(`{"Design":`), frag...)
-	return &resolvedDesign{d: d, head: append(head, ','), stack: stackKey(d.Banks)}, nil
+	return &resolvedDesign{d: d, topo: topo, head: append(head, ','), stack: stackKey(d.Banks)}, nil
 }
 
 // normalizedCPU is the core model configuration o simulates with: a zero

@@ -84,16 +84,11 @@ type Core struct {
 	endCycle    int64
 }
 
-// New prepares a core over sys that will issue n accesses drawn from
-// gen, a generator for prof, as the run reaches them.
-func New(k *sim.Kernel, sys L2, prof trace.Profile, gen trace.Generator, n int, cfg Config) *Core {
-	return new(Core).Renew(k, sys, prof, gen, n, cfg)
-}
-
-// Renew re-arms c in place as New would build it and returns c. It keeps
-// the bound completion callback and, once a run has returned them all,
-// the requests, so a core recycled from run to run allocates nothing
-// while its Window does not grow.
+// Renew arms c, a zero Core or one a run has used, to issue n accesses
+// over sys drawn from gen, a generator for prof, as the run reaches them,
+// and returns c. It keeps the bound completion callback and, once a run
+// has returned them all, the requests, so a core recycled from run to
+// run allocates nothing while its Window does not grow.
 func (c *Core) Renew(k *sim.Kernel, sys L2, prof trace.Profile, gen trace.Generator, n int, cfg Config) *Core {
 	if cfg.Window <= 0 {
 		cfg.Window = 8

@@ -39,7 +39,7 @@ func runBench(t *testing.T, name string, n int, seed uint64) (Result, trace.Prof
 	sys := cache.MustNew(k, testDesign(), cache.FastLRU, cache.Multicast)
 	gen := trace.NewSynthetic(prof, sys.AM, seed)
 	sys.Warm(gen.WarmBlocks(sys.Design.Ways()))
-	core := New(k, sys, prof, gen, n, DefaultConfig())
+	core := new(Core).Renew(k, sys, prof, gen, n, DefaultConfig())
 	res, err := run(core)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestInstructionAccounting(t *testing.T) {
 	for _, a := range trace.Take(trace.NewSynthetic(prof, sys.AM, 3), 500) {
 		wantInstr += a.Gap
 	}
-	core := New(k, sys, prof, gen, 500, DefaultConfig())
+	core := new(Core).Renew(k, sys, prof, gen, 500, DefaultConfig())
 	res, err := run(core)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestWindowLimitsOverlap(t *testing.T) {
 		sys.Warm(gen.WarmBlocks(sys.Design.Ways()))
 		cfg := DefaultConfig()
 		cfg.Window = window
-		core := New(k, sys, prof, gen, 1200, cfg)
+		core := new(Core).Renew(k, sys, prof, gen, 1200, cfg)
 		res, err := run(core)
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +146,7 @@ func TestBlockingProbSlowsCore(t *testing.T) {
 		sys.Warm(gen.WarmBlocks(sys.Design.Ways()))
 		cfg := DefaultConfig()
 		cfg.BlockingProb = p
-		core := New(k, sys, prof, gen, 1500, cfg)
+		core := new(Core).Renew(k, sys, prof, gen, 1500, cfg)
 		res, err := run(core)
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +162,7 @@ func TestEmptyAccessListPanics(t *testing.T) {
 	prof, _ := trace.ProfileByName("gcc")
 	k := sim.NewKernel()
 	sys := cache.MustNew(k, testDesign(), cache.FastLRU, cache.Multicast)
-	core := New(k, sys, prof, trace.NewSynthetic(prof, sys.AM, 1), 0, DefaultConfig())
+	core := new(Core).Renew(k, sys, prof, trace.NewSynthetic(prof, sys.AM, 1), 0, DefaultConfig())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -13,7 +13,6 @@
 package energy
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -79,12 +78,6 @@ func (r Report) NetworkShare() float64 {
 		return 0
 	}
 	return r.NetworkPJ / r.TotalPJ()
-}
-
-func (r Report) String() string {
-	return fmt.Sprintf("%.1f nJ/access (network %.0f%%, banks %.0f%%, memory %.0f%%)",
-		r.PerAccessNJ(), 100*r.NetworkShare(),
-		100*r.BankPJ/r.TotalPJ(), 100*r.MemoryPJ/r.TotalPJ())
 }
 
 // Estimate converts activity counts to energy.

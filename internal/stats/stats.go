@@ -4,11 +4,7 @@
 // hit-way distribution that explains why LRU beats Promotion.
 package stats
 
-import (
-	"fmt"
-
-	"nucanet/internal/slab"
-)
+import "nucanet/internal/slab"
 
 // Breakdown splits cycles of one access among the three latency sources.
 type Breakdown struct {
@@ -176,11 +172,6 @@ func (l *Latency) HitWays() []int64 {
 	out := make([]int64, len(l.hitWays))
 	copy(out, l.hitWays)
 	return out
-}
-
-func (l *Latency) String() string {
-	return fmt.Sprintf("n=%d avg=%.1f hit=%.1f(%.1f%%) miss=%.1f",
-		l.Count, l.Avg(), l.AvgHit(), 100*l.HitRate(), l.AvgMiss())
 }
 
 func ratio(a, b int64) float64 {

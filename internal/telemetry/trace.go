@@ -27,8 +27,6 @@ const (
 
 var evNames = [numEvents]string{"inject", "route", "vcalloc", "eject", "fork"}
 
-func (e EventType) String() string { return evNames[e] }
-
 // Event is one flit-level occurrence. Fields are sized for density: a
 // trace holds millions of these.
 type Event struct {
