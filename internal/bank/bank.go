@@ -56,19 +56,46 @@ type Latency struct {
 	TagRepl int // tag-matching + replacement (one combined access)
 }
 
-// LatencyFor returns the Table 1 latencies for a bank capacity.
+// LatencyFor returns the Table 1 latencies for a bank capacity. It
+// panics on a size Table 1 does not list; Spec.Check rejects one first.
 func LatencyFor(sizeKB int) Latency {
+	lat, ok := table1(sizeKB)
+	if !ok {
+		panic(fmt.Sprintf("bank: no Table 1 latency for %d KB", sizeKB))
+	}
+	return lat
+}
+
+// table1 looks a bank capacity up in Table 1, which lists 64, 128, 256
+// and 512 KB.
+func table1(sizeKB int) (Latency, bool) {
 	switch sizeKB {
 	case 64:
-		return Latency{Wire: 1, TagOnly: 2, TagRepl: 3}
+		return Latency{Wire: 1, TagOnly: 2, TagRepl: 3}, true
 	case 128:
-		return Latency{Wire: 2, TagOnly: 4, TagRepl: 4}
+		return Latency{Wire: 2, TagOnly: 4, TagRepl: 4}, true
 	case 256:
-		return Latency{Wire: 2, TagOnly: 4, TagRepl: 5}
+		return Latency{Wire: 2, TagOnly: 4, TagRepl: 5}, true
 	case 512:
-		return Latency{Wire: 3, TagOnly: 5, TagRepl: 6}
+		return Latency{Wire: 3, TagOnly: 5, TagRepl: 6}, true
 	}
-	panic(fmt.Sprintf("bank: no Table 1 latency for %d KB", sizeKB))
+	return Latency{}, false
+}
+
+// Check reports whether a bank can be built from s: a size Table 1
+// lists, a way count in [1, maxWays], and a power-of-two set count, as
+// the address map's set index needs.
+func (s Spec) Check() error {
+	if _, ok := table1(s.SizeKB); !ok {
+		return fmt.Errorf("bank %v: no Table 1 latency for %d KB (want 64, 128, 256 or 512)", s, s.SizeKB)
+	}
+	if s.Ways < 1 || s.Ways > maxWays {
+		return fmt.Errorf("bank %v: %d ways, want 1 to %d", s, s.Ways, maxWays)
+	}
+	if n := s.Sets(); n < 1 || n&(n-1) != 0 {
+		return fmt.Errorf("bank %v: %d sets, want a positive power of two", s, n)
+	}
+	return nil
 }
 
 // Block is one resident cache block.
@@ -107,7 +134,7 @@ type Bank struct {
 // across construction rounds. A cache's banks hold spec.Sets() sets; a
 // warm image's template banks hold the prefix of them it warms.
 func NewIn(spec Spec, sets int, ar *Arena) Bank {
-	if spec.SizeKB <= 0 || spec.Ways <= 0 || spec.Ways > maxWays || sets > spec.Sets() {
+	if err := spec.Check(); err != nil || sets > spec.Sets() {
 		panic(fmt.Sprintf("bank: bad spec %+v with %d sets", spec, sets))
 	}
 	return Bank{

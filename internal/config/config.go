@@ -258,9 +258,9 @@ func ResolveTopology(id string, override *Design) (*Design, *topology.Topology, 
 }
 
 // Validate checks the rules a design's own fields set: banks present,
-// each of a positive size and way count, one set count across them, and
-// a column depth equal to the bank count. It returns the topology it
-// builds for the last rule. The topology package checks the graph's
+// each inside the bank domain (bank.Spec.Check), one set count across
+// them, and a column depth equal to the bank count. It returns the
+// topology it builds for the last rule. The topology package checks the graph's
 // well-formedness as it builds it; whether the engine can run the
 // topology (network.Check) and whether a cache system can be built over
 // the design (cache.Check) are their packages' rules, which core's run
@@ -272,8 +272,8 @@ func (d Design) Validate() (*topology.Topology, error) {
 	}
 	sets := 0
 	for i, b := range d.Banks {
-		if b.SizeKB <= 0 || b.Ways <= 0 {
-			return nil, fmt.Errorf("config %s: bank %d is %v, want a positive size and way count", d.ID, i, b)
+		if err := b.Check(); err != nil {
+			return nil, fmt.Errorf("config %s: position %d: %w", d.ID, i, err)
 		}
 		if i == 0 {
 			sets = b.Sets()

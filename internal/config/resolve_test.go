@@ -61,12 +61,12 @@ func TestResolveValidatesOverride(t *testing.T) {
 			for i := range d.Banks {
 				d.Banks[i].Ways = 0
 			}
-		}, "bank 0 is 64KB/0-way, want a positive size and way count"},
+		}, "config A: position 0: bank 64KB/0-way: 0 ways, want 1 to 254"},
 		{"zero size", func(d *Design) {
 			for i := range d.Banks {
 				d.Banks[i].SizeKB = 0
 			}
-		}, "bank 0 is 0KB/1-way, want a positive size and way count"},
+		}, "config A: position 0: bank 0KB/1-way: no Table 1 latency for 0 KB (want 64, 128, 256 or 512)"},
 	} {
 		bad, err := DesignByID("A")
 		if err != nil {

@@ -7,12 +7,14 @@ import (
 	"nucanet/internal/cache"
 )
 
-// check runs every scenario of scs and returns every violation,
-// prefixed with its scenario's name.
+// check runs every scenario of scs, each on a system built from one
+// arena the loop recycles, and returns every violation, prefixed with
+// its scenario's name.
 func check(scs []Scenario) []string {
 	var violations []string
+	var ar cache.Arena
 	for _, sc := range scs {
-		_, vs := run(sc)
+		_, vs := run(sc, &ar)
 		for _, v := range vs {
 			violations = append(violations, sc.Name+": "+v)
 		}
@@ -32,11 +34,20 @@ func runMatrix(t *testing.T, scs []Scenario) {
 	t.Logf("%d scenarios, 0 violations", len(scs))
 }
 
+// maxScript is the longest generated script TestConformance runs: three
+// accesses, or two under -short.
+func maxScript() int {
+	if testing.Short() {
+		return 2
+	}
+	return 3
+}
+
 // TestConformance runs the single-controller matrix: every registered
 // policy against the golden model with the runtime protocol invariants
 // enforced.
 func TestConformance(t *testing.T) {
-	scs := singleCoreScenarios()
+	scs := singleCoreScenarios(maxScript())
 	perPolicy := make(map[cache.Policy]int)
 	for _, sc := range scs {
 		perPolicy[sc.Policy]++
@@ -62,12 +73,41 @@ func TestMultiCoreConformance(t *testing.T) {
 	runMatrix(t, multiCoreScenarios())
 }
 
-// TestMatrixSize pins both matrices: 24 scenarios per (policy, mode) plus
-// 10 two-chain scenarios on the single controller, 88 on the CMP fabric,
-// every name unique.
+// TestMatrixSize pins both matrices. Per (policy, mode, issue order),
+// summed over the occupancies, there are 22, 172 and 1,584 scripts of
+// one, two and three accesses, each canonical (fresh tags first named in
+// order, warm tags within the set's occupancy) and distinct. The
+// single-core matrix adds 24 hand-written scenarios to them, and the CMP
+// fabric's holds 88; every name is unique.
 func TestMatrixSize(t *testing.T) {
-	single, multi := singleCoreScenarios(), multiCoreScenarios()
-	if want := 24*2*len(cache.PolicyNames()) + 10; len(single) != want {
+	perK := []int{22, 172, 1584}
+	generated := 0
+	for k, want := range perK {
+		n := 0
+		for _, occ := range occupancies {
+			seen := map[string]bool{}
+			for _, script := range scripts(occ, k+1) {
+				name := scriptName(script)
+				if seen[name] {
+					t.Errorf("occ%d: script %s repeats", occ, name)
+				}
+				seen[name] = true
+				if len(script) != k+1 || !canonical(script, occ) {
+					t.Errorf("occ%d: script %s is not a canonical script of %d accesses", occ, name, k+1)
+				}
+			}
+			n += len(seen)
+		}
+		if n != want {
+			t.Errorf("%d scripts of %d accesses, want %d", n, k+1, want)
+		}
+		generated += want
+	}
+
+	policies := len(cache.PolicyNames())
+	single, multi := singleCoreScenarios(len(perK)), multiCoreScenarios()
+	hand := 2*len(modes)*policies + 8 // writeback and pipelined per (policy, mode), two-chain/then*
+	if want := 2*len(modes)*policies*generated + hand; len(single) != want {
 		t.Errorf("single-core matrix has %d scenarios, want %d", len(single), want)
 	}
 	if len(multi) != 88 {
@@ -82,6 +122,22 @@ func TestMatrixSize(t *testing.T) {
 	}
 }
 
+// canonical reports whether script names its fresh tags in order of
+// first appearance and only warm tags a set of occ blocks holds.
+func canonical(script []Access, occ int) bool {
+	fresh := uint64(freshTag)
+	for _, acc := range script {
+		switch {
+		case acc.Tag == fresh:
+			fresh++
+		case acc.Tag >= freshTag && acc.Tag < fresh:
+		case acc.Tag < warmTag || acc.Tag >= uint64(warmTag+occ):
+			return false
+		}
+	}
+	return true
+}
+
 // TestConformanceCatchesViolations pins that the single-controller
 // harness is alive: the control scenario passes, the same scenario
 // against an unwarmed golden model fails, and the checker flags each
@@ -93,11 +149,11 @@ func TestConformanceCatchesViolations(t *testing.T) {
 		Warm:     []Warm{{Tags: []uint64{100, 101, 102, 103}}},
 		Accesses: []Access{{Tag: 100}},
 	}
-	if _, v := run(sc); len(v) != 0 {
+	if _, v := run(sc, nil); len(v) != 0 {
 		t.Fatalf("control scenario should pass, got %v", v)
 	}
 	sc.tamperGolden = true
-	if _, v := run(sc); len(v) == 0 {
+	if _, v := run(sc, nil); len(v) == 0 {
 		t.Fatal("tampered golden state produced no violations; the harness is dead")
 	}
 	ck := newInvariantChecker()
@@ -130,10 +186,12 @@ func TestConformanceCatchesViolations(t *testing.T) {
 }
 
 // TestConformanceRecoversPerScenario: a panic inside one scenario's run
-// is that scenario's one named violation, and the matrix runs on — the
-// tampered scenario placed last still reports its own violations.
+// is that scenario's one named violation, and the matrix runs on, on the
+// same arena — every later scenario passes, and the tampered scenario
+// placed last still reports its own violations. The single-core scripts
+// here are the one-access ones.
 func TestConformanceRecoversPerScenario(t *testing.T) {
-	scs := append(singleCoreScenarios(), multiCoreScenarios()...)
+	scs := append(singleCoreScenarios(1), multiCoreScenarios()...)
 	faulty := &scs[len(scs)/2]
 	faulty.panicOnData = true
 	scs = append(scs, Scenario{
@@ -169,11 +227,11 @@ func TestMultiCoreConformanceCatchesTampering(t *testing.T) {
 		Warm:     []Warm{{Core: 0, Col: 0, Tags: []uint64{11, 12}}},
 		Accesses: []Access{{Core: 0, Col: 0, Tag: 11}},
 	}
-	if _, v := run(sc); len(v) != 0 {
+	if _, v := run(sc, nil); len(v) != 0 {
 		t.Fatalf("control scenario should pass, got %v", v)
 	}
 	sc.tamperGolden = true
-	if _, v := run(sc); len(v) == 0 {
+	if _, v := run(sc, nil); len(v) == 0 {
 		t.Fatal("tampered golden state produced no violations; the harness is dead")
 	}
 }
@@ -186,7 +244,7 @@ func TestDirectoryAttributesCrossEvictions(t *testing.T) {
 		if !strings.HasSuffix(sc.Name, "/overlap2") {
 			continue
 		}
-		sys, violations := run(sc)
+		sys, violations := run(sc, nil)
 		if len(violations) != 0 {
 			t.Fatalf("%s: %v", sc.Name, violations)
 		}

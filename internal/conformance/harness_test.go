@@ -28,8 +28,9 @@ import (
 	"nucanet/internal/cache"
 	"nucanet/internal/cmp"
 	"nucanet/internal/config"
+	"nucanet/internal/network"
 	"nucanet/internal/router"
-	"nucanet/internal/sim"
+	"nucanet/internal/routing"
 	"nucanet/internal/telemetry"
 	"nucanet/internal/topology"
 )
@@ -78,40 +79,71 @@ type Scenario struct {
 	panicOnData bool
 }
 
-// design is a scaled-down 4x4 mesh of 1-way 64 KB banks: four bank
-// positions per column give every policy its full repertoire (MRU hit,
-// interior hit, LRU hit, full chains), and four columns give two to four
-// cores local and remote homes, while running fast.
-func design() config.Design {
+// conf is the conformance design with its topology and checked routing
+// table. All three are immutable, so they are built once and every
+// scenario's system shares them.
+var conf = newConfNet()
+
+type confNet struct {
+	design config.Design
+	topo   *topology.Topology
+	table  *routing.Table
+}
+
+// newConfNet builds a scaled-down 4x4 mesh of 1-way 64 KB banks: four
+// bank positions per column give every policy its full repertoire (MRU
+// hit, interior hit, LRU hit, full chains), and four columns give two to
+// four cores local and remote homes, while running fast.
+func newConfNet() confNet {
 	banks := make([]bank.Spec, 4)
 	for i := range banks {
 		banks[i] = bank.Spec{SizeKB: 64, Ways: 1}
 	}
-	return config.Design{
+	d := config.Design{
 		ID: "CONF", Description: "conformance mesh",
 		Topology: "mesh",
 		Params: topology.Params{W: 4, H: 4, CoreX: 2, MemX: 2,
 			HorizDelay: 1, VertDelay: []int{1}},
 		Banks: banks, Router: router.DefaultConfig(),
 	}
+	topo, err := d.Validate()
+	if err != nil {
+		panic(err)
+	}
+	alg, err := routing.For(topo)
+	if err != nil {
+		panic(err)
+	}
+	tb, err := network.Check(topo, alg, d.Router)
+	if err != nil {
+		panic(err)
+	}
+	return confNet{design: d, topo: topo, table: tb}
 }
 
 // owned is core's copy of an owner-relative tag.
 func owned(core int, tag uint64) uint64 { return tag + uint64(core)*cmp.OwnerStride }
 
-// run executes sc on a fresh system, comparing accesses and final
-// contents with the golden model and enforcing the runtime protocol
-// invariants. It returns the system and every violation found (nil on
-// full conformance). A panic — a protocol fault deep in a bank or the
-// controller — is recovered as one more violation, so a matrix goes on
-// to its next scenario.
-func run(sc Scenario) (sys *cache.System, violations []string) {
+// run executes sc on a system built from ar, comparing accesses, final
+// contents and the write-back count with the golden model and enforcing
+// the runtime protocol invariants. It returns the system, valid until ar
+// is next reset, and every violation found (nil on full conformance). A
+// nil ar gives the system a fresh arena. A panic — a protocol fault deep
+// in a bank or the controller — is recovered as one more violation, so
+// a matrix goes on to its next scenario on the same arena.
+func run(sc Scenario, ar *cache.Arena) (sys *cache.System, violations []string) {
 	defer func() {
 		if r := recover(); r != nil {
 			violations = append(violations, fmt.Sprintf("panic: %v", r))
 		}
 	}()
-	sys, err := cache.New(sim.NewKernel(), design(), sc.Policy, sc.Mode)
+	if ar == nil {
+		ar = new(cache.Arena)
+	}
+	ar.Reset()
+	sys, err := cache.NewPrebuilt(ar.Kernel(), conf.design, sc.Policy, sc.Mode, cache.Prebuilt{
+		Topo: conf.topo, Alg: conf.table, Arena: ar, Prechecked: true,
+	})
 	if err != nil {
 		return nil, []string{fmt.Sprintf("build system: %v", err)}
 	}
@@ -125,17 +157,27 @@ func run(sc Scenario) (sys *cache.System, violations []string) {
 		}
 	}
 
-	cols := sys.AM.Columns
-	warm := make([][]uint64, sys.AM.Sets*cols)
+	// The warm table, the golden model and the invariant checker cover
+	// sets [0, sets), the sets the scenario names; a bank reads past its
+	// warm image only if a run strays from them, and then panics.
+	cols, sets := sys.AM.Columns, 0
 	touched := map[[2]int]bool{}
+	for _, w := range sc.Warm {
+		touched[[2]int{w.Col, w.Set}] = true
+		sets = max(sets, w.Set+1)
+	}
+	for _, acc := range sc.Accesses {
+		touched[[2]int{acc.Col, acc.Set}] = true
+		sets = max(sets, acc.Set+1)
+	}
+	warm := make([][]uint64, sets*cols)
 	for _, w := range sc.Warm {
 		idx := w.Set*cols + w.Col
 		for _, tag := range w.Tags {
 			warm[idx] = append(warm[idx], owned(w.Core, tag))
 		}
-		touched[[2]int{w.Col, w.Set}] = true
 	}
-	g := sys.NewGoldenFor()
+	g := cache.NewGolden(sc.Policy, conf.design.Banks, cols, sets)
 	if !sc.tamperGolden {
 		for idx, tags := range warm {
 			if len(tags) > 0 {
@@ -144,7 +186,7 @@ func run(sc Scenario) (sys *cache.System, violations []string) {
 		}
 	}
 	sys.Warm(warm)
-	ck.seed(sys)
+	ck.seed(sys, touched)
 
 	type expectation struct {
 		acc  Access
@@ -173,8 +215,11 @@ func run(sc Scenario) (sys *cache.System, violations []string) {
 	// ordered: the script, not timing, fixes the order accesses reach
 	// each column, so the golden model can replay it.
 	ordered := !sc.Pipelined || sc.Cores == 0
+	// dirty holds the tags written since they last entered the cache:
+	// each one the golden model evicts must be written back once.
+	dirty := map[uint64]bool{}
+	var writeBacks uint64
 	for _, acc := range sc.Accesses {
-		touched[[2]int{acc.Col, acc.Set}] = true
 		tag := owned(acc.Core, acc.Tag)
 		addr := sys.AM.Compose(tag, acc.Set, acc.Col)
 		var req *cache.Request
@@ -185,8 +230,15 @@ func run(sc Scenario) (sys *cache.System, violations []string) {
 			req = sys.Issue(addr, acc.Write, nil)
 		}
 		if ordered {
-			hit, bankPos, _, _ := g.Access(acc.Col, acc.Set, tag)
+			hit, bankPos, evicted, evictedOK := g.Access(acc.Col, acc.Set, tag)
 			exps = append(exps, expectation{acc: acc, req: req, hit: hit, bank: bankPos})
+			if evictedOK && dirty[evicted] {
+				writeBacks++
+				delete(dirty, evicted)
+			}
+			if acc.Write {
+				dirty[tag] = true
+			}
 		}
 		if !sc.Pipelined {
 			flush()
@@ -204,6 +256,10 @@ func run(sc Scenario) (sys *cache.System, violations []string) {
 				violations = append(violations,
 					fmt.Sprintf("col %d set %d contents: sim %v, golden %v", cs[0], cs[1], got, want))
 			}
+		}
+		if got := sys.Memory.Stats().WriteBacks; got != writeBacks {
+			violations = append(violations,
+				fmt.Sprintf("memory took %d write-backs, golden evicted %d dirty blocks", got, writeBacks))
 		}
 	}
 	violations = append(violations, ck.finish(sys)...)
@@ -237,26 +293,20 @@ func newInvariantChecker() *invariantChecker {
 	}
 }
 
-// forEachSet calls fn on every set of every bank of sys.
-func forEachSet(sys *cache.System, fn func(key bankSetKey, bk *bank.Bank)) {
-	for col := 0; col < sys.AM.Columns; col++ {
+// seed snapshots the warm contents of every bank of the touched (col,
+// set) pairs as the conservation baseline; call after System.Warm and
+// before the first access. Those bank-sets, and any other a probe event
+// names, are the ones finish checks.
+func (ck *invariantChecker) seed(sys *cache.System, touched map[[2]int]bool) {
+	for cs := range touched {
 		for pos := range sys.Design.Banks {
-			bk := sys.Bank(col, pos)
-			for set := 0; set < sys.AM.Sets; set++ {
-				fn(bankSetKey{col, pos, set}, bk)
+			key := bankSetKey{cs[0], pos, cs[1]}
+			ck.blocks[key] = make(map[uint64]int)
+			for _, blk := range sys.Bank(key.col, key.pos).Blocks(key.set) {
+				ck.add(key, blk.Tag)
 			}
 		}
 	}
-}
-
-// seed snapshots the warm contents as the conservation baseline; call
-// after System.Warm and before the first access.
-func (ck *invariantChecker) seed(sys *cache.System) {
-	forEachSet(sys, func(key bankSetKey, bk *bank.Bank) {
-		for _, blk := range bk.Blocks(key.set) {
-			ck.add(key, blk.Tag)
-		}
-	})
 }
 
 func (ck *invariantChecker) add(key bankSetKey, tag uint64) {
@@ -331,8 +381,8 @@ func (ck *invariantChecker) BlockEvicted(col, pos, set int, tag uint64) {
 
 // finish closes the run: every issued operation must have completed
 // exactly once, and the event-reconstructed residency must equal the
-// final bank contents. (System.Drain has already proved every op
-// retired.)
+// final bank contents on every bank-set seed or a probe event named.
+// (System.Drain has already proved every op retired.)
 func (ck *invariantChecker) finish(sys *cache.System) []string {
 	for id, t := range ck.ops {
 		if t.data != 1 || t.finished != 1 {
@@ -340,21 +390,21 @@ func (ck *invariantChecker) finish(sys *cache.System) []string {
 				id, t.data, t.finished)
 		}
 	}
-	forEachSet(sys, func(key bankSetKey, bk *bank.Bank) {
+	for key, counts := range ck.blocks {
 		resident := make(map[uint64]bool)
-		for _, blk := range bk.Blocks(key.set) {
+		for _, blk := range sys.Bank(key.col, key.pos).Blocks(key.set) {
 			resident[blk.Tag] = true
-			if ck.blocks[key][blk.Tag] != 1 {
+			if counts[blk.Tag] != 1 {
 				ck.violationf("bank %d/%d set %d: tag %d resident but event count %d",
-					key.col, key.pos, key.set, blk.Tag, ck.blocks[key][blk.Tag])
+					key.col, key.pos, key.set, blk.Tag, counts[blk.Tag])
 			}
 		}
-		for tag, n := range ck.blocks[key] {
+		for tag, n := range counts {
 			if n > 0 && !resident[tag] {
 				ck.violationf("bank %d/%d set %d: tag %d counted %d by events but not resident",
 					key.col, key.pos, key.set, tag, n)
 			}
 		}
-	})
+	}
 	return ck.violations
 }

@@ -2,6 +2,8 @@ package conformance_test
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"nucanet/internal/cache"
 )
@@ -17,43 +19,95 @@ func rwName(write bool) string {
 	return "read"
 }
 
-// singleCoreScenarios enumerates the single-controller matrix for every
-// policy: (policy x mode x occupancy x hit position x read/write) on
-// column 0, plus a dirty-writeback script and a pipelined stress script
-// per (policy, mode), plus the two-chain family. The enumeration walks cache.PolicyNames, so a row
-// added to the policies table is conformance-checked without touching
-// this file.
-func singleCoreScenarios() []Scenario {
-	warmTags := func(n int) []uint64 {
-		tags := make([]uint64, n)
-		for i := range tags {
-			tags[i] = uint64(100 + i)
-		}
-		return tags
-	}
-	const missTag = 999
+// Tags of the generated single-core scripts: warm tag i of a set is
+// warmTag+i, MRU first, and the i-th fresh tag a script names is
+// freshTag+i.
+const (
+	warmTag  = 100
+	freshTag = 900
+)
 
+// warmTags returns the warm tags of a set holding n blocks.
+func warmTags(n int) []uint64 {
+	tags := make([]uint64, n)
+	for i := range tags {
+		tags[i] = uint64(warmTag + i)
+	}
+	return tags
+}
+
+// occupancies are the warm block counts of the generated scripts' set:
+// empty, one and two blocks (a cold column) and full.
+var occupancies = []int{0, 1, 2, 4}
+
+// scripts returns every script of k accesses to (column 0, set 0) over
+// a set warmed with occ blocks. Each access reads or writes one of the
+// warm tags, a fresh tag the script already named, or the next fresh
+// tag: fresh tags are numbered in order of first appearance, so no
+// script is a relabelling of another.
+func scripts(occ, k int) [][]Access {
+	var out [][]Access
+	var grow func(script []Access, fresh int)
+	grow = func(script []Access, fresh int) {
+		if len(script) == k {
+			out = append(out, slices.Clone(script))
+			return
+		}
+		tags := warmTags(occ)
+		for i := 0; i <= fresh; i++ {
+			tags = append(tags, uint64(freshTag+i))
+		}
+		for _, tag := range tags {
+			next := fresh
+			if tag == uint64(freshTag+fresh) {
+				next++
+			}
+			for _, write := range []bool{false, true} {
+				grow(append(script, Access{Tag: tag, Write: write}), next)
+			}
+		}
+	}
+	grow(nil, 0)
+	return out
+}
+
+// scriptName spells a script as its accesses, e.g. "r102,w900".
+func scriptName(script []Access) string {
+	parts := make([]string, len(script))
+	for i, acc := range script {
+		parts[i] = fmt.Sprintf("%c%d", rwName(acc.Write)[0], acc.Tag)
+	}
+	return strings.Join(parts, ",")
+}
+
+// singleCoreScenarios enumerates the single-controller matrix for every
+// policy and mode. It generates every script of 1 to maxK accesses on
+// one set at every occupancy, issued one at a time and pipelined, and
+// adds the hand-written scripts the generated space does not reach: a
+// dirty write-back (six accesses), a pipelined stress script (two sets),
+// and the two-chain family (four columns). The enumeration walks
+// cache.PolicyNames, so a row added to the policies table is
+// conformance-checked without touching this file.
+func singleCoreScenarios(maxK int) []Scenario {
 	var scs []Scenario
 	for id := range cache.PolicyNames() {
 		p := cache.Policy(id) // registration order
 		for _, mode := range modes {
-			for _, occ := range []int{0, 1, 2, 4} {
-				warm := []Warm{{Tags: warmTags(occ)}}
-				for _, write := range []bool{false, true} {
-					rw := rwName(write)
-					// A miss against this occupancy.
-					scs = append(scs, Scenario{
-						Name:   fmt.Sprintf("%v/%v/occ%d/miss/%s", p, mode, occ, rw),
-						Policy: p, Mode: mode, Warm: warm,
-						Accesses: []Access{{Tag: missTag, Write: write}},
-					})
-					// A hit at every occupied position.
-					for hp, tag := range warm[0].Tags {
-						scs = append(scs, Scenario{
-							Name:   fmt.Sprintf("%v/%v/occ%d/hit@%d/%s", p, mode, occ, hp, rw),
-							Policy: p, Mode: mode, Warm: warm,
-							Accesses: []Access{{Tag: tag, Write: write}},
-						})
+			for _, pipelined := range []bool{false, true} {
+				order := "seq"
+				if pipelined {
+					order = "pipe"
+				}
+				for _, occ := range occupancies {
+					warm := []Warm{{Tags: warmTags(occ)}}
+					for k := 1; k <= maxK; k++ {
+						for _, script := range scripts(occ, k) {
+							scs = append(scs, Scenario{
+								Name:   fmt.Sprintf("%v/%v/%s/occ%d/%s", p, mode, order, occ, scriptName(script)),
+								Policy: p, Mode: mode, Pipelined: pipelined,
+								Warm: warm, Accesses: script,
+							})
+						}
 					}
 				}
 			}
@@ -98,12 +152,11 @@ func singleCoreScenarios() []Scenario {
 // its chains, and a second access to the same set follows it in the
 // script. That access may start only once both chains have landed: if
 // the column were released on the first completion notice, the second
-// access would meet a block still in flight. The lone scenario is the
-// same hit at bank 2 of (column 0, set 0) followed by one more access to
-// that set, with no other traffic in the mesh: the pair of chains must
-// hold the column without any contention to stretch them.
+// access would meet a block still in flight. (The same pair of chains
+// with no other traffic in the mesh is the generated pipelined script
+// "r102,r101" on a full set.)
 func twoChainScenarios() []Scenario {
-	tags := []uint64{100, 101, 102, 103}
+	tags := warmTags(4)
 	var warm []Warm
 	for col := 0; col < 4; col++ {
 		for set := 0; set < 2; set++ {
@@ -122,12 +175,6 @@ func twoChainScenarios() []Scenario {
 				},
 			})
 		}
-		scs = append(scs, Scenario{
-			Name:   fmt.Sprintf("%v/%v/two-chain/lone", p, cache.Multicast),
-			Policy: p, Mode: cache.Multicast, Pipelined: true,
-			Warm:     []Warm{{Tags: tags}},
-			Accesses: []Access{{Tag: 102}, {Tag: 101}},
-		})
 	}
 	return scs
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nucanet/internal/bank"
 	"nucanet/internal/cache"
 	"nucanet/internal/config"
 	"nucanet/internal/cpu"
@@ -409,6 +410,9 @@ func TestCanonicalKeyErrors(t *testing.T) {
 		{"negative window", func(o *Options) { o.CPU.Window = -1 }},
 		{"negative sampling period", func(o *Options) { o.Telemetry.SampleEvery = -1 }},
 		{"column past 64 banks", func(o *Options) { o.DesignID, o.Design = "", tallColumn() }},
+		{"32 KB banks", func(o *Options) { o.DesignID, o.Design = "", designAWith(bank.Spec{SizeKB: 32, Ways: 1}) }},
+		{"3-way banks", func(o *Options) { o.DesignID, o.Design = "", designAWith(bank.Spec{SizeKB: 64, Ways: 3}) }},
+		{"2048-way banks", func(o *Options) { o.DesignID, o.Design = "", designAWith(bank.Spec{SizeKB: 64, Ways: 2048}) }},
 	} {
 		bad := DefaultOptions()
 		tc.edit(&bad)

@@ -24,6 +24,17 @@ func tallColumn() *config.Design {
 		Router: router.DefaultConfig()}
 }
 
+// designAWith is Design A with every bank replaced by spec: an ad-hoc
+// design that is well formed except, perhaps, for its banks.
+func designAWith(spec bank.Spec) *config.Design {
+	d, err := config.DesignByID("A")
+	if err != nil {
+		panic(err)
+	}
+	d.Banks = slices.Repeat([]bank.Spec{spec}, len(d.Banks))
+	return &d
+}
+
 // memoEntry reports whether rt's design memo holds (id, rtr).
 func memoEntry(rt *Runtime, id, rtr string) bool {
 	rt.mu.Lock()
@@ -199,6 +210,12 @@ func TestOptionsValidate(t *testing.T) {
 		{"blocking without a window", func(o *Options) { o.CPU.Window, o.CPU.BlockingProb = 0, 0.95 }, "needs a positive CPU.Window"},
 		{"negative sampling period", func(o *Options) { o.Telemetry.SampleEvery = -5 }, "Telemetry.SampleEvery must be non-negative"},
 		{"column past 64 banks", func(o *Options) { o.DesignID, o.Design = "", tallColumn() }, "cache: design tall has 65 banks per column, more than the 64 an operation can track"},
+		{"32 KB banks", func(o *Options) { o.DesignID, o.Design = "", designAWith(bank.Spec{SizeKB: 32, Ways: 1}) },
+			"config A: position 0: bank 32KB/1-way: no Table 1 latency for 32 KB (want 64, 128, 256 or 512)"},
+		{"3-way banks", func(o *Options) { o.DesignID, o.Design = "", designAWith(bank.Spec{SizeKB: 64, Ways: 3}) },
+			"config A: position 0: bank 64KB/3-way: 341 sets, want a positive power of two"},
+		{"2048-way banks", func(o *Options) { o.DesignID, o.Design = "", designAWith(bank.Spec{SizeKB: 64, Ways: 2048}) },
+			"config A: position 0: bank 64KB/2048-way: 2048 ways, want 1 to 254"},
 	}
 	for _, tc := range cases {
 		o := DefaultOptions()
