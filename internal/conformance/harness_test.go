@@ -1,7 +1,8 @@
 // Package conformance_test is the protocol conformance harness. It runs
-// micro-scenarios over (policy, mode, cores, hit position, set
-// occupancy, pipelining) against a fresh system with the golden model in
-// lock-step, and checks runtime protocol invariants through the
+// scenarios over (policy, mode, cores, set occupancy, access script,
+// pipelining), each on a system built afresh from a recycled arena, with
+// the golden model in lock-step on hit decisions, final contents and
+// write-backs, and checks runtime protocol invariants through the
 // telemetry probe layer:
 //
 //   - every issued operation completes exactly once (one data delivery,
