@@ -8,8 +8,8 @@
 # declaration under internal/ that no non-test code uses, matched by
 # object, and on a struct field there that non-test code never reads),
 # the benchmark module's own tests, the race
-# detector over the short-mode subset (which includes the engine's
-# determinism regressions) and one full race pass over the quick
+# detector over the short-mode subset (which includes the run-invariance
+# matrix, TestRunInvariance) and one full race pass over the quick
 # packages, the protocol conformance matrices among them: without -short
 # the single-core matrix runs every script of up to three accesses on one
 # set (28,448 runs), ~27 s under the detector on 2 vCPUs.
@@ -57,6 +57,8 @@ race:
 # every run's banks read through to until they first write a set, the
 # worker free list, the design memo), CMP and canonical-hash tests of
 # internal/core, whose full figure sweeps are too long for the detector.
+# TestRun selects TestRunInvariance, which runs one job list through
+# every way core executes a run, concurrent ones included.
 RACELONG_PKGS = ./internal/topology/ ./internal/routing/ ./internal/cache/ \
 	./internal/router/ ./internal/network/ ./internal/place/ \
 	./internal/cmp/ ./internal/cpu/ ./internal/serve/ ./internal/conformance/

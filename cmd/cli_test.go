@@ -160,6 +160,14 @@ func TestCLI(t *testing.T) {
 		// regression that serves instead).
 		{name: "nucad negative -j", bin: "nucad", args: []string{"-addr", "127.0.0.1:0", "-j", "-1"}, exit: 1,
 			mentions: []string{"invalid -j -1"}},
+		// nucad's bounds are rejected when non-positive, not swapped for
+		// serve's defaults.
+		{name: "nucad non-positive -queue", bin: "nucad", args: []string{"-addr", "127.0.0.1:0", "-queue", "0"}, exit: 1,
+			mentions: []string{"nucad: -queue must be positive, got 0"}},
+		{name: "nucad non-positive -cache", bin: "nucad", args: []string{"-addr", "127.0.0.1:0", "-cache", "0"}, exit: 1,
+			mentions: []string{"nucad: -cache must be positive, got 0"}},
+		{name: "nucad non-positive -max-accesses", bin: "nucad", args: []string{"-addr", "127.0.0.1:0", "-max-accesses", "-5"}, exit: 1,
+			mentions: []string{"nucad: -max-accesses must be positive, got -5"}},
 		{name: "unknown experiment", bin: "paperbench", args: []string{"-exp", "nope"}, exit: 1,
 			mentions: []string{`unknown experiment "nope"`, "t1 t2 t3 t4 f7 f8 f9 headline"}},
 	} {

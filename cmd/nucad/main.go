@@ -46,6 +46,13 @@ func main() {
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 	)
 	flag.Parse()
+	// serve.Config reads a non-positive bound as its default, so a count
+	// given here is rejected, not replaced.
+	for _, name := range []string{"queue", "cache", "max-accesses"} {
+		if v := flag.Lookup(name).Value.(flag.Getter).Get().(int); v <= 0 {
+			fatal(fmt.Errorf("-%s must be positive, got %d", name, v))
+		}
+	}
 	workers, err := cliutil.ResolveJobs(*jobs)
 	if err != nil {
 		fatal(err)

@@ -83,8 +83,9 @@ func table1(sizeKB int) (Latency, bool) {
 }
 
 // Check reports whether a bank can be built from s: a size Table 1
-// lists, a way count in [1, maxWays], and a power-of-two set count, as
-// the address map's set index needs.
+// lists, a way count in [1, maxWays], a power-of-two set count, as
+// the address map's set index needs, and sets that hold every block of
+// the capacity area and energy charge.
 func (s Spec) Check() error {
 	if _, ok := table1(s.SizeKB); !ok {
 		return fmt.Errorf("bank %v: no Table 1 latency for %d KB (want 64, 128, 256 or 512)", s, s.SizeKB)
@@ -94,6 +95,9 @@ func (s Spec) Check() error {
 	}
 	if n := s.Sets(); n < 1 || n&(n-1) != 0 {
 		return fmt.Errorf("bank %v: %d sets, want a positive power of two", s, n)
+	}
+	if n, blocks := s.Sets()*s.Ways, s.SizeKB*1024/BlockBytes; n != blocks {
+		return fmt.Errorf("bank %v: %d ways do not divide its %d blocks (%d sets hold %d)", s, s.Ways, blocks, s.Sets(), n)
 	}
 	return nil
 }

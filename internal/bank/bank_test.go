@@ -412,15 +412,17 @@ func TestArenaRewindLeaksNoStaleFrames(t *testing.T) {
 }
 
 // TestNewInRejectsWaysBeyondFill: a set's fill is a uint8 holding the
-// block count plus one.
+// block count plus one. The widest bank Check accepts, 512 KB x 128-way
+// (256 ways is past maxWays, and no count between divides the blocks),
+// fills a set; 255 ways would overflow the fill.
 func TestNewInRejectsWaysBeyondFill(t *testing.T) {
-	spec := Spec{SizeKB: 512, Ways: 254}
+	spec := Spec{SizeKB: 512, Ways: 128}
 	b := NewIn(spec, spec.Sets(), new(Arena))
-	for w := 0; w < 254; w++ {
+	for w := 0; w < 128; w++ {
 		b.InsertLRU(1, Block{Tag: uint64(w)})
 	}
-	if n := b.Occupancy(1); n != 254 {
-		t.Fatalf("a full 254-way set holds %d blocks", n)
+	if n := b.Occupancy(1); n != 128 {
+		t.Fatalf("a full 128-way set holds %d blocks", n)
 	}
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "bad spec") {

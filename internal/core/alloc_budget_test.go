@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"nucanet/internal/cache"
+	"nucanet/internal/router"
 )
 
 // budgetRun is one run whose heap cost a budget test bounds.
@@ -121,37 +123,50 @@ func TestRunAllocBudget(t *testing.T) {
 // network, memory, controllers, directory, latency records, fabric,
 // ports, cores and the Instance itself — allocates no heap object, with
 // telemetry off. Radial F hosts no cores and G's four-wide grid no more
-// than four, so those pairs are skipped.
+// than four, so those pairs are skipped. Every router engine builds its
+// nodes from the worker's arena too: single-core A, D, F and R run once
+// under each.
 func TestNewInstanceOnWarmArenaAllocatesNothing(t *testing.T) {
-	for _, d := range []string{"A", "F", "G", "H2"} {
-		for _, cores := range []int{0, 1, 4, 8} {
-			opt := cmpOpts(d, cores, 200)
-			opt.Policy = cache.Directory
-			art, err := Prepare(opt, nil)
-			if err != nil {
-				if cores > 0 && (d == "F" || d == "G" && cores == 8) {
-					continue
-				}
-				t.Fatal(err)
-			}
-			w := new(Worker)
-			in, err := NewInstance(art, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := in.RunToCompletion(); err != nil {
+	check := func(name string, opt Options) {
+		t.Helper()
+		art, err := Prepare(opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := new(Worker)
+		in, err := NewInstance(art, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.RunToCompletion(); err != nil {
+			t.Fatal(err)
+		}
+		w.reset()
+		n := testing.AllocsPerRun(5, func() {
+			if _, err := NewInstance(art, w); err != nil {
 				t.Fatal(err)
 			}
 			w.reset()
-			n := testing.AllocsPerRun(5, func() {
-				if _, err := NewInstance(art, w); err != nil {
-					t.Fatal(err)
-				}
-				w.reset()
-			})
-			if n != 0 {
-				t.Errorf("%s x %d cores: NewInstance on a warm arena allocates %v objects, want 0", d, cores, n)
+		})
+		if n != 0 {
+			t.Errorf("%s: NewInstance on a warm arena allocates %v objects, want 0", name, n)
+		}
+	}
+	for _, d := range []string{"A", "F", "G", "H2"} {
+		for _, cores := range []int{0, 1, 4, 8} {
+			if cores > 0 && (d == "F" || d == "G" && cores == 8) {
+				continue
 			}
+			opt := cmpOpts(d, cores, 200)
+			opt.Policy = cache.Directory
+			check(fmt.Sprintf("%s x %d cores", d, cores), opt)
+		}
+	}
+	for _, eng := range router.Names() {
+		for _, d := range []string{"A", "D", "F", "R"} {
+			opt := cmpOpts(d, 0, 200)
+			opt.Router = eng
+			check(d+" on "+eng, opt)
 		}
 	}
 }

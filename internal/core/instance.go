@@ -23,7 +23,7 @@ import (
 // assembles the mutable simulation state (kernel, cache system, cores
 // and the access streams they draw from) over them. Run is Prepare +
 // NewInstance + run-to-idle, preserving the pre-split construction
-// sequence exactly — the 48 regression goldens and TestEngineBitIdentity
+// sequence exactly — the 48 regression goldens and TestRunInvariance
 // are the proof.
 // Engine.RunAll shares one PrepCache across a batch and builds every
 // lane's Instance over the shared Artifacts.

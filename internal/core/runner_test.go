@@ -216,6 +216,8 @@ func TestOptionsValidate(t *testing.T) {
 			"config A: position 0: bank 64KB/3-way: 341 sets, want a positive power of two"},
 		{"2048-way banks", func(o *Options) { o.DesignID, o.Design = "", designAWith(bank.Spec{SizeKB: 64, Ways: 2048}) },
 			"config A: position 0: bank 64KB/2048-way: 2048 ways, want 1 to 254"},
+		{"254-way banks", func(o *Options) { o.DesignID, o.Design = "", designAWith(bank.Spec{SizeKB: 512, Ways: 254}) },
+			"config A: position 0: bank 512KB/254-way: 254 ways do not divide its 8192 blocks (32 sets hold 8128)"},
 	}
 	for _, tc := range cases {
 		o := DefaultOptions()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -68,40 +67,4 @@ func TestRuntimeFreeWorkersPinNoRun(t *testing.T) {
 	if n := tels.Load(); n != maxFreeArenas {
 		t.Errorf("%d of %d dropped runs' telemetry collectors were collected", n, maxFreeArenas)
 	}
-}
-
-// TestRuntimesShareNothing: two private runtimes prepare the same
-// options into distinct warm images and topologies, and runs on both
-// at once (racelong runs this under the race detector) equal core.Run's
-// bit for bit, and so each other's.
-func TestRuntimesShareNothing(t *testing.T) {
-	opts := runMix()
-	want := make([]Result, len(opts))
-	for i, opt := range opts {
-		want[i] = mustRun(t, opt)
-	}
-	rts := []*Runtime{new(Runtime), new(Runtime)}
-	for _, opt := range opts {
-		a, b := mustPrepareOn(t, rts[0], opt, nil), mustPrepareOn(t, rts[1], opt, nil)
-		if a.WarmImg == b.WarmImg || a.Topo == b.Topo {
-			t.Errorf("%s x %d cores: two runtimes share a warm image or a topology", opt.DesignID, opt.Cores)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range opts {
-				i := (g + j) % len(opts)
-				got, err := rts[g%2].Run(opts[i])
-				if err != nil {
-					t.Error(err)
-				} else if !reflect.DeepEqual(got, want[i]) {
-					t.Errorf("runtime %d: %s x %d cores differs from core.Run", g%2, opts[i].DesignID, opts[i].Cores)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

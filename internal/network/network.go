@@ -58,8 +58,8 @@ type Network struct {
 	// Traffic counters. Per-Network state, mutated only from Send and
 	// deliver, both of which run on the goroutine driving this network's
 	// kernel — parallel sweeps give every run its own Network — so these
-	// need no synchronization (audited: go test -race plus the engine's
-	// determinism regression test in internal/core).
+	// need no synchronization (audited: go test -race over
+	// TestRunInvariance in internal/core).
 	nextPktID uint64
 	injected  uint64
 	delivered uint64

@@ -29,6 +29,12 @@ type Arena struct {
 	pkts    slab.Chunk[*flit.Packet]
 	routers slab.Chunk[Router]
 	links   slab.Chunk[*Router]
+	// The whole-packet engines' nodes, latch links and arbitration
+	// scratch.
+	bufferless slab.Chunk[Bufferless]
+	ringLites  slab.Chunk[RingLite]
+	latches    slab.Chunk[*latched]
+	cands      slab.Chunk[blCand]
 
 	packets flit.PacketPool
 }
@@ -56,6 +62,10 @@ func (a *Arena) Reset() {
 	a.pkts.Reset()
 	a.routers.Reset()
 	a.links.Reset()
+	a.bufferless.Reset()
+	a.ringLites.Reset()
+	a.latches.Reset()
+	a.cands.Reset()
 	a.packets.ResetStats()
 }
 
@@ -68,11 +78,14 @@ func (a *Arena) boolSlab(n int) []bool        { return slab.Grab(&a.bools, n) }
 func (a *Arena) wordSlab(n int) []uint64      { return slab.Grab(&a.words, n) }
 func (a *Arena) pktSlab(n int) []*flit.Packet { return slab.Grab(&a.pkts, n) }
 func (a *Arena) linkSlab(n int) []*Router     { return slab.Grab(&a.links, n) }
+func (a *Arena) latchSlab(n int) []*latched   { return slab.Grab(&a.latches, n) }
+func (a *Arena) candSlab(n int) []blCand      { return slab.Grab(&a.cands, n) }
 
-// routerChunk is how many Router structs a fresh arena chunk holds: a
-// Router is a few hundred bytes, so the default chunk of thousands would
-// dwarf a batch's networks.
-const routerChunk = 64
+// nodeChunk is how many router nodes a fresh arena chunk holds: a node
+// is a few hundred bytes, so the default chunk of thousands would dwarf
+// a batch's networks.
+const nodeChunk = 64
 
-// router returns a zeroed Router to build in place.
-func (a *Arena) router() *Router { return &slab.GrabIn(&a.routers, 1, routerChunk)[0] }
+// node returns a zeroed node of one engine, carved from its chunk, to
+// build in place.
+func node[T any](c *slab.Chunk[T]) *T { return &slab.GrabIn(c, 1, nodeChunk)[0] }

@@ -59,8 +59,10 @@ type blCand struct {
 
 // newBufferless builds one bufferless deflection node.
 func newBufferless(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) Engine {
-	b := &Bufferless{latched: newLatched(id, topo, tb, cfg, k, s, ar)}
-	b.cand = make([]blCand, 0, b.numPorts+1)
+	b := node(&ar.bufferless)
+	*b = Bufferless{latched: newLatched(id, topo, tb, cfg, k, s, ar)}
+	b.wired = ar.intSlab(b.numPorts)[:0] // Wire appends at most numPorts
+	b.cand = ar.candSlab(b.numPorts + 1)[:0]
 	b.outUsed = ar.boolSlab(b.numPorts)
 	b.kid = k.Register(b)
 	return b

@@ -21,7 +21,7 @@ type latched struct {
 
 func newLatched(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) latched {
 	b := newBase(id, topo, tb, cfg, k, s, ar)
-	return latched{base: b, in: ar.ringSlab(b.numPorts + 1), neighbor: make([]*latched, b.numPorts)}
+	return latched{base: b, in: ar.ringSlab(b.numPorts + 1), neighbor: ar.latchSlab(b.numPorts)}
 }
 
 // link connects out-port p to neighbor nb's in-port np over a link of

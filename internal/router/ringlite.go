@@ -41,7 +41,8 @@ type RingLite struct {
 
 // newRingLite builds one ring-lite node.
 func newRingLite(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, s Sink, ar *Arena) Engine {
-	r := &RingLite{latched: newLatched(id, topo, tb, cfg, k, s, ar)}
+	r := node(&ar.ringLites)
+	*r = RingLite{latched: newLatched(id, topo, tb, cfg, k, s, ar)}
 	r.usedIn = ar.boolSlab(r.numPorts + 1)
 	r.kid = k.Register(r)
 	return r

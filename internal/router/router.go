@@ -43,8 +43,9 @@
 // credit returns go through the kernel's typed DeferIncr, and multicast
 // replica packets are recycled through a per-run flit.PacketPool. All of
 // it is decision-for-decision identical to the straightforward
-// implementation it replaced — the byte-identical determinism regression
-// in internal/core and the lockstep tests in this package are the proof.
+// implementation it replaced — the regression goldens and the
+// run-invariance matrix in internal/core and the lockstep tests in this
+// package are the proof.
 package router
 
 import (
@@ -259,7 +260,7 @@ func New(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Con
 	cfg, np := b.cfg, b.numPorts
 	nVC := cfg.VCsPerPC
 	words := ((np+1)*nVC + 63) / 64
-	r := ar.router()
+	r := node(&ar.routers)
 	*r = Router{
 		base: b,
 		nVC:  nVC, bufDepth: cfg.BufDepth, stages: int64(cfg.Stages),

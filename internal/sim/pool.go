@@ -14,8 +14,7 @@ import (
 // ParMap runs fn(0..n-1) on a bounded pool of worker goroutines and
 // returns the results in index (submission) order. workers <= 0 selects
 // runtime.GOMAXPROCS(0); workers == 1 degenerates to a plain sequential
-// loop on the calling goroutine, which is the reference execution the
-// determinism tests compare the pool against.
+// loop on the calling goroutine.
 //
 // Determinism contract: fn must not share mutable state across indices.
 // Output placement is by index, so result order never depends on

@@ -25,7 +25,7 @@
 // Determinism: all probe emission happens in kernel tick order and all
 // serialization iterates in fixed index order, so equal seeds produce
 // byte-identical traces, heatmaps, and series regardless of the sweep's
-// worker count (pinned by TestTelemetryDeterministicAcrossWorkers).
+// worker count (pinned by TestRunInvariance in internal/core).
 package telemetry
 
 import (
