@@ -16,13 +16,17 @@ import (
 	"nucanet/internal/telemetry"
 )
 
+// laneEngine is the router engine a lane runs on.
+func laneEngine(o Options) string {
+	if o.Router == "" {
+		return router.DefaultEngine
+	}
+	return o.Router
+}
+
 // laneName names a lane by the axes the matrix spans.
 func laneName(o Options) string {
-	eng := o.Router
-	if eng == "" {
-		eng = router.DefaultEngine
-	}
-	s := fmt.Sprintf("%s x %d cores, %v/%v on %s", o.DesignID, o.Cores, o.Policy, o.Mode, eng)
+	s := fmt.Sprintf("%s x %d cores, %v/%v on %s", o.DesignID, o.Cores, o.Policy, o.Mode, laneEngine(o))
 	if o.Telemetry.Enabled() {
 		s += ", probed"
 	}
@@ -113,11 +117,213 @@ func probeBytes(t *testing.T, r Result) []byte {
 	return buf.Bytes()
 }
 
+// runOn prepares o on rt and runs it on w.
+func runOn(rt *Runtime, w *Worker, o Options) (*Instance, Result, error) {
+	art, err := rt.prepare(o, nil)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	in, err := NewInstance(art, w)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	r, err := in.RunToCompletion()
+	return in, r, err
+}
+
+// invarianceRef is the reference: every lane of invarianceLanes run on a
+// fresh Runtime and a fresh Worker. It is computed once per test binary
+// and only read after.
+var invarianceRef = sync.OnceValues(func() ([]Result, error) {
+	lanes := invarianceLanes()
+	return sim.ParMap(runtime.GOMAXPROCS(0), len(lanes), func(i int) (Result, error) {
+		_, r, err := runOn(new(Runtime), new(Worker), lanes[i])
+		return r, err
+	})
+})
+
+// invMode is one way core executes a run. run executes every lane and
+// hands lane i's Result to put under column col, one column per name
+// (a mode that runs the list more than once fills several).
+type invMode struct {
+	names []string
+	run   func(t *testing.T, lanes []Options, put func(col, i int, r Result, err error))
+}
+
+var (
+	// runInOrder: core.Run on the default runtime, in list order.
+	runInOrder = invMode{[]string{"core.Run in list order"}, func(t *testing.T, lanes []Options, put func(int, int, Result, error)) {
+		for i, o := range lanes {
+			r, err := Run(o)
+			put(0, i, r, err)
+		}
+	}}
+	engine1 = engineMode(1)
+	engine4 = engineMode(4)
+	// oneWorker: one Worker carries the list in three seeded orders; after
+	// every run each packet and port op is back, and a lane the worker has
+	// run before mints no packet.
+	oneWorker = invMode{[]string{"one worker, order 1", "one worker, order 2", "one worker, order 3"}, func(t *testing.T, lanes []Options, put func(int, int, Result, error)) {
+		w := new(Worker)
+		for order, seed := range []uint64{1, 2, 3} {
+			for _, i := range rand.New(rand.NewPCG(seed, 0)).Perm(len(lanes)) {
+				in, r, err := runOn(&std, w, lanes[i])
+				put(order, i, r, err)
+				if in != nil {
+					if st := in.Sys.Net.PoolStats(); st.Live != 0 || in.Fab != nil && in.Fab.Pending() != 0 {
+						t.Errorf("one worker, order %d: %s: packets or port ops still out after the run", order+1, laneName(lanes[i]))
+					} else if order > 0 && st.Allocated != 0 {
+						t.Errorf("one worker, order %d: %s: a re-run minted %d packets; the worker's free list should serve them all", order+1, laneName(lanes[i]), st.Allocated)
+					}
+				}
+				w.reset()
+			}
+		}
+	}}
+	// run8: core.Run from 8 goroutines at once, goroutine g taking lanes
+	// g, g+8, ...
+	run8 = invMode{[]string{"core.Run from 8 goroutines"}, func(t *testing.T, lanes []Options, put func(int, int, Result, error)) {
+		var wg sync.WaitGroup
+		for g := range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := g; i < len(lanes); i += 8 {
+					r, err := Run(lanes[i])
+					put(0, i, r, err)
+				}
+			}()
+		}
+		wg.Wait()
+	}}
+	// privateRuntimes: two private Runtimes, whose artifacts share no warm
+	// image and no topology, each running the list from two goroutines.
+	privateRuntimes = invMode{[]string{"private runtime 0", "private runtime 1"}, func(t *testing.T, lanes []Options, put func(int, int, Result, error)) {
+		rts := [2]*Runtime{new(Runtime), new(Runtime)}
+		for _, o := range lanes {
+			a, errA := rts[0].prepare(o, nil)
+			b, errB := rts[1].prepare(o, nil)
+			if errA != nil || errB != nil {
+				t.Errorf("%s: %v, %v", laneName(o), errA, errB)
+			} else if a.WarmImg == b.WarmImg || a.Topo == b.Topo {
+				t.Errorf("%s: two runtimes share a warm image or a topology", laneName(o))
+			}
+		}
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := g / 2; i < len(lanes); i += 2 {
+					r, err := rts[g%2].Run(lanes[i])
+					put(g%2, i, r, err)
+				}
+			}()
+		}
+		wg.Wait()
+	}}
+	allModes = []invMode{runInOrder, engine1, engine4, oneWorker, run8, privateRuntimes}
+)
+
+// engineMode: NewEngine(workers).RunAll over the whole list at once.
+func engineMode(workers int) invMode {
+	name := fmt.Sprintf("NewEngine(%d)", workers)
+	return invMode{[]string{name}, func(t *testing.T, lanes []Options, put func(int, int, Result, error)) {
+		rs, _, err := NewEngine(workers).RunAll(lanes)
+		for i := range rs {
+			put(0, i, rs[i], nil)
+		}
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}}
+}
+
+// checkInvariance runs the lanes of invarianceLanes that keep accepts
+// (all of them if keep is nil) through every mode at once, and requires
+// each mode to return the reference Result bit for bit
+// (reflect.DeepEqual on the whole Result).
+//
+// Nothing is compared until every mode has run, and the probed lanes'
+// trace, heatmap and series are serialized only then, so a Result that
+// still points into a recycled arena shows. Plain lanes carry no
+// telemetry, and a probed lane with its probes cleared equals its plain
+// twin.
+func checkInvariance(t *testing.T, keep func(Options) bool, modes ...invMode) {
+	t.Helper()
+	all := invarianceLanes()
+	ref, err := invarianceRef()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lanes []Options
+	var want []Result
+	for i, o := range all {
+		if keep == nil || keep(o) {
+			lanes, want = append(lanes, o), append(want, ref[i])
+		}
+	}
+	if len(lanes) == 0 {
+		t.Fatal("no lane of the job list is selected")
+	}
+
+	var names []string
+	first := make([]int, len(modes))
+	for m, mode := range modes {
+		first[m] = len(names)
+		names = append(names, mode.names...)
+	}
+	got := make([][]Result, len(names))
+	for c := range got {
+		got[c] = make([]Result, len(lanes))
+	}
+	var wg sync.WaitGroup
+	for m, mode := range modes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mode.run(t, lanes, func(col, i int, r Result, err error) {
+				if err != nil {
+					t.Errorf("%s: %s: %v", names[first[m]+col], laneName(lanes[i]), err)
+				}
+				got[first[m]+col][i] = r
+			})
+		}()
+	}
+	wg.Wait()
+
+	for i, o := range lanes {
+		for c, name := range names {
+			if !reflect.DeepEqual(got[c][i], want[i]) {
+				t.Errorf("%s: %s: Result differs from the fresh reference", name, laneName(o))
+			}
+		}
+		if !o.Telemetry.Enabled() {
+			if want[i].Telemetry != nil {
+				t.Errorf("%s: a plain lane grew telemetry", laneName(o))
+			}
+			continue
+		}
+		probes := probeBytes(t, want[i])
+		for c, name := range names {
+			if !bytes.Equal(probeBytes(t, got[c][i]), probes) {
+				t.Errorf("%s: %s: trace, heatmap or series differs from the fresh reference", name, laneName(o))
+			}
+		}
+		plain := o
+		plain.Telemetry = telemetry.Config{}
+		cleared := want[i]
+		cleared.Options.Telemetry, cleared.Telemetry = telemetry.Config{}, nil
+		if j := slices.Index(all, plain); j < 0 || !reflect.DeepEqual(cleared, ref[j]) {
+			t.Errorf("%s: probing perturbed the run: with its probes cleared it differs from its plain twin", laneName(o))
+		}
+	}
+}
+
 // TestRunInvariance: a run's Result does not depend on how core executes
 // it. Every lane of invarianceLanes runs first on a fresh Runtime and a
 // fresh Worker; that Result is the reference, and every other way to run
-// the lane must return it bit for bit (reflect.DeepEqual on the whole
-// Result):
+// the lane must return it bit for bit, as checkInvariance compares:
 //   - core.Run on the default runtime, in list order;
 //   - NewEngine(1) and NewEngine(4) over the whole list;
 //   - one Worker carrying the list in three seeded orders, with every
@@ -127,148 +333,136 @@ func probeBytes(t *testing.T, r Result) []byte {
 //     g+8, ...;
 //   - two private Runtimes, which share no warm image and no topology,
 //     each running the whole list from two goroutines.
-//
-// Nothing is compared until every mode has run, and the probed lanes'
-// trace, heatmap and series are serialized only then, so a Result that
-// still points into a recycled arena shows. Plain lanes carry no
-// telemetry, and a probed lane with its probes cleared equals its plain
-// twin.
 func TestRunInvariance(t *testing.T) {
 	lanes := invarianceLanes()
 	if len(lanes) != 78 {
 		t.Fatalf("the job list holds %d lanes, want 78: the 36-run mix, 9 of B, D and R, H2 at 2 cores, 6 under Promotion, 23 more across the engines and 3 probed twins", len(lanes))
 	}
-	rts := [2]*Runtime{new(Runtime), new(Runtime)}
-	pc := NewPrepCache()
+	rt, pc := new(Runtime), NewPrepCache()
 	for _, o := range lanes {
-		if a, b := mustPrepareOn(t, rts[0], o, pc), mustPrepareOn(t, rts[1], o, nil); a.WarmImg == b.WarmImg || a.Topo == b.Topo {
-			t.Errorf("%s: two runtimes share a warm image or a topology", laneName(o))
-		}
+		mustPrepareOn(t, rt, o, pc)
 	}
 	if n := len(pc.warms); n < 2*maxSharedWarm {
 		t.Fatalf("the lanes use %d warm states; want at least %d, so a runtime's warm LRU evicts", n, 2*maxSharedWarm)
 	}
+	checkInvariance(t, nil, allModes...)
+}
 
-	// runOn prepares o on rt and runs it on w.
-	runOn := func(rt *Runtime, w *Worker, o Options) (*Instance, Result, error) {
-		art, err := rt.prepare(o, nil)
-		if err != nil {
-			return nil, Result{}, err
-		}
-		in, err := NewInstance(art, w)
-		if err != nil {
-			return nil, Result{}, err
-		}
-		r, err := in.RunToCompletion()
-		return in, r, err
-	}
-	want, err := sim.ParMap(runtime.GOMAXPROCS(0), len(lanes), func(i int) (Result, error) {
-		_, r, err := runOn(new(Runtime), new(Worker), lanes[i])
-		return r, err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// The tests below each run one slice of the matrix through some of its
+// modes, against the same reference and by the same equality, so a
+// regression names the execution path or the lanes it touches.
 
-	modes := []string{
-		"core.Run in list order", "NewEngine(1)", "NewEngine(4)",
-		"one worker, order 1", "one worker, order 2", "one worker, order 3",
-		"core.Run from 8 goroutines", "private runtime 0", "private runtime 1",
-	}
-	got := make([][]Result, len(modes))
-	for m := range got {
-		got[m] = make([]Result, len(lanes))
-	}
-	put := func(m, i int, r Result, err error) {
-		if err != nil {
-			t.Errorf("%s: %s: %v", modes[m], laneName(lanes[i]), err)
-		}
-		got[m][i] = r
-	}
-	var wg sync.WaitGroup
-	spawn := func(f func()) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f()
-		}()
-	}
+// isAny reports whether s is one of set.
+func isAny(s string, set ...string) bool { return slices.Contains(set, s) }
 
-	// The default runtime's sequential modes run beside the worker's,
-	// which carries its own arena.
-	spawn(func() {
-		for i, o := range lanes {
-			r, err := Run(o)
-			put(0, i, r, err)
-		}
-		for j, workers := range []int{1, 4} {
-			rs, _, err := NewEngine(workers).RunAll(lanes)
-			for i := range rs {
-				put(1+j, i, rs[i], nil)
-			}
-			if err != nil {
-				t.Errorf("%s: %v", modes[1+j], err)
-			}
-		}
-	})
-	w := new(Worker)
-	for order, seed := range []uint64{1, 2, 3} {
-		m := 3 + order
-		for _, i := range rand.New(rand.NewPCG(seed, 0)).Perm(len(lanes)) {
-			in, r, err := runOn(&std, w, lanes[i])
-			put(m, i, r, err)
-			if in != nil {
-				if st := in.Sys.Net.PoolStats(); st.Live != 0 || in.Fab != nil && in.Fab.Pending() != 0 {
-					t.Errorf("%s: %s: packets or port ops still out after the run", modes[m], laneName(lanes[i]))
-				} else if order > 0 && st.Allocated != 0 {
-					t.Errorf("%s: %s: a re-run minted %d packets; the worker's free list should serve them all", modes[m], laneName(lanes[i]), st.Allocated)
-				}
-			}
-			w.reset()
+// TestRunDeterminism: multicast Fast-LRU on A, plain and probed, on every
+// engine, through core.Run.
+func TestRunDeterminism(t *testing.T) {
+	checkInvariance(t, func(o Options) bool {
+		return o.DesignID == "A" && o.Cores == 0 && o.Policy == cache.FastLRU && o.Mode == cache.Multicast
+	}, runInOrder)
+}
+
+// TestParallelEngineDeterminism: each of A, B and F crossed with each
+// replacement policy, sequential and on four workers.
+func TestParallelEngineDeterminism(t *testing.T) {
+	for _, id := range []string{"A", "B", "F"} {
+		for _, pol := range []cache.Policy{cache.Promotion, cache.LRU, cache.FastLRU} {
+			t.Run(fmt.Sprintf("%s-%v", id, pol), func(t *testing.T) {
+				checkInvariance(t, func(o Options) bool {
+					return o.DesignID == id && o.Cores == 0 && o.Policy == pol && !o.Telemetry.Enabled()
+				}, engine1, engine4)
+			})
 		}
 	}
-	for g := range 8 {
-		spawn(func() {
-			for i := g; i < len(lanes); i += 8 {
-				r, err := Run(lanes[i])
-				put(6, i, r, err)
-			}
+}
+
+// TestTelemetryDeterministicAcrossWorkers: the probed lanes next to their
+// plain twins, sequential and on four workers; probe bytes match, and
+// probing perturbs nothing.
+func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
+	checkInvariance(t, func(o Options) bool {
+		return isAny(o.DesignID, "A", "F", "R") && o.Cores == 0 && o.Policy == cache.FastLRU && o.Mode == cache.Multicast && o.Router == ""
+	}, engine1, engine4)
+}
+
+// TestEngineRunAllMatchesDirectRuns: every lane of A on a four-worker
+// engine.
+func TestEngineRunAllMatchesDirectRuns(t *testing.T) {
+	checkInvariance(t, func(o Options) bool { return o.DesignID == "A" }, engine4)
+}
+
+// TestEngineBitIdentity: A, F and R under every single-core policy and
+// router engine, on the engine at one and four workers.
+func TestEngineBitIdentity(t *testing.T) {
+	checkInvariance(t, func(o Options) bool {
+		return isAny(o.DesignID, "A", "F", "R") && o.Cores == 0 && o.Policy != cache.Directory && !o.Telemetry.Enabled()
+	}, engine1, engine4)
+}
+
+// TestEngineProbedLaneInMixedBatch: the default-engine single-core lanes
+// of A, F and R, each probed lane among plain ones in one batch.
+func TestEngineProbedLaneInMixedBatch(t *testing.T) {
+	checkInvariance(t, func(o Options) bool {
+		return isAny(o.DesignID, "A", "F", "R") && o.Cores == 0 && o.Router == ""
+	}, engine1, engine4)
+}
+
+// TestRunMatchesFreshArena: core.Run, on recycled arenas and shared warm
+// images, over the whole list.
+func TestRunMatchesFreshArena(t *testing.T) {
+	checkInvariance(t, nil, runInOrder)
+}
+
+// TestRunConcurrent: core.Run from 8 goroutines over the whole list.
+func TestRunConcurrent(t *testing.T) {
+	checkInvariance(t, nil, run8)
+}
+
+// inMix reports whether o is one of the 36-run mix: A, F, G and H2 at 0,
+// 1, 4 and 8 cores where the grid hosts them, under the directory
+// policy, multicast Fast-LRU and unicast LRU.
+func inMix(o Options) bool {
+	return isAny(o.DesignID, "A", "F", "G", "H2") && o.Cores != 2 && o.Router == "" && !o.Telemetry.Enabled() &&
+		(o.Policy == cache.Directory || o.Policy == cache.FastLRU && o.Mode == cache.Multicast || o.Policy == cache.LRU && o.Mode == cache.Unicast)
+}
+
+// TestArenaCarriesAcrossDesigns: one worker carries the lanes outside the
+// mix — B, D and R, Promotion, every router engine, H2 at 2 cores and the
+// probed twins — in three orders, with the pool checks.
+func TestArenaCarriesAcrossDesigns(t *testing.T) {
+	checkInvariance(t, func(o Options) bool { return !inMix(o) }, oneWorker)
+}
+
+// TestRunShuffledOnOneArena: one worker carries the 36-run mix in three
+// orders.
+func TestRunShuffledOnOneArena(t *testing.T) {
+	if n := len(slices.DeleteFunc(invarianceLanes(), func(o Options) bool { return !inMix(o) })); n != 36 {
+		t.Fatalf("the mix holds %d runs, want 36 (A and H2 at 0, 1, 4 and 8 cores, F at 0, G at 0, 1 and 4)", n)
+	}
+	checkInvariance(t, inMix, oneWorker)
+}
+
+// TestRouterEnginesDeterministicAcrossWorkers: each router engine's
+// plain single-core lanes, sequential and on four workers.
+func TestRouterEnginesDeterministicAcrossWorkers(t *testing.T) {
+	for _, eng := range router.Names() {
+		t.Run(eng, func(t *testing.T) {
+			checkInvariance(t, func(o Options) bool {
+				return laneEngine(o) == eng && o.Cores == 0 && !o.Telemetry.Enabled()
+			}, engine1, engine4)
 		})
 	}
-	for g := range 4 {
-		spawn(func() {
-			for i := g / 2; i < len(lanes); i += 2 {
-				r, err := rts[g%2].Run(lanes[i])
-				put(7+g%2, i, r, err)
-			}
-		})
-	}
-	wg.Wait()
+}
 
-	for i, o := range lanes {
-		for m := range modes {
-			if !reflect.DeepEqual(got[m][i], want[i]) {
-				t.Errorf("%s: %s: Result differs from the fresh reference", modes[m], laneName(o))
-			}
-		}
-		if !o.Telemetry.Enabled() {
-			if want[i].Telemetry != nil {
-				t.Errorf("%s: a plain lane grew telemetry", laneName(o))
-			}
-			continue
-		}
-		ref := probeBytes(t, want[i])
-		for m := range modes {
-			if !bytes.Equal(probeBytes(t, got[m][i]), ref) {
-				t.Errorf("%s: %s: trace, heatmap or series differs from the fresh reference", modes[m], laneName(o))
-			}
-		}
-		plain := o
-		plain.Telemetry = telemetry.Config{}
-		cleared := want[i]
-		cleared.Options.Telemetry, cleared.Telemetry = telemetry.Config{}, nil
-		if j := slices.Index(lanes, plain); j < 0 || !reflect.DeepEqual(cleared, want[j]) {
-			t.Errorf("%s: probing perturbed the run: with its probes cleared it differs from its plain twin", laneName(o))
-		}
-	}
+// TestCMPPrepCacheMatchesPlainRun: the multi-core H2 lanes, whose engine
+// path clones the merged CMP warm table, on the engine at one and four
+// workers.
+func TestCMPPrepCacheMatchesPlainRun(t *testing.T) {
+	checkInvariance(t, func(o Options) bool { return o.DesignID == "H2" && o.Cores > 0 }, engine1, engine4)
+}
+
+// TestRuntimesShareNothing: two private runtimes over the whole list.
+func TestRuntimesShareNothing(t *testing.T) {
+	checkInvariance(t, nil, privateRuntimes)
 }
