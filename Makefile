@@ -7,16 +7,16 @@
 # dead-code guard, which type-checks the module once and fails on a
 # declaration under internal/ that no non-test code uses, matched by
 # object, and on a struct field there that non-test code never reads),
-# the benchmark module's own tests, the race
-# detector over the short-mode subset (which includes the run-invariance
-# matrix, TestRunInvariance) and one full race pass over the quick
-# packages, the protocol conformance matrices among them: without -short
-# the single-core matrix runs every script of up to three accesses on one
-# set (28,448 runs), ~27 s under the detector on 2 vCPUs.
+# the benchmark module's own tests, and one race pass that runs each
+# test once under the detector: the short-mode suite (the run-invariance
+# matrix, TestRunInvariance, among it), then the two tests that -short
+# cuts down, in full: the single-core protocol conformance matrix, every
+# script of up to three accesses on one set (28,448 runs, ~24 s under the
+# detector on 2 vCPUs), and the 54-run catalogue golden sweep.
 
 GO ?= go
 
-.PHONY: build test benchmark-test check fmt vet race racelong clean
+.PHONY: build test benchmark-test check fmt vet race clean
 
 build:
 	$(GO) build ./...
@@ -40,33 +40,20 @@ vet:
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
 
-# Short-mode subset under the race detector: exercises the parallel
-# experiment engine, the CMP sweep, and every unit test, while skipping
-# the multi-minute full figure sweeps.
+# Every test once under the race detector. The short-mode suite covers
+# the parallel experiment engine, the CMP fabric, nucad, core.Runtime's
+# shared warm images, worker free list and design memo, and the
+# run-invariance matrix, which runs one job list through every way core
+# executes a run, concurrent ones included. -short shrinks or skips the
+# tests too long for the detector (the full figure sweeps, the CLI
+# drive); the second command runs in full the two it cuts that stay
+# quick: TestConformance (scripts of up to three accesses, not two) and
+# TestCatalogueGoldens (skipped under -short).
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -run '^(TestConformance|TestCatalogueGoldens)$$' ./internal/cache/ ./internal/conformance/
 
-# Full (non-short) race pass over the packages whose tests stay quick
-# un-shortened — everything shared across the parallel engine's workers
-# (topology builders, routing verifier, policy and router engines)
-# and every piece of cross-goroutine state (the CMP fabric's ports,
-# nucad's scheduler, cache, and coalescing map), the single-core and CMP
-# protocol conformance matrices (internal/conformance; `race` runs its
-# scripts of up to two accesses, this pass all of them) — plus the engine
-# (shared prepared artifacts), Run and core.Runtime (the warm images
-# every run's banks read through to until they first write a set, the
-# worker free list, the design memo), CMP and canonical-hash tests of
-# internal/core, whose full figure sweeps are too long for the detector.
-# TestRun selects TestRunInvariance, which runs one job list through
-# every way core executes a run, concurrent ones included.
-RACELONG_PKGS = ./internal/topology/ ./internal/routing/ ./internal/cache/ \
-	./internal/router/ ./internal/network/ ./internal/place/ \
-	./internal/cmp/ ./internal/cpu/ ./internal/serve/ ./internal/conformance/
-racelong:
-	$(GO) test -race $(RACELONG_PKGS)
-	$(GO) test -race -run 'TestEngine|TestCMP|TestCanonicalKey|TestRun|TestRuntime' ./internal/core/
-
-check: fmt vet test benchmark-test race racelong
+check: fmt vet test benchmark-test race
 
 clean:
 	$(GO) clean ./...

@@ -169,7 +169,7 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 	}
 	s.Ctrl = newController(s)
 	s.Net.Attach(topo.Core, flit.ToCore, s.Ctrl)
-	s.Memory = s.memory.Renew(s.Net, mem.DefaultConfig())
+	s.Memory = s.memory.Renew(s.Net)
 	return s, nil
 }
 

@@ -126,7 +126,14 @@ func TestRunAllocBudget(t *testing.T) {
 // than four, so those pairs are skipped. Every router engine builds its
 // nodes from the worker's arena too: single-core A, D, F and R run once
 // under each.
+//
+// The count is exact: the heap objects of warmBuilds builds in a row,
+// one processor running, must be 0. An arena slab that is not rewound
+// allocates a fresh chunk only every few builds, so an average over a
+// handful of builds rounded down would read 0; warmBuilds is more builds
+// than any chunk lasts.
 func TestNewInstanceOnWarmArenaAllocatesNothing(t *testing.T) {
+	const warmBuilds = 200
 	check := func(name string, opt Options) {
 		t.Helper()
 		art, err := Prepare(opt, nil)
@@ -142,14 +149,18 @@ func TestNewInstanceOnWarmArenaAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.reset()
-		n := testing.AllocsPerRun(5, func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range warmBuilds {
 			if _, err := NewInstance(art, w); err != nil {
 				t.Fatal(err)
 			}
 			w.reset()
-		})
-		if n != 0 {
-			t.Errorf("%s: NewInstance on a warm arena allocates %v objects, want 0", name, n)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%s: %d NewInstance builds on a warm arena allocate %d objects, want 0", name, warmBuilds, n)
 		}
 	}
 	for _, d := range []string{"A", "F", "G", "H2"} {

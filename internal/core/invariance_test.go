@@ -142,20 +142,40 @@ var invarianceRef = sync.OnceValues(func() ([]Result, error) {
 	})
 })
 
+// invCell is what one mode returned for one lane: its Result and the
+// text of every error the run or the mode's own checks raised on it.
+type invCell struct {
+	r    Result
+	errs []string
+}
+
+// put records a run's Result and error.
+func (c *invCell) put(r Result, err error) {
+	c.r = r
+	if err != nil {
+		c.fail("%v", err)
+	}
+}
+
+// fail records an error the mode raised on the lane.
+func (c *invCell) fail(format string, args ...any) {
+	c.errs = append(c.errs, fmt.Sprintf(format, args...))
+}
+
 // invMode is one way core executes a run. run executes every lane and
-// hands lane i's Result to put under column col, one column per name
-// (a mode that runs the list more than once fills several).
+// records lane i's outcome in cell(col, i), one column per name (a mode
+// that runs the list more than once fills several). No two goroutines
+// of a mode fill the same cell.
 type invMode struct {
 	names []string
-	run   func(t *testing.T, lanes []Options, put func(col, i int, r Result, err error))
+	run   func(lanes []Options, cell func(col, i int) *invCell)
 }
 
 var (
 	// runInOrder: core.Run on the default runtime, in list order.
-	runInOrder = invMode{[]string{"core.Run in list order"}, func(t *testing.T, lanes []Options, put func(int, int, Result, error)) {
+	runInOrder = invMode{[]string{"core.Run in list order"}, func(lanes []Options, cell func(int, int) *invCell) {
 		for i, o := range lanes {
-			r, err := Run(o)
-			put(0, i, r, err)
+			cell(0, i).put(Run(o))
 		}
 	}}
 	engine1 = engineMode(1)
@@ -163,17 +183,18 @@ var (
 	// oneWorker: one Worker carries the list in three seeded orders; after
 	// every run each packet and port op is back, and a lane the worker has
 	// run before mints no packet.
-	oneWorker = invMode{[]string{"one worker, order 1", "one worker, order 2", "one worker, order 3"}, func(t *testing.T, lanes []Options, put func(int, int, Result, error)) {
+	oneWorker = invMode{[]string{"one worker, order 1", "one worker, order 2", "one worker, order 3"}, func(lanes []Options, cell func(int, int) *invCell) {
 		w := new(Worker)
 		for order, seed := range []uint64{1, 2, 3} {
 			for _, i := range rand.New(rand.NewPCG(seed, 0)).Perm(len(lanes)) {
 				in, r, err := runOn(&std, w, lanes[i])
-				put(order, i, r, err)
+				c := cell(order, i)
+				c.put(r, err)
 				if in != nil {
 					if st := in.Sys.Net.PoolStats(); st.Live != 0 || in.Fab != nil && in.Fab.Pending() != 0 {
-						t.Errorf("one worker, order %d: %s: packets or port ops still out after the run", order+1, laneName(lanes[i]))
+						c.fail("packets or port ops still out after the run")
 					} else if order > 0 && st.Allocated != 0 {
-						t.Errorf("one worker, order %d: %s: a re-run minted %d packets; the worker's free list should serve them all", order+1, laneName(lanes[i]), st.Allocated)
+						c.fail("a re-run minted %d packets; the worker's free list should serve them all", st.Allocated)
 					}
 				}
 				w.reset()
@@ -182,15 +203,14 @@ var (
 	}}
 	// run8: core.Run from 8 goroutines at once, goroutine g taking lanes
 	// g, g+8, ...
-	run8 = invMode{[]string{"core.Run from 8 goroutines"}, func(t *testing.T, lanes []Options, put func(int, int, Result, error)) {
+	run8 = invMode{[]string{"core.Run from 8 goroutines"}, func(lanes []Options, cell func(int, int) *invCell) {
 		var wg sync.WaitGroup
 		for g := range 8 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := g; i < len(lanes); i += 8 {
-					r, err := Run(lanes[i])
-					put(0, i, r, err)
+					cell(0, i).put(Run(lanes[i]))
 				}
 			}()
 		}
@@ -198,15 +218,15 @@ var (
 	}}
 	// privateRuntimes: two private Runtimes, whose artifacts share no warm
 	// image and no topology, each running the list from two goroutines.
-	privateRuntimes = invMode{[]string{"private runtime 0", "private runtime 1"}, func(t *testing.T, lanes []Options, put func(int, int, Result, error)) {
+	privateRuntimes = invMode{[]string{"private runtime 0", "private runtime 1"}, func(lanes []Options, cell func(int, int) *invCell) {
 		rts := [2]*Runtime{new(Runtime), new(Runtime)}
-		for _, o := range lanes {
+		for i, o := range lanes {
 			a, errA := rts[0].prepare(o, nil)
 			b, errB := rts[1].prepare(o, nil)
 			if errA != nil || errB != nil {
-				t.Errorf("%s: %v, %v", laneName(o), errA, errB)
+				cell(0, i).fail("prepare: %v, %v", errA, errB)
 			} else if a.WarmImg == b.WarmImg || a.Topo == b.Topo {
-				t.Errorf("%s: two runtimes share a warm image or a topology", laneName(o))
+				cell(0, i).fail("shares a warm image or a topology with private runtime 1")
 			}
 		}
 		var wg sync.WaitGroup
@@ -215,8 +235,7 @@ var (
 			go func() {
 				defer wg.Done()
 				for i := g / 2; i < len(lanes); i += 2 {
-					r, err := rts[g%2].Run(lanes[i])
-					put(g%2, i, r, err)
+					cell(g%2, i).put(rts[g%2].Run(lanes[i]))
 				}
 			}()
 		}
@@ -225,98 +244,105 @@ var (
 	allModes = []invMode{runInOrder, engine1, engine4, oneWorker, run8, privateRuntimes}
 )
 
-// engineMode: NewEngine(workers).RunAll over the whole list at once.
+// engineMode: NewEngine(workers).RunAll over the whole list at once. A
+// batch that fails fails every lane.
 func engineMode(workers int) invMode {
-	name := fmt.Sprintf("NewEngine(%d)", workers)
-	return invMode{[]string{name}, func(t *testing.T, lanes []Options, put func(int, int, Result, error)) {
+	return invMode{[]string{fmt.Sprintf("NewEngine(%d)", workers)}, func(lanes []Options, cell func(int, int) *invCell) {
 		rs, _, err := NewEngine(workers).RunAll(lanes)
-		for i := range rs {
-			put(0, i, rs[i], nil)
-		}
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
+		for i := range lanes {
+			if err != nil {
+				cell(0, i).fail("RunAll: %v", err)
+			} else {
+				cell(0, i).r = rs[i]
+			}
 		}
 	}}
 }
 
-// checkInvariance runs the lanes of invarianceLanes that keep accepts
-// (all of them if keep is nil) through every mode at once, and requires
-// each mode to return the reference Result bit for bit
+// invarianceRuns is the matrix: every mode of allModes run over the whole
+// of invarianceLanes, all modes at once, keyed by column name. It is
+// computed once per test binary, after the reference, and only read
+// after, so every invariance test reads the same runs.
+var invarianceRuns = sync.OnceValue(func() map[string][]invCell {
+	lanes := invarianceLanes()
+	cols := map[string][]invCell{}
+	for _, m := range allModes {
+		for _, name := range m.names {
+			cols[name] = make([]invCell, len(lanes))
+		}
+	}
+	var wg sync.WaitGroup
+	for _, m := range allModes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.run(lanes, func(col, i int) *invCell { return &cols[m.names[col]][i] })
+		}()
+	}
+	wg.Wait()
+	return cols
+})
+
+// checkInvariance reads the matrix's runs of the lanes of
+// invarianceLanes that keep accepts (all of them if keep is nil) in the
+// columns of modes, reports every error recorded there, and requires
+// each run to return the reference Result bit for bit
 // (reflect.DeepEqual on the whole Result).
 //
-// Nothing is compared until every mode has run, and the probed lanes'
-// trace, heatmap and series are serialized only then, so a Result that
-// still points into a recycled arena shows. Plain lanes carry no
-// telemetry, and a probed lane with its probes cleared equals its plain
-// twin.
+// Every mode has run over the whole list before anything is compared,
+// and the probed lanes' trace, heatmap and series are serialized only
+// then, so a Result that still points into a recycled arena shows.
+// Plain lanes carry no telemetry, and a probed lane with its probes
+// cleared equals its plain twin.
 func checkInvariance(t *testing.T, keep func(Options) bool, modes ...invMode) {
 	t.Helper()
-	all := invarianceLanes()
 	ref, err := invarianceRef()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lanes []Options
-	var want []Result
-	for i, o := range all {
-		if keep == nil || keep(o) {
-			lanes, want = append(lanes, o), append(want, ref[i])
-		}
-	}
-	if len(lanes) == 0 {
-		t.Fatal("no lane of the job list is selected")
-	}
-
+	runs := invarianceRuns()
 	var names []string
-	first := make([]int, len(modes))
-	for m, mode := range modes {
-		first[m] = len(names)
-		names = append(names, mode.names...)
+	for _, m := range modes {
+		names = append(names, m.names...)
 	}
-	got := make([][]Result, len(names))
-	for c := range got {
-		got[c] = make([]Result, len(lanes))
-	}
-	var wg sync.WaitGroup
-	for m, mode := range modes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mode.run(t, lanes, func(col, i int, r Result, err error) {
-				if err != nil {
-					t.Errorf("%s: %s: %v", names[first[m]+col], laneName(lanes[i]), err)
-				}
-				got[first[m]+col][i] = r
-			})
-		}()
-	}
-	wg.Wait()
-
-	for i, o := range lanes {
-		for c, name := range names {
-			if !reflect.DeepEqual(got[c][i], want[i]) {
+	all := invarianceLanes()
+	kept := 0
+	for i, o := range all {
+		if keep != nil && !keep(o) {
+			continue
+		}
+		kept++
+		for _, name := range names {
+			c := runs[name][i]
+			for _, e := range c.errs {
+				t.Errorf("%s: %s: %s", name, laneName(o), e)
+			}
+			if !reflect.DeepEqual(c.r, ref[i]) {
 				t.Errorf("%s: %s: Result differs from the fresh reference", name, laneName(o))
 			}
 		}
 		if !o.Telemetry.Enabled() {
-			if want[i].Telemetry != nil {
+			if ref[i].Telemetry != nil {
 				t.Errorf("%s: a plain lane grew telemetry", laneName(o))
 			}
 			continue
 		}
-		probes := probeBytes(t, want[i])
-		for c, name := range names {
-			if !bytes.Equal(probeBytes(t, got[c][i]), probes) {
+		probes := probeBytes(t, ref[i])
+		for _, name := range names {
+			if !bytes.Equal(probeBytes(t, runs[name][i].r), probes) {
 				t.Errorf("%s: %s: trace, heatmap or series differs from the fresh reference", name, laneName(o))
 			}
 		}
 		plain := o
 		plain.Telemetry = telemetry.Config{}
-		cleared := want[i]
+		cleared := ref[i]
 		cleared.Options.Telemetry, cleared.Telemetry = telemetry.Config{}, nil
 		if j := slices.Index(all, plain); j < 0 || !reflect.DeepEqual(cleared, ref[j]) {
 			t.Errorf("%s: probing perturbed the run: with its probes cleared it differs from its plain twin", laneName(o))
 		}
+	}
+	if kept == 0 {
+		t.Fatal("no lane of the job list is selected")
 	}
 }
 
@@ -348,19 +374,20 @@ func TestRunInvariance(t *testing.T) {
 	checkInvariance(t, nil, allModes...)
 }
 
-// The tests below each run one slice of the matrix through some of its
-// modes, against the same reference and by the same equality, so a
-// regression names the execution path or the lanes it touches.
+// The tests below each read one slice of the matrix's runs in some of
+// its columns, against the same reference and by the same equality, so
+// a regression names the execution path or the lanes it touches. They
+// run nothing of their own.
 
 // isAny reports whether s is one of set.
 func isAny(s string, set ...string) bool { return slices.Contains(set, s) }
 
 // TestRunDeterminism: multicast Fast-LRU on A, plain and probed, on every
-// engine, through core.Run.
+// engine, in every column of the matrix.
 func TestRunDeterminism(t *testing.T) {
 	checkInvariance(t, func(o Options) bool {
 		return o.DesignID == "A" && o.Cores == 0 && o.Policy == cache.FastLRU && o.Mode == cache.Multicast
-	}, runInOrder)
+	}, allModes...)
 }
 
 // TestParallelEngineDeterminism: each of A, B and F crossed with each

@@ -19,7 +19,8 @@ import (
 
 // renderTable1 prints the static system parameters of Table 1.
 func renderTable1(w io.Writer, _ ExpConfig, _ []Result) {
-	fmt.Fprintln(w, "memory: block 64B; latency 130 cycles + 4 cycles per 8B (pipelined)")
+	fmt.Fprintf(w, "memory: block %dB; latency %d cycles + %d cycles per 8B (pipelined)\n",
+		mem.BlockBytes, mem.AccessCycles, mem.CyclesPer8B)
 	fmt.Fprintln(w, "router: 4-flit buffers, 4 VCs per PC, 128-bit flits, 1 cycle per stage")
 	fmt.Fprintln(w, "bank size    wire delay   tag only   tag+replacement")
 	for _, kb := range []int{64, 128, 256, 512} {
@@ -27,8 +28,7 @@ func renderTable1(w io.Writer, _ ExpConfig, _ []Result) {
 		fmt.Fprintf(w, "  %4d KB     %d cycle(s)   %d cycles   %d cycles\n",
 			kb, l.Wire, l.TagOnly, l.TagRepl)
 	}
-	c := mem.DefaultConfig()
-	fmt.Fprintf(w, "derived: 64B block read = %d cycles at the pins\n", c.ReadLatency())
+	fmt.Fprintf(w, "derived: %dB block read = %d cycles at the pins\n", mem.BlockBytes, mem.ReadLatency)
 }
 
 // renderTable2 prints the generator self-check against Table 2.

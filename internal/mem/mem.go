@@ -17,29 +17,18 @@ import (
 	"nucanet/internal/topology"
 )
 
-// Config sets the memory timing (Table 1 defaults via DefaultConfig).
-type Config struct {
-	AccessCycles int // pipelined access latency
-	CyclesPer8B  int
-	BlockBytes   int
-	WireDelay    int // per direction, controller <-> pins
-}
+// The Table 1 memory timing.
+const (
+	AccessCycles = 130 // pipelined access latency
+	CyclesPer8B  = 4
+	BlockBytes   = 64
 
-// DefaultConfig returns the Table 1 memory parameters.
-func DefaultConfig() Config {
-	return Config{AccessCycles: 130, CyclesPer8B: 4, BlockBytes: 64, WireDelay: 0}
-}
-
-// TransferCycles returns the pipelined occupancy of one block transfer.
-func (c Config) TransferCycles() int {
-	return c.CyclesPer8B * c.BlockBytes / 8
-}
-
-// ReadLatency returns the unloaded latency of one block read, excluding
-// wire delay: access + transfer.
-func (c Config) ReadLatency() int {
-	return c.AccessCycles + c.TransferCycles()
-}
+	// TransferCycles is the pipelined occupancy of one block transfer.
+	TransferCycles = CyclesPer8B * BlockBytes / 8
+	// ReadLatency is the unloaded latency of one block read, excluding
+	// wire delay: access + transfer.
+	ReadLatency = AccessCycles + TransferCycles
+)
 
 // ReadReq is the payload of a MemReadReq packet: where the MemBlock reply
 // should go and an opaque protocol cookie passed through unchanged as the
@@ -68,7 +57,7 @@ type Stats struct {
 // for the port to finish them; a reply's cycle never precedes an earlier
 // one's, because neither the arrival cycle nor portFree decreases.
 type Memory struct {
-	cfg  Config
+	wire int64 // per direction, controller <-> pins
 	net  *network.Network
 	node topology.NodeID // router hosting the memory controller
 	out  network.Outbox
@@ -78,14 +67,12 @@ type Memory struct {
 }
 
 // Renew makes m a fresh memory attached to the topology's memory router,
-// its outbox registered with net's kernel. The outbox keeps the capacity
-// an earlier run grew, so a memory renewed run after run stops
-// allocating.
-func (m *Memory) Renew(net *network.Network, cfg Config) *Memory {
-	*m = Memory{cfg: cfg, net: net, node: net.Topo.Mem, out: m.out}
-	if net.Topo.MemWireDelay > 0 && cfg.WireDelay == 0 {
-		m.cfg.WireDelay = net.Topo.MemWireDelay
-	}
+// its wire delay the topology's MemWireDelay (none if that is not
+// positive), its outbox registered with net's kernel. The outbox keeps
+// the capacity an earlier run grew, so a memory renewed run after run
+// stops allocating.
+func (m *Memory) Renew(net *network.Network) *Memory {
+	*m = Memory{wire: int64(max(net.Topo.MemWireDelay, 0)), net: net, node: net.Topo.Mem, out: m.out}
 	m.out.Register(net, nil)
 	net.Attach(m.node, flit.ToMem, m)
 	return m
@@ -104,7 +91,7 @@ func (m *Memory) Deliver(pkt *flit.Packet, now int64) {
 		}
 		m.stats.Reads++
 		start := m.claimPort(now)
-		ready := start + int64(m.cfg.ReadLatency()) + int64(m.cfg.WireDelay)
+		ready := start + ReadLatency + m.wire
 		// Attribute the full service span (wire both ways + port stall +
 		// access) to the requesting operation's latency breakdown.
 		if c, ok := req.Cookie.(interface{ AddMemCycles(int64) }); ok {
@@ -127,7 +114,7 @@ func (m *Memory) Deliver(pkt *flit.Packet, now int64) {
 // the cycle the transfer starts: the arrival, or the cycle the port
 // frees up after the transfers booked before it.
 func (m *Memory) claimPort(now int64) int64 {
-	start := max(now+int64(m.cfg.WireDelay), m.portFree)
-	m.portFree = start + int64(m.cfg.TransferCycles())
+	start := max(now+m.wire, m.portFree)
+	m.portFree = start + TransferCycles
 	return start
 }

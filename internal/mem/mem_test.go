@@ -34,7 +34,7 @@ func build(t *testing.T, wire int) (*sim.Kernel, *network.Network, *Memory, *sin
 	topo.MemWireDelay = wire
 	k := sim.NewKernel()
 	net := network.MustNew(k, topo, routing.XY{}, router.DefaultConfig())
-	m := new(Memory).Renew(net, DefaultConfig())
+	m := new(Memory).Renew(net)
 	s := &sink{}
 	for id := 0; id < topo.NumNodes(); id++ {
 		net.Attach(id, flit.ToBank, s)
@@ -44,12 +44,11 @@ func build(t *testing.T, wire int) (*sim.Kernel, *network.Network, *Memory, *sin
 }
 
 func TestConfigDerived(t *testing.T) {
-	c := DefaultConfig()
-	if c.TransferCycles() != 32 {
-		t.Fatalf("TransferCycles = %d, want 32 (4 cycles per 8B x 64B)", c.TransferCycles())
+	if TransferCycles != 32 {
+		t.Fatalf("TransferCycles = %d, want 32 (4 cycles per 8B x 64B)", TransferCycles)
 	}
-	if c.ReadLatency() != 162 {
-		t.Fatalf("ReadLatency = %d, want 162", c.ReadLatency())
+	if ReadLatency != 162 {
+		t.Fatalf("ReadLatency = %d, want 162", ReadLatency)
 	}
 }
 
@@ -136,7 +135,7 @@ func TestHaloWireDelayPickedUpFromTopology(t *testing.T) {
 	topo := topology.MustBuild("halo", topology.Params{W: 4, H: 4, MemWireDelay: 16})
 	k := sim.NewKernel()
 	net := network.MustNew(k, topo, routing.Spike{}, router.DefaultConfig())
-	new(Memory).Renew(net, DefaultConfig())
+	new(Memory).Renew(net)
 	s := &sink{}
 	for id := 0; id < topo.NumNodes(); id++ {
 		net.Attach(id, flit.ToBank, s)

@@ -40,7 +40,7 @@ func postRun(t testing.TB, ts *httptest.Server, body string) (*http.Response, []
 // TestServeDeterministicBodies pins the serving layer's core promise:
 // the same request served cold (fresh server), warm (cache hit), and
 // concurrently from 8 goroutines returns byte-identical JSON bodies.
-// Runs under -race via the racelong make target.
+// Runs under -race via the race make target.
 func TestServeDeterministicBodies(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4})
 
