@@ -454,15 +454,16 @@ func inMix(o Options) bool {
 		(o.Policy == cache.Directory || o.Policy == cache.FastLRU && o.Mode == cache.Multicast || o.Policy == cache.LRU && o.Mode == cache.Unicast)
 }
 
-// TestArenaCarriesAcrossDesigns: one worker carries the lanes outside the
-// mix — B, D and R, Promotion, every router engine, H2 at 2 cores and the
-// probed twins — in three orders, with the pool checks.
+// TestArenaCarriesAcrossDesigns: the lanes outside the mix — B, D and R,
+// Promotion, every router engine, H2 at 2 cores and the probed twins — as
+// one worker carrying the whole list in three orders ran them, with the
+// pool checks.
 func TestArenaCarriesAcrossDesigns(t *testing.T) {
 	checkInvariance(t, func(o Options) bool { return !inMix(o) }, oneWorker)
 }
 
-// TestRunShuffledOnOneArena: one worker carries the 36-run mix in three
-// orders.
+// TestRunShuffledOnOneArena: the 36-run mix as one worker carrying the
+// whole list in three orders ran it.
 func TestRunShuffledOnOneArena(t *testing.T) {
 	if n := len(slices.DeleteFunc(invarianceLanes(), func(o Options) bool { return !inMix(o) })); n != 36 {
 		t.Fatalf("the mix holds %d runs, want 36 (A and H2 at 0, 1, 4 and 8 cores, F at 0, G at 0, 1 and 4)", n)
